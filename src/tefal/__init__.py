@@ -43,6 +43,7 @@ from .linalg import (
 from .model import RetrievalModel, create_model, named_parameters, similarity_matrix
 from .ranking import (
     EvalStats,
+    NonFiniteScoreError,
     RankingMetrics,
     compute_metrics,
     dual_softmax_postprocess,

@@ -10,14 +10,24 @@ embedding:
     out = LN(pooled W_o)                      (output projection + norm)
 
 The block has no positional encoding, so the pooled output is invariant
-under any joint permutation of the context rows; pooling sums are
-canonicalized (see :func:`tefal.linalg.canonical_sum`) to make that
-invariance hold bit-for-bit.
+under any joint permutation of the context rows.  Two kernels make that
+invariance hold bit-for-bit:
+
+* :func:`block_forward_tile` scores T query projections against C candidate
+  contexts at once.  It computes the candidate side (``LN_c``, K and V W_o)
+  once per call, puts each candidate's rows in one canonical order (a
+  lexsort of K||V W_o, see :func:`canonical_rows`), and then reduces over the
+  rows with plain sums.  Every per-row product is an ``einsum``, so a pair's
+  output depends only on its own query and candidate, whatever the tile.
+  Exhaustive scoring and stage-2 re-ranking use this kernel.
+* :func:`block_forward` and :func:`block_forward_each` (one shared context,
+  or one context per query row) keep the forward intermediates that the
+  hand-written backward passes need.  They accumulate the softmax and
+  pooling sums with :func:`tefal.linalg.canonical_sum`.  Training uses them,
+  and the xattn fusion block scores through :func:`block_forward_each`.
 
 Two independent instances of the block (disjoint parameter sets) condition
-the video and audio sides on the same text query.  Forward functions accept
-either a single 1 x D text row or a stack of query rows, which evaluates the
-block for every query against one shared context.
+the video and audio sides on the same text query.
 """
 
 import math
@@ -44,6 +54,9 @@ __all__ = [
     "block_backward",
     "block_forward_each",
     "block_backward_each",
+    "project_queries",
+    "canonical_rows",
+    "block_forward_tile",
 ]
 
 
@@ -276,7 +289,9 @@ class BlockEachCache:
 
 def block_forward_each(params: XAttnParams, text: np.ndarray, contexts: np.ndarray):
     """Like :func:`block_forward` but query row ``b`` attends over
-    ``contexts[b]``.  ``contexts`` has shape (B, n, D)."""
+    ``contexts[b]``.  ``contexts`` has shape (B, n, D).  Every row product is
+    an ``einsum``, so output row ``b`` depends only on ``text[b]`` and
+    ``contexts[b]``, not on B."""
     text = _check_text(params, text)
     contexts = np.asarray(contexts, dtype=np.float64)
     if contexts.ndim != 3 or contexts.shape[0] != text.shape[0]:
@@ -288,7 +303,7 @@ def block_forward_each(params: XAttnParams, text: np.ndarray, contexts: np.ndarr
 
     t_n = layernorm_rows(text, params.ln_q_gain, params.ln_q_bias)
     c_n = layernorm_rows(contexts, params.ln_c_gain, params.ln_c_bias)
-    q = t_n @ params.w_q
+    q = _stable_rows_times(t_n, params.w_q)
     k = _stable_rows_times(c_n, params.w_k)
     v = _stable_rows_times(c_n, params.w_v)
 
@@ -298,7 +313,7 @@ def block_forward_each(params: XAttnParams, text: np.ndarray, contexts: np.ndarr
     e = np.exp(shifted)
     weights = e / canonical_sum(e, axis=1)[:, None]
     pooled = canonical_sum(weights[:, :, None] * v, axis=1)
-    proj = pooled @ params.w_o
+    proj = _stable_rows_times(pooled, params.w_o)
     out = layernorm_rows(proj, params.ln_o_gain, params.ln_o_bias)
     cache = BlockEachCache(text, contexts, t_n, c_n, q, k, v, weights, pooled, proj)
     return out, cache
@@ -337,3 +352,61 @@ def block_backward_each(params: XAttnParams, cache: BlockEachCache, d_out: np.nd
         "ln_o_gain": d_go, "ln_o_bias": d_bo,
     }
     return grads, d_text, d_contexts
+
+
+# ---------------------------------------------------------------------------
+# the scoring tile: T query projections against C candidate contexts
+# ---------------------------------------------------------------------------
+
+def project_queries(params: XAttnParams, texts: np.ndarray) -> np.ndarray:
+    """``LN_q(texts) W_q``, each row computed independently of its position,
+    so a row subset of the result equals the result for the row subset."""
+    texts = _check_text(params, texts)
+    t_n = layernorm_rows(texts, params.ln_q_gain, params.ln_q_bias)
+    return _stable_rows_times(t_n, params.w_q)
+
+
+def canonical_rows(rows: np.ndarray) -> np.ndarray:
+    """Reorder the rows of every item of a (C, n, m) stack by a lexsort of
+    their columns (column 0 first).
+
+    The result is a function of each item's multiset of rows only: rows that
+    tie in every column hold the same values, so their relative order
+    cannot matter.  Plain reductions over the canonical rows are therefore
+    bit-exact under any permutation of the input rows.
+    """
+    items = np.arange(rows.shape[0])[:, None]
+    order = np.argsort(rows[:, :, 0], axis=-1, kind="stable")
+    first = rows[items, order, 0]
+    if not np.all(first[:, 1:] > first[:, :-1]):
+        # a tie (or NaN) in column 0: the later columns decide
+        order = np.lexsort(np.moveaxis(rows, 2, 0)[::-1], axis=-1)
+    return rows[items, order]
+
+
+def block_forward_tile(params: XAttnParams, q: np.ndarray,
+                       contexts: np.ndarray) -> np.ndarray:
+    """The block for every (query, candidate) pair of a tile.
+
+    ``q`` is (T, D_p), from :func:`project_queries`; ``contexts`` is
+    (C, n, D).  Returns the (T, C, D_p) conditioned embeddings.  The
+    candidate side (``LN_c``, K and V W_o) is computed once per call and
+    put in canonical row order; the output projection is folded into the
+    values, so pooling yields ``pooled W_o`` directly.
+    """
+    contexts = np.asarray(contexts, dtype=np.float64)
+    if contexts.ndim != 3 or contexts.shape[2] != params.dim:
+        raise ShapeError(
+            f"contexts must be (C, n, {params.dim}), got {contexts.shape}")
+    p = params.proj_dim
+    c_n = layernorm_rows(contexts, params.ln_c_gain, params.ln_c_bias)
+    kv = canonical_rows(np.concatenate(
+        [_stable_rows_times(c_n, params.w_k),
+         _stable_rows_times(c_n, params.w_v @ params.w_o)], axis=2))
+    k = kv[:, :, :p]
+    vo = kv[:, :, p:]
+    logits = np.einsum("tp,cnp->tcn", q, k) / math.sqrt(p)
+    e = np.exp(logits - logits.max(axis=2, keepdims=True))
+    weights = e / e.sum(axis=2, keepdims=True)
+    proj = np.einsum("tcn,cnp->tcp", weights, vo)
+    return layernorm_rows(proj, params.ln_o_gain, params.ln_o_bias)

@@ -23,6 +23,7 @@ import numpy as np
 
 from .attention import (
     XAttnParams,
+    _stable_rows_times,
     block_backward_each,
     block_forward,
     block_forward_each,
@@ -123,8 +124,11 @@ def fuse_forward(params: FusionParams, *, video_cond=None, audio_cond=None,
     """Forward pass for the post-hoc fusion kinds, returning ``(fused, cache)``.
 
     ``video_cond``/``audio_cond`` are the conditioned embeddings (one row per
-    query).  ``audio_token_mean`` (1 x D) is the raw token mean used by the
-    late variant; ``texts`` are the raw query rows used by the xattn variant.
+    query).  ``audio_token_mean`` is the raw token mean used by the late
+    variant: one 1 x D row (what :func:`fuse_backward` supports), or one row
+    per query for a forward-only call; ``texts`` are the raw query rows used
+    by the xattn variant.  Row products are ``einsum``s, so each fused
+    row depends only on its own inputs, not on how many rows are fused.
     The stacking variant is not a post-hoc combiner (it swaps the video
     block's context) and is handled by :func:`fuse`.
     """
@@ -146,7 +150,7 @@ def fuse_forward(params: FusionParams, *, video_cond=None, audio_cond=None,
         if summary.shape[1] != params.late_w.shape[0]:
             raise ShapeError(f"audio summary has {summary.shape[1]} columns, "
                              f"projection expects {params.late_w.shape[0]}")
-        fused = video_cond + summary @ params.late_w
+        fused = video_cond + _stable_rows_times(summary, params.late_w)
         return fused, FusionCache(kind, token_mean=summary,
                                   video_cond=video_cond)
 
@@ -158,7 +162,7 @@ def fuse_forward(params: FusionParams, *, video_cond=None, audio_cond=None,
         if concat.shape[1] != params.concat_w.shape[0]:
             raise ShapeError(f"concatenation has {concat.shape[1]} columns, "
                              f"weight expects {params.concat_w.shape[0]}")
-        fused = concat @ params.concat_w + params.concat_b
+        fused = _stable_rows_times(concat, params.concat_w) + params.concat_b
         return fused, FusionCache(kind, concat=concat)
 
     if kind == FusionKind.XATTN:

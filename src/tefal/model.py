@@ -2,8 +2,17 @@
 
 Every candidate embedding is conditioned on the query text, so a similarity
 matrix over T queries and V candidates costs one block evaluation per
-(query, candidate) pair.  The pair loop is organized candidate-major: for a
-fixed candidate, all query rows are pushed through the blocks as one batch.
+(query, candidate) pair.  Scoring computes each block's query projection
+``LN_q(text) W_q`` once, then walks the candidates in tiles of about
+``TILE_PAIRS`` pairs: :func:`score_tile` runs
+:func:`tefal.attention.block_forward_tile` on a tile, fuses the flattened
+pair rows and takes their cosine with the query texts.  Each score depends
+only on its own pair, so any tiling (exhaustive scoring, the stage-2
+re-rank, a query or candidate subset, any worker count) gives the same
+bits for the same pair.
+
+Training keeps the candidate-major path (:func:`candidate_scores`), which
+caches the forward intermediates for the backward pass.
 
 ``modality`` selects what the fused embedding is built from: ``"both"``
 (the configured fusion of the two conditioned embeddings), ``"video"``
@@ -16,7 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import XAttnParams, block_backward, block_forward
+from .attention import (
+    XAttnParams,
+    block_backward,
+    block_forward,
+    block_forward_tile,
+    canonical_rows,
+    project_queries,
+)
 from .contrastive import (
     TAU_INIT,
     Temperature,
@@ -29,9 +45,14 @@ from .fusion import FusionKind, FusionParams, fuse_backward, fuse_forward
 from .linalg import ShapeError
 
 __all__ = ["RetrievalModel", "create_model", "named_parameters",
-           "candidate_scores", "similarity_matrix", "batch_loss_and_grads"]
+           "candidate_scores", "Queries", "query_rows", "score_tile",
+           "map_tasks", "similarity_matrix", "batch_loss_and_grads"]
 
 MODALITIES = ("both", "video", "audio")
+
+# (query, candidate) pairs per scoring tile: a tile is max(1, TILE_PAIRS // T)
+# candidates wide
+TILE_PAIRS = 2048
 
 
 @dataclass
@@ -199,35 +220,91 @@ def candidate_scores(model: RetrievalModel, texts: np.ndarray, corpus: Corpus,
     return scores, cache
 
 
+@dataclass
+class Queries:
+    """Query text rows and each used block's projection ``LN_q(text) W_q``."""
+    texts: np.ndarray
+    video: np.ndarray | None
+    audio: np.ndarray | None
+
+    def rows(self, index) -> "Queries":
+        return Queries(self.texts[index],
+                       None if self.video is None else self.video[index],
+                       None if self.audio is None else self.audio[index])
+
+
+def query_rows(model: RetrievalModel, texts: np.ndarray) -> Queries:
+    """Project the query texts once for every block the model uses."""
+    texts = np.asarray(texts, dtype=np.float64)
+    return Queries(texts,
+                   project_queries(model.video, texts) if _uses_video(model) else None,
+                   project_queries(model.audio, texts) if _uses_audio_block(model)
+                   else None)
+
+
+def score_tile(model: RetrievalModel, queries: Queries, corpus: Corpus,
+               cols: np.ndarray) -> np.ndarray:
+    """(T, C) cosine scores of every query row against candidates ``cols``."""
+    cols = np.asarray(cols, dtype=np.intp)
+    t, c = queries.texts.shape[0], len(cols)
+    kind = model.fusion.kind
+
+    def pairs(x):
+        return x.reshape(t * c, x.shape[-1])
+
+    texts = pairs(np.broadcast_to(queries.texts[:, None, :], (t, c, corpus.dim)))
+    if model.modality == "video":
+        fused = pairs(block_forward_tile(model.video, queries.video, corpus.frames[cols]))
+    elif model.modality == "audio":
+        fused = pairs(block_forward_tile(model.audio, queries.audio, corpus.audio[cols]))
+    elif kind == FusionKind.STACKING:
+        context = np.concatenate(
+            [corpus.frames[cols], corpus.summary_rows()[cols][:, None, :]], axis=1)
+        fused = pairs(block_forward_tile(model.video, queries.video, context))
+    elif kind == FusionKind.LATE:
+        e_v = block_forward_tile(model.video, queries.video, corpus.frames[cols])
+        token_mean = canonical_rows(corpus.audio[cols]).mean(axis=1)
+        fused, _ = fuse_forward(
+            model.fusion, video_cond=pairs(e_v),
+            audio_token_mean=pairs(np.broadcast_to(token_mean, (t, c, corpus.dim))))
+    else:
+        e_v = block_forward_tile(model.video, queries.video, corpus.frames[cols])
+        e_a = block_forward_tile(model.audio, queries.audio, corpus.audio[cols])
+        fused, _ = fuse_forward(model.fusion, video_cond=pairs(e_v),
+                                audio_cond=pairs(e_a), texts=texts)
+    scores, _ = cosine_rows(texts, fused)
+    return scores.reshape(t, c)
+
+
+def map_tasks(fn, tasks: list, workers: int = 1) -> list:
+    """``[fn(task) for task in tasks]``, on a thread pool when ``workers > 1``."""
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(task) for task in tasks]
+
+
 def similarity_matrix(model: RetrievalModel, corpus: Corpus,
                       query_texts: np.ndarray | None = None,
                       candidates: np.ndarray | None = None,
                       workers: int = 1) -> np.ndarray:
     """Dense T x V matrix of text-conditioned cosine similarities.
 
-    Candidate columns are independent, so they may be computed by a worker
-    pool; results are assembled by index, which keeps the output identical
-    for any worker count.
+    The candidates are scored in tiles of ``max(1, TILE_PAIRS // T)``
+    columns.  Tiles are independent, so they may be computed by a worker
+    pool; every score depends only on its own pair, which keeps the output
+    identical for any worker count and any query or candidate subset.
     """
-    texts = corpus.texts if query_texts is None else np.asarray(query_texts, float)
+    queries = query_rows(model, corpus.texts if query_texts is None else query_texts)
     if candidates is None:
         candidates = np.arange(len(corpus))
-    sim = np.empty((texts.shape[0], len(candidates)))
-
-    def column(slot_j):
-        slot, j = slot_j
-        scores, _ = candidate_scores(model, texts, corpus, int(j))
-        return slot, scores
-
-    tasks = list(enumerate(candidates))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for slot, scores in pool.map(column, tasks):
-                sim[:, slot] = scores
-    else:
-        for slot, scores in map(column, tasks):
-            sim[:, slot] = scores
-    return sim
+    candidates = np.asarray(candidates, dtype=np.intp)
+    width = max(1, TILE_PAIRS // queries.texts.shape[0])
+    tiles = [candidates[i:i + width] for i in range(0, len(candidates), width)]
+    blocks = map_tasks(lambda cols: score_tile(model, queries, corpus, cols),
+                       tiles, workers)
+    return np.concatenate(blocks, axis=1) if blocks \
+        else np.empty((queries.texts.shape[0], 0))
 
 
 def batch_loss_and_grads(model: RetrievalModel, corpus: Corpus,

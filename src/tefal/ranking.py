@@ -11,15 +11,36 @@ from typing import Callable
 
 import numpy as np
 
+from .config import ConfigError
 from .corpus import Corpus
 from .linalg import ShapeError, as_matrix
-from .model import RetrievalModel, candidate_scores, similarity_matrix
+from .model import (
+    RetrievalModel,
+    map_tasks,
+    query_rows,
+    score_tile,
+    similarity_matrix,
+)
 
 __all__ = [
-    "RankingMetrics", "EvalStats", "mean_pool", "compute_metrics",
-    "ranks_from_similarity", "rank_exhaustive", "rerank_two_stage",
-    "dual_softmax_postprocess", "resolve_workers",
+    "RankingMetrics", "EvalStats", "NonFiniteScoreError", "mean_pool",
+    "compute_metrics", "ranks_from_similarity", "rank_exhaustive",
+    "rerank_two_stage", "dual_softmax_postprocess", "resolve_workers",
 ]
+
+
+class NonFiniteScoreError(ValueError):
+    """A similarity score to be ranked is NaN or infinite."""
+
+
+def _check_finite(scores: np.ndarray, ids, what: str) -> None:
+    """Reject a (queries x candidates) score array with a non-finite entry,
+    naming the first query it occurs for."""
+    bad = ~np.isfinite(scores)
+    if np.any(bad):
+        row = int(np.nonzero(bad.any(axis=1))[0][0])
+        raise NonFiniteScoreError(
+            f"{what} for query {row} ({ids[row]}) has a non-finite score")
 
 
 def resolve_workers(requested: int = 1) -> int:
@@ -27,7 +48,12 @@ def resolve_workers(requested: int = 1) -> int:
     workers = max(1, int(requested))
     cap = os.environ.get("TEFAL_THREADS")
     if cap:
-        workers = min(workers, max(1, int(cap)))
+        try:
+            cap_value = int(cap)
+        except ValueError:
+            raise ConfigError(
+                f"TEFAL_THREADS must be an integer, got {cap!r}") from None
+        workers = min(workers, max(1, cap_value))
     return workers
 
 
@@ -94,11 +120,16 @@ def _rank_of_truth(scores: np.ndarray, truth: int, ids: np.ndarray) -> int:
 
 
 def ranks_from_similarity(sim: np.ndarray, ids) -> np.ndarray:
-    """Per-row rank of the diagonal entry of a square similarity matrix."""
+    """Per-row rank of the diagonal entry of a square similarity matrix.
+
+    Raises :class:`NonFiniteScoreError` if any score is NaN or infinite: a
+    NaN compares false with everything and would rank its truth first.
+    """
     sim = np.asarray(sim, dtype=np.float64)
     if sim.ndim != 2 or sim.shape[0] != sim.shape[1]:
         raise ShapeError(f"aligned similarity matrix must be square, got {sim.shape}")
     ids = np.asarray(ids)
+    _check_finite(sim, ids, "similarity row")
     return np.array([_rank_of_truth(sim[i], i, ids) for i in range(sim.shape[0])])
 
 
@@ -181,46 +212,35 @@ def rerank_two_stage(model: RetrievalModel, corpus: Corpus, k: int,
     order1 = np.stack([np.lexsort((ids, -stage1[i])) for i in range(n)])
     shortlists = order1[:, :k]
 
-    stage2 = np.full((n, n), np.nan)
+    queries = query_rows(model, texts)
     if direction == "t2v":
-        # group the (query, candidate) pairs by candidate so each video's
-        # context is pushed through the blocks once, batched over its queries
-        by_candidate: dict[int, list[int]] = {}
-        for i in range(n):
-            for j in shortlists[i]:
-                by_candidate.setdefault(int(j), []).append(i)
-        tasks = sorted(by_candidate.items())
-
-        def score_candidate(item):
-            j, rows = item
-            rows = np.asarray(rows, dtype=np.intp)
-            scores, _ = candidate_scores(model, texts[rows], corpus, j)
-            return rows, np.full(len(rows), j), scores
+        # group the (query, candidate) pairs by candidate: one tile per
+        # candidate, over the queries that shortlisted it (ascending)
+        order = np.argsort(shortlists.ravel(), kind="stable")
+        cols, starts = np.unique(shortlists.ravel()[order], return_index=True)
+        tasks = list(zip(cols.tolist(), np.split(order, starts[1:])))
     else:
-        # each video query scores its shortlisted texts in one batch
-        tasks = list(range(n))
+        # each video query scores its shortlisted texts in one tile
+        tasks = [(j, j * k + np.arange(k)) for j in range(n)]
 
-        def score_candidate(j):
-            rows = np.asarray(shortlists[j], dtype=np.intp)
-            scores, _ = candidate_scores(model, texts[rows], corpus, int(j))
-            return rows, np.full(len(rows), j), scores
+    def score_group(task):
+        j, slots = task
+        rows = slots // k if direction == "t2v" else shortlists[j]
+        return slots, score_tile(model, queries.rows(rows), corpus, [j])[:, 0]
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(score_candidate, tasks))
-    else:
-        results = [score_candidate(t) for t in tasks]
-    for rows, cols, scores in results:
-        stage2[rows, cols] = scores
-        stats.stage2_model_evals += len(rows)
+    # stage2[q, s] scores query q against its s-th shortlisted item
+    stage2 = np.empty(n * k)
+    for slots, scores in map_tasks(score_group, tasks, workers):
+        stage2[slots] = scores
+    stage2 = stage2.reshape(n, k)
+    stats.stage2_model_evals += stage2.size
+    _check_finite(stage2, ids, "shortlist")
 
     ranks = np.empty(n, dtype=np.intp)
     for qi in range(n):
         short = shortlists[qi]
-        scores = stage2[qi, short] if direction == "t2v" else stage2[short, qi]
         if qi in short:
-            reorder = np.lexsort((ids[short], -scores))
+            reorder = np.lexsort((ids[short], -stage2[qi]))
             ranks[qi] = 1 + int(np.nonzero(short[reorder] == qi)[0][0])
         else:
             tail = order1[qi, k:]

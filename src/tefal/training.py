@@ -9,7 +9,7 @@ count is stable.  Everything is deterministic given the seed.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -166,6 +166,7 @@ class EvalResult:
             "k": self.k,
             "postprocess": self.postprocess,
             "metrics": {"t2v": self.t2v.as_dict(), "v2t": self.v2t.as_dict()},
+            "stats": asdict(self.stats),
             "ranks": {"t2v": [int(r) for r in self.ranks_t2v],
                       "v2t": [int(r) for r in self.ranks_v2t]},
         }

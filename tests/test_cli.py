@@ -93,6 +93,8 @@ class TestTrainEval:
         assert set(doc["metrics"]) == {"t2v", "v2t"}
         assert set(doc["metrics"]["t2v"]) == {"R1", "R5", "R10", "MdR", "MnR"}
         assert len(doc["ranks"]["t2v"]) == doc["items"]
+        # exhaustive scoring: every pair once, reused for both directions
+        assert doc["stats"] == {"stage1_comparisons": 0, "stage2_model_evals": 30 * 30}
 
     def test_full_shortlist_metrics_match_exhaustive(self, trained_setup, tmp_path):
         manifest, ckpt = trained_setup
@@ -117,7 +119,11 @@ class TestTrainEval:
         out = tmp_path / "rr10.json"
         assert run("rerank", "--data", str(manifest), "--checkpoint", str(ckpt),
                    "--k", "10%", "--out", str(out)) == 0
-        assert json.loads(out.read_text())["k"] == 3
+        doc = json.loads(out.read_text())
+        assert doc["k"] == 3
+        # both directions: a full stage-1 scan and k model scores per query
+        assert doc["stats"] == {"stage1_comparisons": 2 * 30 * 30,
+                                "stage2_model_evals": 2 * 30 * 3}
 
 
 class TestFbank:

@@ -9,6 +9,7 @@ from tefal.config import ConfigError, TrainConfig
 from tefal.corpus import synth_corpus
 from tefal.linalg import ParamStore, ShapeError
 from tefal.model import (
+    candidate_scores,
     create_model,
     named_parameters,
     similarity_matrix,
@@ -176,6 +177,56 @@ class TestEvaluate:
         sim_both = similarity_matrix(model, corpus)
         sim_video = similarity_matrix(video_view, corpus)
         np.testing.assert_array_equal(sim_both, sim_video)
+
+
+SCORING_CONFIGS = [(modality, fusion) for modality in ("both", "video", "audio")
+                   for fusion in ("addition", "late", "concat_fc", "xattn", "stacking")]
+
+
+@pytest.fixture(scope="module")
+def scoring_corpus():
+    # more audio tokens than frames, and 23 items: tiles of several widths
+    return synth_corpus(seed=41, n_items=23, dim=12, frames=3, audio_tokens=9)
+
+
+class TestTileScoring:
+    @pytest.mark.parametrize("modality,fusion", SCORING_CONFIGS)
+    def test_matches_per_candidate_scores(self, scoring_corpus, modality, fusion):
+        model = create_model(seed=12, dim=12, fusion=fusion, modality=modality)
+        sim = similarity_matrix(model, scoring_corpus)
+        for j in range(len(scoring_corpus)):
+            column, _ = candidate_scores(model, scoring_corpus.texts, scoring_corpus, j)
+            np.testing.assert_allclose(sim[:, j], column, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("modality,fusion", SCORING_CONFIGS)
+    def test_permuting_context_rows_is_bit_exact(self, scoring_corpus, modality, fusion):
+        model = create_model(seed=13, dim=12, fusion=fusion, modality=modality)
+        base = similarity_matrix(model, scoring_corpus)
+        rng = np.random.default_rng(14)
+        shuffled = dataclasses.replace(scoring_corpus,
+                                       frames=scoring_corpus.frames.copy(),
+                                       audio=scoring_corpus.audio.copy())
+        for i in range(len(shuffled)):
+            shuffled.frames[i] = shuffled.frames[i][rng.permutation(shuffled.frame_count)]
+            shuffled.audio[i] = shuffled.audio[i][rng.permutation(
+                shuffled.audio_token_count)]
+        np.testing.assert_array_equal(similarity_matrix(model, shuffled), base)
+
+    @pytest.mark.parametrize("fusion", ["addition", "xattn", "late"])
+    def test_subset_call_returns_the_submatrix(self, scoring_corpus, fusion):
+        model = create_model(seed=15, dim=12, fusion=fusion)
+        full = similarity_matrix(model, scoring_corpus)
+        n = len(scoring_corpus)
+        rng = np.random.default_rng(16)
+        subsets = [([4], [17]), ([0], list(range(n))), (list(range(n)), [9])]
+        subsets += [(rng.choice(n, size=size, replace=False),
+                     rng.choice(n, size=n - size, replace=False))
+                    for size in (2, 7, 15)]
+        for queries, candidates in subsets:
+            got = similarity_matrix(model, scoring_corpus,
+                                    query_texts=scoring_corpus.texts[queries],
+                                    candidates=np.asarray(candidates))
+            np.testing.assert_array_equal(got, full[np.ix_(queries, candidates)])
 
 
 class TestSynthCorpus:

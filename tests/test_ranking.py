@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from tefal.config import ConfigError
 from tefal.corpus import synth_corpus
 from tefal.model import create_model, similarity_matrix
 from tefal.ranking import (
+    NonFiniteScoreError,
     _stage1_similarity,
     compute_metrics,
     dual_softmax_postprocess,
@@ -119,6 +121,20 @@ class TestRanksFromSimilarity:
         relabeled = ranks_from_similarity(sim[np.ix_(perm, perm)], ids[perm])
         np.testing.assert_array_equal(relabeled, base[perm])
 
+    def test_nan_truth_is_rejected_not_ranked_first(self):
+        # NaN compares false with every score, so counting higher scores
+        # once ranked every NaN truth first (R@1 = 100%)
+        sim = np.ones((3, 3))
+        np.fill_diagonal(sim, np.nan)
+        with pytest.raises(NonFiniteScoreError, match=r"query 0 \(a\)"):
+            ranks_from_similarity(sim, ["a", "b", "c"])
+
+    def test_non_finite_off_diagonal_names_its_query(self):
+        sim = np.eye(4)
+        sim[2, 0] = -np.inf
+        with pytest.raises(NonFiniteScoreError, match=r"query 2 \(v2\)"):
+            ranks_from_similarity(sim, [f"v{j}" for j in range(4)])
+
 
 @pytest.fixture(scope="module")
 def small_setup():
@@ -221,6 +237,25 @@ class TestRerankTwoStage:
         np.testing.assert_array_equal(shuffled.ranks, exhaustive.ranks)
 
 
+class TestNonFiniteModelScores:
+    @pytest.fixture()
+    def nan_model(self):
+        model = create_model(seed=3, dim=12)
+        model.audio.w_v[0, 0] = np.nan
+        return model
+
+    def test_exhaustive_ranking_raises(self, small_setup, nan_model):
+        _model, corpus = small_setup
+        with pytest.raises(NonFiniteScoreError, match="query 0"):
+            rank_exhaustive(nan_model, corpus)
+
+    @pytest.mark.parametrize("direction", ["t2v", "v2t"])
+    def test_stage2_ranking_raises(self, small_setup, nan_model, direction):
+        _model, corpus = small_setup
+        with pytest.raises(NonFiniteScoreError, match="query 0"):
+            rerank_two_stage(nan_model, corpus, k=3, direction=direction)
+
+
 class TestDualSoftmax:
     def test_one_by_one_is_identity(self):
         sim = np.array([[0.42]])
@@ -257,3 +292,8 @@ class TestWorkers:
         assert resolve_workers(1) == 1
         monkeypatch.delenv("TEFAL_THREADS")
         assert resolve_workers(8) == 8
+
+    def test_non_integer_env_cap_is_a_config_error(self, monkeypatch):
+        monkeypatch.setenv("TEFAL_THREADS", "x")
+        with pytest.raises(ConfigError, match="TEFAL_THREADS"):
+            resolve_workers(2)
