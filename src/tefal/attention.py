@@ -19,12 +19,15 @@ invariance hold bit-for-bit:
   lexsort of K||V W_o, see :func:`canonical_rows`), and then reduces over the
   rows with plain sums.  Every per-row product is an ``einsum``, so a pair's
   output depends only on its own query and candidate, whatever the tile.
-  Exhaustive scoring and stage-2 re-ranking use this kernel.
-* :func:`block_forward` and :func:`block_forward_each` (one shared context,
-  or one context per query row) keep the forward intermediates that the
-  hand-written backward passes need.  They accumulate the softmax and
-  pooling sums with :func:`tefal.linalg.canonical_sum`.  Training uses them,
-  and the xattn fusion block scores through :func:`block_forward_each`.
+  Exhaustive scoring, stage-2 re-ranking and the training forward pass use
+  this kernel; with ``keep=True`` it also returns its intermediates, and
+  :func:`block_backward_tile` reverses the block over all T x C pairs in
+  one call.
+* :func:`block_forward` (one shared context) and :func:`block_forward_each`
+  (one context per query row) accumulate the softmax and pooling sums with
+  :func:`tefal.linalg.canonical_sum`.  :func:`block_forward` is the plain
+  per-candidate reference; the xattn fusion block trains and scores through
+  :func:`block_forward_each` and :func:`block_backward_each`.
 
 Two independent instances of the block (disjoint parameter sets) condition
 the video and audio sides on the same text query.
@@ -57,6 +60,7 @@ __all__ = [
     "project_queries",
     "canonical_rows",
     "block_forward_tile",
+    "block_backward_tile",
 ]
 
 
@@ -366,6 +370,19 @@ def project_queries(params: XAttnParams, texts: np.ndarray) -> np.ndarray:
     return _stable_rows_times(t_n, params.w_q)
 
 
+def canonical_order(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pair that puts the rows of every item of a (C, n, m) stack in
+    canonical order: ``rows[canonical_order(rows)]`` is :func:`canonical_rows`.
+    """
+    items = np.arange(rows.shape[0])[:, None]
+    order = np.argsort(rows[:, :, 0], axis=-1, kind="stable")
+    first = rows[items, order, 0]
+    if not np.all(first[:, 1:] > first[:, :-1]):
+        # a tie (or NaN) in column 0: the later columns decide
+        order = np.lexsort(np.moveaxis(rows, 2, 0)[::-1], axis=-1)
+    return items, order
+
+
 def canonical_rows(rows: np.ndarray) -> np.ndarray:
     """Reorder the rows of every item of a (C, n, m) stack by a lexsort of
     their columns (column 0 first).
@@ -375,24 +392,32 @@ def canonical_rows(rows: np.ndarray) -> np.ndarray:
     cannot matter.  Plain reductions over the canonical rows are therefore
     bit-exact under any permutation of the input rows.
     """
-    items = np.arange(rows.shape[0])[:, None]
-    order = np.argsort(rows[:, :, 0], axis=-1, kind="stable")
-    first = rows[items, order, 0]
-    if not np.all(first[:, 1:] > first[:, :-1]):
-        # a tie (or NaN) in column 0: the later columns decide
-        order = np.lexsort(np.moveaxis(rows, 2, 0)[::-1], axis=-1)
-    return rows[items, order]
+    return rows[canonical_order(rows)]
 
 
-def block_forward_tile(params: XAttnParams, q: np.ndarray,
-                       contexts: np.ndarray) -> np.ndarray:
+@dataclass
+class TileCache:
+    """Forward intermediates of :func:`block_forward_tile`, every candidate's
+    rows in canonical order."""
+    q: np.ndarray             # (T, D_p)
+    contexts: np.ndarray      # (C, n, D)
+    c_n: np.ndarray           # (C, n, D)
+    k: np.ndarray             # (C, n, D_p)
+    vo: np.ndarray            # (C, n, D_p), V W_o
+    weights: np.ndarray       # (T, C, n)
+    proj: np.ndarray          # (T, C, D_p), pooled W_o
+
+
+def block_forward_tile(params: XAttnParams, q: np.ndarray, contexts: np.ndarray,
+                       keep: bool = False):
     """The block for every (query, candidate) pair of a tile.
 
     ``q`` is (T, D_p), from :func:`project_queries`; ``contexts`` is
-    (C, n, D).  Returns the (T, C, D_p) conditioned embeddings.  The
-    candidate side (``LN_c``, K and V W_o) is computed once per call and
-    put in canonical row order; the output projection is folded into the
-    values, so pooling yields ``pooled W_o`` directly.
+    (C, n, D).  Returns the (T, C, D_p) conditioned embeddings, or with
+    ``keep`` the pair ``(out, TileCache)`` that :func:`block_backward_tile`
+    needs.  The candidate side (``LN_c``, K and V W_o) is computed once per
+    call and put in canonical row order; the output projection is folded
+    into the values, so pooling yields ``pooled W_o`` directly.
     """
     contexts = np.asarray(contexts, dtype=np.float64)
     if contexts.ndim != 3 or contexts.shape[2] != params.dim:
@@ -400,13 +425,59 @@ def block_forward_tile(params: XAttnParams, q: np.ndarray,
             f"contexts must be (C, n, {params.dim}), got {contexts.shape}")
     p = params.proj_dim
     c_n = layernorm_rows(contexts, params.ln_c_gain, params.ln_c_bias)
-    kv = canonical_rows(np.concatenate(
-        [_stable_rows_times(c_n, params.w_k),
-         _stable_rows_times(c_n, params.w_v @ params.w_o)], axis=2))
+    kv = np.concatenate([_stable_rows_times(c_n, params.w_k),
+                         _stable_rows_times(c_n, params.w_v @ params.w_o)], axis=2)
+    order = canonical_order(kv)
+    kv = kv[order]
     k = kv[:, :, :p]
     vo = kv[:, :, p:]
     logits = np.einsum("tp,cnp->tcn", q, k) / math.sqrt(p)
     e = np.exp(logits - logits.max(axis=2, keepdims=True))
     weights = e / e.sum(axis=2, keepdims=True)
     proj = np.einsum("tcn,cnp->tcp", weights, vo)
-    return layernorm_rows(proj, params.ln_o_gain, params.ln_o_bias)
+    out = layernorm_rows(proj, params.ln_o_gain, params.ln_o_bias)
+    if not keep:
+        return out
+    return out, TileCache(q, contexts[order], c_n[order], k, vo, weights, proj)
+
+
+def block_backward_tile(params: XAttnParams, cache: TileCache, d_out: np.ndarray,
+                        texts: np.ndarray):
+    """Reverse :func:`block_forward_tile` over all T x C pairs at once.
+
+    ``d_out`` is (T, C, D_p) and ``texts`` are the rows ``cache.q`` was
+    projected from.  Returns ``(grads, d_q)``: ``grads`` is keyed like
+    :meth:`XAttnParams.named` and sums over every pair, ``d_q`` is the
+    (T, D_p) gradient of the query projections.  With the folded
+    ``M = W_v W_o``, ``d_W_v = d_M W_o^T`` and ``d_W_o = W_v^T d_M``.
+    """
+    d, p = params.dim, params.proj_dim
+    scale = 1.0 / math.sqrt(p)
+    w = cache.weights
+    m = params.w_v @ params.w_o
+
+    d_proj, d_go, d_bo = layernorm_rows_backward(d_out, cache.proj, params.ln_o_gain)
+    d_vo = np.einsum("tcn,tcp->cnp", w, d_proj)
+    d_logits = softmax_rows_backward(np.einsum("tcp,cnp->tcn", d_proj, cache.vo), w)
+    d_q = np.einsum("tcn,cnp->tp", d_logits, cache.k) * scale
+    d_k = np.einsum("tcn,tp->cnp", d_logits, cache.q) * scale
+
+    flat = cache.c_n.reshape(-1, d)
+    d_m = flat.T @ d_vo.reshape(-1, p)
+    d_cn = (d_k.reshape(-1, p) @ params.w_k.T
+            + d_vo.reshape(-1, p) @ m.T)
+    _, d_gc, d_bc = layernorm_rows_backward(
+        d_cn, cache.contexts.reshape(-1, d), params.ln_c_gain)
+
+    texts = _check_text(params, texts)
+    t_n = layernorm_rows(texts, params.ln_q_gain, params.ln_q_bias)
+    _, d_gq, d_bq = layernorm_rows_backward(d_q @ params.w_q.T, texts, params.ln_q_gain)
+
+    grads = {
+        "w_q": t_n.T @ d_q, "w_k": flat.T @ d_k.reshape(-1, p),
+        "w_v": d_m @ params.w_o.T, "w_o": params.w_v.T @ d_m,
+        "ln_q_gain": d_gq, "ln_q_bias": d_bq,
+        "ln_c_gain": d_gc, "ln_c_bias": d_bc,
+        "ln_o_gain": d_go, "ln_o_bias": d_bo,
+    }
+    return {name: grads[name] for name in params.named()}, d_q

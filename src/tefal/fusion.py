@@ -107,8 +107,6 @@ def audio_summary(cls_row: np.ndarray, dist_row: np.ndarray) -> np.ndarray:
 @dataclass
 class FusionCache:
     kind: FusionKind
-    video_cond: np.ndarray | None = None
-    audio_cond: np.ndarray | None = None
     token_mean: np.ndarray | None = None
     concat: np.ndarray | None = None
     block_cache: object = None
@@ -124,10 +122,10 @@ def fuse_forward(params: FusionParams, *, video_cond=None, audio_cond=None,
     """Forward pass for the post-hoc fusion kinds, returning ``(fused, cache)``.
 
     ``video_cond``/``audio_cond`` are the conditioned embeddings (one row per
-    query).  ``audio_token_mean`` is the raw token mean used by the late
-    variant: one 1 x D row (what :func:`fuse_backward` supports), or one row
-    per query for a forward-only call; ``texts`` are the raw query rows used
-    by the xattn variant.  Row products are ``einsum``s, so each fused
+    query, or per (query, candidate) pair).  ``audio_token_mean`` is the raw
+    token mean used by the late variant: one row per ``video_cond`` row, or
+    a single 1 x D row shared by all of them; ``texts`` are the raw query
+    rows used by the xattn variant.  Row products are ``einsum``s, so each fused
     row depends only on its own inputs, not on how many rows are fused.
     The stacking variant is not a post-hoc combiner (it swaps the video
     block's context) and is handled by :func:`fuse`.
@@ -151,8 +149,8 @@ def fuse_forward(params: FusionParams, *, video_cond=None, audio_cond=None,
             raise ShapeError(f"audio summary has {summary.shape[1]} columns, "
                              f"projection expects {params.late_w.shape[0]}")
         fused = video_cond + _stable_rows_times(summary, params.late_w)
-        return fused, FusionCache(kind, token_mean=summary,
-                                  video_cond=video_cond)
+        token_mean = np.broadcast_to(summary, (video_cond.shape[0], summary.shape[1]))
+        return fused, FusionCache(kind, token_mean=token_mean)
 
     if kind == FusionKind.CONCAT_FC:
         _require(params.concat_w is not None, "concat fusion parameters missing")
@@ -185,8 +183,7 @@ def fuse_backward(params: FusionParams, cache: FusionCache, d_fused: np.ndarray)
         return {}, d_fused, d_fused
 
     if kind == FusionKind.LATE:
-        d_late_w = cache.token_mean.T @ d_fused.sum(axis=0, keepdims=True)
-        return {"late_w": d_late_w}, d_fused, None
+        return {"late_w": cache.token_mean.T @ d_fused}, d_fused, None
 
     if kind == FusionKind.CONCAT_FC:
         d_w = cache.concat.T @ d_fused

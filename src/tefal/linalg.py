@@ -98,16 +98,17 @@ def layernorm_rows_backward(d_out: np.ndarray, m: np.ndarray, gain: np.ndarray,
                             eps: float = LAYERNORM_EPS):
     """Gradients (d_m, d_gain, d_bias) for :func:`layernorm_rows`."""
     m = np.asarray(m, dtype=np.float64)
-    mu = m.mean(axis=-1, keepdims=True)
-    var = np.mean((m - mu) ** 2, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (m - mu) * inv
+    width = m.shape[-1]
+    # sum / width is bit-identical to mean(), without its Python overhead
+    xhat = m - m.sum(axis=-1, keepdims=True) / width
+    inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / width + eps)
+    xhat *= inv
 
-    d_bias = d_out.reshape(-1, d_out.shape[-1]).sum(axis=0, keepdims=True)
-    d_gain = (d_out * xhat).reshape(-1, d_out.shape[-1]).sum(axis=0, keepdims=True)
+    d_bias = d_out.reshape(-1, width).sum(axis=0, keepdims=True)
+    d_gain = (d_out * xhat).reshape(-1, width).sum(axis=0, keepdims=True)
     g = d_out * gain
-    d_m = inv * (g - g.mean(axis=-1, keepdims=True)
-                 - xhat * np.mean(g * xhat, axis=-1, keepdims=True))
+    d_m = inv * (g - g.sum(axis=-1, keepdims=True) / width
+                 - xhat * ((g * xhat).sum(axis=-1, keepdims=True) / width))
     return d_m, d_gain, d_bias
 
 

@@ -11,8 +11,12 @@ only on its own pair, so any tiling (exhaustive scoring, the stage-2
 re-rank, a query or candidate subset, any worker count) gives the same
 bits for the same pair.
 
-Training keeps the candidate-major path (:func:`candidate_scores`), which
-caches the forward intermediates for the backward pass.
+Training scores its B x B batch as one tile through the same
+:func:`score_tile` path, keeping the forward intermediates
+(``keep=True``); :func:`batch_loss_and_grads` then reverses cosine and
+fusion on the B^2 pair rows and each block once with
+:func:`tefal.attention.block_backward_tile`.  :func:`candidate_scores` is the
+forward-only per-candidate reference.
 
 ``modality`` selects what the fused embedding is built from: ``"both"``
 (the configured fusion of the two conditioned embeddings), ``"video"``
@@ -27,7 +31,7 @@ import numpy as np
 
 from .attention import (
     XAttnParams,
-    block_backward,
+    block_backward_tile,
     block_forward,
     block_forward_tile,
     canonical_rows,
@@ -133,91 +137,32 @@ def named_parameters(model: RetrievalModel, trainable_only: bool = True
     return out
 
 
-def _accumulate(grads: dict[str, np.ndarray], prefix: str,
-                block_grads: dict[str, np.ndarray], affine: bool) -> None:
-    for key, val in block_grads.items():
-        if not affine and key in ("ln_o_gain", "ln_o_bias"):
-            continue
-        name = f"{prefix}.{key}"
-        if name in grads:
-            grads[name] += val
-        else:
-            grads[name] = val
-
-
-@dataclass
-class CandidateCache:
-    """Everything needed to backpropagate one candidate column."""
-    video_cache: object = None
-    audio_cache: object = None
-    fusion_cache: object = None
-    fused: np.ndarray | None = None
-    cos_cache: object = None
-
-
-def _candidate_fused(model: RetrievalModel, texts: np.ndarray, corpus: Corpus,
+def candidate_scores(model: RetrievalModel, texts: np.ndarray, corpus: Corpus,
                      j: int):
-    """Fused embedding of candidate ``j`` for every query row in ``texts``."""
-    kind = model.fusion.kind
-    cache = CandidateCache()
+    """Cosine scores of candidate ``j`` against every query row, as
+    ``(scores, cache)`` from :func:`tefal.contrastive.cosine_rows`.
 
+    Forward only, one :func:`tefal.attention.block_forward` call per block:
+    the per-candidate reference for :func:`score_tile`.
+    """
+    kind = model.fusion.kind
     if model.modality == "video":
-        fused, cache.video_cache = block_forward(model.video, texts, corpus.frames[j])
+        fused, _ = block_forward(model.video, texts, corpus.frames[j])
     elif model.modality == "audio":
-        fused, cache.audio_cache = block_forward(model.audio, texts, corpus.audio[j])
+        fused, _ = block_forward(model.audio, texts, corpus.audio[j])
     elif kind == FusionKind.STACKING:
         context = np.concatenate(
             [corpus.frames[j], corpus.summary_rows()[j:j + 1]], axis=0)
-        fused, cache.video_cache = block_forward(model.video, texts, context)
+        fused, _ = block_forward(model.video, texts, context)
     elif kind == FusionKind.LATE:
-        e_v, cache.video_cache = block_forward(model.video, texts, corpus.frames[j])
+        e_v, _ = block_forward(model.video, texts, corpus.frames[j])
         token_mean = corpus.audio[j].mean(axis=0, keepdims=True)
-        fused, cache.fusion_cache = fuse_forward(
-            model.fusion, video_cond=e_v, audio_token_mean=token_mean)
+        fused, _ = fuse_forward(model.fusion, video_cond=e_v, audio_token_mean=token_mean)
     else:
-        e_v, cache.video_cache = block_forward(model.video, texts, corpus.frames[j])
-        e_a, cache.audio_cache = block_forward(model.audio, texts, corpus.audio[j])
-        fused, cache.fusion_cache = fuse_forward(
-            model.fusion, video_cond=e_v, audio_cond=e_a, texts=texts)
-    cache.fused = fused
-    return fused, cache
-
-
-def _candidate_backward(model: RetrievalModel, cache: CandidateCache,
-                        d_fused: np.ndarray, grads: dict[str, np.ndarray]) -> None:
-    """Accumulate parameter gradients for one candidate column in place."""
-    d_video_cond = d_audio_cond = None
-    if cache.fusion_cache is not None:
-        own, d_video_cond, d_audio_cond = fuse_backward(
-            model.fusion, cache.fusion_cache, d_fused)
-        for key, val in own.items():
-            name = f"fusion.{key}"
-            if name in grads:
-                grads[name] += val
-            else:
-                grads[name] = val
-    elif cache.video_cache is not None:
-        d_video_cond = d_fused
-    else:
-        d_audio_cond = d_fused
-
-    if cache.video_cache is not None and d_video_cond is not None:
-        block_grads, _, _ = block_backward(model.video, cache.video_cache, d_video_cond)
-        _accumulate(grads, "video", block_grads, model.video.output_affine)
-    if cache.audio_cache is not None and d_audio_cond is not None:
-        block_grads, _, _ = block_backward(model.audio, cache.audio_cache, d_audio_cond)
-        _accumulate(grads, "audio", block_grads, model.audio.output_affine)
-
-
-def candidate_scores(model: RetrievalModel, texts: np.ndarray, corpus: Corpus,
-                     j: int, with_cache: bool = False):
-    """Cosine scores of candidate ``j`` against every query row."""
-    fused, cache = _candidate_fused(model, texts, corpus, j)
-    scores, cos_cache = cosine_rows(texts, fused)
-    if not with_cache:
-        return scores, None
-    cache.cos_cache = cos_cache
-    return scores, cache
+        e_v, _ = block_forward(model.video, texts, corpus.frames[j])
+        e_a, _ = block_forward(model.audio, texts, corpus.audio[j])
+        fused, _ = fuse_forward(model.fusion, video_cond=e_v, audio_cond=e_a, texts=texts)
+    return cosine_rows(texts, fused)
 
 
 @dataclass
@@ -242,38 +187,59 @@ def query_rows(model: RetrievalModel, texts: np.ndarray) -> Queries:
                    else None)
 
 
+@dataclass
+class TileTape:
+    """What :func:`batch_loss_and_grads` reverses: each used block's
+    :class:`tefal.attention.TileCache`, the fusion cache (``None`` when one
+    block's output is the fused embedding) and the cosine cache."""
+    blocks: dict
+    fusion: object
+    cosine: object
+
+
 def score_tile(model: RetrievalModel, queries: Queries, corpus: Corpus,
-               cols: np.ndarray) -> np.ndarray:
-    """(T, C) cosine scores of every query row against candidates ``cols``."""
+               cols: np.ndarray, keep: bool = False):
+    """(T, C) cosine scores of every query row against candidates ``cols``;
+    with ``keep``, the pair ``(scores, TileTape)``."""
     cols = np.asarray(cols, dtype=np.intp)
     t, c = queries.texts.shape[0], len(cols)
     kind = model.fusion.kind
+    blocks: dict = {}
+    fusion_cache = None
 
     def pairs(x):
         return x.reshape(t * c, x.shape[-1])
 
+    def block(name, contexts):
+        params, q = getattr(model, name), getattr(queries, name)
+        if not keep:
+            return pairs(block_forward_tile(params, q, contexts))
+        out, blocks[name] = block_forward_tile(params, q, contexts, keep=True)
+        return pairs(out)
+
     texts = pairs(np.broadcast_to(queries.texts[:, None, :], (t, c, corpus.dim)))
     if model.modality == "video":
-        fused = pairs(block_forward_tile(model.video, queries.video, corpus.frames[cols]))
+        fused = block("video", corpus.frames[cols])
     elif model.modality == "audio":
-        fused = pairs(block_forward_tile(model.audio, queries.audio, corpus.audio[cols]))
+        fused = block("audio", corpus.audio[cols])
     elif kind == FusionKind.STACKING:
-        context = np.concatenate(
-            [corpus.frames[cols], corpus.summary_rows()[cols][:, None, :]], axis=1)
-        fused = pairs(block_forward_tile(model.video, queries.video, context))
+        fused = block("video", np.concatenate(
+            [corpus.frames[cols], corpus.summary_rows()[cols][:, None, :]], axis=1))
     elif kind == FusionKind.LATE:
-        e_v = block_forward_tile(model.video, queries.video, corpus.frames[cols])
+        e_v = block("video", corpus.frames[cols])
         token_mean = canonical_rows(corpus.audio[cols]).mean(axis=1)
-        fused, _ = fuse_forward(
-            model.fusion, video_cond=pairs(e_v),
+        fused, fusion_cache = fuse_forward(
+            model.fusion, video_cond=e_v,
             audio_token_mean=pairs(np.broadcast_to(token_mean, (t, c, corpus.dim))))
     else:
-        e_v = block_forward_tile(model.video, queries.video, corpus.frames[cols])
-        e_a = block_forward_tile(model.audio, queries.audio, corpus.audio[cols])
-        fused, _ = fuse_forward(model.fusion, video_cond=pairs(e_v),
-                                audio_cond=pairs(e_a), texts=texts)
-    scores, _ = cosine_rows(texts, fused)
-    return scores.reshape(t, c)
+        e_v = block("video", corpus.frames[cols])
+        e_a = block("audio", corpus.audio[cols])
+        fused, fusion_cache = fuse_forward(model.fusion, video_cond=e_v,
+                                           audio_cond=e_a, texts=texts)
+    scores, cos_cache = cosine_rows(texts, fused)
+    if not keep:
+        return scores.reshape(t, c)
+    return scores.reshape(t, c), TileTape(blocks, fusion_cache, cos_cache)
 
 
 def map_tasks(fn, tasks: list, workers: int = 1) -> list:
@@ -313,24 +279,29 @@ def batch_loss_and_grads(model: RetrievalModel, corpus: Corpus,
 
     The batch items serve as both queries and candidates; entry (i, j) of
     the similarity matrix scores candidate j's embedding conditioned on
-    text i.  Gradients are reduced candidate-by-candidate in index order,
-    so the result is deterministic.
+    text i.  The batch is one (B, B) :func:`score_tile`, so ``sim`` equals
+    :func:`similarity_matrix` on the same queries and candidates bit for
+    bit.  The backward pass reverses cosine and fusion on the B^2 pair rows
+    and each block once, summing over all pairs in a fixed order, so the
+    result is deterministic.
     """
     indices = np.asarray(indices, dtype=np.intp)
-    texts = corpus.texts[indices]
+    queries = query_rows(model, corpus.texts[indices])
     b = len(indices)
-
-    sim = np.empty((b, b))
-    caches: list[CandidateCache] = []
-    for col, j in enumerate(indices):
-        scores, cache = candidate_scores(model, texts, corpus, int(j), with_cache=True)
-        sim[:, col] = scores
-        caches.append(cache)
+    sim, tape = score_tile(model, queries, corpus, indices, keep=True)
 
     loss, d_sim, d_log_scale = infonce(sim, model.temperature)
 
     grads: dict[str, np.ndarray] = {"temperature.log_scale": d_log_scale}
-    for col in range(b):
-        d_fused = cosine_rows_backward(d_sim[:, col], caches[col].cos_cache)
-        _candidate_backward(model, caches[col], d_fused, grads)
+    d_fused = cosine_rows_backward(d_sim.reshape(-1), tape.cosine)
+    d_cond = {"video": d_fused, "audio": d_fused}
+    if tape.fusion is not None:
+        own, d_cond["video"], d_cond["audio"] = fuse_backward(
+            model.fusion, tape.fusion, d_fused)
+        grads.update({f"fusion.{k}": v for k, v in own.items()})
+    for name, cache in tape.blocks.items():
+        block_grads, _ = block_backward_tile(
+            getattr(model, name), cache, d_cond[name].reshape(b, b, -1),
+            queries.texts)
+        grads.update({f"{name}.{k}": v for k, v in block_grads.items()})
     return loss, grads, sim

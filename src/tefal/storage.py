@@ -141,79 +141,140 @@ def save_corpus(corpus: Corpus, directory) -> Path:
     return path
 
 
-def load_corpus(manifest_path) -> Corpus:
-    """Materialize a corpus from a manifest; missing audio becomes zero rows."""
-    manifest_path = Path(manifest_path)
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{manifest_path}: invalid JSON ({exc})") from None
-    if manifest.get("version") != MANIFEST_VERSION:
-        raise FormatError(f"{manifest_path}: unsupported manifest version")
-    base = manifest_path.parent
-    files = manifest["files"]
-    items = manifest["items"]
-    if not items:
-        raise FormatError(f"{manifest_path}: manifest lists no items")
+_REQUIRED = object()
+_JSON_NAMES = {dict: "object", list: "array", str: "string", int: "integer",
+               bool: "boolean"}
 
-    texts_file = read_embeddings(base / files["text"])
-    video_file = read_embeddings(base / files["video"])
-    audio_file = read_embeddings(base / files["audio"]) if "audio" in files else None
-    summary_file = (read_embeddings(base / files["audio_summary"])
-                    if "audio_summary" in files else None)
+
+def _get(mapping: dict, key: str, kind: type, path, where: str, default=_REQUIRED):
+    """``mapping[key]``, which must be a ``kind`` (``None`` is allowed when
+    ``default`` is ``None``); a missing or mistyped value is a FormatError."""
+    if key not in mapping:
+        if default is _REQUIRED:
+            raise FormatError(f"{path}: {where} has no {key!r} key")
+        return default
+    value = mapping[key]
+    if value is None and default is None:
+        return None
+    if type(value) is not kind:
+        raise FormatError(f"{path}: {where} {key!r} must be a JSON "
+                          f"{_JSON_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def _field(path, items: list, key: str, kind: type, size: int | None = None,
+           positions=None, values=None) -> list:
+    """``item[key]`` of the items at ``positions`` (all by default), or the
+    given ``values``: each must be a ``kind`` and, with ``size``, an index
+    in [0, size).  The first bad value is a FormatError."""
+    positions = range(len(items)) if positions is None else positions
+    if values is None:
+        values = [items[pos].get(key) for pos in positions]
+    for pos, value in zip(positions, values):
+        if type(value) is not kind:
+            raise FormatError(f"{path}: item {pos}: {key!r} must be a JSON "
+                              f"{_JSON_NAMES[kind]}, got {value!r}")
+        if size is not None and not 0 <= value < size:
+            raise FormatError(f"{path}: item {pos}: {key} index {value} out of "
+                              f"range [0, {size})")
+    return values
+
+
+def _read_listed(manifest_path: Path, name: str) -> np.ndarray:
+    """Read an EMB1 file the manifest names, relative to the manifest."""
+    try:
+        return read_embeddings(manifest_path.parent / name)
+    except FormatError:
+        raise
+    except (OSError, ValueError) as exc:
+        raise FormatError(f"{manifest_path}: cannot read listed file {name!r} "
+                          f"({exc})") from None
+
+
+def load_corpus(manifest_path) -> Corpus:
+    """Materialize a corpus from a manifest; missing audio becomes zero rows.
+
+    Any malformed manifest (wrong JSON types, missing keys, indices out of
+    range, unreadable listed files) raises :class:`FormatError` with the
+    manifest's path.
+    """
+    path = Path(manifest_path)
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise FormatError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{path}: manifest must be a JSON object")
+    if manifest.get("version") != MANIFEST_VERSION:
+        raise FormatError(f"{path}: unsupported manifest version")
+    files = _get(manifest, "files", dict, path, "manifest")
+    items = _get(manifest, "items", list, path, "manifest")
+    if not items:
+        raise FormatError(f"{path}: manifest lists no items")
+
+    texts_file = _read_listed(path, _get(files, "text", str, path, "files"))
+    video_file = _read_listed(path, _get(files, "video", str, path, "files"))
+    audio_name = _get(files, "audio", str, path, "files", default=None)
+    summary_name = _get(files, "audio_summary", str, path, "files", default=None)
+    audio_file = None if audio_name is None else _read_listed(path, audio_name)
+    summary_file = None if summary_name is None else _read_listed(path, summary_name)
 
     if texts_file.shape[1] != 1:
-        raise FormatError("text embeddings must have one row per item")
+        raise FormatError(f"{path}: text embeddings must have one row per item")
     dim = texts_file.shape[2]
     for name, arr in (("video", video_file), ("audio", audio_file),
                       ("audio_summary", summary_file)):
         if arr is not None and arr.shape[2] != dim:
             raise FormatError(
-                f"dim disagreement: text has {dim} columns, {name} has {arr.shape[2]}")
+                f"{path}: dim disagreement: text has {dim} columns, "
+                f"{name} has {arr.shape[2]}")
     if summary_file is not None and summary_file.shape[1] != 2:
-        raise FormatError("audio_summary entries must hold two rows (class, dist)")
+        raise FormatError(f"{path}: audio_summary entries must hold two rows "
+                          "(class, dist)")
 
-    n_audio_tokens = (audio_file.shape[1] if audio_file is not None
-                      else int(manifest.get("audio_tokens", 1)))
+    n_audio_tokens = _get(manifest, "audio_tokens", int, path, "manifest", default=1)
+    if audio_file is not None:
+        n_audio_tokens = audio_file.shape[1]
+    elif n_audio_tokens < 1:
+        raise FormatError(f"{path}: audio_tokens must be positive, got {n_audio_tokens}")
 
-    ids, text_rows, frame_rows, audio_rows, has_audio, summary_rows = [], [], [], [], [], []
-    for entry in items:
-        ids.append(entry["id"])
-        for key, arr in (("text", texts_file), ("video", video_file)):
-            if not 0 <= entry[key] < arr.shape[0]:
-                raise FormatError(
-                    f"item {entry['id']!r}: {key} index {entry[key]} out of range "
-                    f"[0, {arr.shape[0]})")
-        text_rows.append(texts_file[entry["text"], 0])
-        frame_rows.append(video_file[entry["video"]])
-        has = bool(entry.get("has_audio", entry.get("audio") is not None))
-        if has:
-            if audio_file is None:
-                raise FormatError(f"item {entry['id']!r}: has_audio set but the "
-                                  "manifest lists no audio file")
-            idx = entry["audio"]
-            if idx is None or not 0 <= idx < audio_file.shape[0]:
-                raise FormatError(
-                    f"item {entry['id']!r}: audio index {idx} out of range "
-                    f"[0, {audio_file.shape[0]})")
-            audio_rows.append(audio_file[idx])
-        else:
-            audio_rows.append(np.zeros((n_audio_tokens, dim)))
-        has_audio.append(has)
-        if summary_file is not None:
-            idx = entry.get("audio_summary")
-            if idx is None or not 0 <= idx < summary_file.shape[0]:
-                raise FormatError(
-                    f"item {entry['id']!r}: audio_summary index {idx} out of range")
-            summary_rows.append(summary_file[idx])
+    if not all(type(entry) is dict for entry in items):
+        pos = next(pos for pos, entry in enumerate(items) if type(entry) is not dict)
+        raise FormatError(f"{path}: item {pos} must be a JSON object")
+    ids = _field(path, items, "id", str)
+    if len(set(ids)) != len(ids):
+        raise FormatError(f"{path}: item ids must be unique")
+    text_rows = _field(path, items, "text", int, texts_file.shape[0])
+    video_rows = _field(path, items, "video", int, video_file.shape[0])
+    has_audio = [entry.get("has_audio", entry.get("audio") is not None)
+                 for entry in items]
+    _field(path, items, "has_audio", bool, values=has_audio)
+    with_audio = [pos for pos, has in enumerate(has_audio) if has]
+    if not with_audio:
+        audio = np.zeros((len(items), n_audio_tokens, dim))
+    elif audio_file is None:
+        raise FormatError(f"{path}: item {with_audio[0]}: has_audio set but "
+                          "the manifest lists no audio file")
+    else:
+        # one gather into the result; items without audio take slot 0, then zeros
+        slots = [0] * len(items)
+        for pos, slot in zip(with_audio, _field(path, items, "audio", int,
+                                                audio_file.shape[0], with_audio)):
+            slots[pos] = slot
+        audio = audio_file[slots]
+        audio[np.logical_not(has_audio)] = 0.0
+    summary = None
+    if summary_file is not None:
+        summary = summary_file[_field(path, items, "audio_summary", int,
+                                      summary_file.shape[0])]
 
     return Corpus(
         ids=ids,
-        texts=np.stack(text_rows),
-        frames=np.stack(frame_rows),
-        audio=np.stack(audio_rows),
+        texts=texts_file[text_rows, 0],
+        frames=video_file[video_rows],
+        audio=audio,
         has_audio=np.array(has_audio, dtype=bool),
-        summary_tokens=np.stack(summary_rows) if summary_rows else None,
+        summary_tokens=summary,
     )
 
 
@@ -248,12 +309,20 @@ def _text_to_matrix(text: str) -> np.ndarray:
     return codes
 
 
-def _matrix_to_text(matrix: np.ndarray) -> str:
-    return "".join(chr(int(round(c))) for c in matrix.reshape(-1))
+def _matrix_to_text(matrix: np.ndarray, path) -> str:
+    codes = matrix.reshape(-1)
+    if not np.all((codes >= 0) & (codes < 0x110000) & (codes == np.round(codes))):
+        raise FormatError(f"{path}: config entry holds a cell that is not a code point")
+    return "".join(chr(int(c)) for c in codes)
 
 
 def load_checkpoint(path):
-    """Returns ``(model, step, config)`` reconstructed from a TFCK file."""
+    """Returns ``(model, step, config)`` reconstructed from a TFCK file.
+
+    Any malformed file (bad magic, version or CRC, an entry table that
+    overruns the file, bad names, a bad step or config entry, parameters
+    that do not match the config) raises :class:`FormatError` with the path.
+    """
     blob = Path(path).read_bytes()
     head = struct.calcsize("<4sII")
     if len(blob) < head + 4:
@@ -267,31 +336,51 @@ def load_checkpoint(path):
     if zlib.crc32(blob[:-4]) != stored:
         raise FormatError(f"{path}: CRC mismatch")
 
+    end = len(blob) - 4
     offset = head
+
+    def take(size: int) -> int:
+        nonlocal offset
+        if offset + size > end:
+            raise FormatError(f"{path}: entry table of {count} entries overruns "
+                              "the file")
+        offset += size
+        return offset - size
+
     entries: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, offset)
-        offset += 2
-        name = blob[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        rows, cols = struct.unpack_from("<II", blob, offset)
-        offset += 8
-        data = np.frombuffer(blob, dtype="<f4", count=rows * cols, offset=offset)
-        offset += 4 * rows * cols
+        (name_len,) = struct.unpack_from("<H", blob, take(2))
+        start = take(name_len)
+        try:
+            name = blob[start:start + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: entry name is not UTF-8") from None
+        rows, cols = struct.unpack_from("<II", blob, take(8))
+        data = np.frombuffer(blob, dtype="<f4", count=rows * cols,
+                             offset=take(4 * rows * cols))
         entries[name] = data.reshape(rows, cols).astype(np.float64)
-    if offset != len(blob) - 4:
+    if offset != end:
         raise FormatError(f"{path}: trailing bytes after parameter entries")
 
     try:
-        step = int(entries.pop("__step__")[0, 0])
-        config_text = _matrix_to_text(entries.pop("__config__"))
+        step = entries.pop("__step__")
+        config_text = _matrix_to_text(entries.pop("__config__"), path)
     except KeyError as exc:
         raise FormatError(f"{path}: checkpoint is missing {exc} entry") from None
-    config = TrainConfig(**parse_config_text(config_text)).validate()
-
-    model = create_model(seed=0, dim=config.dim, proj_dim=config.proj_dim,
-                         fusion=config.fusion, modality=config.modality,
-                         output_affine=config.output_affine)
+    if step.shape != (1, 1) or not (step[0, 0] >= 0 and step[0, 0].is_integer()):
+        raise FormatError(f"{path}: step entry must be one non-negative integer")
+    try:
+        config = TrainConfig(**parse_config_text(config_text)).validate()
+        # build a model only once the file holds one block's D x D_p
+        # weights, so that a bad config cannot size a huge allocation
+        w_q = entries.get("video.w_q")
+        if w_q is None or w_q.shape != (config.dim, config.proj_dim):
+            raise ValueError(f"video.w_q does not match dim {config.dim}")
+        model = create_model(seed=0, dim=config.dim, proj_dim=config.proj_dim,
+                             fusion=config.fusion, modality=config.modality,
+                             output_affine=config.output_affine)
+    except ValueError as exc:
+        raise FormatError(f"{path}: invalid config snapshot ({exc})") from None
     target = named_parameters(model, trainable_only=False)
     if set(target) != set(entries):
         missing = set(target) ^ set(entries)
@@ -302,4 +391,4 @@ def load_checkpoint(path):
             raise FormatError(f"{path}: parameter {name!r} has shape {arr.shape}, "
                               f"expected {target[name].shape}")
         target[name][...] = arr
-    return model, step, config
+    return model, int(step[0, 0]), config

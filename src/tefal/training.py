@@ -74,11 +74,14 @@ class AdamW:
 
 
 def clip_global_norm(store: ParamStore, max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most ``max_norm``."""
+    """Scale all gradients so their global L2 norm is at most ``max_norm``.
+
+    Returns the pre-clip norm, the one the gradients had on entry.
+    """
     norm = store.global_grad_norm()
     if norm > max_norm:
         store.scale_grads(max_norm / norm)
-    return min(norm, max_norm)
+    return norm
 
 
 @dataclass
@@ -92,8 +95,10 @@ class TrainResult:
 def train(config: TrainConfig, corpus: Corpus) -> TrainResult:
     """Train a model described by ``config`` on ``corpus``.
 
-    Returns the trained model with a per-epoch log of mean loss and
-    temperature (plus R@1 probes when ``eval_every`` is set).
+    Returns the trained model with a per-epoch log: mean loss, temperature,
+    mean pre-clip gradient norm and mean learning-rate scale over the
+    epoch's steps (plus R@1 probes when ``eval_every`` is set).  The log
+    holds no wall times, so the same config gives the same log.
     """
     config.validate()
     if corpus.dim != config.dim:
@@ -122,7 +127,7 @@ def train(config: TrainConfig, corpus: Corpus) -> TrainResult:
 
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(len(corpus))
-        losses = []
+        losses, grad_norms, lr_scales = [], [], []
         for b in range(steps_per_epoch):
             batch = order[b * config.batch_size:(b + 1) * config.batch_size]
             loss, grads, _ = batch_loss_and_grads(model, corpus, batch)
@@ -133,14 +138,17 @@ def train(config: TrainConfig, corpus: Corpus) -> TrainResult:
                     f"batch items: {ids}")
             store.zero_grad()
             store.accumulate(grads)
-            clip_global_norm(store, config.grad_clip)
+            grad_norms.append(clip_global_norm(store, config.grad_clip))
             lr_scale = (0.5 * (1.0 + math.cos(math.pi * store.step / total_steps))
                         if config.cosine_decay else 1.0)
             optimizer.step(store, lr_scale)
             model.temperature.project_()
             losses.append(loss)
+            lr_scales.append(lr_scale)
         entry = {"epoch": epoch, "loss": float(np.mean(losses)) if losses else None,
-                 "tau": model.temperature.value}
+                 "tau": model.temperature.value,
+                 "grad_norm": float(np.mean(grad_norms)) if grad_norms else None,
+                 "lr_scale": float(np.mean(lr_scales)) if lr_scales else None}
         if config.eval_every and (epoch + 1) % config.eval_every == 0:
             probe = evaluate(model, corpus, workers=config.threads)
             entry["r1_t2v"] = probe.t2v.r1

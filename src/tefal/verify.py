@@ -11,7 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import XAttnParams, block_backward, block_forward
+from .attention import (
+    XAttnParams,
+    block_backward,
+    block_backward_tile,
+    block_forward,
+    block_forward_tile,
+    project_queries,
+)
 from .contrastive import Temperature, cosine_rows, cosine_rows_backward, infonce
 from .corpus import synth_corpus
 from .fusion import FusionKind, FusionParams, fuse_backward, fuse_forward
@@ -73,6 +80,32 @@ def _block_check(seed: int, step: float) -> float:
     return _fd_scalar(arrays, forward, analytic, step)
 
 
+def _block_tile_check(seed: int, step: float) -> float:
+    """The tile kernel over T=2 queries x C=2 candidates of 3 rows each.
+    ``q_shift`` is added to the query projections, so its gradient is the
+    ``d_q`` that :func:`block_backward_tile` returns."""
+    rng = np.random.default_rng(seed)
+    params = XAttnParams.create(rng, 6, 4)
+    texts = rng.standard_normal((2, 6))
+    contexts = rng.standard_normal((2, 3, 6))
+    cotangent = rng.standard_normal((2, 2, 4))
+    q_shift = np.zeros((2, 4))
+
+    def tile(keep=False):
+        return block_forward_tile(params, project_queries(params, texts) + q_shift,
+                                  contexts, keep=keep)
+
+    _, cache = tile(keep=True)
+    grads, d_q = block_backward_tile(params, cache, cotangent, texts)
+    arrays = {**params.named(), "q": q_shift}
+    analytic = {**grads, "q": d_q}
+
+    def forward():
+        return float(np.sum(cotangent * tile()))
+
+    return _fd_scalar(arrays, forward, analytic, step)
+
+
 def _fusion_check(kind: FusionKind, seed: int, step: float) -> float:
     rng = np.random.default_rng(seed)
     dim, proj = 5, 5
@@ -80,7 +113,7 @@ def _fusion_check(kind: FusionKind, seed: int, step: float) -> float:
     video_cond = rng.standard_normal((2, proj))
     audio_cond = rng.standard_normal((2, proj))
     texts = rng.standard_normal((2, dim))
-    token_mean = rng.standard_normal((1, dim))
+    token_mean = rng.standard_normal((2, dim))
     cotangent = rng.standard_normal((2, proj))
 
     def inputs():
@@ -169,6 +202,8 @@ def run_grad_checks(seed: int = 0, step: float = 1e-5) -> list[CheckResult]:
             rng.standard_normal((1, 8)), rng.standard_normal((1, 8)),
             step=step, seed=seed), PRIMITIVE_TOL),
         CheckResult("attention_block", _block_check(seed, step), PRIMITIVE_TOL),
+        CheckResult("attention_block_tile", _block_tile_check(seed, step),
+                    PRIMITIVE_TOL),
         CheckResult("cosine_similarity", _cosine_check(seed, step), PRIMITIVE_TOL),
         CheckResult("infonce", _infonce_check(seed, step), PRIMITIVE_TOL),
     ]

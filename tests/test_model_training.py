@@ -5,10 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from tefal.attention import block_backward, block_forward
 from tefal.config import ConfigError, TrainConfig
+from tefal.contrastive import cosine_rows, cosine_rows_backward, infonce
 from tefal.corpus import synth_corpus
+from tefal.fusion import FusionKind, fuse_backward, fuse_forward
 from tefal.linalg import ParamStore, ShapeError
 from tefal.model import (
+    batch_loss_and_grads,
     candidate_scores,
     create_model,
     named_parameters,
@@ -127,6 +131,27 @@ class TestTraining:
         clip_global_norm(store, 1.0)
         np.testing.assert_array_equal(store.grad("w"), np.full((2, 2), 0.01))
 
+    def test_clipping_reports_the_pre_clip_norm(self):
+        store = ParamStore({"w": np.zeros((2, 2))})
+        store.accumulate({"w": np.full((2, 2), 10.0)})
+        assert clip_global_norm(store, 1.0) == 20.0
+        assert store.global_grad_norm() == pytest.approx(1.0, abs=1e-12)
+        store.zero_grad()
+        store.accumulate({"w": np.full((2, 2), 0.25)})
+        assert clip_global_norm(store, 1.0) == 0.5
+
+    def test_history_records_grad_norm_and_lr_scale(self):
+        corpus = tiny_corpus()
+        result = train(tiny_config(epochs=2, cosine_decay=True), corpus)
+        again = train(tiny_config(epochs=2, cosine_decay=True), corpus)
+        assert result.history == again.history
+        for entry in result.history:
+            assert set(entry) == {"epoch", "loss", "tau", "grad_norm", "lr_scale"}
+            assert entry["grad_norm"] > 0.0
+            assert 0.0 <= entry["lr_scale"] <= 1.0
+        # cosine decay: the second epoch's mean scale is below the first's
+        assert result.history[1]["lr_scale"] < result.history[0]["lr_scale"]
+
     def test_zero_gradient_parameter_does_not_move(self):
         store = ParamStore({"w": np.ones((2, 2)), "frozen": np.full((1, 2), 3.0)})
         store.accumulate({"w": np.full((2, 2), 0.5),
@@ -227,6 +252,85 @@ class TestTileScoring:
                                     query_texts=scoring_corpus.texts[queries],
                                     candidates=np.asarray(candidates))
             np.testing.assert_array_equal(got, full[np.ix_(queries, candidates)])
+
+
+def per_candidate_loss_and_grads(model, corpus, indices):
+    """The per-candidate training path, as the oracle for the batched one:
+    one block_forward/block_backward per candidate column and block, with
+    gradients summed column by column."""
+    texts = corpus.texts[indices]
+    b = len(indices)
+    kind = model.fusion.kind
+    sim = np.empty((b, b))
+    columns = []
+    for col, j in enumerate(indices):
+        blocks, fusion_cache = {}, None
+        if model.modality == "video":
+            fused, blocks["video"] = block_forward(model.video, texts, corpus.frames[j])
+        elif model.modality == "audio":
+            fused, blocks["audio"] = block_forward(model.audio, texts, corpus.audio[j])
+        elif kind == FusionKind.STACKING:
+            context = np.concatenate(
+                [corpus.frames[j], corpus.summary_rows()[j:j + 1]], axis=0)
+            fused, blocks["video"] = block_forward(model.video, texts, context)
+        elif kind == FusionKind.LATE:
+            e_v, blocks["video"] = block_forward(model.video, texts, corpus.frames[j])
+            token_mean = np.repeat(corpus.audio[j].mean(axis=0, keepdims=True), b, axis=0)
+            fused, fusion_cache = fuse_forward(model.fusion, video_cond=e_v,
+                                               audio_token_mean=token_mean)
+        else:
+            e_v, blocks["video"] = block_forward(model.video, texts, corpus.frames[j])
+            e_a, blocks["audio"] = block_forward(model.audio, texts, corpus.audio[j])
+            fused, fusion_cache = fuse_forward(model.fusion, video_cond=e_v,
+                                               audio_cond=e_a, texts=texts)
+        sim[:, col], cos_cache = cosine_rows(texts, fused)
+        columns.append((blocks, fusion_cache, cos_cache))
+
+    loss, d_sim, d_log_scale = infonce(sim, model.temperature)
+    grads = {"temperature.log_scale": d_log_scale}
+
+    def add(name, value):
+        grads[name] = grads[name] + value if name in grads else value
+
+    for col, (blocks, fusion_cache, cos_cache) in enumerate(columns):
+        d_fused = cosine_rows_backward(d_sim[:, col], cos_cache)
+        d_cond = {"video": d_fused, "audio": d_fused}
+        if fusion_cache is not None:
+            own, d_cond["video"], d_cond["audio"] = fuse_backward(
+                model.fusion, fusion_cache, d_fused)
+            for key, value in own.items():
+                add(f"fusion.{key}", value)
+        for name, cache in blocks.items():
+            params = getattr(model, name)
+            block_grads, _, _ = block_backward(params, cache, d_cond[name])
+            for key in params.named():
+                add(f"{name}.{key}", block_grads[key])
+    return loss, grads, sim
+
+
+class TestBatchedTraining:
+    @pytest.mark.parametrize("modality,fusion", SCORING_CONFIGS)
+    def test_matches_the_per_candidate_oracle(self, scoring_corpus, modality, fusion):
+        model = create_model(seed=17, dim=12, fusion=fusion, modality=modality)
+        idx = np.random.default_rng(18).choice(len(scoring_corpus), size=8, replace=False)
+        loss, grads, sim = batch_loss_and_grads(model, scoring_corpus, idx)
+        want_loss, want_grads, want_sim = per_candidate_loss_and_grads(
+            model, scoring_corpus, idx)
+        np.testing.assert_allclose(sim, want_sim, rtol=0, atol=1e-12)
+        assert loss == pytest.approx(want_loss, rel=1e-10)
+        assert set(grads) == set(want_grads) == set(named_parameters(model))
+        for name, want in want_grads.items():
+            bound = 1e-10 * np.max(np.abs(want))
+            assert np.max(np.abs(grads[name] - want)) <= bound, name
+
+    @pytest.mark.parametrize("modality,fusion", SCORING_CONFIGS)
+    def test_sim_is_the_scoring_submatrix(self, scoring_corpus, modality, fusion):
+        model = create_model(seed=19, dim=12, fusion=fusion, modality=modality)
+        idx = np.random.default_rng(20).choice(len(scoring_corpus), size=8, replace=False)
+        _, _, sim = batch_loss_and_grads(model, scoring_corpus, idx)
+        want = similarity_matrix(model, scoring_corpus,
+                                 query_texts=scoring_corpus.texts[idx], candidates=idx)
+        np.testing.assert_array_equal(sim, want)
 
 
 class TestSynthCorpus:

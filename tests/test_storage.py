@@ -1,9 +1,13 @@
 """On-disk formats: embedding container, manifest, filter bank, checkpoint."""
 
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tefal.audiofeat import zero_fbank
 from tefal.config import TrainConfig
@@ -145,6 +149,181 @@ class TestCorpusManifest:
         write_embeddings(tmp_path / "video.emb1", np.ones((3, 2, 9)))
         with pytest.raises(FormatError, match="dim disagreement"):
             load_corpus(tmp_path / "manifest.json")
+
+
+def write_manifest(path, doc):
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def pop(*keys):
+    """Manifest edit that deletes the value at ``keys``."""
+    def edit(doc):
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        del node[keys[-1]]
+        return doc
+    return edit
+
+
+def put(value, *keys):
+    """Manifest edit that sets the value at ``keys``, or the whole document."""
+    def edit(doc):
+        if not keys:
+            return value
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        return doc
+    return edit
+
+
+MALFORMED_MANIFESTS = {
+    "no files": pop("files"),
+    "no items": pop("items"),
+    "no text file": pop("files", "text"),
+    "no video file": pop("files", "video"),
+    "item without id": pop("items", 1, "id"),
+    "item without text": pop("items", 0, "text"),
+    "item without video": pop("items", 2, "video"),
+    "string index": put("0", "items", 0, "video"),
+    "float index": put(1.0, "items", 0, "text"),
+    "list manifest": put([1, 2]),
+    "files not an object": put(["text.emb1"], "files"),
+    "item not an object": put("item", "items", 0),
+    "listed file missing": put("nope.emb1", "files", "video"),
+    "listed file is a directory": put(".", "files", "text"),
+    "non-string id": put(["a"], "items", 0, "id"),
+    "duplicate id": put("item-1", "items", 0, "id"),
+    "has_audio not a boolean": put("yes", "items", 0, "has_audio"),
+}
+
+
+class TestMalformedManifest:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
+    def test_raises_format_error_with_the_path(self, tmp_path, case):
+        corpus = synth_corpus(seed=7, n_items=3, dim=4, frames=2, audio_tokens=2)
+        corpus.ids = ["item-0", "item-1", "item-2"]
+        manifest = save_corpus(corpus, tmp_path)
+        doc = MALFORMED_MANIFESTS[case](json.loads(manifest.read_text()))
+        write_manifest(manifest, doc)
+        with pytest.raises(FormatError, match="manifest.json"):
+            load_corpus(manifest)
+
+
+@pytest.fixture(scope="module")
+def checkpoint_body(tmp_path_factory):
+    """A small valid checkpoint's bytes, without the trailing CRC."""
+    path = tmp_path_factory.mktemp("ckpt") / "m.tfck"
+    save_checkpoint(path, create_model(seed=1, dim=4), step=3,
+                    config=TrainConfig(dim=4, proj_dim=4))
+    return path.read_bytes()[:-4]
+
+
+def with_count(body: bytes, delta: int) -> bytes:
+    """``body`` with ``delta`` added to its entry count."""
+    magic, version, count = struct.unpack_from("<4sII", body)
+    return struct.pack("<4sII", magic, version, count + delta) + body[12:]
+
+
+def with_crc(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+class TestMalformedCheckpoint:
+    @pytest.mark.parametrize("delta", [1, 1000, -1])
+    def test_crc_valid_entry_count_mismatch(self, tmp_path, checkpoint_body, delta):
+        path = tmp_path / "count.tfck"
+        path.write_bytes(with_crc(with_count(checkpoint_body, delta)))
+        with pytest.raises(FormatError, match="count.tfck"):
+            load_checkpoint(path)
+
+
+# Property tests.  JSON integers stay small: a manifest's audio_tokens sets
+# the row count of the zero audio it materializes, so a huge value is a
+# legitimately huge allocation, not a parse fault.
+JSON_LEAVES = (st.none() | st.booleans() | st.integers(-3, 40)
+               | st.floats(allow_infinity=False) | st.text(max_size=6)
+               | st.sampled_from(["text.emb1", "video.emb1", "audio.emb1",
+                                  "audio_summary.emb1", "manifest.json", "", ".."]))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=8), children, max_size=3)),
+    max_leaves=6)
+PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
+                             database=None)
+
+
+def _node_paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _node_paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _node_paths(value, prefix + (i,))
+
+
+@pytest.fixture(scope="module")
+def stored_corpus(tmp_path_factory):
+    corpus = synth_corpus(seed=8, n_items=4, dim=3, frames=2, audio_tokens=2)
+    corpus.has_audio[1] = False
+    corpus.audio[1] = 0.0
+    return save_corpus(corpus, tmp_path_factory.mktemp("stored"))
+
+
+class TestReaderProperties:
+    @PROPERTY_SETTINGS
+    @given(data=st.data())
+    def test_any_manifest_mutation_loads_or_raises_format_error(self, stored_corpus,
+                                                                data):
+        doc = json.loads(stored_corpus.read_text())
+        for _ in range(data.draw(st.integers(1, 3))):
+            keys = data.draw(st.sampled_from(list(_node_paths(doc))))
+            if keys and data.draw(st.booleans()):
+                doc = pop(*keys)(doc)
+            else:
+                doc = put(data.draw(JSON_VALUES), *keys)(doc)
+        mutated = write_manifest(stored_corpus.parent / "mutated.json", doc)
+        try:
+            corpus = load_corpus(mutated)
+        except FormatError:
+            return
+        assert len(corpus) == len(corpus.texts) > 0
+
+    @PROPERTY_SETTINGS
+    @given(blob=st.binary(max_size=96)
+           | st.builds(lambda head, body: with_crc(b"EMB1" + head + body),
+                       st.binary(min_size=16, max_size=16), st.binary(max_size=64)))
+    def test_any_emb1_bytes_load_or_raise_format_error(self, tmp_path_factory, blob):
+        path = tmp_path_factory.getbasetemp() / "fuzz.emb1"
+        path.write_bytes(blob)
+        try:
+            items = read_embeddings(path)
+        except FormatError:
+            return
+        assert items.ndim == 3
+
+    @PROPERTY_SETTINGS
+    @given(data=st.data())
+    def test_any_tfck_bytes_load_or_raise_format_error(self, tmp_path_factory,
+                                                        checkpoint_body, data):
+        base = bytearray(checkpoint_body)
+        for _ in range(data.draw(st.integers(0, 3))):
+            base[data.draw(st.integers(0, len(base) - 1))] = data.draw(st.integers(0, 255))
+        blob = data.draw(st.sampled_from([with_crc(bytes(base)), bytes(base)])
+                         | st.binary(max_size=96).map(lambda b: with_crc(b"TFCK" + b))
+                         | st.binary(max_size=96))
+        path = tmp_path_factory.getbasetemp() / "fuzz.tfck"
+        path.write_bytes(blob)
+        try:
+            model, step, config = load_checkpoint(path)
+        except FormatError:
+            return
+        assert step >= 0 and model.dim == config.dim
 
 
 class TestCheckpoint:
