@@ -47,7 +47,6 @@ from .ranking import (
     RankingMetrics,
     compute_metrics,
     dual_softmax_postprocess,
-    mean_pool,
     rank_exhaustive,
     ranks_from_similarity,
     rerank_two_stage,

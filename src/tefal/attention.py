@@ -13,16 +13,18 @@ The block has no positional encoding, so the pooled output is invariant
 under any joint permutation of the context rows.  Two kernels make that
 invariance hold bit-for-bit:
 
-* :func:`block_forward_tile` scores T query projections against C candidate
-  contexts at once.  It computes the candidate side (``LN_c``, K and V W_o)
-  once per call, puts each candidate's rows in one canonical order (a
-  lexsort of K||V W_o, see :func:`canonical_rows`), and then reduces over the
-  rows with plain sums.  Every per-row product is an ``einsum``, so a pair's
-  output depends only on its own query and candidate, whatever the tile.
-  Exhaustive scoring, stage-2 re-ranking and the training forward pass use
-  this kernel; with ``keep=True`` it also returns its intermediates, and
-  :func:`block_backward_tile` reverses the block over all T x C pairs in
-  one call.
+* :func:`block_forward_tile` scores C candidate contexts against T query
+  projections each at once: the same T rows for every candidate (a dense
+  tile, broadcast) or one row set per candidate (a grouped tile).  It
+  computes the candidate side (``LN_c``, K and V W_o) once per call, puts
+  each candidate's rows in one canonical order (a lexsort of K||V W_o, see
+  :func:`canonical_rows`), and then reduces over the rows with plain sums.
+  Every per-row product is an ``einsum``, so a pair's output depends only on
+  its own query and candidate, whatever the tile.  Exhaustive scoring,
+  stage-2 re-ranking and the training forward pass use this kernel; with
+  ``keep=True`` it also returns its intermediates, and
+  :func:`block_backward_tile` reverses a dense tile's block over all T x C
+  pairs in one call.
 * :func:`block_forward` (one shared context) and :func:`block_forward_each`
   (one context per query row) accumulate the softmax and pooling sums with
   :func:`tefal.linalg.canonical_sum`.  :func:`block_forward` is the plain
@@ -399,7 +401,7 @@ def canonical_rows(rows: np.ndarray) -> np.ndarray:
 class TileCache:
     """Forward intermediates of :func:`block_forward_tile`, every candidate's
     rows in canonical order."""
-    q: np.ndarray             # (T, D_p)
+    q: np.ndarray             # (C, T, D_p)
     contexts: np.ndarray      # (C, n, D)
     c_n: np.ndarray           # (C, n, D)
     k: np.ndarray             # (C, n, D_p)
@@ -412,18 +414,26 @@ def block_forward_tile(params: XAttnParams, q: np.ndarray, contexts: np.ndarray,
                        keep: bool = False):
     """The block for every (query, candidate) pair of a tile.
 
-    ``q`` is (T, D_p), from :func:`project_queries`; ``contexts`` is
-    (C, n, D).  Returns the (T, C, D_p) conditioned embeddings, or with
-    ``keep`` the pair ``(out, TileCache)`` that :func:`block_backward_tile`
-    needs.  The candidate side (``LN_c``, K and V W_o) is computed once per
-    call and put in canonical row order; the output projection is folded
-    into the values, so pooling yields ``pooled W_o`` directly.
+    ``contexts`` is (C, n, D).  ``q`` is (C, T, D_p): row ``q[c, t]`` (from
+    :func:`project_queries`) is the ``t``-th query scored against candidate
+    ``c``.  A dense tile, where every candidate sees the same T queries,
+    passes ``np.broadcast_to(q, (C, T, D_p))``; a grouped tile (the stage-2
+    re-rank) passes one row set per candidate.  Both run the same einsums,
+    so a pair's output does not depend on the kind of tile.  Returns the
+    (T, C, D_p) conditioned embeddings, or with ``keep`` the pair
+    ``(out, TileCache)`` that :func:`block_backward_tile` needs.  The
+    candidate side (``LN_c``, K and V W_o) is computed once per call and put
+    in canonical row order; the output projection is folded into the
+    values, so pooling yields ``pooled W_o`` directly.
     """
     contexts = np.asarray(contexts, dtype=np.float64)
     if contexts.ndim != 3 or contexts.shape[2] != params.dim:
         raise ShapeError(
             f"contexts must be (C, n, {params.dim}), got {contexts.shape}")
     p = params.proj_dim
+    if q.ndim != 3 or q.shape[0] != contexts.shape[0] or q.shape[2] != p:
+        raise ShapeError(
+            f"q must be ({contexts.shape[0]}, T, {p}), got {q.shape}")
     c_n = layernorm_rows(contexts, params.ln_c_gain, params.ln_c_bias)
     kv = np.concatenate([_stable_rows_times(c_n, params.w_k),
                          _stable_rows_times(c_n, params.w_v @ params.w_o)], axis=2)
@@ -431,7 +441,7 @@ def block_forward_tile(params: XAttnParams, q: np.ndarray, contexts: np.ndarray,
     kv = kv[order]
     k = kv[:, :, :p]
     vo = kv[:, :, p:]
-    logits = np.einsum("tp,cnp->tcn", q, k) / math.sqrt(p)
+    logits = np.einsum("ctp,cnp->tcn", q, k) / math.sqrt(p)
     e = np.exp(logits - logits.max(axis=2, keepdims=True))
     weights = e / e.sum(axis=2, keepdims=True)
     proj = np.einsum("tcn,cnp->tcp", weights, vo)
@@ -443,24 +453,28 @@ def block_forward_tile(params: XAttnParams, q: np.ndarray, contexts: np.ndarray,
 
 def block_backward_tile(params: XAttnParams, cache: TileCache, d_out: np.ndarray,
                         texts: np.ndarray):
-    """Reverse :func:`block_forward_tile` over all T x C pairs at once.
+    """Reverse a dense :func:`block_forward_tile` over all T x C pairs at
+    once.
 
-    ``d_out`` is (T, C, D_p) and ``texts`` are the rows ``cache.q`` was
-    projected from.  Returns ``(grads, d_q)``: ``grads`` is keyed like
-    :meth:`XAttnParams.named` and sums over every pair, ``d_q`` is the
-    (T, D_p) gradient of the query projections.  With the folded
-    ``M = W_v W_o``, ``d_W_v = d_M W_o^T`` and ``d_W_o = W_v^T d_M``.
+    The tile is dense, as in training: every candidate was scored against
+    the same T query rows, ``cache.q[0]``.  ``d_out`` is (T, C, D_p) and
+    ``texts`` are the rows those queries were projected from.  Returns
+    ``(grads, d_q)``: ``grads`` is keyed like :meth:`XAttnParams.named` and
+    sums over every pair, ``d_q`` is the (T, D_p) gradient of the query
+    projections.  With the folded ``M = W_v W_o``, ``d_W_v = d_M W_o^T``
+    and ``d_W_o = W_v^T d_M``.
     """
     d, p = params.dim, params.proj_dim
     scale = 1.0 / math.sqrt(p)
     w = cache.weights
+    q = cache.q[0]
     m = params.w_v @ params.w_o
 
     d_proj, d_go, d_bo = layernorm_rows_backward(d_out, cache.proj, params.ln_o_gain)
     d_vo = np.einsum("tcn,tcp->cnp", w, d_proj)
     d_logits = softmax_rows_backward(np.einsum("tcp,cnp->tcn", d_proj, cache.vo), w)
     d_q = np.einsum("tcn,cnp->tp", d_logits, cache.k) * scale
-    d_k = np.einsum("tcn,tp->cnp", d_logits, cache.q) * scale
+    d_k = np.einsum("tcn,tp->cnp", d_logits, q) * scale
 
     flat = cache.c_n.reshape(-1, d)
     d_m = flat.T @ d_vo.reshape(-1, p)

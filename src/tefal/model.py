@@ -6,10 +6,12 @@ matrix over T queries and V candidates costs one block evaluation per
 ``LN_q(text) W_q`` once, then walks the candidates in tiles of about
 ``TILE_PAIRS`` pairs: :func:`score_tile` runs
 :func:`tefal.attention.block_forward_tile` on a tile, fuses the flattened
-pair rows and takes their cosine with the query texts.  Each score depends
-only on its own pair, so any tiling (exhaustive scoring, the stage-2
-re-rank, a query or candidate subset, any worker count) gives the same
-bits for the same pair.
+pair rows and takes their cosine with the query texts.  A tile is dense
+(every candidate against the same query rows, as in exhaustive scoring) or
+grouped (each candidate against its own rows, as in the stage-2 re-rank);
+both run the same kernel.  Each score depends only on its own pair, so any
+tiling (exhaustive scoring, the stage-2 re-rank, a query or candidate
+subset, any worker count) gives the same bits for the same pair.
 
 Training scores its B x B batch as one tile through the same
 :func:`score_tile` path, keeping the forward intermediates
@@ -199,25 +201,36 @@ class TileTape:
 
 def score_tile(model: RetrievalModel, queries: Queries, corpus: Corpus,
                cols: np.ndarray, keep: bool = False):
-    """(T, C) cosine scores of every query row against candidates ``cols``;
-    with ``keep``, the pair ``(scores, TileTape)``."""
+    """(T, C) cosine scores of query rows against candidates ``cols``; with
+    ``keep``, the pair ``(scores, TileTape)``.
+
+    A dense tile scores every candidate against the same T query rows
+    (``queries`` arrays of shape (T, .)).  A grouped tile gives each
+    candidate its own T rows (arrays of shape (C, T, .), e.g. from
+    ``queries.rows`` with a (C, T) index), and entry (t, c) scores
+    candidate ``cols[c]`` against its ``t``-th row.  A dense tile is
+    broadcast to the grouped form, so both run the same kernel.
+    """
     cols = np.asarray(cols, dtype=np.intp)
-    t, c = queries.texts.shape[0], len(cols)
+    t, c = queries.texts.shape[-2], len(cols)
     kind = model.fusion.kind
     blocks: dict = {}
     fusion_cache = None
+
+    def per_candidate(x):
+        return x if x.ndim == 3 else np.broadcast_to(x, (c,) + x.shape)
 
     def pairs(x):
         return x.reshape(t * c, x.shape[-1])
 
     def block(name, contexts):
-        params, q = getattr(model, name), getattr(queries, name)
+        params, q = getattr(model, name), per_candidate(getattr(queries, name))
         if not keep:
             return pairs(block_forward_tile(params, q, contexts))
         out, blocks[name] = block_forward_tile(params, q, contexts, keep=True)
         return pairs(out)
 
-    texts = pairs(np.broadcast_to(queries.texts[:, None, :], (t, c, corpus.dim)))
+    texts = pairs(per_candidate(queries.texts).transpose(1, 0, 2))
     if model.modality == "video":
         fused = block("video", corpus.frames[cols])
     elif model.modality == "audio":

@@ -15,6 +15,7 @@ from .config import ConfigError
 from .corpus import Corpus
 from .linalg import ShapeError, as_matrix
 from .model import (
+    TILE_PAIRS,
     RetrievalModel,
     map_tasks,
     query_rows,
@@ -23,9 +24,8 @@ from .model import (
 )
 
 __all__ = [
-    "RankingMetrics", "EvalStats", "NonFiniteScoreError", "mean_pool",
-    "compute_metrics", "ranks_from_similarity", "rank_exhaustive",
-    "rerank_two_stage", "dual_softmax_postprocess", "resolve_workers",
+    "RankingMetrics", "EvalStats", "NonFiniteScoreError", "compute_metrics",
+    "ranks_from_similarity", "rank_exhaustive", "rerank_two_stage", "dual_softmax_postprocess", "resolve_workers",
 ]
 
 
@@ -33,14 +33,46 @@ class NonFiniteScoreError(ValueError):
     """A similarity score to be ranked is NaN or infinite."""
 
 
-def _check_finite(scores: np.ndarray, ids, what: str) -> None:
+# score rows per block of the row-wise scans, so that their temporaries stay
+# a few MB whatever the corpus size
+BLOCK_ELEMENTS = 1 << 20
+
+
+def _row_blocks(rows: int, cols: int) -> list[slice]:
+    step = max(1, BLOCK_ELEMENTS // max(1, cols))
+    return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
+
+
+def _check_finite(scores: np.ndarray, ids, what: str, first_row: int = 0) -> None:
     """Reject a (queries x candidates) score array with a non-finite entry,
-    naming the first query it occurs for."""
+    naming the first query it occurs for; row 0 of ``scores`` is query
+    ``first_row``."""
     bad = ~np.isfinite(scores)
     if np.any(bad):
-        row = int(np.nonzero(bad.any(axis=1))[0][0])
+        row = first_row + int(np.nonzero(bad.any(axis=1))[0][0])
         raise NonFiniteScoreError(
             f"{what} for query {row} ({ids[row]}) has a non-finite score")
+
+
+def _id_ranks(ids: np.ndarray) -> np.ndarray:
+    """Each id's position in ascending id order (equal ids share one), so
+    integer comparisons of ranks break ties exactly as the ids would."""
+    return np.unique(ids, return_inverse=True)[1]
+
+
+def _ranks_in_rows(scores: np.ndarray, truth: np.ndarray,
+                   id_rank: np.ndarray) -> np.ndarray:
+    """1-based rank of entry ``truth[r]`` within each row ``r`` of
+    ``scores``, under descending score with ties by ascending id rank:
+    one plus the entries with a higher score, plus the equal-scoring ones
+    with a smaller id rank.  ``id_rank`` holds the rank of each column's id
+    (1-D), or of each entry's id (the shape of ``scores``)."""
+    rows = np.arange(len(truth))
+    id_rank = np.broadcast_to(id_rank, scores.shape)
+    mine = scores[rows, truth][:, None]
+    ahead = (scores > mine) | ((scores == mine)
+                               & (id_rank < id_rank[rows, truth][:, None]))
+    return 1 + np.count_nonzero(ahead, axis=1)
 
 
 def resolve_workers(requested: int = 1) -> int:
@@ -79,12 +111,6 @@ class EvalStats:
     stage2_model_evals: int = 0
 
 
-def mean_pool(frames: np.ndarray) -> np.ndarray:
-    """Column mean of the frame rows: the cheap unconditioned video vector."""
-    frames = as_matrix(frames, "frames")
-    return frames.mean(axis=0, keepdims=True)
-
-
 def compute_metrics(ranks, candidate_count: int, direction: str = "t2v"
                     ) -> RankingMetrics:
     """R@1/5/10 (percent), median rank (lower middle for even counts), and
@@ -109,16 +135,6 @@ def compute_metrics(ranks, candidate_count: int, direction: str = "t2v"
     )
 
 
-def _rank_of_truth(scores: np.ndarray, truth: int, ids: np.ndarray) -> int:
-    """1-based rank of ``truth`` under descending score, ties by ascending id."""
-    s = scores[truth]
-    higher = int(np.sum(scores > s))
-    tied = (scores == s)
-    tied[truth] = False
-    tied_before = int(np.sum(tied & (ids < ids[truth])))
-    return 1 + higher + tied_before
-
-
 def ranks_from_similarity(sim: np.ndarray, ids) -> np.ndarray:
     """Per-row rank of the diagonal entry of a square similarity matrix.
 
@@ -129,8 +145,13 @@ def ranks_from_similarity(sim: np.ndarray, ids) -> np.ndarray:
     if sim.ndim != 2 or sim.shape[0] != sim.shape[1]:
         raise ShapeError(f"aligned similarity matrix must be square, got {sim.shape}")
     ids = np.asarray(ids)
-    _check_finite(sim, ids, "similarity row")
-    return np.array([_rank_of_truth(sim[i], i, ids) for i in range(sim.shape[0])])
+    id_rank = _id_ranks(ids)
+    ranks = np.empty(sim.shape[0], dtype=np.intp)
+    for rows in _row_blocks(*sim.shape):
+        block = sim[rows]
+        _check_finite(block, ids, "similarity row", rows.start)
+        ranks[rows] = _ranks_in_rows(block, np.arange(rows.start, rows.stop), id_rank)
+    return ranks
 
 
 @dataclass
@@ -167,17 +188,101 @@ def _stage1_similarity(corpus: Corpus, query_texts: np.ndarray) -> np.ndarray:
     return q @ p.T
 
 
+def _stage1_shortlists(stage1: np.ndarray, k: int, ids: np.ndarray,
+                       id_rank: np.ndarray):
+    """``(shortlists, ranks)``: each row's k best columns of a (queries x
+    candidates) stage-1 score matrix, in descending score with ties by
+    ascending id, and each query's stage-1 rank of its truth (the column
+    equal to the row index) where that falls outside its shortlist, 0
+    where inside.
+
+    Row blocks take their top k with one ``argpartition`` and sort only the
+    k survivors.  Where the k-th score ties with a column left out, the
+    partition's pick among the tied columns is arbitrary, so those rows
+    partition again on a key that takes every higher score, then the tied
+    columns by ascending id.  The result equals the first k columns of a
+    full lexsort of every row.
+    """
+    n_rows, n = stage1.shape
+    shortlists = np.empty((n_rows, k), dtype=np.intp)
+    ranks = np.zeros(n_rows, dtype=np.intp)
+    for rows in _row_blocks(n_rows, n):
+        block = stage1[rows]
+        _check_finite(block, ids, "stage-1 score", rows.start)
+        top = np.argpartition(block, n - k, axis=1)[:, n - k:]
+        kth = np.take_along_axis(block, top, axis=1).min(axis=1, keepdims=True)
+        tied = np.count_nonzero(block >= kth, axis=1) > k
+        if np.any(tied):
+            key = np.where(block[tied] > kth[tied], -1,
+                           np.where(block[tied] == kth[tied], id_rank, n))
+            top[tied] = np.argpartition(key, k - 1, axis=1)[:, :k]
+        scores = np.take_along_axis(block, top, axis=1)
+        order = np.lexsort((id_rank[top], -scores), axis=1)
+        shortlists[rows] = np.take_along_axis(top, order, axis=1)
+
+        truth = np.arange(rows.start, rows.stop)
+        missed = ~np.any(shortlists[rows] == truth[:, None], axis=1)
+        if np.any(missed):
+            ranks[truth[missed]] = _ranks_in_rows(block[missed], truth[missed],
+                                                  id_rank)
+    return shortlists, ranks
+
+
+def _stage2_scores(model: RetrievalModel, corpus: Corpus, texts: np.ndarray,
+                   cands: np.ndarray, workers: int) -> np.ndarray:
+    """Model scores of the pairs (query text ``texts[i]``, candidate
+    ``cands[i]``), by grouped tiles: each candidate against the texts paired
+    with it, groups packed largest first into tiles of about
+    ``TILE_PAIRS`` pairs and padded to their tile's largest group."""
+    slots = np.argsort(cands, kind="stable")
+    _, starts, sizes = np.unique(cands[slots], return_index=True, return_counts=True)
+    largest_first = np.argsort(-sizes, kind="stable")
+    starts, sizes = starts[largest_first], sizes[largest_first]
+    tiles, first = [], 0
+    while first < len(sizes):
+        tiles.append(slice(first, first + max(1, TILE_PAIRS // int(sizes[first]))))
+        first = tiles[-1].stop
+    queries = query_rows(model, corpus.texts)
+
+    def score_group_tile(groups: slice):
+        # (C, T) pair index per candidate, each row padded with its group's
+        # last pair
+        width = int(sizes[groups.start])
+        offsets = np.minimum(np.arange(width), sizes[groups, None] - 1)
+        tile_slots = slots[starts[groups, None] + offsets]
+        scores = score_tile(model, queries.rows(texts[tile_slots]), corpus,
+                            cands[tile_slots[:, 0]])
+        real = offsets == np.arange(width)
+        return tile_slots[real], scores.T[real]
+
+    out = np.empty(len(cands))
+    for tile_slots, scores in map_tasks(score_group_tile, tiles, workers):
+        out[tile_slots] = scores
+    return out
+
+
 def rerank_two_stage(model: RetrievalModel, corpus: Corpus, k: int,
                      workers: int = 1, direction: str = "t2v",
                      shortlist_provider: Callable[[Corpus, np.ndarray], np.ndarray]
                      | None = None) -> RankingResult:
     """Mean-pool shortlist, then re-rank only the top-k with the full model.
 
-    Stage 1 orders all candidates by cosine between the query texts and the
-    mean-pooled frames; stage 2 re-scores the k-item shortlist with the
-    text-conditioned model.  Items outside the shortlist keep their stage-1
-    relative order, below the shortlist.  With k equal to the corpus size
-    the result matches :func:`rank_exhaustive` exactly.
+    Stage 1 orders the candidates by cosine between the query texts and the
+    mean-pooled frames and keeps each query's top k, ties by ascending id:
+    one ``argpartition`` per block of query rows, then a sort of the k
+    survivors.  A non-finite stage-1 score raises
+    :class:`NonFiniteScoreError` naming its query.  Stage 2 re-scores the
+    k-item shortlists with the text-conditioned model.  Items outside the
+    shortlist keep their stage-1 relative order, below the shortlist; a
+    truth there gets its stage-1 rank, counted like
+    :func:`ranks_from_similarity` counts.
+
+    Stage 2 scores each candidate against the query rows that shortlisted
+    it, in grouped :func:`tefal.model.score_tile` tiles of about
+    ``TILE_PAIRS`` pairs; padded slots are dropped and not counted as model
+    evaluations.  Exhaustive scoring runs the same kernel and a pair's
+    score depends only on that pair, so with k equal to the corpus size the
+    result matches :func:`rank_exhaustive` exactly, for any worker count.
 
     ``shortlist_provider`` swaps the stage-1 scorer: it receives the corpus
     and the query texts and returns a (texts x candidates) score matrix.
@@ -197,54 +302,32 @@ def rerank_two_stage(model: RetrievalModel, corpus: Corpus, k: int,
         raise ValueError(f"direction must be t2v or v2t, got {direction!r}")
     workers = resolve_workers(workers)
     ids = np.asarray(corpus.ids)
-    texts = corpus.texts
+    id_rank = _id_ranks(ids)
 
     provider = shortlist_provider if shortlist_provider is not None \
         else _stage1_similarity
-    stage1 = np.asarray(provider(corpus, texts), dtype=np.float64)
+    stage1 = np.asarray(provider(corpus, corpus.texts), dtype=np.float64)
     if stage1.shape != (n, n):
         raise ShapeError(f"shortlist provider returned shape {stage1.shape}, "
                          f"expected ({n}, {n})")
     if direction == "v2t":
         stage1 = stage1.T
     stats = EvalStats(stage1_comparisons=stage1.size)
-    # descending score, ties by ascending id
-    order1 = np.stack([np.lexsort((ids, -stage1[i])) for i in range(n)])
-    shortlists = order1[:, :k]
+    shortlists, ranks = _stage1_shortlists(stage1, k, ids, id_rank)
 
-    queries = query_rows(model, texts)
-    if direction == "t2v":
-        # group the (query, candidate) pairs by candidate: one tile per
-        # candidate, over the queries that shortlisted it (ascending)
-        order = np.argsort(shortlists.ravel(), kind="stable")
-        cols, starts = np.unique(shortlists.ravel()[order], return_index=True)
-        tasks = list(zip(cols.tolist(), np.split(order, starts[1:])))
-    else:
-        # each video query scores its shortlisted texts in one tile
-        tasks = [(j, j * k + np.arange(k)) for j in range(n)]
-
-    def score_group(task):
-        j, slots = task
-        rows = slots // k if direction == "t2v" else shortlists[j]
-        return slots, score_tile(model, queries.rows(rows), corpus, [j])[:, 0]
-
+    # slot i of the flattened (n, k) shortlists pairs model query text
+    # texts[i] with candidate cands[i]
+    owners = np.repeat(np.arange(n), k)
+    texts, cands = (owners, shortlists.ravel()) if direction == "t2v" \
+        else (shortlists.ravel(), owners)
     # stage2[q, s] scores query q against its s-th shortlisted item
-    stage2 = np.empty(n * k)
-    for slots, scores in map_tasks(score_group, tasks, workers):
-        stage2[slots] = scores
-    stage2 = stage2.reshape(n, k)
+    stage2 = _stage2_scores(model, corpus, texts, cands, workers).reshape(n, k)
     stats.stage2_model_evals += stage2.size
     _check_finite(stage2, ids, "shortlist")
 
-    ranks = np.empty(n, dtype=np.intp)
-    for qi in range(n):
-        short = shortlists[qi]
-        if qi in short:
-            reorder = np.lexsort((ids[short], -stage2[qi]))
-            ranks[qi] = 1 + int(np.nonzero(short[reorder] == qi)[0][0])
-        else:
-            tail = order1[qi, k:]
-            ranks[qi] = k + 1 + int(np.nonzero(tail == qi)[0][0])
+    inside = np.nonzero(ranks == 0)[0]
+    truth_slot = np.argmax(shortlists[inside] == inside[:, None], axis=1)
+    ranks[inside] = _ranks_in_rows(stage2[inside], truth_slot, id_rank[shortlists[inside]])
     return RankingResult(ranks, None, stats)
 
 

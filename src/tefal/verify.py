@@ -92,8 +92,9 @@ def _block_tile_check(seed: int, step: float) -> float:
     q_shift = np.zeros((2, 4))
 
     def tile(keep=False):
-        return block_forward_tile(params, project_queries(params, texts) + q_shift,
-                                  contexts, keep=keep)
+        q = project_queries(params, texts) + q_shift
+        return block_forward_tile(params, np.broadcast_to(q, (2, 2, 4)), contexts,
+                                  keep=keep)
 
     _, cache = tile(keep=True)
     grads, d_q = block_backward_tile(params, cache, cotangent, texts)

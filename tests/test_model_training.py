@@ -16,8 +16,11 @@ from tefal.model import (
     candidate_scores,
     create_model,
     named_parameters,
+    query_rows,
+    score_tile,
     similarity_matrix,
 )
+from tefal.ranking import rank_exhaustive, ranks_from_similarity, rerank_two_stage
 from tefal.training import AdamW, TrainingDiverged, clip_global_norm, evaluate, train
 from tefal.verify import end_to_end_check
 
@@ -236,6 +239,32 @@ class TestTileScoring:
             shuffled.audio[i] = shuffled.audio[i][rng.permutation(
                 shuffled.audio_token_count)]
         np.testing.assert_array_equal(similarity_matrix(model, shuffled), base)
+
+    @pytest.mark.parametrize("modality,fusion", SCORING_CONFIGS)
+    def test_full_shortlist_equals_exhaustive(self, scoring_corpus, modality, fusion):
+        # stage 2 scores grouped tiles (one query row set per candidate),
+        # exhaustive scoring dense ones: the ranks must agree bit for bit
+        model = create_model(seed=17, dim=12, fusion=fusion, modality=modality)
+        n = len(scoring_corpus)
+        exhaustive = rank_exhaustive(model, scoring_corpus)
+        t2v = rerank_two_stage(model, scoring_corpus, k=n)
+        v2t = rerank_two_stage(model, scoring_corpus, k=n, direction="v2t")
+        np.testing.assert_array_equal(t2v.ranks, exhaustive.ranks)
+        np.testing.assert_array_equal(
+            v2t.ranks, ranks_from_similarity(exhaustive.sim.T, scoring_corpus.ids))
+
+    @pytest.mark.parametrize("modality,fusion", SCORING_CONFIGS)
+    def test_grouped_tile_equals_dense_entries(self, scoring_corpus, modality, fusion):
+        # candidate cols[c] scored against its own query rows rows[c]
+        model = create_model(seed=18, dim=12, fusion=fusion, modality=modality)
+        full = similarity_matrix(model, scoring_corpus)
+        rng = np.random.default_rng(19)
+        n = len(scoring_corpus)
+        cols = rng.choice(n, size=6, replace=False)
+        rows = rng.integers(0, n, size=(6, 4))
+        got = score_tile(model, query_rows(model, scoring_corpus.texts).rows(rows),
+                         scoring_corpus, cols)
+        np.testing.assert_array_equal(got, full[rows, cols[:, None]].T)
 
     @pytest.mark.parametrize("fusion", ["addition", "xattn", "late"])
     def test_subset_call_returns_the_submatrix(self, scoring_corpus, fusion):

@@ -1,22 +1,30 @@
 """Ranking, metrics, two-stage re-ranking, and dual-softmax rescoring."""
 
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from tefal import ranking
 from tefal.config import ConfigError
-from tefal.corpus import synth_corpus
+from tefal.corpus import Corpus, synth_corpus
 from tefal.model import create_model, similarity_matrix
 from tefal.ranking import (
     NonFiniteScoreError,
     _stage1_similarity,
     compute_metrics,
     dual_softmax_postprocess,
-    mean_pool,
     rank_exhaustive,
     ranks_from_similarity,
     rerank_two_stage,
     resolve_workers,
 )
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
+                    suppress_health_check=[HealthCheck.too_slow])
 
 
 def brute_force_rank(scores, truth, ids):
@@ -25,20 +33,36 @@ def brute_force_rank(scores, truth, ids):
     return order.index(truth) + 1
 
 
+def stage1_pooled(frames):
+    """The unit-norm mean-pooled frame vector of each item, as stage 1 scores
+    it: each unit-vector query picks out one of its columns exactly."""
+    n, _, dim = frames.shape
+    corpus = Corpus([f"v{j}" for j in range(n)], np.zeros((n, dim)), frames,
+                    np.zeros((n, 1, dim)), np.zeros(n, dtype=bool))
+    return _stage1_similarity(corpus, np.eye(dim)).T
+
+
+def unit_rows(x):
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
 class TestMeanPool:
+    """The mean over frames that stage 1 pools each video into."""
+
     def test_single_frame(self):
         row = np.random.default_rng(0).standard_normal((1, 5))
-        np.testing.assert_array_equal(mean_pool(row), row)
+        np.testing.assert_array_equal(stage1_pooled(row[None]), unit_rows(row))
 
     def test_opposite_rows_cancel_exactly(self):
         r = np.random.default_rng(1).standard_normal((1, 4))
-        out = mean_pool(np.vstack([r, -r]))
+        out = stage1_pooled(np.vstack([r, -r])[None])
         np.testing.assert_array_equal(out, np.zeros((1, 4)))
 
     def test_random_mean(self):
         m = np.random.default_rng(2).standard_normal((3, 4))
         expected = np.array([[sum(m[:, d]) / 3.0 for d in range(4)]])
-        np.testing.assert_allclose(mean_pool(m), expected, atol=1e-15)
+        np.testing.assert_allclose(stage1_pooled(m[None]), unit_rows(expected),
+                                   atol=1e-15)
 
 
 class TestComputeMetrics:
@@ -135,6 +159,28 @@ class TestRanksFromSimilarity:
         with pytest.raises(NonFiniteScoreError, match=r"query 2 \(v2\)"):
             ranks_from_similarity(sim, [f"v{j}" for j in range(4)])
 
+    def test_non_finite_entry_past_the_first_row_block(self, monkeypatch):
+        monkeypatch.setattr(ranking, "BLOCK_ELEMENTS", 8)
+        sim = np.eye(6)
+        sim[4, 1] = np.nan
+        with pytest.raises(NonFiniteScoreError, match=r"query 4 \(v4\)"):
+            ranks_from_similarity(sim, [f"v{j}" for j in range(6)])
+
+    @PROPERTY
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n),
+        st.permutations(range(n)), st.sampled_from([5, 1 << 20]))))
+    def test_agrees_with_oracle_under_common_ties(self, case):
+        # scores from seven levels, so most rows tie; ids out of index order,
+        # so the id tie-break is not the column order; small row blocks
+        values, perm, block_elements = case
+        n = len(perm)
+        sim = np.reshape(values, (n, n)) / 4.0
+        ids = [f"id{p:02d}" for p in perm]
+        with mock.patch.object(ranking, "BLOCK_ELEMENTS", block_elements):
+            ranks = ranks_from_similarity(sim, ids)
+        assert ranks.tolist() == [brute_force_rank(sim[i], i, ids) for i in range(n)]
+
 
 @pytest.fixture(scope="module")
 def small_setup():
@@ -222,6 +268,19 @@ class TestRerankTwoStage:
             with pytest.raises(ValueError):
                 rerank_two_stage(model, corpus, k=k)
 
+    @pytest.mark.parametrize("direction", ["t2v", "v2t"])
+    def test_worker_count_and_tile_size_do_not_change_ranks(
+            self, small_setup, direction, monkeypatch):
+        model, corpus = small_setup
+        base = rerank_two_stage(model, corpus, k=7, workers=1, direction=direction)
+        threaded = rerank_two_stage(model, corpus, k=7, workers=3, direction=direction)
+        np.testing.assert_array_equal(threaded.ranks, base.ranks)
+        monkeypatch.setattr(ranking, "TILE_PAIRS", 5)
+        for workers in (1, 3):
+            small_tiles = rerank_two_stage(model, corpus, k=7, workers=workers,
+                                           direction=direction)
+            np.testing.assert_array_equal(small_tiles.ranks, base.ranks)
+
     def test_custom_shortlist_provider_replaces_stage_one(self, small_setup):
         model, corpus = small_setup
         n = len(corpus)
@@ -235,6 +294,72 @@ class TestRerankTwoStage:
             shortlist_provider=lambda c, t: -_stage1_similarity(c, t))
         exhaustive = rank_exhaustive(model, corpus)
         np.testing.assert_array_equal(shuffled.ranks, exhaustive.ranks)
+
+
+def lexsort_rerank_oracle(sim, stage1, k, ids):
+    """The two stages by full sorts, one query at a time: the first k of the
+    query's stage-1 lexsort (descending score, ties by ascending id),
+    re-ordered by the model scores ``sim`` (queries x candidates); a truth
+    outside the shortlist keeps its stage-1 position."""
+    ids = np.asarray(ids)
+    ranks = []
+    for q in range(len(ids)):
+        order1 = np.lexsort((ids, -stage1[q]))
+        short = order1[:k]
+        if q in short:
+            order2 = short[np.lexsort((ids[short], -sim[q, short]))]
+            ranks.append(1 + int(np.nonzero(order2 == q)[0][0]))
+        else:
+            ranks.append(1 + int(np.nonzero(order1 == q)[0][0]))
+    return ranks
+
+
+ORACLE_MODEL = create_model(seed=21, dim=6)
+
+
+class TestRerankOracle:
+    @PROPERTY
+    @given(st.integers(1, 16).flatmap(lambda n: st.tuples(
+        st.integers(1, n), st.sampled_from([5, 1 << 20]), st.permutations(range(n)),
+        st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n))))
+    def test_stage1_shortlists_are_the_full_lexsort_prefix(self, case):
+        k, block_elements, perm, levels = case
+        n = len(perm)
+        ids = np.array([f"id{p:02d}" for p in perm])
+        stage1 = np.reshape(levels, (n, n)) / 2.0
+        with mock.patch.object(ranking, "BLOCK_ELEMENTS", block_elements):
+            shortlists, ranks = ranking._stage1_shortlists(
+                stage1, k, ids, ranking._id_ranks(ids))
+        for q in range(n):
+            order1 = np.lexsort((ids, -stage1[q]))
+            assert shortlists[q].tolist() == order1[:k].tolist()
+            position = 1 + int(np.nonzero(order1 == q)[0][0])
+            assert ranks[q] == (0 if position <= k else position)
+
+    @PROPERTY
+    @given(st.integers(1, 16).flatmap(lambda n: st.tuples(
+        st.integers(1, n), st.sampled_from(["t2v", "v2t"]), st.sampled_from([3, 2048]),
+        st.permutations(range(n)),
+        st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n))))
+    def test_agrees_with_lexsort_oracle(self, case):
+        # stage-1 scores from five levels put ties on the k boundary; ids out
+        # of index order make the id tie-break differ from the column order;
+        # a 3-pair tile splits stage 2 into many padded tiles
+        k, direction, tile_pairs, perm, levels = case
+        n = len(perm)
+        corpus = dataclasses.replace(
+            synth_corpus(seed=n, n_items=n, dim=6, frames=2, audio_tokens=3),
+            ids=[f"id{p:02d}" for p in perm])
+        stage1 = np.reshape(levels, (n, n)) / 2.0
+        sim = similarity_matrix(ORACLE_MODEL, corpus)
+        if direction == "v2t":
+            want = lexsort_rerank_oracle(sim.T, stage1.T, k, corpus.ids)
+        else:
+            want = lexsort_rerank_oracle(sim, stage1, k, corpus.ids)
+        with mock.patch.object(ranking, "TILE_PAIRS", tile_pairs):
+            got = rerank_two_stage(ORACLE_MODEL, corpus, k, direction=direction,
+                                   shortlist_provider=lambda c, t: stage1)
+        assert got.ranks.tolist() == want
 
 
 class TestNonFiniteModelScores:
@@ -254,6 +379,17 @@ class TestNonFiniteModelScores:
         _model, corpus = small_setup
         with pytest.raises(NonFiniteScoreError, match="query 0"):
             rerank_two_stage(nan_model, corpus, k=3, direction=direction)
+
+    @pytest.mark.parametrize("direction,query", [("t2v", 2), ("v2t", 5)])
+    def test_non_finite_stage1_score_raises(self, small_setup, direction, query):
+        # a NaN from a custom provider used to sort last and rank silently
+        model, corpus = small_setup
+        stage1 = np.random.default_rng(9).standard_normal((len(corpus), len(corpus)))
+        stage1[2, 5] = np.nan
+        with pytest.raises(NonFiniteScoreError,
+                           match=rf"stage-1 score for query {query} \("):
+            rerank_two_stage(model, corpus, k=3, direction=direction,
+                             shortlist_provider=lambda c, t: stage1)
 
 
 class TestDualSoftmax:
