@@ -15,8 +15,10 @@ the HTK scale spanning 0-8 kHz, natural log with a 1e-10 floor.
 import wave
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "Waveform", "MelFilterBank", "PatchGrid",
@@ -124,6 +126,18 @@ def mel_filter_matrix(n_mels: int, n_fft: int, sr: int,
     return np.clip(np.minimum(up, down), 0.0, None)
 
 
+@lru_cache(maxsize=8)
+def _frame_constants(window: int, n_fft: int, n_mels: int
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The Hamming window and the Mel filters of ``compute_fbank`` for one
+    window length, FFT length and filter count, built once and shared
+    read-only."""
+    constants = (np.hamming(window), mel_filter_matrix(n_mels, n_fft, SAMPLE_RATE))
+    for array in constants:
+        array.setflags(write=False)
+    return constants
+
+
 def compute_fbank(w: Waveform, target_length: int = DEFAULT_TARGET_LENGTH,
                   n_mels: int = DEFAULT_N_MELS,
                   window_ms: float = DEFAULT_WINDOW_MS) -> MelFilterBank:
@@ -151,11 +165,15 @@ def compute_fbank(w: Waveform, target_length: int = DEFAULT_TARGET_LENGTH,
     starts = np.round(np.arange(target_length) * f_shift * SAMPLE_RATE / 1000.0
                       ).astype(np.int64)
     padded = np.concatenate([samples, np.zeros(max(0, starts[-1] + window - n_frm))])
-    frames = padded[starts[:, None] + np.arange(window)[None, :]]
 
     n_fft = 1 << (window - 1).bit_length()
-    spectrum = np.abs(np.fft.rfft(frames * np.hamming(window), n=n_fft))
-    mel = spectrum @ mel_filter_matrix(n_mels, n_fft, SAMPLE_RATE).T
+    hamming, filters = _frame_constants(window, n_fft, n_mels)
+    # windowed frames, zero-padded to the FFT length in place
+    frames = np.zeros((target_length, n_fft))
+    np.multiply(sliding_window_view(padded, window)[starts], hamming,
+                out=frames[:, :window])
+    spectrum = np.abs(np.fft.rfft(frames))
+    mel = spectrum @ filters.T
     return MelFilterBank(frames=np.log(np.maximum(mel, LOG_FLOOR)),
                          frame_shift_ms=f_shift)
 

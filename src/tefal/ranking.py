@@ -179,22 +179,33 @@ def rank_exhaustive(model: RetrievalModel, corpus: Corpus, workers: int = 1,
     return RankingResult(ranks_from_similarity(scored, corpus.ids), sim, stats)
 
 
-def _stage1_similarity(corpus: Corpus, query_texts: np.ndarray) -> np.ndarray:
-    pooled = corpus.frames.mean(axis=1)
-    q_norm = np.linalg.norm(query_texts, axis=1, keepdims=True)
-    p_norm = np.linalg.norm(pooled, axis=1, keepdims=True)
-    q = np.where(q_norm > 0, query_texts / np.where(q_norm > 0, q_norm, 1.0), 0.0)
-    p = np.where(p_norm > 0, pooled / np.where(p_norm > 0, p_norm, 1.0), 0.0)
-    return q @ p.T
+def _unit_rows(x: np.ndarray) -> np.ndarray:
+    norm = np.linalg.norm(x, axis=1, keepdims=True)
+    return np.where(norm > 0, x / np.where(norm > 0, norm, 1.0), 0.0)
 
 
-def _stage1_shortlists(stage1: np.ndarray, k: int, ids: np.ndarray,
-                       id_rank: np.ndarray):
-    """``(shortlists, ranks)``: each row's k best columns of a (queries x
-    candidates) stage-1 score matrix, in descending score with ties by
-    ascending id, and each query's stage-1 rank of its truth (the column
-    equal to the row index) where that falls outside its shortlist, 0
-    where inside.
+def _stage1_rows(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
+    """Stage 1's unit-norm text rows and unit-norm mean-pooled frame rows;
+    a zero row stays zero."""
+    return _unit_rows(corpus.texts), _unit_rows(corpus.frames.mean(axis=1))
+
+
+def _row_scores(queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """Dot products of each query row with every candidate row, one
+    vector-matrix product per query row, so that a row's scores do not
+    depend on the rows scored with it: a matrix product over a block of
+    rows rounds differently for different block sizes."""
+    return np.matmul(queries[:, None, :], candidates.T)[:, 0]
+
+
+def _stage1_shortlists(score_rows: Callable[[slice], np.ndarray], k: int,
+                       ids: np.ndarray, id_rank: np.ndarray):
+    """``(shortlists, ranks)``: each query's k best candidates by stage-1
+    score, in descending score with ties by ascending id, and each query's
+    stage-1 rank of its truth (the candidate equal to the query index)
+    where that falls outside its shortlist, 0 where inside.
+    ``score_rows(rows)`` returns the (queries x candidates) stage-1 scores
+    of one block of query rows, so no more than one block is held at once.
 
     Row blocks take their top k with one ``argpartition`` and sort only the
     k survivors.  Where the k-th score ties with a column left out, the
@@ -203,11 +214,11 @@ def _stage1_shortlists(stage1: np.ndarray, k: int, ids: np.ndarray,
     columns by ascending id.  The result equals the first k columns of a
     full lexsort of every row.
     """
-    n_rows, n = stage1.shape
-    shortlists = np.empty((n_rows, k), dtype=np.intp)
-    ranks = np.zeros(n_rows, dtype=np.intp)
-    for rows in _row_blocks(n_rows, n):
-        block = stage1[rows]
+    n = len(ids)
+    shortlists = np.empty((n, k), dtype=np.intp)
+    ranks = np.zeros(n, dtype=np.intp)
+    for rows in _row_blocks(n, n):
+        block = score_rows(rows)
         _check_finite(block, ids, "stage-1 score", rows.start)
         top = np.argpartition(block, n - k, axis=1)[:, n - k:]
         kth = np.take_along_axis(block, top, axis=1).min(axis=1, keepdims=True)
@@ -270,7 +281,10 @@ def rerank_two_stage(model: RetrievalModel, corpus: Corpus, k: int,
     Stage 1 orders the candidates by cosine between the query texts and the
     mean-pooled frames and keeps each query's top k, ties by ascending id:
     one ``argpartition`` per block of query rows, then a sort of the k
-    survivors.  A non-finite stage-1 score raises
+    survivors.  The default scorer streams: it scores one block of query
+    rows at a time (text rows in t2v, pooled-video rows in v2t), one row at
+    a time within the block, so no (n, n) array is held and a row's scores
+    do not depend on ``BLOCK_ELEMENTS``.  A non-finite stage-1 score raises
     :class:`NonFiniteScoreError` naming its query.  Stage 2 re-scores the
     k-item shortlists with the text-conditioned model.  Items outside the
     shortlist keep their stage-1 relative order, below the shortlist; a
@@ -285,8 +299,10 @@ def rerank_two_stage(model: RetrievalModel, corpus: Corpus, k: int,
     result matches :func:`rank_exhaustive` exactly, for any worker count.
 
     ``shortlist_provider`` swaps the stage-1 scorer: it receives the corpus
-    and the query texts and returns a (texts x candidates) score matrix.
-    The default exact mean-pool scan can thus be replaced by an approximate
+    and the query texts and returns the full (texts x videos) score matrix,
+    which v2t reads transposed.  The call holds that matrix only while it
+    runs, and stage 1 reads it in the default scorer's row blocks.  The
+    default exact mean-pool scan can thus be replaced by an approximate
     nearest-neighbor index without touching stage 2.
 
     ``direction="v2t"`` runs the mirrored problem: each video query
@@ -304,16 +320,22 @@ def rerank_two_stage(model: RetrievalModel, corpus: Corpus, k: int,
     ids = np.asarray(corpus.ids)
     id_rank = _id_ranks(ids)
 
-    provider = shortlist_provider if shortlist_provider is not None \
-        else _stage1_similarity
-    stage1 = np.asarray(provider(corpus, corpus.texts), dtype=np.float64)
-    if stage1.shape != (n, n):
-        raise ShapeError(f"shortlist provider returned shape {stage1.shape}, "
-                         f"expected ({n}, {n})")
-    if direction == "v2t":
-        stage1 = stage1.T
-    stats = EvalStats(stage1_comparisons=stage1.size)
-    shortlists, ranks = _stage1_shortlists(stage1, k, ids, id_rank)
+    if shortlist_provider is None:
+        text_rows, video_rows = _stage1_rows(corpus)
+        queries, candidates = (text_rows, video_rows) if direction == "t2v" \
+            else (video_rows, text_rows)
+
+        def score_rows(rows: slice) -> np.ndarray:
+            return _row_scores(queries[rows], candidates)
+    else:
+        stage1 = np.asarray(shortlist_provider(corpus, corpus.texts),
+                            dtype=np.float64)
+        if stage1.shape != (n, n):
+            raise ShapeError(f"shortlist provider returned shape {stage1.shape}, "
+                             f"expected ({n}, {n})")
+        score_rows = (stage1 if direction == "t2v" else stage1.T).__getitem__
+    stats = EvalStats(stage1_comparisons=n * n)
+    shortlists, ranks = _stage1_shortlists(score_rows, k, ids, id_rank)
 
     # slot i of the flattened (n, k) shortlists pairs model query text
     # texts[i] with candidate cands[i]

@@ -63,7 +63,11 @@ def write_embeddings(path, items: np.ndarray) -> None:
 
 
 def read_embeddings(path) -> np.ndarray:
-    """Read an EMB1 file into a float64 (item_count, rows, cols) array."""
+    """Read an EMB1 file into a float64 (item_count, rows, cols) array.
+
+    A payload holding NaN or an infinity raises :class:`FormatError`: a
+    non-finite embedding would otherwise reach the scores and the metrics.
+    """
     blob = Path(path).read_bytes()
     if len(blob) < _EMB_HEADER.size + 4:
         raise FormatError(f"{path}: file too short for an EMB1 header")
@@ -76,10 +80,14 @@ def read_embeddings(path) -> np.ndarray:
     if len(blob) != need:
         raise FormatError(f"{path}: expected {need} bytes, found {len(blob)}")
     stored = struct.unpack_from("<I", blob, len(blob) - 4)[0]
-    if zlib.crc32(blob[:-4]) != stored:
+    if zlib.crc32(memoryview(blob)[:-4]) != stored:
         raise FormatError(f"{path}: CRC mismatch")
     data = np.frombuffer(blob, dtype="<f4", count=count * rows * cols,
                          offset=_EMB_HEADER.size)
+    finite = np.isfinite(data)
+    if not finite.all():
+        item = int(np.argmin(finite)) // (rows * cols)
+        raise FormatError(f"{path}: item {item} holds a non-finite value")
     return data.reshape(count, rows, cols).astype(np.float64)
 
 
@@ -321,7 +329,8 @@ def load_checkpoint(path):
 
     Any malformed file (bad magic, version or CRC, an entry table that
     overruns the file, bad names, a bad step or config entry, parameters
-    that do not match the config) raises :class:`FormatError` with the path.
+    that do not match the config or hold NaN or an infinity) raises
+    :class:`FormatError` with the path.
     """
     blob = Path(path).read_bytes()
     head = struct.calcsize("<4sII")
@@ -333,7 +342,7 @@ def load_checkpoint(path):
     if version != CKPT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
     stored = struct.unpack_from("<I", blob, len(blob) - 4)[0]
-    if zlib.crc32(blob[:-4]) != stored:
+    if zlib.crc32(memoryview(blob)[:-4]) != stored:
         raise FormatError(f"{path}: CRC mismatch")
 
     end = len(blob) - 4
@@ -390,5 +399,7 @@ def load_checkpoint(path):
         if target[name].shape != arr.shape:
             raise FormatError(f"{path}: parameter {name!r} has shape {arr.shape}, "
                               f"expected {target[name].shape}")
+        if not np.all(np.isfinite(arr)):
+            raise FormatError(f"{path}: parameter {name!r} holds a non-finite value")
         target[name][...] = arr
     return model, int(step[0, 0]), config

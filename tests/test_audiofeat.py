@@ -1,6 +1,7 @@
 """Audio front end: adaptive frame shift, filter bank, patch geometry, WAV I/O."""
 
 import math
+import warnings
 import wave
 
 import numpy as np
@@ -129,6 +130,38 @@ class TestComputeFbank:
         with pytest.warns(UserWarning, match="zero-padding"):
             fb = compute_fbank(w, target_length=32, n_mels=8)
         assert fb.frames.shape == (32, 8)
+
+
+    @pytest.mark.parametrize("length", [240, 400, 8000, 10 * SAMPLE_RATE])
+    def test_frames_equal_the_direct_formula_bit_for_bit(self, length):
+        samples = np.random.default_rng(length).uniform(-1, 1, length)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            fb = compute_fbank(Waveform(samples, SAMPLE_RATE))
+        assert fb.frames.tobytes() == direct_fbank(samples).tobytes()
+
+    def test_mel_filter_matrix_is_a_fresh_array(self):
+        first = mel_filter_matrix(8, 512, SAMPLE_RATE)
+        first[...] = -1.0
+        second = mel_filter_matrix(8, 512, SAMPLE_RATE)
+        assert second.flags.writeable and np.all(second >= 0.0)
+
+
+def direct_fbank(samples, target_length=1024, n_mels=128, window=400):
+    """The filter bank by its direct formula: gather every frame through an
+    index matrix, window it, and let ``rfft`` pad it to the FFT length."""
+    if samples.size < window:
+        samples = np.concatenate([samples, np.zeros(window - samples.size)])
+    f_shift = samples.size * 1000.0 / (SAMPLE_RATE * target_length)
+    starts = np.round(np.arange(target_length) * f_shift * SAMPLE_RATE / 1000.0
+                      ).astype(np.int64)
+    padded = np.concatenate([samples,
+                             np.zeros(max(0, starts[-1] + window - samples.size))])
+    frames = padded[starts[:, None] + np.arange(window)[None, :]]
+    n_fft = 1 << (window - 1).bit_length()
+    spectrum = np.abs(np.fft.rfft(frames * np.hamming(window), n=n_fft))
+    mel = spectrum @ mel_filter_matrix(n_mels, n_fft, SAMPLE_RATE).T
+    return np.log(np.maximum(mel, LOG_FLOOR))
 
 
 class TestPatchGeometry:

@@ -9,7 +9,9 @@ import pytest
 
 from tefal.audiofeat import LOG_FLOOR, SAMPLE_RATE
 from tefal.cli import main
-from tefal.storage import read_fbank
+from tefal.config import TrainConfig
+from tefal.model import create_model
+from tefal.storage import load_corpus, read_fbank, save_checkpoint, save_corpus
 
 
 def run(*argv):
@@ -54,6 +56,29 @@ class TestExitCodes:
         assert run("eval", "--data", str(tmp_path / "missing.json"),
                    "--checkpoint", str(tmp_path / "missing.ckpt")) == 1
         assert "error:" in capsys.readouterr().err
+
+
+    def test_non_finite_stored_values_are_exit_one(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert run(*synth_args(data)) == 0
+        config = TrainConfig(dim=12, proj_dim=12, frames=3, audio_tokens=4)
+        good, bad = tmp_path / "good.ckpt", tmp_path / "bad.ckpt"
+        model = create_model(seed=1, dim=12)
+        save_checkpoint(good, model, step=0, config=config)
+        model.video.w_q[0, 0] = np.inf
+        save_checkpoint(bad, model, step=0, config=config)
+        bad_data = tmp_path / "bad_data"
+        corpus = load_corpus(data / "manifest.json")
+        corpus.texts[3, 0] = np.nan
+        save_corpus(corpus, bad_data)
+        for command in (["eval"], ["rerank", "--k", "5"]):
+            for manifest, ckpt, culprit in (
+                    (data / "manifest.json", bad, "bad.ckpt"),
+                    (bad_data / "manifest.json", good, "text.emb1")):
+                assert run(*command, "--data", str(manifest),
+                           "--checkpoint", str(ckpt)) == 1
+                err = capsys.readouterr().err
+                assert "non-finite" in err and culprit in err
 
 
 class TestSynth:

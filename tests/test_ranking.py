@@ -1,6 +1,7 @@
 """Ranking, metrics, two-stage re-ranking, and dual-softmax rescoring."""
 
 import dataclasses
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,6 @@ from tefal.corpus import Corpus, synth_corpus
 from tefal.model import create_model, similarity_matrix
 from tefal.ranking import (
     NonFiniteScoreError,
-    _stage1_similarity,
     compute_metrics,
     dual_softmax_postprocess,
     rank_exhaustive,
@@ -34,12 +34,18 @@ def brute_force_rank(scores, truth, ids):
 
 
 def stage1_pooled(frames):
-    """The unit-norm mean-pooled frame vector of each item, as stage 1 scores
-    it: each unit-vector query picks out one of its columns exactly."""
+    """The unit-norm mean-pooled frame vector of each item, as stage 1
+    scores it."""
     n, _, dim = frames.shape
     corpus = Corpus([f"v{j}" for j in range(n)], np.zeros((n, dim)), frames,
                     np.zeros((n, 1, dim)), np.zeros(n, dtype=bool))
-    return _stage1_similarity(corpus, np.eye(dim)).T
+    return ranking._stage1_rows(corpus)[1]
+
+
+def stage1_matrix(corpus):
+    """The full (texts x videos) stage-1 score matrix, from the row kernel
+    the streamed stage 1 scores its blocks with."""
+    return ranking._row_scores(*ranking._stage1_rows(corpus))
 
 
 def unit_rows(x):
@@ -236,7 +242,7 @@ class TestRerankTwoStage:
 
     def test_k_one_ranks_truth_first_iff_stage1_top1_correct(self, small_setup):
         model, corpus = small_setup
-        stage1 = _stage1_similarity(corpus, corpus.texts)
+        stage1 = stage1_matrix(corpus)
         ids = np.asarray(corpus.ids)
         result = rerank_two_stage(model, corpus, k=1)
         for i in range(len(corpus)):
@@ -253,7 +259,7 @@ class TestRerankTwoStage:
     def test_below_shortlist_items_keep_stage1_order(self, small_setup):
         model, corpus = small_setup
         k = 5
-        stage1 = _stage1_similarity(corpus, corpus.texts)
+        stage1 = stage1_matrix(corpus)
         ids = np.asarray(corpus.ids)
         result = rerank_two_stage(model, corpus, k=k)
         for i in range(len(corpus)):
@@ -291,9 +297,70 @@ class TestRerankTwoStage:
         # stage 2 is unchanged: a full shortlist still matches exhaustive
         shuffled = rerank_two_stage(
             model, corpus, k=n,
-            shortlist_provider=lambda c, t: -_stage1_similarity(c, t))
+            shortlist_provider=lambda c, t: -stage1_matrix(c))
         exhaustive = rank_exhaustive(model, corpus)
         np.testing.assert_array_equal(shuffled.ranks, exhaustive.ranks)
+
+
+class TestStreamedStage1:
+    """The default stage 1 scores one block of query rows at a time, one
+    row at a time within the block."""
+
+    @pytest.fixture(scope="class")
+    def wide_setup(self):
+        # at n=1500, D=32 a matrix product over a row block rounds some
+        # entries differently from the same rows of the full product
+        corpus = synth_corpus(seed=5, n_items=1500, dim=32, frames=4, audio_tokens=2)
+        return create_model(seed=6, dim=32), corpus
+
+    @staticmethod
+    def run_streamed(model, corpus, direction, block_elements):
+        """``(scores, shortlists, ranks)`` of a k=5 re-rank whose stage 1
+        takes ``block_elements`` scores per block; ``scores`` stacks the
+        blocks the shortlist scan was fed."""
+        real = ranking._stage1_shortlists
+        blocks, shortlists = [], []
+
+        def spy(score_rows, *args):
+            def recorded(rows):
+                blocks.append(score_rows(rows))
+                return blocks[-1]
+            out = real(recorded, *args)
+            shortlists.append(out[0])
+            return out
+
+        with mock.patch.object(ranking, "BLOCK_ELEMENTS", block_elements), \
+                mock.patch.object(ranking, "_stage1_shortlists", spy):
+            result = rerank_two_stage(model, corpus, k=5, direction=direction)
+        return np.vstack(blocks), shortlists[0], result.ranks
+
+    @pytest.mark.parametrize("direction", ["t2v", "v2t"])
+    def test_block_size_changes_no_score_shortlist_or_rank(self, wide_setup, direction):
+        model, corpus = wide_setup
+        scores, shortlists, ranks = self.run_streamed(model, corpus, direction,
+                                                      ranking.BLOCK_ELEMENTS)
+        cosines = stage1_matrix(corpus)
+        np.testing.assert_allclose(scores, cosines if direction == "t2v" else cosines.T,
+                                   rtol=0, atol=1e-14)
+        for block_elements in (5, 1 << 14):
+            got = self.run_streamed(model, corpus, direction, block_elements)
+            np.testing.assert_array_equal(got[0], scores)
+            np.testing.assert_array_equal(got[1], shortlists)
+            np.testing.assert_array_equal(got[2], ranks)
+
+    @pytest.mark.parametrize("direction", ["t2v", "v2t"])
+    def test_peak_memory_is_a_fraction_of_the_full_matrix(self, direction, monkeypatch):
+        n = 2000
+        corpus = synth_corpus(seed=8, n_items=n, dim=8, frames=2, audio_tokens=2)
+        model = create_model(seed=2, dim=8)
+        monkeypatch.setattr(ranking, "BLOCK_ELEMENTS", 1 << 14)
+        tracemalloc.start()
+        try:
+            rerank_two_stage(model, corpus, k=2, direction=direction)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4
 
 
 def lexsort_rerank_oracle(sim, stage1, k, ids):
@@ -329,7 +396,7 @@ class TestRerankOracle:
         stage1 = np.reshape(levels, (n, n)) / 2.0
         with mock.patch.object(ranking, "BLOCK_ELEMENTS", block_elements):
             shortlists, ranks = ranking._stage1_shortlists(
-                stage1, k, ids, ranking._id_ranks(ids))
+                stage1.__getitem__, k, ids, ranking._id_ranks(ids))
         for q in range(n):
             order1 = np.lexsort((ids, -stage1[q]))
             assert shortlists[q].tolist() == order1[:k].tolist()

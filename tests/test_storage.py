@@ -76,6 +76,42 @@ class TestEmbeddingContainer:
             read_embeddings(path)
 
 
+class TestNonFiniteValues:
+    """CRC-valid files whose payload holds NaN or an infinity."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_embeddings_rejected_with_the_path_and_item(self, tmp_path, value):
+        items = np.ones((3, 2, 4))
+        items[2, 1, 3] = value
+        path = tmp_path / "bad.emb1"
+        write_embeddings(path, items)
+        with pytest.raises(FormatError, match=r"bad\.emb1: item 2 .*non-finite"):
+            read_embeddings(path)
+
+    def test_fbank_rejected(self, tmp_path):
+        frames = zero_fbank(target_length=8, n_mels=4).frames
+        frames[5, 0] = np.nan
+        path = tmp_path / "bad.fbank"
+        write_embeddings(path, frames[None])
+        with pytest.raises(FormatError, match=r"bad\.fbank"):
+            read_fbank(path)
+
+    def test_corpus_with_a_non_finite_frame_rejected(self, tmp_path):
+        corpus = synth_corpus(seed=2, n_items=4, dim=6, frames=2, audio_tokens=2)
+        corpus.frames[1, 0, 0] = np.inf
+        manifest = save_corpus(corpus, tmp_path / "corpus")
+        with pytest.raises(FormatError, match=r"video\.emb1: item 1 "):
+            load_corpus(manifest)
+
+    def test_checkpoint_rejected_naming_the_parameter(self, tmp_path):
+        model = create_model(seed=1, dim=4)
+        model.audio.w_v[0, 0] = np.nan
+        path = tmp_path / "bad.tfck"
+        save_checkpoint(path, model, step=0, config=TrainConfig(dim=4, proj_dim=4))
+        with pytest.raises(FormatError, match=r"bad\.tfck: parameter 'audio\.w_v'"):
+            load_checkpoint(path)
+
+
 class TestFbankContainer:
     def test_round_trip(self, tmp_path):
         fb = zero_fbank(16, 8)
