@@ -31,13 +31,12 @@ from .audiofeat import (
 from .config import ConfigError, TrainConfig, load_config
 from .contrastive import Temperature, cosine_similarity, infonce
 from .corpus import Corpus, synth_corpus
-from .fusion import FusionKind, FusionParams, audio_summary, fuse
+from .fusion import FusionKind, FusionParams, audio_summary
 from .linalg import (
     ParamStore,
     ShapeError,
     grad_check,
     layernorm_rows,
-    matmul,
     softmax_rows,
 )
 from .model import RetrievalModel, create_model, named_parameters, similarity_matrix

@@ -10,26 +10,25 @@ embedding:
     out = LN(pooled W_o)                      (output projection + norm)
 
 The block has no positional encoding, so the pooled output is invariant
-under any joint permutation of the context rows.  Two kernels make that
-invariance hold bit-for-bit:
+under any joint permutation of the context rows.  One kernel,
+:func:`block_forward_tile`, makes that invariance hold bit-for-bit: it
+scores C candidate contexts against T query projections each at once, the
+same T rows for every candidate (a dense tile, broadcast) or one row set per
+candidate (a grouped tile).  It computes the candidate side (``LN_c``, K and
+V W_o) once per call, puts each candidate's rows in one canonical order (a
+lexsort of K||V W_o, see :func:`canonical_rows`), and then reduces over the
+rows with plain sums.  Every per-row product is an ``einsum``, so a pair's
+output depends only on its own query and candidate, whatever the tile.
+Exhaustive scoring, stage-2 re-ranking, the training forward pass and the
+xattn fusion block (a grouped tile of one query row and a two-row context
+per pair) all run it.  With ``keep=True`` it also returns its
+intermediates; :func:`block_backward_tile` reverses any tile in one call,
+and :func:`project_queries_backward` reverses the query projection that
+:func:`project_queries` computes once per text.
 
-* :func:`block_forward_tile` scores C candidate contexts against T query
-  projections each at once: the same T rows for every candidate (a dense
-  tile, broadcast) or one row set per candidate (a grouped tile).  It
-  computes the candidate side (``LN_c``, K and V W_o) once per call, puts
-  each candidate's rows in one canonical order (a lexsort of K||V W_o, see
-  :func:`canonical_rows`), and then reduces over the rows with plain sums.
-  Every per-row product is an ``einsum``, so a pair's output depends only on
-  its own query and candidate, whatever the tile.  Exhaustive scoring,
-  stage-2 re-ranking and the training forward pass use this kernel; with
-  ``keep=True`` it also returns its intermediates, and
-  :func:`block_backward_tile` reverses a dense tile's block over all T x C
-  pairs in one call.
-* :func:`block_forward` (one shared context) and :func:`block_forward_each`
-  (one context per query row) accumulate the softmax and pooling sums with
-  :func:`tefal.linalg.canonical_sum`.  :func:`block_forward` is the plain
-  per-candidate reference; the xattn fusion block trains and scores through
-  :func:`block_forward_each` and :func:`block_backward_each`.
+:func:`block_forward` is the plain per-candidate reference: one shared
+context, softmax and pooling sums accumulated with
+:func:`tefal.linalg.canonical_sum`.
 
 Two independent instances of the block (disjoint parameter sets) condition
 the video and audio sides on the same text query.
@@ -57,9 +56,8 @@ __all__ = [
     "export_attention_weights",
     "block_forward",
     "block_backward",
-    "block_forward_each",
-    "block_backward_each",
     "project_queries",
+    "project_queries_backward",
     "canonical_rows",
     "block_forward_tile",
     "block_backward_tile",
@@ -275,92 +273,6 @@ def block_backward(params: XAttnParams, cache: BlockCache, d_out: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# per-row contexts (used by the cross-attention fusion variant, where every
-# query row attends over its own stacked pair of conditioned embeddings)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class BlockEachCache:
-    text: np.ndarray
-    contexts: np.ndarray      # (B, n, D)
-    t_n: np.ndarray
-    c_n: np.ndarray           # (B, n, D)
-    q: np.ndarray
-    k: np.ndarray             # (B, n, D_p)
-    v: np.ndarray
-    weights: np.ndarray       # (B, n)
-    pooled: np.ndarray
-    proj: np.ndarray
-
-
-def block_forward_each(params: XAttnParams, text: np.ndarray, contexts: np.ndarray):
-    """Like :func:`block_forward` but query row ``b`` attends over
-    ``contexts[b]``.  ``contexts`` has shape (B, n, D).  Every row product is
-    an ``einsum``, so output row ``b`` depends only on ``text[b]`` and
-    ``contexts[b]``, not on B."""
-    text = _check_text(params, text)
-    contexts = np.asarray(contexts, dtype=np.float64)
-    if contexts.ndim != 3 or contexts.shape[0] != text.shape[0]:
-        raise ShapeError(
-            f"contexts must be (B, n, D) with B={text.shape[0]}, got {contexts.shape}")
-    if contexts.shape[2] != params.dim:
-        raise ShapeError(
-            f"contexts have {contexts.shape[2]} columns, block expects {params.dim}")
-
-    t_n = layernorm_rows(text, params.ln_q_gain, params.ln_q_bias)
-    c_n = layernorm_rows(contexts, params.ln_c_gain, params.ln_c_bias)
-    q = _stable_rows_times(t_n, params.w_q)
-    k = _stable_rows_times(c_n, params.w_k)
-    v = _stable_rows_times(c_n, params.w_v)
-
-    scale = 1.0 / math.sqrt(params.proj_dim)
-    logits = np.einsum("bd,bnd->bn", q, k) * scale
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    weights = e / canonical_sum(e, axis=1)[:, None]
-    pooled = canonical_sum(weights[:, :, None] * v, axis=1)
-    proj = _stable_rows_times(pooled, params.w_o)
-    out = layernorm_rows(proj, params.ln_o_gain, params.ln_o_bias)
-    cache = BlockEachCache(text, contexts, t_n, c_n, q, k, v, weights, pooled, proj)
-    return out, cache
-
-
-def block_backward_each(params: XAttnParams, cache: BlockEachCache, d_out: np.ndarray):
-    """Backward for :func:`block_forward_each`; returns
-    ``(grads, d_text, d_contexts)``."""
-    scale = 1.0 / math.sqrt(params.proj_dim)
-
-    d_proj, d_go, d_bo = layernorm_rows_backward(d_out, cache.proj, params.ln_o_gain)
-    d_wo = cache.pooled.T @ d_proj
-    d_pooled = d_proj @ params.w_o.T
-
-    d_v = cache.weights[:, :, None] * d_pooled[:, None, :]
-    d_weights = np.einsum("bd,bnd->bn", d_pooled, cache.v)
-    d_logits = softmax_rows_backward(d_weights, cache.weights)
-    d_q = np.einsum("bn,bnd->bd", d_logits, cache.k) * scale
-    d_k = d_logits[:, :, None] * cache.q[:, None, :] * scale
-
-    flat = cache.c_n.reshape(-1, params.dim)
-    d_wk = flat.T @ d_k.reshape(-1, params.proj_dim)
-    d_wv = flat.T @ d_v.reshape(-1, params.proj_dim)
-    d_cn = d_k @ params.w_k.T + d_v @ params.w_v.T
-    d_contexts, d_gc, d_bc = layernorm_rows_backward(
-        d_cn, cache.contexts, params.ln_c_gain)
-
-    d_wq = cache.t_n.T @ d_q
-    d_tn = d_q @ params.w_q.T
-    d_text, d_gq, d_bq = layernorm_rows_backward(d_tn, cache.text, params.ln_q_gain)
-
-    grads = {
-        "w_q": d_wq, "w_k": d_wk, "w_v": d_wv, "w_o": d_wo,
-        "ln_q_gain": d_gq, "ln_q_bias": d_bq,
-        "ln_c_gain": d_gc, "ln_c_bias": d_bc,
-        "ln_o_gain": d_go, "ln_o_bias": d_bo,
-    }
-    return grads, d_text, d_contexts
-
-
-# ---------------------------------------------------------------------------
 # the scoring tile: T query projections against C candidate contexts
 # ---------------------------------------------------------------------------
 
@@ -370,6 +282,16 @@ def project_queries(params: XAttnParams, texts: np.ndarray) -> np.ndarray:
     texts = _check_text(params, texts)
     t_n = layernorm_rows(texts, params.ln_q_gain, params.ln_q_bias)
     return _stable_rows_times(t_n, params.w_q)
+
+
+def project_queries_backward(params: XAttnParams, texts: np.ndarray,
+                             d_q: np.ndarray) -> dict[str, np.ndarray]:
+    """Reverse :func:`project_queries`: the ``w_q`` and ``LN_q`` gradients
+    for the gradient ``d_q`` of its (T, D_p) output."""
+    texts = _check_text(params, texts)
+    t_n = layernorm_rows(texts, params.ln_q_gain, params.ln_q_bias)
+    _, d_gq, d_bq = layernorm_rows_backward(d_q @ params.w_q.T, texts, params.ln_q_gain)
+    return {"w_q": t_n.T @ d_q, "ln_q_gain": d_gq, "ln_q_bias": d_bq}
 
 
 def canonical_order(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -399,11 +321,13 @@ def canonical_rows(rows: np.ndarray) -> np.ndarray:
 
 @dataclass
 class TileCache:
-    """Forward intermediates of :func:`block_forward_tile`, every candidate's
-    rows in canonical order."""
+    """Forward intermediates of :func:`block_forward_tile`.  ``contexts``
+    and ``c_n`` are in the caller's row order, ``k`` onwards in canonical
+    order: ``contexts[order]`` is the canonical stack."""
     q: np.ndarray             # (C, T, D_p)
+    order: tuple              # canonical_order of the candidates' rows
     contexts: np.ndarray      # (C, n, D)
-    c_n: np.ndarray           # (C, n, D)
+    c_n: np.ndarray           # (C, n, D), LN_c(contexts)
     k: np.ndarray             # (C, n, D_p)
     vo: np.ndarray            # (C, n, D_p), V W_o
     weights: np.ndarray       # (T, C, n)
@@ -418,12 +342,12 @@ def block_forward_tile(params: XAttnParams, q: np.ndarray, contexts: np.ndarray,
     :func:`project_queries`) is the ``t``-th query scored against candidate
     ``c``.  A dense tile, where every candidate sees the same T queries,
     passes ``np.broadcast_to(q, (C, T, D_p))``; a grouped tile (the stage-2
-    re-rank) passes one row set per candidate.  Both run the same einsums,
-    so a pair's output does not depend on the kind of tile.  Returns the
-    (T, C, D_p) conditioned embeddings, or with ``keep`` the pair
-    ``(out, TileCache)`` that :func:`block_backward_tile` needs.  The
-    candidate side (``LN_c``, K and V W_o) is computed once per call and put
-    in canonical row order; the output projection is folded into the
+    re-rank, the xattn fusion block) passes one row set per candidate.  Both
+    run the same einsums, so a pair's output does not depend on the kind of
+    tile.  Returns the (T, C, D_p) conditioned embeddings, or with ``keep``
+    the pair ``(out, TileCache)`` that :func:`block_backward_tile` needs.
+    The candidate side (``LN_c``, K and V W_o) is computed once per call and
+    put in canonical row order; the output projection is folded into the
     values, so pooling yields ``pooled W_o`` directly.
     """
     contexts = np.asarray(contexts, dtype=np.float64)
@@ -435,8 +359,8 @@ def block_forward_tile(params: XAttnParams, q: np.ndarray, contexts: np.ndarray,
         raise ShapeError(
             f"q must be ({contexts.shape[0]}, T, {p}), got {q.shape}")
     c_n = layernorm_rows(contexts, params.ln_c_gain, params.ln_c_bias)
-    kv = np.concatenate([_stable_rows_times(c_n, params.w_k),
-                         _stable_rows_times(c_n, params.w_v @ params.w_o)], axis=2)
+    kv = _stable_rows_times(c_n, np.concatenate([params.w_k, params.w_v @ params.w_o],
+                                                axis=1))
     order = canonical_order(kv)
     kv = kv[order]
     k = kv[:, :, :p]
@@ -448,50 +372,43 @@ def block_forward_tile(params: XAttnParams, q: np.ndarray, contexts: np.ndarray,
     out = layernorm_rows(proj, params.ln_o_gain, params.ln_o_bias)
     if not keep:
         return out
-    return out, TileCache(q, contexts[order], c_n[order], k, vo, weights, proj)
+    return out, TileCache(q, order, contexts, c_n, k, vo, weights, proj)
 
 
-def block_backward_tile(params: XAttnParams, cache: TileCache, d_out: np.ndarray,
-                        texts: np.ndarray):
-    """Reverse a dense :func:`block_forward_tile` over all T x C pairs at
-    once.
+def block_backward_tile(params: XAttnParams, cache: TileCache, d_out: np.ndarray):
+    """Reverse :func:`block_forward_tile` over all T x C pairs at once.
 
-    The tile is dense, as in training: every candidate was scored against
-    the same T query rows, ``cache.q[0]``.  ``d_out`` is (T, C, D_p) and
-    ``texts`` are the rows those queries were projected from.  Returns
-    ``(grads, d_q)``: ``grads`` is keyed like :meth:`XAttnParams.named` and
-    sums over every pair, ``d_q`` is the (T, D_p) gradient of the query
-    projections.  With the folded ``M = W_v W_o``, ``d_W_v = d_M W_o^T``
-    and ``d_W_o = W_v^T d_M``.
+    ``d_out`` is (T, C, D_p).  Returns ``(grads, d_q, d_contexts)``:
+    ``grads`` holds the candidate- and output-side entries of
+    :meth:`XAttnParams.named`, summed over every pair; ``d_q`` is the
+    (C, T, D_p) gradient of the tile's query rows, which the caller sums
+    per text and reverses with :func:`project_queries_backward`;
+    ``d_contexts`` is the (C, n, D) gradient of the contexts in the caller's
+    row order.  With the folded ``M = W_v W_o``, ``d_W_v = d_M W_o^T`` and
+    ``d_W_o = W_v^T d_M``.
     """
     d, p = params.dim, params.proj_dim
     scale = 1.0 / math.sqrt(p)
     w = cache.weights
-    q = cache.q[0]
     m = params.w_v @ params.w_o
 
     d_proj, d_go, d_bo = layernorm_rows_backward(d_out, cache.proj, params.ln_o_gain)
-    d_vo = np.einsum("tcn,tcp->cnp", w, d_proj)
+    d_vo = np.einsum("tcn,tcp->cnp", w, d_proj).reshape(-1, p)
     d_logits = softmax_rows_backward(np.einsum("tcp,cnp->tcn", d_proj, cache.vo), w)
-    d_q = np.einsum("tcn,cnp->tp", d_logits, cache.k) * scale
-    d_k = np.einsum("tcn,tp->cnp", d_logits, q) * scale
+    d_q = np.einsum("tcn,cnp->ctp", d_logits, cache.k) * scale
+    d_k = np.einsum("tcn,ctp->cnp", d_logits, cache.q).reshape(-1, p) * scale
 
-    flat = cache.c_n.reshape(-1, d)
-    d_m = flat.T @ d_vo.reshape(-1, p)
-    d_cn = (d_k.reshape(-1, p) @ params.w_k.T
-            + d_vo.reshape(-1, p) @ m.T)
-    _, d_gc, d_bc = layernorm_rows_backward(
-        d_cn, cache.contexts.reshape(-1, d), params.ln_c_gain)
-
-    texts = _check_text(params, texts)
-    t_n = layernorm_rows(texts, params.ln_q_gain, params.ln_q_bias)
-    _, d_gq, d_bq = layernorm_rows_backward(d_q @ params.w_q.T, texts, params.ln_q_gain)
+    c_n = cache.c_n[cache.order].reshape(-1, d)
+    d_m = c_n.T @ d_vo
+    d_canonical, d_gc, d_bc = layernorm_rows_backward(
+        d_k @ params.w_k.T + d_vo @ m.T, cache.contexts[cache.order].reshape(-1, d),
+        params.ln_c_gain)
+    d_contexts = np.empty_like(cache.contexts)
+    d_contexts[cache.order] = d_canonical.reshape(cache.contexts.shape)
 
     grads = {
-        "w_q": t_n.T @ d_q, "w_k": flat.T @ d_k.reshape(-1, p),
-        "w_v": d_m @ params.w_o.T, "w_o": params.w_v.T @ d_m,
-        "ln_q_gain": d_gq, "ln_q_bias": d_bq,
+        "w_k": c_n.T @ d_k, "w_v": d_m @ params.w_o.T, "w_o": params.w_v.T @ d_m,
         "ln_c_gain": d_gc, "ln_c_bias": d_bc,
         "ln_o_gain": d_go, "ln_o_bias": d_bo,
     }
-    return {name: grads[name] for name in params.named()}, d_q
+    return {name: grads[name] for name in params.named() if name in grads}, d_q, d_contexts

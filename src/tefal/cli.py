@@ -18,6 +18,7 @@ from .attention import export_attention_weights
 from .audiofeat import compute_fbank, read_wav
 from .config import load_config
 from .corpus import Corpus, synth_corpus
+from .model import _uses_audio_block, _uses_video, video_contexts
 from .ranking import resolve_workers
 from .storage import load_checkpoint, load_corpus, save_checkpoint, save_corpus, write_fbank
 from .training import evaluate, train
@@ -147,14 +148,17 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_export_attn(args) -> int:
     corpus = _load_corpus_or_fail(args.data)
-    model, _step, config = load_checkpoint(args.checkpoint)
+    model, _step, _config = load_checkpoint(args.checkpoint)
+    # only the blocks the model computes; stacking's video block attends
+    # over the frames plus the audio summary row
+    video = video_contexts(model, corpus, slice(None)) if _uses_video(model) else None
     rows = []
     for i, item_id in enumerate(corpus.ids):
         text = corpus.texts[i:i + 1]
-        if config.modality != "audio":
-            weights = export_attention_weights(model.video, text, corpus.frames[i])
+        if video is not None:
+            weights = export_attention_weights(model.video, text, video[i])
             rows.append((item_id, "video", weights[0]))
-        if config.modality != "video":
+        if _uses_audio_block(model):
             weights = export_attention_weights(model.audio, text, corpus.audio[i])
             rows.append((item_id, "audio", weights[0]))
     if args.format == "json":

@@ -12,7 +12,11 @@ ablation:
 
 All variants produce one row of width D_p per query.  There is no
 re-normalization after fusing; the downstream cosine similarity absorbs
-scale.
+scale.  :func:`fuse_forward` and :func:`fuse_backward` implement the four
+post-hoc kinds; the xattn block runs on the attention tile kernel as a
+grouped tile, one candidate per fused row with its two-row context
+[E_v|t, E_a|t].  Stacking is not post-hoc: :func:`tefal.model.score_tile`
+runs the video block over the stacked context.
 """
 
 import enum
@@ -24,13 +28,12 @@ import numpy as np
 from .attention import (
     XAttnParams,
     _stable_rows_times,
-    block_backward_each,
-    block_forward,
-    block_forward_each,
+    block_backward_tile,
+    block_forward_tile,
 )
 from .linalg import ShapeError, as_matrix
 
-__all__ = ["FusionKind", "FusionParams", "FusionError", "audio_summary", "fuse",
+__all__ = ["FusionKind", "FusionParams", "FusionError", "audio_summary",
            "fuse_forward", "fuse_backward"]
 
 
@@ -109,7 +112,7 @@ class FusionCache:
     kind: FusionKind
     token_mean: np.ndarray | None = None
     concat: np.ndarray | None = None
-    block_cache: object = None
+    tile: object = None
 
 
 def _require(condition: bool, message: str) -> None:
@@ -118,17 +121,19 @@ def _require(condition: bool, message: str) -> None:
 
 
 def fuse_forward(params: FusionParams, *, video_cond=None, audio_cond=None,
-                 texts=None, audio_token_mean=None):
+                 queries=None, audio_token_mean=None):
     """Forward pass for the post-hoc fusion kinds, returning ``(fused, cache)``.
 
     ``video_cond``/``audio_cond`` are the conditioned embeddings (one row per
     query, or per (query, candidate) pair).  ``audio_token_mean`` is the raw
     token mean used by the late variant: one row per ``video_cond`` row, or
-    a single 1 x D row shared by all of them; ``texts`` are the raw query
-    rows used by the xattn variant.  Row products are ``einsum``s, so each fused
-    row depends only on its own inputs, not on how many rows are fused.
-    The stacking variant is not a post-hoc combiner (it swaps the video
-    block's context) and is handled by :func:`fuse`.
+    a single 1 x D row shared by all of them.  ``queries`` are the xattn
+    block's query projections, one row per fused row
+    (:func:`tefal.attention.project_queries` of each row's text).  Row
+    products are ``einsum``s, so each fused row depends only on its own
+    inputs, not on how many rows are fused.  The stacking variant is not a
+    post-hoc combiner (it swaps the video block's context), so it raises
+    :class:`FusionError`.
     """
     kind = params.kind
     if kind == FusionKind.ADDITION:
@@ -165,68 +170,43 @@ def fuse_forward(params: FusionParams, *, video_cond=None, audio_cond=None,
 
     if kind == FusionKind.XATTN:
         _require(params.xattn is not None, "xattn fusion parameters missing")
-        _require(video_cond is not None and audio_cond is not None and texts is not None,
-                 "xattn fusion needs the query texts and both conditioned embeddings")
+        _require(video_cond is not None and audio_cond is not None and queries is not None,
+                 "xattn fusion needs the query projections and both conditioned "
+                 "embeddings")
         contexts = np.stack([video_cond, audio_cond], axis=1)  # (B, 2, D_p)
-        fused, block_cache = block_forward_each(params.xattn, texts, contexts)
-        return fused, FusionCache(kind, block_cache=block_cache)
+        q = as_matrix(queries, "queries")[:, None, :]
+        fused, tile = block_forward_tile(params.xattn, q, contexts, keep=True)
+        return fused[0], FusionCache(kind, tile=tile)
 
     raise FusionError(f"{kind.value} fusion is not a post-hoc combiner")
 
 
 def fuse_backward(params: FusionParams, cache: FusionCache, d_fused: np.ndarray):
-    """Returns ``(own_grads, d_video_cond, d_audio_cond)`` for the post-hoc
-    kinds.  Gradients for raw inputs (texts, token means) are not produced;
-    those are data, not parameters."""
+    """Returns ``(own_grads, d_video_cond, d_audio_cond, d_queries)`` for the
+    post-hoc kinds.  ``d_queries`` is the gradient of the xattn query
+    projections (``None`` for the other kinds); the caller reverses it with
+    :func:`tefal.attention.project_queries_backward`, which yields the
+    xattn block's ``w_q`` and ``LN_q`` gradients.  Gradients for raw inputs
+    (token means) are not produced; those are data, not parameters."""
     kind = cache.kind
     if kind == FusionKind.ADDITION:
-        return {}, d_fused, d_fused
+        return {}, d_fused, d_fused, None
 
     if kind == FusionKind.LATE:
-        return {"late_w": cache.token_mean.T @ d_fused}, d_fused, None
+        return {"late_w": cache.token_mean.T @ d_fused}, d_fused, None, None
 
     if kind == FusionKind.CONCAT_FC:
         d_w = cache.concat.T @ d_fused
         d_b = d_fused.sum(axis=0, keepdims=True)
         d_concat = d_fused @ params.concat_w.T
         half = params.concat_w.shape[1]
-        return {"concat_w": d_w, "concat_b": d_b}, d_concat[:, :half], d_concat[:, half:]
+        return ({"concat_w": d_w, "concat_b": d_b}, d_concat[:, :half],
+                d_concat[:, half:], None)
 
     if kind == FusionKind.XATTN:
-        grads, _d_text, d_contexts = block_backward_each(
-            params.xattn, cache.block_cache, d_fused)
-        own = {f"xattn.{k}": v for k, v in grads.items()}
-        if not params.xattn.output_affine:
-            own.pop("xattn.ln_o_gain")
-            own.pop("xattn.ln_o_bias")
-        return own, d_contexts[:, 0, :], d_contexts[:, 1, :]
+        grads, d_q, d_contexts = block_backward_tile(params.xattn, cache.tile,
+                                                     d_fused[None])
+        return ({f"xattn.{k}": v for k, v in grads.items()}, d_contexts[:, 0],
+                d_contexts[:, 1], d_q[:, 0])
 
     raise FusionError(f"{kind.value} fusion is not a post-hoc combiner")
-
-
-def fuse(params: FusionParams, *, video_cond=None, audio_cond=None, texts=None,
-         audio_token_mean=None, frames=None, audio_summary_row=None,
-         video_block: XAttnParams | None = None) -> np.ndarray:
-    """Fuse per the configured kind; every kind returns one D_p row per query.
-
-    Stacking needs the raw inputs instead of conditioned embeddings: the
-    query ``texts``, the ``frames`` of the candidate, the candidate's
-    ``audio_summary_row``, and the ``video_block`` whose parameters it
-    reuses over the stacked (F+1)-row context.
-    """
-    if params.kind == FusionKind.STACKING:
-        _require(texts is not None and frames is not None
-                 and audio_summary_row is not None and video_block is not None,
-                 "stacking fusion needs texts, frames, an audio summary row, "
-                 "and the video attention block")
-        frames = as_matrix(frames, "frames")
-        summary = as_matrix(audio_summary_row, "audio_summary_row")
-        if summary.shape[1] != frames.shape[1]:
-            raise ShapeError(f"audio summary has {summary.shape[1]} columns, "
-                             f"frames have {frames.shape[1]}")
-        context = np.concatenate([frames, summary], axis=0)
-        fused, _ = block_forward(video_block, texts, context)
-        return fused
-    fused, _ = fuse_forward(params, video_cond=video_cond, audio_cond=audio_cond,
-                            texts=texts, audio_token_mean=audio_token_mean)
-    return fused

@@ -8,8 +8,8 @@ above compose these rules in a fixed order; there is no general tape.
 Composition order used by the attention block (and mirrored in its
 backward pass):
 
-    layernorm_rows -> matmul (projections) -> scaled dot product +
-    softmax_rows -> weighted pooling -> matmul (output) -> layernorm_rows
+    layernorm_rows -> projections -> scaled dot product + softmax_rows ->
+    weighted pooling -> output projection -> layernorm_rows
 """
 
 import numpy as np
@@ -45,19 +45,6 @@ def canonical_sum(values: np.ndarray, axis: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # primitives
 # ---------------------------------------------------------------------------
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def matmul_backward(d_out: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Gradients of ``sum(d_out * (a @ b))``: dA = dC @ B^T, dB = A^T @ dC."""
-    return d_out @ b.T, a.T @ d_out
-
 
 def softmax_rows(m: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max subtraction for stability.
@@ -116,10 +103,6 @@ def layernorm_rows_backward(d_out: np.ndarray, m: np.ndarray, gain: np.ndarray,
 # finite-difference verification
 # ---------------------------------------------------------------------------
 
-def _check_matmul(a, b):
-    return matmul(a, b), lambda d_out: matmul_backward(d_out, a, b)
-
-
 def _check_softmax(m):
     out = softmax_rows(m)
     return out, lambda d_out: (softmax_rows_backward(d_out, out),)
@@ -131,7 +114,6 @@ def _check_layernorm(m, gain, bias):
 
 
 _GRAD_CHECK_OPS = {
-    "matmul": _check_matmul,
     "softmax_rows": _check_softmax,
     "layernorm_rows": _check_layernorm,
 }

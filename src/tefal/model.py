@@ -9,16 +9,18 @@ matrix over T queries and V candidates costs one block evaluation per
 pair rows and takes their cosine with the query texts.  A tile is dense
 (every candidate against the same query rows, as in exhaustive scoring) or
 grouped (each candidate against its own rows, as in the stage-2 re-rank);
-both run the same kernel.  Each score depends only on its own pair, so any
-tiling (exhaustive scoring, the stage-2 re-rank, a query or candidate
-subset, any worker count) gives the same bits for the same pair.
+both run the same kernel.  The xattn fusion block runs on it too, as a
+grouped tile of the flattened pairs.  Each score depends only on its own
+pair, so any tiling (exhaustive scoring, the stage-2 re-rank, a query or
+candidate subset, any worker count) gives the same bits for the same pair.
 
 Training scores its B x B batch as one tile through the same
 :func:`score_tile` path, keeping the forward intermediates
 (``keep=True``); :func:`batch_loss_and_grads` then reverses cosine and
 fusion on the B^2 pair rows and each block once with
-:func:`tefal.attention.block_backward_tile`.  :func:`candidate_scores` is the
-forward-only per-candidate reference.
+:func:`tefal.attention.block_backward_tile`, and each query projection
+once per text with :func:`tefal.attention.project_queries_backward`.
+:func:`candidate_scores` is the forward-only per-candidate reference.
 
 ``modality`` selects what the fused embedding is built from: ``"both"``
 (the configured fusion of the two conditioned embeddings), ``"video"``
@@ -38,6 +40,7 @@ from .attention import (
     block_forward_tile,
     canonical_rows,
     project_queries,
+    project_queries_backward,
 )
 from .contrastive import (
     TAU_INIT,
@@ -51,7 +54,7 @@ from .fusion import FusionKind, FusionParams, fuse_backward, fuse_forward
 from .linalg import ShapeError
 
 __all__ = ["RetrievalModel", "create_model", "named_parameters",
-           "candidate_scores", "Queries", "query_rows", "score_tile",
+           "candidate_scores", "Queries", "query_rows", "video_contexts", "score_tile",
            "map_tasks", "similarity_matrix", "batch_loss_and_grads"]
 
 MODALITIES = ("both", "video", "audio")
@@ -121,6 +124,19 @@ def _uses_audio_block(model: RetrievalModel) -> bool:
                                  FusionKind.XATTN)
 
 
+def _uses_xattn(model: RetrievalModel) -> bool:
+    return model.modality == "both" and model.fusion.kind == FusionKind.XATTN
+
+
+def video_contexts(model: RetrievalModel, corpus: Corpus, cols) -> np.ndarray:
+    """The (C, n, D) contexts the video block attends over for candidates
+    ``cols``: the frames, plus the audio summary row under stacking."""
+    frames = corpus.frames[cols]
+    if model.modality == "both" and model.fusion.kind == FusionKind.STACKING:
+        return np.concatenate([frames, corpus.summary_rows()[cols][:, None, :]], axis=1)
+    return frames
+
+
 def named_parameters(model: RetrievalModel, trainable_only: bool = True
                      ) -> dict[str, np.ndarray]:
     """Flat name -> array view of the model's parameters.
@@ -163,21 +179,23 @@ def candidate_scores(model: RetrievalModel, texts: np.ndarray, corpus: Corpus,
     else:
         e_v, _ = block_forward(model.video, texts, corpus.frames[j])
         e_a, _ = block_forward(model.audio, texts, corpus.audio[j])
-        fused, _ = fuse_forward(model.fusion, video_cond=e_v, audio_cond=e_a, texts=texts)
+        fused, _ = fuse_forward(model.fusion, video_cond=e_v, audio_cond=e_a,
+                                queries=query_rows(model, texts).xattn)
     return cosine_rows(texts, fused)
 
 
 @dataclass
 class Queries:
-    """Query text rows and each used block's projection ``LN_q(text) W_q``."""
+    """Query text rows and each used block's projection ``LN_q(text) W_q``
+    (``xattn`` is the xattn fusion block's)."""
     texts: np.ndarray
     video: np.ndarray | None
     audio: np.ndarray | None
+    xattn: np.ndarray | None
 
     def rows(self, index) -> "Queries":
-        return Queries(self.texts[index],
-                       None if self.video is None else self.video[index],
-                       None if self.audio is None else self.audio[index])
+        return Queries(*(None if x is None else x[index] for x in (
+            self.texts, self.video, self.audio, self.xattn)))
 
 
 def query_rows(model: RetrievalModel, texts: np.ndarray) -> Queries:
@@ -186,6 +204,8 @@ def query_rows(model: RetrievalModel, texts: np.ndarray) -> Queries:
     return Queries(texts,
                    project_queries(model.video, texts) if _uses_video(model) else None,
                    project_queries(model.audio, texts) if _uses_audio_block(model)
+                   else None,
+                   project_queries(model.fusion.xattn, texts) if _uses_xattn(model)
                    else None)
 
 
@@ -209,7 +229,9 @@ def score_tile(model: RetrievalModel, queries: Queries, corpus: Corpus,
     candidate its own T rows (arrays of shape (C, T, .), e.g. from
     ``queries.rows`` with a (C, T) index), and entry (t, c) scores
     candidate ``cols[c]`` against its ``t``-th row.  A dense tile is
-    broadcast to the grouped form, so both run the same kernel.
+    broadcast to the grouped form, so both run the same kernel.  The xattn
+    fusion block is a grouped tile of the T x C pairs: one query row and
+    the context [e_v, e_a] per pair.
     """
     cols = np.asarray(cols, dtype=np.intp)
     t, c = queries.texts.shape[-2], len(cols)
@@ -223,6 +245,9 @@ def score_tile(model: RetrievalModel, queries: Queries, corpus: Corpus,
     def pairs(x):
         return x.reshape(t * c, x.shape[-1])
 
+    def per_pair(x):
+        return pairs(per_candidate(x).transpose(1, 0, 2))
+
     def block(name, contexts):
         params, q = getattr(model, name), per_candidate(getattr(queries, name))
         if not keep:
@@ -230,14 +255,11 @@ def score_tile(model: RetrievalModel, queries: Queries, corpus: Corpus,
         out, blocks[name] = block_forward_tile(params, q, contexts, keep=True)
         return pairs(out)
 
-    texts = pairs(per_candidate(queries.texts).transpose(1, 0, 2))
-    if model.modality == "video":
-        fused = block("video", corpus.frames[cols])
-    elif model.modality == "audio":
+    texts = per_pair(queries.texts)
+    if model.modality == "audio":
         fused = block("audio", corpus.audio[cols])
-    elif kind == FusionKind.STACKING:
-        fused = block("video", np.concatenate(
-            [corpus.frames[cols], corpus.summary_rows()[cols][:, None, :]], axis=1))
+    elif model.modality == "video" or kind == FusionKind.STACKING:
+        fused = block("video", video_contexts(model, corpus, cols))
     elif kind == FusionKind.LATE:
         e_v = block("video", corpus.frames[cols])
         token_mean = canonical_rows(corpus.audio[cols]).mean(axis=1)
@@ -247,8 +269,9 @@ def score_tile(model: RetrievalModel, queries: Queries, corpus: Corpus,
     else:
         e_v = block("video", corpus.frames[cols])
         e_a = block("audio", corpus.audio[cols])
-        fused, fusion_cache = fuse_forward(model.fusion, video_cond=e_v,
-                                           audio_cond=e_a, texts=texts)
+        fused, fusion_cache = fuse_forward(
+            model.fusion, video_cond=e_v, audio_cond=e_a,
+            queries=None if queries.xattn is None else per_pair(queries.xattn))
     scores, cos_cache = cosine_rows(texts, fused)
     if not keep:
         return scores.reshape(t, c)
@@ -306,15 +329,23 @@ def batch_loss_and_grads(model: RetrievalModel, corpus: Corpus,
     loss, d_sim, d_log_scale = infonce(sim, model.temperature)
 
     grads: dict[str, np.ndarray] = {"temperature.log_scale": d_log_scale}
+
+    def add(prefix, block_grads):
+        grads.update({f"{prefix}.{k}": v for k, v in block_grads.items()})
+
     d_fused = cosine_rows_backward(d_sim.reshape(-1), tape.cosine)
     d_cond = {"video": d_fused, "audio": d_fused}
     if tape.fusion is not None:
-        own, d_cond["video"], d_cond["audio"] = fuse_backward(
+        own, d_cond["video"], d_cond["audio"], d_q = fuse_backward(
             model.fusion, tape.fusion, d_fused)
-        grads.update({f"fusion.{k}": v for k, v in own.items()})
+        add("fusion", own)
+        if d_q is not None:
+            add("fusion.xattn", project_queries_backward(
+                model.fusion.xattn, queries.texts, d_q.reshape(b, b, -1).sum(axis=1)))
     for name, cache in tape.blocks.items():
-        block_grads, _ = block_backward_tile(
-            getattr(model, name), cache, d_cond[name].reshape(b, b, -1),
-            queries.texts)
-        grads.update({f"{name}.{k}": v for k, v in block_grads.items()})
+        params = getattr(model, name)
+        block_grads, d_q, _ = block_backward_tile(
+            params, cache, d_cond[name].reshape(b, b, -1))
+        add(name, block_grads)
+        add(name, project_queries_backward(params, queries.texts, d_q.sum(axis=0)))
     return loss, grads, sim

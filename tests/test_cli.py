@@ -210,6 +210,26 @@ class TestExportAttn:
         assert doc["items"][1]["modality"] == "audio"
         assert len(doc["items"][1]["weights"]) == 4
 
+    @pytest.mark.parametrize("fusion,context_rows", [("stacking", 4), ("late", 3)])
+    def test_only_the_blocks_the_model_computes(self, tmp_path, fusion, context_rows):
+        # neither model uses the audio block; stacking's video block attends
+        # over the 3 frames plus the audio summary row
+        data = tmp_path / "data"
+        assert run(*synth_args(data)) == 0
+        ckpt = tmp_path / f"{fusion}.ckpt"
+        config = TrainConfig(dim=12, proj_dim=12, frames=3, audio_tokens=4, fusion=fusion)
+        save_checkpoint(ckpt, create_model(seed=1, dim=12, fusion=fusion), step=0,
+                        config=config)
+        out = tmp_path / "attn.json"
+        assert run("export-attn", "--data", str(data / "manifest.json"), "--checkpoint",
+                   str(ckpt), "--out", str(out), "--format", "json") == 0
+        items = json.loads(out.read_text())["items"]
+        assert len(items) == 30
+        for item in items:
+            assert item["modality"] == "video"
+            assert len(item["weights"]) == context_rows
+            assert sum(item["weights"]) == pytest.approx(1.0, abs=1e-3)
+
 
 class TestGradcheckCommand:
     def test_passes_and_prints_max_error(self, capsys):

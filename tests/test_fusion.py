@@ -3,16 +3,18 @@
 import numpy as np
 import pytest
 
-from tefal.attention import XAttnParams
+from tefal.attention import block_forward_tile, project_queries
+from tefal.contrastive import cosine_rows
+from tefal.corpus import synth_corpus
 from tefal.fusion import (
     FusionError,
     FusionKind,
     FusionParams,
     audio_summary,
-    fuse,
     fuse_forward,
 )
 from tefal.linalg import ShapeError
+from tefal.model import create_model, query_rows, score_tile
 
 
 def rng(seed=0):
@@ -42,7 +44,7 @@ class TestAddition:
     def test_zero_audio_is_identity(self):
         params = FusionParams(FusionKind.ADDITION)
         video = rng(4).standard_normal((2, 5))
-        fused = fuse(params, video_cond=video, audio_cond=np.zeros((2, 5)))
+        fused, _ = fuse_forward(params, video_cond=video, audio_cond=np.zeros((2, 5)))
         np.testing.assert_array_equal(fused, video)
 
     def test_commutative_bitwise(self):
@@ -50,8 +52,8 @@ class TestAddition:
         a = rng(5).standard_normal((3, 4))
         b = rng(6).standard_normal((3, 4))
         np.testing.assert_array_equal(
-            fuse(params, video_cond=a, audio_cond=b),
-            fuse(params, video_cond=b, audio_cond=a))
+            fuse_forward(params, video_cond=a, audio_cond=b)[0],
+            fuse_forward(params, video_cond=b, audio_cond=a)[0])
 
     def test_gradient_is_identity(self):
         from tefal.fusion import fuse_backward
@@ -60,8 +62,9 @@ class TestAddition:
         a = rng(8).standard_normal((2, 4))
         _, cache = fuse_forward(params, video_cond=v, audio_cond=a)
         d = rng(9).standard_normal((2, 4))
-        own, d_v, d_a = fuse_backward(params, cache, d)
+        own, d_v, d_a, d_q = fuse_backward(params, cache, d)
         assert own == {}
+        assert d_q is None
         np.testing.assert_array_equal(d_v, d)
         np.testing.assert_array_equal(d_a, d)
 
@@ -74,58 +77,62 @@ class TestConcatFC:
                               concat_b=np.zeros((1, proj)))
         video = rng(10).standard_normal((2, proj))
         audio = rng(11).standard_normal((2, proj))
-        fused = fuse(params, video_cond=video, audio_cond=audio)
+        fused, _ = fuse_forward(params, video_cond=video, audio_cond=audio)
         np.testing.assert_allclose(fused, video, atol=1e-15)
 
 
 class TestVariantShapes:
     def test_every_kind_outputs_one_row_of_proj_dim_per_query(self):
+        # the post-hoc kinds fuse one row per query; stacking swaps the
+        # video block's context instead (see TestStacking)
         dim = proj = 6
         g = rng(12)
         video = g.standard_normal((3, proj))
         audio = g.standard_normal((3, proj))
-        texts = g.standard_normal((3, dim))
+        queries = g.standard_normal((3, proj))
         token_mean = g.standard_normal((1, dim))
-        frames = g.standard_normal((4, dim))
-        summary = g.standard_normal((1, dim))
-        block = XAttnParams.create(g, dim, proj)
         for kind in FusionKind:
             params = FusionParams.create(g, kind, dim, proj)
-            fused = fuse(params, video_cond=video, audio_cond=audio, texts=texts,
-                         audio_token_mean=token_mean, frames=frames,
-                         audio_summary_row=summary, video_block=block)
+            inputs = dict(video_cond=video, audio_cond=audio, queries=queries,
+                          audio_token_mean=token_mean)
+            if kind == FusionKind.STACKING:
+                with pytest.raises(FusionError, match="not a post-hoc combiner"):
+                    fuse_forward(params, **inputs)
+                continue
+            fused, _ = fuse_forward(params, **inputs)
             assert fused.shape == (3, proj), kind
 
 
 class TestStacking:
     def test_matches_block_over_stacked_context(self):
-        from tefal.attention import block_forward
-        g = rng(13)
         dim = 5
-        block = XAttnParams.create(g, dim, dim)
-        texts = g.standard_normal((2, dim))
-        frames = g.standard_normal((3, dim))
-        summary = g.standard_normal((1, dim))
-        fused = fuse(FusionParams(FusionKind.STACKING), texts=texts, frames=frames,
-                     audio_summary_row=summary, video_block=block)
-        expected, _ = block_forward(block, texts, np.vstack([frames, summary]))
-        np.testing.assert_array_equal(fused, expected)
+        corpus = synth_corpus(seed=13, n_items=4, dim=dim, frames=3, audio_tokens=2)
+        model = create_model(seed=13, dim=dim, fusion="stacking")
+        texts = corpus.texts[:2]
+        cols = np.array([3, 1])
+        scores = score_tile(model, query_rows(model, texts), corpus, cols)
+        stacked = np.stack([np.vstack([corpus.frames[j], corpus.summary_rows()[j:j + 1]])
+                            for j in cols])
+        q = project_queries(model.video, texts)
+        fused = block_forward_tile(model.video, np.broadcast_to(q, (2,) + q.shape), stacked)
+        expected, _ = cosine_rows(np.repeat(texts, 2, axis=0), fused.reshape(4, dim))
+        np.testing.assert_array_equal(scores, expected.reshape(2, 2))
 
 
 class TestValidation:
     def test_missing_inputs(self):
         with pytest.raises(FusionError):
-            fuse(FusionParams(FusionKind.ADDITION), video_cond=np.zeros((1, 3)))
+            fuse_forward(FusionParams(FusionKind.ADDITION), video_cond=np.zeros((1, 3)))
 
     def test_missing_parameters(self):
         with pytest.raises(FusionError):
-            fuse(FusionParams(FusionKind.CONCAT_FC),
-                 video_cond=np.zeros((1, 3)), audio_cond=np.zeros((1, 3)))
+            fuse_forward(FusionParams(FusionKind.CONCAT_FC),
+                         video_cond=np.zeros((1, 3)), audio_cond=np.zeros((1, 3)))
 
     def test_feature_dimension_mismatch(self):
         with pytest.raises(ShapeError):
-            fuse(FusionParams(FusionKind.ADDITION),
-                 video_cond=np.zeros((1, 3)), audio_cond=np.zeros((1, 4)))
+            fuse_forward(FusionParams(FusionKind.ADDITION),
+                         video_cond=np.zeros((1, 3)), audio_cond=np.zeros((1, 4)))
 
     def test_unknown_kind_name(self):
         with pytest.raises(FusionError, match="unknown fusion kind"):

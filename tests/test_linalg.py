@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from tefal.attention import _stable_rows_times
 from tefal.linalg import (
     ParamStore,
     ShapeError,
@@ -12,7 +13,6 @@ from tefal.linalg import (
     grad_check,
     layernorm_rows,
     layernorm_rows_backward,
-    matmul,
     softmax_rows,
 )
 
@@ -27,13 +27,16 @@ def triple_loop_matmul(a, b):
 
 
 class TestMatmul:
+    """The engine's row-block product (``einsum``, one fixed reduction order
+    per output element), which its projections and fusion rows use."""
+
     def test_identity(self):
         rng = np.random.default_rng(0)
         m = rng.standard_normal((3, 7))
-        np.testing.assert_array_equal(matmul(np.eye(3), m), m)
+        np.testing.assert_array_equal(_stable_rows_times(np.eye(3), m), m)
 
     def test_hand_dot_product(self):
-        out = matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
+        out = _stable_rows_times(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
         assert out.shape == (1, 1)
         assert out[0, 0] == 11.0
 
@@ -41,7 +44,7 @@ class TestMatmul:
         rng = np.random.default_rng(1)
         a = rng.standard_normal((4, 5))
         b = rng.standard_normal((5, 3))
-        np.testing.assert_allclose(matmul(a, b), triple_loop_matmul(a, b),
+        np.testing.assert_allclose(_stable_rows_times(a, b), triple_loop_matmul(a, b),
                                    rtol=1e-12, atol=0)
 
     def test_triple_loop_oracle_large(self):
@@ -50,16 +53,18 @@ class TestMatmul:
             rows, inner, cols = rng.integers(1, 65, size=3)
             a = rng.standard_normal((rows, inner))
             b = rng.standard_normal((inner, cols))
-            np.testing.assert_allclose(matmul(a, b), triple_loop_matmul(a, b),
-                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(_stable_rows_times(a, b),
+                                       triple_loop_matmul(a, b), rtol=1e-12, atol=1e-12)
 
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(ShapeError):
-            matmul(np.zeros(3), np.zeros((3, 2)))
+    def test_rows_do_not_depend_on_their_position(self):
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((37, 16))
+        b = rng.standard_normal((16, 16))
+        perm = rng.permutation(37)
+        np.testing.assert_array_equal(_stable_rows_times(a, b)[perm],
+                                      _stable_rows_times(a[perm], b))
+        np.testing.assert_array_equal(_stable_rows_times(a, b)[5:9],
+                                      _stable_rows_times(a[5:9], b))
 
 
 class TestSoftmaxRows:
@@ -119,12 +124,6 @@ class TestLayernormRows:
 
 
 class TestGradCheck:
-    def test_matmul(self):
-        rng = np.random.default_rng(6)
-        err = grad_check("matmul", rng.standard_normal((3, 4)),
-                         rng.standard_normal((4, 2)), step=1e-5)
-        assert err < 1e-4
-
     def test_softmax(self):
         rng = np.random.default_rng(7)
         err = grad_check("softmax_rows", rng.standard_normal((2, 5)), step=1e-5)
@@ -143,7 +142,7 @@ class TestGradCheck:
 
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError, match="step"):
-            grad_check("matmul", np.zeros((2, 2)), np.zeros((2, 2)), step=0.0)
+            grad_check("softmax_rows", np.zeros((2, 2)), step=0.0)
 
 
 class TestBackwardRules:

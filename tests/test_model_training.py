@@ -285,8 +285,9 @@ class TestTileScoring:
 
 def per_candidate_loss_and_grads(model, corpus, indices):
     """The per-candidate training path, as the oracle for the batched one:
-    one block_forward/block_backward per candidate column and block, with
-    gradients summed column by column."""
+    one block_forward/block_backward per candidate column and block (per
+    pair row for the xattn fusion block, over its own [e_v, e_a] context),
+    with gradients summed column by column."""
     texts = corpus.texts[indices]
     b = len(indices)
     kind = model.fusion.kind
@@ -310,8 +311,14 @@ def per_candidate_loss_and_grads(model, corpus, indices):
         else:
             e_v, blocks["video"] = block_forward(model.video, texts, corpus.frames[j])
             e_a, blocks["audio"] = block_forward(model.audio, texts, corpus.audio[j])
-            fused, fusion_cache = fuse_forward(model.fusion, video_cond=e_v,
-                                               audio_cond=e_a, texts=texts)
+            if kind == FusionKind.XATTN:
+                fusion_cache = [block_forward(model.fusion.xattn, texts[r:r + 1],
+                                              np.stack([e_v[r], e_a[r]]))
+                                for r in range(b)]
+                fused = np.vstack([out for out, _ in fusion_cache])
+            else:
+                fused, fusion_cache = fuse_forward(model.fusion, video_cond=e_v,
+                                                   audio_cond=e_a)
         sim[:, col], cos_cache = cosine_rows(texts, fused)
         columns.append((blocks, fusion_cache, cos_cache))
 
@@ -324,8 +331,16 @@ def per_candidate_loss_and_grads(model, corpus, indices):
     for col, (blocks, fusion_cache, cos_cache) in enumerate(columns):
         d_fused = cosine_rows_backward(d_sim[:, col], cos_cache)
         d_cond = {"video": d_fused, "audio": d_fused}
-        if fusion_cache is not None:
-            own, d_cond["video"], d_cond["audio"] = fuse_backward(
+        if isinstance(fusion_cache, list):
+            d_cond = {"video": np.empty_like(d_fused), "audio": np.empty_like(d_fused)}
+            xattn = model.fusion.xattn
+            for r, (_, cache) in enumerate(fusion_cache):
+                block_grads, _, d_context = block_backward(xattn, cache, d_fused[r:r + 1])
+                for key in xattn.named():
+                    add(f"fusion.xattn.{key}", block_grads[key])
+                d_cond["video"][r], d_cond["audio"][r] = d_context
+        elif fusion_cache is not None:
+            own, d_cond["video"], d_cond["audio"], _ = fuse_backward(
                 model.fusion, fusion_cache, d_fused)
             for key, value in own.items():
                 add(f"fusion.{key}", value)
