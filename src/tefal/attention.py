@@ -13,17 +13,17 @@ The block has no positional encoding, so the pooled output is invariant
 under any joint permutation of the context rows.  One kernel,
 :func:`block_forward_tile`, makes that invariance hold bit-for-bit: it
 scores C candidate contexts against T query projections each at once, the
-same T rows for every candidate (a dense tile, broadcast) or one row set per
-candidate (a grouped tile).  It computes the candidate side (``LN_c``, K and
-V W_o) once per call, puts each candidate's rows in one canonical order (a
-lexsort of K||V W_o, see :func:`canonical_rows`), and then reduces over the
-rows with plain sums.  Every per-row product is an ``einsum``, so a pair's
-output depends only on its own query and candidate, whatever the tile.
-Exhaustive scoring, stage-2 re-ranking, the training forward pass and the
-xattn fusion block (a grouped tile of one query row and a two-row context
-per pair) all run it.  With ``keep=True`` it also returns its
-intermediates; :func:`block_backward_tile` reverses any tile in one call,
-and :func:`project_queries_backward` reverses the query projection that
+same T for every candidate (a dense tile) or T per candidate (a grouped
+tile), with every array pair-last: the feature or row axis first, then the
+(C, T) pair axes.  It puts each candidate's rows in one canonical order (a
+lexsort of K||V W_o, see :func:`canonical_rows`) and reduces every feature
+or row axis in one fixed order, so a pair's output depends only on its
+own query and candidate, whatever the tile.  Exhaustive scoring, stage-2
+re-ranking, the training forward pass and the xattn fusion block (a
+grouped tile of one query and a two-row context per pair) all run it.
+With ``keep=True`` it also returns its intermediates;
+:func:`block_backward_tile` reverses any tile in one call, and
+:func:`project_queries_backward` reverses the query projection that
 :func:`project_queries` computes once per text.
 
 :func:`block_forward` is the plain per-candidate reference: one shared
@@ -46,6 +46,7 @@ from .linalg import (
     layernorm_rows,
     layernorm_rows_backward,
     softmax_rows_backward,
+    sum_leading,
 )
 
 __all__ = [
@@ -140,8 +141,6 @@ def _stable_rows_times(rows: np.ndarray, weight: np.ndarray) -> np.ndarray:
     output element in one fixed order, which the block's bit-exact
     permutation invariance relies on.
     """
-    if rows.ndim == 3:
-        return np.einsum("bnd,dp->bnp", rows, weight)
     return np.einsum("nd,dp->np", rows, weight)
 
 
@@ -277,137 +276,147 @@ def block_backward(params: XAttnParams, cache: BlockCache, d_out: np.ndarray):
 # ---------------------------------------------------------------------------
 
 def project_queries(params: XAttnParams, texts: np.ndarray) -> np.ndarray:
-    """``LN_q(texts) W_q``, each row computed independently of its position,
-    so a row subset of the result equals the result for the row subset."""
+    """``LN_q(texts) W_q`` of (T, D) texts as (D_p, T) columns, each computed
+    as a row independently of its position (see :func:`_stable_rows_times`)."""
     texts = _check_text(params, texts)
     t_n = layernorm_rows(texts, params.ln_q_gain, params.ln_q_bias)
-    return _stable_rows_times(t_n, params.w_q)
+    return np.ascontiguousarray(_stable_rows_times(t_n, params.w_q).T)
 
 
 def project_queries_backward(params: XAttnParams, texts: np.ndarray,
                              d_q: np.ndarray) -> dict[str, np.ndarray]:
     """Reverse :func:`project_queries`: the ``w_q`` and ``LN_q`` gradients
-    for the gradient ``d_q`` of its (T, D_p) output."""
+    for the gradient ``d_q`` of its (D_p, T) output."""
     texts = _check_text(params, texts)
     t_n = layernorm_rows(texts, params.ln_q_gain, params.ln_q_bias)
-    _, d_gq, d_bq = layernorm_rows_backward(d_q @ params.w_q.T, texts, params.ln_q_gain)
-    return {"w_q": t_n.T @ d_q, "ln_q_gain": d_gq, "ln_q_bias": d_bq}
+    _, d_gq, d_bq = layernorm_rows_backward((params.w_q @ d_q).T, texts, params.ln_q_gain)
+    return {"w_q": t_n.T @ d_q.T, "ln_q_gain": d_gq, "ln_q_bias": d_bq}
 
 
-def canonical_order(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index pair that puts the rows of every item of a (C, n, m) stack in
-    canonical order: ``rows[canonical_order(rows)]`` is :func:`canonical_rows`.
-    """
-    items = np.arange(rows.shape[0])[:, None]
-    order = np.argsort(rows[:, :, 0], axis=-1, kind="stable")
-    first = rows[items, order, 0]
-    if not np.all(first[:, 1:] > first[:, :-1]):
-        # a tie (or NaN) in column 0: the later columns decide
-        order = np.lexsort(np.moveaxis(rows, 2, 0)[::-1], axis=-1)
-    return items, order
+def canonical_order(rows: np.ndarray) -> np.ndarray:
+    """Canonical row order of every candidate of a pair-last (m, n, C)
+    stack: entry (i, c) indexes candidate ``c``'s ``i``-th canonical row in
+    the flattened (n, C) axes, as :func:`canonical_rows` takes them."""
+    first = rows[0]
+    order = np.argsort(first, axis=0, kind="stable")
+    sorted_first = np.take_along_axis(first, order, axis=0)
+    if not np.all(sorted_first[1:] > sorted_first[:-1]):
+        # a tie (or NaN) in feature 0: the later features decide
+        order = np.lexsort(rows[::-1], axis=0)
+    return order * rows.shape[2] + np.arange(rows.shape[2])
 
 
 def canonical_rows(rows: np.ndarray) -> np.ndarray:
-    """Reorder the rows of every item of a (C, n, m) stack by a lexsort of
-    their columns (column 0 first).
+    """Reorder the context rows of every candidate of a pair-last (m, n, C)
+    stack by a lexsort of their m features (feature 0 first).
 
-    The result is a function of each item's multiset of rows only: rows that
-    tie in every column hold the same values, so their relative order
-    cannot matter.  Plain reductions over the canonical rows are therefore
-    bit-exact under any permutation of the input rows.
+    The result is a function of each candidate's multiset of rows only:
+    rows that tie in every feature hold the same values, so their relative
+    order cannot matter.  Fixed-order reductions over the canonical rows
+    are therefore bit-exact under any permutation of the input rows.
     """
-    return rows[canonical_order(rows)]
+    return np.take(np.reshape(rows, (len(rows), -1)), canonical_order(rows), axis=1)
 
 
 @dataclass
 class TileCache:
-    """Forward intermediates of :func:`block_forward_tile`.  ``contexts``
-    and ``c_n`` are in the caller's row order, ``k`` onwards in canonical
-    order: ``contexts[order]`` is the canonical stack."""
-    q: np.ndarray             # (C, T, D_p)
-    order: tuple              # canonical_order of the candidates' rows
-    contexts: np.ndarray      # (C, n, D)
-    c_n: np.ndarray           # (C, n, D), LN_c(contexts)
-    k: np.ndarray             # (C, n, D_p)
-    vo: np.ndarray            # (C, n, D_p), V W_o
-    weights: np.ndarray       # (T, C, n)
-    proj: np.ndarray          # (T, C, D_p), pooled W_o
+    """Forward intermediates of :func:`block_forward_tile`, pair-last;
+    ``k`` onwards in canonical row order, the rest in the caller's."""
+    q: np.ndarray             # (D_p, T) shared, or (D_p, C, T)
+    order: np.ndarray         # (n, C)
+    contexts: np.ndarray      # (D, n, C)
+    c_n: np.ndarray           # (D, n, C), LN_c(contexts)
+    k: np.ndarray             # (D_p, n, C)
+    vo: np.ndarray            # (D_p, C, n), V W_o
+    weights: np.ndarray       # (n, C, T)
+    proj: np.ndarray          # (D_p, C, T), pooled W_o
 
 
 def block_forward_tile(params: XAttnParams, q: np.ndarray, contexts: np.ndarray,
                        keep: bool = False):
-    """The block for every (query, candidate) pair of a tile.
+    """The block for every (query, candidate) pair of a tile, pair-last:
+    the feature or context-row axis first, then the (C, T) pair axes.
 
-    ``contexts`` is (C, n, D).  ``q`` is (C, T, D_p): row ``q[c, t]`` (from
-    :func:`project_queries`) is the ``t``-th query scored against candidate
-    ``c``.  A dense tile, where every candidate sees the same T queries,
-    passes ``np.broadcast_to(q, (C, T, D_p))``; a grouped tile (the stage-2
-    re-rank, the xattn fusion block) passes one row set per candidate.  Both
-    run the same einsums, so a pair's output does not depend on the kind of
-    tile.  Returns the (T, C, D_p) conditioned embeddings, or with ``keep``
-    the pair ``(out, TileCache)`` that :func:`block_backward_tile` needs.
-    The candidate side (``LN_c``, K and V W_o) is computed once per call and
-    put in canonical row order; the output projection is folded into the
-    values, so pooling yields ``pooled W_o`` directly.
+    ``contexts`` is (D, n, C).  ``q`` holds :func:`project_queries` columns,
+    (D_p, T) shared by a dense tile's candidates, or (D_p, C, T) with
+    ``q[:, c, t]`` candidate ``c``'s ``t``-th query.  Returns the (D_p, C, T)
+    embeddings, or with ``keep`` the pair ``(out, TileCache)``.
+
+    A pair's output does not depend on its tile: elementwise operations are
+    exact, and every reduction adds in one fixed order for any tile shape,
+    a single pair included.  Each ``einsum`` has its operands laid out so
+    that an output axis is innermost (a pair axis, or for a single pair a
+    feature or row axis); numpy then adds each output's terms one at a time
+    in the order of the summed axis.  Hence K is (D_p, n, C), and V W_o is
+    stored (D_p, C, n) with several queries per candidate (t innermost) but
+    (n, D_p, C) with one.  The LayerNorm and softmax sums go through
+    :func:`tefal.linalg.sum_leading`, which adds in row order however few
+    elements trail (a plain ``sum(axis=0)`` goes pairwise when one does).
     """
-    contexts = np.asarray(contexts, dtype=np.float64)
-    if contexts.ndim != 3 or contexts.shape[2] != params.dim:
-        raise ShapeError(
-            f"contexts must be (C, n, {params.dim}), got {contexts.shape}")
-    p = params.proj_dim
-    if q.ndim != 3 or q.shape[0] != contexts.shape[0] or q.shape[2] != p:
-        raise ShapeError(
-            f"q must be ({contexts.shape[0]}, T, {p}), got {q.shape}")
-    c_n = layernorm_rows(contexts, params.ln_c_gain, params.ln_c_bias)
-    kv = _stable_rows_times(c_n, np.concatenate([params.w_k, params.w_v @ params.w_o],
-                                                axis=1))
+    contexts = np.ascontiguousarray(contexts, dtype=np.float64)
+    if contexts.ndim != 3 or contexts.shape[0] != params.dim:
+        raise ShapeError(f"contexts must be ({params.dim}, n, C), got {contexts.shape}")
+    p, c = params.proj_dim, contexts.shape[2]
+    q = np.ascontiguousarray(q, dtype=np.float64)
+    if q.ndim not in (2, 3) or q.shape[0] != p or (q.ndim == 3 and q.shape[1] != c):
+        raise ShapeError(f"q must be ({p}, T) or ({p}, {c}, T), got {q.shape}")
+    c_n = layernorm_rows(contexts, params.ln_c_gain, params.ln_c_bias, axis=0)
+    w_kv = np.concatenate([params.w_k, params.w_v @ params.w_o], axis=1)
+    kv = np.einsum("dnc,dk->knc", c_n, w_kv)
     order = canonical_order(kv)
-    kv = kv[order]
-    k = kv[:, :, :p]
-    vo = kv[:, :, p:]
-    logits = np.einsum("ctp,cnp->tcn", q, k) / math.sqrt(p)
-    e = np.exp(logits - logits.max(axis=2, keepdims=True))
-    weights = e / e.sum(axis=2, keepdims=True)
-    proj = np.einsum("tcn,cnp->tcp", weights, vo)
-    out = layernorm_rows(proj, params.ln_o_gain, params.ln_o_bias)
+    kv = np.take(kv.reshape(2 * p, -1), order, axis=1)
+    k = kv[:p]
+    if q.shape[-1] > 1:
+        vo = np.ascontiguousarray(kv[p:].transpose(0, 2, 1))
+    else:
+        vo = np.ascontiguousarray(kv[p:].transpose(1, 0, 2)).transpose(1, 2, 0)
+    logits = np.einsum(("pt" if q.ndim == 2 else "pct") + ",pnc->nct", q, k)
+    logits *= 1.0 / math.sqrt(p)
+    logits -= logits.max(axis=0)
+    weights = np.exp(logits, out=logits)
+    weights *= 1.0 / sum_leading(weights)
+    proj = np.einsum("nct,pcn->pct", weights, vo)
+    out = layernorm_rows(proj, params.ln_o_gain, params.ln_o_bias, axis=0)
     if not keep:
         return out
     return out, TileCache(q, order, contexts, c_n, k, vo, weights, proj)
 
 
 def block_backward_tile(params: XAttnParams, cache: TileCache, d_out: np.ndarray):
-    """Reverse :func:`block_forward_tile` over all T x C pairs at once.
+    """Reverse :func:`block_forward_tile` over all C x T pairs at once.
 
-    ``d_out`` is (T, C, D_p).  Returns ``(grads, d_q, d_contexts)``:
+    ``d_out`` is (D_p, C, T).  Returns ``(grads, d_q, d_contexts)``:
     ``grads`` holds the candidate- and output-side entries of
     :meth:`XAttnParams.named`, summed over every pair; ``d_q`` is the
-    (C, T, D_p) gradient of the tile's query rows, which the caller sums
-    per text and reverses with :func:`project_queries_backward`;
-    ``d_contexts`` is the (C, n, D) gradient of the contexts in the caller's
-    row order.  With the folded ``M = W_v W_o``, ``d_W_v = d_M W_o^T`` and
-    ``d_W_o = W_v^T d_M``.
+    (D_p, C, T) gradient of each pair's query, which the caller sums per
+    text and reverses with :func:`project_queries_backward`; ``d_contexts``
+    is the (D, n, C) context gradient in the caller's row order.  With the
+    folded ``M = W_v W_o``, ``d_W_v = d_M W_o^T`` and ``d_W_o = W_v^T d_M``.
+    The backward pass needs only to be deterministic, so its sums are plain.
     """
     d, p = params.dim, params.proj_dim
-    scale = 1.0 / math.sqrt(p)
-    w = cache.weights
-    m = params.w_v @ params.w_o
+    w, q = cache.weights, cache.q
+    w_kv = np.concatenate([params.w_k, params.w_v @ params.w_o], axis=1)
 
-    d_proj, d_go, d_bo = layernorm_rows_backward(d_out, cache.proj, params.ln_o_gain)
-    d_vo = np.einsum("tcn,tcp->cnp", w, d_proj).reshape(-1, p)
-    d_logits = softmax_rows_backward(np.einsum("tcp,cnp->tcn", d_proj, cache.vo), w)
-    d_q = np.einsum("tcn,cnp->ctp", d_logits, cache.k) * scale
-    d_k = np.einsum("tcn,ctp->cnp", d_logits, cache.q).reshape(-1, p) * scale
+    d_proj, d_go, d_bo = layernorm_rows_backward(d_out, cache.proj, params.ln_o_gain,
+                                                 axis=0)
+    d_w = np.einsum("pct,pcn->nct", d_proj, cache.vo)
+    d_logits = w * (d_w - (d_w * w).sum(axis=0))
+    d_logits *= 1.0 / math.sqrt(p)
+    d_q = np.einsum("nct,pnc->pct", d_logits, cache.k)
+    # d(K || V W_o), mapped from canonical back to the caller's row order
+    d_kv = np.empty((2 * p, cache.order.size))
+    d_kv[:, cache.order] = np.concatenate([
+        np.einsum("nct," + ("pt" if q.ndim == 2 else "pct") + "->pnc", d_logits, q),
+        np.einsum("nct,pct->pnc", w, d_proj)])
 
-    c_n = cache.c_n[cache.order].reshape(-1, d)
-    d_m = c_n.T @ d_vo
-    d_canonical, d_gc, d_bc = layernorm_rows_backward(
-        d_k @ params.w_k.T + d_vo @ m.T, cache.contexts[cache.order].reshape(-1, d),
-        params.ln_c_gain)
-    d_contexts = np.empty_like(cache.contexts)
-    d_contexts[cache.order] = d_canonical.reshape(cache.contexts.shape)
-
+    d_wkv = cache.c_n.reshape(d, -1) @ d_kv.T
+    d_cn = (w_kv @ d_kv).reshape(cache.contexts.shape)
+    d_contexts, d_gc, d_bc = layernorm_rows_backward(d_cn, cache.contexts,
+                                                     params.ln_c_gain, axis=0)
+    d_m = d_wkv[:, p:]
     grads = {
-        "w_k": c_n.T @ d_k, "w_v": d_m @ params.w_o.T, "w_o": params.w_v.T @ d_m,
+        "w_k": d_wkv[:, :p], "w_v": d_m @ params.w_o.T, "w_o": params.w_v.T @ d_m,
         "ln_c_gain": d_gc, "ln_c_bias": d_bc,
         "ln_o_gain": d_go, "ln_o_bias": d_bo,
     }

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ShapeError
+from .linalg import ShapeError, sum_leading
 
 TAU_MIN = 1.0
 TAU_MAX = 100.0
@@ -72,38 +72,39 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
-def cosine_rows(u: np.ndarray, f: np.ndarray, warn: bool = True):
-    """Row-wise cosine between matching rows of ``u`` and ``f``.
-
-    Returns ``(scores, cache)``; zero-norm rows score 0 and receive zero
-    gradient from :func:`cosine_rows_backward`.
-    """
+def cosine_rows(u: np.ndarray, f: np.ndarray):
+    """Cosine between matching columns of pair-last ``u`` and ``f``, with
+    ``u`` broadcasting (a tile's T texts as (D, 1, T) against (D, C, T)).
+    Feature sums run in order (:func:`tefal.linalg.sum_leading`), so a
+    pair's score does not depend on its tile.  Returns ``(scores, cache)``;
+    zero-norm columns score 0 and get zero gradient from
+    :func:`cosine_rows_backward`."""
     u = np.asarray(u, dtype=np.float64)
     f = np.asarray(f, dtype=np.float64)
-    if u.shape != f.shape:
-        raise ShapeError(f"row blocks have shapes {u.shape} and {f.shape}")
-    nu = np.linalg.norm(u, axis=1)
-    nf = np.linalg.norm(f, axis=1)
-    # exact-zero test only: non-finite rows must propagate, not be masked
+    if u.ndim != f.ndim or u.shape[0] != f.shape[0] or any(
+            a not in (1, b) for a, b in zip(u.shape, f.shape)):
+        raise ShapeError(f"column blocks have shapes {u.shape} and {f.shape}")
+    nu = np.sqrt(sum_leading(u, u))
+    nf = np.sqrt(sum_leading(f, f))
+    # exact-zero test only: non-finite columns must propagate, not be masked
     zero = (nu == 0.0) | (nf == 0.0)
-    if warn and np.any(zero):
+    if np.any(zero):
         warnings.warn("zero-norm vector in cosine similarity", ZeroNormWarning,
                       stacklevel=2)
     denom = np.where(zero, 1.0, nu * nf)
-    scores = np.where(zero, 0.0, np.sum(u * f, axis=1) / denom)
+    scores = np.where(zero, 0.0, sum_leading(u, f) / denom)
     return scores, (u, f, nu, nf, zero, scores)
 
 
 def cosine_rows_backward(d_scores: np.ndarray, cache) -> np.ndarray:
     """Gradient of the scores w.r.t. the second argument ``f`` only (the
-    first argument is raw query data in this engine).  Zero-norm rows get
-    zero gradient."""
+    first argument is raw query data in this engine), pair-last like ``f``.
+    Zero-norm columns get zero gradient."""
     u, f, nu, nf, zero, scores = cache
     denom = np.where(zero, 1.0, nu * nf)
     nf_sq = np.where(zero, 1.0, nf * nf)
-    grad = (u / denom[:, None] - f * (scores / nf_sq)[:, None])
-    grad = np.where(zero[:, None], 0.0, grad)
-    return grad * d_scores[:, None]
+    grad = u / denom - f * (scores / nf_sq)
+    return np.where(zero, 0.0, grad) * d_scores
 
 
 def _log_softmax_rows(z: np.ndarray) -> np.ndarray:

@@ -10,13 +10,14 @@ ablation:
     stacking   fused = XAttn(text, [frames; audio summary row])
                (reuses the video block over an F+1 row context)
 
-All variants produce one row of width D_p per query.  There is no
-re-normalization after fusing; the downstream cosine similarity absorbs
-scale.  :func:`fuse_forward` and :func:`fuse_backward` implement the four
-post-hoc kinds; the xattn block runs on the attention tile kernel as a
-grouped tile, one candidate per fused row with its two-row context
-[E_v|t, E_a|t].  Stacking is not post-hoc: :func:`tefal.model.score_tile`
-runs the video block over the stacked context.
+All variants produce one column of width D_p per query, pair-last like
+their inputs.  There is no re-normalization after fusing; the downstream
+cosine similarity absorbs scale.  :func:`fuse_forward` and
+:func:`fuse_backward` implement the four post-hoc kinds; the xattn block
+runs on the attention tile kernel as a grouped tile, one candidate per
+fused column with its two-row context [E_v|t, E_a|t].  Stacking is not
+post-hoc: :func:`tefal.model.score_tile` runs the video block over the
+stacked context.
 """
 
 import enum
@@ -27,7 +28,6 @@ import numpy as np
 
 from .attention import (
     XAttnParams,
-    _stable_rows_times,
     block_backward_tile,
     block_forward_tile,
 )
@@ -124,16 +124,14 @@ def fuse_forward(params: FusionParams, *, video_cond=None, audio_cond=None,
                  queries=None, audio_token_mean=None):
     """Forward pass for the post-hoc fusion kinds, returning ``(fused, cache)``.
 
-    ``video_cond``/``audio_cond`` are the conditioned embeddings (one row per
-    query, or per (query, candidate) pair).  ``audio_token_mean`` is the raw
-    token mean used by the late variant: one row per ``video_cond`` row, or
-    a single 1 x D row shared by all of them.  ``queries`` are the xattn
-    block's query projections, one row per fused row
-    (:func:`tefal.attention.project_queries` of each row's text).  Row
-    products are ``einsum``s, so each fused row depends only on its own
-    inputs, not on how many rows are fused.  The stacking variant is not a
-    post-hoc combiner (it swaps the video block's context), so it raises
-    :class:`FusionError`.
+    Inputs are pair-last: ``video_cond``/``audio_cond`` are the (D_p, ...)
+    conditioned embeddings, one column per query or (candidate, query)
+    pair; the late variant's raw (D, ...) ``audio_token_mean`` and the xattn
+    block's (D_p, ...) ``queries`` broadcast against them.  Each feature sum
+    is an ``einsum`` whose innermost loop runs along an output axis, so it
+    adds in feature order, whatever the number of columns.  The stacking
+    variant is not a post-hoc combiner (it swaps the video block's context),
+    so it raises :class:`FusionError`.
     """
     kind = params.kind
     if kind == FusionKind.ADDITION:
@@ -149,23 +147,24 @@ def fuse_forward(params: FusionParams, *, video_cond=None, audio_cond=None,
         _require(video_cond is not None and audio_token_mean is not None,
                  "late fusion needs the conditioned video embedding and the "
                  "raw audio token mean")
-        summary = as_matrix(audio_token_mean, "audio_token_mean")
-        if summary.shape[1] != params.late_w.shape[0]:
-            raise ShapeError(f"audio summary has {summary.shape[1]} columns, "
+        summary = np.ascontiguousarray(audio_token_mean, dtype=np.float64)
+        if summary.shape[0] != params.late_w.shape[0]:
+            raise ShapeError(f"audio summary has {summary.shape[0]} features, "
                              f"projection expects {params.late_w.shape[0]}")
-        fused = video_cond + _stable_rows_times(summary, params.late_w)
-        token_mean = np.broadcast_to(summary, (video_cond.shape[0], summary.shape[1]))
-        return fused, FusionCache(kind, token_mean=token_mean)
+        fused = video_cond + np.einsum("dp,d...->p...", params.late_w, summary)
+        return fused, FusionCache(kind, token_mean=np.broadcast_to(
+            summary, summary.shape[:1] + fused.shape[1:]))
 
     if kind == FusionKind.CONCAT_FC:
         _require(params.concat_w is not None, "concat fusion parameters missing")
         _require(video_cond is not None and audio_cond is not None,
                  "concat fusion needs both conditioned embeddings")
-        concat = np.concatenate([video_cond, audio_cond], axis=1)
-        if concat.shape[1] != params.concat_w.shape[0]:
-            raise ShapeError(f"concatenation has {concat.shape[1]} columns, "
+        concat = np.concatenate([video_cond, audio_cond], axis=0)
+        if concat.shape[0] != params.concat_w.shape[0]:
+            raise ShapeError(f"concatenation has {concat.shape[0]} features, "
                              f"weight expects {params.concat_w.shape[0]}")
-        fused = _stable_rows_times(concat, params.concat_w) + params.concat_b
+        fused = (np.einsum("kp,k...->p...", params.concat_w, concat)
+                 + params.concat_b.reshape((-1,) + (1,) * (concat.ndim - 1)))
         return fused, FusionCache(kind, concat=concat)
 
     if kind == FusionKind.XATTN:
@@ -173,18 +172,20 @@ def fuse_forward(params: FusionParams, *, video_cond=None, audio_cond=None,
         _require(video_cond is not None and audio_cond is not None and queries is not None,
                  "xattn fusion needs the query projections and both conditioned "
                  "embeddings")
-        contexts = np.stack([video_cond, audio_cond], axis=1)  # (B, 2, D_p)
-        q = as_matrix(queries, "queries")[:, None, :]
+        p = video_cond.shape[0]
+        contexts = np.stack([x.reshape(p, -1) for x in (video_cond, audio_cond)], axis=1)
+        q = np.broadcast_to(queries, video_cond.shape).reshape(p, -1, 1)
         fused, tile = block_forward_tile(params.xattn, q, contexts, keep=True)
-        return fused[0], FusionCache(kind, tile=tile)
+        return fused.reshape(video_cond.shape), FusionCache(kind, tile=tile)
 
     raise FusionError(f"{kind.value} fusion is not a post-hoc combiner")
 
 
 def fuse_backward(params: FusionParams, cache: FusionCache, d_fused: np.ndarray):
     """Returns ``(own_grads, d_video_cond, d_audio_cond, d_queries)`` for the
-    post-hoc kinds.  ``d_queries`` is the gradient of the xattn query
-    projections (``None`` for the other kinds); the caller reverses it with
+    post-hoc kinds, all pair-last like ``d_fused``.  ``d_queries`` is the
+    gradient of the xattn query projections, one column per fused column
+    (``None`` for the other kinds); the caller reverses it with
     :func:`tefal.attention.project_queries_backward`, which yields the
     xattn block's ``w_q`` and ``LN_q`` gradients.  Gradients for raw inputs
     (token means) are not produced; those are data, not parameters."""
@@ -192,21 +193,25 @@ def fuse_backward(params: FusionParams, cache: FusionCache, d_fused: np.ndarray)
     if kind == FusionKind.ADDITION:
         return {}, d_fused, d_fused, None
 
+    pairs = tuple(range(1, d_fused.ndim))
     if kind == FusionKind.LATE:
-        return {"late_w": cache.token_mean.T @ d_fused}, d_fused, None, None
+        return ({"late_w": np.tensordot(cache.token_mean, d_fused, (pairs, pairs))},
+                d_fused, None, None)
 
     if kind == FusionKind.CONCAT_FC:
-        d_w = cache.concat.T @ d_fused
-        d_b = d_fused.sum(axis=0, keepdims=True)
-        d_concat = d_fused @ params.concat_w.T
+        d_w = np.tensordot(cache.concat, d_fused, (pairs, pairs))
+        d_b = d_fused.sum(axis=pairs)[None, :]
+        d_concat = np.einsum("kp,p...->k...", params.concat_w, d_fused)
         half = params.concat_w.shape[1]
-        return ({"concat_w": d_w, "concat_b": d_b}, d_concat[:, :half],
-                d_concat[:, half:], None)
+        return ({"concat_w": d_w, "concat_b": d_b}, d_concat[:half],
+                d_concat[half:], None)
 
     if kind == FusionKind.XATTN:
-        grads, d_q, d_contexts = block_backward_tile(params.xattn, cache.tile,
-                                                     d_fused[None])
-        return ({f"xattn.{k}": v for k, v in grads.items()}, d_contexts[:, 0],
-                d_contexts[:, 1], d_q[:, 0])
+        shape = d_fused.shape
+        grads, d_q, d_contexts = block_backward_tile(
+            params.xattn, cache.tile, d_fused.reshape(shape[0], -1, 1))
+        return ({f"xattn.{k}": v for k, v in grads.items()},
+                d_contexts[:, 0].reshape(shape), d_contexts[:, 1].reshape(shape),
+                d_q.reshape(shape))
 
     raise FusionError(f"{kind.value} fusion is not a post-hoc combiner")

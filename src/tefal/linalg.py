@@ -64,38 +64,63 @@ def softmax_rows_backward(d_out: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out * (d_out - inner)
 
 
+def sum_leading(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+    """Sum over axis 0 of ``x`` (or of ``x * y``, broadcasting), adding the
+    rows in row order whatever the trailing shape.  numpy's ``sum`` and
+    ``einsum`` add C-contiguous rows so when two or more elements trail the
+    summed axis; with one they go pairwise, so that case runs a loop here.
+    A column's sum never depends on how many columns share the call."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if y is None:
+        return x.sum(axis=0) if x[0].size > 1 else sum(x, np.zeros(x.shape[1:]))
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    if max(x[0].size, y[0].size) > 1:
+        return np.einsum("i...,i...->...", x, y)
+    return sum(x * y, np.zeros(np.broadcast_shapes(x.shape[1:], y.shape[1:])))
+
+
+def _feature_sum(m: np.ndarray, axis: int, y: np.ndarray | None = None) -> np.ndarray:
+    """Sum of ``m`` (or ``m * y``) over the feature axis, kept as length 1."""
+    if axis == 0:
+        return sum_leading(m, y)[None]
+    return (m if y is None else m * y).sum(axis=-1, keepdims=True)
+
+
 def layernorm_rows(m: np.ndarray, gain: np.ndarray, bias: np.ndarray,
-                   eps: float = LAYERNORM_EPS) -> np.ndarray:
+                   eps: float = LAYERNORM_EPS, axis: int = -1) -> np.ndarray:
     """Standardize each row to zero mean / unit variance, then apply affine.
 
     Uses the population variance and puts ``eps`` inside the square root, so
-    a constant row maps exactly to the bias vector.
+    a constant row maps exactly to the bias vector.  The features lie along
+    ``axis``: -1 for row blocks, 0 for pair-last arrays, whose feature sums
+    run in feature order (:func:`sum_leading`).
     """
     m = np.asarray(m, dtype=np.float64)
-    width = m.shape[-1]
+    width = m.shape[axis]
+    column = (width,) + (1,) * (m.ndim - 1) if axis == 0 else (1, width)
     # sum / width is bit-identical to mean(), without its Python overhead
-    out = m - m.sum(axis=-1, keepdims=True) / width
-    out /= np.sqrt((out * out).sum(axis=-1, keepdims=True) / width + eps)
-    out *= gain
-    out += bias
+    out = m - _feature_sum(m, axis) / width
+    out *= 1.0 / np.sqrt(_feature_sum(out, axis, out) / width + eps)
+    out *= gain.reshape(column)
+    out += bias.reshape(column)
     return out
 
 
 def layernorm_rows_backward(d_out: np.ndarray, m: np.ndarray, gain: np.ndarray,
-                            eps: float = LAYERNORM_EPS):
+                            eps: float = LAYERNORM_EPS, axis: int = -1):
     """Gradients (d_m, d_gain, d_bias) for :func:`layernorm_rows`."""
     m = np.asarray(m, dtype=np.float64)
-    width = m.shape[-1]
-    # sum / width is bit-identical to mean(), without its Python overhead
-    xhat = m - m.sum(axis=-1, keepdims=True) / width
-    inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / width + eps)
+    width = m.shape[axis]
+    xhat = m - _feature_sum(m, axis) / width
+    inv = 1.0 / np.sqrt(_feature_sum(xhat, axis, xhat) / width + eps)
     xhat *= inv
 
-    d_bias = d_out.reshape(-1, width).sum(axis=0, keepdims=True)
-    d_gain = (d_out * xhat).reshape(-1, width).sum(axis=0, keepdims=True)
-    g = d_out * gain
-    d_m = inv * (g - g.sum(axis=-1, keepdims=True) / width
-                 - xhat * ((g * xhat).sum(axis=-1, keepdims=True) / width))
+    rows = tuple(i for i in range(m.ndim) if i != axis % m.ndim)
+    d_bias = d_out.sum(axis=rows).reshape(1, width)
+    d_gain = (d_out * xhat).sum(axis=rows).reshape(1, width)
+    g = d_out * gain.reshape((width,) + (1,) * (m.ndim - 1) if axis == 0 else (1, width))
+    d_m = inv * (g - _feature_sum(g, axis) / width
+                 - xhat * (_feature_sum(g, axis, xhat) / width))
     return d_m, d_gain, d_bias
 
 
@@ -131,17 +156,18 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
-def finite_difference_gradients(fn, inputs, d_out: np.ndarray, step: float):
-    """Central-difference gradients of ``sum(d_out * fn(*inputs))``."""
+def finite_difference_gradients(forward, inputs, step: float):
+    """Central-difference gradients of the scalar ``forward()`` w.r.t. every
+    array of ``inputs``, each perturbed in place and restored."""
     grads = []
     for x in inputs:
         g = np.zeros_like(x)
         for i in range(x.size):
             orig = x.flat[i]
             x.flat[i] = orig + step
-            hi = float(np.sum(d_out * fn(*inputs)))
+            hi = forward()
             x.flat[i] = orig - step
-            lo = float(np.sum(d_out * fn(*inputs)))
+            lo = forward()
             x.flat[i] = orig
             g.flat[i] = (hi - lo) / (2.0 * step)
         grads.append(g)
@@ -168,7 +194,7 @@ def grad_check(op: str, *point, step: float = 1e-5, seed: int = 0) -> float:
     d_out = np.random.default_rng(seed).standard_normal(out.shape)
     analytic = backward(d_out)
     numeric = finite_difference_gradients(
-        lambda *xs: builder(*xs)[0], inputs, d_out, step)
+        lambda: float(np.sum(d_out * builder(*inputs)[0])), inputs, step)
     return max(relative_error(a, n) for a, n in zip(analytic, numeric))
 
 

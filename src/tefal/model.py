@@ -3,21 +3,23 @@
 Every candidate embedding is conditioned on the query text, so a similarity
 matrix over T queries and V candidates costs one block evaluation per
 (query, candidate) pair.  Scoring computes each block's query projection
-``LN_q(text) W_q`` once, then walks the candidates in tiles of about
-``TILE_PAIRS`` pairs: :func:`score_tile` runs
-:func:`tefal.attention.block_forward_tile` on a tile, fuses the flattened
-pair rows and takes their cosine with the query texts.  A tile is dense
-(every candidate against the same query rows, as in exhaustive scoring) or
-grouped (each candidate against its own rows, as in the stage-2 re-rank);
-both run the same kernel.  The xattn fusion block runs on it too, as a
-grouped tile of the flattened pairs.  Each score depends only on its own
-pair, so any tiling (exhaustive scoring, the stage-2 re-rank, a query or
-candidate subset, any worker count) gives the same bits for the same pair.
+``LN_q(text) W_q`` once per text, then walks the candidates in tiles of
+about ``TILE_PAIRS`` pairs: :func:`score_tile` runs
+:func:`tefal.attention.block_forward_tile` on a tile, fuses the pairs'
+embeddings and takes their cosine with the query texts, every array
+pair-last (features, C, T).  A tile is dense (every candidate against the
+same queries, as in exhaustive scoring) or grouped (each candidate against
+its own, as in the stage-2 re-rank); both run the same kernel.  The xattn
+fusion block runs on it too, as a grouped tile of the pairs.  Every
+feature or row sum runs in one fixed order for any tile shape, so any
+tiling (exhaustive scoring, the stage-2 re-rank, a query or candidate
+subset, a single pair, any worker count) gives the same bits for the same
+pair.
 
 Training scores its B x B batch as one tile through the same
 :func:`score_tile` path, keeping the forward intermediates
 (``keep=True``); :func:`batch_loss_and_grads` then reverses cosine and
-fusion on the B^2 pair rows and each block once with
+fusion on the B^2 pairs and each block once with
 :func:`tefal.attention.block_backward_tile`, and each query projection
 once per text with :func:`tefal.attention.project_queries_backward`.
 :func:`candidate_scores` is the forward-only per-candidate reference.
@@ -51,7 +53,7 @@ from .contrastive import (
 )
 from .corpus import Corpus
 from .fusion import FusionKind, FusionParams, fuse_backward, fuse_forward
-from .linalg import ShapeError
+from .linalg import ShapeError, sum_leading
 
 __all__ = ["RetrievalModel", "create_model", "named_parameters",
            "candidate_scores", "Queries", "query_rows", "video_contexts", "score_tile",
@@ -163,6 +165,7 @@ def candidate_scores(model: RetrievalModel, texts: np.ndarray, corpus: Corpus,
     Forward only, one :func:`tefal.attention.block_forward` call per block:
     the per-candidate reference for :func:`score_tile`.
     """
+    texts = np.asarray(texts, dtype=np.float64)
     kind = model.fusion.kind
     if model.modality == "video":
         fused, _ = block_forward(model.video, texts, corpus.frames[j])
@@ -174,34 +177,35 @@ def candidate_scores(model: RetrievalModel, texts: np.ndarray, corpus: Corpus,
         fused, _ = block_forward(model.video, texts, context)
     elif kind == FusionKind.LATE:
         e_v, _ = block_forward(model.video, texts, corpus.frames[j])
-        token_mean = corpus.audio[j].mean(axis=0, keepdims=True)
-        fused, _ = fuse_forward(model.fusion, video_cond=e_v, audio_token_mean=token_mean)
+        token_mean = corpus.audio[j].mean(axis=0)[:, None]
+        fused = fuse_forward(model.fusion, video_cond=e_v.T,
+                             audio_token_mean=token_mean)[0].T
     else:
         e_v, _ = block_forward(model.video, texts, corpus.frames[j])
         e_a, _ = block_forward(model.audio, texts, corpus.audio[j])
-        fused, _ = fuse_forward(model.fusion, video_cond=e_v, audio_cond=e_a,
-                                queries=query_rows(model, texts).xattn)
-    return cosine_rows(texts, fused)
+        fused = fuse_forward(model.fusion, video_cond=e_v.T, audio_cond=e_a.T,
+                             queries=query_rows(model, texts).xattn)[0].T
+    return cosine_rows(texts.T, fused.T)
 
 
 @dataclass
 class Queries:
-    """Query text rows and each used block's projection ``LN_q(text) W_q``
-    (``xattn`` is the xattn fusion block's)."""
+    """Query texts and each used block's projection ``LN_q(text) W_q``
+    (``xattn`` is the xattn fusion block's), one column per text."""
     texts: np.ndarray
     video: np.ndarray | None
     audio: np.ndarray | None
     xattn: np.ndarray | None
 
     def rows(self, index) -> "Queries":
-        return Queries(*(None if x is None else x[index] for x in (
+        return Queries(*(None if x is None else np.take(x, index, axis=-1) for x in (
             self.texts, self.video, self.audio, self.xattn)))
 
 
 def query_rows(model: RetrievalModel, texts: np.ndarray) -> Queries:
     """Project the query texts once for every block the model uses."""
     texts = np.asarray(texts, dtype=np.float64)
-    return Queries(texts,
+    return Queries(np.ascontiguousarray(texts.T),
                    project_queries(model.video, texts) if _uses_video(model) else None,
                    project_queries(model.audio, texts) if _uses_audio_block(model)
                    else None,
@@ -224,58 +228,51 @@ def score_tile(model: RetrievalModel, queries: Queries, corpus: Corpus,
     """(T, C) cosine scores of query rows against candidates ``cols``; with
     ``keep``, the pair ``(scores, TileTape)``.
 
-    A dense tile scores every candidate against the same T query rows
-    (``queries`` arrays of shape (T, .)).  A grouped tile gives each
-    candidate its own T rows (arrays of shape (C, T, .), e.g. from
-    ``queries.rows`` with a (C, T) index), and entry (t, c) scores
-    candidate ``cols[c]`` against its ``t``-th row.  A dense tile is
-    broadcast to the grouped form, so both run the same kernel.  The xattn
-    fusion block is a grouped tile of the T x C pairs: one query row and
-    the context [e_v, e_a] per pair.
+    A dense tile scores every candidate against the same T queries
+    (``queries`` arrays of shape (., T), one shared block operand).  A
+    grouped tile gives each candidate its own T queries (arrays of shape
+    (., C, T), from ``queries.rows`` with a (C, T) index), and entry (t, c)
+    scores candidate ``cols[c]`` against its ``t``-th query.  The xattn
+    fusion block is a grouped tile of the pairs: one query and the context
+    [e_v, e_a] per pair.
     """
     cols = np.asarray(cols, dtype=np.intp)
-    t, c = queries.texts.shape[-2], len(cols)
     kind = model.fusion.kind
     blocks: dict = {}
     fusion_cache = None
 
-    def per_candidate(x):
-        return x if x.ndim == 3 else np.broadcast_to(x, (c,) + x.shape)
-
-    def pairs(x):
-        return x.reshape(t * c, x.shape[-1])
-
     def per_pair(x):
-        return pairs(per_candidate(x).transpose(1, 0, 2))
+        # a dense tile's (., T) columns broadcast over the candidates
+        return x if x.ndim == 3 else x[:, None, :]
 
-    def block(name, contexts):
-        params, q = getattr(model, name), per_candidate(getattr(queries, name))
+    def block(name, rows):
+        # the candidates' (C, n, D) context rows, pair-last as (D, n, C)
+        params, q, contexts = getattr(model, name), getattr(queries, name), rows.T
         if not keep:
-            return pairs(block_forward_tile(params, q, contexts))
+            return block_forward_tile(params, q, contexts)
         out, blocks[name] = block_forward_tile(params, q, contexts, keep=True)
-        return pairs(out)
+        return out
 
-    texts = per_pair(queries.texts)
     if model.modality == "audio":
         fused = block("audio", corpus.audio[cols])
     elif model.modality == "video" or kind == FusionKind.STACKING:
         fused = block("video", video_contexts(model, corpus, cols))
     elif kind == FusionKind.LATE:
         e_v = block("video", corpus.frames[cols])
-        token_mean = canonical_rows(corpus.audio[cols]).mean(axis=1)
+        tokens = canonical_rows(corpus.audio[cols].T)
+        token_mean = sum_leading(tokens.transpose(1, 0, 2)) / tokens.shape[1]
         fused, fusion_cache = fuse_forward(
-            model.fusion, video_cond=e_v,
-            audio_token_mean=pairs(np.broadcast_to(token_mean, (t, c, corpus.dim))))
+            model.fusion, video_cond=e_v, audio_token_mean=token_mean[:, :, None])
     else:
         e_v = block("video", corpus.frames[cols])
         e_a = block("audio", corpus.audio[cols])
         fused, fusion_cache = fuse_forward(
             model.fusion, video_cond=e_v, audio_cond=e_a,
             queries=None if queries.xattn is None else per_pair(queries.xattn))
-    scores, cos_cache = cosine_rows(texts, fused)
+    scores, cos_cache = cosine_rows(per_pair(queries.texts), fused)
     if not keep:
-        return scores.reshape(t, c)
-    return scores.reshape(t, c), TileTape(blocks, fusion_cache, cos_cache)
+        return scores.T
+    return scores.T, TileTape(blocks, fusion_cache, cos_cache)
 
 
 def map_tasks(fn, tasks: list, workers: int = 1) -> list:
@@ -301,12 +298,12 @@ def similarity_matrix(model: RetrievalModel, corpus: Corpus,
     if candidates is None:
         candidates = np.arange(len(corpus))
     candidates = np.asarray(candidates, dtype=np.intp)
-    width = max(1, TILE_PAIRS // queries.texts.shape[0])
+    width = max(1, TILE_PAIRS // queries.texts.shape[-1])
     tiles = [candidates[i:i + width] for i in range(0, len(candidates), width)]
     blocks = map_tasks(lambda cols: score_tile(model, queries, corpus, cols),
                        tiles, workers)
     return np.concatenate(blocks, axis=1) if blocks \
-        else np.empty((queries.texts.shape[0], 0))
+        else np.empty((queries.texts.shape[-1], 0))
 
 
 def batch_loss_and_grads(model: RetrievalModel, corpus: Corpus,
@@ -322,8 +319,8 @@ def batch_loss_and_grads(model: RetrievalModel, corpus: Corpus,
     result is deterministic.
     """
     indices = np.asarray(indices, dtype=np.intp)
-    queries = query_rows(model, corpus.texts[indices])
-    b = len(indices)
+    texts = corpus.texts[indices]
+    queries = query_rows(model, texts)
     sim, tape = score_tile(model, queries, corpus, indices, keep=True)
 
     loss, d_sim, d_log_scale = infonce(sim, model.temperature)
@@ -333,7 +330,7 @@ def batch_loss_and_grads(model: RetrievalModel, corpus: Corpus,
     def add(prefix, block_grads):
         grads.update({f"{prefix}.{k}": v for k, v in block_grads.items()})
 
-    d_fused = cosine_rows_backward(d_sim.reshape(-1), tape.cosine)
+    d_fused = cosine_rows_backward(d_sim.T, tape.cosine)
     d_cond = {"video": d_fused, "audio": d_fused}
     if tape.fusion is not None:
         own, d_cond["video"], d_cond["audio"], d_q = fuse_backward(
@@ -341,11 +338,10 @@ def batch_loss_and_grads(model: RetrievalModel, corpus: Corpus,
         add("fusion", own)
         if d_q is not None:
             add("fusion.xattn", project_queries_backward(
-                model.fusion.xattn, queries.texts, d_q.reshape(b, b, -1).sum(axis=1)))
+                model.fusion.xattn, texts, d_q.sum(axis=1)))
     for name, cache in tape.blocks.items():
         params = getattr(model, name)
-        block_grads, d_q, _ = block_backward_tile(
-            params, cache, d_cond[name].reshape(b, b, -1))
+        block_grads, d_q, _ = block_backward_tile(params, cache, d_cond[name])
         add(name, block_grads)
-        add(name, project_queries_backward(params, queries.texts, d_q.sum(axis=0)))
+        add(name, project_queries_backward(params, texts, d_q.sum(axis=1)))
     return loss, grads, sim

@@ -5,18 +5,19 @@ Embedding container ("EMB1"):
     magic "EMB1" | u32 version | u32 item_count | u32 rows_per_item |
     u32 cols | item_count * rows * cols float32 little-endian | u32 CRC32
 
-Checkpoint container ("TFCK"):
+Checkpoint container ("TFCK", version 2):
 
     magic "TFCK" | u32 version | u32 param_count |
+    u32 config length | UTF-8 config text |
     per parameter: u16 name length | UTF-8 name | u32 rows | u32 cols |
                    rows * cols float32 little-endian |
     u32 CRC32
 
 Both CRCs cover every preceding byte.  Filter-bank features reuse the EMB1
 container with one item of shape (target_length, n_mels).  The checkpoint's
-step counter and config snapshot travel as reserved ``__``-prefixed entries
-(the config text encoded one codepoint per float32 cell), keeping the wire
-format uniform.  All arrays are float32 on disk and float64 in memory.
+step counter travels as the reserved entry ``__step__``; version 1 files
+(still read) held the config as an entry of one code point per float32
+cell.  All arrays are float32 on disk and float64 in memory.
 """
 
 import json
@@ -40,7 +41,7 @@ __all__ = [
 EMB_MAGIC = b"EMB1"
 CKPT_MAGIC = b"TFCK"
 EMB_VERSION = 1
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 MANIFEST_VERSION = 1
 
 _EMB_HEADER = struct.Struct("<4sIIII")
@@ -300,24 +301,19 @@ def _encode_entry(name: str, matrix: np.ndarray) -> bytes:
 
 def save_checkpoint(path, model: RetrievalModel, step: int,
                     config: TrainConfig) -> None:
-    entries = [("__step__", np.array([[float(step)]])),
-               ("__config__", _text_to_matrix(config_to_text(config)))]
+    entries = [("__step__", np.array([[float(step)]]))]
     entries.extend(named_parameters(model, trainable_only=False).items())
-    blob = struct.pack("<4sII", CKPT_MAGIC, CKPT_VERSION, len(entries))
+    config_bytes = config_to_text(config).encode("utf-8")
+    blob = struct.pack("<4sIII", CKPT_MAGIC, CKPT_VERSION, len(entries),
+                       len(config_bytes)) + config_bytes
     for name, matrix in entries:
         blob += _encode_entry(name, matrix)
     blob += struct.pack("<I", zlib.crc32(blob))
     Path(path).write_bytes(blob)
 
 
-def _text_to_matrix(text: str) -> np.ndarray:
-    codes = np.array([[float(ord(c)) for c in text]])
-    if codes.size == 0 or np.max(codes) >= 2 ** 20:
-        raise FormatError("config text must be non-empty basic-plane text")
-    return codes
-
-
 def _matrix_to_text(matrix: np.ndarray, path) -> str:
+    """The config text of a version 1 ``__config__`` entry."""
     codes = matrix.reshape(-1)
     if not np.all((codes >= 0) & (codes < 0x110000) & (codes == np.round(codes))):
         raise FormatError(f"{path}: config entry holds a cell that is not a code point")
@@ -339,7 +335,7 @@ def load_checkpoint(path):
     magic, version, count = struct.unpack_from("<4sII", blob)
     if magic != CKPT_MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}, expected {CKPT_MAGIC!r}")
-    if version != CKPT_VERSION:
+    if version not in (1, CKPT_VERSION):
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
     stored = struct.unpack_from("<I", blob, len(blob) - 4)[0]
     if zlib.crc32(memoryview(blob)[:-4]) != stored:
@@ -355,6 +351,14 @@ def load_checkpoint(path):
                               "the file")
         offset += size
         return offset - size
+
+    if version >= 2:
+        (config_len,) = struct.unpack_from("<I", blob, take(4))
+        start = take(config_len)
+        try:
+            config_text = blob[start:start + config_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: config snapshot is not UTF-8") from None
 
     entries: dict[str, np.ndarray] = {}
     for _ in range(count):
@@ -373,7 +377,8 @@ def load_checkpoint(path):
 
     try:
         step = entries.pop("__step__")
-        config_text = _matrix_to_text(entries.pop("__config__"), path)
+        if version == 1:
+            config_text = _matrix_to_text(entries.pop("__config__"), path)
     except KeyError as exc:
         raise FormatError(f"{path}: checkpoint is missing {exc} entry") from None
     if step.shape != (1, 1) or not (step[0, 0] >= 0 and step[0, 0].is_integer()):

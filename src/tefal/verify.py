@@ -23,8 +23,9 @@ from .attention import (
 from .contrastive import Temperature, cosine_rows, cosine_rows_backward, infonce
 from .corpus import synth_corpus
 from .fusion import FusionKind, FusionParams, fuse_backward, fuse_forward
-from .linalg import grad_check, relative_error
-from .model import batch_loss_and_grads, create_model, named_parameters
+from .linalg import finite_difference_gradients, grad_check, relative_error
+from .model import (_uses_xattn, batch_loss_and_grads, create_model, named_parameters,
+                    query_rows, score_tile)
 
 __all__ = ["CheckResult", "run_grad_checks", "end_to_end_check"]
 
@@ -47,19 +48,8 @@ def _fd_scalar(arrays: dict, forward, analytic: dict, step: float) -> float:
     """Worst relative error between ``analytic`` grads and central
     differences of the scalar ``forward()`` w.r.t. every array in ``arrays``
     (perturbed in place)."""
-    worst = 0.0
-    for name, arr in arrays.items():
-        numeric = np.zeros_like(arr)
-        for i in range(arr.size):
-            orig = arr.flat[i]
-            arr.flat[i] = orig + step
-            hi = forward()
-            arr.flat[i] = orig - step
-            lo = forward()
-            arr.flat[i] = orig
-            numeric.flat[i] = (hi - lo) / (2.0 * step)
-        worst = max(worst, relative_error(analytic[name], numeric))
-    return worst
+    numeric = finite_difference_gradients(forward, list(arrays.values()), step)
+    return max(relative_error(analytic[name], g) for name, g in zip(arrays, numeric))
 
 
 def _block_check(seed: int, step: float) -> float:
@@ -83,7 +73,7 @@ def _block_check(seed: int, step: float) -> float:
 
 def _block_tile_check(seed: int, step: float) -> float:
     """The tile kernel on a grouped tile: C=2 candidates of 3 rows, each
-    scored against its own T=2 query rows, projected from its own texts.
+    scored against its own T=2 query columns, projected from its own texts.
     ``q_shift`` is added to the query projections, so its gradient is the
     ``d_q`` that :func:`block_backward_tile` returns.  The context rows are
     laid out in reverse canonical order, so the kernel's reordering is
@@ -91,16 +81,16 @@ def _block_tile_check(seed: int, step: float) -> float:
     rng = np.random.default_rng(seed)
     params = XAttnParams.create(rng, 6, 4)
     texts = rng.standard_normal((4, 6))
-    contexts = rng.standard_normal((2, 3, 6))
-    cotangent = rng.standard_normal((2, 2, 4))
-    q_shift = np.zeros((2, 2, 4))
+    contexts = rng.standard_normal((6, 3, 2))
+    cotangent = rng.standard_normal((4, 2, 2))
+    q_shift = np.zeros((4, 2, 2))
 
     def tile(keep=False):
-        q = project_queries(params, texts).reshape(2, 2, 4) + q_shift
+        q = project_queries(params, texts).reshape(4, 2, 2) + q_shift
         return block_forward_tile(params, q, contexts, keep=keep)
 
-    items, order = tile(keep=True)[1].order
-    contexts[...] = contexts[items, order[:, ::-1]]
+    order = tile(keep=True)[1].order
+    contexts[...] = np.take(contexts.reshape(6, -1), order[::-1], axis=1)
     _, cache = tile(keep=True)
     grads, d_q, d_contexts = block_backward_tile(params, cache, cotangent)
     grads.update(project_queries_backward(params, texts, d_q.reshape(4, 4)))
@@ -117,11 +107,11 @@ def _fusion_check(kind: FusionKind, seed: int, step: float) -> float:
     rng = np.random.default_rng(seed)
     dim, proj = 5, 5
     params = FusionParams.create(rng, kind, dim, proj)
-    video_cond = rng.standard_normal((2, proj))
-    audio_cond = rng.standard_normal((2, proj))
+    video_cond = rng.standard_normal((proj, 2))     # pair-last: 2 pairs
+    audio_cond = rng.standard_normal((proj, 2))
     texts = rng.standard_normal((2, dim))
-    token_mean = rng.standard_normal((2, dim))
-    cotangent = rng.standard_normal((2, proj))
+    token_mean = rng.standard_normal((dim, 2))
+    cotangent = rng.standard_normal((proj, 2))
 
     def inputs():
         queries = None if params.xattn is None else project_queries(params.xattn, texts)
@@ -150,8 +140,8 @@ def _fusion_check(kind: FusionKind, seed: int, step: float) -> float:
 
 def _cosine_check(seed: int, step: float) -> float:
     rng = np.random.default_rng(seed)
-    u = rng.standard_normal((3, 4))
-    f = rng.standard_normal((3, 4))
+    u = rng.standard_normal((4, 3))     # pair-last: 3 pairs of 4 features
+    f = rng.standard_normal((4, 3))
     cotangent = rng.standard_normal(3)
     scores, cache = cosine_rows(u, f)
     analytic = {"f": cosine_rows_backward(cotangent, cache)}
@@ -181,13 +171,25 @@ def end_to_end_check(fusion: str = "addition", modality: str = "both",
                      seed: int = 0, step: float = 1e-5,
                      batch: int = 2, dim: int = 8, frames: int = 3,
                      audio_tokens: int = 5) -> float:
-    """Finite differences through the whole training loss on a toy model."""
-    corpus = synth_corpus(seed=seed + 1, n_items=max(4, batch), dim=dim,
-                          frames=frames, audio_tokens=audio_tokens,
-                          audio_informative=0.5, noise=0.3)
+    """Finite differences through the whole training loss on a toy model.
+    Under xattn fusion the batch grows from ``batch`` (up to 8) until the
+    xattn tile reorders some pair's context [e_v, e_a], so that the check
+    runs through the kernel's inverse permutation (seed 0 needs 4)."""
     model = create_model(seed=seed, dim=dim, proj_dim=dim, fusion=fusion,
                          modality=modality)
-    indices = np.arange(batch)
+    for batch in range(batch, 9):
+        corpus = synth_corpus(seed=seed + 1, n_items=max(4, batch), dim=dim,
+                              frames=frames, audio_tokens=audio_tokens,
+                              audio_informative=0.5, noise=0.3)
+        indices = np.arange(batch)
+        if not _uses_xattn(model):
+            break
+        order = score_tile(model, query_rows(model, corpus.texts[indices]), corpus,
+                           indices, keep=True)[1].fusion.tile.order
+        if np.any(order != np.arange(order.size).reshape(order.shape)):
+            break
+    else:
+        raise ValueError(f"no batch up to 8 reorders an xattn context at seed {seed}")
     _, grads, _ = batch_loss_and_grads(model, corpus, indices)
     params = named_parameters(model, trainable_only=True)
 

@@ -43,14 +43,14 @@ class TestAudioSummary:
 class TestAddition:
     def test_zero_audio_is_identity(self):
         params = FusionParams(FusionKind.ADDITION)
-        video = rng(4).standard_normal((2, 5))
-        fused, _ = fuse_forward(params, video_cond=video, audio_cond=np.zeros((2, 5)))
+        video = rng(4).standard_normal((5, 2))
+        fused, _ = fuse_forward(params, video_cond=video, audio_cond=np.zeros((5, 2)))
         np.testing.assert_array_equal(fused, video)
 
     def test_commutative_bitwise(self):
         params = FusionParams(FusionKind.ADDITION)
-        a = rng(5).standard_normal((3, 4))
-        b = rng(6).standard_normal((3, 4))
+        a = rng(5).standard_normal((4, 3))
+        b = rng(6).standard_normal((4, 3))
         np.testing.assert_array_equal(
             fuse_forward(params, video_cond=a, audio_cond=b)[0],
             fuse_forward(params, video_cond=b, audio_cond=a)[0])
@@ -58,10 +58,10 @@ class TestAddition:
     def test_gradient_is_identity(self):
         from tefal.fusion import fuse_backward
         params = FusionParams(FusionKind.ADDITION)
-        v = rng(7).standard_normal((2, 4))
-        a = rng(8).standard_normal((2, 4))
+        v = rng(7).standard_normal((4, 2))
+        a = rng(8).standard_normal((4, 2))
         _, cache = fuse_forward(params, video_cond=v, audio_cond=a)
-        d = rng(9).standard_normal((2, 4))
+        d = rng(9).standard_normal((4, 2))
         own, d_v, d_a, d_q = fuse_backward(params, cache, d)
         assert own == {}
         assert d_q is None
@@ -75,22 +75,22 @@ class TestConcatFC:
         params = FusionParams(FusionKind.CONCAT_FC,
                               concat_w=np.vstack([np.eye(proj), np.zeros((proj, proj))]),
                               concat_b=np.zeros((1, proj)))
-        video = rng(10).standard_normal((2, proj))
-        audio = rng(11).standard_normal((2, proj))
+        video = rng(10).standard_normal((proj, 2))
+        audio = rng(11).standard_normal((proj, 2))
         fused, _ = fuse_forward(params, video_cond=video, audio_cond=audio)
         np.testing.assert_allclose(fused, video, atol=1e-15)
 
 
 class TestVariantShapes:
     def test_every_kind_outputs_one_row_of_proj_dim_per_query(self):
-        # the post-hoc kinds fuse one row per query; stacking swaps the
-        # video block's context instead (see TestStacking)
+        # the post-hoc kinds fuse one pair-last column per query; stacking
+        # swaps the video block's context instead (see TestStacking)
         dim = proj = 6
         g = rng(12)
-        video = g.standard_normal((3, proj))
-        audio = g.standard_normal((3, proj))
-        queries = g.standard_normal((3, proj))
-        token_mean = g.standard_normal((1, dim))
+        video = g.standard_normal((proj, 3))
+        audio = g.standard_normal((proj, 3))
+        queries = g.standard_normal((proj, 3))
+        token_mean = g.standard_normal((dim, 1))
         for kind in FusionKind:
             params = FusionParams.create(g, kind, dim, proj)
             inputs = dict(video_cond=video, audio_cond=audio, queries=queries,
@@ -100,7 +100,7 @@ class TestVariantShapes:
                     fuse_forward(params, **inputs)
                 continue
             fused, _ = fuse_forward(params, **inputs)
-            assert fused.shape == (3, proj), kind
+            assert fused.shape == (proj, 3), kind
 
 
 class TestStacking:
@@ -114,25 +114,25 @@ class TestStacking:
         stacked = np.stack([np.vstack([corpus.frames[j], corpus.summary_rows()[j:j + 1]])
                             for j in cols])
         q = project_queries(model.video, texts)
-        fused = block_forward_tile(model.video, np.broadcast_to(q, (2,) + q.shape), stacked)
-        expected, _ = cosine_rows(np.repeat(texts, 2, axis=0), fused.reshape(4, dim))
-        np.testing.assert_array_equal(scores, expected.reshape(2, 2))
+        fused = block_forward_tile(model.video, q, stacked.transpose(2, 1, 0))
+        expected, _ = cosine_rows(texts.T[:, None, :], fused)
+        np.testing.assert_array_equal(scores, expected.T)
 
 
 class TestValidation:
     def test_missing_inputs(self):
         with pytest.raises(FusionError):
-            fuse_forward(FusionParams(FusionKind.ADDITION), video_cond=np.zeros((1, 3)))
+            fuse_forward(FusionParams(FusionKind.ADDITION), video_cond=np.zeros((3, 1)))
 
     def test_missing_parameters(self):
         with pytest.raises(FusionError):
             fuse_forward(FusionParams(FusionKind.CONCAT_FC),
-                         video_cond=np.zeros((1, 3)), audio_cond=np.zeros((1, 3)))
+                         video_cond=np.zeros((3, 1)), audio_cond=np.zeros((3, 1)))
 
     def test_feature_dimension_mismatch(self):
         with pytest.raises(ShapeError):
             fuse_forward(FusionParams(FusionKind.ADDITION),
-                         video_cond=np.zeros((1, 3)), audio_cond=np.zeros((1, 4)))
+                         video_cond=np.zeros((3, 1)), audio_cond=np.zeros((4, 1)))
 
     def test_unknown_kind_name(self):
         with pytest.raises(FusionError, match="unknown fusion kind"):

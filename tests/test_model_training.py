@@ -255,20 +255,22 @@ class TestTileScoring:
 
     @pytest.mark.parametrize("modality,fusion", SCORING_CONFIGS)
     def test_grouped_tile_equals_dense_entries(self, scoring_corpus, modality, fusion):
-        # candidate cols[c] scored against its own query rows rows[c]
+        # candidate cols[c] scored against its own query rows rows[c]; the
+        # 1 x 1 tile is a single pair, the (5, 1) one a query per candidate
         model = create_model(seed=18, dim=12, fusion=fusion, modality=modality)
         full = similarity_matrix(model, scoring_corpus)
+        queries = query_rows(model, scoring_corpus.texts)
         rng = np.random.default_rng(19)
         n = len(scoring_corpus)
-        cols = rng.choice(n, size=6, replace=False)
-        rows = rng.integers(0, n, size=(6, 4))
-        got = score_tile(model, query_rows(model, scoring_corpus.texts).rows(rows),
-                         scoring_corpus, cols)
-        np.testing.assert_array_equal(got, full[rows, cols[:, None]].T)
+        for c, t in [(6, 4), (1, 1), (5, 1), (1, 3)]:
+            cols = rng.choice(n, size=c, replace=False)
+            rows = rng.integers(0, n, size=(c, t))
+            got = score_tile(model, queries.rows(rows), scoring_corpus, cols)
+            np.testing.assert_array_equal(got, full[rows, cols[:, None]].T)
 
-    @pytest.mark.parametrize("fusion", ["addition", "xattn", "late"])
-    def test_subset_call_returns_the_submatrix(self, scoring_corpus, fusion):
-        model = create_model(seed=15, dim=12, fusion=fusion)
+    @pytest.mark.parametrize("modality,fusion", SCORING_CONFIGS)
+    def test_subset_call_returns_the_submatrix(self, scoring_corpus, modality, fusion):
+        model = create_model(seed=15, dim=12, fusion=fusion, modality=modality)
         full = similarity_matrix(model, scoring_corpus)
         n = len(scoring_corpus)
         rng = np.random.default_rng(16)
@@ -306,8 +308,9 @@ def per_candidate_loss_and_grads(model, corpus, indices):
         elif kind == FusionKind.LATE:
             e_v, blocks["video"] = block_forward(model.video, texts, corpus.frames[j])
             token_mean = np.repeat(corpus.audio[j].mean(axis=0, keepdims=True), b, axis=0)
-            fused, fusion_cache = fuse_forward(model.fusion, video_cond=e_v,
-                                               audio_token_mean=token_mean)
+            fused, fusion_cache = fuse_forward(model.fusion, video_cond=e_v.T,
+                                               audio_token_mean=token_mean.T)
+            fused = fused.T
         else:
             e_v, blocks["video"] = block_forward(model.video, texts, corpus.frames[j])
             e_a, blocks["audio"] = block_forward(model.audio, texts, corpus.audio[j])
@@ -317,9 +320,10 @@ def per_candidate_loss_and_grads(model, corpus, indices):
                                 for r in range(b)]
                 fused = np.vstack([out for out, _ in fusion_cache])
             else:
-                fused, fusion_cache = fuse_forward(model.fusion, video_cond=e_v,
-                                                   audio_cond=e_a)
-        sim[:, col], cos_cache = cosine_rows(texts, fused)
+                fused, fusion_cache = fuse_forward(model.fusion, video_cond=e_v.T,
+                                                   audio_cond=e_a.T)
+                fused = fused.T
+        sim[:, col], cos_cache = cosine_rows(texts.T, fused.T)
         columns.append((blocks, fusion_cache, cos_cache))
 
     loss, d_sim, d_log_scale = infonce(sim, model.temperature)
@@ -329,7 +333,7 @@ def per_candidate_loss_and_grads(model, corpus, indices):
         grads[name] = grads[name] + value if name in grads else value
 
     for col, (blocks, fusion_cache, cos_cache) in enumerate(columns):
-        d_fused = cosine_rows_backward(d_sim[:, col], cos_cache)
+        d_fused = cosine_rows_backward(d_sim[:, col], cos_cache).T
         d_cond = {"video": d_fused, "audio": d_fused}
         if isinstance(fusion_cache, list):
             d_cond = {"video": np.empty_like(d_fused), "audio": np.empty_like(d_fused)}
@@ -340,8 +344,8 @@ def per_candidate_loss_and_grads(model, corpus, indices):
                     add(f"fusion.xattn.{key}", block_grads[key])
                 d_cond["video"][r], d_cond["audio"][r] = d_context
         elif fusion_cache is not None:
-            own, d_cond["video"], d_cond["audio"], _ = fuse_backward(
-                model.fusion, fusion_cache, d_fused)
+            own, d_video, d_audio, _ = fuse_backward(model.fusion, fusion_cache, d_fused.T)
+            d_cond = {"video": d_video.T, "audio": None if d_audio is None else d_audio.T}
             for key, value in own.items():
                 add(f"fusion.{key}", value)
         for name, cache in blocks.items():
@@ -369,12 +373,18 @@ class TestBatchedTraining:
 
     @pytest.mark.parametrize("modality,fusion", SCORING_CONFIGS)
     def test_sim_is_the_scoring_submatrix(self, scoring_corpus, modality, fusion):
+        # B = 1 makes the batch a single-pair tile, scored inside wider
+        # tiles by the full matrix
         model = create_model(seed=19, dim=12, fusion=fusion, modality=modality)
-        idx = np.random.default_rng(20).choice(len(scoring_corpus), size=8, replace=False)
-        _, _, sim = batch_loss_and_grads(model, scoring_corpus, idx)
-        want = similarity_matrix(model, scoring_corpus,
-                                 query_texts=scoring_corpus.texts[idx], candidates=idx)
-        np.testing.assert_array_equal(sim, want)
+        full = similarity_matrix(model, scoring_corpus)
+        rng = np.random.default_rng(20)
+        for size in (8, 1):
+            idx = rng.choice(len(scoring_corpus), size=size, replace=False)
+            _, _, sim = batch_loss_and_grads(model, scoring_corpus, idx)
+            want = similarity_matrix(model, scoring_corpus,
+                                     query_texts=scoring_corpus.texts[idx], candidates=idx)
+            np.testing.assert_array_equal(sim, want)
+            np.testing.assert_array_equal(sim, full[np.ix_(idx, idx)])
 
 
 class TestSynthCorpus:

@@ -3,6 +3,7 @@
 import json
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,12 +269,39 @@ def with_crc(body: bytes) -> bytes:
     return body + struct.pack("<I", zlib.crc32(body))
 
 
+# written by the version 1 writer: save_checkpoint(path, create_model(seed=3,
+# dim=4, fusion="xattn"), step=7, config=V1_CONFIG)
+V1_CHECKPOINT = Path(__file__).parent / "fixtures" / "checkpoint_v1.tfck"
+V1_CONFIG = TrainConfig(dim=4, proj_dim=4, fusion="xattn", seed=3)
+
+
+def with_config(body: bytes, config: bytes) -> bytes:
+    """A version 2 ``body`` with its config bytes replaced by ``config``."""
+    (length,) = struct.unpack_from("<I", body, 12)
+    return body[:12] + struct.pack("<I", len(config)) + config + body[16 + length:]
+
+
 class TestMalformedCheckpoint:
     @pytest.mark.parametrize("delta", [1, 1000, -1])
     def test_crc_valid_entry_count_mismatch(self, tmp_path, checkpoint_body, delta):
         path = tmp_path / "count.tfck"
         path.write_bytes(with_crc(with_count(checkpoint_body, delta)))
         with pytest.raises(FormatError, match="count.tfck"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("config", [b"dim = 4\n\xff\xfe", b"dim = four\n",
+                                        b"width = 4\n", b"dim = 4"])
+    def test_crc_valid_bad_config_bytes(self, tmp_path, checkpoint_body, config):
+        path = tmp_path / "config.tfck"
+        path.write_bytes(with_crc(with_config(checkpoint_body, config)))
+        with pytest.raises(FormatError, match="config.tfck"):
+            load_checkpoint(path)
+
+    def test_crc_valid_config_length_overruns_the_file(self, tmp_path, checkpoint_body):
+        path = tmp_path / "overrun.tfck"
+        path.write_bytes(with_crc(checkpoint_body[:12] + struct.pack("<I", 1 << 30)
+                                  + checkpoint_body[16:]))
+        with pytest.raises(FormatError, match="overrun.tfck"):
             load_checkpoint(path)
 
 
@@ -347,7 +375,9 @@ class TestReaderProperties:
     @given(data=st.data())
     def test_any_tfck_bytes_load_or_raise_format_error(self, tmp_path_factory,
                                                         checkpoint_body, data):
-        base = bytearray(checkpoint_body)
+        # a version 2 body (config bytes) or the version 1 fixture's
+        base = bytearray(data.draw(st.sampled_from(
+            [checkpoint_body, V1_CHECKPOINT.read_bytes()[:-4]])))
         for _ in range(data.draw(st.integers(0, 3))):
             base[data.draw(st.integers(0, len(base) - 1))] = data.draw(st.integers(0, 255))
         blob = data.draw(st.sampled_from([with_crc(bytes(base)), bytes(base)])
@@ -363,6 +393,27 @@ class TestReaderProperties:
 
 
 class TestCheckpoint:
+    def test_version_1_file_loads_to_the_same_model_and_config(self, tmp_path):
+        assert V1_CHECKPOINT.read_bytes()[4:8] == struct.pack("<I", 1)
+        model, step, config = load_checkpoint(V1_CHECKPOINT)
+        assert step == 7
+        assert config == V1_CONFIG
+        want = named_parameters(create_model(seed=3, dim=4, fusion="xattn"),
+                                trainable_only=False)
+        got = named_parameters(model, trainable_only=False)
+        assert set(got) == set(want)
+        for name, arr in want.items():
+            np.testing.assert_array_equal(
+                got[name], arr.astype(np.float32).astype(np.float64), err_msg=name)
+        # saved again, it is a version 2 file holding the same model
+        path = tmp_path / "v2.tfck"
+        save_checkpoint(path, model, step, config)
+        assert path.read_bytes()[4:8] == struct.pack("<I", 2)
+        again, again_step, again_config = load_checkpoint(path)
+        assert (again_step, again_config) == (step, config)
+        for name, arr in named_parameters(again, trainable_only=False).items():
+            np.testing.assert_array_equal(arr, got[name], err_msg=name)
+
     def test_round_trip_is_bit_exact(self, tmp_path):
         model = create_model(seed=7, dim=8, fusion="concat_fc")
         config = TrainConfig(dim=8, proj_dim=8, fusion="concat_fc")
