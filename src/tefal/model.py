@@ -314,9 +314,9 @@ def batch_loss_and_grads(model: RetrievalModel, corpus: Corpus,
     the similarity matrix scores candidate j's embedding conditioned on
     text i.  The batch is one (B, B) :func:`score_tile`, so ``sim`` equals
     :func:`similarity_matrix` on the same queries and candidates bit for
-    bit.  The backward pass reverses cosine and fusion on the B^2 pair rows
-    and each block once, summing over all pairs in a fixed order, so the
-    result is deterministic.
+    bit.  The backward pass reverses cosine and fusion on the pair-last B^2
+    pairs and each block once, summing over all pairs in a fixed order, so
+    the result is deterministic.
     """
     indices = np.asarray(indices, dtype=np.intp)
     texts = corpus.texts[indices]
