@@ -392,7 +392,8 @@ def block_backward_tile(params: XAttnParams, cache: TileCache, d_out: np.ndarray
     text and reverses with :func:`project_queries_backward`; ``d_contexts``
     is the (D, n, C) context gradient in the caller's row order.  With the
     folded ``M = W_v W_o``, ``d_W_v = d_M W_o^T`` and ``d_W_o = W_v^T d_M``.
-    The backward pass needs only to be deterministic, so its sums are plain.
+    The backward pass needs only to be deterministic, not tile-invariant, so
+    its per-pair products are matrix products batched over the candidates.
     """
     d, p = params.dim, params.proj_dim
     w, q = cache.weights, cache.q
@@ -400,15 +401,16 @@ def block_backward_tile(params: XAttnParams, cache: TileCache, d_out: np.ndarray
 
     d_proj, d_go, d_bo = layernorm_rows_backward(d_out, cache.proj, params.ln_o_gain,
                                                  axis=0)
-    d_w = np.einsum("pct,pcn->nct", d_proj, cache.vo)
-    d_logits = w * (d_w - (d_w * w).sum(axis=0))
+    d_proj, w = d_proj.transpose(1, 0, 2), w.transpose(1, 0, 2)    # (C, ., T)
+    d_w = cache.vo.transpose(1, 2, 0) @ d_proj
+    d_logits = w * (d_w - (d_w * w).sum(axis=1, keepdims=True))
     d_logits *= 1.0 / math.sqrt(p)
-    d_q = np.einsum("nct,pnc->pct", d_logits, cache.k)
+    d_q = (cache.k.transpose(2, 0, 1) @ d_logits).transpose(1, 0, 2)
     # d(K || V W_o), mapped from canonical back to the caller's row order
     d_kv = np.empty((2 * p, cache.order.size))
     d_kv[:, cache.order] = np.concatenate([
-        np.einsum("nct," + ("pt" if q.ndim == 2 else "pct") + "->pnc", d_logits, q),
-        np.einsum("nct,pct->pnc", w, d_proj)])
+        (q if q.ndim == 2 else q.transpose(1, 0, 2)) @ d_logits.transpose(0, 2, 1),
+        d_proj @ w.transpose(0, 2, 1)], axis=1).transpose(1, 2, 0)
 
     d_wkv = cache.c_n.reshape(d, -1) @ d_kv.T
     d_cn = (w_kv @ d_kv).reshape(cache.contexts.shape)
