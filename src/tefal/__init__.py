@@ -15,7 +15,6 @@ from .attention import (
     attend,
     conditioned_embedding,
     export_attention_weights,
-    project,
 )
 from .audiofeat import (
     MelFilterBank,

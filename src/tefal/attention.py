@@ -20,14 +20,16 @@ lexsort of K||V W_o, see :func:`canonical_rows`) and reduces every feature
 or row axis in one fixed order, so a pair's output depends only on its
 own query and candidate, whatever the tile.  Exhaustive scoring, stage-2
 re-ranking, the training forward pass and the xattn fusion block (a
-grouped tile of one query and a two-row context per pair) all run it.
-With ``keep=True`` it also returns its intermediates;
-:func:`block_backward_tile` reverses any tile in one call, and
-:func:`project_queries_backward` reverses the query projection that
+grouped tile of one query and a two-row context per pair) all run it, and
+so do :func:`conditioned_embedding` and :func:`export_attention_weights`
+(a dense tile of one candidate).  With ``keep=True`` it also returns its
+intermediates; :func:`block_backward_tile` reverses any tile in one call,
+and :func:`project_queries_backward` reverses the query projection that
 :func:`project_queries` computes once per text.
 
-:func:`block_forward` is the plain per-candidate reference: one shared
-context, softmax and pooling sums accumulated with
+:func:`block_forward`, :func:`block_backward` and :func:`attend` are the
+plain per-candidate reference that the tests compare the kernel against:
+one shared context, softmax and pooling sums accumulated with
 :func:`tefal.linalg.canonical_sum`.
 
 Two independent instances of the block (disjoint parameter sets) condition
@@ -51,7 +53,6 @@ from .linalg import (
 
 __all__ = [
     "XAttnParams",
-    "project",
     "attend",
     "conditioned_embedding",
     "export_attention_weights",
@@ -160,17 +161,6 @@ def _check_text(params: XAttnParams, text: np.ndarray) -> np.ndarray:
     return text
 
 
-def project(params: XAttnParams, text: np.ndarray, context: np.ndarray):
-    """Query/key/value projections of the normalized text and context rows."""
-    text = _check_text(params, text)
-    context = _check_context(params, context)
-    t_n = layernorm_rows(text, params.ln_q_gain, params.ln_q_bias)
-    c_n = layernorm_rows(context, params.ln_c_gain, params.ln_c_bias)
-    return (t_n @ params.w_q,
-            _stable_rows_times(c_n, params.w_k),
-            _stable_rows_times(c_n, params.w_v))
-
-
 def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray):
     """Scaled dot-product attention of query rows over one shared context.
 
@@ -191,19 +181,28 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray):
     return pooled, weights
 
 
+def _single_candidate_tile(params: XAttnParams, text: np.ndarray,
+                           context: np.ndarray):
+    """:func:`block_forward_tile` on a dense tile of one candidate, the
+    (n, D) ``context``, against the (T, D) ``text`` rows."""
+    context = _check_context(params, context)
+    return block_forward_tile(params, project_queries(params, text),
+                              context.T[:, :, None], keep=True)
+
+
 def conditioned_embedding(params: XAttnParams, text: np.ndarray,
                           context: np.ndarray) -> np.ndarray:
-    """Full block: attention-pooled context, projected and normalized."""
-    out, _ = block_forward(params, text, context)
-    return out
+    """Full block: attention-pooled context, projected and normalized; one
+    row per text row."""
+    out, _ = _single_candidate_tile(params, text, context)
+    return out[:, 0, :].T
 
 
 def export_attention_weights(params: XAttnParams, text: np.ndarray,
                              context: np.ndarray) -> np.ndarray:
-    """The softmax weights the text places over the context rows."""
-    q, k, _v = project(params, text, context)
-    _, weights = attend(q, k, _v)
-    return weights
+    """The (T, n) softmax weights the text rows place over the context rows."""
+    _, cache = _single_candidate_tile(params, text, context)
+    return cache.caller_weights()[:, 0, :].T
 
 
 @dataclass
@@ -330,6 +329,13 @@ class TileCache:
     vo: np.ndarray            # (D_p, C, n), V W_o
     weights: np.ndarray       # (n, C, T)
     proj: np.ndarray          # (D_p, C, T), pooled W_o
+
+    def caller_weights(self) -> np.ndarray:
+        """The (n, C, T) attention weights in the caller's row order."""
+        n, c, t = self.weights.shape
+        out = np.empty((n * c, t))
+        out[self.order.ravel()] = self.weights.reshape(n * c, t)
+        return out.reshape(n, c, t)
 
 
 def block_forward_tile(params: XAttnParams, q: np.ndarray, contexts: np.ndarray,

@@ -12,10 +12,12 @@ feeds: 16 kHz input, 25 ms Hamming windows, 128 triangular Mel filters on
 the HTK scale spanning 0-8 kHz, natural log with a 1e-10 floor.
 """
 
+import io
 import wave
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -209,16 +211,31 @@ def read_wav(path) -> Waveform:
     """Read a 16-bit PCM mono RIFF WAV file.
 
     Stereo or non-16-bit files are rejected here; the sample rate is carried
-    through and checked by :func:`compute_fbank`.
+    through and checked by :func:`compute_fbank`.  A file that is not a WAV
+    file, or whose data chunk holds fewer frames than its header declares,
+    raises :class:`AudioFormatError` naming the path.  The file is parsed
+    from memory: a corrupt header may declare gigabytes of frames, which a
+    buffered file read would allocate before finding the file short.
     """
-    with wave.open(str(path), "rb") as f:
-        if f.getnchannels() != 1:
-            raise AudioFormatError(
-                f"expected mono input, got {f.getnchannels()} channels")
-        if f.getsampwidth() != 2:
-            raise AudioFormatError(
-                f"expected 16-bit PCM, got {8 * f.getsampwidth()}-bit")
-        rate = f.getframerate()
-        raw = f.readframes(f.getnframes())
+    try:
+        with wave.open(io.BytesIO(Path(path).read_bytes()), "rb") as f:
+            if f.getnchannels() != 1:
+                raise AudioFormatError(
+                    f"{path}: expected mono input, got {f.getnchannels()} channels")
+            if f.getsampwidth() != 2:
+                raise AudioFormatError(
+                    f"{path}: expected 16-bit PCM, got {8 * f.getsampwidth()}-bit")
+            rate, frames = f.getframerate(), f.getnframes()
+            raw = f.readframes(frames)
+    except (wave.Error, EOFError, RuntimeError) as exc:
+        # wave signals a chunk that overruns its parent with RuntimeError
+        raise AudioFormatError(
+            f"{path}: not a WAV file ({exc or 'unexpected end of file'})") from None
+    if len(raw) != 2 * frames:
+        raise AudioFormatError(f"{path}: data chunk holds {len(raw)} bytes, "
+                               f"its header declares {frames} frames")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-    return Waveform(samples=samples, sample_rate=rate)
+    try:
+        return Waveform(samples=samples, sample_rate=rate)
+    except AudioFormatError as exc:
+        raise AudioFormatError(f"{path}: {exc}") from None

@@ -14,11 +14,12 @@ import json
 import sys
 from pathlib import Path
 
-from .attention import export_attention_weights
+import numpy as np
+
 from .audiofeat import compute_fbank, read_wav
 from .config import load_config
 from .corpus import Corpus, synth_corpus
-from .model import _uses_audio_block, _uses_video, video_contexts
+from .model import TILE_PAIRS, query_rows, score_tile
 from .ranking import resolve_workers
 from .storage import load_checkpoint, load_corpus, save_checkpoint, save_corpus, write_fbank
 from .training import evaluate, train
@@ -149,18 +150,18 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_export_attn(args) -> int:
     corpus = _load_corpus_or_fail(args.data)
     model, _step, _config = load_checkpoint(args.checkpoint)
-    # only the blocks the model computes; stacking's video block attends
-    # over the frames plus the audio summary row
-    video = video_contexts(model, corpus, slice(None)) if _uses_video(model) else None
+    # the weights that scoring computes: each item against its own text, in
+    # grouped tiles; only the blocks the model computes, so stacking's
+    # video block attends over the frames plus the audio summary row
+    queries = query_rows(model, corpus.texts)
     rows = []
-    for i, item_id in enumerate(corpus.ids):
-        text = corpus.texts[i:i + 1]
-        if video is not None:
-            weights = export_attention_weights(model.video, text, video[i])
-            rows.append((item_id, "video", weights[0]))
-        if _uses_audio_block(model):
-            weights = export_attention_weights(model.audio, text, corpus.audio[i])
-            rows.append((item_id, "audio", weights[0]))
+    for start in range(0, len(corpus), TILE_PAIRS):
+        cols = np.arange(start, min(start + TILE_PAIRS, len(corpus)))
+        _, tape = score_tile(model, queries.rows(cols[:, None]), corpus, cols, keep=True)
+        per_block = {name: cache.caller_weights()[:, :, 0]
+                     for name, cache in tape.blocks.items()}
+        for c, i in enumerate(cols):
+            rows.extend((corpus.ids[i], name, w[:, c]) for name, w in per_block.items())
     if args.format == "json":
         _emit_json({"items": [
             {"id": item_id, "modality": modality,

@@ -5,9 +5,10 @@ Command-line flags override file values, which override the defaults below.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
-from .contrastive import TAU_INIT
+from .contrastive import TAU_INIT, TAU_MAX, TAU_MIN
 
 __all__ = ["TrainConfig", "ConfigError", "config_to_text", "parse_config_text",
            "load_config"]
@@ -44,6 +45,13 @@ class TrainConfig:
     eval_every: int = 0             # epochs between R@1 probes; 0 disables
 
     def validate(self) -> "TrainConfig":
+        for name, kind in _FIELDS.items():
+            value = getattr(self, name)
+            if kind is float and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
+        if not TAU_MIN <= self.temperature_init <= TAU_MAX:
+            raise ConfigError(f"temperature_init must lie in [{TAU_MIN}, {TAU_MAX}], "
+                              f"got {self.temperature_init}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
@@ -74,10 +82,11 @@ def _coerce(name: str, raw: str):
         if raw.lower() in ("false", "0", "no"):
             return False
         raise ConfigError(f"{name} expects true/false, got {raw!r}")
-    if kind is int:
-        return int(raw)
-    if kind is float:
-        return float(raw)
+    if kind in (int, float):
+        try:
+            return kind(raw)
+        except ValueError:
+            raise ConfigError(f"{name} expects {kind.__name__}, got {raw!r}") from None
     return raw
 
 
@@ -105,7 +114,10 @@ def parse_config_text(text: str) -> dict:
         key = key.strip()
         if key not in _FIELDS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        values[key] = _coerce(key, raw)
+        try:
+            values[key] = _coerce(key, raw)
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
     return values
 
 

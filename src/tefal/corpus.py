@@ -86,10 +86,8 @@ class Corpus:
             raise ValueError("corpus has no audio summary tokens; the stacking "
                              "fusion variant is unavailable")
         if self._summary_rows is None:
-            rows = [audio_summary(self.summary_tokens[i, 0:1, :],
-                                  self.summary_tokens[i, 1:2, :])
-                    for i in range(len(self.ids))]
-            self._summary_rows = np.concatenate(rows, axis=0)
+            self._summary_rows = audio_summary(self.summary_tokens[:, 0, :],
+                                               self.summary_tokens[:, 1, :])
         return self._summary_rows
 
     def subset(self, indices) -> "Corpus":

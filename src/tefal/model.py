@@ -22,7 +22,9 @@ Training scores its B x B batch as one tile through the same
 fusion on the B^2 pairs and each block once with
 :func:`tefal.attention.block_backward_tile`, and each query projection
 once per text with :func:`tefal.attention.project_queries_backward`.
-:func:`candidate_scores` is the forward-only per-candidate reference.
+:func:`candidate_scores`, one :func:`tefal.attention.block_forward` call
+per block and candidate, is the forward-only per-candidate reference that
+the tests compare :func:`score_tile` against; no library path calls it.
 
 ``modality`` selects what the fused embedding is built from: ``"both"``
 (the configured fusion of the two conditioned embeddings), ``"video"``
@@ -56,7 +58,7 @@ from .fusion import FusionKind, FusionParams, fuse_backward, fuse_forward
 from .linalg import ShapeError, sum_leading
 
 __all__ = ["RetrievalModel", "create_model", "named_parameters",
-           "candidate_scores", "Queries", "query_rows", "video_contexts", "score_tile",
+           "candidate_scores", "Queries", "query_rows", "score_tile",
            "map_tasks", "similarity_matrix", "batch_loss_and_grads"]
 
 MODALITIES = ("both", "video", "audio")
@@ -128,15 +130,6 @@ def _uses_audio_block(model: RetrievalModel) -> bool:
 
 def _uses_xattn(model: RetrievalModel) -> bool:
     return model.modality == "both" and model.fusion.kind == FusionKind.XATTN
-
-
-def video_contexts(model: RetrievalModel, corpus: Corpus, cols) -> np.ndarray:
-    """The (C, n, D) contexts the video block attends over for candidates
-    ``cols``: the frames, plus the audio summary row under stacking."""
-    frames = corpus.frames[cols]
-    if model.modality == "both" and model.fusion.kind == FusionKind.STACKING:
-        return np.concatenate([frames, corpus.summary_rows()[cols][:, None, :]], axis=1)
-    return frames
 
 
 def named_parameters(model: RetrievalModel, trainable_only: bool = True
@@ -255,8 +248,12 @@ def score_tile(model: RetrievalModel, queries: Queries, corpus: Corpus,
 
     if model.modality == "audio":
         fused = block("audio", corpus.audio[cols])
-    elif model.modality == "video" or kind == FusionKind.STACKING:
-        fused = block("video", video_contexts(model, corpus, cols))
+    elif model.modality == "video":
+        fused = block("video", corpus.frames[cols])
+    elif kind == FusionKind.STACKING:
+        # the frames plus the audio summary row
+        fused = block("video", np.concatenate(
+            [corpus.frames[cols], corpus.summary_rows()[cols][:, None, :]], axis=1))
     elif kind == FusionKind.LATE:
         e_v = block("video", corpus.frames[cols])
         tokens = canonical_rows(corpus.audio[cols].T)

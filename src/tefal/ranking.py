@@ -161,22 +161,18 @@ class RankingResult:
     stats: EvalStats
 
 
-def rank_exhaustive(model: RetrievalModel, corpus: Corpus, workers: int = 1,
-                    postprocess: Callable[[np.ndarray], np.ndarray] | None = None
-                    ) -> RankingResult:
+def rank_exhaustive(model: RetrievalModel, corpus: Corpus,
+                    workers: int = 1) -> RankingResult:
     """Score every query against every candidate with the full model.
 
-    ``postprocess`` (e.g. a dual-softmax rescorer) is applied to the dense
-    matrix before ranking.  Cost is one model evaluation per (query,
-    candidate) pair.
+    Cost is one model evaluation per (query, candidate) pair.
     """
     if len(corpus) == 0:
         raise ValueError("cannot rank over an empty corpus")
     workers = resolve_workers(workers)
     sim = similarity_matrix(model, corpus, workers=workers)
     stats = EvalStats(stage2_model_evals=sim.size)
-    scored = postprocess(sim) if postprocess is not None else sim
-    return RankingResult(ranks_from_similarity(scored, corpus.ids), sim, stats)
+    return RankingResult(ranks_from_similarity(sim, corpus.ids), sim, stats)
 
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:

@@ -13,9 +13,7 @@ import numpy as np
 
 from .attention import (
     XAttnParams,
-    block_backward,
     block_backward_tile,
-    block_forward,
     block_forward_tile,
     project_queries,
     project_queries_backward,
@@ -24,8 +22,8 @@ from .contrastive import Temperature, cosine_rows, cosine_rows_backward, infonce
 from .corpus import synth_corpus
 from .fusion import FusionKind, FusionParams, fuse_backward, fuse_forward
 from .linalg import finite_difference_gradients, grad_check, relative_error
-from .model import (_uses_xattn, batch_loss_and_grads, create_model, named_parameters,
-                    query_rows, score_tile)
+from .model import (batch_loss_and_grads, create_model, named_parameters, query_rows,
+                    score_tile)
 
 __all__ = ["CheckResult", "run_grad_checks", "end_to_end_check"]
 
@@ -52,48 +50,33 @@ def _fd_scalar(arrays: dict, forward, analytic: dict, step: float) -> float:
     return max(relative_error(analytic[name], g) for name, g in zip(arrays, numeric))
 
 
-def _block_check(seed: int, step: float) -> float:
+def _block_tile_check(seed: int, step: float, grouped: bool) -> float:
+    """The tile kernel on C=2 candidates of 3 rows: a dense tile scores both
+    against the same T=2 query columns, a grouped tile each against its own
+    T=2, projected from its own texts.  ``q_shift`` is added to the query
+    projections, so its gradient is the ``d_q`` that
+    :func:`block_backward_tile` returns, summed over the candidates when
+    they share their queries.  The context rows are laid out in reverse
+    canonical order, so the kernel's reordering is never the identity and
+    ``d_contexts`` must be mapped back out of it."""
     rng = np.random.default_rng(seed)
     params = XAttnParams.create(rng, 6, 4)
-    text = rng.standard_normal((2, 6))
-    context = rng.standard_normal((3, 6))
-    cotangent = rng.standard_normal((2, 4))
-
-    _, cache = block_forward(params, text, context)
-    grads, d_text, d_context = block_backward(params, cache, cotangent)
-    arrays = {**params.named(), "text": text, "context": context}
-    analytic = {**grads, "text": d_text, "context": d_context}
-
-    def forward():
-        out, _ = block_forward(params, text, context)
-        return float(np.sum(cotangent * out))
-
-    return _fd_scalar(arrays, forward, analytic, step)
-
-
-def _block_tile_check(seed: int, step: float) -> float:
-    """The tile kernel on a grouped tile: C=2 candidates of 3 rows, each
-    scored against its own T=2 query columns, projected from its own texts.
-    ``q_shift`` is added to the query projections, so its gradient is the
-    ``d_q`` that :func:`block_backward_tile` returns.  The context rows are
-    laid out in reverse canonical order, so the kernel's reordering is
-    never the identity and ``d_contexts`` must be mapped back out of it."""
-    rng = np.random.default_rng(seed)
-    params = XAttnParams.create(rng, 6, 4)
-    texts = rng.standard_normal((4, 6))
+    texts = rng.standard_normal((4 if grouped else 2, 6))
     contexts = rng.standard_normal((6, 3, 2))
     cotangent = rng.standard_normal((4, 2, 2))
-    q_shift = np.zeros((4, 2, 2))
+    q_shift = np.zeros((4, 2, 2) if grouped else (4, 2))
 
     def tile(keep=False):
-        q = project_queries(params, texts).reshape(4, 2, 2) + q_shift
+        q = project_queries(params, texts)
+        q = (q.reshape(4, 2, 2) if grouped else q) + q_shift
         return block_forward_tile(params, q, contexts, keep=keep)
 
     order = tile(keep=True)[1].order
     contexts[...] = np.take(contexts.reshape(6, -1), order[::-1], axis=1)
     _, cache = tile(keep=True)
     grads, d_q, d_contexts = block_backward_tile(params, cache, cotangent)
-    grads.update(project_queries_backward(params, texts, d_q.reshape(4, 4)))
+    d_q = d_q if grouped else d_q.sum(axis=1)
+    grads.update(project_queries_backward(params, texts, d_q.reshape(4, -1)))
     arrays = {**params.named(), "q": q_shift, "contexts": contexts}
     analytic = {**grads, "q": d_q, "contexts": d_contexts}
 
@@ -182,11 +165,11 @@ def end_to_end_check(fusion: str = "addition", modality: str = "both",
                               frames=frames, audio_tokens=audio_tokens,
                               audio_informative=0.5, noise=0.3)
         indices = np.arange(batch)
-        if not _uses_xattn(model):
-            break
-        order = score_tile(model, query_rows(model, corpus.texts[indices]), corpus,
-                           indices, keep=True)[1].fusion.tile.order
-        if np.any(order != np.arange(order.size).reshape(order.shape)):
+        tape = score_tile(model, query_rows(model, corpus.texts[indices]), corpus,
+                          indices, keep=True)[1]
+        xattn = getattr(tape.fusion, "tile", None)
+        if xattn is None or np.any(
+                xattn.order != np.arange(xattn.order.size).reshape(xattn.order.shape)):
             break
     else:
         raise ValueError(f"no batch up to 8 reorders an xattn context at seed {seed}")
@@ -211,8 +194,9 @@ def run_grad_checks(seed: int = 0, step: float = 1e-5) -> list[CheckResult]:
             "layernorm_rows", rng.standard_normal((2, 8)),
             rng.standard_normal((1, 8)), rng.standard_normal((1, 8)),
             step=step, seed=seed), PRIMITIVE_TOL),
-        CheckResult("attention_block", _block_check(seed, step), PRIMITIVE_TOL),
-        CheckResult("attention_block_tile", _block_tile_check(seed, step),
+        CheckResult("attention_block", _block_tile_check(seed, step, grouped=False),
+                    PRIMITIVE_TOL),
+        CheckResult("attention_block_tile", _block_tile_check(seed, step, grouped=True),
                     PRIMITIVE_TOL),
         CheckResult("cosine_similarity", _cosine_check(seed, step), PRIMITIVE_TOL),
         CheckResult("infonce", _infonce_check(seed, step), PRIMITIVE_TOL),

@@ -10,15 +10,37 @@ from tefal.attention import (
     attend,
     block_backward,
     block_forward,
+    block_forward_tile,
     conditioned_embedding,
     export_attention_weights,
-    project,
+    project_queries,
 )
-from tefal.linalg import ShapeError
+from tefal.linalg import ShapeError, finite_difference_gradients
 
 
 def make_params(seed=0, dim=8, proj=4, **kwargs):
     return XAttnParams.create(np.random.default_rng(seed), dim, proj, **kwargs)
+
+
+def reference_embedding(params, text, context):
+    """The per-candidate reference block's output."""
+    return block_forward(params, text, context)[0]
+
+
+# the public function (the tile kernel) and the per-candidate reference
+EMBEDDINGS = pytest.mark.parametrize("embed", [conditioned_embedding,
+                                               reference_embedding],
+                                     ids=["conditioned_embedding", "block_forward"])
+
+
+def tile_cache(params, text, context):
+    """The tile kernel's cache for one candidate ``context`` (n, D) against
+    the (1, D) ``text``, with K and V W_o mapped to the caller's row order
+    as (n, D_p) rows."""
+    _, cache = block_forward_tile(params, project_queries(params, text),
+                                  context.T[:, :, None], keep=True)
+    back = np.argsort(cache.order[:, 0])    # caller row -> canonical position
+    return cache.k[:, back, 0].T, cache.vo[:, 0, back].T
 
 
 def reference_layernorm(row, gain, bias, eps=1e-5):
@@ -37,42 +59,45 @@ class TestProject:
         params.w_k = np.eye(dim)
         params.w_v = np.eye(dim)
         text = np.random.default_rng(1).standard_normal((1, dim))
-        q, _, _ = project(params, text, np.ones((3, dim)))
+        q = project_queries(params, text)
         expected = reference_layernorm(text[0], params.ln_q_gain[0],
                                        params.ln_q_bias[0])
-        np.testing.assert_allclose(q[0], expected, atol=1e-12)
+        np.testing.assert_allclose(q[:, 0], expected, atol=1e-12)
 
     def test_zero_context_rows_become_bias_projections(self):
         params = make_params(seed=2)
         params.ln_c_bias = np.random.default_rng(3).standard_normal((1, 8))
         text = np.random.default_rng(4).standard_normal((1, 8))
-        _, k, v = project(params, text, np.zeros((4, 8)))
+        k, vo = tile_cache(params, text, np.zeros((4, 8)))
         expected_k = params.ln_c_bias @ params.w_k
-        expected_v = params.ln_c_bias @ params.w_v
+        # the kernel folds W_o into the values
+        expected_vo = params.ln_c_bias @ (params.w_v @ params.w_o)
         for row in range(4):
             np.testing.assert_allclose(k[row], expected_k[0], atol=1e-14)
-            np.testing.assert_allclose(v[row], expected_v[0], atol=1e-14)
+            np.testing.assert_allclose(vo[row], expected_vo[0], atol=1e-14)
 
     def test_matches_independent_matrix_evaluation(self):
         rng = np.random.default_rng(5)
         params = make_params(seed=6, dim=8, proj=4)
         text = rng.standard_normal((1, 8))
         context = rng.standard_normal((3, 8))
-        q, k, v = project(params, text, context)
+        q = project_queries(params, text)
+        k, vo = tile_cache(params, text, context)
 
         t_n = np.array([reference_layernorm(text[0], params.ln_q_gain[0],
                                             params.ln_q_bias[0])])
         c_n = np.array([reference_layernorm(row, params.ln_c_gain[0],
                                             params.ln_c_bias[0])
                         for row in context])
-        np.testing.assert_allclose(q, t_n @ params.w_q, atol=1e-12)
+        np.testing.assert_allclose(q.T, t_n @ params.w_q, atol=1e-12)
         np.testing.assert_allclose(k, c_n @ params.w_k, atol=1e-12)
-        np.testing.assert_allclose(v, c_n @ params.w_v, atol=1e-12)
+        np.testing.assert_allclose(vo, c_n @ params.w_v @ params.w_o, atol=1e-12)
 
     def test_context_width_mismatch(self):
         params = make_params()
-        with pytest.raises(ShapeError, match="columns"):
-            project(params, np.zeros((1, 8)), np.zeros((3, 5)))
+        for fn in (conditioned_embedding, export_attention_weights):
+            with pytest.raises(ShapeError, match="columns"):
+                fn(params, np.zeros((1, 8)), np.zeros((3, 5)))
 
 
 class TestAttend:
@@ -113,15 +138,16 @@ class TestAttend:
 
 
 class TestConditionedEmbedding:
-    def test_joint_permutation_is_bit_exact(self):
+    @EMBEDDINGS
+    def test_joint_permutation_is_bit_exact(self, embed):
         rng = np.random.default_rng(10)
         params = make_params(seed=11, dim=6, proj=6)
         text = rng.standard_normal((1, 6))
         context = rng.standard_normal((7, 6))
-        base = conditioned_embedding(params, text, context)
+        base = embed(params, text, context)
         for _ in range(20):
             perm = rng.permutation(7)
-            out = conditioned_embedding(params, text, context[perm])
+            out = embed(params, text, context[perm])
             np.testing.assert_array_equal(out, base)
 
     def test_single_row_context_ignores_query_and_key_weights(self):
@@ -135,12 +161,13 @@ class TestConditionedEmbedding:
         np.testing.assert_array_equal(
             conditioned_embedding(params, text, context), base)
 
-    def test_stepwise_composition_oracle(self):
+    @EMBEDDINGS
+    def test_stepwise_composition_oracle(self, embed):
         rng = np.random.default_rng(14)
         params = make_params(seed=15, dim=8, proj=4)
         text = rng.standard_normal((1, 8))
         context = rng.standard_normal((3, 8))
-        out = conditioned_embedding(params, text, context)
+        out = embed(params, text, context)
 
         t_n = np.array([reference_layernorm(text[0], params.ln_q_gain[0],
                                             params.ln_q_bias[0])])
@@ -198,6 +225,17 @@ class TestExportWeights:
                                      rng.standard_normal((1, 8)))
         np.testing.assert_array_equal(w, np.array([[1.0]]))
 
+    def test_weights_permute_with_the_context_rows(self):
+        params = make_params(seed=30)
+        rng = np.random.default_rng(31)
+        text = rng.standard_normal((2, 8))
+        context = rng.standard_normal((9, 8))
+        base = export_attention_weights(params, text, context)
+        for _ in range(20):
+            perm = rng.permutation(9)
+            np.testing.assert_array_equal(
+                export_attention_weights(params, text, context[perm]), base[:, perm])
+
     def test_weights_sum_to_one_up_to_large_contexts(self):
         params = make_params(seed=25)
         rng = np.random.default_rng(26)
@@ -225,6 +263,7 @@ class TestExportWeights:
 
 class TestBlockGradients:
     def test_backward_matches_finite_differences(self):
+        # the per-candidate reference: every parameter, the text and the context
         rng = np.random.default_rng(28)
         params = make_params(seed=29, dim=5, proj=3)
         text = rng.standard_normal((2, 5))
@@ -232,18 +271,14 @@ class TestBlockGradients:
         cotangent = rng.standard_normal((2, 3))
 
         _, cache = block_forward(params, text, context)
-        grads, _, _ = block_backward(params, cache, cotangent)
+        grads, d_text, d_context = block_backward(params, cache, cotangent)
+        arrays = {**params.named(), "text": text, "context": context}
+        analytic = {**grads, "text": d_text, "context": d_context}
 
-        step = 1e-5
-        for name, arr in params.named().items():
-            numeric = np.zeros_like(arr)
-            for i in range(arr.size):
-                orig = arr.flat[i]
-                arr.flat[i] = orig + step
-                hi = float(np.sum(cotangent * block_forward(params, text, context)[0]))
-                arr.flat[i] = orig - step
-                lo = float(np.sum(cotangent * block_forward(params, text, context)[0]))
-                arr.flat[i] = orig
-                numeric.flat[i] = (hi - lo) / (2 * step)
-            denom = np.maximum(np.maximum(np.abs(grads[name]), np.abs(numeric)), 1e-3)
-            assert np.max(np.abs(grads[name] - numeric) / denom) < 1e-4, name
+        def loss():
+            return float(np.sum(cotangent * block_forward(params, text, context)[0]))
+
+        numeric = finite_difference_gradients(loss, list(arrays.values()), 1e-5)
+        for name, num in zip(arrays, numeric):
+            denom = np.maximum(np.maximum(np.abs(analytic[name]), np.abs(num)), 1e-3)
+            assert np.max(np.abs(analytic[name] - num) / denom) < 1e-4, name

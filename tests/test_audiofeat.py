@@ -6,6 +6,8 @@ import wave
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tefal.audiofeat import (
     LOG_FLOOR,
@@ -237,6 +239,26 @@ class TestWaveformAndWav:
         with pytest.raises(AudioFormatError, match="mono"):
             read_wav(path)
 
+    @pytest.mark.parametrize("present", [1000, 1001])
+    def test_rejects_a_data_chunk_shorter_than_its_header(self, tmp_path, present):
+        # 1,000 frames declared, 500 (or 500.5) present: the clip must not
+        # read as a shorter one, which would shift every fbank row
+        path = tmp_path / "short.wav"
+        write_wav(path, np.zeros(1000))
+        blob = path.read_bytes()
+        path.write_bytes(blob[:len(blob) - 2000 + present])
+        with pytest.raises(AudioFormatError, match="short.wav.*1000 frames"):
+            read_wav(path)
+
+    @pytest.mark.parametrize("blob", [b"", b"RIFX" + bytes(40), b"not a wav file",
+                                      b"RIFF\x04\x00\x00\x00WAVE"],
+                             ids=["empty", "big-endian", "text", "no-chunks"])
+    def test_rejects_non_wav_bytes_naming_the_path(self, tmp_path, blob):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(blob)
+        with pytest.raises(AudioFormatError, match="bad.wav: not a WAV file"):
+            read_wav(path)
+
     def test_rejects_non_16bit(self, tmp_path):
         path = tmp_path / "w8.wav"
         with wave.open(str(path), "wb") as f:
@@ -246,3 +268,31 @@ class TestWaveformAndWav:
             f.writeframes(bytes(100))
         with pytest.raises(AudioFormatError, match="16-bit"):
             read_wav(path)
+
+
+@pytest.fixture(scope="module")
+def wav_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("wav") / "clip.wav"
+    write_wav(path, np.linspace(-0.5, 0.5, 40))
+    return path.read_bytes()
+
+
+class TestReadWavProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_any_bytes_give_a_waveform_or_audio_format_error(self, tmp_path_factory,
+                                                             wav_bytes, data):
+        base = bytearray(wav_bytes)
+        for _ in range(data.draw(st.integers(0, 3))):
+            base[data.draw(st.integers(0, len(base) - 1))] = data.draw(st.integers(0, 255))
+        blob = data.draw(st.integers(0, len(base)).map(lambda n: bytes(base[:n]))
+                         | st.binary(max_size=96).map(lambda b: b"RIFF" + b)
+                         | st.binary(max_size=96))
+        path = tmp_path_factory.getbasetemp() / "fuzz.wav"
+        path.write_bytes(blob)
+        try:
+            waveform = read_wav(path)
+        except AudioFormatError as exc:
+            assert str(exc).startswith(f"{path}: ")
+            return
+        assert waveform.n_frm > 0 and waveform.sample_rate > 0

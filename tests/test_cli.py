@@ -80,6 +80,19 @@ class TestExitCodes:
                 err = capsys.readouterr().err
                 assert "non-finite" in err and culprit in err
 
+    def test_bad_config_value_is_exit_one_and_names_the_key(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert run(*synth_args(data)) == 0
+        capsys.readouterr()
+        for key, value in (("epochs", "abc"), ("learning_rate", "nan"),
+                           ("temperature_init", "500")):
+            config = tmp_path / "train.cfg"
+            config.write_text(f"seed = 1\n{key} = {value}\n")
+            assert run("train", "--data", str(data / "manifest.json"), "--out",
+                       str(tmp_path / "m.ckpt"), "--config", str(config)) == 1
+            assert key in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
+
 
 class TestSynth:
     def test_same_seed_writes_byte_identical_files(self, tmp_path):
@@ -229,6 +242,44 @@ class TestExportAttn:
             assert item["modality"] == "video"
             assert len(item["weights"]) == context_rows
             assert sum(item["weights"]) == pytest.approx(1.0, abs=1e-3)
+
+    def test_reversed_frames_reverse_the_item_video_weights(self, trained_setup,
+                                                             tmp_path, capsys):
+        manifest, ckpt = trained_setup
+        corpus = load_corpus(manifest)
+        corpus.frames[5] = corpus.frames[5][::-1].copy()
+        reversed_manifest = save_corpus(corpus, tmp_path / "reversed")
+        rows = []
+        for i, data in enumerate((manifest, reversed_manifest)):
+            out = tmp_path / f"attn{i}.csv"
+            assert run("export-attn", "--data", str(data), "--checkpoint", str(ckpt),
+                       "--out", str(out)) == 0
+            rows.append([line.split(",") for line in out.read_text().splitlines()])
+        base, flipped = rows
+        assert flipped[10][:2] == [corpus.ids[5], "video"]
+        assert flipped[10][2:] == base[10][2:][::-1]
+        assert base[10][2:] != flipped[10][2:]
+        assert flipped[:10] + flipped[11:] == base[:10] + base[11:]
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("modality,context_rows", [("video", 3), ("audio", 4)])
+    def test_single_modality_models_export_one_row_per_item(self, tmp_path, modality,
+                                                            context_rows):
+        data = tmp_path / "data"
+        assert run(*synth_args(data)) == 0
+        ckpt = tmp_path / f"{modality}.ckpt"
+        config = TrainConfig(dim=12, proj_dim=12, frames=3, audio_tokens=4,
+                             modality=modality)
+        save_checkpoint(ckpt, create_model(seed=1, dim=12, modality=modality), step=0,
+                        config=config)
+        out = tmp_path / "attn.json"
+        assert run("export-attn", "--data", str(data / "manifest.json"), "--checkpoint",
+                   str(ckpt), "--out", str(out), "--format", "json") == 0
+        items = json.loads(out.read_text())["items"]
+        assert [item["id"] for item in items] == load_corpus(data / "manifest.json").ids
+        for item in items:
+            assert item["modality"] == modality
+            assert len(item["weights"]) == context_rows
 
 
 class TestGradcheckCommand:

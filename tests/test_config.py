@@ -9,6 +9,7 @@ from tefal.config import (
     load_config,
     parse_config_text,
 )
+from tefal.contrastive import TAU_MAX, TAU_MIN
 
 
 class TestParsing:
@@ -35,6 +36,14 @@ class TestParsing:
     def test_bad_bool(self):
         with pytest.raises(ConfigError, match="true/false"):
             parse_config_text("cosine_decay = maybe\n")
+
+    @pytest.mark.parametrize("text,pattern", [
+        ("seed = 1\nepochs = abc\n", "line 2: epochs expects int, got 'abc'"),
+        ("learning_rate = fast\n", "line 1: learning_rate expects float, got 'fast'"),
+    ])
+    def test_unparsable_value_names_line_and_key(self, text, pattern):
+        with pytest.raises(ConfigError, match=pattern):
+            parse_config_text(text)
 
 
 class TestRoundTrip:
@@ -72,3 +81,25 @@ class TestValidation:
     def test_bad_batch_size(self):
         with pytest.raises(ConfigError, match="batch_size"):
             TrainConfig(batch_size=0).validate()
+
+    @pytest.mark.parametrize("field", ["learning_rate", "temperature_init", "grad_clip",
+                                       "adam_eps"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            TrainConfig(**{field: value}).validate()
+
+    def test_non_finite_value_in_a_file_rejected(self, tmp_path):
+        path = tmp_path / "train.cfg"
+        path.write_text("learning_rate = nan\n")
+        with pytest.raises(ConfigError, match="learning_rate"):
+            load_config(path)
+
+    @pytest.mark.parametrize("tau", [TAU_MIN / 2, TAU_MAX * 5])
+    def test_temperature_init_outside_the_clamp_rejected(self, tau):
+        with pytest.raises(ConfigError, match="temperature_init"):
+            TrainConfig(temperature_init=tau).validate()
+
+    def test_temperature_init_bounds_accepted(self):
+        for tau in (TAU_MIN, TAU_MAX):
+            assert TrainConfig(temperature_init=tau).validate().temperature_init == tau

@@ -39,6 +39,13 @@ class TestAudioSummary:
         with pytest.raises(ShapeError):
             audio_summary(np.zeros((1, 3)), np.zeros((1, 4)))
 
+    def test_corpus_summary_rows_equal_the_per_item_summaries(self):
+        corpus = synth_corpus(seed=4, n_items=9, dim=6, frames=2, audio_tokens=3)
+        tokens = corpus.summary_tokens
+        expected = np.concatenate([audio_summary(tokens[i, 0:1], tokens[i, 1:2])
+                                   for i in range(len(corpus))])
+        np.testing.assert_array_equal(corpus.summary_rows(), expected)
+
 
 class TestAddition:
     def test_zero_audio_is_identity(self):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tefal.audiofeat import zero_fbank
-from tefal.config import TrainConfig
+from tefal.config import TrainConfig, config_to_text
 from tefal.corpus import synth_corpus
 from tefal.model import create_model, named_parameters, similarity_matrix
 from tefal.storage import (
@@ -295,6 +295,17 @@ class TestMalformedCheckpoint:
         path = tmp_path / "config.tfck"
         path.write_bytes(with_crc(with_config(checkpoint_body, config)))
         with pytest.raises(FormatError, match="config.tfck"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("line", [b"epochs = abc", b"learning_rate = nan",
+                                      b"temperature_init = 500"])
+    def test_crc_valid_config_bad_value_names_the_key(self, tmp_path, checkpoint_body,
+                                                      line):
+        key = line.split(b" ")[0].decode()
+        config = config_to_text(TrainConfig(dim=4, proj_dim=4)).encode() + line + b"\n"
+        path = tmp_path / "value.tfck"
+        path.write_bytes(with_crc(with_config(checkpoint_body, config)))
+        with pytest.raises(FormatError, match=f"value.tfck.*{key}"):
             load_checkpoint(path)
 
     def test_crc_valid_config_length_overruns_the_file(self, tmp_path, checkpoint_body):
