@@ -28,16 +28,10 @@ from .audiofeat import (
     zero_fbank,
 )
 from .config import ConfigError, TrainConfig, load_config
-from .contrastive import Temperature, cosine_similarity, infonce
+from .contrastive import Temperature, infonce
 from .corpus import Corpus, synth_corpus
 from .fusion import FusionKind, FusionParams, audio_summary
-from .linalg import (
-    ParamStore,
-    ShapeError,
-    grad_check,
-    layernorm_rows,
-    softmax_rows,
-)
+from .linalg import ShapeError, layernorm_rows, softmax_rows
 from .model import RetrievalModel, create_model, named_parameters, similarity_matrix
 from .ranking import (
     EvalStats,

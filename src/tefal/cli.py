@@ -19,7 +19,8 @@ import numpy as np
 from .audiofeat import compute_fbank, read_wav
 from .config import load_config
 from .corpus import Corpus, synth_corpus
-from .model import TILE_PAIRS, query_rows, score_tile
+from .fusion import FusionKind
+from .model import MODALITIES, TILE_PAIRS, query_rows, score_tile
 from .ranking import resolve_workers
 from .storage import load_checkpoint, load_corpus, save_checkpoint, save_corpus, write_fbank
 from .training import evaluate, train
@@ -207,9 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int)
     p.add_argument("--learning-rate", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--fusion",
-                   choices=["addition", "late", "concat_fc", "xattn", "stacking"])
-    p.add_argument("--modality", choices=["both", "video", "audio"])
+    p.add_argument("--fusion", choices=[kind.value for kind in FusionKind])
+    p.add_argument("--modality", choices=MODALITIES)
     p.add_argument("--threads", type=int)
     p.add_argument("--log", help="write the per-epoch history as JSON")
     p.set_defaults(handler=_cmd_train)

@@ -9,6 +9,8 @@ import math
 from dataclasses import dataclass
 
 from .contrastive import TAU_INIT, TAU_MAX, TAU_MIN
+from .fusion import FusionError, FusionKind
+from .model import MODALITIES
 
 __all__ = ["TrainConfig", "ConfigError", "config_to_text", "parse_config_text",
            "load_config"]
@@ -54,15 +56,20 @@ class TrainConfig:
                               f"got {self.temperature_init}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.dim < 1 or self.proj_dim < 1:
             raise ConfigError("dim and proj_dim must be positive")
-        if self.modality not in ("both", "video", "audio"):
-            raise ConfigError(f"modality must be both|video|audio, got {self.modality!r}")
-        if self.grad_clip <= 0:
-            raise ConfigError(f"grad_clip must be positive, got {self.grad_clip}")
-        from .fusion import FusionError, FusionKind
+        if self.modality not in MODALITIES:
+            raise ConfigError(
+                f"modality must be {'|'.join(MODALITIES)}, got {self.modality!r}")
+        for name in ("grad_clip", "adam_eps"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("epochs", "learning_rate", "weight_decay", "eval_every"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
         try:
             FusionKind.parse(self.fusion)
         except FusionError as exc:

@@ -53,25 +53,6 @@ class Temperature:
                                    math.log(TAU_MAX))
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine of the angle between two row vectors, in [-1, 1].
-
-    A zero-norm operand yields 0.0 with a :class:`ZeroNormWarning` rather
-    than an error, so transient all-zero embeddings cannot abort training.
-    """
-    a = np.asarray(a, dtype=np.float64).reshape(-1)
-    b = np.asarray(b, dtype=np.float64).reshape(-1)
-    if a.shape != b.shape:
-        raise ShapeError(f"vectors have shapes {a.shape} and {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        warnings.warn("zero-norm vector in cosine similarity", ZeroNormWarning,
-                      stacklevel=2)
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
-
-
 def cosine_rows(u: np.ndarray, f: np.ndarray):
     """Cosine between matching columns of pair-last ``u`` and ``f``, with
     ``u`` broadcasting (a tile's T texts as (D, 1, T) against (D, C, T)).

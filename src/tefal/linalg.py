@@ -1,9 +1,9 @@
 """Dense linear-algebra primitives with hand-written reverse-mode rules.
 
 Every quantity is a 2-D float64 array ("matrix").  Each differentiable
-primitive ships with an explicit backward rule, and ``grad_check`` verifies
-any registered rule against central finite differences.  The model layers
-above compose these rules in a fixed order; there is no general tape.
+primitive ships with an explicit backward rule, which
+:mod:`tefal.verify` checks against central finite differences.  The model
+layers above compose these rules in a fixed order; there is no general tape.
 
 Composition order used by the attention block (and mirrored in its
 backward pass):
@@ -122,135 +122,3 @@ def layernorm_rows_backward(d_out: np.ndarray, m: np.ndarray, gain: np.ndarray,
     d_m = inv * (g - _feature_sum(g, axis) / width
                  - xhat * (_feature_sum(g, axis, xhat) / width))
     return d_m, d_gain, d_bias
-
-
-# ---------------------------------------------------------------------------
-# finite-difference verification
-# ---------------------------------------------------------------------------
-
-def _check_softmax(m):
-    out = softmax_rows(m)
-    return out, lambda d_out: (softmax_rows_backward(d_out, out),)
-
-
-def _check_layernorm(m, gain, bias):
-    out = layernorm_rows(m, gain, bias)
-    return out, lambda d_out: layernorm_rows_backward(d_out, m, gain)
-
-
-_GRAD_CHECK_OPS = {
-    "softmax_rows": _check_softmax,
-    "layernorm_rows": _check_layernorm,
-}
-
-
-def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    """Max elementwise |a - n| / max(|a|, |n|, 1e-3).
-
-    The floor makes the measure absolute near zero, where a pure ratio would
-    amplify finite-difference noise on vanishing gradients.
-    """
-    analytic = np.asarray(analytic, dtype=np.float64)
-    numeric = np.asarray(numeric, dtype=np.float64)
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-3)
-    return float(np.max(np.abs(analytic - numeric) / denom))
-
-
-def finite_difference_gradients(forward, inputs, step: float):
-    """Central-difference gradients of the scalar ``forward()`` w.r.t. every
-    array of ``inputs``, each perturbed in place and restored."""
-    grads = []
-    for x in inputs:
-        g = np.zeros_like(x)
-        for i in range(x.size):
-            orig = x.flat[i]
-            x.flat[i] = orig + step
-            hi = forward()
-            x.flat[i] = orig - step
-            lo = forward()
-            x.flat[i] = orig
-            g.flat[i] = (hi - lo) / (2.0 * step)
-        grads.append(g)
-    return grads
-
-
-def grad_check(op: str, *point, step: float = 1e-5, seed: int = 0) -> float:
-    """Compare an analytic backward rule against central finite differences.
-
-    ``op`` names a registered primitive; ``point`` supplies its inputs.  A
-    fixed random cotangent turns the matrix output into a scalar objective.
-    Returns the worst relative error over every coordinate of every input.
-    """
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
-    try:
-        builder = _GRAD_CHECK_OPS[op]
-    except KeyError:
-        raise ValueError(
-            f"unknown op {op!r}; known ops: {sorted(_GRAD_CHECK_OPS)}") from None
-
-    inputs = [np.array(p, dtype=np.float64) for p in point]
-    out, backward = builder(*inputs)
-    d_out = np.random.default_rng(seed).standard_normal(out.shape)
-    analytic = backward(d_out)
-    numeric = finite_difference_gradients(
-        lambda: float(np.sum(d_out * builder(*inputs)[0])), inputs, step)
-    return max(relative_error(a, n) for a, n in zip(analytic, numeric))
-
-
-# ---------------------------------------------------------------------------
-# parameter storage
-# ---------------------------------------------------------------------------
-
-class ParamStore:
-    """Named parameter matrices with matching gradient buffers.
-
-    Mutation (gradient accumulation, optimizer updates) is single-writer;
-    reads are safe from any thread.
-    """
-
-    def __init__(self, params: dict[str, np.ndarray]):
-        self._params = dict(params)
-        self._grads = {name: np.zeros_like(p) for name, p in self._params.items()}
-        self.step = 0
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
-    def names(self) -> list[str]:
-        return list(self._params)
-
-    def items(self):
-        return self._params.items()
-
-    def grad(self, name: str) -> np.ndarray:
-        return self._grads[name]
-
-    def accumulate(self, grads: dict[str, np.ndarray]) -> None:
-        for name, g in grads.items():
-            buf = self._grads[name]
-            if g.shape != buf.shape:
-                raise ShapeError(
-                    f"gradient for {name!r} has shape {g.shape}, "
-                    f"parameter has shape {buf.shape}")
-            buf += g
-
-    def zero_grad(self) -> None:
-        for g in self._grads.values():
-            g[...] = 0.0
-
-    def global_grad_norm(self) -> float:
-        total = 0.0
-        for g in self._grads.values():
-            total += float(np.sum(g * g))
-        return float(np.sqrt(total))
-
-    def scale_grads(self, factor: float) -> None:
-        for g in self._grads.values():
-            g *= factor

@@ -355,8 +355,8 @@ def dual_softmax_postprocess(sim: np.ndarray, dsl_temp: float) -> np.ndarray:
     Each entry is multiplied by the column-wise softmax of ``sim * dsl_temp``,
     sharpening scores that are distinctive for their query before ranking.
     """
-    if dsl_temp <= 0:
-        raise ValueError(f"dsl_temp must be positive, got {dsl_temp}")
+    if not 0 < dsl_temp < np.inf:
+        raise ValueError(f"dsl_temp must be finite and positive, got {dsl_temp}")
     sim = as_matrix(sim, "sim")
     z = sim * dsl_temp
     z = z - z.max(axis=0, keepdims=True)

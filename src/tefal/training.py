@@ -15,7 +15,6 @@ import numpy as np
 
 from .config import ConfigError, TrainConfig
 from .corpus import Corpus
-from .linalg import ParamStore
 from .model import (
     RetrievalModel,
     batch_loss_and_grads,
@@ -42,7 +41,8 @@ class TrainingDiverged(RuntimeError):
 
 
 class AdamW:
-    """Adam with decoupled weight decay over a :class:`ParamStore`."""
+    """Adam with decoupled weight decay over a dict of named parameters,
+    updated in place; ``steps`` counts the updates made."""
 
     def __init__(self, learning_rate: float = 1e-4, beta1: float = 0.9,
                  beta2: float = 0.98, eps: float = 1e-8,
@@ -52,14 +52,16 @@ class AdamW:
         self.beta2 = beta2
         self.eps = eps
         self.weight_decay = weight_decay
+        self.steps = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
 
-    def step(self, store: ParamStore, lr_scale: float = 1.0) -> None:
-        t = store.step + 1
+    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
+             lr_scale: float = 1.0) -> None:
+        t = self.steps + 1
         lr = self.learning_rate * lr_scale
-        for name, param in store.items():
-            g = store.grad(name)
+        for name, param in params.items():
+            g = grads[name]
             m = self._m.setdefault(name, np.zeros_like(param))
             v = self._v.setdefault(name, np.zeros_like(param))
             m *= self.beta1
@@ -70,18 +72,17 @@ class AdamW:
             v_hat = v / (1.0 - self.beta2 ** t)
             param -= lr * (m_hat / (np.sqrt(v_hat) + self.eps)
                            + self.weight_decay * param)
-        store.step = t
+        self.steps = t
 
 
-def clip_global_norm(store: ParamStore, max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most ``max_norm``.
-
-    Returns the pre-clip norm, the one the gradients had on entry.
-    """
-    norm = store.global_grad_norm()
+def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float):
+    """``(clipped, norm)``: ``grads`` scaled so their global L2 norm is at
+    most ``max_norm``, and the pre-clip norm.  The squares are summed in
+    ``grads``' order; the inputs are never written to."""
+    norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
     if norm > max_norm:
-        store.scale_grads(max_norm / norm)
-    return norm
+        grads = {name: g * (max_norm / norm) for name, g in grads.items()}
+    return grads, norm
 
 
 @dataclass
@@ -115,7 +116,7 @@ def train(config: TrainConfig, corpus: Corpus) -> TrainResult:
         seed=config.seed, dim=config.dim, proj_dim=config.proj_dim,
         fusion=config.fusion, modality=config.modality,
         tau=config.temperature_init, output_affine=config.output_affine)
-    store = ParamStore(named_parameters(model, trainable_only=True))
+    params = named_parameters(model, trainable_only=True)
     optimizer = AdamW(learning_rate=config.learning_rate, beta1=config.beta1,
                       beta2=config.beta2, eps=config.adam_eps,
                       weight_decay=config.weight_decay)
@@ -134,14 +135,15 @@ def train(config: TrainConfig, corpus: Corpus) -> TrainResult:
             if not math.isfinite(loss):
                 ids = [corpus.ids[i] for i in batch]
                 raise TrainingDiverged(
-                    f"non-finite loss at step {store.step} (epoch {epoch}); "
+                    f"non-finite loss at step {optimizer.steps} (epoch {epoch}); "
                     f"batch items: {ids}")
-            store.zero_grad()
-            store.accumulate(grads)
-            grad_norms.append(clip_global_norm(store, config.grad_clip))
-            lr_scale = (0.5 * (1.0 + math.cos(math.pi * store.step / total_steps))
+            # the norm sums in parameter order
+            grads, norm = clip_global_norm({name: grads[name] for name in params},
+                                           config.grad_clip)
+            grad_norms.append(norm)
+            lr_scale = (0.5 * (1.0 + math.cos(math.pi * optimizer.steps / total_steps))
                         if config.cosine_decay else 1.0)
-            optimizer.step(store, lr_scale)
+            optimizer.step(params, grads, lr_scale)
             model.temperature.project_()
             losses.append(loss)
             lr_scales.append(lr_scale)
@@ -155,7 +157,7 @@ def train(config: TrainConfig, corpus: Corpus) -> TrainResult:
         history.append(entry)
 
     return TrainResult(model=model, history=history, config=config,
-                       steps=store.step)
+                       steps=optimizer.steps)
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 Each check perturbs every coordinate of every input/parameter with central
 differences and compares against the analytic gradients, reporting the worst
-relative error (see :func:`tefal.linalg.relative_error`).  Primitive and
+relative error (see :func:`relative_error`).  Primitive and
 single-module checks must come in under 1e-4; the end-to-end loss checks,
 which stack many rules, under 1e-3.
 """
@@ -21,11 +21,13 @@ from .attention import (
 from .contrastive import Temperature, cosine_rows, cosine_rows_backward, infonce
 from .corpus import synth_corpus
 from .fusion import FusionKind, FusionParams, fuse_backward, fuse_forward
-from .linalg import finite_difference_gradients, grad_check, relative_error
+from .linalg import (layernorm_rows, layernorm_rows_backward, softmax_rows,
+                     softmax_rows_backward)
 from .model import (batch_loss_and_grads, create_model, named_parameters, query_rows,
                     score_tile)
 
-__all__ = ["CheckResult", "run_grad_checks", "end_to_end_check"]
+__all__ = ["CheckResult", "run_grad_checks", "end_to_end_check", "relative_error",
+           "finite_difference_gradients"]
 
 PRIMITIVE_TOL = 1e-4
 END_TO_END_TOL = 1e-3
@@ -42,12 +44,53 @@ class CheckResult:
         return self.error < self.threshold
 
 
+def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    """Max elementwise |a - n| / max(|a|, |n|, 1e-3).
+
+    The floor makes the measure absolute near zero, where a pure ratio would
+    amplify finite-difference noise on vanishing gradients.
+    """
+    analytic = np.asarray(analytic, dtype=np.float64)
+    numeric = np.asarray(numeric, dtype=np.float64)
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-3)
+    return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def finite_difference_gradients(forward, inputs, step: float):
+    """Central-difference gradients of the scalar ``forward()`` w.r.t. every
+    array of ``inputs``, each perturbed in place and restored."""
+    grads = []
+    for x in inputs:
+        g = np.zeros_like(x)
+        for i in range(x.size):
+            orig = x.flat[i]
+            x.flat[i] = orig + step
+            hi = forward()
+            x.flat[i] = orig - step
+            lo = forward()
+            x.flat[i] = orig
+            g.flat[i] = (hi - lo) / (2.0 * step)
+        grads.append(g)
+    return grads
+
+
 def _fd_scalar(arrays: dict, forward, analytic: dict, step: float) -> float:
     """Worst relative error between ``analytic`` grads and central
     differences of the scalar ``forward()`` w.r.t. every array in ``arrays``
     (perturbed in place)."""
     numeric = finite_difference_gradients(forward, list(arrays.values()), step)
     return max(relative_error(analytic[name], g) for name, g in zip(arrays, numeric))
+
+
+def _primitive_check(forward, backward, arrays: dict, seed: int, step: float) -> float:
+    """A linalg primitive ``forward(*arrays)`` against its ``backward(d_out,
+    out)``, which returns one gradient per array, under the fixed cotangent
+    drawn from ``default_rng(seed)``."""
+    out = forward(*arrays.values())
+    d_out = np.random.default_rng(seed).standard_normal(out.shape)
+    analytic = dict(zip(arrays, backward(d_out, out)))
+    return _fd_scalar(arrays, lambda: float(np.sum(d_out * forward(*arrays.values()))),
+                      analytic, step)
 
 
 def _block_tile_check(seed: int, step: float, grouped: bool) -> float:
@@ -186,14 +229,15 @@ def end_to_end_check(fusion: str = "addition", modality: str = "both",
 def run_grad_checks(seed: int = 0, step: float = 1e-5) -> list[CheckResult]:
     """The full verification suite, primitive rules through end-to-end loss."""
     rng = np.random.default_rng(seed)
+    logits, m, gain, bias = (rng.standard_normal(shape)
+                             for shape in ((2, 5), (2, 8), (1, 8), (1, 8)))
     results = [
-        CheckResult("softmax_rows", grad_check(
-            "softmax_rows", rng.standard_normal((2, 5)), step=step, seed=seed),
-            PRIMITIVE_TOL),
-        CheckResult("layernorm_rows", grad_check(
-            "layernorm_rows", rng.standard_normal((2, 8)),
-            rng.standard_normal((1, 8)), rng.standard_normal((1, 8)),
-            step=step, seed=seed), PRIMITIVE_TOL),
+        CheckResult("softmax_rows", _primitive_check(
+            softmax_rows, lambda d_out, out: [softmax_rows_backward(d_out, out)],
+            {"m": logits}, seed, step), PRIMITIVE_TOL),
+        CheckResult("layernorm_rows", _primitive_check(
+            layernorm_rows, lambda d_out, out: layernorm_rows_backward(d_out, m, gain),
+            {"m": m, "gain": gain, "bias": bias}, seed, step), PRIMITIVE_TOL),
         CheckResult("attention_block", _block_tile_check(seed, step, grouped=False),
                     PRIMITIVE_TOL),
         CheckResult("attention_block_tile", _block_tile_check(seed, step, grouped=True),

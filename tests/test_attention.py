@@ -15,7 +15,8 @@ from tefal.attention import (
     export_attention_weights,
     project_queries,
 )
-from tefal.linalg import ShapeError, finite_difference_gradients
+from tefal.linalg import ShapeError
+from tefal.verify import finite_difference_gradients
 
 
 def make_params(seed=0, dim=8, proj=4, **kwargs):

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from tefal.audiofeat import LOG_FLOOR, SAMPLE_RATE
-from tefal.cli import main
+from tefal.cli import build_parser, main
 from tefal.config import TrainConfig
-from tefal.model import create_model
+from tefal.fusion import FusionKind
+from tefal.model import MODALITIES, create_model
 from tefal.storage import load_corpus, read_fbank, save_checkpoint, save_corpus
 
 
@@ -85,13 +86,23 @@ class TestExitCodes:
         assert run(*synth_args(data)) == 0
         capsys.readouterr()
         for key, value in (("epochs", "abc"), ("learning_rate", "nan"),
-                           ("temperature_init", "500")):
+                           ("temperature_init", "500"), ("beta1", "1.5"),
+                           ("beta2", "1.0"), ("adam_eps", "0"), ("weight_decay", "-5"),
+                           ("eval_every", "-1")):
             config = tmp_path / "train.cfg"
             config.write_text(f"seed = 1\n{key} = {value}\n")
             assert run("train", "--data", str(data / "manifest.json"), "--out",
                        str(tmp_path / "m.ckpt"), "--config", str(config)) == 1
             assert key in capsys.readouterr().err
         assert not (tmp_path / "m.ckpt").exists()
+
+
+class TestParser:
+    def test_train_choices_are_the_library_lists(self):
+        train = build_parser()._subparsers._group_actions[0].choices["train"]
+        choices = {a.dest: a.choices for a in train._actions}
+        assert list(choices["fusion"]) == [kind.value for kind in FusionKind]
+        assert tuple(choices["modality"]) == MODALITIES
 
 
 class TestSynth:
@@ -145,6 +156,13 @@ class TestTrainEval:
         b = json.loads(rerank.read_text())
         assert a["metrics"] == b["metrics"]
         assert a["ranks"] == b["ranks"]
+
+    def test_bad_dsl_temp_is_exit_one_and_names_it(self, trained_setup, capsys):
+        manifest, ckpt = trained_setup
+        for temp in ("nan", "inf", "0"):
+            assert run("eval", "--data", str(manifest), "--checkpoint", str(ckpt),
+                       "--dsl-temp", temp) == 1
+            assert "dsl_temp must be finite and positive" in capsys.readouterr().err
 
     def test_rerank_requires_k(self, trained_setup, capsys):
         manifest, ckpt = trained_setup

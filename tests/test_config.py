@@ -103,3 +103,16 @@ class TestValidation:
     def test_temperature_init_bounds_accepted(self):
         for tau in (TAU_MIN, TAU_MAX):
             assert TrainConfig(temperature_init=tau).validate().temperature_init == tau
+
+    @pytest.mark.parametrize("field,value", [
+        ("beta1", 1.5), ("beta1", -0.1), ("beta2", 1.0), ("adam_eps", 0.0),
+        ("adam_eps", -1e-8), ("weight_decay", -5.0), ("learning_rate", -1e-3),
+        ("eval_every", -1)])
+    def test_optimizer_value_out_of_range_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value}).validate()
+
+    def test_optimizer_range_ends_accepted(self):
+        # learning_rate = 0 is a legal no-op run
+        TrainConfig(beta1=0.0, beta2=0.0, learning_rate=0.0, weight_decay=0.0,
+                    eval_every=0, adam_eps=1e-300).validate()

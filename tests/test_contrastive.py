@@ -10,7 +10,7 @@ from tefal.contrastive import (
     TAU_MIN,
     Temperature,
     ZeroNormWarning,
-    cosine_similarity,
+    cosine_rows,
     infonce,
 )
 from tefal.linalg import ShapeError
@@ -33,34 +33,39 @@ def reference_loss(sim, tau):
     return t2v, v2t
 
 
+def column_cosine(a, b):
+    """:func:`cosine_rows` on one pair of (D, 1) columns, as a scalar."""
+    (score,), _ = cosine_rows(a, b)
+    return score
+
+
 class TestCosineSimilarity:
     def test_identical_vectors(self):
-        v = np.array([[1.0, 2.0, -3.0]])
-        assert cosine_similarity(v, v) == pytest.approx(1.0)
+        v = np.array([[1.0], [2.0], [-3.0]])
+        assert column_cosine(v, v) == pytest.approx(1.0)
 
     def test_orthogonal_vectors(self):
-        assert cosine_similarity(np.array([[1.0, 0.0]]),
-                                 np.array([[0.0, 1.0]])) == 0.0
+        assert column_cosine(np.array([[1.0], [0.0]]),
+                             np.array([[0.0], [1.0]])) == 0.0
 
     def test_positive_scale_invariance(self):
         rng = np.random.default_rng(0)
-        a = rng.standard_normal((1, 5))
-        b = rng.standard_normal((1, 5))
-        base = cosine_similarity(a, b)
+        a = rng.standard_normal((5, 1))
+        b = rng.standard_normal((5, 1))
+        base = column_cosine(a, b)
         for c in (0.001, 7.0, 1e6):
-            assert cosine_similarity(a, b * c) == pytest.approx(base, abs=1e-12)
+            assert column_cosine(a, b * c) == pytest.approx(base, abs=1e-12)
 
     def test_zero_norm_yields_zero_with_warning(self):
         with pytest.warns(ZeroNormWarning):
-            assert cosine_similarity(np.zeros((1, 4)),
-                                     np.ones((1, 4))) == 0.0
+            assert column_cosine(np.zeros((4, 1)), np.ones((4, 1))) == 0.0
 
     def test_bounded(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
-            a = rng.standard_normal((1, 6))
-            b = rng.standard_normal((1, 6))
-            assert -1.0 <= cosine_similarity(a, b) <= 1.0
+            a = rng.standard_normal((6, 1))
+            b = rng.standard_normal((6, 1))
+            assert -1.0 <= column_cosine(a, b) <= 1.0
 
 
 class TestTemperature:

@@ -10,7 +10,7 @@ from tefal.config import ConfigError, TrainConfig
 from tefal.contrastive import cosine_rows, cosine_rows_backward, infonce
 from tefal.corpus import synth_corpus
 from tefal.fusion import FusionKind, fuse_backward, fuse_forward
-from tefal.linalg import ParamStore, ShapeError
+from tefal.linalg import ShapeError
 from tefal.model import (
     batch_loss_and_grads,
     candidate_scores,
@@ -124,24 +124,30 @@ class TestTraining:
             train(tiny_config(fusion="stacking"), corpus)
 
     def test_gradient_clipping_bounds_global_norm(self):
-        store = ParamStore({"w": np.zeros((2, 2))})
-        store.accumulate({"w": np.full((2, 2), 10.0)})
-        clip_global_norm(store, 1.0)
-        assert store.global_grad_norm() <= 1.0 + 1e-12
+        clipped, _ = clip_global_norm({"w": np.full((2, 2), 10.0)}, 1.0)
+        assert np.linalg.norm(clipped["w"]) <= 1.0 + 1e-12
         # under the bound, gradients pass through untouched
-        store.zero_grad()
-        store.accumulate({"w": np.full((2, 2), 0.01)})
-        clip_global_norm(store, 1.0)
-        np.testing.assert_array_equal(store.grad("w"), np.full((2, 2), 0.01))
+        clipped, _ = clip_global_norm({"w": np.full((2, 2), 0.01)}, 1.0)
+        np.testing.assert_array_equal(clipped["w"], np.full((2, 2), 0.01))
 
     def test_clipping_reports_the_pre_clip_norm(self):
-        store = ParamStore({"w": np.zeros((2, 2))})
-        store.accumulate({"w": np.full((2, 2), 10.0)})
-        assert clip_global_norm(store, 1.0) == 20.0
-        assert store.global_grad_norm() == pytest.approx(1.0, abs=1e-12)
-        store.zero_grad()
-        store.accumulate({"w": np.full((2, 2), 0.25)})
-        assert clip_global_norm(store, 1.0) == 0.5
+        clipped, norm = clip_global_norm({"w": np.full((2, 2), 10.0)}, 1.0)
+        assert norm == 20.0
+        assert np.linalg.norm(clipped["w"]) == pytest.approx(1.0, abs=1e-12)
+        assert clip_global_norm({"w": np.full((2, 2), 0.25)}, 1.0)[1] == 0.5
+
+    def test_global_norm_and_scaling(self):
+        grads = {"a": np.array([[3.0]]), "b": np.array([[4.0]])}
+        clipped, norm = clip_global_norm(grads, 2.5)
+        assert norm == pytest.approx(5.0)
+        assert clip_global_norm(clipped, 10.0)[1] == pytest.approx(2.5)
+
+    def test_clipping_scales_a_shared_gradient_array_once(self):
+        shared = np.full((1, 2), 4.0)
+        clipped, _ = clip_global_norm({"a": shared, "b": shared}, 1.0)
+        np.testing.assert_array_equal(shared, np.full((1, 2), 4.0))
+        np.testing.assert_array_equal(clipped["a"], clipped["b"])
+        assert np.sqrt(sum(np.sum(g * g) for g in clipped.values())) == pytest.approx(1.0)
 
     def test_history_records_grad_norm_and_lr_scale(self):
         corpus = tiny_corpus()
@@ -156,12 +162,12 @@ class TestTraining:
         assert result.history[1]["lr_scale"] < result.history[0]["lr_scale"]
 
     def test_zero_gradient_parameter_does_not_move(self):
-        store = ParamStore({"w": np.ones((2, 2)), "frozen": np.full((1, 2), 3.0)})
-        store.accumulate({"w": np.full((2, 2), 0.5),
-                          "frozen": np.zeros((1, 2))})
-        AdamW(learning_rate=0.1).step(store)
-        np.testing.assert_array_equal(store["frozen"], np.full((1, 2), 3.0))
-        assert not np.array_equal(store["w"], np.ones((2, 2)))
+        params = {"w": np.ones((2, 2)), "frozen": np.full((1, 2), 3.0)}
+        optimizer = AdamW(learning_rate=0.1)
+        optimizer.step(params, {"w": np.full((2, 2), 0.5), "frozen": np.zeros((1, 2))})
+        np.testing.assert_array_equal(params["frozen"], np.full((1, 2), 3.0))
+        assert not np.array_equal(params["w"], np.ones((2, 2)))
+        assert optimizer.steps == 1
 
     def test_temperature_gradient_vanishes_on_constant_similarity(self):
         from tefal.contrastive import Temperature, infonce

@@ -1,6 +1,9 @@
-"""Module boundaries: no tefal module imports another's private names."""
+"""Module boundaries: no tefal module imports another's private names, and
+every name a module's ``__all__`` lists exists."""
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -33,3 +36,21 @@ def test_private_imports_are_found(tmp_path):
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_module_imports_another_modules_private_names(path):
     assert private_imports(path) == []
+
+
+def stale_exports(module) -> list[str]:
+    """The names in ``module.__all__`` that the module does not define."""
+    return [name for name in getattr(module, "__all__", []) if not hasattr(module, name)]
+
+
+def test_stale_exports_are_found():
+    module = types.ModuleType("mod")
+    module.kept = 1
+    module.__all__ = ["kept", "gone"]
+    assert stale_exports(module) == ["gone"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_exported_name_exists(path):
+    name = "tefal" if path.stem == "__init__" else f"tefal.{path.stem}"
+    assert stale_exports(importlib.import_module(name)) == []

@@ -487,6 +487,11 @@ class TestDualSoftmax:
         with pytest.raises(ValueError):
             dual_softmax_postprocess(np.zeros((2, 2)), 0.0)
 
+    @pytest.mark.parametrize("temp", [np.nan, np.inf])
+    def test_rejects_a_temperature_that_is_not_finite_and_positive(self, temp):
+        with pytest.raises(ValueError, match="dsl_temp"):
+            dual_softmax_postprocess(np.zeros((2, 2)), temp)
+
 
 class TestWorkers:
     def test_env_cap(self, monkeypatch):
