@@ -54,8 +54,9 @@ class TrainConfig:
         if not TAU_MIN <= self.temperature_init <= TAU_MAX:
             raise ConfigError(f"temperature_init must lie in [{TAU_MIN}, {TAU_MAX}], "
                               f"got {self.temperature_init}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("batch_size", "threads"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.dim < 1 or self.proj_dim < 1:
             raise ConfigError("dim and proj_dim must be positive")
         if self.modality not in MODALITIES:

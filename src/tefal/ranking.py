@@ -25,7 +25,8 @@ from .model import (
 
 __all__ = [
     "RankingMetrics", "EvalStats", "NonFiniteScoreError", "compute_metrics",
-    "ranks_from_similarity", "rank_exhaustive", "rerank_two_stage", "dual_softmax_postprocess", "resolve_workers",
+    "ranks_from_similarity", "rank_exhaustive", "rerank_two_stage", "rerank_both_directions",
+    "dual_softmax_postprocess", "check_dsl_temp", "resolve_workers",
 ]
 
 
@@ -36,6 +37,9 @@ class NonFiniteScoreError(ValueError):
 # score rows per block of the row-wise scans, so that their temporaries stay
 # a few MB whatever the corpus size
 BLOCK_ELEMENTS = 1 << 20
+
+# text-to-video and video-to-text retrieval
+DIRECTIONS = ("t2v", "v2t")
 
 
 def _row_blocks(rows: int, cols: int) -> list[slice]:
@@ -76,8 +80,13 @@ def _ranks_in_rows(scores: np.ndarray, truth: np.ndarray,
 
 
 def resolve_workers(requested: int = 1) -> int:
-    """Worker count for query/candidate parallelism, capped by TEFAL_THREADS."""
-    workers = max(1, int(requested))
+    """Worker count for query/candidate parallelism, capped by TEFAL_THREADS.
+
+    A count below 1, requested or in TEFAL_THREADS, is a :class:`ConfigError`.
+    """
+    workers = int(requested)
+    if workers < 1:
+        raise ConfigError(f"threads must be >= 1, got {workers}")
     cap = os.environ.get("TEFAL_THREADS")
     if cap:
         try:
@@ -85,7 +94,9 @@ def resolve_workers(requested: int = 1) -> int:
         except ValueError:
             raise ConfigError(
                 f"TEFAL_THREADS must be an integer, got {cap!r}") from None
-        workers = min(workers, max(1, cap_value))
+        if cap_value < 1:
+            raise ConfigError(f"TEFAL_THREADS must be >= 1, got {cap!r}")
+        workers = min(workers, cap_value)
     return workers
 
 
@@ -290,9 +301,10 @@ def rerank_two_stage(model: RetrievalModel, corpus: Corpus, k: int,
     Stage 2 scores each candidate against the query rows that shortlisted
     it, in grouped :func:`tefal.model.score_tile` tiles of about
     ``TILE_PAIRS`` pairs; padded slots are dropped and not counted as model
-    evaluations.  Exhaustive scoring runs the same kernel and a pair's
-    score depends only on that pair, so with k equal to the corpus size the
-    result matches :func:`rank_exhaustive` exactly, for any worker count.
+    evaluations, so ``stats.stage2_model_evals`` is n·k.  Exhaustive
+    scoring runs the same kernel and a pair's score depends only on that
+    pair, so with k equal to the corpus size the result matches
+    :func:`rank_exhaustive` exactly, for any worker count.
 
     ``shortlist_provider`` swaps the stage-1 scorer: it receives the corpus
     and the query texts and returns the full (texts x videos) score matrix,
@@ -303,50 +315,90 @@ def rerank_two_stage(model: RetrievalModel, corpus: Corpus, k: int,
 
     ``direction="v2t"`` runs the mirrored problem: each video query
     shortlists texts by stage-1 score and the model re-scores those
-    (text, video) pairs.
+    (text, video) pairs.  :func:`rerank_both_directions` runs both
+    directions and scores the pairs their shortlists share once.
     """
+    if direction not in DIRECTIONS:
+        raise ValueError(f"direction must be t2v or v2t, got {direction!r}")
+    (ranks,), stats = _rerank(model, corpus, k, workers, (direction,),
+                              shortlist_provider)
+    return RankingResult(ranks, None, stats)
+
+
+def rerank_both_directions(model: RetrievalModel, corpus: Corpus, k: int,
+                           workers: int = 1,
+                           shortlist_provider: Callable[[Corpus, np.ndarray],
+                                                        np.ndarray] | None = None):
+    """``(ranks_t2v, ranks_v2t, stats)``: :func:`rerank_two_stage` in both
+    directions, with the same ranks, but each (text, video) pair that both
+    directions shortlist is scored by the model once.
+
+    Both stage-1 scans run as they do for one direction
+    (``stats.stage1_comparisons`` is 2·n²), and ``shortlist_provider`` is
+    called once.  Stage 2 scores the union of the two directions' shortlisted
+    pairs in one grouped pass, so ``stats.stage2_model_evals`` counts
+    distinct pairs: at most 2·n·k, and fewer the more the shortlists agree.
+    A pair's score depends only on that pair, so sharing it changes no rank.
+    """
+    (ranks_t2v, ranks_v2t), stats = _rerank(model, corpus, k, workers, DIRECTIONS,
+                                            shortlist_provider)
+    return ranks_t2v, ranks_v2t, stats
+
+
+def _rerank(model: RetrievalModel, corpus: Corpus, k: int, workers: int,
+            directions: tuple[str, ...], shortlist_provider) -> tuple[list, EvalStats]:
+    """Each direction's two-stage ranks, with one stage-2 pass over the
+    distinct (text, video) pairs of all the directions' shortlists."""
     n = len(corpus)
     if n == 0:
         raise ValueError("cannot rank over an empty corpus")
     if not 1 <= k <= n:
         raise ValueError(f"shortlist size k must lie in [1, {n}], got {k}")
-    if direction not in ("t2v", "v2t"):
-        raise ValueError(f"direction must be t2v or v2t, got {direction!r}")
     workers = resolve_workers(workers)
     ids = np.asarray(corpus.ids)
     id_rank = _id_ranks(ids)
 
     if shortlist_provider is None:
         text_rows, video_rows = _stage1_rows(corpus)
-        queries, candidates = (text_rows, video_rows) if direction == "t2v" \
-            else (video_rows, text_rows)
+        rows = {"t2v": (text_rows, video_rows), "v2t": (video_rows, text_rows)}
 
-        def score_rows(rows: slice) -> np.ndarray:
-            return _row_scores(queries[rows], candidates)
+        def row_scorer(direction: str) -> Callable[[slice], np.ndarray]:
+            queries, candidates = rows[direction]
+            return lambda block: _row_scores(queries[block], candidates)
     else:
         stage1 = np.asarray(shortlist_provider(corpus, corpus.texts),
                             dtype=np.float64)
         if stage1.shape != (n, n):
             raise ShapeError(f"shortlist provider returned shape {stage1.shape}, "
                              f"expected ({n}, {n})")
-        score_rows = (stage1 if direction == "t2v" else stage1.T).__getitem__
-    stats = EvalStats(stage1_comparisons=n * n)
-    shortlists, ranks = _stage1_shortlists(score_rows, k, ids, id_rank)
 
-    # slot i of the flattened (n, k) shortlists pairs model query text
-    # texts[i] with candidate cands[i]
+        def row_scorer(direction: str) -> Callable[[slice], np.ndarray]:
+            return (stage1 if direction == "t2v" else stage1.T).__getitem__
+    stats = EvalStats(stage1_comparisons=len(directions) * n * n)
+    stage1_out = [_stage1_shortlists(row_scorer(d), k, ids, id_rank)
+                  for d in directions]
+
+    # slot s of query q's shortlist pairs text t with video v under the key
+    # t * n + v; stage 2 scores each distinct key once, grouped by video
     owners = np.repeat(np.arange(n), k)
-    texts, cands = (owners, shortlists.ravel()) if direction == "t2v" \
-        else (shortlists.ravel(), owners)
-    # stage2[q, s] scores query q against its s-th shortlisted item
-    stage2 = _stage2_scores(model, corpus, texts, cands, workers).reshape(n, k)
-    stats.stage2_model_evals += stage2.size
-    _check_finite(stage2, ids, "shortlist")
+    keys = np.concatenate([
+        owners * n + shortlists.ravel() if d == "t2v" else shortlists.ravel() * n + owners
+        for d, (shortlists, _) in zip(directions, stage1_out)])
+    pairs, inverse = np.unique(keys, return_inverse=True)
+    scores = _stage2_scores(model, corpus, pairs // n, pairs % n, workers)
+    stats.stage2_model_evals = len(pairs)
 
-    inside = np.nonzero(ranks == 0)[0]
-    truth_slot = np.argmax(shortlists[inside] == inside[:, None], axis=1)
-    ranks[inside] = _ranks_in_rows(stage2[inside], truth_slot, id_rank[shortlists[inside]])
-    return RankingResult(ranks, None, stats)
+    all_ranks = []
+    for (shortlists, ranks), slots in zip(stage1_out, np.split(inverse, len(directions))):
+        # stage2[q, s] scores query q against its s-th shortlisted item
+        stage2 = scores[slots].reshape(n, k)
+        _check_finite(stage2, ids, "shortlist")
+        inside = np.nonzero(ranks == 0)[0]
+        truth_slot = np.argmax(shortlists[inside] == inside[:, None], axis=1)
+        ranks[inside] = _ranks_in_rows(stage2[inside], truth_slot,
+                                       id_rank[shortlists[inside]])
+        all_ranks.append(ranks)
+    return all_ranks, stats
 
 
 def dual_softmax_postprocess(sim: np.ndarray, dsl_temp: float) -> np.ndarray:
@@ -355,10 +407,15 @@ def dual_softmax_postprocess(sim: np.ndarray, dsl_temp: float) -> np.ndarray:
     Each entry is multiplied by the column-wise softmax of ``sim * dsl_temp``,
     sharpening scores that are distinctive for their query before ranking.
     """
-    if not 0 < dsl_temp < np.inf:
-        raise ValueError(f"dsl_temp must be finite and positive, got {dsl_temp}")
+    check_dsl_temp(dsl_temp)
     sim = as_matrix(sim, "sim")
     z = sim * dsl_temp
     z = z - z.max(axis=0, keepdims=True)
     e = np.exp(z)
     return sim * (e / e.sum(axis=0, keepdims=True))
+
+
+def check_dsl_temp(dsl_temp: float) -> None:
+    """Reject a dual-softmax temperature that is not finite and positive."""
+    if not 0 < dsl_temp < np.inf:
+        raise ValueError(f"dsl_temp must be finite and positive, got {dsl_temp}")

@@ -24,11 +24,12 @@ from .model import (
 from .ranking import (
     EvalStats,
     RankingMetrics,
+    check_dsl_temp,
     compute_metrics,
     dual_softmax_postprocess,
     rank_exhaustive,
     ranks_from_similarity,
-    rerank_two_stage,
+    rerank_both_directions,
     resolve_workers,
 )
 
@@ -187,11 +188,20 @@ def evaluate(model: RetrievalModel, corpus: Corpus, k: int | None = None,
     """Rank the corpus in both directions and aggregate metrics.
 
     ``k`` switches from exhaustive scoring to two-stage re-ranking with a
-    k-item shortlist.  ``dsl_temp`` enables dual-softmax re-scoring of the
-    dense matrix, which requires the exhaustive path.
+    k-item shortlist (:func:`tefal.ranking.rerank_both_directions`): a
+    (text, video) pair that both directions shortlist is scored once, and
+    ``stats.stage2_model_evals`` counts the distinct pairs scored, at most
+    2·n·k.  ``dsl_temp`` enables dual-softmax re-scoring of the dense
+    matrix, which requires the exhaustive path.  A bad ``dsl_temp``, or one
+    given with ``k``, is rejected before any scoring.
     """
     if len(corpus) == 0:
         raise ValueError("cannot evaluate an empty corpus")
+    if dsl_temp is not None:
+        check_dsl_temp(dsl_temp)
+        if k is not None:
+            raise ValueError("dual-softmax post-processing needs the dense "
+                             "similarity matrix; drop k or drop dsl_temp")
     workers = resolve_workers(workers)
     n = len(corpus)
     postprocess: list[str] = []
@@ -210,18 +220,8 @@ def evaluate(model: RetrievalModel, corpus: Corpus, k: int | None = None,
             ranks_t2v = result.ranks
             ranks_v2t = ranks_from_similarity(sim.T, corpus.ids)
     else:
-        if dsl_temp is not None:
-            raise ValueError("dual-softmax post-processing needs the dense "
-                             "similarity matrix; drop k or drop dsl_temp")
-        res_t2v = rerank_two_stage(model, corpus, k, workers=workers)
-        res_v2t = rerank_two_stage(model, corpus, k, workers=workers,
-                                   direction="v2t")
-        ranks_t2v, ranks_v2t = res_t2v.ranks, res_v2t.ranks
-        stats = EvalStats(
-            stage1_comparisons=res_t2v.stats.stage1_comparisons
-            + res_v2t.stats.stage1_comparisons,
-            stage2_model_evals=res_t2v.stats.stage2_model_evals
-            + res_v2t.stats.stage2_model_evals)
+        ranks_t2v, ranks_v2t, stats = rerank_both_directions(model, corpus, k,
+                                                             workers=workers)
 
     return EvalResult(
         t2v=compute_metrics(ranks_t2v, n, "t2v"),

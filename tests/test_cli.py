@@ -11,6 +11,7 @@ from tefal.audiofeat import LOG_FLOOR, SAMPLE_RATE
 from tefal.cli import build_parser, main
 from tefal.config import TrainConfig
 from tefal.fusion import FusionKind
+from tefal import ranking
 from tefal.model import MODALITIES, create_model
 from tefal.storage import load_corpus, read_fbank, save_checkpoint, save_corpus
 
@@ -177,9 +178,41 @@ class TestTrainEval:
                    "--k", "10%", "--out", str(out)) == 0
         doc = json.loads(out.read_text())
         assert doc["k"] == 3
-        # both directions: a full stage-1 scan and k model scores per query
+        # both directions: a full stage-1 scan each, then one model score per
+        # distinct (text, video) pair of the two directions' shortlists
+        corpus = load_corpus(manifest)
+        texts, videos = ranking._stage1_rows(corpus)
+        ids = np.asarray(corpus.ids)
+        id_rank = ranking._id_ranks(ids)
+        t2v, _ = ranking._stage1_shortlists(
+            lambda rows: ranking._row_scores(texts[rows], videos), 3, ids, id_rank)
+        v2t, _ = ranking._stage1_shortlists(
+            lambda rows: ranking._row_scores(videos[rows], texts), 3, ids, id_rank)
+        pairs = ({(q, int(v)) for q, row in enumerate(t2v) for v in row}
+                 | {(int(t), q) for q, row in enumerate(v2t) for t in row})
         assert doc["stats"] == {"stage1_comparisons": 2 * 30 * 30,
-                                "stage2_model_evals": 2 * 30 * 3}
+                                "stage2_model_evals": len(pairs)}
+        assert len(pairs) < 2 * 30 * 3
+
+    def test_thread_count_below_one_is_exit_one_and_names_it(
+            self, trained_setup, tmp_path, capsys, monkeypatch):
+        manifest, ckpt = trained_setup
+        capsys.readouterr()
+        for command in (["eval"], ["rerank", "--k", "3"]):
+            assert run(*command, "--data", str(manifest), "--checkpoint", str(ckpt),
+                       "--threads", "-2") == 1
+            assert "threads must be >= 1" in capsys.readouterr().err
+        assert run("train", "--data", str(manifest), "--out", str(tmp_path / "t.ckpt"),
+                   "--epochs", "1", "--threads", "0") == 1
+        assert "threads must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "t.ckpt").exists()
+        # --threads 0, the default, takes the checkpoint's thread count
+        assert run("eval", "--data", str(manifest), "--checkpoint", str(ckpt),
+                   "--threads", "0", "--out", str(tmp_path / "m.json")) == 0
+        for cap in ("0", "-4"):
+            monkeypatch.setenv("TEFAL_THREADS", cap)
+            assert run("eval", "--data", str(manifest), "--checkpoint", str(ckpt)) == 1
+            assert "TEFAL_THREADS must be >= 1" in capsys.readouterr().err
 
 
 class TestFbank:

@@ -82,6 +82,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match="batch_size"):
             TrainConfig(batch_size=0).validate()
 
+    @pytest.mark.parametrize("threads", [0, -4])
+    def test_thread_count_below_one_rejected(self, threads):
+        with pytest.raises(ConfigError, match=f"threads must be >= 1, got {threads}"):
+            TrainConfig(threads=threads).validate()
+
     @pytest.mark.parametrize("field", ["learning_rate", "temperature_init", "grad_clip",
                                        "adam_eps"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])

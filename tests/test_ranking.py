@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tefal import ranking
+from tefal import ranking, training
 from tefal.config import ConfigError
 from tefal.corpus import Corpus, synth_corpus
 from tefal.model import create_model, similarity_matrix
@@ -19,6 +19,7 @@ from tefal.ranking import (
     dual_softmax_postprocess,
     rank_exhaustive,
     ranks_from_similarity,
+    rerank_both_directions,
     rerank_two_stage,
     resolve_workers,
 )
@@ -429,6 +430,79 @@ class TestRerankOracle:
         assert got.ranks.tolist() == want
 
 
+def distinct_shortlisted_pairs(stage1, k, ids):
+    """The (text, video) pairs that the t2v and v2t stage-1 shortlists of a
+    (texts x videos) score matrix hold between them, each pair once."""
+    ids = np.asarray(ids)
+    id_rank = ranking._id_ranks(ids)
+    t2v, _ = ranking._stage1_shortlists(stage1.__getitem__, k, ids, id_rank)
+    v2t, _ = ranking._stage1_shortlists(stage1.T.__getitem__, k, ids, id_rank)
+    return ({(q, int(c)) for q, row in enumerate(t2v) for c in row}
+            | {(int(c), q) for q, row in enumerate(v2t) for c in row})
+
+
+class TestRerankBothDirections:
+    """Both directions share one stage-2 pass over their distinct pairs."""
+
+    @PROPERTY
+    @given(st.integers(1, 16).flatmap(lambda n: st.tuples(
+        st.integers(1, n), st.sampled_from([1, 3]), st.sampled_from([3, 2048]),
+        st.permutations(range(n)),
+        st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n))))
+    def test_equals_two_single_direction_reranks(self, case):
+        # five stage-1 levels put ties on the k boundary, as in the oracle test
+        k, workers, tile_pairs, perm, levels = case
+        n = len(perm)
+        corpus = dataclasses.replace(
+            synth_corpus(seed=n, n_items=n, dim=6, frames=2, audio_tokens=3),
+            ids=[f"id{p:02d}" for p in perm])
+        stage1 = np.reshape(levels, (n, n)) / 2.0
+
+        def provider(c, t):
+            return stage1
+
+        with mock.patch.object(ranking, "TILE_PAIRS", tile_pairs):
+            ranks_t2v, ranks_v2t, stats = rerank_both_directions(
+                ORACLE_MODEL, corpus, k, workers=workers, shortlist_provider=provider)
+            for direction, got in (("t2v", ranks_t2v), ("v2t", ranks_v2t)):
+                want = rerank_two_stage(ORACLE_MODEL, corpus, k, direction=direction,
+                                        shortlist_provider=provider).ranks
+                assert got.tolist() == want.tolist()
+        assert stats.stage1_comparisons == 2 * n * n
+        assert stats.stage2_model_evals == len(
+            distinct_shortlisted_pairs(stage1, k, corpus.ids))
+
+    @pytest.mark.parametrize("k", [1, 7, 30])
+    def test_default_stage1_equals_two_single_direction_reranks(self, small_setup, k):
+        model, corpus = small_setup
+        n = len(corpus)
+        ranks_t2v, ranks_v2t, stats = rerank_both_directions(model, corpus, k)
+        for direction, got in (("t2v", ranks_t2v), ("v2t", ranks_v2t)):
+            want = rerank_two_stage(model, corpus, k, direction=direction).ranks
+            np.testing.assert_array_equal(got, want)
+        assert stats.stage1_comparisons == 2 * n * n
+        assert stats.stage2_model_evals == len(
+            distinct_shortlisted_pairs(stage1_matrix(corpus), k, corpus.ids))
+        assert stats.stage2_model_evals <= 2 * n * k
+
+    def test_evaluate_scores_each_shortlisted_pair_once(self, small_setup):
+        model, corpus = small_setup
+        k = 7
+        scored = []
+        real = ranking._stage2_scores
+
+        def spy(model, corpus, texts, cands, workers):
+            scored.append(list(zip(texts.tolist(), cands.tolist())))
+            return real(model, corpus, texts, cands, workers)
+
+        with mock.patch.object(ranking, "_stage2_scores", spy):
+            result = training.evaluate(model, corpus, k=k)
+        assert len(scored) == 1
+        assert len(set(scored[0])) == len(scored[0]) == result.stats.stage2_model_evals
+        assert set(scored[0]) == distinct_shortlisted_pairs(stage1_matrix(corpus), k,
+                                                             corpus.ids)
+
+
 class TestNonFiniteModelScores:
     @pytest.fixture()
     def nan_model(self):
@@ -446,6 +520,11 @@ class TestNonFiniteModelScores:
         _model, corpus = small_setup
         with pytest.raises(NonFiniteScoreError, match="query 0"):
             rerank_two_stage(nan_model, corpus, k=3, direction=direction)
+
+    def test_two_direction_evaluation_raises(self, small_setup, nan_model):
+        _model, corpus = small_setup
+        with pytest.raises(NonFiniteScoreError, match="query 0"):
+            training.evaluate(nan_model, corpus, k=3)
 
     @pytest.mark.parametrize("direction,query", [("t2v", 2), ("v2t", 5)])
     def test_non_finite_stage1_score_raises(self, small_setup, direction, query):
@@ -492,6 +571,17 @@ class TestDualSoftmax:
         with pytest.raises(ValueError, match="dsl_temp"):
             dual_softmax_postprocess(np.zeros((2, 2)), temp)
 
+    def test_evaluate_rejects_a_bad_temperature_before_scoring(self, small_setup,
+                                                               monkeypatch):
+        model, corpus = small_setup
+
+        def no_scoring(*args, **kwargs):
+            raise AssertionError("scored before checking dsl_temp")
+
+        monkeypatch.setattr(training, "rank_exhaustive", no_scoring)
+        with pytest.raises(ValueError, match="dsl_temp must be finite and positive"):
+            training.evaluate(model, corpus, dsl_temp=float("nan"))
+
 
 class TestWorkers:
     def test_env_cap(self, monkeypatch):
@@ -504,4 +594,16 @@ class TestWorkers:
     def test_non_integer_env_cap_is_a_config_error(self, monkeypatch):
         monkeypatch.setenv("TEFAL_THREADS", "x")
         with pytest.raises(ConfigError, match="TEFAL_THREADS"):
+            resolve_workers(2)
+
+    @pytest.mark.parametrize("requested", [0, -2])
+    def test_count_below_one_is_a_config_error(self, monkeypatch, requested):
+        monkeypatch.delenv("TEFAL_THREADS", raising=False)
+        with pytest.raises(ConfigError, match=f"threads must be >= 1, got {requested}"):
+            resolve_workers(requested)
+
+    @pytest.mark.parametrize("cap", ["0", "-4"])
+    def test_env_cap_below_one_is_a_config_error(self, monkeypatch, cap):
+        monkeypatch.setenv("TEFAL_THREADS", cap)
+        with pytest.raises(ConfigError, match="TEFAL_THREADS must be >= 1"):
             resolve_workers(2)
