@@ -41,7 +41,6 @@ from .ranking import (
     dual_softmax_postprocess,
     rank_exhaustive,
     ranks_from_similarity,
-    rerank_both_directions,
     rerank_two_stage,
 )
 from .storage import (

@@ -326,22 +326,19 @@ def rerank_two_stage(model: RetrievalModel, corpus: Corpus, k: int,
 
 
 def rerank_both_directions(model: RetrievalModel, corpus: Corpus, k: int,
-                           workers: int = 1,
-                           shortlist_provider: Callable[[Corpus, np.ndarray],
-                                                        np.ndarray] | None = None):
+                           workers: int = 1):
     """``(ranks_t2v, ranks_v2t, stats)``: :func:`rerank_two_stage` in both
     directions, with the same ranks, but each (text, video) pair that both
     directions shortlist is scored by the model once.
 
     Both stage-1 scans run as they do for one direction
-    (``stats.stage1_comparisons`` is 2·n²), and ``shortlist_provider`` is
-    called once.  Stage 2 scores the union of the two directions' shortlisted
-    pairs in one grouped pass, so ``stats.stage2_model_evals`` counts
-    distinct pairs: at most 2·n·k, and fewer the more the shortlists agree.
+    (``stats.stage1_comparisons`` is 2·n²).  Stage 2 scores the union of the
+    two directions' shortlisted pairs in one grouped pass, so
+    ``stats.stage2_model_evals`` counts distinct pairs: at most 2·n·k, and
+    fewer the more the shortlists agree.
     A pair's score depends only on that pair, so sharing it changes no rank.
     """
-    (ranks_t2v, ranks_v2t), stats = _rerank(model, corpus, k, workers, DIRECTIONS,
-                                            shortlist_provider)
+    (ranks_t2v, ranks_v2t), stats = _rerank(model, corpus, k, workers, DIRECTIONS, None)
     return ranks_t2v, ranks_v2t, stats
 
 

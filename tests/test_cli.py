@@ -7,11 +7,11 @@ import wave
 import numpy as np
 import pytest
 
+from conftest import distinct_shortlisted_pairs, stage1_matrix
 from tefal.audiofeat import LOG_FLOOR, SAMPLE_RATE
 from tefal.cli import build_parser, main
 from tefal.config import TrainConfig
 from tefal.fusion import FusionKind
-from tefal import ranking
 from tefal.model import MODALITIES, create_model
 from tefal.storage import load_corpus, read_fbank, save_checkpoint, save_corpus
 
@@ -181,15 +181,7 @@ class TestTrainEval:
         # both directions: a full stage-1 scan each, then one model score per
         # distinct (text, video) pair of the two directions' shortlists
         corpus = load_corpus(manifest)
-        texts, videos = ranking._stage1_rows(corpus)
-        ids = np.asarray(corpus.ids)
-        id_rank = ranking._id_ranks(ids)
-        t2v, _ = ranking._stage1_shortlists(
-            lambda rows: ranking._row_scores(texts[rows], videos), 3, ids, id_rank)
-        v2t, _ = ranking._stage1_shortlists(
-            lambda rows: ranking._row_scores(videos[rows], texts), 3, ids, id_rank)
-        pairs = ({(q, int(v)) for q, row in enumerate(t2v) for v in row}
-                 | {(int(t), q) for q, row in enumerate(v2t) for t in row})
+        pairs = distinct_shortlisted_pairs(stage1_matrix(corpus), 3, corpus.ids)
         assert doc["stats"] == {"stage1_comparisons": 2 * 30 * 30,
                                 "stage2_model_evals": len(pairs)}
         assert len(pairs) < 2 * 30 * 3

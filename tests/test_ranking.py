@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import distinct_shortlisted_pairs, stage1_matrix
 from tefal import ranking, training
 from tefal.config import ConfigError
 from tefal.corpus import Corpus, synth_corpus
@@ -41,12 +42,6 @@ def stage1_pooled(frames):
     corpus = Corpus([f"v{j}" for j in range(n)], np.zeros((n, dim)), frames,
                     np.zeros((n, 1, dim)), np.zeros(n, dtype=bool))
     return ranking._stage1_rows(corpus)[1]
-
-
-def stage1_matrix(corpus):
-    """The full (texts x videos) stage-1 score matrix, from the row kernel
-    the streamed stage 1 scores its blocks with."""
-    return ranking._row_scores(*ranking._stage1_rows(corpus))
 
 
 def unit_rows(x):
@@ -430,17 +425,6 @@ class TestRerankOracle:
         assert got.ranks.tolist() == want
 
 
-def distinct_shortlisted_pairs(stage1, k, ids):
-    """The (text, video) pairs that the t2v and v2t stage-1 shortlists of a
-    (texts x videos) score matrix hold between them, each pair once."""
-    ids = np.asarray(ids)
-    id_rank = ranking._id_ranks(ids)
-    t2v, _ = ranking._stage1_shortlists(stage1.__getitem__, k, ids, id_rank)
-    v2t, _ = ranking._stage1_shortlists(stage1.T.__getitem__, k, ids, id_rank)
-    return ({(q, int(c)) for q, row in enumerate(t2v) for c in row}
-            | {(int(c), q) for q, row in enumerate(v2t) for c in row})
-
-
 class TestRerankBothDirections:
     """Both directions share one stage-2 pass over their distinct pairs."""
 
@@ -462,8 +446,8 @@ class TestRerankBothDirections:
             return stage1
 
         with mock.patch.object(ranking, "TILE_PAIRS", tile_pairs):
-            ranks_t2v, ranks_v2t, stats = rerank_both_directions(
-                ORACLE_MODEL, corpus, k, workers=workers, shortlist_provider=provider)
+            (ranks_t2v, ranks_v2t), stats = ranking._rerank(
+                ORACLE_MODEL, corpus, k, workers, ranking.DIRECTIONS, provider)
             for direction, got in (("t2v", ranks_t2v), ("v2t", ranks_v2t)):
                 want = rerank_two_stage(ORACLE_MODEL, corpus, k, direction=direction,
                                         shortlist_provider=provider).ranks
