@@ -38,6 +38,9 @@ class NonFiniteScoreError(ValueError):
 # a few MB whatever the corpus size
 BLOCK_ELEMENTS = 1 << 20
 
+# rows per chunk of the stage-1 kernel (see _row_scores)
+_CHUNK_ROWS = 128
+
 # text-to-video and video-to-text retrieval
 DIRECTIONS = ("t2v", "v2t")
 
@@ -186,23 +189,40 @@ def rank_exhaustive(model: RetrievalModel, corpus: Corpus,
     return RankingResult(ranks_from_similarity(sim, corpus.ids), sim, stats)
 
 
-def _unit_rows(x: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(x, axis=1, keepdims=True)
-    return np.where(norm > 0, x / np.where(norm > 0, norm, 1.0), 0.0)
-
-
 def _stage1_rows(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
     """Stage 1's unit-norm text rows and unit-norm mean-pooled frame rows;
-    a zero row stays zero."""
-    return _unit_rows(corpus.texts), _unit_rows(corpus.frames.mean(axis=1))
+    a zero row stays zero.  The first item whose text or pooled-frame row
+    has a non-finite norm raises :class:`NonFiniteScoreError`.  So every
+    stage-1 score is a dot product of finite rows of norm 1 or 0, and
+    |s| <= 1 up to rounding: the scores need no check of their own."""
+    rows = corpus.texts, corpus.frames.mean(axis=1)
+    norms = [np.linalg.norm(x, axis=1, keepdims=True) for x in rows]
+    bad = np.nonzero(~np.isfinite(norms[0] + norms[1]))[0]
+    if len(bad):
+        raise NonFiniteScoreError(f"stage-1 text or pooled-frame row of item {bad[0]} "
+                                  f"({corpus.ids[bad[0]]}) is not finite")
+    return tuple(np.where(norm > 0, x / np.where(norm > 0, norm, 1.0), 0.0)
+                 for x, norm in zip(rows, norms))
 
 
 def _row_scores(queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-    """Dot products of each query row with every candidate row, one
-    vector-matrix product per query row, so that a row's scores do not
-    depend on the rows scored with it: a matrix product over a block of
-    rows rounds differently for different block sizes."""
-    return np.matmul(queries[:, None, :], candidates.T)[:, 0]
+    """Dot products of each query row with every candidate row, in
+    fixed-shape chunks: both operands are zero-padded to whole chunks of
+    ``_CHUNK_ROWS`` rows, and every chunk is the same (_CHUNK_ROWS, D) @
+    (D, N) product, N the padded candidate count.
+
+    A product over a whole block rounds differently for different block
+    sizes, as the BLAS picks its kernels and thread split by shape.  Here
+    the shape is fixed, no score falls in a partial edge tile of a BLAS
+    kernel whose tile sizes divide ``_CHUNK_ROWS``, and blocks that start
+    at multiples of ``_CHUNK_ROWS`` keep a row at one offset in its chunk.
+    So a row's scores depend only on the row, ``_CHUNK_ROWS``, n, the BLAS
+    build and its thread count, not on the block size or the other rows.
+    """
+    q, c = (np.concatenate([x, np.zeros((-len(x) % _CHUNK_ROWS, x.shape[1]))])
+            for x in (queries, candidates))
+    scores = np.matmul(q.reshape(-1, _CHUNK_ROWS, q.shape[1]), c.T)
+    return scores.reshape(len(q), -1)[:len(queries), :len(candidates)]
 
 
 def _stage1_shortlists(score_rows: Callable[[slice], np.ndarray], k: int,
@@ -213,6 +233,8 @@ def _stage1_shortlists(score_rows: Callable[[slice], np.ndarray], k: int,
     where that falls outside its shortlist, 0 where inside.
     ``score_rows(rows)`` returns the (queries x candidates) stage-1 scores
     of one block of query rows, so no more than one block is held at once.
+    A block is as many whole chunks of ``_CHUNK_ROWS`` rows as fit in
+    ``BLOCK_ELEMENTS`` scores, and at least one chunk.
 
     Row blocks take their top k with one ``argpartition`` and sort only the
     k survivors.  Where the k-th score ties with a column left out, the
@@ -224,9 +246,10 @@ def _stage1_shortlists(score_rows: Callable[[slice], np.ndarray], k: int,
     n = len(ids)
     shortlists = np.empty((n, k), dtype=np.intp)
     ranks = np.zeros(n, dtype=np.intp)
-    for rows in _row_blocks(n, n):
+    step = max(1, BLOCK_ELEMENTS // n // _CHUNK_ROWS) * _CHUNK_ROWS
+    for start in range(0, n, step):
+        rows = slice(start, min(start + step, n))
         block = score_rows(rows)
-        _check_finite(block, ids, "stage-1 score", rows.start)
         top = np.argpartition(block, n - k, axis=1)[:, n - k:]
         kth = np.take_along_axis(block, top, axis=1).min(axis=1, keepdims=True)
         tied = np.count_nonzero(block >= kth, axis=1) > k
@@ -280,23 +303,20 @@ def _stage2_scores(model: RetrievalModel, corpus: Corpus, texts: np.ndarray,
 
 
 def rerank_two_stage(model: RetrievalModel, corpus: Corpus, k: int,
-                     workers: int = 1, direction: str = "t2v",
-                     shortlist_provider: Callable[[Corpus, np.ndarray], np.ndarray]
-                     | None = None) -> RankingResult:
+                     workers: int = 1, direction: str = "t2v") -> RankingResult:
     """Mean-pool shortlist, then re-rank only the top-k with the full model.
 
     Stage 1 orders the candidates by cosine between the query texts and the
     mean-pooled frames and keeps each query's top k, ties by ascending id:
     one ``argpartition`` per block of query rows, then a sort of the k
-    survivors.  The default scorer streams: it scores one block of query
-    rows at a time (text rows in t2v, pooled-video rows in v2t), one row at
-    a time within the block, so no (n, n) array is held and a row's scores
-    do not depend on ``BLOCK_ELEMENTS``.  A non-finite stage-1 score raises
-    :class:`NonFiniteScoreError` naming its query.  Stage 2 re-scores the
-    k-item shortlists with the text-conditioned model.  Items outside the
-    shortlist keep their stage-1 relative order, below the shortlist; a
-    truth there gets its stage-1 rank, counted like
-    :func:`ranks_from_similarity` counts.
+    survivors.  It streams one block of query rows at a time (text rows in
+    t2v, pooled-video rows in v2t) through fixed-shape chunks, so no (n, n)
+    array is held and a row's scores do not depend on ``BLOCK_ELEMENTS``.
+    A non-finite text or pooled-frame row raises :class:`NonFiniteScoreError`
+    naming its item.  Stage 2 re-scores the k-item shortlists with the
+    text-conditioned model.  Items outside the shortlist keep their stage-1
+    relative order, below the shortlist; a truth there gets its stage-1
+    rank, counted like :func:`ranks_from_similarity` counts.
 
     Stage 2 scores each candidate against the query rows that shortlisted
     it, in grouped :func:`tefal.model.score_tile` tiles of about
@@ -306,13 +326,6 @@ def rerank_two_stage(model: RetrievalModel, corpus: Corpus, k: int,
     pair, so with k equal to the corpus size the result matches
     :func:`rank_exhaustive` exactly, for any worker count.
 
-    ``shortlist_provider`` swaps the stage-1 scorer: it receives the corpus
-    and the query texts and returns the full (texts x videos) score matrix,
-    which v2t reads transposed.  The call holds that matrix only while it
-    runs, and stage 1 reads it in the default scorer's row blocks.  The
-    default exact mean-pool scan can thus be replaced by an approximate
-    nearest-neighbor index without touching stage 2.
-
     ``direction="v2t"`` runs the mirrored problem: each video query
     shortlists texts by stage-1 score and the model re-scores those
     (text, video) pairs.  :func:`rerank_both_directions` runs both
@@ -320,8 +333,7 @@ def rerank_two_stage(model: RetrievalModel, corpus: Corpus, k: int,
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be t2v or v2t, got {direction!r}")
-    (ranks,), stats = _rerank(model, corpus, k, workers, (direction,),
-                              shortlist_provider)
+    (ranks,), stats = _rerank(model, corpus, k, workers, (direction,))
     return RankingResult(ranks, None, stats)
 
 
@@ -338,12 +350,12 @@ def rerank_both_directions(model: RetrievalModel, corpus: Corpus, k: int,
     fewer the more the shortlists agree.
     A pair's score depends only on that pair, so sharing it changes no rank.
     """
-    (ranks_t2v, ranks_v2t), stats = _rerank(model, corpus, k, workers, DIRECTIONS, None)
+    (ranks_t2v, ranks_v2t), stats = _rerank(model, corpus, k, workers, DIRECTIONS)
     return ranks_t2v, ranks_v2t, stats
 
 
 def _rerank(model: RetrievalModel, corpus: Corpus, k: int, workers: int,
-            directions: tuple[str, ...], shortlist_provider) -> tuple[list, EvalStats]:
+            directions: tuple[str, ...]) -> tuple[list, EvalStats]:
     """Each direction's two-stage ranks, with one stage-2 pass over the
     distinct (text, video) pairs of all the directions' shortlists."""
     n = len(corpus)
@@ -355,25 +367,13 @@ def _rerank(model: RetrievalModel, corpus: Corpus, k: int, workers: int,
     ids = np.asarray(corpus.ids)
     id_rank = _id_ranks(ids)
 
-    if shortlist_provider is None:
-        text_rows, video_rows = _stage1_rows(corpus)
-        rows = {"t2v": (text_rows, video_rows), "v2t": (video_rows, text_rows)}
-
-        def row_scorer(direction: str) -> Callable[[slice], np.ndarray]:
-            queries, candidates = rows[direction]
-            return lambda block: _row_scores(queries[block], candidates)
-    else:
-        stage1 = np.asarray(shortlist_provider(corpus, corpus.texts),
-                            dtype=np.float64)
-        if stage1.shape != (n, n):
-            raise ShapeError(f"shortlist provider returned shape {stage1.shape}, "
-                             f"expected ({n}, {n})")
-
-        def row_scorer(direction: str) -> Callable[[slice], np.ndarray]:
-            return (stage1 if direction == "t2v" else stage1.T).__getitem__
+    text_rows, video_rows = _stage1_rows(corpus)
+    rows = {"t2v": (text_rows, video_rows), "v2t": (video_rows, text_rows)}
     stats = EvalStats(stage1_comparisons=len(directions) * n * n)
-    stage1_out = [_stage1_shortlists(row_scorer(d), k, ids, id_rank)
-                  for d in directions]
+    stage1_out = []
+    for queries, candidates in (rows[d] for d in directions):
+        stage1_out.append(_stage1_shortlists(
+            lambda block: _row_scores(queries[block], candidates), k, ids, id_rank))
 
     # slot s of query q's shortlist pairs text t with video v under the key
     # t * n + v; stage 2 scores each distinct key once, grouped by video

@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tefal
 from conftest import distinct_shortlisted_pairs, stage1_matrix
 from tefal.audiofeat import LOG_FLOOR, SAMPLE_RATE
 from tefal.cli import build_parser, main
@@ -331,3 +336,64 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "max relative error" in out
         assert "FAIL" not in out
+
+
+# Runs every artifact-writing subcommand in the working directory and prints
+# one "name sha256" line per file written.
+ARTIFACT_DIGESTS = """
+import hashlib, io, sys
+from contextlib import redirect_stdout
+from pathlib import Path
+from tefal.cli import main
+
+def run(*argv):
+    with redirect_stdout(io.StringIO()):
+        if main([str(a) for a in argv]) != 0:
+            sys.exit(f"failed: {argv}")
+
+run("synth", "--out", "data", "--seed", 3, "--items", 30, "--dim", 12,
+    "--frames", 3, "--audio-tokens", 4)
+manifest = "data/manifest.json"
+for fusion in ("addition", "xattn", "stacking"):
+    ckpt = f"{fusion}.tfck"
+    run("train", "--data", manifest, "--out", ckpt, "--log", f"{fusion}.log.json",
+        "--fusion", fusion, "--epochs", 2, "--batch-size", 8,
+        "--learning-rate", "3e-3", "--seed", 1, "--threads", 2)
+    run("eval", "--data", manifest, "--checkpoint", ckpt, "--threads", 2,
+        "--out", f"{fusion}.eval.json")
+    run("rerank", "--data", manifest, "--checkpoint", ckpt, "--k", "10%",
+        "--threads", 2, "--out", f"{fusion}.rerank.json")
+    run("export-attn", "--data", manifest, "--checkpoint", ckpt,
+        "--out", f"{fusion}.attn.json", "--format", "json")
+for path in sorted(Path(".").rglob("*")):
+    if path.is_file():
+        print(path, hashlib.sha256(path.read_bytes()).hexdigest())
+"""
+
+
+class TestEnvironments:
+    def test_blas_and_worker_threads_change_no_artifact_byte(self, tmp_path):
+        # one process per (OPENBLAS_NUM_THREADS, TEFAL_THREADS); train, eval
+        # and rerank ask for 2 workers, so TEFAL_THREADS sets the count
+        src = str(Path(tefal.__file__).resolve().parents[1])
+        procs = []
+        for blas, workers in ((1, 1), (2, 2)):
+            work = tmp_path / f"blas{blas}_workers{workers}"
+            work.mkdir()
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": str(blas),
+                   "TEFAL_THREADS": str(workers),
+                   "PYTHONPATH": os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            procs.append(subprocess.Popen(
+                [sys.executable, "-c", ARTIFACT_DIGESTS], cwd=work, env=env,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
+        try:
+            outputs = [proc.communicate(timeout=120) for proc in procs]
+        finally:
+            for proc in procs:
+                proc.kill()
+        for proc, (_out, err) in zip(procs, outputs):
+            assert proc.returncode == 0, err
+        digests = [out.splitlines() for out, _err in outputs]
+        assert len(digests[0]) == 5 + 3 * 5
+        assert digests[0] == digests[1]

@@ -48,6 +48,21 @@ def unit_rows(x):
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
+def cosine_oracle(corpus):
+    """The (texts x videos) cosines between the texts and the mean-pooled
+    frames, one ``np.dot`` per text row, without the ranking helpers."""
+    pooled = unit_rows(corpus.frames.mean(axis=1))
+    return np.array([np.dot(pooled, text) for text in unit_rows(corpus.texts)])
+
+
+def stub_stage1(stage1):
+    """Patch stage 1 to score with the (texts x videos) matrix ``stage1``:
+    identity text rows against ``stage1.T`` as the video rows give every
+    entry exactly, t2v reading ``stage1`` and v2t its transpose."""
+    return mock.patch.object(ranking, "_stage1_rows",
+                             lambda corpus: (np.eye(len(stage1)), stage1.T))
+
+
 class TestMeanPool:
     """The mean over frames that stage 1 pools each video into."""
 
@@ -283,24 +298,23 @@ class TestRerankTwoStage:
                                            direction=direction)
             np.testing.assert_array_equal(small_tiles.ranks, base.ranks)
 
-    def test_custom_shortlist_provider_replaces_stage_one(self, small_setup):
+    def test_stubbed_stage1_rows_replace_stage_one(self, small_setup):
         model, corpus = small_setup
         n = len(corpus)
-        # an oracle provider always shortlists the ground truth first
-        result = rerank_two_stage(model, corpus, k=1,
-                                  shortlist_provider=lambda c, t: np.eye(n))
+        # an oracle stage 1 always shortlists the ground truth first
+        with stub_stage1(np.eye(n)):
+            result = rerank_two_stage(model, corpus, k=1)
         np.testing.assert_array_equal(result.ranks, np.ones(n, dtype=int))
         # stage 2 is unchanged: a full shortlist still matches exhaustive
-        shuffled = rerank_two_stage(
-            model, corpus, k=n,
-            shortlist_provider=lambda c, t: -stage1_matrix(c))
+        with stub_stage1(-stage1_matrix(corpus)):
+            shuffled = rerank_two_stage(model, corpus, k=n)
         exhaustive = rank_exhaustive(model, corpus)
         np.testing.assert_array_equal(shuffled.ranks, exhaustive.ranks)
 
 
 class TestStreamedStage1:
-    """The default stage 1 scores one block of query rows at a time, one
-    row at a time within the block."""
+    """Stage 1 scores one block of query rows at a time, in fixed-shape
+    chunks of rows."""
 
     @pytest.fixture(scope="class")
     def wide_setup(self):
@@ -313,12 +327,14 @@ class TestStreamedStage1:
     def run_streamed(model, corpus, direction, block_elements):
         """``(scores, shortlists, ranks)`` of a k=5 re-rank whose stage 1
         takes ``block_elements`` scores per block; ``scores`` stacks the
-        blocks the shortlist scan was fed."""
+        blocks the shortlist scan was fed.  Every block must start at a
+        whole chunk."""
         real = ranking._stage1_shortlists
         blocks, shortlists = [], []
 
         def spy(score_rows, *args):
             def recorded(rows):
+                assert rows.start % ranking._CHUNK_ROWS == 0
                 blocks.append(score_rows(rows))
                 return blocks[-1]
             out = real(recorded, *args)
@@ -335,10 +351,12 @@ class TestStreamedStage1:
         model, corpus = wide_setup
         scores, shortlists, ranks = self.run_streamed(model, corpus, direction,
                                                       ranking.BLOCK_ELEMENTS)
-        cosines = stage1_matrix(corpus)
+        cosines = cosine_oracle(corpus)
         np.testing.assert_allclose(scores, cosines if direction == "t2v" else cosines.T,
                                    rtol=0, atol=1e-14)
-        for block_elements in (5, 1 << 14):
+        # blocks of one chunk, of three chunks, and one block of every row
+        n = len(corpus)
+        for block_elements in (5, 3 * ranking._CHUNK_ROWS * n, n * n):
             got = self.run_streamed(model, corpus, direction, block_elements)
             np.testing.assert_array_equal(got[0], scores)
             np.testing.assert_array_equal(got[1], shortlists)
@@ -390,7 +408,10 @@ class TestRerankOracle:
         n = len(perm)
         ids = np.array([f"id{p:02d}" for p in perm])
         stage1 = np.reshape(levels, (n, n)) / 2.0
-        with mock.patch.object(ranking, "BLOCK_ELEMENTS", block_elements):
+        # chunks of 3 rows, so that 5 scores per block still split n > 3
+        # rows into blocks
+        with mock.patch.object(ranking, "BLOCK_ELEMENTS", block_elements), \
+                mock.patch.object(ranking, "_CHUNK_ROWS", 3):
             shortlists, ranks = ranking._stage1_shortlists(
                 stage1.__getitem__, k, ids, ranking._id_ranks(ids))
         for q in range(n):
@@ -419,9 +440,8 @@ class TestRerankOracle:
             want = lexsort_rerank_oracle(sim.T, stage1.T, k, corpus.ids)
         else:
             want = lexsort_rerank_oracle(sim, stage1, k, corpus.ids)
-        with mock.patch.object(ranking, "TILE_PAIRS", tile_pairs):
-            got = rerank_two_stage(ORACLE_MODEL, corpus, k, direction=direction,
-                                   shortlist_provider=lambda c, t: stage1)
+        with mock.patch.object(ranking, "TILE_PAIRS", tile_pairs), stub_stage1(stage1):
+            got = rerank_two_stage(ORACLE_MODEL, corpus, k, direction=direction)
         assert got.ranks.tolist() == want
 
 
@@ -441,16 +461,11 @@ class TestRerankBothDirections:
             synth_corpus(seed=n, n_items=n, dim=6, frames=2, audio_tokens=3),
             ids=[f"id{p:02d}" for p in perm])
         stage1 = np.reshape(levels, (n, n)) / 2.0
-
-        def provider(c, t):
-            return stage1
-
-        with mock.patch.object(ranking, "TILE_PAIRS", tile_pairs):
+        with mock.patch.object(ranking, "TILE_PAIRS", tile_pairs), stub_stage1(stage1):
             (ranks_t2v, ranks_v2t), stats = ranking._rerank(
-                ORACLE_MODEL, corpus, k, workers, ranking.DIRECTIONS, provider)
+                ORACLE_MODEL, corpus, k, workers, ranking.DIRECTIONS)
             for direction, got in (("t2v", ranks_t2v), ("v2t", ranks_v2t)):
-                want = rerank_two_stage(ORACLE_MODEL, corpus, k, direction=direction,
-                                        shortlist_provider=provider).ranks
+                want = rerank_two_stage(ORACLE_MODEL, corpus, k, direction=direction).ranks
                 assert got.tolist() == want.tolist()
         assert stats.stage1_comparisons == 2 * n * n
         assert stats.stage2_model_evals == len(
@@ -510,16 +525,26 @@ class TestNonFiniteModelScores:
         with pytest.raises(NonFiniteScoreError, match="query 0"):
             training.evaluate(nan_model, corpus, k=3)
 
-    @pytest.mark.parametrize("direction,query", [("t2v", 2), ("v2t", 5)])
-    def test_non_finite_stage1_score_raises(self, small_setup, direction, query):
-        # a NaN from a custom provider used to sort last and rank silently
+    @pytest.mark.parametrize("direction,item", [("t2v", 2), ("v2t", 5)])
+    def test_non_finite_stage1_score_raises(self, small_setup, direction, item):
+        # a NaN text or frame entry used to give a zero stage-1 row, which
+        # then ranked silently; the first bad item is the one named
         model, corpus = small_setup
-        stage1 = np.random.default_rng(9).standard_normal((len(corpus), len(corpus)))
-        stage1[2, 5] = np.nan
-        with pytest.raises(NonFiniteScoreError,
-                           match=rf"stage-1 score for query {query} \("):
-            rerank_two_stage(model, corpus, k=3, direction=direction,
-                             shortlist_provider=lambda c, t: stage1)
+        for field, value in (("texts", np.nan), ("frames", np.inf)):
+            rows = getattr(corpus, field).copy()
+            rows[item, 0] = value
+            rows[item + 3, 0] = np.nan
+            bad = dataclasses.replace(corpus, **{field: rows})
+            with pytest.raises(NonFiniteScoreError,
+                               match=rf"row of item {item} \(item0000{item}\)"):
+                rerank_two_stage(model, bad, k=3, direction=direction)
+
+    def test_non_finite_pooled_frame_stops_two_direction_evaluation(self, small_setup):
+        model, corpus = small_setup
+        frames = corpus.frames.copy()
+        frames[7, 0, 0] = np.nan
+        with pytest.raises(NonFiniteScoreError, match=r"row of item 7 \("):
+            training.evaluate(model, dataclasses.replace(corpus, frames=frames), k=3)
 
 
 class TestDualSoftmax:
