@@ -14,7 +14,8 @@ import dataclasses
 
 from tefal.config import TrainConfig
 from tefal.corpus import synth_corpus
-from tefal.training import evaluate, train
+from tefal.ranking import evaluate
+from tefal.training import train
 
 parser = argparse.ArgumentParser()
 parser.add_argument("--items", type=int, default=300)

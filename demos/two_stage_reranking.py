@@ -13,8 +13,8 @@ import time
 
 from tefal.config import TrainConfig
 from tefal.corpus import synth_corpus
-from tefal.ranking import compute_metrics, rank_exhaustive, rerank_two_stage
-from tefal.training import evaluate, train
+from tefal.ranking import compute_metrics, evaluate, rank_exhaustive, rerank_two_stage
+from tefal.training import train
 
 n = 400
 corpus = synth_corpus(seed=7, n_items=n, dim=32, frames=4, audio_tokens=8,

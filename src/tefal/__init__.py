@@ -34,11 +34,13 @@ from .fusion import FusionKind, FusionParams, audio_summary
 from .linalg import ShapeError, layernorm_rows, softmax_rows
 from .model import RetrievalModel, create_model, named_parameters, similarity_matrix
 from .ranking import (
+    EvalResult,
     EvalStats,
     NonFiniteScoreError,
     RankingMetrics,
     compute_metrics,
     dual_softmax_postprocess,
+    evaluate,
     rank_exhaustive,
     ranks_from_similarity,
     rerank_two_stage,
@@ -54,7 +56,7 @@ from .storage import (
     write_embeddings,
     write_fbank,
 )
-from .training import AdamW, EvalResult, TrainingDiverged, TrainResult, evaluate, train
+from .training import AdamW, TrainingDiverged, TrainResult, train
 from .verify import end_to_end_check, run_grad_checks
 
 __version__ = "0.1.0"

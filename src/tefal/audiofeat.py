@@ -154,6 +154,8 @@ def compute_fbank(w: Waveform, target_length: int = DEFAULT_TARGET_LENGTH,
         raise AudioFormatError(
             f"expected {SAMPLE_RATE} Hz input, got {w.sample_rate} Hz; "
             "resample upstream before feature extraction")
+    if n_mels < 1:
+        raise ValueError(f"n_mels must be positive, got {n_mels}")
     window = round(SAMPLE_RATE * window_ms / 1000.0)
     samples = w.samples
     if samples.size < window:

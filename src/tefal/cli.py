@@ -18,12 +18,12 @@ import numpy as np
 
 from .audiofeat import compute_fbank, read_wav
 from .config import load_config
-from .corpus import Corpus, synth_corpus
+from .corpus import synth_corpus
 from .fusion import FusionKind
 from .model import MODALITIES, TILE_PAIRS, query_rows, score_tile
-from .ranking import resolve_workers
+from .ranking import evaluate
 from .storage import load_checkpoint, load_corpus, save_checkpoint, save_corpus, write_fbank
-from .training import evaluate, train
+from .training import train
 from .verify import run_grad_checks
 
 
@@ -59,13 +59,6 @@ def _parse_k(raw: str | None, n: int) -> int | None:
     return int(raw)
 
 
-def _load_corpus_or_fail(path: str) -> Corpus:
-    corpus = load_corpus(path)
-    if len(corpus) == 0:
-        raise ValueError(f"{path}: corpus has no items")
-    return corpus
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -81,7 +74,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    corpus = _load_corpus_or_fail(args.data)
+    corpus = load_corpus(args.data)
     overrides = {
         "epochs": args.epochs, "batch_size": args.batch_size,
         "learning_rate": args.learning_rate, "seed": args.seed,
@@ -106,25 +99,15 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _eval_common(args, k_required: bool) -> int:
-    corpus = _load_corpus_or_fail(args.data)
+def _cmd_eval(args) -> int:
+    """``eval`` and ``rerank``; ``rerank`` makes ``--k`` required."""
+    corpus = load_corpus(args.data)
     model, _step, config = load_checkpoint(args.checkpoint)
-    k = _parse_k(args.k, len(corpus))
-    if k_required and k is None:
-        raise ValueError("rerank requires --k")
-    workers = resolve_workers(args.threads if args.threads else config.threads)
-    result = evaluate(model, corpus, k=k,
-                      dsl_temp=getattr(args, "dsl_temp", None), workers=workers)
+    result = evaluate(model, corpus, k=_parse_k(args.k, len(corpus)),
+                      dsl_temp=getattr(args, "dsl_temp", None),
+                      workers=args.threads or config.threads)
     _emit_json(_metrics_json(result), args.out)
     return 0
-
-
-def _cmd_eval(args) -> int:
-    return _eval_common(args, k_required=False)
-
-
-def _cmd_rerank(args) -> int:
-    return _eval_common(args, k_required=True)
 
 
 def _cmd_fbank(args) -> int:
@@ -149,7 +132,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_export_attn(args) -> int:
-    corpus = _load_corpus_or_fail(args.data)
+    corpus = load_corpus(args.data)
     model, _step, _config = load_checkpoint(args.checkpoint)
     # the weights that scoring computes: each item against its own text, in
     # grouped tiles; only the blocks the model computes, so stacking's
@@ -227,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="dual-softmax post-processing temperature")
         p.add_argument("--threads", type=int, default=0)
         p.add_argument("--out", help="write metrics JSON here instead of stdout")
-        p.set_defaults(handler=_cmd_eval if name == "eval" else _cmd_rerank)
+        p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser("fbank", help="log-Mel filter bank from a 16 kHz mono WAV")
     p.add_argument("--in", dest="infile", required=True)

@@ -123,6 +123,8 @@ def synth_corpus(seed: int, n_items: int = 1000, dim: int = 32, frames: int = 4,
         raise ValueError(f"audio_informative must be in [0, 1], got {audio_informative}")
     if n_items < 1 or dim < 1 or frames < 1 or audio_tokens < 1:
         raise ValueError("n_items, dim, frames, and audio_tokens must be positive")
+    if not math.isfinite(noise):
+        raise ValueError(f"noise must be finite, got {noise}")
 
     rng = np.random.default_rng(seed)
     scale = 1.0 / math.sqrt(dim)

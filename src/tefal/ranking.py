@@ -1,4 +1,5 @@
-"""Ranking, retrieval metrics, two-stage re-ranking, and score post-processing.
+"""Ranking, retrieval metrics, two-stage re-ranking, score post-processing,
+and :func:`evaluate`, which ranks a corpus in both directions.
 
 Ground truth follows the aligned-corpus convention: query i's correct
 candidate is item i.  Ties in similarity are always broken by ascending
@@ -6,7 +7,7 @@ item id, which makes every ranking deterministic across runs.
 """
 
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -24,9 +25,9 @@ from .model import (
 )
 
 __all__ = [
-    "RankingMetrics", "EvalStats", "NonFiniteScoreError", "compute_metrics",
-    "ranks_from_similarity", "rank_exhaustive", "rerank_two_stage", "rerank_both_directions",
-    "dual_softmax_postprocess", "check_dsl_temp", "resolve_workers",
+    "RankingMetrics", "EvalStats", "EvalResult", "NonFiniteScoreError", "compute_metrics",
+    "ranks_from_similarity", "rank_exhaustive", "rerank_two_stage",
+    "dual_softmax_postprocess", "resolve_workers", "evaluate",
 ]
 
 
@@ -303,7 +304,7 @@ def _stage2_scores(model: RetrievalModel, corpus: Corpus, texts: np.ndarray,
 
 
 def rerank_two_stage(model: RetrievalModel, corpus: Corpus, k: int,
-                     workers: int = 1, direction: str = "t2v") -> RankingResult:
+                     workers: int = 1) -> RankingResult:
     """Mean-pool shortlist, then re-rank only the top-k with the full model.
 
     Stage 1 orders the candidates by cosine between the query texts and the
@@ -325,39 +326,20 @@ def rerank_two_stage(model: RetrievalModel, corpus: Corpus, k: int,
     scoring runs the same kernel and a pair's score depends only on that
     pair, so with k equal to the corpus size the result matches
     :func:`rank_exhaustive` exactly, for any worker count.
-
-    ``direction="v2t"`` runs the mirrored problem: each video query
-    shortlists texts by stage-1 score and the model re-scores those
-    (text, video) pairs.  :func:`rerank_both_directions` runs both
-    directions and scores the pairs their shortlists share once.
+    :func:`evaluate` runs both directions and scores the pairs their
+    shortlists share once.
     """
-    if direction not in DIRECTIONS:
-        raise ValueError(f"direction must be t2v or v2t, got {direction!r}")
-    (ranks,), stats = _rerank(model, corpus, k, workers, (direction,))
+    (ranks,), stats = _rerank(model, corpus, k, workers, ("t2v",))
     return RankingResult(ranks, None, stats)
-
-
-def rerank_both_directions(model: RetrievalModel, corpus: Corpus, k: int,
-                           workers: int = 1):
-    """``(ranks_t2v, ranks_v2t, stats)``: :func:`rerank_two_stage` in both
-    directions, with the same ranks, but each (text, video) pair that both
-    directions shortlist is scored by the model once.
-
-    Both stage-1 scans run as they do for one direction
-    (``stats.stage1_comparisons`` is 2·n²).  Stage 2 scores the union of the
-    two directions' shortlisted pairs in one grouped pass, so
-    ``stats.stage2_model_evals`` counts distinct pairs: at most 2·n·k, and
-    fewer the more the shortlists agree.
-    A pair's score depends only on that pair, so sharing it changes no rank.
-    """
-    (ranks_t2v, ranks_v2t), stats = _rerank(model, corpus, k, workers, DIRECTIONS)
-    return ranks_t2v, ranks_v2t, stats
 
 
 def _rerank(model: RetrievalModel, corpus: Corpus, k: int, workers: int,
             directions: tuple[str, ...]) -> tuple[list, EvalStats]:
-    """Each direction's two-stage ranks, with one stage-2 pass over the
-    distinct (text, video) pairs of all the directions' shortlists."""
+    """Each direction's two-stage ranks (``"t2v"``: text queries, ``"v2t"``:
+    video queries), with one stage-2 pass over the distinct (text, video)
+    pairs of all the directions' shortlists, which
+    ``stats.stage2_model_evals`` counts.  A pair's score depends only on
+    that pair, so sharing it changes no rank."""
     n = len(corpus)
     if n == 0:
         raise ValueError("cannot rank over an empty corpus")
@@ -404,7 +386,7 @@ def dual_softmax_postprocess(sim: np.ndarray, dsl_temp: float) -> np.ndarray:
     Each entry is multiplied by the column-wise softmax of ``sim * dsl_temp``,
     sharpening scores that are distinctive for their query before ranking.
     """
-    check_dsl_temp(dsl_temp)
+    _check_dsl_temp(dsl_temp)
     sim = as_matrix(sim, "sim")
     z = sim * dsl_temp
     z = z - z.max(axis=0, keepdims=True)
@@ -412,7 +394,79 @@ def dual_softmax_postprocess(sim: np.ndarray, dsl_temp: float) -> np.ndarray:
     return sim * (e / e.sum(axis=0, keepdims=True))
 
 
-def check_dsl_temp(dsl_temp: float) -> None:
+def _check_dsl_temp(dsl_temp: float) -> None:
     """Reject a dual-softmax temperature that is not finite and positive."""
     if not 0 < dsl_temp < np.inf:
         raise ValueError(f"dsl_temp must be finite and positive, got {dsl_temp}")
+
+
+@dataclass
+class EvalResult:
+    t2v: RankingMetrics
+    v2t: RankingMetrics
+    ranks_t2v: np.ndarray
+    ranks_v2t: np.ndarray
+    stats: EvalStats
+    postprocess: list[str] = field(default_factory=list)
+    k: int | None = None
+
+    def as_dict(self) -> dict:
+        return {
+            "items": int(len(self.ranks_t2v)),
+            "k": self.k,
+            "postprocess": self.postprocess,
+            "metrics": {"t2v": self.t2v.as_dict(), "v2t": self.v2t.as_dict()},
+            "stats": asdict(self.stats),
+            "ranks": {"t2v": [int(r) for r in self.ranks_t2v],
+                      "v2t": [int(r) for r in self.ranks_v2t]},
+        }
+
+
+def evaluate(model: RetrievalModel, corpus: Corpus, k: int | None = None,
+             dsl_temp: float | None = None, workers: int = 1) -> EvalResult:
+    """Rank the corpus in both directions and aggregate metrics.
+
+    ``k`` switches from exhaustive scoring to two-stage re-ranking with a
+    k-item shortlist (:func:`rerank_two_stage` in both directions): a
+    (text, video) pair that both directions shortlist is scored once, and
+    ``stats.stage2_model_evals`` counts the distinct pairs scored, at most
+    2·n·k.  ``dsl_temp`` enables dual-softmax re-scoring of the dense
+    matrix, which requires the exhaustive path.  A bad ``dsl_temp``, or one
+    given with ``k``, is rejected before any scoring.
+    """
+    if len(corpus) == 0:
+        raise ValueError("cannot evaluate an empty corpus")
+    if dsl_temp is not None:
+        _check_dsl_temp(dsl_temp)
+        if k is not None:
+            raise ValueError("dual-softmax post-processing needs the dense "
+                             "similarity matrix; drop k or drop dsl_temp")
+    workers = resolve_workers(workers)
+    n = len(corpus)
+    postprocess: list[str] = []
+
+    if k is None:
+        result = rank_exhaustive(model, corpus, workers=workers)
+        sim = result.sim
+        stats = result.stats
+        if dsl_temp is not None:
+            postprocess.append(f"dsl(temp={dsl_temp:g})")
+            ranks_t2v = ranks_from_similarity(
+                dual_softmax_postprocess(sim, dsl_temp), corpus.ids)
+            ranks_v2t = ranks_from_similarity(
+                dual_softmax_postprocess(sim.T, dsl_temp), corpus.ids)
+        else:
+            ranks_t2v = result.ranks
+            ranks_v2t = ranks_from_similarity(sim.T, corpus.ids)
+    else:
+        (ranks_t2v, ranks_v2t), stats = _rerank(model, corpus, k, workers, DIRECTIONS)
+
+    return EvalResult(
+        t2v=compute_metrics(ranks_t2v, n, "t2v"),
+        v2t=compute_metrics(ranks_v2t, n, "v2t"),
+        ranks_t2v=ranks_t2v,
+        ranks_v2t=ranks_v2t,
+        stats=stats,
+        postprocess=postprocess,
+        k=k,
+    )

@@ -324,9 +324,9 @@ def load_checkpoint(path):
     """Returns ``(model, step, config)`` reconstructed from a TFCK file.
 
     Any malformed file (bad magic, version or CRC, an entry table that
-    overruns the file, bad names, a bad step or config entry, parameters
-    that do not match the config or hold NaN or an infinity) raises
-    :class:`FormatError` with the path.
+    overruns the file, bad or repeated names, a bad step or config entry,
+    parameters that do not match the config or hold NaN or an infinity)
+    raises :class:`FormatError` with the path.
     """
     blob = Path(path).read_bytes()
     head = struct.calcsize("<4sII")
@@ -368,6 +368,8 @@ def load_checkpoint(path):
             name = blob[start:start + name_len].decode("utf-8")
         except UnicodeDecodeError:
             raise FormatError(f"{path}: entry name is not UTF-8") from None
+        if name in entries:
+            raise FormatError(f"{path}: entry {name!r} appears more than once")
         rows, cols = struct.unpack_from("<II", blob, take(8))
         data = np.frombuffer(blob, dtype="<f4", count=rows * cols,
                              offset=take(4 * rows * cols))

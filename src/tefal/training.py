@@ -1,15 +1,16 @@
-"""Mini-batch contrastive training and the evaluation entry point.
+"""Mini-batch contrastive training.
 
 One step: pairwise forward over the batch (every candidate conditioned on
 every query text), symmetric InfoNCE loss, explicit backward, global
 gradient-norm clipping, and an Adam update with decoupled weight decay and
 optional cosine learning-rate decay.  Batches are drawn without replacement
 each epoch and the last partial batch is dropped, so the in-batch negative
-count is stable.  Everything is deterministic given the seed.
+count is stable.  Everything is deterministic given the seed.  The
+``eval_every`` probe ranks with :func:`tefal.ranking.evaluate`.
 """
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,20 +22,9 @@ from .model import (
     create_model,
     named_parameters,
 )
-from .ranking import (
-    EvalStats,
-    RankingMetrics,
-    check_dsl_temp,
-    compute_metrics,
-    dual_softmax_postprocess,
-    rank_exhaustive,
-    ranks_from_similarity,
-    rerank_both_directions,
-    resolve_workers,
-)
+from .ranking import evaluate
 
-__all__ = ["TrainingDiverged", "AdamW", "TrainResult", "EvalResult",
-           "train", "evaluate"]
+__all__ = ["TrainingDiverged", "AdamW", "TrainResult", "train"]
 
 
 class TrainingDiverged(RuntimeError):
@@ -159,76 +149,3 @@ def train(config: TrainConfig, corpus: Corpus) -> TrainResult:
 
     return TrainResult(model=model, history=history, config=config,
                        steps=optimizer.steps)
-
-
-@dataclass
-class EvalResult:
-    t2v: RankingMetrics
-    v2t: RankingMetrics
-    ranks_t2v: np.ndarray
-    ranks_v2t: np.ndarray
-    stats: EvalStats
-    postprocess: list[str] = field(default_factory=list)
-    k: int | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "items": int(len(self.ranks_t2v)),
-            "k": self.k,
-            "postprocess": self.postprocess,
-            "metrics": {"t2v": self.t2v.as_dict(), "v2t": self.v2t.as_dict()},
-            "stats": asdict(self.stats),
-            "ranks": {"t2v": [int(r) for r in self.ranks_t2v],
-                      "v2t": [int(r) for r in self.ranks_v2t]},
-        }
-
-
-def evaluate(model: RetrievalModel, corpus: Corpus, k: int | None = None,
-             dsl_temp: float | None = None, workers: int = 1) -> EvalResult:
-    """Rank the corpus in both directions and aggregate metrics.
-
-    ``k`` switches from exhaustive scoring to two-stage re-ranking with a
-    k-item shortlist (:func:`tefal.ranking.rerank_both_directions`): a
-    (text, video) pair that both directions shortlist is scored once, and
-    ``stats.stage2_model_evals`` counts the distinct pairs scored, at most
-    2·n·k.  ``dsl_temp`` enables dual-softmax re-scoring of the dense
-    matrix, which requires the exhaustive path.  A bad ``dsl_temp``, or one
-    given with ``k``, is rejected before any scoring.
-    """
-    if len(corpus) == 0:
-        raise ValueError("cannot evaluate an empty corpus")
-    if dsl_temp is not None:
-        check_dsl_temp(dsl_temp)
-        if k is not None:
-            raise ValueError("dual-softmax post-processing needs the dense "
-                             "similarity matrix; drop k or drop dsl_temp")
-    workers = resolve_workers(workers)
-    n = len(corpus)
-    postprocess: list[str] = []
-
-    if k is None:
-        result = rank_exhaustive(model, corpus, workers=workers)
-        sim = result.sim
-        stats = result.stats
-        if dsl_temp is not None:
-            postprocess.append(f"dsl(temp={dsl_temp:g})")
-            ranks_t2v = ranks_from_similarity(
-                dual_softmax_postprocess(sim, dsl_temp), corpus.ids)
-            ranks_v2t = ranks_from_similarity(
-                dual_softmax_postprocess(sim.T, dsl_temp), corpus.ids)
-        else:
-            ranks_t2v = result.ranks
-            ranks_v2t = ranks_from_similarity(sim.T, corpus.ids)
-    else:
-        ranks_t2v, ranks_v2t, stats = rerank_both_directions(model, corpus, k,
-                                                             workers=workers)
-
-    return EvalResult(
-        t2v=compute_metrics(ranks_t2v, n, "t2v"),
-        v2t=compute_metrics(ranks_v2t, n, "v2t"),
-        ranks_t2v=ranks_t2v,
-        ranks_v2t=ranks_v2t,
-        stats=stats,
-        postprocess=postprocess,
-        k=k,
-    )

@@ -120,6 +120,15 @@ class TestSynth:
                      "audio_summary.emb1"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
+    @pytest.mark.parametrize("noise", ["nan", "inf", "-inf"])
+    def test_non_finite_noise_is_exit_one_and_writes_nothing(self, tmp_path, capsys,
+                                                             noise):
+        # these used to exit 0 with a corpus that load_corpus then rejected
+        out = tmp_path / "data"
+        assert run(*synth_args(out), f"--noise={noise}") == 1
+        assert "noise must be finite" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
 
 class TestTrainEval:
     def test_same_seed_runs_are_byte_identical(self, tmp_path):
@@ -245,6 +254,16 @@ class TestFbank:
             f.writeframes(data.tobytes())
         assert run("fbank", "--in", str(wav), "--out", str(tmp_path / "x")) == 1
         assert "resample" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mels", ["0", "-2"])
+    def test_mel_count_below_one_is_exit_one_and_names_it(self, tmp_path, capsys, mels):
+        # these used to exit 0 and write a 1024 x 0 filter bank
+        wav = tmp_path / "tone.wav"
+        write_wav(wav, np.zeros(SAMPLE_RATE))
+        out = tmp_path / "x.fbank"
+        assert run("fbank", "--in", str(wav), "--out", str(out), "--mels", mels) == 1
+        assert "n_mels" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExportAttn:

@@ -20,6 +20,7 @@ from tefal.model import (
     score_tile,
     similarity_matrix,
 )
+from tefal import ranking
 from tefal.ranking import rank_exhaustive, ranks_from_similarity, rerank_two_stage
 from tefal.training import AdamW, TrainingDiverged, clip_global_norm, evaluate, train
 from tefal.verify import end_to_end_check
@@ -254,10 +255,10 @@ class TestTileScoring:
         n = len(scoring_corpus)
         exhaustive = rank_exhaustive(model, scoring_corpus)
         t2v = rerank_two_stage(model, scoring_corpus, k=n)
-        v2t = rerank_two_stage(model, scoring_corpus, k=n, direction="v2t")
+        (v2t,), _ = ranking._rerank(model, scoring_corpus, n, 1, ("v2t",))
         np.testing.assert_array_equal(t2v.ranks, exhaustive.ranks)
         np.testing.assert_array_equal(
-            v2t.ranks, ranks_from_similarity(exhaustive.sim.T, scoring_corpus.ids))
+            v2t, ranks_from_similarity(exhaustive.sim.T, scoring_corpus.ids))
 
     @pytest.mark.parametrize("modality,fusion", SCORING_CONFIGS)
     def test_grouped_tile_equals_dense_entries(self, scoring_corpus, modality, fusion):

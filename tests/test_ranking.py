@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import distinct_shortlisted_pairs, stage1_matrix
-from tefal import ranking, training
+from tefal import ranking
 from tefal.config import ConfigError
 from tefal.corpus import Corpus, synth_corpus
 from tefal.model import create_model, similarity_matrix
@@ -18,9 +18,9 @@ from tefal.ranking import (
     NonFiniteScoreError,
     compute_metrics,
     dual_softmax_postprocess,
+    evaluate,
     rank_exhaustive,
     ranks_from_similarity,
-    rerank_both_directions,
     rerank_two_stage,
     resolve_workers,
 )
@@ -53,6 +53,15 @@ def cosine_oracle(corpus):
     frames, one ``np.dot`` per text row, without the ranking helpers."""
     pooled = unit_rows(corpus.frames.mean(axis=1))
     return np.array([np.dot(pooled, text) for text in unit_rows(corpus.texts)])
+
+
+def rerank_ranks(model, corpus, k, direction, workers=1):
+    """One direction's two-stage ranks: :func:`rerank_two_stage` for t2v,
+    and the private core, which also takes ``"v2t"``, for v2t."""
+    if direction == "t2v":
+        return rerank_two_stage(model, corpus, k, workers).ranks
+    (ranks,), _ = ranking._rerank(model, corpus, k, workers, (direction,))
+    return ranks
 
 
 def stub_stage1(stage1):
@@ -247,9 +256,8 @@ class TestRerankTwoStage:
     def test_full_shortlist_equals_exhaustive_v2t(self, small_setup):
         model, corpus = small_setup
         sim = rank_exhaustive(model, corpus).sim
-        rerank = rerank_two_stage(model, corpus, k=len(corpus), direction="v2t")
-        np.testing.assert_array_equal(rerank.ranks,
-                                      ranks_from_similarity(sim.T, corpus.ids))
+        rerank = rerank_ranks(model, corpus, len(corpus), "v2t")
+        np.testing.assert_array_equal(rerank, ranks_from_similarity(sim.T, corpus.ids))
 
     def test_k_one_ranks_truth_first_iff_stage1_top1_correct(self, small_setup):
         model, corpus = small_setup
@@ -289,14 +297,13 @@ class TestRerankTwoStage:
     def test_worker_count_and_tile_size_do_not_change_ranks(
             self, small_setup, direction, monkeypatch):
         model, corpus = small_setup
-        base = rerank_two_stage(model, corpus, k=7, workers=1, direction=direction)
-        threaded = rerank_two_stage(model, corpus, k=7, workers=3, direction=direction)
-        np.testing.assert_array_equal(threaded.ranks, base.ranks)
+        base = rerank_ranks(model, corpus, 7, direction, workers=1)
+        threaded = rerank_ranks(model, corpus, 7, direction, workers=3)
+        np.testing.assert_array_equal(threaded, base)
         monkeypatch.setattr(ranking, "TILE_PAIRS", 5)
         for workers in (1, 3):
-            small_tiles = rerank_two_stage(model, corpus, k=7, workers=workers,
-                                           direction=direction)
-            np.testing.assert_array_equal(small_tiles.ranks, base.ranks)
+            small_tiles = rerank_ranks(model, corpus, 7, direction, workers=workers)
+            np.testing.assert_array_equal(small_tiles, base)
 
     def test_stubbed_stage1_rows_replace_stage_one(self, small_setup):
         model, corpus = small_setup
@@ -343,8 +350,8 @@ class TestStreamedStage1:
 
         with mock.patch.object(ranking, "BLOCK_ELEMENTS", block_elements), \
                 mock.patch.object(ranking, "_stage1_shortlists", spy):
-            result = rerank_two_stage(model, corpus, k=5, direction=direction)
-        return np.vstack(blocks), shortlists[0], result.ranks
+            ranks = rerank_ranks(model, corpus, 5, direction)
+        return np.vstack(blocks), shortlists[0], ranks
 
     @pytest.mark.parametrize("direction", ["t2v", "v2t"])
     def test_block_size_changes_no_score_shortlist_or_rank(self, wide_setup, direction):
@@ -370,7 +377,7 @@ class TestStreamedStage1:
         monkeypatch.setattr(ranking, "BLOCK_ELEMENTS", 1 << 14)
         tracemalloc.start()
         try:
-            rerank_two_stage(model, corpus, k=2, direction=direction)
+            rerank_ranks(model, corpus, 2, direction)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -441,8 +448,8 @@ class TestRerankOracle:
         else:
             want = lexsort_rerank_oracle(sim, stage1, k, corpus.ids)
         with mock.patch.object(ranking, "TILE_PAIRS", tile_pairs), stub_stage1(stage1):
-            got = rerank_two_stage(ORACLE_MODEL, corpus, k, direction=direction)
-        assert got.ranks.tolist() == want
+            got = rerank_ranks(ORACLE_MODEL, corpus, k, direction)
+        assert got.tolist() == want
 
 
 class TestRerankBothDirections:
@@ -465,7 +472,7 @@ class TestRerankBothDirections:
             (ranks_t2v, ranks_v2t), stats = ranking._rerank(
                 ORACLE_MODEL, corpus, k, workers, ranking.DIRECTIONS)
             for direction, got in (("t2v", ranks_t2v), ("v2t", ranks_v2t)):
-                want = rerank_two_stage(ORACLE_MODEL, corpus, k, direction=direction).ranks
+                want = rerank_ranks(ORACLE_MODEL, corpus, k, direction)
                 assert got.tolist() == want.tolist()
         assert stats.stage1_comparisons == 2 * n * n
         assert stats.stage2_model_evals == len(
@@ -475,10 +482,10 @@ class TestRerankBothDirections:
     def test_default_stage1_equals_two_single_direction_reranks(self, small_setup, k):
         model, corpus = small_setup
         n = len(corpus)
-        ranks_t2v, ranks_v2t, stats = rerank_both_directions(model, corpus, k)
-        for direction, got in (("t2v", ranks_t2v), ("v2t", ranks_v2t)):
-            want = rerank_two_stage(model, corpus, k, direction=direction).ranks
-            np.testing.assert_array_equal(got, want)
+        result = evaluate(model, corpus, k=k)
+        stats = result.stats
+        for direction, got in (("t2v", result.ranks_t2v), ("v2t", result.ranks_v2t)):
+            np.testing.assert_array_equal(got, rerank_ranks(model, corpus, k, direction))
         assert stats.stage1_comparisons == 2 * n * n
         assert stats.stage2_model_evals == len(
             distinct_shortlisted_pairs(stage1_matrix(corpus), k, corpus.ids))
@@ -495,7 +502,7 @@ class TestRerankBothDirections:
             return real(model, corpus, texts, cands, workers)
 
         with mock.patch.object(ranking, "_stage2_scores", spy):
-            result = training.evaluate(model, corpus, k=k)
+            result = evaluate(model, corpus, k=k)
         assert len(scored) == 1
         assert len(set(scored[0])) == len(scored[0]) == result.stats.stage2_model_evals
         assert set(scored[0]) == distinct_shortlisted_pairs(stage1_matrix(corpus), k,
@@ -518,12 +525,12 @@ class TestNonFiniteModelScores:
     def test_stage2_ranking_raises(self, small_setup, nan_model, direction):
         _model, corpus = small_setup
         with pytest.raises(NonFiniteScoreError, match="query 0"):
-            rerank_two_stage(nan_model, corpus, k=3, direction=direction)
+            rerank_ranks(nan_model, corpus, 3, direction)
 
     def test_two_direction_evaluation_raises(self, small_setup, nan_model):
         _model, corpus = small_setup
         with pytest.raises(NonFiniteScoreError, match="query 0"):
-            training.evaluate(nan_model, corpus, k=3)
+            evaluate(nan_model, corpus, k=3)
 
     @pytest.mark.parametrize("direction,item", [("t2v", 2), ("v2t", 5)])
     def test_non_finite_stage1_score_raises(self, small_setup, direction, item):
@@ -537,14 +544,14 @@ class TestNonFiniteModelScores:
             bad = dataclasses.replace(corpus, **{field: rows})
             with pytest.raises(NonFiniteScoreError,
                                match=rf"row of item {item} \(item0000{item}\)"):
-                rerank_two_stage(model, bad, k=3, direction=direction)
+                rerank_ranks(model, bad, 3, direction)
 
     def test_non_finite_pooled_frame_stops_two_direction_evaluation(self, small_setup):
         model, corpus = small_setup
         frames = corpus.frames.copy()
         frames[7, 0, 0] = np.nan
         with pytest.raises(NonFiniteScoreError, match=r"row of item 7 \("):
-            training.evaluate(model, dataclasses.replace(corpus, frames=frames), k=3)
+            evaluate(model, dataclasses.replace(corpus, frames=frames), k=3)
 
 
 class TestDualSoftmax:
@@ -587,9 +594,9 @@ class TestDualSoftmax:
         def no_scoring(*args, **kwargs):
             raise AssertionError("scored before checking dsl_temp")
 
-        monkeypatch.setattr(training, "rank_exhaustive", no_scoring)
+        monkeypatch.setattr(ranking, "rank_exhaustive", no_scoring)
         with pytest.raises(ValueError, match="dsl_temp must be finite and positive"):
-            training.evaluate(model, corpus, dsl_temp=float("nan"))
+            evaluate(model, corpus, dsl_temp=float("nan"))
 
 
 class TestWorkers:

@@ -310,6 +310,18 @@ class TestMalformedCheckpoint:
         with pytest.raises(FormatError, match=f"value.tfck.*{key}"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("name,rows", [("video.w_q", 4), ("__step__", 1)])
+    def test_crc_valid_repeated_entry_name(self, tmp_path, checkpoint_body, name, rows):
+        # a second copy appended after the original used to load silently,
+        # the last copy winning
+        matrix = np.full((rows, rows), 7.0, dtype="<f4")
+        entry = (struct.pack("<H", len(name)) + name.encode()
+                 + struct.pack("<II", rows, rows) + matrix.tobytes())
+        path = tmp_path / "repeat.tfck"
+        path.write_bytes(with_crc(with_count(checkpoint_body, 1) + entry))
+        with pytest.raises(FormatError, match=f"repeat.tfck: entry '{name}' appears"):
+            load_checkpoint(path)
+
     def test_crc_valid_config_length_overruns_the_file(self, tmp_path, checkpoint_body):
         path = tmp_path / "overrun.tfck"
         path.write_bytes(with_crc(checkpoint_body[:12] + struct.pack("<I", 1 << 30)
