@@ -72,8 +72,7 @@ class XAttnParams:
 
     ``w_q``, ``w_k``, ``w_v`` are D x D_p, ``w_o`` is D_p x D_p.  Three
     LayerNorm affines: query side (over the text row), context side (shared
-    by the key and value paths), and output side.  ``output_affine=False``
-    freezes the output affine at gain 1 / bias 0 instead of training it.
+    by the key and value paths), and output side; all are trained.
     """
 
     w_q: np.ndarray
@@ -86,7 +85,6 @@ class XAttnParams:
     ln_c_bias: np.ndarray
     ln_o_gain: np.ndarray
     ln_o_bias: np.ndarray
-    output_affine: bool = True
 
     @property
     def dim(self) -> int:
@@ -97,8 +95,7 @@ class XAttnParams:
         return self.w_q.shape[1]
 
     @classmethod
-    def create(cls, rng: np.random.Generator, dim: int, proj_dim: int,
-               output_affine: bool = True) -> "XAttnParams":
+    def create(cls, rng: np.random.Generator, dim: int, proj_dim: int) -> "XAttnParams":
         """Initialize weights from U(-1/sqrt(fan_in), 1/sqrt(fan_in)),
         LayerNorm gains at 1 and biases at 0."""
         def uniform(rows, cols):
@@ -116,20 +113,16 @@ class XAttnParams:
             ln_c_bias=np.zeros((1, dim)),
             ln_o_gain=np.ones((1, proj_dim)),
             ln_o_bias=np.zeros((1, proj_dim)),
-            output_affine=output_affine,
         )
 
     def named(self) -> dict[str, np.ndarray]:
-        """Trainable parameters by name (output affine only when enabled)."""
-        out = {
+        """Trainable parameters by name."""
+        return {
             "w_q": self.w_q, "w_k": self.w_k, "w_v": self.w_v, "w_o": self.w_o,
             "ln_q_gain": self.ln_q_gain, "ln_q_bias": self.ln_q_bias,
             "ln_c_gain": self.ln_c_gain, "ln_c_bias": self.ln_c_bias,
+            "ln_o_gain": self.ln_o_gain, "ln_o_bias": self.ln_o_bias,
         }
-        if self.output_affine:
-            out["ln_o_gain"] = self.ln_o_gain
-            out["ln_o_bias"] = self.ln_o_bias
-        return out
 
 
 def _stable_rows_times(rows: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -238,8 +231,7 @@ def block_forward(params: XAttnParams, text: np.ndarray, context: np.ndarray):
 
 def block_backward(params: XAttnParams, cache: BlockCache, d_out: np.ndarray):
     """Reverse the block.  Returns ``(grads, d_text, d_context)`` where
-    ``grads`` is keyed like :meth:`XAttnParams.named` (output affine always
-    included; callers drop it when frozen)."""
+    ``grads`` is keyed like :meth:`XAttnParams.named`."""
     scale = 1.0 / math.sqrt(params.proj_dim)
 
     d_proj, d_go, d_bo = layernorm_rows_backward(d_out, cache.proj, params.ln_o_gain)

@@ -34,7 +34,7 @@ SAMPLE_RATE = 16_000
 LOG_FLOOR = 1e-10
 DEFAULT_TARGET_LENGTH = 1024
 DEFAULT_N_MELS = 128
-DEFAULT_WINDOW_MS = 25.0
+WINDOW_MS = 25.0
 DEFAULT_PATCH = 16
 DEFAULT_STRIDE = 10
 MEL_F_MAX = 8000.0
@@ -117,11 +117,11 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filter_matrix(n_mels: int, n_fft: int, sr: int,
-                      f_min: float = 0.0, f_max: float = MEL_F_MAX) -> np.ndarray:
-    """Triangular HTK-scale filters over the rfft bins, shape (n_mels, bins)."""
+def mel_filter_matrix(n_mels: int, n_fft: int, sr: int) -> np.ndarray:
+    """Triangular HTK-scale filters over the rfft bins from 0 Hz to
+    ``MEL_F_MAX``, shape (n_mels, bins)."""
     bin_freqs = np.arange(n_fft // 2 + 1) * (sr / n_fft)
-    edges = mel_to_hz(np.linspace(hz_to_mel(f_min), hz_to_mel(f_max), n_mels + 2))
+    edges = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(MEL_F_MAX), n_mels + 2))
     left, center, right = edges[:-2], edges[1:-1], edges[2:]
     up = (bin_freqs[None, :] - left[:, None]) / (center - left)[:, None]
     down = (right[:, None] - bin_freqs[None, :]) / (right - center)[:, None]
@@ -141,14 +141,13 @@ def _frame_constants(window: int, n_fft: int, n_mels: int
 
 
 def compute_fbank(w: Waveform, target_length: int = DEFAULT_TARGET_LENGTH,
-                  n_mels: int = DEFAULT_N_MELS,
-                  window_ms: float = DEFAULT_WINDOW_MS) -> MelFilterBank:
+                  n_mels: int = DEFAULT_N_MELS) -> MelFilterBank:
     """Log-Mel filter bank with the clip-adaptive frame shift.
 
     Frame ``k`` starts at ``round(k * f_shift * sr / 1000)`` samples; windows
     running past the end of the signal are zero-padded, which guarantees the
-    row count.  Clips shorter than one analysis window are zero-padded to a
-    single window (with a warning) rather than rejected.
+    row count.  Clips shorter than one ``WINDOW_MS`` analysis window are
+    zero-padded to a single window (with a warning) rather than rejected.
     """
     if w.sample_rate != SAMPLE_RATE:
         raise AudioFormatError(
@@ -156,7 +155,7 @@ def compute_fbank(w: Waveform, target_length: int = DEFAULT_TARGET_LENGTH,
             "resample upstream before feature extraction")
     if n_mels < 1:
         raise ValueError(f"n_mels must be positive, got {n_mels}")
-    window = round(SAMPLE_RATE * window_ms / 1000.0)
+    window = round(SAMPLE_RATE * WINDOW_MS / 1000.0)
     samples = w.samples
     if samples.size < window:
         warnings.warn(

@@ -79,7 +79,6 @@ def _cmd_train(args) -> int:
         "epochs": args.epochs, "batch_size": args.batch_size,
         "learning_rate": args.learning_rate, "seed": args.seed,
         "fusion": args.fusion, "modality": args.modality,
-        "threads": args.threads,
     }
     config = load_config(args.config, {k: v for k, v in overrides.items()
                                        if v is not None})
@@ -102,10 +101,9 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     """``eval`` and ``rerank``; ``rerank`` makes ``--k`` required."""
     corpus = load_corpus(args.data)
-    model, _step, config = load_checkpoint(args.checkpoint)
+    model, _step, _config = load_checkpoint(args.checkpoint)
     result = evaluate(model, corpus, k=_parse_k(args.k, len(corpus)),
-                      dsl_temp=getattr(args, "dsl_temp", None),
-                      workers=args.threads or config.threads)
+                      dsl_temp=getattr(args, "dsl_temp", None), workers=args.threads)
     _emit_json(_metrics_json(result), args.out)
     return 0
 
@@ -193,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--fusion", choices=[kind.value for kind in FusionKind])
     p.add_argument("--modality", choices=MODALITIES)
-    p.add_argument("--threads", type=int)
     p.add_argument("--log", help="write the per-epoch history as JSON")
     p.set_defaults(handler=_cmd_train)
 
@@ -208,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "eval":
             p.add_argument("--dsl-temp", type=float, default=None,
                            help="dual-softmax post-processing temperature")
-        p.add_argument("--threads", type=int, default=0)
+        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out", help="write metrics JSON here instead of stdout")
         p.set_defaults(handler=_cmd_eval)
 

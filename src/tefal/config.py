@@ -29,7 +29,6 @@ class TrainConfig:
     audio_tokens: int = 8
     fusion: str = "addition"
     modality: str = "both"          # both | video | audio (ablations)
-    output_affine: bool = True
     temperature_init: float = TAU_INIT
     # optimization
     batch_size: int = 16
@@ -43,7 +42,6 @@ class TrainConfig:
     grad_clip: float = 1.0
     seed: int = 0
     # harness
-    threads: int = 1
     eval_every: int = 0             # epochs between R@1 probes; 0 disables
 
     def validate(self) -> "TrainConfig":
@@ -54,9 +52,8 @@ class TrainConfig:
         if not TAU_MIN <= self.temperature_init <= TAU_MAX:
             raise ConfigError(f"temperature_init must lie in [{TAU_MIN}, {TAU_MAX}], "
                               f"got {self.temperature_init}")
-        for name in ("batch_size", "threads"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.dim < 1 or self.proj_dim < 1:
             raise ConfigError("dim and proj_dim must be positive")
         if self.modality not in MODALITIES:

@@ -87,32 +87,32 @@ def _feature_sum(m: np.ndarray, axis: int, y: np.ndarray | None = None) -> np.nd
 
 
 def layernorm_rows(m: np.ndarray, gain: np.ndarray, bias: np.ndarray,
-                   eps: float = LAYERNORM_EPS, axis: int = -1) -> np.ndarray:
+                   axis: int = -1) -> np.ndarray:
     """Standardize each row to zero mean / unit variance, then apply affine.
 
-    Uses the population variance and puts ``eps`` inside the square root, so
-    a constant row maps exactly to the bias vector.  The features lie along
-    ``axis``: -1 for row blocks, 0 for pair-last arrays, whose feature sums
-    run in feature order (:func:`sum_leading`).
+    Uses the population variance and puts ``LAYERNORM_EPS`` inside the
+    square root, so a constant row maps exactly to the bias vector.  The
+    features lie along ``axis``: -1 for row blocks, 0 for pair-last arrays,
+    whose feature sums run in feature order (:func:`sum_leading`).
     """
     m = np.asarray(m, dtype=np.float64)
     width = m.shape[axis]
     column = (width,) + (1,) * (m.ndim - 1) if axis == 0 else (1, width)
     # sum / width is bit-identical to mean(), without its Python overhead
     out = m - _feature_sum(m, axis) / width
-    out *= 1.0 / np.sqrt(_feature_sum(out, axis, out) / width + eps)
+    out *= 1.0 / np.sqrt(_feature_sum(out, axis, out) / width + LAYERNORM_EPS)
     out *= gain.reshape(column)
     out += bias.reshape(column)
     return out
 
 
 def layernorm_rows_backward(d_out: np.ndarray, m: np.ndarray, gain: np.ndarray,
-                            eps: float = LAYERNORM_EPS, axis: int = -1):
+                            axis: int = -1):
     """Gradients (d_m, d_gain, d_bias) for :func:`layernorm_rows`."""
     m = np.asarray(m, dtype=np.float64)
     width = m.shape[axis]
     xhat = m - _feature_sum(m, axis) / width
-    inv = 1.0 / np.sqrt(_feature_sum(xhat, axis, xhat) / width + eps)
+    inv = 1.0 / np.sqrt(_feature_sum(xhat, axis, xhat) / width + LAYERNORM_EPS)
     xhat *= inv
 
     rows = tuple(i for i in range(m.ndim) if i != axis % m.ndim)

@@ -87,8 +87,7 @@ class RetrievalModel:
 
 def create_model(seed: int, dim: int, proj_dim: int | None = None,
                  fusion: FusionKind | str = FusionKind.ADDITION,
-                 modality: str = "both", tau: float = TAU_INIT,
-                 output_affine: bool = True) -> RetrievalModel:
+                 modality: str = "both", tau: float = TAU_INIT) -> RetrievalModel:
     """Build a freshly initialized model.
 
     The query text enters the similarity directly, so the projection width
@@ -107,8 +106,8 @@ def create_model(seed: int, dim: int, proj_dim: int | None = None,
         fusion = FusionKind.parse(fusion)
     rng = np.random.default_rng(seed)
     return RetrievalModel(
-        video=XAttnParams.create(rng, dim, proj_dim, output_affine=output_affine),
-        audio=XAttnParams.create(rng, dim, proj_dim, output_affine=output_affine),
+        video=XAttnParams.create(rng, dim, proj_dim),
+        audio=XAttnParams.create(rng, dim, proj_dim),
         fusion=FusionParams.create(rng, fusion, dim, proj_dim),
         temperature=Temperature.from_tau(tau),
         modality=modality,

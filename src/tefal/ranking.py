@@ -112,7 +112,6 @@ class RankingMetrics:
     r10: float
     mdr: float
     mnr: float
-    direction: str = "t2v"
 
     def as_dict(self) -> dict[str, float]:
         return {"R1": self.r1, "R5": self.r5, "R10": self.r10,
@@ -126,8 +125,7 @@ class EvalStats:
     stage2_model_evals: int = 0
 
 
-def compute_metrics(ranks, candidate_count: int, direction: str = "t2v"
-                    ) -> RankingMetrics:
+def compute_metrics(ranks, candidate_count: int) -> RankingMetrics:
     """R@1/5/10 (percent), median rank (lower middle for even counts), and
     mean rank.  Every rank must lie in [1, candidate_count]."""
     ranks = np.asarray(ranks)
@@ -146,7 +144,6 @@ def compute_metrics(ranks, candidate_count: int, direction: str = "t2v"
         r10=100.0 * int(np.sum(ranks <= 10)) / n,
         mdr=float(ordered[(n - 1) // 2]),
         mnr=float(np.mean(ranks)),
-        direction=direction,
     )
 
 
@@ -462,8 +459,8 @@ def evaluate(model: RetrievalModel, corpus: Corpus, k: int | None = None,
         (ranks_t2v, ranks_v2t), stats = _rerank(model, corpus, k, workers, DIRECTIONS)
 
     return EvalResult(
-        t2v=compute_metrics(ranks_t2v, n, "t2v"),
-        v2t=compute_metrics(ranks_v2t, n, "v2t"),
+        t2v=compute_metrics(ranks_t2v, n),
+        v2t=compute_metrics(ranks_v2t, n),
         ranks_t2v=ranks_t2v,
         ranks_v2t=ranks_v2t,
         stats=stats,

@@ -386,6 +386,12 @@ def load_checkpoint(path):
     if step.shape != (1, 1) or not (step[0, 0] >= 0 and step[0, 0].is_integer()):
         raise FormatError(f"{path}: step entry must be one non-negative integer")
     try:
+        # snapshots written before the worker count and the output affine
+        # became constants hold their keys: blank those lines (keeping the
+        # line numbers); a frozen affine then fails the name check below
+        config_text = "\n".join(
+            "" if line.partition("=")[0].strip() in ("threads", "output_affine")
+            else line for line in config_text.splitlines())
         config = TrainConfig(**parse_config_text(config_text)).validate()
         # build a model only once the file holds one block's D x D_p
         # weights, so that a bad config cannot size a huge allocation
@@ -393,8 +399,7 @@ def load_checkpoint(path):
         if w_q is None or w_q.shape != (config.dim, config.proj_dim):
             raise ValueError(f"video.w_q does not match dim {config.dim}")
         model = create_model(seed=0, dim=config.dim, proj_dim=config.proj_dim,
-                             fusion=config.fusion, modality=config.modality,
-                             output_affine=config.output_affine)
+                             fusion=config.fusion, modality=config.modality)
     except ValueError as exc:
         raise FormatError(f"{path}: invalid config snapshot ({exc})") from None
     target = named_parameters(model, trainable_only=False)

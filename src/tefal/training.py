@@ -106,7 +106,7 @@ def train(config: TrainConfig, corpus: Corpus) -> TrainResult:
     model = create_model(
         seed=config.seed, dim=config.dim, proj_dim=config.proj_dim,
         fusion=config.fusion, modality=config.modality,
-        tau=config.temperature_init, output_affine=config.output_affine)
+        tau=config.temperature_init)
     params = named_parameters(model, trainable_only=True)
     optimizer = AdamW(learning_rate=config.learning_rate, beta1=config.beta1,
                       beta2=config.beta2, eps=config.adam_eps,
@@ -143,7 +143,7 @@ def train(config: TrainConfig, corpus: Corpus) -> TrainResult:
                  "grad_norm": float(np.mean(grad_norms)) if grad_norms else None,
                  "lr_scale": float(np.mean(lr_scales)) if lr_scales else None}
         if config.eval_every and (epoch + 1) % config.eval_every == 0:
-            probe = evaluate(model, corpus, workers=config.threads)
+            probe = evaluate(model, corpus)
             entry["r1_t2v"] = probe.t2v.r1
         history.append(entry)
 

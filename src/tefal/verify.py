@@ -194,18 +194,16 @@ def _infonce_check(seed: int, step: float) -> float:
 
 
 def end_to_end_check(fusion: str = "addition", modality: str = "both",
-                     seed: int = 0, step: float = 1e-5,
-                     batch: int = 2, dim: int = 8, frames: int = 3,
-                     audio_tokens: int = 5) -> float:
-    """Finite differences through the whole training loss on a toy model.
-    Under xattn fusion the batch grows from ``batch`` (up to 8) until the
-    xattn tile reorders some pair's context [e_v, e_a], so that the check
-    runs through the kernel's inverse permutation (seed 0 needs 4)."""
-    model = create_model(seed=seed, dim=dim, proj_dim=dim, fusion=fusion,
-                         modality=modality)
-    for batch in range(batch, 9):
-        corpus = synth_corpus(seed=seed + 1, n_items=max(4, batch), dim=dim,
-                              frames=frames, audio_tokens=audio_tokens,
+                     seed: int = 0, step: float = 1e-5) -> float:
+    """Finite differences through the whole training loss on a toy model
+    (D = 8, 3 frames, 5 audio tokens, a batch of 2).  Under xattn fusion the
+    batch grows (up to 8) until the xattn tile reorders some pair's context
+    [e_v, e_a], so that the check runs through the kernel's inverse
+    permutation (seed 0 needs 4)."""
+    model = create_model(seed=seed, dim=8, fusion=fusion, modality=modality)
+    for batch in range(2, 9):
+        corpus = synth_corpus(seed=seed + 1, n_items=max(4, batch), dim=8,
+                              frames=3, audio_tokens=5,
                               audio_informative=0.5, noise=0.3)
         indices = np.arange(batch)
         tape = score_tile(model, query_rows(model, corpus.texts[indices]), corpus,

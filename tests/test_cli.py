@@ -208,13 +208,15 @@ class TestTrainEval:
             assert run(*command, "--data", str(manifest), "--checkpoint", str(ckpt),
                        "--threads", "-2") == 1
             assert "threads must be >= 1" in capsys.readouterr().err
+        # train takes no worker count; eval's default is 1 and 0 is an error
         assert run("train", "--data", str(manifest), "--out", str(tmp_path / "t.ckpt"),
-                   "--epochs", "1", "--threads", "0") == 1
-        assert "threads must be >= 1" in capsys.readouterr().err
+                   "--epochs", "1", "--threads", "0") == 2
+        assert "--threads" in capsys.readouterr().err
         assert not (tmp_path / "t.ckpt").exists()
-        # --threads 0, the default, takes the checkpoint's thread count
         assert run("eval", "--data", str(manifest), "--checkpoint", str(ckpt),
-                   "--threads", "0", "--out", str(tmp_path / "m.json")) == 0
+                   "--threads", "0", "--out", str(tmp_path / "m.json")) == 1
+        assert "threads must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
         for cap in ("0", "-4"):
             monkeypatch.setenv("TEFAL_THREADS", cap)
             assert run("eval", "--data", str(manifest), "--checkpoint", str(ckpt)) == 1
@@ -377,7 +379,7 @@ for fusion in ("addition", "xattn", "stacking"):
     ckpt = f"{fusion}.tfck"
     run("train", "--data", manifest, "--out", ckpt, "--log", f"{fusion}.log.json",
         "--fusion", fusion, "--epochs", 2, "--batch-size", 8,
-        "--learning-rate", "3e-3", "--seed", 1, "--threads", 2)
+        "--learning-rate", "3e-3", "--seed", 1)
     run("eval", "--data", manifest, "--checkpoint", ckpt, "--threads", 2,
         "--out", f"{fusion}.eval.json")
     run("rerank", "--data", manifest, "--checkpoint", ckpt, "--k", "10%",
@@ -392,8 +394,8 @@ for path in sorted(Path(".").rglob("*")):
 
 class TestEnvironments:
     def test_blas_and_worker_threads_change_no_artifact_byte(self, tmp_path):
-        # one process per (OPENBLAS_NUM_THREADS, TEFAL_THREADS); train, eval
-        # and rerank ask for 2 workers, so TEFAL_THREADS sets the count
+        # one process per (OPENBLAS_NUM_THREADS, TEFAL_THREADS); eval and
+        # rerank ask for 2 workers, so TEFAL_THREADS sets the count
         src = str(Path(tefal.__file__).resolve().parents[1])
         procs = []
         for blas, workers in ((1, 1), (2, 2)):

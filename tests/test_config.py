@@ -82,10 +82,16 @@ class TestValidation:
         with pytest.raises(ConfigError, match="batch_size"):
             TrainConfig(batch_size=0).validate()
 
-    @pytest.mark.parametrize("threads", [0, -4])
-    def test_thread_count_below_one_rejected(self, threads):
-        with pytest.raises(ConfigError, match=f"threads must be >= 1, got {threads}"):
-            TrainConfig(threads=threads).validate()
+    @pytest.mark.parametrize("key,value", [("threads", "2"), ("output_affine", "true")])
+    def test_retired_key_in_a_file_rejected(self, tmp_path, key, value):
+        # the worker count and the output affine are no longer settings: a
+        # file naming either fails rather than having the value ignored
+        path = tmp_path / "train.cfg"
+        path.write_text(f"epochs = 2\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"line 2: unknown config key '{key}'"):
+            load_config(path)
+        with pytest.raises(TypeError, match=key):
+            TrainConfig(**{key: value})
 
     @pytest.mark.parametrize("field", ["learning_rate", "temperature_init", "grad_clip",
                                        "adam_eps"])

@@ -7,6 +7,7 @@ import pytest
 
 from tefal.attention import _stable_rows_times
 from tefal.linalg import (
+    LAYERNORM_EPS,
     canonical_sum,
     layernorm_rows,
     layernorm_rows_backward,
@@ -108,16 +109,14 @@ class TestLayernormRows:
         np.testing.assert_array_equal(out2, bias2)
 
     def test_two_point_closed_form(self):
-        eps = 1e-5
-        out = layernorm_rows(np.array([[1.0, -1.0]]), np.ones((1, 2)),
-                             np.zeros((1, 2)), eps=eps)
-        a = 1.0 / math.sqrt(1.0 + eps)
+        out = layernorm_rows(np.array([[1.0, -1.0]]), np.ones((1, 2)), np.zeros((1, 2)))
+        a = 1.0 / math.sqrt(1.0 + LAYERNORM_EPS)
         np.testing.assert_allclose(out, np.array([[a, -a]]), rtol=1e-15)
 
     def test_standardization_property(self):
         rng = np.random.default_rng(5)
         m = rng.standard_normal((6, 16)) * 10.0 + 1.5
-        out = layernorm_rows(m, np.ones((1, 16)), np.zeros((1, 16)), eps=1e-5)
+        out = layernorm_rows(m, np.ones((1, 16)), np.zeros((1, 16)))
         np.testing.assert_allclose(out.mean(axis=1), 0.0, atol=1e-12)
         np.testing.assert_allclose(out.var(axis=1), 1.0, atol=1e-6)
 

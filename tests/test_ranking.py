@@ -232,8 +232,7 @@ class TestRankExhaustive:
         model, corpus = small_setup
         sim = rank_exhaustive(model, corpus).sim
         ranks_v2t = ranks_from_similarity(sim.T, corpus.ids)
-        m = compute_metrics(ranks_v2t, len(corpus), "v2t")
-        assert m.direction == "v2t"
+        assert compute_metrics(ranks_v2t, len(corpus)) == evaluate(model, corpus).v2t
         # transposing twice returns the original ranks
         np.testing.assert_array_equal(
             ranks_from_similarity(sim.T.T, corpus.ids),

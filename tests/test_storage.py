@@ -16,6 +16,7 @@ from tefal.corpus import synth_corpus
 from tefal.model import create_model, named_parameters, similarity_matrix
 from tefal.storage import (
     FormatError,
+    _encode_entry,
     load_checkpoint,
     load_corpus,
     read_embeddings,
@@ -299,15 +300,49 @@ class TestMalformedCheckpoint:
 
     @pytest.mark.parametrize("line", [b"epochs = abc", b"learning_rate = nan",
                                       b"temperature_init = 500", b"beta2 = 1.0",
-                                      b"weight_decay = -5", b"eval_every = -1",
-                                      b"threads = 0"])
+                                      b"weight_decay = -5", b"eval_every = -1"])
     def test_crc_valid_config_bad_value_names_the_key(self, tmp_path, checkpoint_body,
                                                       line):
-        key = line.split(b" ")[0].decode()
-        config = config_to_text(TrainConfig(dim=4, proj_dim=4)).encode() + line + b"\n"
+        key = line.split(b" ")[0]
+        lines = config_to_text(TrainConfig(dim=4, proj_dim=4)).encode().splitlines()
+        config = b"".join((line if old.split(b" ")[0] == key else old) + b"\n"
+                          for old in lines)
+        assert line in config.splitlines()
         path = tmp_path / "value.tfck"
         path.write_bytes(with_crc(with_config(checkpoint_body, config)))
-        with pytest.raises(FormatError, match=f"value.tfck.*{key}"):
+        with pytest.raises(FormatError, match=f"value.tfck.*{key.decode()}"):
+            load_checkpoint(path)
+
+    def test_crc_valid_snapshot_with_retired_keys_loads(self, tmp_path, checkpoint_body):
+        # snapshots written while the worker count and the output affine
+        # were settings hold both keys, whatever their values
+        config = (config_to_text(TrainConfig(dim=4, proj_dim=4)).encode()
+                  + b"threads = 0\noutput_affine = true\n")
+        path = tmp_path / "retired.tfck"
+        path.write_bytes(with_crc(with_config(checkpoint_body, config)))
+        model, step, loaded = load_checkpoint(path)
+        assert (step, loaded) == (3, TrainConfig(dim=4, proj_dim=4))
+        got = named_parameters(model, trainable_only=False)
+        for name, arr in named_parameters(create_model(seed=1, dim=4),
+                                          trainable_only=False).items():
+            np.testing.assert_array_equal(
+                got[name], arr.astype(np.float32).astype(np.float64), err_msg=name)
+
+    def test_crc_valid_snapshot_with_frozen_output_affine_rejected(self, tmp_path):
+        # a model with a frozen output affine was saved without its
+        # *.ln_o_* entries, which every model now has
+        config = (config_to_text(TrainConfig(dim=4, proj_dim=4)).encode()
+                  + b"output_affine = false\n")
+        entries = {"__step__": np.array([[3.0]])}
+        entries.update((name, arr) for name, arr in named_parameters(
+            create_model(seed=1, dim=4), trainable_only=False).items()
+            if ".ln_o_" not in name)
+        body = (struct.pack("<4sIII", b"TFCK", 2, len(entries), len(config)) + config
+                + b"".join(_encode_entry(name, arr) for name, arr in entries.items()))
+        path = tmp_path / "frozen.tfck"
+        path.write_bytes(with_crc(body))
+        with pytest.raises(FormatError, match="frozen.tfck: parameter names do not "
+                                              "match.*ln_o_"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("name,rows", [("video.w_q", 4), ("__step__", 1)])
