@@ -4,12 +4,12 @@ Subcommands: synth, train, eval, rerank, fbank, gradcheck, export-attn.
 Exit codes: 0 on success, 1 on a runtime failure (with a diagnostic on
 stderr), 2 on usage errors.  Runs are reproducible: the same argv and seed
 produce byte-identical artifacts.  Model geometry (dim, frames, audio
-tokens) always comes from the loaded data, not from flags.
+tokens) always comes from the loaded data; a train config file may repeat
+it but not change it.
 """
 
 import argparse
 import csv
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .audiofeat import compute_fbank, read_wav
-from .config import load_config
+from .config import ConfigError, load_config, parse_config_text
 from .corpus import synth_corpus
 from .fusion import FusionKind
 from .model import MODALITIES, TILE_PAIRS, query_rows, score_tile
@@ -75,17 +75,19 @@ def _cmd_synth(args) -> int:
 
 def _cmd_train(args) -> int:
     corpus = load_corpus(args.data)
-    overrides = {
-        "epochs": args.epochs, "batch_size": args.batch_size,
-        "learning_rate": args.learning_rate, "seed": args.seed,
-        "fusion": args.fusion, "modality": args.modality,
-    }
-    config = load_config(args.config, {k: v for k, v in overrides.items()
-                                       if v is not None})
-    config = dataclasses.replace(
-        config, dim=corpus.dim, proj_dim=corpus.dim,
-        frames=corpus.frame_count, audio_tokens=corpus.audio_token_count)
-    result = train(config, corpus)
+    values = (parse_config_text(Path(args.config).read_text(encoding="utf-8"))
+              if args.config else {})
+    geometry = {"dim": corpus.dim, "proj_dim": corpus.dim,
+                "frames": corpus.frame_count, "audio_tokens": corpus.audio_token_count}
+    for key, value in geometry.items():
+        if values.get(key, value) != value:
+            raise ConfigError(f"config file sets {key} = {values[key]}, but the "
+                              f"data has {key} {value}")
+    flags = {"epochs": args.epochs, "batch_size": args.batch_size,
+             "learning_rate": args.learning_rate, "seed": args.seed,
+             "fusion": args.fusion, "modality": args.modality}
+    values.update((k, v) for k, v in flags.items() if v is not None)
+    result = train(load_config(None, {**values, **geometry}), corpus)
     for entry in result.history:
         tau = f"{entry['tau']:.4f}"
         print(f"epoch {entry['epoch']:3d}  loss {entry['loss']:.6f}  tau {tau}")

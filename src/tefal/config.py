@@ -1,6 +1,7 @@
 """Training/evaluation configuration and the flat key=value config format.
 
-Config files hold one ``key = value`` pair per line; ``#`` starts a comment.
+Config files hold one ``key = value`` pair per line, each key at most once;
+``#`` starts a comment.
 Command-line flags override file values, which override the defaults below.
 """
 
@@ -62,7 +63,7 @@ class TrainConfig:
         for name in ("grad_clip", "adam_eps"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("epochs", "learning_rate", "weight_decay", "eval_every"):
+        for name in ("epochs", "learning_rate", "weight_decay", "seed", "eval_every"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("beta1", "beta2"):
@@ -108,7 +109,7 @@ def config_to_text(config: TrainConfig) -> str:
 
 
 def parse_config_text(text: str) -> dict:
-    values = {}
+    values, lines = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -119,6 +120,10 @@ def parse_config_text(text: str) -> dict:
         key = key.strip()
         if key not in _FIELDS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
+        if key in lines:
+            raise ConfigError(f"line {lineno}: config key {key!r} repeats line "
+                              f"{lines[key]}")
+        lines[key] = lineno
         try:
             values[key] = _coerce(key, raw)
         except ConfigError as exc:

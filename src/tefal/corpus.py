@@ -125,6 +125,8 @@ def synth_corpus(seed: int, n_items: int = 1000, dim: int = 32, frames: int = 4,
         raise ValueError("n_items, dim, frames, and audio_tokens must be positive")
     if not math.isfinite(noise):
         raise ValueError(f"noise must be finite, got {noise}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
     rng = np.random.default_rng(seed)
     scale = 1.0 / math.sqrt(dim)

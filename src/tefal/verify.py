@@ -226,6 +226,8 @@ def end_to_end_check(fusion: str = "addition", modality: str = "both",
 
 def run_grad_checks(seed: int = 0, step: float = 1e-5) -> list[CheckResult]:
     """The full verification suite, primitive rules through end-to-end loss."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     logits, m, gain, bias = (rng.standard_normal(shape)
                              for shape in ((2, 5), (2, 8), (1, 8), (1, 8)))

@@ -18,7 +18,8 @@ from tefal.cli import build_parser, main
 from tefal.config import TrainConfig
 from tefal.fusion import FusionKind
 from tefal.model import MODALITIES, create_model
-from tefal.storage import load_corpus, read_fbank, save_checkpoint, save_corpus
+from tefal.storage import (load_checkpoint, load_corpus, read_fbank, save_checkpoint,
+                           save_corpus)
 
 
 def run(*argv):
@@ -102,6 +103,63 @@ class TestExitCodes:
             assert key in capsys.readouterr().err
         assert not (tmp_path / "m.ckpt").exists()
 
+    def test_repeated_config_key_is_exit_one(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert run(*synth_args(data)) == 0
+        config = tmp_path / "train.cfg"
+        config.write_text("epochs = 3\nepochs = 1\n")
+        capsys.readouterr()
+        assert run("train", "--data", str(data / "manifest.json"), "--out",
+                   str(tmp_path / "m.ckpt"), "--config", str(config)) == 1
+        assert "line 2: config key 'epochs' repeats line 1" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("command", ["synth", "train", "train-config", "gradcheck"])
+    def test_negative_seed_is_exit_one_and_names_it(self, tmp_path, capsys, command):
+        # numpy's "expected non-negative integer" named no flag
+        data = tmp_path / "data"
+        assert run(*synth_args(data)) == 0
+        config = tmp_path / "train.cfg"
+        config.write_text("seed = -3\n")
+        train = ["train", "--data", str(data / "manifest.json"),
+                 "--out", str(tmp_path / "m.ckpt"), "--epochs", "1"]
+        argv = {"synth": synth_args(tmp_path / "other", seed=-1),
+                "train": train + ["--seed", "-1"],
+                "train-config": train + ["--config", str(config)],
+                "gradcheck": ["gradcheck", "--seed", "-1"]}[command]
+        capsys.readouterr()
+        assert run(*argv) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
+        assert not (tmp_path / "other").exists()
+
+    @pytest.mark.parametrize("line", ["dim = 64", "proj_dim = 7", "frames = 99",
+                                      "audio_tokens = 9"])
+    def test_config_geometry_other_than_the_data_is_exit_one(self, tmp_path, capsys,
+                                                             line):
+        # the data (dim 12, 3 frames, 4 audio tokens) used to win silently
+        data = tmp_path / "data"
+        assert run(*synth_args(data)) == 0
+        config = tmp_path / "train.cfg"
+        config.write_text(f"epochs = 1\n{line}\n")
+        capsys.readouterr()
+        assert run("train", "--data", str(data / "manifest.json"), "--out",
+                   str(tmp_path / "m.ckpt"), "--config", str(config)) == 1
+        assert f"config file sets {line}" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_config_geometry_equal_to_the_data_is_accepted(self, tmp_path):
+        data = tmp_path / "data"
+        assert run(*synth_args(data)) == 0
+        config = tmp_path / "train.cfg"
+        config.write_text("epochs = 1\ndim = 12\nproj_dim = 12\nframes = 3\n"
+                          "audio_tokens = 4\n")
+        assert run("train", "--data", str(data / "manifest.json"), "--out",
+                   str(tmp_path / "m.ckpt"), "--config", str(config)) == 0
+        _model, _step, loaded = load_checkpoint(tmp_path / "m.ckpt")
+        assert (loaded.dim, loaded.proj_dim, loaded.frames, loaded.audio_tokens) \
+            == (12, 12, 3, 4)
+
 
 class TestParser:
     def test_train_choices_are_the_library_lists(self):
@@ -144,6 +202,22 @@ class TestTrainEval:
                        "--learning-rate", "3e-3", "--seed", "7") == 0
             outputs.append((ckpt.read_bytes(), log.read_bytes()))
         assert outputs[0] == outputs[1]
+
+    def test_eval_every_logs_are_byte_identical(self, tmp_path):
+        data = tmp_path / "data"
+        assert run(*synth_args(data)) == 0
+        config = tmp_path / "train.cfg"
+        config.write_text("epochs = 2\nbatch_size = 8\neval_every = 1\n")
+        logs = []
+        for tag in ("x", "y"):
+            log = tmp_path / f"{tag}.json"
+            assert run("train", "--data", str(data / "manifest.json"), "--config",
+                       str(config), "--out", str(tmp_path / f"{tag}.ckpt"),
+                       "--log", str(log)) == 0
+            logs.append(log.read_bytes())
+        assert logs[0] == logs[1]
+        history = json.loads(logs[0])["history"]
+        assert len(history) == 2 and all("r1_t2v" in entry for entry in history)
 
     def test_eval_json_is_reproducible(self, trained_setup, tmp_path):
         manifest, ckpt = trained_setup

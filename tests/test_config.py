@@ -37,6 +37,11 @@ class TestParsing:
         with pytest.raises(ConfigError, match="true/false"):
             parse_config_text("cosine_decay = maybe\n")
 
+    def test_repeated_key_names_both_lines(self):
+        # a second value used to replace the first silently
+        with pytest.raises(ConfigError, match="line 3: config key 'epochs' repeats line 1"):
+            parse_config_text("epochs = 3\nseed = 1\nepochs = 1\n")
+
     @pytest.mark.parametrize("text,pattern", [
         ("seed = 1\nepochs = abc\n", "line 2: epochs expects int, got 'abc'"),
         ("learning_rate = fast\n", "line 1: learning_rate expects float, got 'fast'"),
@@ -118,7 +123,7 @@ class TestValidation:
     @pytest.mark.parametrize("field,value", [
         ("beta1", 1.5), ("beta1", -0.1), ("beta2", 1.0), ("adam_eps", 0.0),
         ("adam_eps", -1e-8), ("weight_decay", -5.0), ("learning_rate", -1e-3),
-        ("eval_every", -1)])
+        ("eval_every", -1), ("seed", -3)])
     def test_optimizer_value_out_of_range_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
             TrainConfig(**{field: value}).validate()

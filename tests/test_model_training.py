@@ -162,6 +162,12 @@ class TestTraining:
         # cosine decay: the second epoch's mean scale is below the first's
         assert result.history[1]["lr_scale"] < result.history[0]["lr_scale"]
 
+    def test_eval_every_probes_r1_of_the_model_so_far(self):
+        corpus = tiny_corpus()
+        result = train(tiny_config(epochs=2, eval_every=1), corpus)
+        assert all("r1_t2v" in entry for entry in result.history)
+        assert result.history[-1]["r1_t2v"] == evaluate(result.model, corpus).t2v.r1
+
     def test_zero_gradient_parameter_does_not_move(self):
         params = {"w": np.ones((2, 2)), "frozen": np.full((1, 2), 3.0)}
         optimizer = AdamW(learning_rate=0.1)
@@ -402,6 +408,10 @@ class TestSynthCorpus:
         np.testing.assert_array_equal(a.frames, b.frames)
         np.testing.assert_array_equal(a.audio, b.audio)
         assert a.ids == b.ids
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            synth_corpus(seed=-1, n_items=4)
 
     def test_invalid_fraction_rejected(self):
         with pytest.raises(ValueError):

@@ -313,6 +313,16 @@ class TestMalformedCheckpoint:
         with pytest.raises(FormatError, match=f"value.tfck.*{key.decode()}"):
             load_checkpoint(path)
 
+    def test_crc_valid_config_repeated_key_names_both_lines(self, tmp_path,
+                                                            checkpoint_body):
+        text = config_to_text(TrainConfig(dim=4, proj_dim=4))
+        line = text.splitlines().index("epochs = 20") + 1
+        config = (text + "epochs = 1\n").encode()
+        path = tmp_path / "repeat.tfck"
+        path.write_bytes(with_crc(with_config(checkpoint_body, config)))
+        with pytest.raises(FormatError, match=f"repeat.tfck.*'epochs' repeats line {line}"):
+            load_checkpoint(path)
+
     def test_crc_valid_snapshot_with_retired_keys_loads(self, tmp_path, checkpoint_body):
         # snapshots written while the worker count and the output affine
         # were settings hold both keys, whatever their values
