@@ -27,7 +27,7 @@ from .audiofeat import (
     read_wav,
     zero_fbank,
 )
-from .config import ConfigError, TrainConfig, load_config
+from .config import ConfigError, TrainConfig
 from .contrastive import Temperature, infonce
 from .corpus import Corpus, synth_corpus
 from .fusion import FusionKind, FusionParams, audio_summary

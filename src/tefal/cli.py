@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .audiofeat import compute_fbank, read_wav
-from .config import ConfigError, load_config, parse_config_text
+from .config import ConfigError, TrainConfig, parse_config_text
 from .corpus import synth_corpus
 from .fusion import FusionKind
 from .model import MODALITIES, TILE_PAIRS, query_rows, score_tile
@@ -50,13 +50,17 @@ def _emit_json(data: dict, out_path: str | None) -> None:
 def _parse_k(raw: str | None, n: int) -> int | None:
     if raw is None:
         return None
-    raw = raw.strip()
-    if raw.endswith("%"):
-        pct = float(raw[:-1])
-        if not 0 < pct <= 100:
-            raise ValueError(f"shortlist percentage must be in (0, 100], got {raw!r}")
-        return max(1, round(n * pct / 100.0))
-    return int(raw)
+    text = raw.strip()
+    try:
+        if not text.endswith("%"):
+            return int(text)
+        pct = float(text[:-1])
+    except ValueError:
+        raise ValueError(f"--k expects an item count or a percentage like 10%, "
+                         f"got {raw!r}") from None
+    if not 0 < pct <= 100:
+        raise ValueError(f"shortlist percentage must be in (0, 100], got {raw!r}")
+    return max(1, round(n * pct / 100.0))
 
 
 # ---------------------------------------------------------------------------
@@ -75,8 +79,12 @@ def _cmd_synth(args) -> int:
 
 def _cmd_train(args) -> int:
     corpus = load_corpus(args.data)
-    values = (parse_config_text(Path(args.config).read_text(encoding="utf-8"))
-              if args.config else {})
+    values = {}
+    if args.config:
+        try:
+            values = parse_config_text(Path(args.config).read_text(encoding="utf-8"))
+        except ConfigError as exc:
+            raise ConfigError(f"{args.config}: {exc}") from None
     geometry = {"dim": corpus.dim, "proj_dim": corpus.dim,
                 "frames": corpus.frame_count, "audio_tokens": corpus.audio_token_count}
     for key, value in geometry.items():
@@ -87,7 +95,7 @@ def _cmd_train(args) -> int:
              "learning_rate": args.learning_rate, "seed": args.seed,
              "fusion": args.fusion, "modality": args.modality}
     values.update((k, v) for k, v in flags.items() if v is not None)
-    result = train(load_config(None, {**values, **geometry}), corpus)
+    result = train(TrainConfig(**{**values, **geometry}).validate(), corpus)
     for entry in result.history:
         tau = f"{entry['tau']:.4f}"
         print(f"epoch {entry['epoch']:3d}  loss {entry['loss']:.6f}  tau {tau}")

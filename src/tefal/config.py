@@ -13,8 +13,7 @@ from .contrastive import TAU_INIT, TAU_MAX, TAU_MIN
 from .fusion import FusionError, FusionKind
 from .model import MODALITIES
 
-__all__ = ["TrainConfig", "ConfigError", "config_to_text", "parse_config_text",
-           "load_config"]
+__all__ = ["TrainConfig", "ConfigError", "config_to_text", "parse_config_text"]
 
 
 class ConfigError(ValueError):
@@ -53,10 +52,9 @@ class TrainConfig:
         if not TAU_MIN <= self.temperature_init <= TAU_MAX:
             raise ConfigError(f"temperature_init must lie in [{TAU_MIN}, {TAU_MAX}], "
                               f"got {self.temperature_init}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.dim < 1 or self.proj_dim < 1:
-            raise ConfigError("dim and proj_dim must be positive")
+        for name in ("batch_size", "dim", "proj_dim", "frames", "audio_tokens"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.modality not in MODALITIES:
             raise ConfigError(
                 f"modality must be {'|'.join(MODALITIES)}, got {self.modality!r}")
@@ -129,18 +127,3 @@ def parse_config_text(text: str) -> dict:
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
     return values
-
-
-def load_config(path=None, overrides: dict | None = None) -> TrainConfig:
-    """Defaults, overlaid with a config file, overlaid with explicit values."""
-    values: dict = {}
-    if path is not None:
-        with open(path, "r", encoding="utf-8") as f:
-            values.update(parse_config_text(f.read()))
-    for key, val in (overrides or {}).items():
-        if val is None:
-            continue
-        if key not in _FIELDS:
-            raise ConfigError(f"unknown config key {key!r}")
-        values[key] = _coerce(key, str(val)) if isinstance(val, str) else val
-    return TrainConfig(**values).validate()

@@ -1,35 +1,36 @@
-"""The full retrieval model: two attention blocks, fusion, and similarity.
+"""The full retrieval model: attention blocks, fusion, and similarity.
 
-Every candidate embedding is conditioned on the query text, so a similarity
-matrix over T queries and V candidates costs one block evaluation per
-(query, candidate) pair.  Scoring computes each block's query projection
-``LN_q(text) W_q`` once per text, then walks the candidates in tiles of
-about ``TILE_PAIRS`` pairs: :func:`score_tile` runs
-:func:`tefal.attention.block_forward_tile` on a tile, fuses the pairs'
-embeddings and takes their cosine with the query texts, every array
-pair-last (features, C, T).  A tile is dense (every candidate against the
-same queries, as in exhaustive scoring) or grouped (each candidate against
-its own, as in the stage-2 re-rank); both run the same kernel.  The xattn
-fusion block runs on it too, as a grouped tile of the pairs.  Every
-feature or row sum runs in one fixed order for any tile shape, so any
-tiling (exhaustive scoring, the stage-2 re-rank, a query or candidate
-subset, a single pair, any worker count) gives the same bits for the same
-pair.
+A model kind, its ``modality`` and fusion kind, decides which attention
+blocks run (``_blocks``, in parameter order) over which context rows
+(``_contexts``); every other function reads that one table:
 
-Training scores its B x B batch as one tile through the same
-:func:`score_tile` path, keeping the forward intermediates
-(``keep=True``); :func:`batch_loss_and_grads` then reverses cosine and
-fusion on the B^2 pairs and each block once with
-:func:`tefal.attention.block_backward_tile`, and each query projection
-once per text with :func:`tefal.attention.project_queries_backward`.
-:func:`candidate_scores`, one :func:`tefal.attention.block_forward` call
-per block and candidate, is the forward-only per-candidate reference that
-the tests compare :func:`score_tile` against; no library path calls it.
+    modality  fusion              blocks               context and fusion
+    video     (any)               video                frames
+    audio     (any)               audio                audio tokens
+    both      addition|concat_fc  video, audio         fused post hoc
+    both      xattn               video, audio, xattn  fused by the third block
+    both      late                video                + raw audio-token mean
+    both      stacking            video                frames + audio summary row
 
-``modality`` selects what the fused embedding is built from: ``"both"``
-(the configured fusion of the two conditioned embeddings), ``"video"``
-(conditioned video only), or ``"audio"`` (conditioned audio only); the two
-single-modality settings are the ablation models.
+Every candidate embedding is conditioned on the query text, so T queries
+against V candidates cost one block evaluation per pair.  Scoring projects
+each block's ``LN_q(text) W_q`` once per text, then walks the candidates in
+tiles of about ``TILE_PAIRS`` pairs: :func:`score_tile` runs
+:func:`tefal.attention.block_forward_tile` on a tile, fuses and takes the
+cosine with the query texts, every array pair-last (features, C, T).  A
+tile is dense (every candidate against the same queries, as in exhaustive
+scoring) or grouped (each candidate against its own, as in the stage-2
+re-rank, and the xattn block's one query per pair).  Every feature or row
+sum runs in one fixed order for any tile shape, so any tiling or worker
+count gives the same bits for the same pair.
+
+Training scores its B x B batch as one such tile with ``keep=True``;
+:func:`batch_loss_and_grads` reverses cosine and fusion on the B^2 pairs,
+each block once with :func:`tefal.attention.block_backward_tile`, and each
+block's query projection once per text.  :func:`candidate_scores`, one
+:func:`tefal.attention.block_forward` call per block and candidate, is the
+forward-only per-candidate reference that the tests compare
+:func:`score_tile` against; no library path calls it.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -59,7 +60,8 @@ from .linalg import ShapeError, sum_leading
 
 __all__ = ["RetrievalModel", "create_model", "named_parameters",
            "candidate_scores", "Queries", "query_rows", "score_tile",
-           "map_tasks", "similarity_matrix", "batch_loss_and_grads"]
+           "map_tasks", "similarity_matrix", "batch_loss_and_grads",
+           "uses_summary_rows"]
 
 MODALITIES = ("both", "video", "audio")
 
@@ -114,21 +116,50 @@ def create_model(seed: int, dim: int, proj_dim: int | None = None,
     )
 
 
-def _uses_video(model: RetrievalModel) -> bool:
-    return model.modality != "audio"
+# the blocks each fusion kind runs over both modalities, in parameter order
+_FUSION_BLOCKS = {FusionKind.ADDITION: ("video", "audio"), FusionKind.LATE: ("video",),
+                  FusionKind.CONCAT_FC: ("video", "audio"), FusionKind.STACKING: ("video",),
+                  FusionKind.XATTN: ("video", "audio", "xattn")}
 
 
-def _uses_audio_block(model: RetrievalModel) -> bool:
-    if model.modality == "audio":
-        return True
-    if model.modality == "video":
-        return False
-    return model.fusion.kind in (FusionKind.ADDITION, FusionKind.CONCAT_FC,
-                                 FusionKind.XATTN)
+def _blocks(model: RetrievalModel) -> tuple[str, ...]:
+    """Names of the attention blocks the model runs, in parameter order."""
+    if model.modality != "both":
+        return (model.modality,)
+    return _FUSION_BLOCKS[model.fusion.kind]
 
 
-def _uses_xattn(model: RetrievalModel) -> bool:
-    return model.modality == "both" and model.fusion.kind == FusionKind.XATTN
+def uses_summary_rows(model: RetrievalModel) -> bool:
+    """Whether the video block also attends over each item's audio summary
+    row: stacking fusion over both modalities."""
+    return model.modality == "both" and model.fusion.kind == FusionKind.STACKING
+
+
+def _contexts(model: RetrievalModel, corpus: Corpus, cols) -> dict[str, np.ndarray]:
+    """Each video or audio block's (C, n, D) context rows for candidates ``cols``."""
+    sources = {"video": corpus.frames, "audio": corpus.audio}
+    out = {name: sources[name][cols] for name in _blocks(model) if name in sources}
+    if uses_summary_rows(model):
+        out["video"] = np.concatenate(
+            [out["video"], corpus.summary_rows()[cols][:, None, :]], axis=1)
+    return out
+
+
+def _params(model: RetrievalModel, name: str) -> XAttnParams:
+    return model.fusion.xattn if name == "xattn" else getattr(model, name)
+
+
+def _fuse(model: RetrievalModel, outputs: dict, xattn_queries, token_mean):
+    """``(fused, fusion cache)`` from the video and audio blocks' pair-last
+    ``outputs``; the cache is ``None`` when one block's output is the fused
+    embedding.  ``token_mean()`` gives late fusion's raw audio-token mean."""
+    if model.modality == "both" and model.fusion.kind == FusionKind.LATE:
+        return fuse_forward(model.fusion, video_cond=outputs["video"],
+                            audio_token_mean=token_mean())
+    if len(outputs) == 1:
+        return next(iter(outputs.values())), None
+    return fuse_forward(model.fusion, video_cond=outputs["video"],
+                        audio_cond=outputs["audio"], queries=xattn_queries)
 
 
 def named_parameters(model: RetrievalModel, trainable_only: bool = True
@@ -139,10 +170,9 @@ def named_parameters(model: RetrievalModel, trainable_only: bool = True
     configured modality and fusion kind actually route gradients to.
     """
     out: dict[str, np.ndarray] = {}
-    if not trainable_only or _uses_video(model):
-        out.update({f"video.{k}": v for k, v in model.video.named().items()})
-    if not trainable_only or _uses_audio_block(model):
-        out.update({f"audio.{k}": v for k, v in model.audio.named().items()})
+    for name in ("video", "audio"):
+        if not trainable_only or name in _blocks(model):
+            out.update({f"{name}.{k}": v for k, v in getattr(model, name).named().items()})
     if not trainable_only or model.modality == "both":
         out.update({f"fusion.{k}": v for k, v in model.fusion.named().items()})
     out["temperature.log_scale"] = model.temperature.log_scale
@@ -158,58 +188,39 @@ def candidate_scores(model: RetrievalModel, texts: np.ndarray, corpus: Corpus,
     the per-candidate reference for :func:`score_tile`.
     """
     texts = np.asarray(texts, dtype=np.float64)
-    kind = model.fusion.kind
-    if model.modality == "video":
-        fused, _ = block_forward(model.video, texts, corpus.frames[j])
-    elif model.modality == "audio":
-        fused, _ = block_forward(model.audio, texts, corpus.audio[j])
-    elif kind == FusionKind.STACKING:
-        context = np.concatenate(
-            [corpus.frames[j], corpus.summary_rows()[j:j + 1]], axis=0)
-        fused, _ = block_forward(model.video, texts, context)
-    elif kind == FusionKind.LATE:
-        e_v, _ = block_forward(model.video, texts, corpus.frames[j])
-        token_mean = corpus.audio[j].mean(axis=0)[:, None]
-        fused = fuse_forward(model.fusion, video_cond=e_v.T,
-                             audio_token_mean=token_mean)[0].T
-    else:
-        e_v, _ = block_forward(model.video, texts, corpus.frames[j])
-        e_a, _ = block_forward(model.audio, texts, corpus.audio[j])
-        fused = fuse_forward(model.fusion, video_cond=e_v.T, audio_cond=e_a.T,
-                             queries=query_rows(model, texts).xattn)[0].T
-    return cosine_rows(texts.T, fused.T)
+    outputs = {name: block_forward(_params(model, name), texts, rows[0])[0].T
+               for name, rows in _contexts(model, corpus, [j]).items()}
+    fused, _ = _fuse(model, outputs, query_rows(model, texts).blocks.get("xattn"),
+                     lambda: corpus.audio[j].mean(axis=0)[:, None])
+    return cosine_rows(texts.T, fused)
 
 
 @dataclass
 class Queries:
-    """Query texts and each used block's projection ``LN_q(text) W_q``
-    (``xattn`` is the xattn fusion block's), one column per text."""
+    """Query texts and, under each block name the model runs (``xattn`` is
+    the xattn fusion block), that block's projection ``LN_q(text) W_q``;
+    one column per text."""
     texts: np.ndarray
-    video: np.ndarray | None
-    audio: np.ndarray | None
-    xattn: np.ndarray | None
+    blocks: dict[str, np.ndarray]
 
     def rows(self, index) -> "Queries":
-        return Queries(*(None if x is None else np.take(x, index, axis=-1) for x in (
-            self.texts, self.video, self.audio, self.xattn)))
+        return Queries(np.take(self.texts, index, axis=-1),
+                       {name: np.take(q, index, axis=-1) for name, q in self.blocks.items()})
 
 
 def query_rows(model: RetrievalModel, texts: np.ndarray) -> Queries:
-    """Project the query texts once for every block the model uses."""
+    """Project the query texts once for every block the model runs."""
     texts = np.asarray(texts, dtype=np.float64)
     return Queries(np.ascontiguousarray(texts.T),
-                   project_queries(model.video, texts) if _uses_video(model) else None,
-                   project_queries(model.audio, texts) if _uses_audio_block(model)
-                   else None,
-                   project_queries(model.fusion.xattn, texts) if _uses_xattn(model)
-                   else None)
+                   {name: project_queries(_params(model, name), texts)
+                    for name in _blocks(model)})
 
 
 @dataclass
 class TileTape:
-    """What :func:`batch_loss_and_grads` reverses: each used block's
-    :class:`tefal.attention.TileCache`, the fusion cache (``None`` when one
-    block's output is the fused embedding) and the cosine cache."""
+    """What :func:`batch_loss_and_grads` reverses: the video and audio
+    blocks' :class:`tefal.attention.TileCache`, the fusion cache (``None``
+    when one block's output is the fused embedding) and the cosine cache."""
     blocks: dict
     fusion: object
     cosine: object
@@ -229,46 +240,25 @@ def score_tile(model: RetrievalModel, queries: Queries, corpus: Corpus,
     [e_v, e_a] per pair.
     """
     cols = np.asarray(cols, dtype=np.intp)
-    kind = model.fusion.kind
-    blocks: dict = {}
-    fusion_cache = None
 
     def per_pair(x):
         # a dense tile's (., T) columns broadcast over the candidates
-        return x if x.ndim == 3 else x[:, None, :]
+        return x if x is None or x.ndim == 3 else x[:, None, :]
 
-    def block(name, rows):
-        # the candidates' (C, n, D) context rows, pair-last as (D, n, C)
-        params, q, contexts = getattr(model, name), getattr(queries, name), rows.T
-        if not keep:
-            return block_forward_tile(params, q, contexts)
-        out, blocks[name] = block_forward_tile(params, q, contexts, keep=True)
-        return out
-
-    if model.modality == "audio":
-        fused = block("audio", corpus.audio[cols])
-    elif model.modality == "video":
-        fused = block("video", corpus.frames[cols])
-    elif kind == FusionKind.STACKING:
-        # the frames plus the audio summary row
-        fused = block("video", np.concatenate(
-            [corpus.frames[cols], corpus.summary_rows()[cols][:, None, :]], axis=1))
-    elif kind == FusionKind.LATE:
-        e_v = block("video", corpus.frames[cols])
+    def token_mean():
         tokens = canonical_rows(corpus.audio[cols].T)
-        token_mean = sum_leading(tokens.transpose(1, 0, 2)) / tokens.shape[1]
-        fused, fusion_cache = fuse_forward(
-            model.fusion, video_cond=e_v, audio_token_mean=token_mean[:, :, None])
-    else:
-        e_v = block("video", corpus.frames[cols])
-        e_a = block("audio", corpus.audio[cols])
-        fused, fusion_cache = fuse_forward(
-            model.fusion, video_cond=e_v, audio_cond=e_a,
-            queries=None if queries.xattn is None else per_pair(queries.xattn))
+        return (sum_leading(tokens.transpose(1, 0, 2)) / tokens.shape[1])[:, :, None]
+
+    outputs, caches = {}, {}
+    for name, rows in _contexts(model, corpus, cols).items():
+        # the (C, n, D) context rows, pair-last as (D, n, C)
+        out = block_forward_tile(_params(model, name), queries.blocks[name], rows.T,
+                                 keep=keep)
+        outputs[name], caches[name] = out if keep else (out, None)
+    fused, fusion_cache = _fuse(model, outputs, per_pair(queries.blocks.get("xattn")),
+                                token_mean)
     scores, cos_cache = cosine_rows(per_pair(queries.texts), fused)
-    if not keep:
-        return scores.T
-    return scores.T, TileTape(blocks, fusion_cache, cos_cache)
+    return (scores.T, TileTape(caches, fusion_cache, cos_cache)) if keep else scores.T
 
 
 def map_tasks(fn, tasks: list, workers: int = 1) -> list:
@@ -328,16 +318,16 @@ def batch_loss_and_grads(model: RetrievalModel, corpus: Corpus,
 
     d_fused = cosine_rows_backward(d_sim.T, tape.cosine)
     d_cond = {"video": d_fused, "audio": d_fused}
+    d_queries = {}
     if tape.fusion is not None:
-        own, d_cond["video"], d_cond["audio"], d_q = fuse_backward(
+        own, d_cond["video"], d_cond["audio"], d_queries["xattn"] = fuse_backward(
             model.fusion, tape.fusion, d_fused)
         add("fusion", own)
-        if d_q is not None:
-            add("fusion.xattn", project_queries_backward(
-                model.fusion.xattn, texts, d_q.sum(axis=1)))
     for name, cache in tape.blocks.items():
-        params = getattr(model, name)
-        block_grads, d_q, _ = block_backward_tile(params, cache, d_cond[name])
+        block_grads, d_queries[name], _ = block_backward_tile(
+            _params(model, name), cache, d_cond[name])
         add(name, block_grads)
-        add(name, project_queries_backward(params, texts, d_q.sum(axis=1)))
+    for name in _blocks(model):
+        add("fusion.xattn" if name == "xattn" else name, project_queries_backward(
+            _params(model, name), texts, d_queries[name].sum(axis=1)))
     return loss, grads, sim

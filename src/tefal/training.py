@@ -21,6 +21,7 @@ from .model import (
     batch_loss_and_grads,
     create_model,
     named_parameters,
+    uses_summary_rows,
 )
 from .ranking import evaluate
 
@@ -96,9 +97,6 @@ def train(config: TrainConfig, corpus: Corpus) -> TrainResult:
     if corpus.dim != config.dim:
         raise ConfigError(
             f"corpus embeds {corpus.dim} dims but config.dim is {config.dim}")
-    if config.fusion == "stacking" and corpus.summary_tokens is None:
-        raise ConfigError("stacking fusion needs audio summary rows, which this "
-                          "corpus does not carry")
     if config.batch_size > len(corpus):
         raise ConfigError(
             f"batch_size {config.batch_size} exceeds corpus size {len(corpus)}")
@@ -107,6 +105,9 @@ def train(config: TrainConfig, corpus: Corpus) -> TrainResult:
         seed=config.seed, dim=config.dim, proj_dim=config.proj_dim,
         fusion=config.fusion, modality=config.modality,
         tau=config.temperature_init)
+    if uses_summary_rows(model) and corpus.summary_tokens is None:
+        raise ConfigError("stacking fusion needs audio summary rows, which this "
+                          "corpus does not carry")
     params = named_parameters(model, trainable_only=True)
     optimizer = AdamW(learning_rate=config.learning_rate, beta1=config.beta1,
                       beta2=config.beta2, eps=config.adam_eps,

@@ -16,8 +16,9 @@ from conftest import distinct_shortlisted_pairs, stage1_matrix
 from tefal.audiofeat import LOG_FLOOR, SAMPLE_RATE
 from tefal.cli import build_parser, main
 from tefal.config import TrainConfig
+from tefal.corpus import synth_corpus
 from tefal.fusion import FusionKind
-from tefal.model import MODALITIES, create_model
+from tefal.model import MODALITIES, create_model, named_parameters
 from tefal.storage import (load_checkpoint, load_corpus, read_fbank, save_checkpoint,
                            save_corpus)
 
@@ -113,6 +114,31 @@ class TestExitCodes:
                    str(tmp_path / "m.ckpt"), "--config", str(config)) == 1
         assert "line 2: config key 'epochs' repeats line 1" in capsys.readouterr().err
         assert not (tmp_path / "m.ckpt").exists()
+
+    def test_config_file_error_names_the_file(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert run(*synth_args(data)) == 0
+        config = tmp_path / "bad.cfg"
+        config.write_text("epochs = 1\nthreads = 2\n")
+        capsys.readouterr()
+        assert run("train", "--data", str(data / "manifest.json"), "--out",
+                   str(tmp_path / "m.ckpt"), "--config", str(config)) == 1
+        assert (f"error: {config}: line 2: unknown config key 'threads'"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "rerank"])
+    @pytest.mark.parametrize("k", ["abc", "1e1", "abc%", ""])
+    def test_bad_k_is_exit_one_and_names_it(self, trained_setup, tmp_path, capsys,
+                                            command, k):
+        # int()'s "invalid literal" message used to name neither flag nor form
+        manifest, ckpt = trained_setup
+        capsys.readouterr()
+        assert run(command, "--data", str(manifest), "--checkpoint", str(ckpt),
+                   "--k", k, "--out", str(tmp_path / "m.json")) == 1
+        assert (f"--k expects an item count or a percentage like 10%, got {k!r}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("command", ["synth", "train", "train-config", "gradcheck"])
     def test_negative_seed_is_exit_one_and_names_it(self, tmp_path, capsys, command):
@@ -218,6 +244,56 @@ class TestTrainEval:
         assert logs[0] == logs[1]
         history = json.loads(logs[0])["history"]
         assert len(history) == 2 and all("r1_t2v" in entry for entry in history)
+
+    def test_config_file_overrides_defaults_and_flags_override_file(self, tmp_path):
+        data = tmp_path / "data"
+        assert run(*synth_args(data)) == 0
+        config = tmp_path / "train.cfg"
+        config.write_text("epochs = 1\nlearning_rate = 0.01\n")
+        assert run("train", "--data", str(data / "manifest.json"), "--out",
+                   str(tmp_path / "m.ckpt"), "--config", str(config),
+                   "--learning-rate", "0.5", "--seed", "9") == 0
+        _model, _step, loaded = load_checkpoint(tmp_path / "m.ckpt")
+        assert loaded.epochs == 1              # from the file
+        assert loaded.learning_rate == 0.5     # the flag wins
+        assert loaded.seed == 9
+        assert loaded.batch_size == 16         # default untouched
+
+    def test_omitted_flags_keep_the_file_values_and_defaults(self, tmp_path):
+        data = tmp_path / "data"
+        assert run(*synth_args(data)) == 0
+        config = tmp_path / "train.cfg"
+        config.write_text("epochs = 1\nseed = 4\nbatch_size = 8\n")
+        geometry = {"dim": 12, "proj_dim": 12, "frames": 3, "audio_tokens": 4}
+        for argv, want in ((["--config", str(config)],
+                            TrainConfig(**geometry, epochs=1, seed=4, batch_size=8)),
+                           (["--epochs", "1"], TrainConfig(**geometry, epochs=1))):
+            assert run("train", "--data", str(data / "manifest.json"), "--out",
+                       str(tmp_path / "m.ckpt"), *argv) == 0
+            assert load_checkpoint(tmp_path / "m.ckpt")[2] == want
+
+    @pytest.mark.parametrize("modality", ["video", "audio"])
+    def test_single_modality_stacking_needs_no_summary_rows(self, tmp_path, modality):
+        # neither block reads the summary rows, and neither fusion kind draws
+        # parameters, so the run is the addition run's
+        corpus = synth_corpus(seed=3, n_items=30, dim=12, frames=3, audio_tokens=4)
+        corpus.summary_tokens = None
+        save_corpus(corpus, tmp_path / "data")
+        runs = []
+        for fusion in ("stacking", "addition"):
+            ckpt, log = tmp_path / f"{fusion}.ckpt", tmp_path / f"{fusion}.json"
+            assert run("train", "--data", str(tmp_path / "data" / "manifest.json"),
+                       "--out", str(ckpt), "--log", str(log), "--epochs", "2",
+                       "--batch-size", "8", "--modality", modality,
+                       "--fusion", fusion) == 0
+            model, step, _config = load_checkpoint(ckpt)
+            runs.append((log.read_bytes(), step,
+                         named_parameters(model, trainable_only=False)))
+        (log_s, step_s, params_s), (log_a, step_a, params_a) = runs
+        assert (log_s, step_s) == (log_a, step_a)
+        assert list(params_s) == list(params_a)
+        for name, value in params_a.items():
+            np.testing.assert_array_equal(params_s[name], value, err_msg=name)
 
     def test_eval_json_is_reproducible(self, trained_setup, tmp_path):
         manifest, ckpt = trained_setup

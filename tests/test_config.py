@@ -1,4 +1,6 @@
-"""The key=value config format and override precedence."""
+"""The key=value config format and config validation; the override
+precedence of defaults, file and flags is tested through ``tefal train`` in
+``test_cli.py``."""
 
 import pytest
 
@@ -6,7 +8,6 @@ from tefal.config import (
     ConfigError,
     TrainConfig,
     config_to_text,
-    load_config,
     parse_config_text,
 )
 from tefal.contrastive import TAU_MAX, TAU_MIN
@@ -59,21 +60,6 @@ class TestRoundTrip:
         assert recovered == config
 
 
-class TestLoadOrder:
-    def test_file_overrides_defaults_and_flags_override_file(self, tmp_path):
-        path = tmp_path / "train.cfg"
-        path.write_text("epochs = 5\nlearning_rate = 0.01\n")
-        config = load_config(path, {"learning_rate": 0.5, "seed": 9})
-        assert config.epochs == 5            # from file
-        assert config.learning_rate == 0.5   # flag wins
-        assert config.seed == 9
-        assert config.batch_size == 16       # default untouched
-
-    def test_none_overrides_are_ignored(self):
-        config = load_config(None, {"epochs": None})
-        assert config.epochs == TrainConfig().epochs
-
-
 class TestValidation:
     def test_bad_modality(self):
         with pytest.raises(ConfigError, match="modality"):
@@ -94,7 +80,7 @@ class TestValidation:
         path = tmp_path / "train.cfg"
         path.write_text(f"epochs = 2\n{key} = {value}\n")
         with pytest.raises(ConfigError, match=f"line 2: unknown config key '{key}'"):
-            load_config(path)
+            parse_config_text(path.read_text())
         with pytest.raises(TypeError, match=key):
             TrainConfig(**{key: value})
 
@@ -109,7 +95,7 @@ class TestValidation:
         path = tmp_path / "train.cfg"
         path.write_text("learning_rate = nan\n")
         with pytest.raises(ConfigError, match="learning_rate"):
-            load_config(path)
+            TrainConfig(**parse_config_text(path.read_text())).validate()
 
     @pytest.mark.parametrize("tau", [TAU_MIN / 2, TAU_MAX * 5])
     def test_temperature_init_outside_the_clamp_rejected(self, tau):
@@ -123,7 +109,8 @@ class TestValidation:
     @pytest.mark.parametrize("field,value", [
         ("beta1", 1.5), ("beta1", -0.1), ("beta2", 1.0), ("adam_eps", 0.0),
         ("adam_eps", -1e-8), ("weight_decay", -5.0), ("learning_rate", -1e-3),
-        ("eval_every", -1), ("seed", -3)])
+        ("eval_every", -1), ("seed", -3), ("frames", -3), ("frames", 0),
+        ("audio_tokens", 0), ("dim", 0), ("proj_dim", -1)])
     def test_optimizer_value_out_of_range_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
             TrainConfig(**{field: value}).validate()

@@ -300,7 +300,8 @@ class TestMalformedCheckpoint:
 
     @pytest.mark.parametrize("line", [b"epochs = abc", b"learning_rate = nan",
                                       b"temperature_init = 500", b"beta2 = 1.0",
-                                      b"weight_decay = -5", b"eval_every = -1"])
+                                      b"weight_decay = -5", b"eval_every = -1",
+                                      b"frames = -3", b"audio_tokens = 0"])
     def test_crc_valid_config_bad_value_names_the_key(self, tmp_path, checkpoint_body,
                                                       line):
         key = line.split(b" ")[0]
