@@ -89,8 +89,8 @@ def _cmd_train(args) -> int:
                 "frames": corpus.frame_count, "audio_tokens": corpus.audio_token_count}
     for key, value in geometry.items():
         if values.get(key, value) != value:
-            raise ConfigError(f"config file sets {key} = {values[key]}, but the "
-                              f"data has {key} {value}")
+            raise ConfigError(f"{args.config}: config file sets {key} = {values[key]}, "
+                              f"but the data has {key} {value}")
     flags = {"epochs": args.epochs, "batch_size": args.batch_size,
              "learning_rate": args.learning_rate, "seed": args.seed,
              "fusion": args.fusion, "modality": args.modality}

@@ -171,7 +171,7 @@ class TestExitCodes:
         capsys.readouterr()
         assert run("train", "--data", str(data / "manifest.json"), "--out",
                    str(tmp_path / "m.ckpt"), "--config", str(config)) == 1
-        assert f"config file sets {line}" in capsys.readouterr().err
+        assert f"{config}: config file sets {line}" in capsys.readouterr().err
         assert not (tmp_path / "m.ckpt").exists()
 
     def test_config_geometry_equal_to_the_data_is_accepted(self, tmp_path):
