@@ -47,6 +47,7 @@ from .linalg import (
     canonical_sum,
     layernorm_rows,
     layernorm_rows_backward,
+    layernorm_rows_param_grads,
     softmax_rows_backward,
     sum_leading,
 )
@@ -277,10 +278,12 @@ def project_queries(params: XAttnParams, texts: np.ndarray) -> np.ndarray:
 def project_queries_backward(params: XAttnParams, texts: np.ndarray,
                              d_q: np.ndarray) -> dict[str, np.ndarray]:
     """Reverse :func:`project_queries`: the ``w_q`` and ``LN_q`` gradients
-    for the gradient ``d_q`` of its (D_p, T) output."""
+    for the gradient ``d_q`` of its (D_p, T) output.  The texts are data,
+    so no text gradient is formed: ``LN_q`` is reversed with
+    :func:`tefal.linalg.layernorm_rows_param_grads`."""
     texts = _check_text(params, texts)
     t_n = layernorm_rows(texts, params.ln_q_gain, params.ln_q_bias)
-    _, d_gq, d_bq = layernorm_rows_backward((params.w_q @ d_q).T, texts, params.ln_q_gain)
+    d_gq, d_bq = layernorm_rows_param_grads((params.w_q @ d_q).T, texts)
     return {"w_q": t_n.T @ d_q.T, "ln_q_gain": d_gq, "ln_q_bias": d_bq}
 
 
@@ -380,7 +383,8 @@ def block_forward_tile(params: XAttnParams, q: np.ndarray, contexts: np.ndarray,
     return out, TileCache(q, order, contexts, c_n, k, vo, weights, proj)
 
 
-def block_backward_tile(params: XAttnParams, cache: TileCache, d_out: np.ndarray):
+def block_backward_tile(params: XAttnParams, cache: TileCache, d_out: np.ndarray,
+                        context_grad: bool = True):
     """Reverse :func:`block_forward_tile` over all C x T pairs at once.
 
     ``d_out`` is (D_p, C, T).  Returns ``(grads, d_q, d_contexts)``:
@@ -388,10 +392,15 @@ def block_backward_tile(params: XAttnParams, cache: TileCache, d_out: np.ndarray
     :meth:`XAttnParams.named`, summed over every pair; ``d_q`` is the
     (D_p, C, T) gradient of each pair's query, which the caller sums per
     text and reverses with :func:`project_queries_backward`; ``d_contexts``
-    is the (D, n, C) context gradient in the caller's row order.  With the
-    folded ``M = W_v W_o``, ``d_W_v = d_M W_o^T`` and ``d_W_o = W_v^T d_M``.
-    The backward pass needs only to be deterministic, not tile-invariant, so
-    its per-pair products are matrix products batched over the candidates.
+    is the (D, n, C) context gradient in the caller's row order.  A caller
+    whose contexts are data passes ``context_grad=False`` and gets ``None``
+    there; the ``LN_c`` input gradient is then not formed, and ``grads``
+    keeps its bits, as no parameter gradient reads it.  ``d_cn = W_kv d_kv``
+    is formed either way: the ``LN_c`` gain and bias gradients sum it.
+    With the folded ``M = W_v W_o``, ``d_W_v = d_M W_o^T`` and
+    ``d_W_o = W_v^T d_M``.  The backward pass needs only to be
+    deterministic, not tile-invariant, so its per-pair products are matrix
+    products batched over the candidates.
     """
     d, p = params.dim, params.proj_dim
     w, q = cache.weights, cache.q
@@ -412,8 +421,12 @@ def block_backward_tile(params: XAttnParams, cache: TileCache, d_out: np.ndarray
 
     d_wkv = cache.c_n.reshape(d, -1) @ d_kv.T
     d_cn = (w_kv @ d_kv).reshape(cache.contexts.shape)
-    d_contexts, d_gc, d_bc = layernorm_rows_backward(d_cn, cache.contexts,
-                                                     params.ln_c_gain, axis=0)
+    if context_grad:
+        d_contexts, d_gc, d_bc = layernorm_rows_backward(d_cn, cache.contexts,
+                                                         params.ln_c_gain, axis=0)
+    else:
+        d_contexts = None
+        d_gc, d_bc = layernorm_rows_param_grads(d_cn, cache.contexts, axis=0)
     d_m = d_wkv[:, p:]
     grads = {
         "w_k": d_wkv[:, :p], "w_v": d_m @ params.w_o.T, "w_o": params.w_v.T @ d_m,

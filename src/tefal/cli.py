@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .audiofeat import compute_fbank, read_wav
-from .config import ConfigError, TrainConfig, parse_config_text
+from .config import ConfigError, TrainConfig, parse_config_lines
 from .corpus import synth_corpus
 from .fusion import FusionKind
 from .model import MODALITIES, TILE_PAIRS, query_rows, score_tile
@@ -79,12 +79,13 @@ def _cmd_synth(args) -> int:
 
 def _cmd_train(args) -> int:
     corpus = load_corpus(args.data)
-    values = {}
+    entries = {}
     if args.config:
         try:
-            values = parse_config_text(Path(args.config).read_text(encoding="utf-8"))
+            entries = parse_config_lines(Path(args.config).read_text(encoding="utf-8"))
         except ConfigError as exc:
             raise ConfigError(f"{args.config}: {exc}") from None
+    values = {key: value for key, (_, value) in entries.items()}
     geometry = {"dim": corpus.dim, "proj_dim": corpus.dim,
                 "frames": corpus.frame_count, "audio_tokens": corpus.audio_token_count}
     for key, value in geometry.items():
@@ -94,6 +95,13 @@ def _cmd_train(args) -> int:
     flags = {"epochs": args.epochs, "batch_size": args.batch_size,
              "learning_rate": args.learning_rate, "seed": args.seed,
              "fusion": args.fusion, "modality": args.modality}
+    for key, (line, value) in entries.items():
+        if flags.get(key) is None:
+            # every other field keeps its valid default, so an error is this value's
+            try:
+                TrainConfig(**{key: value}).validate()
+            except ConfigError as exc:
+                raise ConfigError(f"{args.config}: line {line}: {exc}") from None
     values.update((k, v) for k, v in flags.items() if v is not None)
     result = train(TrainConfig(**{**values, **geometry}).validate(), corpus)
     for entry in result.history:

@@ -13,7 +13,8 @@ from .contrastive import TAU_INIT, TAU_MAX, TAU_MIN
 from .fusion import FusionError, FusionKind
 from .model import MODALITIES
 
-__all__ = ["TrainConfig", "ConfigError", "config_to_text", "parse_config_text"]
+__all__ = ["TrainConfig", "ConfigError", "config_to_text", "parse_config_lines",
+           "parse_config_text"]
 
 
 class ConfigError(ValueError):
@@ -106,8 +107,9 @@ def config_to_text(config: TrainConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_config_text(text: str) -> dict:
-    values, lines = {}, {}
+def parse_config_lines(text: str) -> dict:
+    """``{key: (line number, value)}`` for each ``key = value`` line."""
+    entries = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -118,12 +120,16 @@ def parse_config_text(text: str) -> dict:
         key = key.strip()
         if key not in _FIELDS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        if key in lines:
+        if key in entries:
             raise ConfigError(f"line {lineno}: config key {key!r} repeats line "
-                              f"{lines[key]}")
-        lines[key] = lineno
+                              f"{entries[key][0]}")
         try:
-            values[key] = _coerce(key, raw)
+            entries[key] = lineno, _coerce(key, raw)
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
-    return values
+    return entries
+
+
+def parse_config_text(text: str) -> dict:
+    """``{key: value}`` for each ``key = value`` line."""
+    return {key: value for key, (_, value) in parse_config_lines(text).items()}

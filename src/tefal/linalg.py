@@ -86,6 +86,22 @@ def _feature_sum(m: np.ndarray, axis: int, y: np.ndarray | None = None) -> np.nd
     return (m if y is None else m * y).sum(axis=-1, keepdims=True)
 
 
+def _standardize(m: np.ndarray, axis: int):
+    """``(xhat, inv)``: ``m`` centred and scaled to unit variance along
+    ``axis``, and the reciprocal standard deviation it was scaled by."""
+    width = m.shape[axis]
+    # sum / width is bit-identical to mean(), without its Python overhead
+    xhat = m - _feature_sum(m, axis) / width
+    inv = 1.0 / np.sqrt(_feature_sum(xhat, axis, xhat) / width + LAYERNORM_EPS)
+    xhat *= inv
+    return xhat, inv
+
+
+def _column(width: int, ndim: int, axis: int) -> tuple:
+    """Shape that broadcasts a (1, width) affine along ``axis``."""
+    return (width,) + (1,) * (ndim - 1) if axis == 0 else (1, width)
+
+
 def layernorm_rows(m: np.ndarray, gain: np.ndarray, bias: np.ndarray,
                    axis: int = -1) -> np.ndarray:
     """Standardize each row to zero mean / unit variance, then apply affine.
@@ -96,29 +112,41 @@ def layernorm_rows(m: np.ndarray, gain: np.ndarray, bias: np.ndarray,
     whose feature sums run in feature order (:func:`sum_leading`).
     """
     m = np.asarray(m, dtype=np.float64)
-    width = m.shape[axis]
-    column = (width,) + (1,) * (m.ndim - 1) if axis == 0 else (1, width)
-    # sum / width is bit-identical to mean(), without its Python overhead
-    out = m - _feature_sum(m, axis) / width
-    out *= 1.0 / np.sqrt(_feature_sum(out, axis, out) / width + LAYERNORM_EPS)
+    column = _column(m.shape[axis], m.ndim, axis)
+    out, _ = _standardize(m, axis)
     out *= gain.reshape(column)
     out += bias.reshape(column)
     return out
 
 
+def _affine_grads(d_out: np.ndarray, xhat: np.ndarray, axis: int):
+    """``(d_gain, d_bias)`` given the standardized input ``xhat``."""
+    rows = tuple(i for i in range(xhat.ndim) if i != axis % xhat.ndim)
+    width = xhat.shape[axis]
+    return ((d_out * xhat).sum(axis=rows).reshape(1, width),
+            d_out.sum(axis=rows).reshape(1, width))
+
+
+def layernorm_rows_param_grads(d_out: np.ndarray, m: np.ndarray, axis: int = -1):
+    """Gradients ``(d_gain, d_bias)`` for :func:`layernorm_rows`, for a
+    caller whose input ``m`` is data, not a parameter.  Bit-identical to
+    the last two results of :func:`layernorm_rows_backward`: the same
+    standardization and the same sums, without the input gradient (and so
+    without ``gain``)."""
+    return _affine_grads(d_out, _standardize(np.asarray(m, dtype=np.float64), axis)[0],
+                         axis)
+
+
 def layernorm_rows_backward(d_out: np.ndarray, m: np.ndarray, gain: np.ndarray,
                             axis: int = -1):
-    """Gradients (d_m, d_gain, d_bias) for :func:`layernorm_rows`."""
+    """Gradients ``(d_m, d_gain, d_bias)`` for :func:`layernorm_rows`.  When
+    ``m`` is data and ``d_m`` would be thrown away,
+    :func:`layernorm_rows_param_grads` gives the other two for less work."""
     m = np.asarray(m, dtype=np.float64)
     width = m.shape[axis]
-    xhat = m - _feature_sum(m, axis) / width
-    inv = 1.0 / np.sqrt(_feature_sum(xhat, axis, xhat) / width + LAYERNORM_EPS)
-    xhat *= inv
-
-    rows = tuple(i for i in range(m.ndim) if i != axis % m.ndim)
-    d_bias = d_out.sum(axis=rows).reshape(1, width)
-    d_gain = (d_out * xhat).sum(axis=rows).reshape(1, width)
-    g = d_out * gain.reshape((width,) + (1,) * (m.ndim - 1) if axis == 0 else (1, width))
+    xhat, inv = _standardize(m, axis)
+    d_gain, d_bias = _affine_grads(d_out, xhat, axis)
+    g = d_out * gain.reshape(_column(width, m.ndim, axis))
     d_m = inv * (g - _feature_sum(g, axis) / width
                  - xhat * (_feature_sum(g, axis, xhat) / width))
     return d_m, d_gain, d_bias

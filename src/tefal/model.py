@@ -302,7 +302,10 @@ def batch_loss_and_grads(model: RetrievalModel, corpus: Corpus,
     :func:`similarity_matrix` on the same queries and candidates bit for
     bit.  The backward pass reverses cosine and fusion on the pair-last B^2
     pairs and each block once, summing over all pairs in a fixed order, so
-    the result is deterministic.
+    the result is deterministic.  The texts and the video and audio blocks'
+    contexts are corpus rows, so only parameter gradients are formed for
+    them; the xattn block's contexts are the other blocks' outputs, whose
+    gradient it returns in full.
     """
     indices = np.asarray(indices, dtype=np.intp)
     texts = corpus.texts[indices]
@@ -325,7 +328,7 @@ def batch_loss_and_grads(model: RetrievalModel, corpus: Corpus,
         add("fusion", own)
     for name, cache in tape.blocks.items():
         block_grads, d_queries[name], _ = block_backward_tile(
-            _params(model, name), cache, d_cond[name])
+            _params(model, name), cache, d_cond[name], context_grad=False)
         add(name, block_grads)
     for name in _blocks(model):
         add("fusion.xattn" if name == "xattn" else name, project_queries_backward(

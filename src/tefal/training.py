@@ -34,7 +34,17 @@ class TrainingDiverged(RuntimeError):
 
 class AdamW:
     """Adam with decoupled weight decay over a dict of named parameters,
-    updated in place; ``steps`` counts the updates made."""
+    updated in place; ``steps`` counts the updates made.
+
+    The moments ``m`` and ``v`` are one flat float64 vector each, laid out
+    in the order of the first step's ``params`` (:func:`named_parameters`
+    order in training) and allocated on that step; a later step must pass
+    the same names in the same order.  A step concatenates the gradients
+    (and the parameters, for the decay) in that order, runs each
+    elementwise update once over the whole vector and writes each
+    parameter's slice back in place.  Every operation is elementwise, so
+    the parameters get the same bits as from one update per array.
+    """
 
     def __init__(self, learning_rate: float = 1e-4, beta1: float = 0.9,
                  beta2: float = 0.98, eps: float = 1e-8,
@@ -45,36 +55,65 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.steps = 0
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self._names: list[str] = []
+        self._m = self._v = np.zeros(0)
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
              lr_scale: float = 1.0) -> None:
+        if not self.steps:
+            self._names = list(params)
+            self._m = np.zeros(sum(param.size for param in params.values()))
+            self._v = np.zeros_like(self._m)
+        elif list(params) != self._names:
+            raise ValueError("AdamW.step needs the parameter names of its first "
+                             "step, in the same order")
         t = self.steps + 1
         lr = self.learning_rate * lr_scale
-        for name, param in params.items():
-            g = grads[name]
-            m = self._m.setdefault(name, np.zeros_like(param))
-            v = self._v.setdefault(name, np.zeros_like(param))
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1 ** t)
-            v_hat = v / (1.0 - self.beta2 ** t)
-            param -= lr * (m_hat / (np.sqrt(v_hat) + self.eps)
-                           + self.weight_decay * param)
+        g, m, v = _concat(grads[name] for name in params), self._m, self._v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g * g
+        m_hat = m / (1.0 - self.beta1 ** t)
+        v_hat = v / (1.0 - self.beta2 ** t)
+        update = lr * (m_hat / (np.sqrt(v_hat) + self.eps)
+                       + self.weight_decay * _concat(params.values()))
+        for name, part in _views(update, params).items():
+            params[name] -= part
         self.steps = t
 
 
+def _concat(arrays) -> np.ndarray:
+    """The arrays raveled and concatenated in order (empty for none)."""
+    return np.concatenate([np.zeros(0), *(a.ravel() for a in arrays)])
+
+
+def _views(flat: np.ndarray, arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Each array's part of ``flat``, their :func:`_concat`, shaped like it."""
+    views, start = {}, 0
+    for name, a in arrays.items():
+        views[name] = flat[start:start + a.size].reshape(a.shape)
+        start += a.size
+    return views
+
+
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float):
-    """``(clipped, norm)``: ``grads`` scaled so their global L2 norm is at
-    most ``max_norm``, and the pre-clip norm.  The squares are summed in
-    ``grads``' order; the inputs are never written to."""
-    norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
+    """``(clipped, norm)``: ``grads`` copied into one flat vector, in
+    order, and scaled once so that its L2 norm is at most ``max_norm``;
+    ``clipped`` maps each name to its view of that vector, shaped like the
+    input, and ``norm`` is the pre-clip norm.  The inputs are never written
+    to, and a name that shares its array with another gets its own copy.
+
+    ``norm`` adds each name's sum of squares in ``grads``' order, each taken
+    over the input array itself (``(g * g).sum()`` is ``np.sum(g * g)``
+    without the dispatch), so it has the bits of a per-array norm for any
+    memory layout; scaling the flat vector multiplies each element by the
+    same factor as scaling each array would."""
+    flat = _concat(grads.values())
+    norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
     if norm > max_norm:
-        grads = {name: g * (max_norm / norm) for name, g in grads.items()}
-    return grads, norm
+        flat *= max_norm / norm
+    return _views(flat, grads), norm
 
 
 @dataclass

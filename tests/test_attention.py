@@ -9,6 +9,7 @@ from tefal.attention import (
     XAttnParams,
     attend,
     block_backward,
+    block_backward_tile,
     block_forward,
     block_forward_tile,
     conditioned_embedding,
@@ -283,3 +284,22 @@ class TestBlockGradients:
         for name, num in zip(arrays, numeric):
             denom = np.maximum(np.maximum(np.abs(analytic[name]), np.abs(num)), 1e-3)
             assert np.max(np.abs(analytic[name] - num) / denom) < 1e-4, name
+
+    @pytest.mark.parametrize("grouped", [False, True], ids=["dense", "grouped"])
+    def test_tile_backward_without_the_context_gradient_keeps_its_bits(self, grouped):
+        # training's blocks attend over corpus rows and skip d_contexts
+        rng = np.random.default_rng(30)
+        params = make_params(seed=31, dim=6, proj=4)
+        q = project_queries(params, rng.standard_normal((6 if grouped else 2, 6)))
+        q = q.reshape(4, 3, 2) if grouped else q
+        contexts = rng.standard_normal((6, 5, 3))
+        _, cache = block_forward_tile(params, q, contexts, keep=True)
+        cotangent = rng.standard_normal((4, 3, 2))
+        grads, d_q, d_contexts = block_backward_tile(params, cache, cotangent)
+        got, got_d_q, none = block_backward_tile(params, cache, cotangent,
+                                                 context_grad=False)
+        assert d_contexts.shape == contexts.shape and none is None
+        assert list(got) == list(grads)
+        for name in grads:
+            assert got[name].tobytes() == grads[name].tobytes(), name
+        assert got_d_q.tobytes() == d_q.tobytes()

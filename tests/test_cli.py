@@ -127,6 +127,48 @@ class TestExitCodes:
                 in capsys.readouterr().err)
         assert not (tmp_path / "m.ckpt").exists()
 
+    @pytest.mark.parametrize("line,message", [
+        ("beta1 = 1.5", "beta1 must lie in [0, 1), got 1.5"),
+        ("seed = -3", "seed must be >= 0, got -3"),
+        ("fusion = gated", "fusion"),
+        ("learning_rate = inf", "learning_rate must be finite, got inf")])
+    def test_config_value_error_names_the_file_and_line(self, tmp_path, capsys,
+                                                        line, message):
+        # a value only validation rejects used to be reported without the file
+        data = tmp_path / "data"
+        assert run(*synth_args(data)) == 0
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"# optimizer\nepochs = 1\n\n{line}\n")
+        capsys.readouterr()
+        assert run("train", "--data", str(data / "manifest.json"), "--out",
+                   str(tmp_path / "m.ckpt"), "--config", str(config)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: line 4: ") and message in err
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_flag_overriding_a_bad_config_value_wins(self, tmp_path):
+        data = tmp_path / "data"
+        assert run(*synth_args(data)) == 0
+        config = tmp_path / "bad.cfg"
+        config.write_text("epochs = -1\nseed = -3\nfusion = gated\n")
+        assert run("train", "--data", str(data / "manifest.json"), "--out",
+                   str(tmp_path / "m.ckpt"), "--config", str(config), "--epochs", "1",
+                   "--seed", "2", "--fusion", "late") == 0
+        _model, _step, loaded = load_checkpoint(tmp_path / "m.ckpt")
+        assert (loaded.epochs, loaded.seed, loaded.fusion) == (1, 2, "late")
+
+    def test_bad_flag_with_a_config_file_does_not_blame_the_file(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert run(*synth_args(data)) == 0
+        config = tmp_path / "good.cfg"
+        config.write_text("epochs = 1\n")
+        capsys.readouterr()
+        assert run("train", "--data", str(data / "manifest.json"), "--out",
+                   str(tmp_path / "m.ckpt"), "--config", str(config),
+                   "--seed", "-1") == 1
+        err = capsys.readouterr().err
+        assert "error: seed must be >= 0, got -1" in err and str(config) not in err
+
     @pytest.mark.parametrize("command", ["eval", "rerank"])
     @pytest.mark.parametrize("k", ["abc", "1e1", "abc%", ""])
     def test_bad_k_is_exit_one_and_names_it(self, trained_setup, tmp_path, capsys,

@@ -8,6 +8,7 @@ from tefal.config import (
     ConfigError,
     TrainConfig,
     config_to_text,
+    parse_config_lines,
     parse_config_text,
 )
 from tefal.contrastive import TAU_MAX, TAU_MIN
@@ -25,6 +26,9 @@ class TestParsing:
         values = parse_config_text(text)
         assert values == {"learning_rate": 0.003, "batch_size": 24,
                           "fusion": "concat_fc", "cosine_decay": False}
+        assert parse_config_lines(text) == {
+            "learning_rate": (3, 0.003), "batch_size": (4, 24),
+            "fusion": (5, "concat_fc"), "cosine_decay": (6, False)}
 
     def test_unknown_key_rejected_with_line_number(self):
         with pytest.raises(ConfigError, match="line 2.*momentum"):

@@ -11,6 +11,7 @@ from tefal.linalg import (
     canonical_sum,
     layernorm_rows,
     layernorm_rows_backward,
+    layernorm_rows_param_grads,
     softmax_rows,
     softmax_rows_backward,
 )
@@ -147,6 +148,19 @@ class TestBackwardRules:
         d_out = rng.standard_normal((3, 5))
         _, _, d_bias = layernorm_rows_backward(d_out, m, np.ones((1, 5)))
         np.testing.assert_allclose(d_bias, d_out.sum(axis=0, keepdims=True))
+
+    @pytest.mark.parametrize("shape,axis", [((6, 5), -1), ((5, 4, 3), 0), ((5, 1, 1), 0)],
+                             ids=["rows", "pair-last", "one-pair"])
+    def test_param_grads_equal_the_full_backward_to_the_bit(self, shape, axis):
+        # the parameter-only path that callers with data inputs take
+        rng = np.random.default_rng(11)
+        m, d_out = rng.standard_normal(shape), rng.standard_normal(shape)
+        gain = rng.standard_normal((1, shape[axis]))
+        _, d_gain, d_bias = layernorm_rows_backward(d_out, m, gain, axis=axis)
+        got_gain, got_bias = layernorm_rows_param_grads(d_out, m, axis=axis)
+        assert got_gain.shape == got_bias.shape == (1, shape[axis])
+        assert got_gain.tobytes() == d_gain.tobytes()
+        assert got_bias.tobytes() == d_bias.tobytes()
 
 
 class TestCanonicalSum:

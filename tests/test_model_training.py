@@ -20,7 +20,7 @@ from tefal.model import (
     score_tile,
     similarity_matrix,
 )
-from tefal import ranking
+from tefal import ranking, training
 from tefal.ranking import rank_exhaustive, ranks_from_similarity, rerank_two_stage
 from tefal.training import AdamW, TrainingDiverged, clip_global_norm, evaluate, train
 from tefal.verify import end_to_end_check
@@ -35,6 +35,41 @@ def tiny_config(**overrides):
 
 def tiny_corpus(seed=9, n=40):
     return synth_corpus(seed=seed, n_items=n, dim=12, frames=3, audio_tokens=4)
+
+
+class ReferenceAdamW:
+    """The per-array optimizer the flat ``AdamW`` replaced: ten numpy
+    operations on each parameter, with its own ``m`` and ``v``."""
+
+    def __init__(self, learning_rate, beta1, beta2, eps, weight_decay):
+        self.learning_rate, self.beta1, self.beta2 = learning_rate, beta1, beta2
+        self.eps, self.weight_decay = eps, weight_decay
+        self.steps, self._m, self._v = 0, {}, {}
+
+    def step(self, params, grads, lr_scale=1.0):
+        t = self.steps + 1
+        lr = self.learning_rate * lr_scale
+        for name, param in params.items():
+            g = grads[name]
+            m = self._m.setdefault(name, np.zeros_like(param))
+            v = self._v.setdefault(name, np.zeros_like(param))
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            m_hat = m / (1.0 - self.beta1 ** t)
+            v_hat = v / (1.0 - self.beta2 ** t)
+            param -= lr * (m_hat / (np.sqrt(v_hat) + self.eps)
+                           + self.weight_decay * param)
+        self.steps = t
+
+
+def reference_clip(grads, max_norm):
+    """The per-array clip: one norm term and one scaled copy per array."""
+    norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
+    if norm > max_norm:
+        grads = {name: g * (max_norm / norm) for name, g in grads.items()}
+    return grads, norm
 
 
 class TestModelAssembly:
@@ -175,6 +210,67 @@ class TestTraining:
         np.testing.assert_array_equal(params["frozen"], np.full((1, 2), 3.0))
         assert not np.array_equal(params["w"], np.ones((2, 2)))
         assert optimizer.steps == 1
+
+    def test_flat_optimizer_and_clip_match_the_per_array_reference_to_the_bit(self):
+        rng = np.random.default_rng(12)
+        shapes = {"w": (8, 6), "gain": (1, 5), "scalar": (1, 1), "frozen": (2, 2),
+                  "t": (3, 4)}
+        # small parameters, so that the last bits of an update show in them
+        params = {name: 1e-3 * rng.standard_normal(shape)
+                  for name, shape in shapes.items()}
+        want = {name: p.copy() for name, p in params.items()}
+        frozen = params["frozen"].copy()
+        settings = dict(learning_rate=0.05, beta1=0.9, beta2=0.98, eps=1e-8,
+                        weight_decay=0.01)
+        flat, reference = AdamW(**settings), ReferenceAdamW(**settings)
+        for step in range(6):
+            grads = {name: rng.standard_normal(shape) * 10.0 ** (step - 2)
+                     for name, shape in shapes.items()}
+            grads["frozen"] = np.zeros((2, 2))
+            grads["t"] = rng.standard_normal((4, 3)).T    # column-major layout
+            clipped, norm = clip_global_norm(grads, max_norm=1.0)
+            want_clipped, want_norm = reference_clip(grads, max_norm=1.0)
+            assert np.float64(norm).tobytes() == np.float64(want_norm).tobytes()
+            for name in shapes:
+                assert clipped[name].tobytes() == want_clipped[name].tobytes(), name
+            lr_scale = 0.5 * (1.0 + np.cos(np.pi * step / 6))
+            flat.step(params, clipped, lr_scale)
+            reference.step(want, want_clipped, lr_scale)
+            for name in shapes:
+                assert params[name].tobytes() == want[name].tobytes(), (step, name)
+        assert flat.steps == reference.steps == 6
+        # with no gradient, only the decay moves it: towards zero
+        assert np.all(np.abs(params["frozen"]) < np.abs(frozen))
+
+    def test_optimizer_rejects_parameters_other_than_its_first_steps(self):
+        optimizer = AdamW(learning_rate=0.1)
+        params = {"a": np.ones((1, 2)), "b": np.ones((2, 2))}
+        grads = {name: np.ones_like(p) for name, p in params.items()}
+        optimizer.step(params, grads)
+        with pytest.raises(ValueError, match="first step"):
+            optimizer.step({"b": params["b"], "a": params["a"]}, grads)
+        with pytest.raises(ValueError, match="first step"):
+            optimizer.step({"a": params["a"]}, grads)
+
+    def test_train_calls_the_optimizer_and_clip_once_per_step(self, monkeypatch):
+        # the benchmark counts training.steps as AdamW.step calls and times
+        # clip_global_norm by name: each must run exactly once a step
+        calls = {"step": 0, "clip": 0}
+        step, clip = AdamW.step, training.clip_global_norm
+
+        def counted_step(*args, **kwargs):
+            calls["step"] += 1
+            return step(*args, **kwargs)
+
+        def counted_clip(*args, **kwargs):
+            calls["clip"] += 1
+            return clip(*args, **kwargs)
+
+        monkeypatch.setattr(AdamW, "step", counted_step)
+        monkeypatch.setattr(training, "clip_global_norm", counted_clip)
+        result = train(tiny_config(epochs=2), tiny_corpus())
+        assert result.steps == 2 * (40 // 8)
+        assert calls == {"step": result.steps, "clip": result.steps}
 
     def test_temperature_gradient_vanishes_on_constant_similarity(self):
         from tefal.contrastive import Temperature, infonce
