@@ -10,30 +10,12 @@ embedding:
     out = LN(pooled W_o)                      (output projection + norm)
 
 The block has no positional encoding, so the pooled output is invariant
-under any joint permutation of the context rows.  One kernel,
-:func:`block_forward_tile`, makes that invariance hold bit-for-bit: it
-scores C candidate contexts against T query projections each at once, the
-same T for every candidate (a dense tile) or T per candidate (a grouped
-tile), with every array pair-last: the feature or row axis first, then the
-(C, T) pair axes.  It puts each candidate's rows in one canonical order (a
-lexsort of K||V W_o, see :func:`canonical_rows`) and reduces every feature
-or row axis in one fixed order, so a pair's output depends only on its
-own query and candidate, whatever the tile.  Exhaustive scoring, stage-2
-re-ranking, the training forward pass and the xattn fusion block (a
-grouped tile of one query and a two-row context per pair) all run it, and
-so do :func:`conditioned_embedding` and :func:`export_attention_weights`
-(a dense tile of one candidate).  With ``keep=True`` it also returns its
-intermediates; :func:`block_backward_tile` reverses any tile in one call,
-and :func:`project_queries_backward` reverses the query projection that
-:func:`project_queries` computes once per text.
-
-:func:`block_forward`, :func:`block_backward` and :func:`attend` are the
-plain per-candidate reference that the tests compare the kernel against:
-one shared context, softmax and pooling sums accumulated with
-:func:`tefal.linalg.canonical_sum`.
-
-Two independent instances of the block (disjoint parameter sets) condition
-the video and audio sides on the same text query.
+under any joint permutation of the context rows.  Every library path runs
+the tile kernel, :func:`block_forward_tile`, whose docstring gives why a
+pair's output does not depend on its tile.  :func:`block_forward`,
+:func:`block_backward` and :func:`attend` are the per-candidate reference
+that the tests compare the kernel against.  Two independent instances of
+the block condition the video and audio sides on the same text query.
 """
 
 import math
@@ -48,6 +30,7 @@ from .linalg import (
     layernorm_rows,
     layernorm_rows_backward,
     layernorm_rows_param_grads,
+    softmax_rows,
     softmax_rows_backward,
     sum_leading,
 )
@@ -71,9 +54,9 @@ __all__ = [
 class XAttnParams:
     """Learnable state of one cross-attention block.
 
-    ``w_q``, ``w_k``, ``w_v`` are D x D_p, ``w_o`` is D_p x D_p.  Three
-    LayerNorm affines: query side (over the text row), context side (shared
-    by the key and value paths), and output side; all are trained.
+    ``w_q``, ``w_k``, ``w_v`` are D x D_p, ``w_o`` is D_p x D_p; the
+    LayerNorm affines are the query, context (shared by keys and values)
+    and output sides.
     """
 
     w_q: np.ndarray
@@ -127,39 +110,24 @@ class XAttnParams:
 
 
 def _stable_rows_times(rows: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """Row block times weight matrix, each output row computed identically
-    regardless of its position.
-
-    BLAS GEMM kernels associate the reduction differently between full and
-    edge panels, so ``(a @ w)[perm]`` and ``a[perm] @ w`` can differ in the
-    last bit.  ``einsum`` (which does not dispatch to BLAS) reduces every
-    output element in one fixed order, which the block's bit-exact
-    permutation invariance relies on.
-    """
+    """``rows @ weight`` with each output row computed the same way at any
+    position.  BLAS kernels associate full and edge panels differently, so
+    ``(a @ w)[perm]`` and ``a[perm] @ w`` can differ in the last bit;
+    ``einsum`` does not dispatch to BLAS and adds in one fixed order."""
     return np.einsum("nd,dp->np", rows, weight)
 
 
-def _check_context(params: XAttnParams, context: np.ndarray) -> np.ndarray:
-    context = as_matrix(context, "context")
-    if context.shape[1] != params.dim:
-        raise ShapeError(
-            f"context has {context.shape[1]} columns, block expects {params.dim}")
-    return context
-
-
-def _check_text(params: XAttnParams, text: np.ndarray) -> np.ndarray:
-    text = as_matrix(text, "text")
-    if text.shape[1] != params.dim:
-        raise ShapeError(
-            f"text has {text.shape[1]} columns, block expects {params.dim}")
-    return text
+def _check_rows(params: XAttnParams, rows: np.ndarray, name: str) -> np.ndarray:
+    rows = as_matrix(rows, name)
+    if rows.shape[1] != params.dim:
+        raise ShapeError(f"{name} has {rows.shape[1]} columns, block expects {params.dim}")
+    return rows
 
 
 def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray):
-    """Scaled dot-product attention of query rows over one shared context.
-
-    Returns ``(pooled, weights)`` where ``weights`` rows sum to 1.
-    """
+    """``(pooled, weights)``: scaled dot-product attention of query rows
+    over one shared context, the pooling sums sorted
+    (:func:`tefal.linalg.canonical_sum`)."""
     q = as_matrix(q, "q")
     k = as_matrix(k, "k")
     v = as_matrix(v, "v")
@@ -167,27 +135,22 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray):
         raise ShapeError(f"k has shape {k.shape}, v has shape {v.shape}")
     if q.shape[1] != k.shape[1]:
         raise ShapeError(f"q has {q.shape[1]} columns, k has {k.shape[1]}")
-    logits = np.einsum("bd,nd->bn", q, k) / math.sqrt(q.shape[1])
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    weights = e / canonical_sum(e, axis=1)[:, None]
+    weights = softmax_rows(np.einsum("bd,nd->bn", q, k) / math.sqrt(q.shape[1]))
     pooled = canonical_sum(weights[:, :, None] * v[None, :, :], axis=1)
     return pooled, weights
 
 
 def _single_candidate_tile(params: XAttnParams, text: np.ndarray,
                            context: np.ndarray):
-    """:func:`block_forward_tile` on a dense tile of one candidate, the
-    (n, D) ``context``, against the (T, D) ``text`` rows."""
-    context = _check_context(params, context)
+    """:func:`block_forward_tile` on a dense tile of one candidate."""
+    context = _check_rows(params, context, "context")
     return block_forward_tile(params, project_queries(params, text),
                               context.T[:, :, None], keep=True)
 
 
 def conditioned_embedding(params: XAttnParams, text: np.ndarray,
                           context: np.ndarray) -> np.ndarray:
-    """Full block: attention-pooled context, projected and normalized; one
-    row per text row."""
+    """The block's output, one row per text row."""
     out, _ = _single_candidate_tile(params, text, context)
     return out[:, 0, :].T
 
@@ -215,9 +178,9 @@ class BlockCache:
 
 
 def block_forward(params: XAttnParams, text: np.ndarray, context: np.ndarray):
-    """Forward pass returning ``(out, cache)``; ``out`` has one row per query."""
-    text = _check_text(params, text)
-    context = _check_context(params, context)
+    """``(out, cache)``, ``out`` one row per text row."""
+    text = _check_rows(params, text, "text")
+    context = _check_rows(params, context, "context")
     t_n = layernorm_rows(text, params.ln_q_gain, params.ln_q_bias)
     c_n = layernorm_rows(context, params.ln_c_gain, params.ln_c_bias)
     q = t_n @ params.w_q
@@ -231,8 +194,8 @@ def block_forward(params: XAttnParams, text: np.ndarray, context: np.ndarray):
 
 
 def block_backward(params: XAttnParams, cache: BlockCache, d_out: np.ndarray):
-    """Reverse the block.  Returns ``(grads, d_text, d_context)`` where
-    ``grads`` is keyed like :meth:`XAttnParams.named`."""
+    """``(grads, d_text, d_context)``, ``grads`` keyed like
+    :meth:`XAttnParams.named`."""
     scale = 1.0 / math.sqrt(params.proj_dim)
 
     d_proj, d_go, d_bo = layernorm_rows_backward(d_out, cache.proj, params.ln_o_gain)
@@ -268,29 +231,26 @@ def block_backward(params: XAttnParams, cache: BlockCache, d_out: np.ndarray):
 # ---------------------------------------------------------------------------
 
 def project_queries(params: XAttnParams, texts: np.ndarray) -> np.ndarray:
-    """``LN_q(texts) W_q`` of (T, D) texts as (D_p, T) columns, each computed
-    as a row independently of its position (see :func:`_stable_rows_times`)."""
-    texts = _check_text(params, texts)
+    """``LN_q(texts) W_q`` as (D_p, T) columns, each independent of its
+    position (:func:`_stable_rows_times`)."""
+    texts = _check_rows(params, texts, "text")
     t_n = layernorm_rows(texts, params.ln_q_gain, params.ln_q_bias)
     return np.ascontiguousarray(_stable_rows_times(t_n, params.w_q).T)
 
 
 def project_queries_backward(params: XAttnParams, texts: np.ndarray,
                              d_q: np.ndarray) -> dict[str, np.ndarray]:
-    """Reverse :func:`project_queries`: the ``w_q`` and ``LN_q`` gradients
-    for the gradient ``d_q`` of its (D_p, T) output.  The texts are data,
-    so no text gradient is formed: ``LN_q`` is reversed with
-    :func:`tefal.linalg.layernorm_rows_param_grads`."""
-    texts = _check_text(params, texts)
+    """The ``w_q`` and ``LN_q`` gradients of :func:`project_queries`; the
+    texts are data, so no text gradient is formed."""
+    texts = _check_rows(params, texts, "text")
     t_n = layernorm_rows(texts, params.ln_q_gain, params.ln_q_bias)
     d_gq, d_bq = layernorm_rows_param_grads((params.w_q @ d_q).T, texts)
     return {"w_q": t_n.T @ d_q.T, "ln_q_gain": d_gq, "ln_q_bias": d_bq}
 
 
 def canonical_order(rows: np.ndarray) -> np.ndarray:
-    """Canonical row order of every candidate of a pair-last (m, n, C)
-    stack: entry (i, c) indexes candidate ``c``'s ``i``-th canonical row in
-    the flattened (n, C) axes, as :func:`canonical_rows` takes them."""
+    """Entry (i, c) indexes candidate ``c``'s ``i``-th row in the order of
+    :func:`canonical_rows`, in the flattened (n, C) axes."""
     first = rows[0]
     order = np.argsort(first, axis=0, kind="stable")
     sorted_first = np.take_along_axis(first, order, axis=0)
@@ -301,21 +261,17 @@ def canonical_order(rows: np.ndarray) -> np.ndarray:
 
 
 def canonical_rows(rows: np.ndarray) -> np.ndarray:
-    """Reorder the context rows of every candidate of a pair-last (m, n, C)
-    stack by a lexsort of their m features (feature 0 first).
-
-    The result is a function of each candidate's multiset of rows only:
-    rows that tie in every feature hold the same values, so their relative
-    order cannot matter.  Fixed-order reductions over the canonical rows
-    are therefore bit-exact under any permutation of the input rows.
-    """
+    """Each candidate's rows of a pair-last (m, n, C) stack, lexsorted by
+    their m features.  Rows that tie in every feature are equal, so the
+    result depends only on each candidate's multiset of rows, and
+    fixed-order sums over it are bit-exact under any row permutation."""
     return np.take(np.reshape(rows, (len(rows), -1)), canonical_order(rows), axis=1)
 
 
 @dataclass
 class TileCache:
-    """Forward intermediates of :func:`block_forward_tile`, pair-last;
-    ``k`` onwards in canonical row order, the rest in the caller's."""
+    """Forward intermediates of :func:`block_forward_tile`; ``k`` onwards
+    in canonical row order, the rest in the caller's."""
     q: np.ndarray             # (D_p, T) shared, or (D_p, C, T)
     order: np.ndarray         # (n, C)
     contexts: np.ndarray      # (D, n, C)
@@ -338,21 +294,25 @@ def block_forward_tile(params: XAttnParams, q: np.ndarray, contexts: np.ndarray,
     """The block for every (query, candidate) pair of a tile, pair-last:
     the feature or context-row axis first, then the (C, T) pair axes.
 
-    ``contexts`` is (D, n, C).  ``q`` holds :func:`project_queries` columns,
-    (D_p, T) shared by a dense tile's candidates, or (D_p, C, T) with
-    ``q[:, c, t]`` candidate ``c``'s ``t``-th query.  Returns the (D_p, C, T)
-    embeddings, or with ``keep`` the pair ``(out, TileCache)``.
+    ``contexts`` is (D, n, C).  ``q`` holds :func:`project_queries` columns:
+    (D_p, T) shared by every candidate (a dense tile), or (D_p, C, T), each
+    candidate's own queries (a grouped tile).  Returns the (D_p, C, T)
+    outputs, with ``keep`` also the :class:`TileCache`.
 
-    A pair's output does not depend on its tile: elementwise operations are
-    exact, and every reduction adds in one fixed order for any tile shape,
-    a single pair included.  Each ``einsum`` has its operands laid out so
-    that an output axis is innermost (a pair axis, or for a single pair a
-    feature or row axis); numpy then adds each output's terms one at a time
-    in the order of the summed axis.  Hence K is (D_p, n, C), and V W_o is
-    stored (D_p, C, n) with several queries per candidate (t innermost) but
-    (n, D_p, C) with one.  The LayerNorm and softmax sums go through
-    :func:`tefal.linalg.sum_leading`, which adds in row order however few
-    elements trail (a plain ``sum(axis=0)`` goes pairwise when one does).
+    Tile invariance: a pair's output depends only on its own query and
+    candidate, so no tiling, subset or worker count changes a score.
+    Elementwise operations are exact, and every reduction over a feature or
+    row axis adds in one fixed order for any tile shape, a single pair
+    included.  Each ``einsum`` has its operands laid out so that an output
+    axis is innermost (a pair axis, or for a single pair a feature or row
+    axis); numpy then adds each output's terms one at a time in the order
+    of the summed axis.  Hence K is (D_p, n, C), and V W_o is stored
+    (D_p, C, n) with several queries per candidate but (n, D_p, C) with
+    one.  The LayerNorm and softmax sums go through
+    :func:`tefal.linalg.sum_leading`.  Fusion and cosine follow the same
+    rules, so a score, too, depends only on its pair.  Each candidate's
+    rows are first put in canonical order (:func:`canonical_rows`), so the
+    output is also bit-exact under any permutation of its context rows.
     """
     contexts = np.ascontiguousarray(contexts, dtype=np.float64)
     if contexts.ndim != 3 or contexts.shape[0] != params.dim:
@@ -387,20 +347,15 @@ def block_backward_tile(params: XAttnParams, cache: TileCache, d_out: np.ndarray
                         context_grad: bool = True):
     """Reverse :func:`block_forward_tile` over all C x T pairs at once.
 
-    ``d_out`` is (D_p, C, T).  Returns ``(grads, d_q, d_contexts)``:
-    ``grads`` holds the candidate- and output-side entries of
-    :meth:`XAttnParams.named`, summed over every pair; ``d_q`` is the
-    (D_p, C, T) gradient of each pair's query, which the caller sums per
-    text and reverses with :func:`project_queries_backward`; ``d_contexts``
-    is the (D, n, C) context gradient in the caller's row order.  A caller
-    whose contexts are data passes ``context_grad=False`` and gets ``None``
-    there; the ``LN_c`` input gradient is then not formed, and ``grads``
-    keeps its bits, as no parameter gradient reads it.  ``d_cn = W_kv d_kv``
-    is formed either way: the ``LN_c`` gain and bias gradients sum it.
-    With the folded ``M = W_v W_o``, ``d_W_v = d_M W_o^T`` and
-    ``d_W_o = W_v^T d_M``.  The backward pass needs only to be
-    deterministic, not tile-invariant, so its per-pair products are matrix
-    products batched over the candidates.
+    Returns ``(grads, d_q, d_contexts)``: the candidate- and output-side
+    entries of :meth:`XAttnParams.named`, summed over every pair; each
+    pair's (D_p, C, T) query gradient, for the caller to sum per text and
+    pass to :func:`project_queries_backward`; and the (D, n, C) context
+    gradient in the caller's row order, or ``None`` with
+    ``context_grad=False``, which leaves ``grads`` bit-identical.  With the
+    folded ``M = W_v W_o``, ``d_W_v = d_M W_o^T`` and ``d_W_o = W_v^T d_M``.
+    The backward pass need only be deterministic, not tile-invariant, so
+    its per-pair products are batched matrix products.
     """
     d, p = params.dim, params.proj_dim
     w, q = cache.weights, cache.q

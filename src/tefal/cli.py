@@ -20,6 +20,7 @@ from .audiofeat import compute_fbank, read_wav
 from .config import ConfigError, TrainConfig, parse_config_lines
 from .corpus import synth_corpus
 from .fusion import FusionKind
+from .linalg import ShapeError
 from .model import MODALITIES, TILE_PAIRS, query_rows, score_tile
 from .ranking import evaluate
 from .storage import load_checkpoint, load_corpus, save_checkpoint, save_corpus, write_fbank
@@ -83,7 +84,7 @@ def _cmd_train(args) -> int:
     if args.config:
         try:
             entries = parse_config_lines(Path(args.config).read_text(encoding="utf-8"))
-        except ConfigError as exc:
+        except (ConfigError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{args.config}: {exc}") from None
     values = {key: value for key, (_, value) in entries.items()}
     geometry = {"dim": corpus.dim, "proj_dim": corpus.dim,
@@ -116,10 +117,19 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
-    """``eval`` and ``rerank``; ``rerank`` makes ``--k`` required."""
+def _load_model_and_corpus(args):
+    """The ``--checkpoint`` model and the ``--data`` corpus, whose dims must match."""
     corpus = load_corpus(args.data)
     model, _step, _config = load_checkpoint(args.checkpoint)
+    if model.dim != corpus.dim:
+        raise ShapeError(f"checkpoint {args.checkpoint} has dim {model.dim}, but the "
+                         f"corpus of {args.data} has dim {corpus.dim}")
+    return model, corpus
+
+
+def _cmd_eval(args) -> int:
+    """``eval`` and ``rerank``; ``rerank`` makes ``--k`` required."""
+    model, corpus = _load_model_and_corpus(args)
     result = evaluate(model, corpus, k=_parse_k(args.k, len(corpus)),
                       dsl_temp=getattr(args, "dsl_temp", None), workers=args.threads)
     _emit_json(_metrics_json(result), args.out)
@@ -148,8 +158,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_export_attn(args) -> int:
-    corpus = load_corpus(args.data)
-    model, _step, _config = load_checkpoint(args.checkpoint)
+    model, corpus = _load_model_and_corpus(args)
     # the weights that scoring computes: each item against its own text, in
     # grouped tiles; only the blocks the model computes, so stacking's
     # video block attends over the frames plus the audio summary row

@@ -28,12 +28,9 @@ class ZeroNormWarning(UserWarning):
 
 @dataclass
 class Temperature:
-    """Learnable softmax scale, parameterized as tau = exp(log_scale).
-
-    ``value`` is clamped into [TAU_MIN, TAU_MAX]; the optimizer additionally
-    projects ``log_scale`` back into range after each step, so the clamp is
-    inactive (and the loss smooth) everywhere training normally operates.
-    """
+    """Learnable softmax scale tau = exp(log_scale), clamped into
+    [TAU_MIN, TAU_MAX]; training projects ``log_scale`` into range after
+    each step, so the clamp stays inactive and the loss smooth."""
 
     log_scale: np.ndarray  # shape (1, 1)
 
@@ -54,12 +51,9 @@ class Temperature:
 
 
 def cosine_rows(u: np.ndarray, f: np.ndarray):
-    """Cosine between matching columns of pair-last ``u`` and ``f``, with
-    ``u`` broadcasting (a tile's T texts as (D, 1, T) against (D, C, T)).
-    Feature sums run in order (:func:`tefal.linalg.sum_leading`), so a
-    pair's score does not depend on its tile.  Returns ``(scores, cache)``;
-    zero-norm columns score 0 and get zero gradient from
-    :func:`cosine_rows_backward`."""
+    """``(scores, cache)``: cosine between matching columns of pair-last
+    ``u`` and ``f``, ``u`` broadcasting; a zero-norm column scores 0.  Tile
+    invariance: :func:`tefal.attention.block_forward_tile`."""
     u = np.asarray(u, dtype=np.float64)
     f = np.asarray(f, dtype=np.float64)
     if u.ndim != f.ndim or u.shape[0] != f.shape[0] or any(
@@ -78,9 +72,8 @@ def cosine_rows(u: np.ndarray, f: np.ndarray):
 
 
 def cosine_rows_backward(d_scores: np.ndarray, cache) -> np.ndarray:
-    """Gradient of the scores w.r.t. the second argument ``f`` only (the
-    first argument is raw query data in this engine), pair-last like ``f``.
-    Zero-norm columns get zero gradient."""
+    """Gradient of the scores w.r.t. ``f`` only (``u`` is query data);
+    zero-norm columns get zero gradient."""
     u, f, nu, nf, zero, scores = cache
     denom = np.where(zero, 1.0, nu * nf)
     nf_sq = np.where(zero, 1.0, nf * nf)
@@ -94,12 +87,8 @@ def _log_softmax_rows(z: np.ndarray) -> np.ndarray:
 
 
 def infonce(sim: np.ndarray, temperature: Temperature):
-    """Symmetric InfoNCE loss over a square similarity matrix.
-
-    Returns ``(loss, d_sim, d_log_scale)``.  With B = 1 the loss is exactly
-    zero (one positive, no negatives).  Transposing ``sim`` swaps the two
-    directional terms and leaves the total unchanged.
-    """
+    """``(loss, d_sim, d_log_scale)`` of the symmetric InfoNCE loss over a
+    square similarity matrix; with B = 1 the loss is exactly zero."""
     sim = np.asarray(sim, dtype=np.float64)
     if sim.ndim != 2 or sim.shape[0] != sim.shape[1]:
         raise ShapeError(f"similarity matrix must be square, got {sim.shape}")

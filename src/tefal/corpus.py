@@ -24,12 +24,9 @@ __all__ = ["Corpus", "synth_corpus"]
 
 @dataclass
 class Corpus:
-    """Aligned embedding triples, one per item.
-
-    ``texts`` is (n, D); ``frames`` is (n, F, D); ``audio`` is (n, N_a, D).
-    ``summary_tokens`` optionally holds the audio class/distillation rows
-    (n, 2, D) used by the stacking fusion variant.
-    """
+    """Aligned embeddings, one per item: ``texts`` (n, D), ``frames``
+    (n, F, D), ``audio`` (n, N_a, D), and optionally ``summary_tokens``,
+    the audio class/distillation rows (n, 2, D) that stacking reads."""
 
     ids: list[str]
     texts: np.ndarray

@@ -11,13 +11,11 @@ ablation:
                (reuses the video block over an F+1 row context)
 
 All variants produce one column of width D_p per query, pair-last like
-their inputs.  There is no re-normalization after fusing; the downstream
-cosine similarity absorbs scale.  :func:`fuse_forward` and
-:func:`fuse_backward` implement the four post-hoc kinds; the xattn block
-runs on the attention tile kernel as a grouped tile, one candidate per
-fused column with its two-row context [E_v|t, E_a|t].  Stacking is not
-post-hoc: :func:`tefal.model.score_tile` runs the video block over the
-stacked context.
+their inputs, with no re-normalization: the cosine absorbs scale.
+:func:`fuse_forward` and :func:`fuse_backward` implement the four post-hoc
+kinds; the xattn block runs on the attention tile kernel, one candidate per
+fused column.  Stacking is not post-hoc: :func:`tefal.model.score_tile`
+runs the video block over the stacked context.
 """
 
 import enum
@@ -59,13 +57,8 @@ class FusionKind(enum.Enum):
 
 @dataclass
 class FusionParams:
-    """Extra learnable state a fusion kind needs (present iff required).
-
-    ``concat_w``/``concat_b`` map the 2*D_p concatenation back to D_p;
-    ``late_w`` projects the raw audio-token mean from D to D_p; ``xattn``
-    is the third attention block (with D = D_p).  Addition and stacking
-    carry nothing.
-    """
+    """Extra learnable state of a fusion kind: ``concat_w``/``concat_b``
+    (2*D_p -> D_p), ``late_w`` (D -> D_p) or the ``xattn`` block (D = D_p)."""
 
     kind: FusionKind
     concat_w: np.ndarray | None = None
@@ -122,16 +115,11 @@ def _require(condition: bool, message: str) -> None:
 
 def fuse_forward(params: FusionParams, *, video_cond=None, audio_cond=None,
                  queries=None, audio_token_mean=None):
-    """Forward pass for the post-hoc fusion kinds, returning ``(fused, cache)``.
-
-    Inputs are pair-last: ``video_cond``/``audio_cond`` are the (D_p, ...)
-    conditioned embeddings, one column per query or (candidate, query)
-    pair; the late variant's raw (D, ...) ``audio_token_mean`` and the xattn
-    block's (D_p, ...) ``queries`` broadcast against them.  Each feature sum
-    is an ``einsum`` whose innermost loop runs along an output axis, so it
-    adds in feature order, whatever the number of columns.  The stacking
-    variant is not a post-hoc combiner (it swaps the video block's context),
-    so it raises :class:`FusionError`.
+    """``(fused, cache)`` of a post-hoc fusion kind; stacking raises
+    :class:`FusionError`.  Inputs are pair-last, one column per pair;
+    ``audio_token_mean`` and ``queries`` broadcast against the conditioned
+    embeddings.  Feature sums keep the tile invariance of
+    :func:`tefal.attention.block_forward_tile`.
     """
     kind = params.kind
     if kind == FusionKind.ADDITION:
@@ -182,13 +170,9 @@ def fuse_forward(params: FusionParams, *, video_cond=None, audio_cond=None,
 
 
 def fuse_backward(params: FusionParams, cache: FusionCache, d_fused: np.ndarray):
-    """Returns ``(own_grads, d_video_cond, d_audio_cond, d_queries)`` for the
-    post-hoc kinds, all pair-last like ``d_fused``.  ``d_queries`` is the
-    gradient of the xattn query projections, one column per fused column
-    (``None`` for the other kinds); the caller reverses it with
-    :func:`tefal.attention.project_queries_backward`, which yields the
-    xattn block's ``w_q`` and ``LN_q`` gradients.  Gradients for raw inputs
-    (token means) are not produced; those are data, not parameters."""
+    """``(own_grads, d_video_cond, d_audio_cond, d_queries)``, pair-last
+    like ``d_fused``; ``d_queries``, xattn's query-projection gradient, is
+    for :func:`tefal.attention.project_queries_backward`."""
     kind = cache.kind
     if kind == FusionKind.ADDITION:
         return {}, d_fused, d_fused, None

@@ -1,15 +1,6 @@
-"""Dense linear-algebra primitives with hand-written reverse-mode rules.
-
-Every quantity is a 2-D float64 array ("matrix").  Each differentiable
-primitive ships with an explicit backward rule, which
-:mod:`tefal.verify` checks against central finite differences.  The model
-layers above compose these rules in a fixed order; there is no general tape.
-
-Composition order used by the attention block (and mirrored in its
-backward pass):
-
-    layernorm_rows -> projections -> scaled dot product + softmax_rows ->
-    weighted pooling -> output projection -> layernorm_rows
+"""Dense float64 primitives with hand-written reverse-mode rules, which
+:mod:`tefal.verify` checks against central finite differences.  The layers
+above compose these rules in a fixed order; there is no general tape.
 """
 
 import numpy as np
@@ -32,13 +23,8 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
 
 
 def canonical_sum(values: np.ndarray, axis: int) -> np.ndarray:
-    """Sum along ``axis`` after sorting the addends.
-
-    Floating-point addition is not associative, so a plain reduction changes
-    in the last bits when the addends are reordered.  Sorting first makes the
-    result a function of the multiset of addends only, which is what gives
-    the attention pooling its bit-exact permutation invariance.
-    """
+    """Sum along ``axis`` after sorting the addends, so that the result
+    depends only on their multiset, not on their order."""
     return np.sum(np.sort(values, axis=axis), axis=axis)
 
 
@@ -47,11 +33,7 @@ def canonical_sum(values: np.ndarray, axis: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def softmax_rows(m: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction for stability.
-
-    The denominator is accumulated with :func:`canonical_sum` so that
-    permuting the entries of a row permutes the outputs bit-exactly.
-    """
+    """Row-wise softmax, max-shifted, its denominator a :func:`canonical_sum`."""
     m = np.asarray(m, dtype=np.float64)
     shifted = m - m.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
@@ -66,10 +48,10 @@ def softmax_rows_backward(d_out: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def sum_leading(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
     """Sum over axis 0 of ``x`` (or of ``x * y``, broadcasting), adding the
-    rows in row order whatever the trailing shape.  numpy's ``sum`` and
+    rows in row order whatever the trailing shape, so a column's sum never
+    depends on how many columns share the call.  numpy's ``sum`` and
     ``einsum`` add C-contiguous rows so when two or more elements trail the
-    summed axis; with one they go pairwise, so that case runs a loop here.
-    A column's sum never depends on how many columns share the call."""
+    summed axis; with one they go pairwise, so that case runs a loop here."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     if y is None:
         return x.sum(axis=0) if x[0].size > 1 else sum(x, np.zeros(x.shape[1:]))
@@ -104,13 +86,9 @@ def _column(width: int, ndim: int, axis: int) -> tuple:
 
 def layernorm_rows(m: np.ndarray, gain: np.ndarray, bias: np.ndarray,
                    axis: int = -1) -> np.ndarray:
-    """Standardize each row to zero mean / unit variance, then apply affine.
-
-    Uses the population variance and puts ``LAYERNORM_EPS`` inside the
-    square root, so a constant row maps exactly to the bias vector.  The
-    features lie along ``axis``: -1 for row blocks, 0 for pair-last arrays,
-    whose feature sums run in feature order (:func:`sum_leading`).
-    """
+    """Standardize along ``axis`` (population variance, ``LAYERNORM_EPS``
+    inside the root, so a constant row maps to the bias), then the affine.
+    Along axis 0 the sums go through :func:`sum_leading`."""
     m = np.asarray(m, dtype=np.float64)
     column = _column(m.shape[axis], m.ndim, axis)
     out, _ = _standardize(m, axis)
@@ -128,20 +106,15 @@ def _affine_grads(d_out: np.ndarray, xhat: np.ndarray, axis: int):
 
 
 def layernorm_rows_param_grads(d_out: np.ndarray, m: np.ndarray, axis: int = -1):
-    """Gradients ``(d_gain, d_bias)`` for :func:`layernorm_rows`, for a
-    caller whose input ``m`` is data, not a parameter.  Bit-identical to
-    the last two results of :func:`layernorm_rows_backward`: the same
-    standardization and the same sums, without the input gradient (and so
-    without ``gain``)."""
+    """The ``(d_gain, d_bias)`` of :func:`layernorm_rows_backward`, bit for
+    bit, without the input gradient, for an input that is data."""
     return _affine_grads(d_out, _standardize(np.asarray(m, dtype=np.float64), axis)[0],
                          axis)
 
 
 def layernorm_rows_backward(d_out: np.ndarray, m: np.ndarray, gain: np.ndarray,
                             axis: int = -1):
-    """Gradients ``(d_m, d_gain, d_bias)`` for :func:`layernorm_rows`.  When
-    ``m`` is data and ``d_m`` would be thrown away,
-    :func:`layernorm_rows_param_grads` gives the other two for less work."""
+    """Gradients ``(d_m, d_gain, d_bias)`` for :func:`layernorm_rows`."""
     m = np.asarray(m, dtype=np.float64)
     width = m.shape[axis]
     xhat, inv = _standardize(m, axis)

@@ -13,24 +13,11 @@ blocks run (``_blocks``, in parameter order) over which context rows
     both      stacking            video                frames + audio summary row
 
 Every candidate embedding is conditioned on the query text, so T queries
-against V candidates cost one block evaluation per pair.  Scoring projects
-each block's ``LN_q(text) W_q`` once per text, then walks the candidates in
-tiles of about ``TILE_PAIRS`` pairs: :func:`score_tile` runs
-:func:`tefal.attention.block_forward_tile` on a tile, fuses and takes the
-cosine with the query texts, every array pair-last (features, C, T).  A
-tile is dense (every candidate against the same queries, as in exhaustive
-scoring) or grouped (each candidate against its own, as in the stage-2
-re-rank, and the xattn block's one query per pair).  Every feature or row
-sum runs in one fixed order for any tile shape, so any tiling or worker
-count gives the same bits for the same pair.
-
-Training scores its B x B batch as one such tile with ``keep=True``;
-:func:`batch_loss_and_grads` reverses cosine and fusion on the B^2 pairs,
-each block once with :func:`tefal.attention.block_backward_tile`, and each
-block's query projection once per text.  :func:`candidate_scores`, one
-:func:`tefal.attention.block_forward` call per block and candidate, is the
-forward-only per-candidate reference that the tests compare
-:func:`score_tile` against; no library path calls it.
+against V candidates cost one block evaluation per pair.  Exhaustive
+scoring, the stage-2 re-rank and training all score through
+:func:`score_tile`; why its scores do not depend on the tile is given in
+:func:`tefal.attention.block_forward_tile`.  :func:`candidate_scores` is
+the per-candidate reference that the tests compare it against.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -65,8 +52,7 @@ __all__ = ["RetrievalModel", "create_model", "named_parameters",
 
 MODALITIES = ("both", "video", "audio")
 
-# (query, candidate) pairs per scoring tile: a tile is max(1, TILE_PAIRS // T)
-# candidates wide
+# (query, candidate) pairs per scoring tile
 TILE_PAIRS = 2048
 
 
@@ -90,12 +76,8 @@ class RetrievalModel:
 def create_model(seed: int, dim: int, proj_dim: int | None = None,
                  fusion: FusionKind | str = FusionKind.ADDITION,
                  modality: str = "both", tau: float = TAU_INIT) -> RetrievalModel:
-    """Build a freshly initialized model.
-
-    The query text enters the similarity directly, so the projection width
-    must equal the embedding width; ``proj_dim`` defaults to ``dim`` and any
-    other value is rejected.
-    """
+    """A freshly initialized model.  The cosine compares the query text
+    with the fused embedding, so ``proj_dim`` must equal ``dim``."""
     if proj_dim is None:
         proj_dim = dim
     if proj_dim != dim:
@@ -130,8 +112,7 @@ def _blocks(model: RetrievalModel) -> tuple[str, ...]:
 
 
 def uses_summary_rows(model: RetrievalModel) -> bool:
-    """Whether the video block also attends over each item's audio summary
-    row: stacking fusion over both modalities."""
+    """Whether the video block also attends over the audio summary row."""
     return model.modality == "both" and model.fusion.kind == FusionKind.STACKING
 
 
@@ -150,9 +131,8 @@ def _params(model: RetrievalModel, name: str) -> XAttnParams:
 
 
 def _fuse(model: RetrievalModel, outputs: dict, xattn_queries, token_mean):
-    """``(fused, fusion cache)`` from the video and audio blocks' pair-last
-    ``outputs``; the cache is ``None`` when one block's output is the fused
-    embedding.  ``token_mean()`` gives late fusion's raw audio-token mean."""
+    """``(fused, fusion cache)``, the cache ``None`` when one block's output
+    is the fused embedding; ``token_mean()`` is late fusion's input."""
     if model.modality == "both" and model.fusion.kind == FusionKind.LATE:
         return fuse_forward(model.fusion, video_cond=outputs["video"],
                             audio_token_mean=token_mean())
@@ -164,11 +144,8 @@ def _fuse(model: RetrievalModel, outputs: dict, xattn_queries, token_mean):
 
 def named_parameters(model: RetrievalModel, trainable_only: bool = True
                      ) -> dict[str, np.ndarray]:
-    """Flat name -> array view of the model's parameters.
-
-    With ``trainable_only`` the dict is restricted to parameters that the
-    configured modality and fusion kind actually route gradients to.
-    """
+    """Flat name -> array view of the model's parameters; with
+    ``trainable_only``, only those of the blocks and fusion the model runs."""
     out: dict[str, np.ndarray] = {}
     for name in ("video", "audio"):
         if not trainable_only or name in _blocks(model):
@@ -181,12 +158,8 @@ def named_parameters(model: RetrievalModel, trainable_only: bool = True
 
 def candidate_scores(model: RetrievalModel, texts: np.ndarray, corpus: Corpus,
                      j: int):
-    """Cosine scores of candidate ``j`` against every query row, as
-    ``(scores, cache)`` from :func:`tefal.contrastive.cosine_rows`.
-
-    Forward only, one :func:`tefal.attention.block_forward` call per block:
-    the per-candidate reference for :func:`score_tile`.
-    """
+    """``(scores, cache)`` of candidate ``j`` against every text, one
+    :func:`tefal.attention.block_forward` call per block."""
     texts = np.asarray(texts, dtype=np.float64)
     outputs = {name: block_forward(_params(model, name), texts, rows[0])[0].T
                for name, rows in _contexts(model, corpus, [j]).items()}
@@ -197,9 +170,7 @@ def candidate_scores(model: RetrievalModel, texts: np.ndarray, corpus: Corpus,
 
 @dataclass
 class Queries:
-    """Query texts and, under each block name the model runs (``xattn`` is
-    the xattn fusion block), that block's projection ``LN_q(text) W_q``;
-    one column per text."""
+    """Query texts and each block's ``LN_q(text) W_q``, one column per text."""
     texts: np.ndarray
     blocks: dict[str, np.ndarray]
 
@@ -218,9 +189,8 @@ def query_rows(model: RetrievalModel, texts: np.ndarray) -> Queries:
 
 @dataclass
 class TileTape:
-    """What :func:`batch_loss_and_grads` reverses: the video and audio
-    blocks' :class:`tefal.attention.TileCache`, the fusion cache (``None``
-    when one block's output is the fused embedding) and the cosine cache."""
+    """What :func:`batch_loss_and_grads` reverses: each block's
+    :class:`tefal.attention.TileCache`, the fusion and the cosine caches."""
     blocks: dict
     fusion: object
     cosine: object
@@ -231,13 +201,11 @@ def score_tile(model: RetrievalModel, queries: Queries, corpus: Corpus,
     """(T, C) cosine scores of query rows against candidates ``cols``; with
     ``keep``, the pair ``(scores, TileTape)``.
 
-    A dense tile scores every candidate against the same T queries
-    (``queries`` arrays of shape (., T), one shared block operand).  A
-    grouped tile gives each candidate its own T queries (arrays of shape
-    (., C, T), from ``queries.rows`` with a (C, T) index), and entry (t, c)
-    scores candidate ``cols[c]`` against its ``t``-th query.  The xattn
-    fusion block is a grouped tile of the pairs: one query and the context
-    [e_v, e_a] per pair.
+    ``queries`` arrays of shape (., T) score every candidate against the
+    same T queries (a dense tile); of shape (., C, T), from ``queries.rows``
+    with a (C, T) index, entry (t, c) scores ``cols[c]`` against its
+    ``t``-th query (a grouped tile).  Tile invariance:
+    :func:`tefal.attention.block_forward_tile`.
     """
     cols = np.asarray(cols, dtype=np.intp)
 
@@ -273,13 +241,9 @@ def similarity_matrix(model: RetrievalModel, corpus: Corpus,
                       query_texts: np.ndarray | None = None,
                       candidates: np.ndarray | None = None,
                       workers: int = 1) -> np.ndarray:
-    """Dense T x V matrix of text-conditioned cosine similarities.
-
-    The candidates are scored in tiles of ``max(1, TILE_PAIRS // T)``
-    columns.  Tiles are independent, so they may be computed by a worker
-    pool; every score depends only on its own pair, which keeps the output
-    identical for any worker count and any query or candidate subset.
-    """
+    """Dense T x V matrix of text-conditioned cosine similarities, in tiles
+    of about ``TILE_PAIRS`` pairs on ``workers`` threads; tile invariance:
+    :func:`tefal.attention.block_forward_tile`."""
     queries = query_rows(model, corpus.texts if query_texts is None else query_texts)
     if candidates is None:
         candidates = np.arange(len(corpus))
@@ -294,18 +258,11 @@ def similarity_matrix(model: RetrievalModel, corpus: Corpus,
 
 def batch_loss_and_grads(model: RetrievalModel, corpus: Corpus,
                          indices: np.ndarray):
-    """Symmetric InfoNCE loss and parameter gradients for one mini-batch.
-
-    The batch items serve as both queries and candidates; entry (i, j) of
-    the similarity matrix scores candidate j's embedding conditioned on
-    text i.  The batch is one (B, B) :func:`score_tile`, so ``sim`` equals
-    :func:`similarity_matrix` on the same queries and candidates bit for
-    bit.  The backward pass reverses cosine and fusion on the pair-last B^2
-    pairs and each block once, summing over all pairs in a fixed order, so
-    the result is deterministic.  The texts and the video and audio blocks'
-    contexts are corpus rows, so only parameter gradients are formed for
-    them; the xattn block's contexts are the other blocks' outputs, whose
-    gradient it returns in full.
+    """``(loss, grads, sim)``: symmetric InfoNCE loss and parameter
+    gradients for one mini-batch, scored as one (B, B) :func:`score_tile`.
+    So ``sim`` equals :func:`similarity_matrix` of the batch bit for bit
+    (:func:`tefal.attention.block_forward_tile`).  The texts and the video
+    and audio contexts are corpus rows, so no gradient is formed for them.
     """
     indices = np.asarray(indices, dtype=np.intp)
     texts = corpus.texts[indices]

@@ -1,9 +1,8 @@
 """Ranking, retrieval metrics, two-stage re-ranking, score post-processing,
 and :func:`evaluate`, which ranks a corpus in both directions.
 
-Ground truth follows the aligned-corpus convention: query i's correct
-candidate is item i.  Ties in similarity are always broken by ascending
-item id, which makes every ranking deterministic across runs.
+Query i's correct candidate is item i.  Ties in similarity are broken by
+ascending item id.
 """
 
 import os
@@ -52,9 +51,8 @@ def _row_blocks(rows: int, cols: int) -> list[slice]:
 
 
 def _check_finite(scores: np.ndarray, ids, what: str, first_row: int = 0) -> None:
-    """Reject a (queries x candidates) score array with a non-finite entry,
-    naming the first query it occurs for; row 0 of ``scores`` is query
-    ``first_row``."""
+    """Reject scores with a non-finite entry, naming the first query it
+    occurs for; row 0 of ``scores`` is query ``first_row``."""
     bad = ~np.isfinite(scores)
     if np.any(bad):
         row = first_row + int(np.nonzero(bad.any(axis=1))[0][0])
@@ -71,10 +69,9 @@ def _id_ranks(ids: np.ndarray) -> np.ndarray:
 def _ranks_in_rows(scores: np.ndarray, truth: np.ndarray,
                    id_rank: np.ndarray) -> np.ndarray:
     """1-based rank of entry ``truth[r]`` within each row ``r`` of
-    ``scores``, under descending score with ties by ascending id rank:
-    one plus the entries with a higher score, plus the equal-scoring ones
-    with a smaller id rank.  ``id_rank`` holds the rank of each column's id
-    (1-D), or of each entry's id (the shape of ``scores``)."""
+    ``scores``: one plus the entries with a higher score, plus the
+    equal-scoring ones with a smaller ``id_rank`` (per column, or per
+    entry)."""
     rows = np.arange(len(truth))
     id_rank = np.broadcast_to(id_rank, scores.shape)
     mine = scores[rows, truth][:, None]
@@ -84,10 +81,8 @@ def _ranks_in_rows(scores: np.ndarray, truth: np.ndarray,
 
 
 def resolve_workers(requested: int = 1) -> int:
-    """Worker count for query/candidate parallelism, capped by TEFAL_THREADS.
-
-    A count below 1, requested or in TEFAL_THREADS, is a :class:`ConfigError`.
-    """
+    """Worker count, capped by TEFAL_THREADS; a count below 1 in either is
+    a :class:`ConfigError`."""
     workers = int(requested)
     if workers < 1:
         raise ConfigError(f"threads must be >= 1, got {workers}")
@@ -120,7 +115,7 @@ class RankingMetrics:
 
 @dataclass
 class EvalStats:
-    """Instrumentation counters: work done by each retrieval stage."""
+    """Work done by each retrieval stage."""
     stage1_comparisons: int = 0
     stage2_model_evals: int = 0
 
@@ -149,10 +144,8 @@ def compute_metrics(ranks, candidate_count: int) -> RankingMetrics:
 
 def ranks_from_similarity(sim: np.ndarray, ids) -> np.ndarray:
     """Per-row rank of the diagonal entry of a square similarity matrix.
-
-    Raises :class:`NonFiniteScoreError` if any score is NaN or infinite: a
-    NaN compares false with everything and would rank its truth first.
-    """
+    A NaN compares false with everything and would rank its truth first,
+    so a non-finite score raises :class:`NonFiniteScoreError`."""
     sim = np.asarray(sim, dtype=np.float64)
     if sim.ndim != 2 or sim.shape[0] != sim.shape[1]:
         raise ShapeError(f"aligned similarity matrix must be square, got {sim.shape}")
@@ -175,10 +168,7 @@ class RankingResult:
 
 def rank_exhaustive(model: RetrievalModel, corpus: Corpus,
                     workers: int = 1) -> RankingResult:
-    """Score every query against every candidate with the full model.
-
-    Cost is one model evaluation per (query, candidate) pair.
-    """
+    """Score every query against every candidate with the full model."""
     if len(corpus) == 0:
         raise ValueError("cannot rank over an empty corpus")
     workers = resolve_workers(workers)
@@ -188,11 +178,9 @@ def rank_exhaustive(model: RetrievalModel, corpus: Corpus,
 
 
 def _stage1_rows(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
-    """Stage 1's unit-norm text rows and unit-norm mean-pooled frame rows;
-    a zero row stays zero.  The first item whose text or pooled-frame row
-    has a non-finite norm raises :class:`NonFiniteScoreError`.  So every
-    stage-1 score is a dot product of finite rows of norm 1 or 0, and
-    |s| <= 1 up to rounding: the scores need no check of their own."""
+    """Stage 1's unit-norm text rows and mean-pooled frame rows (a zero row
+    stays zero).  A non-finite row raises :class:`NonFiniteScoreError`, so
+    the stage-1 scores need no check of their own."""
     rows = corpus.texts, corpus.frames.mean(axis=1)
     norms = [np.linalg.norm(x, axis=1, keepdims=True) for x in rows]
     bad = np.nonzero(~np.isfinite(norms[0] + norms[1]))[0]
@@ -209,13 +197,14 @@ def _row_scores(queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     ``_CHUNK_ROWS`` rows, and every chunk is the same (_CHUNK_ROWS, D) @
     (D, N) product, N the padded candidate count.
 
-    A product over a whole block rounds differently for different block
-    sizes, as the BLAS picks its kernels and thread split by shape.  Here
-    the shape is fixed, no score falls in a partial edge tile of a BLAS
-    kernel whose tile sizes divide ``_CHUNK_ROWS``, and blocks that start
-    at multiples of ``_CHUNK_ROWS`` keep a row at one offset in its chunk.
-    So a row's scores depend only on the row, ``_CHUNK_ROWS``, n, the BLAS
-    build and its thread count, not on the block size or the other rows.
+    Stage-1 determinism: a product over a whole block rounds differently
+    for different block sizes, as the BLAS picks its kernels and thread
+    split by shape.  Here the shape is fixed, no score falls in a partial
+    edge tile of a BLAS kernel whose tile sizes divide ``_CHUNK_ROWS``, and
+    blocks that start at multiples of ``_CHUNK_ROWS`` keep a row at one
+    offset in its chunk.  So a row's scores depend only on the row,
+    ``_CHUNK_ROWS``, n, the BLAS build and its thread count, not on the
+    block size or the other rows, and no (n, n) array is held.
     """
     q, c = (np.concatenate([x, np.zeros((-len(x) % _CHUNK_ROWS, x.shape[1]))])
             for x in (queries, candidates))
@@ -226,20 +215,16 @@ def _row_scores(queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
 def _stage1_shortlists(score_rows: Callable[[slice], np.ndarray], k: int,
                        ids: np.ndarray, id_rank: np.ndarray):
     """``(shortlists, ranks)``: each query's k best candidates by stage-1
-    score, in descending score with ties by ascending id, and each query's
-    stage-1 rank of its truth (the candidate equal to the query index)
-    where that falls outside its shortlist, 0 where inside.
-    ``score_rows(rows)`` returns the (queries x candidates) stage-1 scores
-    of one block of query rows, so no more than one block is held at once.
-    A block is as many whole chunks of ``_CHUNK_ROWS`` rows as fit in
-    ``BLOCK_ELEMENTS`` scores, and at least one chunk.
+    score, ties by ascending id, and the stage-1 rank of each query's truth
+    where it falls outside its shortlist, 0 where inside.
+    ``score_rows(rows)`` gives one block of whole chunks of query rows
+    (determinism: :func:`_row_scores`).
 
-    Row blocks take their top k with one ``argpartition`` and sort only the
-    k survivors.  Where the k-th score ties with a column left out, the
-    partition's pick among the tied columns is arbitrary, so those rows
-    partition again on a key that takes every higher score, then the tied
-    columns by ascending id.  The result equals the first k columns of a
-    full lexsort of every row.
+    A block takes its top k with one ``argpartition`` and sorts only those.
+    Where the k-th score ties with a column left out, the partition's pick
+    among the tied columns is arbitrary, so those rows partition again on a
+    key that takes every higher score, then the tied columns by ascending
+    id.  The result equals the first k columns of a full lexsort.
     """
     n = len(ids)
     shortlists = np.empty((n, k), dtype=np.intp)
@@ -269,12 +254,11 @@ def _stage1_shortlists(score_rows: Callable[[slice], np.ndarray], k: int,
 
 def _stage2_scores(model: RetrievalModel, corpus: Corpus, texts: np.ndarray,
                    cands: np.ndarray, workers: int) -> np.ndarray:
-    """Model scores of the pairs (query text ``texts[i]``, candidate
-    ``cands[i]``), by grouped tiles: each candidate against the texts paired
-    with it, groups packed largest first into tiles of about
-    ``TILE_PAIRS`` pairs and padded to their tile's largest group."""
-    slots = np.argsort(cands, kind="stable")
-    _, starts, sizes = np.unique(cands[slots], return_index=True, return_counts=True)
+    """Model scores of the pairs (``texts[i]``, ``cands[i]``), ``cands``
+    sorted, by grouped tiles: each candidate against the texts paired with
+    it, groups packed largest first into tiles of about ``TILE_PAIRS``
+    pairs and padded to their tile's largest group."""
+    _, starts, sizes = np.unique(cands, return_index=True, return_counts=True)
     largest_first = np.argsort(-sizes, kind="stable")
     starts, sizes = starts[largest_first], sizes[largest_first]
     tiles, first = [], 0
@@ -288,7 +272,7 @@ def _stage2_scores(model: RetrievalModel, corpus: Corpus, texts: np.ndarray,
         # last pair
         width = int(sizes[groups.start])
         offsets = np.minimum(np.arange(width), sizes[groups, None] - 1)
-        tile_slots = slots[starts[groups, None] + offsets]
+        tile_slots = starts[groups, None] + offsets
         scores = score_tile(model, queries.rows(texts[tile_slots]), corpus,
                             cands[tile_slots[:, 0]])
         real = offsets == np.arange(width)
@@ -302,29 +286,13 @@ def _stage2_scores(model: RetrievalModel, corpus: Corpus, texts: np.ndarray,
 
 def rerank_two_stage(model: RetrievalModel, corpus: Corpus, k: int,
                      workers: int = 1) -> RankingResult:
-    """Mean-pool shortlist, then re-rank only the top-k with the full model.
-
-    Stage 1 orders the candidates by cosine between the query texts and the
-    mean-pooled frames and keeps each query's top k, ties by ascending id:
-    one ``argpartition`` per block of query rows, then a sort of the k
-    survivors.  It streams one block of query rows at a time (text rows in
-    t2v, pooled-video rows in v2t) through fixed-shape chunks, so no (n, n)
-    array is held and a row's scores do not depend on ``BLOCK_ELEMENTS``.
-    A non-finite text or pooled-frame row raises :class:`NonFiniteScoreError`
-    naming its item.  Stage 2 re-scores the k-item shortlists with the
-    text-conditioned model.  Items outside the shortlist keep their stage-1
-    relative order, below the shortlist; a truth there gets its stage-1
-    rank, counted like :func:`ranks_from_similarity` counts.
-
-    Stage 2 scores each candidate against the query rows that shortlisted
-    it, in grouped :func:`tefal.model.score_tile` tiles of about
-    ``TILE_PAIRS`` pairs; padded slots are dropped and not counted as model
-    evaluations, so ``stats.stage2_model_evals`` is n·k.  Exhaustive
-    scoring runs the same kernel and a pair's score depends only on that
-    pair, so with k equal to the corpus size the result matches
+    """Text-to-video ranks: a k-item shortlist per query by cosine with the
+    mean-pooled frames (stage 1, :func:`_row_scores`), re-scored with the
+    full model (stage 2).  Items outside the shortlist keep their stage-1
+    order below it; a truth there gets its stage-1 rank.  Stage 2 runs the
+    kernel of exhaustive scoring (:func:`tefal.attention.block_forward_tile`),
+    so with k equal to the corpus size the result matches
     :func:`rank_exhaustive` exactly, for any worker count.
-    :func:`evaluate` runs both directions and scores the pairs their
-    shortlists share once.
     """
     (ranks,), stats = _rerank(model, corpus, k, workers, ("t2v",))
     return RankingResult(ranks, None, stats)
@@ -332,11 +300,10 @@ def rerank_two_stage(model: RetrievalModel, corpus: Corpus, k: int,
 
 def _rerank(model: RetrievalModel, corpus: Corpus, k: int, workers: int,
             directions: tuple[str, ...]) -> tuple[list, EvalStats]:
-    """Each direction's two-stage ranks (``"t2v"``: text queries, ``"v2t"``:
-    video queries), with one stage-2 pass over the distinct (text, video)
-    pairs of all the directions' shortlists, which
-    ``stats.stage2_model_evals`` counts.  A pair's score depends only on
-    that pair, so sharing it changes no rank."""
+    """Each direction's two-stage ranks, with one stage-2 pass over the
+    distinct (text, video) pairs of all the shortlists, which
+    ``stats.stage2_model_evals`` counts (tile invariance makes sharing a
+    pair change no rank: :func:`tefal.attention.block_forward_tile`)."""
     n = len(corpus)
     if n == 0:
         raise ValueError("cannot rank over an empty corpus")
@@ -355,13 +322,13 @@ def _rerank(model: RetrievalModel, corpus: Corpus, k: int, workers: int,
             lambda block: _row_scores(queries[block], candidates), k, ids, id_rank))
 
     # slot s of query q's shortlist pairs text t with video v under the key
-    # t * n + v; stage 2 scores each distinct key once, grouped by video
+    # v * n + t; the sorted distinct keys come grouped by video
     owners = np.repeat(np.arange(n), k)
     keys = np.concatenate([
-        owners * n + shortlists.ravel() if d == "t2v" else shortlists.ravel() * n + owners
+        shortlists.ravel() * n + owners if d == "t2v" else owners * n + shortlists.ravel()
         for d, (shortlists, _) in zip(directions, stage1_out)])
     pairs, inverse = np.unique(keys, return_inverse=True)
-    scores = _stage2_scores(model, corpus, pairs // n, pairs % n, workers)
+    scores = _stage2_scores(model, corpus, pairs % n, pairs // n, workers)
     stats.stage2_model_evals = len(pairs)
 
     all_ranks = []
@@ -378,11 +345,8 @@ def _rerank(model: RetrievalModel, corpus: Corpus, k: int, workers: int,
 
 
 def dual_softmax_postprocess(sim: np.ndarray, dsl_temp: float) -> np.ndarray:
-    """Rescale a T x V score matrix by its softmax over the query axis.
-
-    Each entry is multiplied by the column-wise softmax of ``sim * dsl_temp``,
-    sharpening scores that are distinctive for their query before ranking.
-    """
+    """Each entry of a T x V score matrix times the column-wise softmax of
+    ``sim * dsl_temp``, which sharpens scores distinctive for their query."""
     _check_dsl_temp(dsl_temp)
     sim = as_matrix(sim, "sim")
     z = sim * dsl_temp
@@ -423,13 +387,10 @@ def evaluate(model: RetrievalModel, corpus: Corpus, k: int | None = None,
              dsl_temp: float | None = None, workers: int = 1) -> EvalResult:
     """Rank the corpus in both directions and aggregate metrics.
 
-    ``k`` switches from exhaustive scoring to two-stage re-ranking with a
-    k-item shortlist (:func:`rerank_two_stage` in both directions): a
-    (text, video) pair that both directions shortlist is scored once, and
-    ``stats.stage2_model_evals`` counts the distinct pairs scored, at most
-    2·n·k.  ``dsl_temp`` enables dual-softmax re-scoring of the dense
-    matrix, which requires the exhaustive path.  A bad ``dsl_temp``, or one
-    given with ``k``, is rejected before any scoring.
+    ``k`` switches from exhaustive scoring to two-stage re-ranking
+    (:func:`rerank_two_stage` in both directions, sharing the pairs both
+    shortlist).  ``dsl_temp`` re-scores the dense matrix with dual softmax;
+    a bad one, or one given with ``k``, is rejected before any scoring.
     """
     if len(corpus) == 0:
         raise ValueError("cannot evaluate an empty corpus")

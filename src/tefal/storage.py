@@ -16,8 +16,8 @@ Checkpoint container ("TFCK", version 2):
 Both CRCs cover every preceding byte.  Filter-bank features reuse the EMB1
 container with one item of shape (target_length, n_mels).  The checkpoint's
 step counter travels as the reserved entry ``__step__``; version 1 files
-(still read) held the config as an entry of one code point per float32
-cell.  All arrays are float32 on disk and float64 in memory.
+held the config as an entry of one code point per float32 cell.  All
+arrays are float32 on disk and float64 in memory.
 """
 
 import json
@@ -45,10 +45,38 @@ CKPT_VERSION = 2
 MANIFEST_VERSION = 1
 
 _EMB_HEADER = struct.Struct("<4sIIII")
+_CKPT_HEADER = struct.Struct("<4sII")
 
 
 class FormatError(ValueError):
     """Corrupt, truncated, or mismatched on-disk data."""
+
+
+def _write_framed(path, head: bytes, *parts: bytes) -> None:
+    """Write ``head`` (magic, version and header fields), ``parts`` and the
+    CRC32 of all their bytes."""
+    blob = b"".join((head, *parts))
+    Path(path).write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))
+
+
+def _read_framed(path, header: struct.Struct, magic: bytes, versions: tuple,
+                 header_name: str, version_name: str, size=None):
+    """``(blob, header fields)`` of a file written by :func:`_write_framed`,
+    after checking its length, magic, version, ``size(fields)`` (the whole
+    file's length) if given, and CRC, in that order."""
+    blob = Path(path).read_bytes()
+    if len(blob) < header.size + 4:
+        raise FormatError(f"{path}: file too short for {header_name}")
+    fields = header.unpack_from(blob)
+    if fields[0] != magic:
+        raise FormatError(f"{path}: bad magic {fields[0]!r}, expected {magic!r}")
+    if fields[1] not in versions:
+        raise FormatError(f"{path}: unsupported {version_name} {fields[1]}")
+    if size is not None and len(blob) != size(fields):
+        raise FormatError(f"{path}: expected {size(fields)} bytes, found {len(blob)}")
+    if zlib.crc32(memoryview(blob)[:-4]) != struct.unpack_from("<I", blob, len(blob) - 4)[0]:
+        raise FormatError(f"{path}: CRC mismatch")
+    return blob, fields
 
 
 def write_embeddings(path, items: np.ndarray) -> None:
@@ -56,33 +84,16 @@ def write_embeddings(path, items: np.ndarray) -> None:
     items = np.asarray(items)
     if items.ndim != 3:
         raise FormatError(f"embedding payload must be 3-D, got shape {items.shape}")
-    count, rows, cols = items.shape
-    payload = np.ascontiguousarray(items, dtype="<f4").tobytes()
-    blob = _EMB_HEADER.pack(EMB_MAGIC, EMB_VERSION, count, rows, cols) + payload
-    blob += struct.pack("<I", zlib.crc32(blob))
-    Path(path).write_bytes(blob)
+    _write_framed(path, _EMB_HEADER.pack(EMB_MAGIC, EMB_VERSION, *items.shape),
+                  np.ascontiguousarray(items, dtype="<f4").tobytes())
 
 
 def read_embeddings(path) -> np.ndarray:
-    """Read an EMB1 file into a float64 (item_count, rows, cols) array.
-
-    A payload holding NaN or an infinity raises :class:`FormatError`: a
-    non-finite embedding would otherwise reach the scores and the metrics.
-    """
-    blob = Path(path).read_bytes()
-    if len(blob) < _EMB_HEADER.size + 4:
-        raise FormatError(f"{path}: file too short for an EMB1 header")
-    magic, version, count, rows, cols = _EMB_HEADER.unpack_from(blob)
-    if magic != EMB_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected {EMB_MAGIC!r}")
-    if version != EMB_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    need = _EMB_HEADER.size + 4 * count * rows * cols + 4
-    if len(blob) != need:
-        raise FormatError(f"{path}: expected {need} bytes, found {len(blob)}")
-    stored = struct.unpack_from("<I", blob, len(blob) - 4)[0]
-    if zlib.crc32(memoryview(blob)[:-4]) != stored:
-        raise FormatError(f"{path}: CRC mismatch")
+    """Read an EMB1 file into a float64 (item_count, rows, cols) array; a
+    non-finite value raises :class:`FormatError` naming its item."""
+    blob, (_, _, count, rows, cols) = _read_framed(
+        path, _EMB_HEADER, EMB_MAGIC, (EMB_VERSION,), "an EMB1 header", "version",
+        size=lambda fields: _EMB_HEADER.size + 4 * fields[2] * fields[3] * fields[4] + 4)
     data = np.frombuffer(blob, dtype="<f4", count=count * rows * cols,
                          offset=_EMB_HEADER.size)
     finite = np.isfinite(data)
@@ -111,11 +122,8 @@ def read_fbank(path) -> MelFilterBank:
 # ---------------------------------------------------------------------------
 
 def save_corpus(corpus: Corpus, directory) -> Path:
-    """Write a corpus as EMB1 files plus a manifest; returns the manifest path.
-
-    Items without audio get a null audio index; their zero token rows are
-    reconstructed on load.
-    """
+    """Write a corpus as EMB1 files plus a manifest; returns the manifest
+    path.  Items without audio get a null audio index."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     write_embeddings(directory / "text.emb1", corpus.texts[:, None, :])
@@ -156,8 +164,8 @@ _JSON_NAMES = {dict: "object", list: "array", str: "string", int: "integer",
 
 
 def _get(mapping: dict, key: str, kind: type, path, where: str, default=_REQUIRED):
-    """``mapping[key]``, which must be a ``kind`` (``None`` is allowed when
-    ``default`` is ``None``); a missing or mistyped value is a FormatError."""
+    """``mapping[key]``, which must be a ``kind`` (or ``None`` when
+    ``default`` is); a missing or mistyped value is a FormatError."""
     if key not in mapping:
         if default is _REQUIRED:
             raise FormatError(f"{path}: {where} has no {key!r} key")
@@ -173,9 +181,9 @@ def _get(mapping: dict, key: str, kind: type, path, where: str, default=_REQUIRE
 
 def _field(path, items: list, key: str, kind: type, size: int | None = None,
            positions=None, values=None) -> list:
-    """``item[key]`` of the items at ``positions`` (all by default), or the
-    given ``values``: each must be a ``kind`` and, with ``size``, an index
-    in [0, size).  The first bad value is a FormatError."""
+    """``item[key]`` of the items at ``positions`` (all by default), or
+    ``values``: each must be a ``kind`` and, with ``size``, an index in
+    [0, size).  The first bad value is a FormatError."""
     positions = range(len(items)) if positions is None else positions
     if values is None:
         values = [items[pos].get(key) for pos in positions]
@@ -202,11 +210,8 @@ def _read_listed(manifest_path: Path, name: str) -> np.ndarray:
 
 def load_corpus(manifest_path) -> Corpus:
     """Materialize a corpus from a manifest; missing audio becomes zero rows.
-
-    Any malformed manifest (wrong JSON types, missing keys, indices out of
-    range, unreadable listed files) raises :class:`FormatError` with the
-    manifest's path.
-    """
+    A malformed manifest or listed file raises :class:`FormatError` with the
+    manifest's path."""
     path = Path(manifest_path)
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
@@ -304,12 +309,9 @@ def save_checkpoint(path, model: RetrievalModel, step: int,
     entries = [("__step__", np.array([[float(step)]]))]
     entries.extend(named_parameters(model, trainable_only=False).items())
     config_bytes = config_to_text(config).encode("utf-8")
-    blob = struct.pack("<4sIII", CKPT_MAGIC, CKPT_VERSION, len(entries),
-                       len(config_bytes)) + config_bytes
-    for name, matrix in entries:
-        blob += _encode_entry(name, matrix)
-    blob += struct.pack("<I", zlib.crc32(blob))
-    Path(path).write_bytes(blob)
+    _write_framed(path, _CKPT_HEADER.pack(CKPT_MAGIC, CKPT_VERSION, len(entries)),
+                  struct.pack("<I", len(config_bytes)), config_bytes,
+                  *(_encode_entry(name, matrix) for name, matrix in entries))
 
 
 def _matrix_to_text(matrix: np.ndarray, path) -> str:
@@ -321,28 +323,14 @@ def _matrix_to_text(matrix: np.ndarray, path) -> str:
 
 
 def load_checkpoint(path):
-    """Returns ``(model, step, config)`` reconstructed from a TFCK file.
-
-    Any malformed file (bad magic, version or CRC, an entry table that
-    overruns the file, bad or repeated names, a bad step or config entry,
-    parameters that do not match the config or hold NaN or an infinity)
-    raises :class:`FormatError` with the path.
-    """
-    blob = Path(path).read_bytes()
-    head = struct.calcsize("<4sII")
-    if len(blob) < head + 4:
-        raise FormatError(f"{path}: file too short for a checkpoint header")
-    magic, version, count = struct.unpack_from("<4sII", blob)
-    if magic != CKPT_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected {CKPT_MAGIC!r}")
-    if version not in (1, CKPT_VERSION):
-        raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    stored = struct.unpack_from("<I", blob, len(blob) - 4)[0]
-    if zlib.crc32(memoryview(blob)[:-4]) != stored:
-        raise FormatError(f"{path}: CRC mismatch")
-
+    """``(model, step, config)`` from a TFCK file.  A malformed file, or
+    parameters that do not match the config or are not finite, raises
+    :class:`FormatError` with the path."""
+    blob, (_, version, count) = _read_framed(path, _CKPT_HEADER, CKPT_MAGIC,
+                                             (1, CKPT_VERSION), "a checkpoint header",
+                                             "checkpoint version")
     end = len(blob) - 4
-    offset = head
+    offset = _CKPT_HEADER.size
 
     def take(size: int) -> int:
         nonlocal offset

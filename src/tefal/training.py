@@ -1,12 +1,10 @@
 """Mini-batch contrastive training.
 
-One step: pairwise forward over the batch (every candidate conditioned on
-every query text), symmetric InfoNCE loss, explicit backward, global
-gradient-norm clipping, and an Adam update with decoupled weight decay and
-optional cosine learning-rate decay.  Batches are drawn without replacement
-each epoch and the last partial batch is dropped, so the in-batch negative
-count is stable.  Everything is deterministic given the seed.  The
-``eval_every`` probe ranks with :func:`tefal.ranking.evaluate`.
+One step: pairwise forward over the batch, symmetric InfoNCE loss, explicit
+backward, global gradient-norm clipping, and an Adam update with decoupled
+weight decay and optional cosine learning-rate decay.  Batches are drawn
+without replacement each epoch and the last partial batch is dropped.
+Everything is deterministic given the seed.
 """
 
 import math
@@ -36,14 +34,10 @@ class AdamW:
     """Adam with decoupled weight decay over a dict of named parameters,
     updated in place; ``steps`` counts the updates made.
 
-    The moments ``m`` and ``v`` are one flat float64 vector each, laid out
-    in the order of the first step's ``params`` (:func:`named_parameters`
-    order in training) and allocated on that step; a later step must pass
-    the same names in the same order.  A step concatenates the gradients
-    (and the parameters, for the decay) in that order, runs each
-    elementwise update once over the whole vector and writes each
-    parameter's slice back in place.  Every operation is elementwise, so
-    the parameters get the same bits as from one update per array.
+    The moments are one flat vector each, in the order of the first step's
+    ``params``, which every later step must repeat.  Each update runs once
+    over the concatenated gradients; it is elementwise, so the parameters
+    get the bits of one update per array.
     """
 
     def __init__(self, learning_rate: float = 1e-4, beta1: float = 0.9,
@@ -98,17 +92,10 @@ def _views(flat: np.ndarray, arrays: dict[str, np.ndarray]) -> dict[str, np.ndar
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float):
-    """``(clipped, norm)``: ``grads`` copied into one flat vector, in
-    order, and scaled once so that its L2 norm is at most ``max_norm``;
-    ``clipped`` maps each name to its view of that vector, shaped like the
-    input, and ``norm`` is the pre-clip norm.  The inputs are never written
-    to, and a name that shares its array with another gets its own copy.
-
-    ``norm`` adds each name's sum of squares in ``grads``' order, each taken
-    over the input array itself (``(g * g).sum()`` is ``np.sum(g * g)``
-    without the dispatch), so it has the bits of a per-array norm for any
-    memory layout; scaling the flat vector multiplies each element by the
-    same factor as scaling each array would."""
+    """``(clipped, norm)``: views of one flat copy of ``grads``, scaled once
+    so that its L2 norm is at most ``max_norm``, and the pre-clip norm.
+    The norm adds each array's own sum of squares in order, so it has the
+    bits of a per-array norm for any memory layout."""
     flat = _concat(grads.values())
     norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
     if norm > max_norm:
@@ -125,13 +112,9 @@ class TrainResult:
 
 
 def train(config: TrainConfig, corpus: Corpus) -> TrainResult:
-    """Train a model described by ``config`` on ``corpus``.
-
-    Returns the trained model with a per-epoch log: mean loss, temperature,
-    mean pre-clip gradient norm and mean learning-rate scale over the
-    epoch's steps (plus R@1 probes when ``eval_every`` is set).  The log
-    holds no wall times, so the same config gives the same log.
-    """
+    """Train a model on ``corpus``.  The per-epoch log holds the mean loss,
+    tau, mean pre-clip gradient norm and mean learning-rate scale (and an
+    R@1 probe every ``eval_every`` epochs), and no wall times."""
     config.validate()
     if corpus.dim != config.dim:
         raise ConfigError(

@@ -76,8 +76,7 @@ def finite_difference_gradients(forward, inputs, step: float):
 
 def _fd_scalar(arrays: dict, forward, analytic: dict, step: float) -> float:
     """Worst relative error between ``analytic`` grads and central
-    differences of the scalar ``forward()`` w.r.t. every array in ``arrays``
-    (perturbed in place)."""
+    differences of ``forward()`` w.r.t. every array in ``arrays``."""
     numeric = finite_difference_gradients(forward, list(arrays.values()), step)
     return max(relative_error(analytic[name], g) for name, g in zip(arrays, numeric))
 
@@ -94,14 +93,11 @@ def _primitive_check(forward, backward, arrays: dict, seed: int, step: float) ->
 
 
 def _block_tile_check(seed: int, step: float, grouped: bool) -> float:
-    """The tile kernel on C=2 candidates of 3 rows: a dense tile scores both
-    against the same T=2 query columns, a grouped tile each against its own
-    T=2, projected from its own texts.  ``q_shift`` is added to the query
-    projections, so its gradient is the ``d_q`` that
-    :func:`block_backward_tile` returns, summed over the candidates when
-    they share their queries.  The context rows are laid out in reverse
-    canonical order, so the kernel's reordering is never the identity and
-    ``d_contexts`` must be mapped back out of it."""
+    """The tile kernel on C=2 candidates of 3 rows and T=2 queries, shared
+    (dense) or per candidate (grouped).  ``q_shift`` is added to the query
+    projections, so its gradient is the ``d_q`` of
+    :func:`block_backward_tile`.  The context rows are laid out in reverse
+    canonical order, so ``d_contexts`` must be mapped back out of it."""
     rng = np.random.default_rng(seed)
     params = XAttnParams.create(rng, 6, 4)
     texts = rng.standard_normal((4 if grouped else 2, 6))

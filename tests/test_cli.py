@@ -127,6 +127,33 @@ class TestExitCodes:
                 in capsys.readouterr().err)
         assert not (tmp_path / "m.ckpt").exists()
 
+    def test_config_file_that_is_not_utf8_names_the_file(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert run(*synth_args(data)) == 0
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"\xff\xfeepochs = 1\n")
+        capsys.readouterr()
+        assert run("train", "--data", str(data / "manifest.json"), "--out",
+                   str(tmp_path / "m.ckpt"), "--config", str(config)) == 1
+        assert f"error: {config}: 'utf-8' codec can't decode" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("command", [["eval"], ["rerank", "--k", "5"], ["export-attn"]])
+    def test_checkpoint_dim_other_than_the_corpus_names_both_files(
+            self, trained_setup, tmp_path, capsys, command):
+        _, ckpt = trained_setup
+        other = tmp_path / "other"
+        assert run("synth", "--out", str(other), "--items", "20", "--dim", "8",
+                   "--frames", "3", "--audio-tokens", "4") == 0
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run(*command, "--data", str(other / "manifest.json"), "--checkpoint",
+                   str(ckpt), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and str(other / "manifest.json") in err
+        assert "dim 12" in err and "dim 8" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("line,message", [
         ("beta1 = 1.5", "beta1 must lie in [0, 1), got 1.5"),
         ("seed = -3", "seed must be >= 0, got -3"),

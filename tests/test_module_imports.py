@@ -1,8 +1,10 @@
-"""Module boundaries: no tefal module imports another's private names, and
-every name a module's ``__all__`` lists exists."""
+"""Module boundaries: no tefal module imports another's private names,
+every name a module's ``__all__`` lists exists, and every tefal name that a
+docstring or README.md refers to resolves."""
 
 import ast
 import importlib
+import re
 import types
 from pathlib import Path
 
@@ -54,3 +56,70 @@ def test_stale_exports_are_found():
 def test_every_exported_name_exists(path):
     name = "tefal" if path.stem == "__init__" else f"tefal.{path.stem}"
     assert stale_exports(importlib.import_module(name)) == []
+
+
+ROLE = re.compile(r":(?:func|class|meth|mod):`([^`]+)`")
+README = Path(__file__).resolve().parents[1] / "README.md"
+MODULE_NAMES = {"tefal", *(p.stem for p in MODULES)}
+
+
+def resolves(target: str, module: str = "tefal") -> bool:
+    """Whether ``target`` names an object: absolute when it starts with
+    ``tefal``, else relative to ``module``."""
+    parts = target.split(".")
+    if parts[0] == "tefal":
+        module, parts = "tefal", parts[1:]
+    obj = importlib.import_module(module)
+    for part in parts:
+        if hasattr(obj, part):
+            obj = getattr(obj, part)
+        else:
+            try:
+                obj = importlib.import_module(f"{obj.__name__}.{part}")
+            except (ImportError, AttributeError):
+                return False
+    return True
+
+
+def docstring_targets(source: str) -> list[str]:
+    """The ``:func:``/``:class:``/``:meth:``/``:mod:`` targets in the
+    module, class and function docstrings of ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            found += ROLE.findall(ast.get_docstring(node) or "")
+    return found
+
+
+def readme_targets(text: str) -> list[str]:
+    """Each inline-code `module.name` whose first part is tefal or one of its
+    modules."""
+    spans = re.findall(r"`([A-Za-z_][\w.]*\.\w+)`", text)
+    return [span for span in spans if span.split(".")[0] in MODULE_NAMES]
+
+
+def test_unresolved_references_are_found():
+    assert docstring_targets('"""See :func:`score_tile` and :mod:`tefal.gone`."""\n'
+                             'def f():\n    """:meth:`A.b`"""\n') == [
+        "score_tile", "tefal.gone", "A.b"]
+    assert resolves("score_tile", "tefal.model")
+    assert resolves("XAttnParams.named", "tefal.attention")
+    assert resolves("tefal.cli.main")
+    assert not resolves("tefal.gone")
+    assert not resolves("score_tile", "tefal.linalg")
+    assert readme_targets("`model.score_tile`, `tefal.linalg`, `manifest.json`, "
+                          "`a b.c`") == ["model.score_tile", "tefal.linalg"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_docstring_reference_resolves(path):
+    module = "tefal" if path.stem == "__init__" else f"tefal.{path.stem}"
+    targets = docstring_targets(path.read_text(encoding="utf-8"))
+    assert [t for t in targets if not resolves(t, module)] == []
+
+
+def test_every_dotted_readme_reference_resolves():
+    targets = readme_targets(README.read_text(encoding="utf-8"))
+    assert targets
+    assert [t for t in targets if not resolves(t)] == []

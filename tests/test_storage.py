@@ -1,6 +1,7 @@
 """On-disk formats: embedding container, manifest, filter bank, checkpoint."""
 
 import json
+import re
 import struct
 import zlib
 from pathlib import Path
@@ -76,6 +77,27 @@ class TestEmbeddingContainer:
         path.write_bytes(b"NOPE" + bytes(20))
         with pytest.raises(FormatError, match="magic"):
             read_embeddings(path)
+
+
+@pytest.mark.parametrize("kind", ["emb1", "tfck"])
+def test_framing_errors_keep_their_messages_and_order(tmp_path, kind):
+    # each case also breaks the checks after its own, so the first check wins
+    path = tmp_path / f"f.{kind}"
+    if kind == "emb1":
+        write_embeddings(path, np.ones((2, 2, 2)))
+        read, name, version = read_embeddings, "an EMB1", "version"
+    else:
+        save_checkpoint(path, create_model(seed=0, dim=4), 0, TrainConfig(dim=4, proj_dim=4))
+        read, name, version = load_checkpoint, "a checkpoint", "checkpoint version"
+    good = path.read_bytes()
+    cases = [(good[:15], f"file too short for {name} header"),
+             (b"NOPE" + good[4:], "bad magic b'NOPE'"),
+             (good[:4] + struct.pack("<I", 9) + good[8:], f"unsupported {version} 9"),
+             (good[:-1] + bytes([good[-1] ^ 1]), "CRC mismatch")]
+    for blob, message in cases:
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match=re.escape(f"{path}: {message}")):
+            read(path)
 
 
 class TestNonFiniteValues:
