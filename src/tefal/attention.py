@@ -27,9 +27,9 @@ from .linalg import (
     ShapeError,
     as_matrix,
     canonical_sum,
+    layernorm_affine_grads,
     layernorm_rows,
     layernorm_rows_backward,
-    layernorm_rows_param_grads,
     softmax_rows,
     softmax_rows_backward,
     sum_leading,
@@ -45,6 +45,8 @@ __all__ = [
     "project_queries",
     "project_queries_backward",
     "canonical_rows",
+    "project_candidates",
+    "attend_tile",
     "block_forward_tile",
     "block_backward_tile",
 ]
@@ -243,8 +245,8 @@ def project_queries_backward(params: XAttnParams, texts: np.ndarray,
     """The ``w_q`` and ``LN_q`` gradients of :func:`project_queries`; the
     texts are data, so no text gradient is formed."""
     texts = _check_rows(params, texts, "text")
-    t_n = layernorm_rows(texts, params.ln_q_gain, params.ln_q_bias)
-    d_gq, d_bq = layernorm_rows_param_grads((params.w_q @ d_q).T, texts)
+    t_n, xhat = layernorm_rows(texts, params.ln_q_gain, params.ln_q_bias, keep=True)
+    d_gq, d_bq = layernorm_affine_grads((params.w_q @ d_q).T, xhat)
     return {"w_q": t_n.T @ d_q.T, "ln_q_gain": d_gq, "ln_q_bias": d_bq}
 
 
@@ -269,13 +271,19 @@ def canonical_rows(rows: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class TileCache:
-    """Forward intermediates of :func:`block_forward_tile`; ``k`` onwards
-    in canonical row order, the rest in the caller's."""
-    q: np.ndarray             # (D_p, T) shared, or (D_p, C, T)
-    order: np.ndarray         # (n, C)
+class Candidates:
+    """:func:`project_candidates` of C candidates; ``xhat`` only with ``keep``."""
+    order: np.ndarray         # (n, C), canonical row i of candidate c
     contexts: np.ndarray      # (D, n, C)
     c_n: np.ndarray           # (D, n, C), LN_c(contexts)
+    xhat: np.ndarray | None   # (D, n, C), the standardized contexts
+    kv: np.ndarray            # (C, n, 2 D_p), K || V W_o in canonical row order
+
+
+@dataclass
+class TileCache(Candidates):
+    """Forward intermediates of :func:`block_forward_tile`, ``k`` on in canonical order."""
+    q: np.ndarray             # (D_p, T) shared, or (D_p, C, T)
     k: np.ndarray             # (D_p, n, C)
     vo: np.ndarray            # (D_p, C, n), V W_o
     weights: np.ndarray       # (n, C, T)
@@ -289,48 +297,34 @@ class TileCache:
         return out.reshape(n, c, t)
 
 
-def block_forward_tile(params: XAttnParams, q: np.ndarray, contexts: np.ndarray,
-                       keep: bool = False):
-    """The block for every (query, candidate) pair of a tile, pair-last:
-    the feature or context-row axis first, then the (C, T) pair axes.
-
-    ``contexts`` is (D, n, C).  ``q`` holds :func:`project_queries` columns:
-    (D_p, T) shared by every candidate (a dense tile), or (D_p, C, T), each
-    candidate's own queries (a grouped tile).  Returns the (D_p, C, T)
-    outputs, with ``keep`` also the :class:`TileCache`.
-
-    Tile invariance: a pair's output depends only on its own query and
-    candidate, so no tiling, subset or worker count changes a score.
-    Elementwise operations are exact, and every reduction over a feature or
-    row axis adds in one fixed order for any tile shape, a single pair
-    included.  Each ``einsum`` has its operands laid out so that an output
-    axis is innermost (a pair axis, or for a single pair a feature or row
-    axis); numpy then adds each output's terms one at a time in the order
-    of the summed axis.  Hence K is (D_p, n, C), and V W_o is stored
-    (D_p, C, n) with several queries per candidate but (n, D_p, C) with
-    one.  The LayerNorm and softmax sums go through
-    :func:`tefal.linalg.sum_leading`.  Fusion and cosine follow the same
-    rules, so a score, too, depends only on its pair.  Each candidate's
-    rows are first put in canonical order (:func:`canonical_rows`), so the
-    output is also bit-exact under any permutation of its context rows.
-    """
+def project_candidates(params: XAttnParams, contexts: np.ndarray,
+                       keep: bool = False) -> Candidates:
+    """The query-independent half of :func:`block_forward_tile` for (D, n, C)
+    ``contexts``: ``LN_c``, its canonical row order, then K || V W_o."""
     contexts = np.ascontiguousarray(contexts, dtype=np.float64)
     if contexts.ndim != 3 or contexts.shape[0] != params.dim:
         raise ShapeError(f"contexts must be ({params.dim}, n, C), got {contexts.shape}")
-    p, c = params.proj_dim, contexts.shape[2]
-    q = np.ascontiguousarray(q, dtype=np.float64)
-    if q.ndim not in (2, 3) or q.shape[0] != p or (q.ndim == 3 and q.shape[1] != c):
-        raise ShapeError(f"q must be ({p}, T) or ({p}, {c}, T), got {q.shape}")
-    c_n = layernorm_rows(contexts, params.ln_c_gain, params.ln_c_bias, axis=0)
+    c_n = layernorm_rows(contexts, params.ln_c_gain, params.ln_c_bias, axis=0, keep=keep)
+    c_n, xhat = c_n if keep else (c_n, None)
+    order = canonical_order(c_n)
+    rows = np.take(c_n.reshape(params.dim, -1).T, order.T, axis=0)    # (C, n, D)
     w_kv = np.concatenate([params.w_k, params.w_v @ params.w_o], axis=1)
-    kv = np.einsum("dnc,dk->knc", c_n, w_kv)
-    order = canonical_order(kv)
-    kv = np.take(kv.reshape(2 * p, -1), order, axis=1)
-    k = kv[:p]
-    if q.shape[-1] > 1:
-        vo = np.ascontiguousarray(kv[p:].transpose(0, 2, 1))
-    else:
-        vo = np.ascontiguousarray(kv[p:].transpose(1, 0, 2)).transpose(1, 2, 0)
+    return Candidates(order, contexts, c_n, xhat, rows @ w_kv)
+
+
+def attend_tile(params: XAttnParams, q: np.ndarray, cands: Candidates,
+                cols: slice = slice(None), keep: bool = False):
+    """``(out, cache)`` of the query side of :func:`block_forward_tile` for ``cols``
+    of ``cands``; ``cache`` only with ``keep``, which needs all of ``cands``."""
+    p, kv = params.proj_dim, cands.kv[cols]
+    q = np.ascontiguousarray(q, dtype=np.float64)
+    if q.ndim not in (2, 3) or q.shape[0] != p or (q.ndim == 3 and q.shape[1] != len(kv)):
+        raise ShapeError(f"q must be ({p}, T) or ({p}, {len(kv)}, T), got {q.shape}")
+    # contiguous copies: the einsums below run slower on strided views
+    k = np.ascontiguousarray(kv[:, :, :p].transpose(2, 1, 0))
+    vo = kv[:, :, p:].transpose(2, 0, 1)
+    vo = (np.ascontiguousarray(vo) if q.shape[-1] > 1
+          else np.ascontiguousarray(vo.transpose(2, 0, 1)).transpose(1, 2, 0))
     logits = np.einsum(("pt" if q.ndim == 2 else "pct") + ",pnc->nct", q, k)
     logits *= 1.0 / math.sqrt(p)
     logits -= logits.max(axis=0)
@@ -338,9 +332,42 @@ def block_forward_tile(params: XAttnParams, q: np.ndarray, contexts: np.ndarray,
     weights *= 1.0 / sum_leading(weights)
     proj = np.einsum("nct,pcn->pct", weights, vo)
     out = layernorm_rows(proj, params.ln_o_gain, params.ln_o_bias, axis=0)
-    if not keep:
-        return out
-    return out, TileCache(q, order, contexts, c_n, k, vo, weights, proj)
+    return out, (TileCache(**vars(cands), q=q, k=k, vo=vo, weights=weights, proj=proj)
+                 if keep else None)
+
+
+def block_forward_tile(params: XAttnParams, q: np.ndarray, contexts: np.ndarray,
+                       keep: bool = False):
+    """The block for every (query, candidate) pair of a tile, pair-last
+    (the feature or context-row axis first, then the (C, T) pair axes):
+    :func:`project_candidates`, then :func:`attend_tile`.
+
+    ``contexts`` is (D, n, C).  ``q`` holds :func:`project_queries` columns:
+    (D_p, T) shared by every candidate (a dense tile), or (D_p, C, T), each
+    candidate's own queries (a grouped tile).  Returns the (D_p, C, T)
+    outputs, with ``keep`` also the :class:`TileCache`.
+
+    Tile invariance: a pair's output depends only on its own query and
+    candidate, so no tiling, candidate block, subset or worker count
+    changes a score.  Elementwise operations are exact.  K || V W_o is one
+    stacked ``matmul`` of fixed-shape (n, D) @ (D, 2 D_p) items, one per
+    candidate, which numpy hands to BLAS one at a time, so an item's bits
+    do not depend on the stack.  Each candidate's rows go in canonical
+    order (:func:`canonical_rows`) by their ``LN_c`` values before the
+    projection, so any permutation of them gives its item the same input,
+    and the output the same bits.  Every other reduction over a feature or
+    row axis adds in one fixed order for any tile shape, a single pair
+    included: each ``einsum`` has its operands laid out so that an output
+    axis is innermost (a pair axis, or for a single pair a feature or row
+    axis), and numpy then adds each output's terms one at a time in the
+    order of the summed axis.  Hence K is (D_p, n, C), and V W_o is
+    (D_p, C, n) with several queries per candidate but stored (n, D_p, C)
+    with one.  The LayerNorm and softmax sums go through
+    :func:`tefal.linalg.sum_leading`.  Fusion and cosine follow the same
+    rules, so a score, too, depends only on its pair.
+    """
+    out = attend_tile(params, q, project_candidates(params, contexts, keep), keep=keep)
+    return out if keep else out[0]
 
 
 def block_backward_tile(params: XAttnParams, cache: TileCache, d_out: np.ndarray,
@@ -381,7 +408,7 @@ def block_backward_tile(params: XAttnParams, cache: TileCache, d_out: np.ndarray
                                                          params.ln_c_gain, axis=0)
     else:
         d_contexts = None
-        d_gc, d_bc = layernorm_rows_param_grads(d_cn, cache.contexts, axis=0)
+        d_gc, d_bc = layernorm_affine_grads(d_cn, cache.xhat, axis=0)
     d_m = d_wkv[:, p:]
     grads = {
         "w_k": d_wkv[:, :p], "w_v": d_m @ params.w_o.T, "w_o": params.w_v.T @ d_m,

@@ -21,7 +21,7 @@ from .config import ConfigError, TrainConfig, parse_config_lines
 from .corpus import synth_corpus
 from .fusion import FusionKind
 from .linalg import ShapeError
-from .model import MODALITIES, TILE_PAIRS, query_rows, score_tile
+from .model import MODALITIES, TILE_PAIRS, query_rows, score_tile, uses_summary_rows
 from .ranking import evaluate
 from .storage import load_checkpoint, load_corpus, save_checkpoint, save_corpus, write_fbank
 from .training import train
@@ -118,12 +118,15 @@ def _cmd_train(args) -> int:
 
 
 def _load_model_and_corpus(args):
-    """The ``--checkpoint`` model and the ``--data`` corpus, whose dims must match."""
+    """The ``--checkpoint`` model and the ``--data`` corpus, which must fit it."""
     corpus = load_corpus(args.data)
     model, _step, _config = load_checkpoint(args.checkpoint)
     if model.dim != corpus.dim:
         raise ShapeError(f"checkpoint {args.checkpoint} has dim {model.dim}, but the "
                          f"corpus of {args.data} has dim {corpus.dim}")
+    if uses_summary_rows(model) and corpus.summary_tokens is None:
+        raise ShapeError(f"checkpoint {args.checkpoint} is a stacking model, which needs "
+                         f"audio summary rows, but {args.data} lists no audio_summary")
     return model, corpus
 
 

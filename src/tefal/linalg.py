@@ -85,31 +85,27 @@ def _column(width: int, ndim: int, axis: int) -> tuple:
 
 
 def layernorm_rows(m: np.ndarray, gain: np.ndarray, bias: np.ndarray,
-                   axis: int = -1) -> np.ndarray:
+                   axis: int = -1, keep: bool = False):
     """Standardize along ``axis`` (population variance, ``LAYERNORM_EPS``
     inside the root, so a constant row maps to the bias), then the affine.
-    Along axis 0 the sums go through :func:`sum_leading`."""
+    Along axis 0 the sums go through :func:`sum_leading`.  With ``keep``,
+    the pair ``(out, xhat)``, ``xhat`` the standardized input."""
     m = np.asarray(m, dtype=np.float64)
     column = _column(m.shape[axis], m.ndim, axis)
     out, _ = _standardize(m, axis)
+    xhat = out.copy() if keep else None
     out *= gain.reshape(column)
     out += bias.reshape(column)
-    return out
+    return (out, xhat) if keep else out
 
 
-def _affine_grads(d_out: np.ndarray, xhat: np.ndarray, axis: int):
-    """``(d_gain, d_bias)`` given the standardized input ``xhat``."""
+def layernorm_affine_grads(d_out: np.ndarray, xhat: np.ndarray, axis: int = -1):
+    """The ``(d_gain, d_bias)`` of :func:`layernorm_rows_backward`, bit for
+    bit, from its standardized input ``xhat``, for an input that is data."""
     rows = tuple(i for i in range(xhat.ndim) if i != axis % xhat.ndim)
     width = xhat.shape[axis]
     return ((d_out * xhat).sum(axis=rows).reshape(1, width),
             d_out.sum(axis=rows).reshape(1, width))
-
-
-def layernorm_rows_param_grads(d_out: np.ndarray, m: np.ndarray, axis: int = -1):
-    """The ``(d_gain, d_bias)`` of :func:`layernorm_rows_backward`, bit for
-    bit, without the input gradient, for an input that is data."""
-    return _affine_grads(d_out, _standardize(np.asarray(m, dtype=np.float64), axis)[0],
-                         axis)
 
 
 def layernorm_rows_backward(d_out: np.ndarray, m: np.ndarray, gain: np.ndarray,
@@ -118,7 +114,7 @@ def layernorm_rows_backward(d_out: np.ndarray, m: np.ndarray, gain: np.ndarray,
     m = np.asarray(m, dtype=np.float64)
     width = m.shape[axis]
     xhat, inv = _standardize(m, axis)
-    d_gain, d_bias = _affine_grads(d_out, xhat, axis)
+    d_gain, d_bias = layernorm_affine_grads(d_out, xhat, axis)
     g = d_out * gain.reshape(_column(width, m.ndim, axis))
     d_m = inv * (g - _feature_sum(g, axis) / width
                  - xhat * (_feature_sum(g, axis, xhat) / width))

@@ -20,6 +20,7 @@ scoring, the stage-2 re-rank and training all score through
 the per-candidate reference that the tests compare it against.
 """
 
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -27,10 +28,11 @@ import numpy as np
 
 from .attention import (
     XAttnParams,
+    attend_tile,
     block_backward_tile,
     block_forward,
-    block_forward_tile,
     canonical_rows,
+    project_candidates,
     project_queries,
     project_queries_backward,
 )
@@ -54,6 +56,8 @@ MODALITIES = ("both", "video", "audio")
 
 # (query, candidate) pairs per scoring tile
 TILE_PAIRS = 2048
+# candidates per exhaustive-scoring call of score_tile
+CANDIDATE_BLOCK = 64
 
 
 @dataclass
@@ -204,29 +208,37 @@ def score_tile(model: RetrievalModel, queries: Queries, corpus: Corpus,
     ``queries`` arrays of shape (., T) score every candidate against the
     same T queries (a dense tile); of shape (., C, T), from ``queries.rows``
     with a (C, T) index, entry (t, c) scores ``cols[c]`` against its
-    ``t``-th query (a grouped tile).  Tile invariance:
-    :func:`tefal.attention.block_forward_tile`.
+    ``t``-th query (a grouped tile).  The candidates are projected once;
+    a dense tile attends in tiles of at most ``TILE_PAIRS`` pairs, unless
+    ``keep``.  Tile invariance: :func:`tefal.attention.block_forward_tile`.
     """
     cols = np.asarray(cols, dtype=np.intp)
+    cands = {name: project_candidates(_params(model, name), rows.T, keep)
+             for name, rows in _contexts(model, corpus, cols).items()}
+
+    @functools.cache
+    def token_means():
+        tokens = canonical_rows(corpus.audio[cols].T)
+        return (sum_leading(tokens.transpose(1, 0, 2)) / tokens.shape[1])[:, :, None]
 
     def per_pair(x):
         # a dense tile's (., T) columns broadcast over the candidates
         return x if x is None or x.ndim == 3 else x[:, None, :]
 
-    def token_mean():
-        tokens = canonical_rows(corpus.audio[cols].T)
-        return (sum_leading(tokens.transpose(1, 0, 2)) / tokens.shape[1])[:, :, None]
-
-    outputs, caches = {}, {}
-    for name, rows in _contexts(model, corpus, cols).items():
-        # the (C, n, D) context rows, pair-last as (D, n, C)
-        out = block_forward_tile(_params(model, name), queries.blocks[name], rows.T,
-                                 keep=keep)
-        outputs[name], caches[name] = out if keep else (out, None)
-    fused, fusion_cache = _fuse(model, outputs, per_pair(queries.blocks.get("xattn")),
-                                token_mean)
-    scores, cos_cache = cosine_rows(per_pair(queries.texts), fused)
-    return (scores.T, TileTape(caches, fusion_cache, cos_cache)) if keep else scores.T
+    t = queries.texts.shape[-1]
+    width = max(1, len(cols) if keep or queries.texts.ndim == 3 else TILE_PAIRS // t)
+    scores = np.empty((t, len(cols)))
+    for start in range(0, len(cols), width):
+        tile = slice(start, start + width)
+        outputs, caches = {}, {}
+        for name, block in cands.items():
+            outputs[name], caches[name] = attend_tile(
+                _params(model, name), queries.blocks[name], block, tile, keep)
+        fused, fusion_cache = _fuse(model, outputs, per_pair(queries.blocks.get("xattn")),
+                                    lambda: token_means()[:, tile])
+        tile_scores, cos_cache = cosine_rows(per_pair(queries.texts), fused)
+        scores[:, tile] = tile_scores.T
+    return (scores, TileTape(caches, fusion_cache, cos_cache)) if keep else scores
 
 
 def map_tasks(fn, tasks: list, workers: int = 1) -> list:
@@ -241,19 +253,21 @@ def similarity_matrix(model: RetrievalModel, corpus: Corpus,
                       query_texts: np.ndarray | None = None,
                       candidates: np.ndarray | None = None,
                       workers: int = 1) -> np.ndarray:
-    """Dense T x V matrix of text-conditioned cosine similarities, in tiles
-    of about ``TILE_PAIRS`` pairs on ``workers`` threads; tile invariance:
-    :func:`tefal.attention.block_forward_tile`."""
+    """Dense T x V matrix of text-conditioned cosine similarities, one
+    :func:`score_tile` per ``CANDIDATE_BLOCK`` candidates on ``workers``
+    threads; tile invariance: :func:`tefal.attention.block_forward_tile`."""
     queries = query_rows(model, corpus.texts if query_texts is None else query_texts)
     if candidates is None:
         candidates = np.arange(len(corpus))
     candidates = np.asarray(candidates, dtype=np.intp)
-    width = max(1, TILE_PAIRS // queries.texts.shape[-1])
-    tiles = [candidates[i:i + width] for i in range(0, len(candidates), width)]
-    blocks = map_tasks(lambda cols: score_tile(model, queries, corpus, cols),
-                       tiles, workers)
-    return np.concatenate(blocks, axis=1) if blocks \
-        else np.empty((queries.texts.shape[-1], 0))
+    out = np.empty((queries.texts.shape[-1], len(candidates)))
+
+    def score_block(start):
+        block = slice(start, start + CANDIDATE_BLOCK)
+        out[:, block] = score_tile(model, queries, corpus, candidates[block])
+
+    map_tasks(score_block, range(0, len(candidates), CANDIDATE_BLOCK), workers)
+    return out
 
 
 def batch_loss_and_grads(model: RetrievalModel, corpus: Corpus,

@@ -14,6 +14,7 @@ from tefal.attention import (
     block_forward_tile,
     conditioned_embedding,
     export_attention_weights,
+    project_candidates,
     project_queries,
 )
 from tefal.linalg import ShapeError
@@ -261,6 +262,20 @@ class TestExportWeights:
         k_shifted = k + shift * q / (q @ q.T).item() * math.sqrt(4)
         _, w_shifted = attend(q, k_shifted, v)
         np.testing.assert_allclose(w_shifted, w_base, atol=1e-12)
+
+
+class TestProjectCandidates:
+    @pytest.mark.parametrize("rows", [1, 2, 8])
+    def test_a_candidate_projects_alike_alone_and_in_a_stack_of_300(self, rows):
+        # K || V W_o is one fixed-shape matmul item per candidate, so its
+        # bits do not depend on how many candidates share the call
+        rng = np.random.default_rng(40)
+        params = make_params(seed=41, dim=32, proj=32)
+        contexts = rng.standard_normal((32, rows, 300))
+        stack = project_candidates(params, contexts)
+        for c in (0, 1, 150, 299):
+            alone = project_candidates(params, contexts[:, :, c:c + 1])
+            assert alone.kv[0].tobytes() == stack.kv[c].tobytes()
 
 
 class TestBlockGradients:

@@ -154,6 +154,25 @@ class TestExitCodes:
         assert "dim 12" in err and "dim 8" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["eval"], ["rerank", "--k", "5"], ["export-attn"]])
+    def test_stacking_checkpoint_without_summary_rows_names_both_files(
+            self, tmp_path, capsys, command):
+        data, ckpt = tmp_path / "data", tmp_path / "stacking.ckpt"
+        assert run(*synth_args(data)) == 0
+        assert run("train", "--data", str(data / "manifest.json"), "--out", str(ckpt),
+                   "--epochs", "1", "--batch-size", "8", "--fusion", "stacking") == 0
+        corpus = load_corpus(data / "manifest.json")
+        corpus.summary_tokens = None
+        save_corpus(corpus, tmp_path / "bare")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run(*command, "--data", str(tmp_path / "bare" / "manifest.json"),
+                   "--checkpoint", str(ckpt), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and str(tmp_path / "bare" / "manifest.json") in err
+        assert "audio_summary" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("line,message", [
         ("beta1 = 1.5", "beta1 must lie in [0, 1), got 1.5"),
         ("seed = -3", "seed must be >= 0, got -3"),

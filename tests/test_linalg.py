@@ -9,9 +9,9 @@ from tefal.attention import _stable_rows_times
 from tefal.linalg import (
     LAYERNORM_EPS,
     canonical_sum,
+    layernorm_affine_grads,
     layernorm_rows,
     layernorm_rows_backward,
-    layernorm_rows_param_grads,
     softmax_rows,
     softmax_rows_backward,
 )
@@ -157,7 +157,8 @@ class TestBackwardRules:
         m, d_out = rng.standard_normal(shape), rng.standard_normal(shape)
         gain = rng.standard_normal((1, shape[axis]))
         _, d_gain, d_bias = layernorm_rows_backward(d_out, m, gain, axis=axis)
-        got_gain, got_bias = layernorm_rows_param_grads(d_out, m, axis=axis)
+        _, xhat = layernorm_rows(m, gain, gain, axis=axis, keep=True)
+        got_gain, got_bias = layernorm_affine_grads(d_out, xhat, axis=axis)
         assert got_gain.shape == got_bias.shape == (1, shape[axis])
         assert got_gain.tobytes() == d_gain.tobytes()
         assert got_bias.tobytes() == d_bias.tobytes()

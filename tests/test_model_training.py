@@ -1,6 +1,7 @@
 """Model assembly, the training loop, determinism, and the synthetic corpus."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from tefal.model import (
     score_tile,
     similarity_matrix,
 )
-from tefal import ranking, training
+from tefal import model as model_module, ranking, training
 from tefal.ranking import rank_exhaustive, ranks_from_similarity, rerank_two_stage
 from tefal.training import AdamW, TrainingDiverged, clip_global_norm, evaluate, train
 from tefal.verify import end_to_end_check
@@ -318,6 +319,8 @@ class TestEvaluate:
 
 SCORING_CONFIGS = [(modality, fusion) for modality in ("both", "video", "audio")
                    for fusion in ("addition", "late", "concat_fc", "xattn", "stacking")]
+MODEL_KINDS = [("both", kind.value) for kind in FusionKind] + [("video", "addition"),
+                                                               ("audio", "addition")]
 
 
 @pytest.fixture(scope="module")
@@ -392,6 +395,40 @@ class TestTileScoring:
                                     query_texts=scoring_corpus.texts[queries],
                                     candidates=np.asarray(candidates))
             np.testing.assert_array_equal(got, full[np.ix_(queries, candidates)])
+
+    @pytest.mark.parametrize("modality,fusion", MODEL_KINDS)
+    def test_tiles_blocks_workers_and_subsets_change_no_bit(self, scoring_corpus,
+                                                           monkeypatch, modality, fusion):
+        model = create_model(seed=20, dim=12, fusion=fusion, modality=modality)
+        full = similarity_matrix(model, scoring_corpus)
+        texts = scoring_corpus.texts[:3]   # 3 queries: tiles of 2 candidates at 7 pairs
+        cands = np.random.default_rng(21).permutation(len(scoring_corpus))[:15]
+        default_pairs, default_block = model_module.TILE_PAIRS, model_module.CANDIDATE_BLOCK
+        for tile_pairs in (1, 7, default_pairs):
+            for block in (1, 5, default_block):
+                monkeypatch.setattr(model_module, "TILE_PAIRS", tile_pairs)
+                monkeypatch.setattr(model_module, "CANDIDATE_BLOCK", block)
+                for workers in (1, 2):
+                    np.testing.assert_array_equal(
+                        similarity_matrix(model, scoring_corpus, workers=workers), full)
+                np.testing.assert_array_equal(
+                    similarity_matrix(model, scoring_corpus, query_texts=texts), full[:3])
+                np.testing.assert_array_equal(
+                    similarity_matrix(model, scoring_corpus, candidates=cands),
+                    full[:, cands])
+
+    def test_exhaustive_scoring_holds_one_output_matrix(self):
+        # candidate blocks write into the one (T, V) array: no list of
+        # tiles to concatenate
+        corpus = synth_corpus(seed=22, n_items=1000, dim=8, frames=2, audio_tokens=3)
+        model = create_model(seed=23, dim=8)
+        tracemalloc.start()
+        try:
+            sim = similarity_matrix(model, corpus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.8 * sim.nbytes
 
 
 def per_candidate_loss_and_grads(model, corpus, indices):
