@@ -235,7 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "eval":
             p.add_argument("--dsl-temp", type=float, default=None,
                            help="dual-softmax post-processing temperature")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=None,
+                       help="worker threads (default: the usable CPUs, capped by "
+                            "TEFAL_THREADS)")
         p.add_argument("--out", help="write metrics JSON here instead of stdout")
         p.set_defaults(handler=_cmd_eval)
 

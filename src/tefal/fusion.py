@@ -114,11 +114,13 @@ def _require(condition: bool, message: str) -> None:
 
 
 def fuse_forward(params: FusionParams, *, video_cond=None, audio_cond=None,
-                 queries=None, audio_token_mean=None):
+                 queries=None, audio_token_mean=None, keep: bool = True):
     """``(fused, cache)`` of a post-hoc fusion kind; stacking raises
     :class:`FusionError`.  Inputs are pair-last, one column per pair;
     ``audio_token_mean`` and ``queries`` broadcast against the conditioned
-    embeddings.  Feature sums keep the tile invariance of
+    embeddings.  Without ``keep``, xattn's cache holds no
+    :class:`tefal.attention.TileCache`, so :func:`fuse_backward` cannot
+    reverse it.  Feature sums keep the tile invariance of
     :func:`tefal.attention.block_forward_tile`.
     """
     kind = params.kind
@@ -163,7 +165,8 @@ def fuse_forward(params: FusionParams, *, video_cond=None, audio_cond=None,
         p = video_cond.shape[0]
         contexts = np.stack([x.reshape(p, -1) for x in (video_cond, audio_cond)], axis=1)
         q = np.broadcast_to(queries, video_cond.shape).reshape(p, -1, 1)
-        fused, tile = block_forward_tile(params.xattn, q, contexts, keep=True)
+        out = block_forward_tile(params.xattn, q, contexts, keep=keep)
+        fused, tile = out if keep else (out, None)
         return fused.reshape(video_cond.shape), FusionCache(kind, tile=tile)
 
     raise FusionError(f"{kind.value} fusion is not a post-hoc combiner")

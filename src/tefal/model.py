@@ -21,6 +21,8 @@ the per-candidate reference that the tests compare it against.
 """
 
 import functools
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -49,7 +51,7 @@ from .linalg import ShapeError, sum_leading
 
 __all__ = ["RetrievalModel", "create_model", "named_parameters",
            "candidate_scores", "Queries", "query_rows", "score_tile",
-           "map_tasks", "similarity_matrix", "batch_loss_and_grads",
+           "resolve_workers", "map_tasks", "similarity_matrix", "batch_loss_and_grads",
            "uses_summary_rows"]
 
 MODALITIES = ("both", "video", "audio")
@@ -134,16 +136,18 @@ def _params(model: RetrievalModel, name: str) -> XAttnParams:
     return model.fusion.xattn if name == "xattn" else getattr(model, name)
 
 
-def _fuse(model: RetrievalModel, outputs: dict, xattn_queries, token_mean):
+def _fuse(model: RetrievalModel, outputs: dict, xattn_queries, token_mean,
+          keep: bool = False):
     """``(fused, fusion cache)``, the cache ``None`` when one block's output
-    is the fused embedding; ``token_mean()`` is late fusion's input."""
+    is the fused embedding; ``token_mean()`` is late fusion's input, and
+    ``keep`` is :func:`tefal.fusion.fuse_forward`'s."""
     if model.modality == "both" and model.fusion.kind == FusionKind.LATE:
         return fuse_forward(model.fusion, video_cond=outputs["video"],
                             audio_token_mean=token_mean())
     if len(outputs) == 1:
         return next(iter(outputs.values())), None
     return fuse_forward(model.fusion, video_cond=outputs["video"],
-                        audio_cond=outputs["audio"], queries=xattn_queries)
+                        audio_cond=outputs["audio"], queries=xattn_queries, keep=keep)
 
 
 def named_parameters(model: RetrievalModel, trainable_only: bool = True
@@ -179,8 +183,13 @@ class Queries:
     blocks: dict[str, np.ndarray]
 
     def rows(self, index) -> "Queries":
-        return Queries(np.take(self.texts, index, axis=-1),
-                       {name: np.take(q, index, axis=-1) for name, q in self.blocks.items()})
+        index = np.asarray(index)
+
+        def take(x):
+            # one flat gather: faster than np.take with a 2-D index
+            return np.take(x, index.ravel(), axis=-1).reshape(x.shape[:-1] + index.shape)
+
+        return Queries(take(self.texts), {name: take(q) for name, q in self.blocks.items()})
 
 
 def query_rows(model: RetrievalModel, texts: np.ndarray) -> Queries:
@@ -235,27 +244,82 @@ def score_tile(model: RetrievalModel, queries: Queries, corpus: Corpus,
             outputs[name], caches[name] = attend_tile(
                 _params(model, name), queries.blocks[name], block, tile, keep)
         fused, fusion_cache = _fuse(model, outputs, per_pair(queries.blocks.get("xattn")),
-                                    lambda: token_means()[:, tile])
+                                    lambda: token_means()[:, tile], keep)
         tile_scores, cos_cache = cosine_rows(per_pair(queries.texts), fused)
         scores[:, tile] = tile_scores.T
     return (scores, TileTape(caches, fusion_cache, cos_cache)) if keep else scores
 
 
-def map_tasks(fn, tasks: list, workers: int = 1) -> list:
-    """``[fn(task) for task in tasks]``, on a thread pool when ``workers > 1``."""
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(task) for task in tasks]
+def resolve_workers(requested: int | None = None) -> int:
+    """Worker count: ``requested``, or by default the CPUs this process may
+    run on, capped by TEFAL_THREADS; a count below 1 in either is a
+    :class:`tefal.config.ConfigError`."""
+    from .config import ConfigError    # config imports this module
+
+    if requested is None:
+        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
+    else:
+        workers = int(requested)
+        if workers < 1:
+            raise ConfigError(f"threads must be >= 1, got {workers}")
+    cap = os.environ.get("TEFAL_THREADS")
+    if cap:
+        try:
+            cap_value = int(cap)
+        except ValueError:
+            raise ConfigError(
+                f"TEFAL_THREADS must be an integer, got {cap!r}") from None
+        if cap_value < 1:
+            raise ConfigError(f"TEFAL_THREADS must be >= 1, got {cap!r}")
+        workers = min(workers, cap_value)
+    return workers
+
+
+def map_tasks(fn, tasks, workers: int | None = None) -> list:
+    """``[fn(task) for task in tasks]``, run by the calling thread and
+    ``resolve_workers(workers) - 1`` pool threads, each taking the next task
+    in order.  If tasks raise, no further task starts, and the exception of
+    the first one in task order is raised, as the serial loop would."""
+    tasks = list(tasks)
+    workers = min(resolve_workers(workers), len(tasks))
+    if workers <= 1:
+        return [fn(task) for task in tasks]
+    results, errors = [None] * len(tasks), {}
+    lock, order = threading.Lock(), iter(range(len(tasks)))
+
+    def work():
+        while True:
+            with lock:
+                index = None if errors else next(order, None)
+            if index is None:
+                return
+            try:
+                results[index] = fn(tasks[index])
+            except BaseException as exc:
+                with lock:
+                    errors[index] = exc
+
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        helpers = [pool.submit(work) for _ in range(workers - 1)]
+        work()
+        for helper in helpers:
+            helper.result()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def similarity_matrix(model: RetrievalModel, corpus: Corpus,
                       query_texts: np.ndarray | None = None,
                       candidates: np.ndarray | None = None,
-                      workers: int = 1) -> np.ndarray:
+                      workers: int | None = None) -> np.ndarray:
     """Dense T x V matrix of text-conditioned cosine similarities, one
-    :func:`score_tile` per ``CANDIDATE_BLOCK`` candidates on ``workers``
-    threads; tile invariance: :func:`tefal.attention.block_forward_tile`."""
+    :func:`score_tile` per ``CANDIDATE_BLOCK`` candidates, by
+    :func:`map_tasks` on ``workers`` threads (by default, every usable CPU).
+    Each worker holds one tile's temporaries beside the shared matrix.  Tile
+    invariance (:func:`tefal.attention.block_forward_tile`) makes the result
+    the same for any worker count."""
     queries = query_rows(model, corpus.texts if query_texts is None else query_texts)
     if candidates is None:
         candidates = np.arange(len(corpus))

@@ -5,20 +5,20 @@ Query i's correct candidate is item i.  Ties in similarity are broken by
 ascending item id.
 """
 
-import os
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .config import ConfigError
 from .corpus import Corpus
 from .linalg import ShapeError, as_matrix
 from .model import (
+    CANDIDATE_BLOCK,
     TILE_PAIRS,
     RetrievalModel,
     map_tasks,
     query_rows,
+    resolve_workers,
     score_tile,
     similarity_matrix,
 )
@@ -35,8 +35,9 @@ class NonFiniteScoreError(ValueError):
 
 
 # score rows per block of the row-wise scans, so that their temporaries stay
-# a few MB whatever the corpus size
-BLOCK_ELEMENTS = 1 << 20
+# a few MB whatever the corpus size; with stage 2 on every CPU, half of the
+# 1 << 20 that one worker used keeps two-stage peak memory below its level
+BLOCK_ELEMENTS = 1 << 19
 
 # rows per chunk of the stage-1 kernel (see _row_scores)
 _CHUNK_ROWS = 128
@@ -50,14 +51,16 @@ def _row_blocks(rows: int, cols: int) -> list[slice]:
     return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
 
 
+def _non_finite(ids, what: str, row: int) -> NonFiniteScoreError:
+    return NonFiniteScoreError(f"{what} for query {row} ({ids[row]}) has a non-finite score")
+
+
 def _check_finite(scores: np.ndarray, ids, what: str, first_row: int = 0) -> None:
     """Reject scores with a non-finite entry, naming the first query it
     occurs for; row 0 of ``scores`` is query ``first_row``."""
     bad = ~np.isfinite(scores)
     if np.any(bad):
-        row = first_row + int(np.nonzero(bad.any(axis=1))[0][0])
-        raise NonFiniteScoreError(
-            f"{what} for query {row} ({ids[row]}) has a non-finite score")
+        raise _non_finite(ids, what, first_row + int(np.nonzero(bad.any(axis=1))[0][0]))
 
 
 def _id_ranks(ids: np.ndarray) -> np.ndarray:
@@ -66,37 +69,22 @@ def _id_ranks(ids: np.ndarray) -> np.ndarray:
     return np.unique(ids, return_inverse=True)[1]
 
 
+def _count_ahead(scores: np.ndarray, mine, id_rank, my_id_rank) -> np.ndarray:
+    """Per row of ``scores``, the entries ranked above the score ``mine``
+    of the row's truth: those with a higher score, and the equal-scoring
+    ones with a smaller ``id_rank`` than ``my_id_rank``."""
+    ahead = (scores > mine) | ((scores == mine) & (id_rank < my_id_rank))
+    return np.count_nonzero(ahead, axis=1)
+
+
 def _ranks_in_rows(scores: np.ndarray, truth: np.ndarray,
                    id_rank: np.ndarray) -> np.ndarray:
     """1-based rank of entry ``truth[r]`` within each row ``r`` of
-    ``scores``: one plus the entries with a higher score, plus the
-    equal-scoring ones with a smaller ``id_rank`` (per column, or per
-    entry)."""
+    ``scores`` (``id_rank`` per column, or per entry)."""
     rows = np.arange(len(truth))
     id_rank = np.broadcast_to(id_rank, scores.shape)
-    mine = scores[rows, truth][:, None]
-    ahead = (scores > mine) | ((scores == mine)
-                               & (id_rank < id_rank[rows, truth][:, None]))
-    return 1 + np.count_nonzero(ahead, axis=1)
-
-
-def resolve_workers(requested: int = 1) -> int:
-    """Worker count, capped by TEFAL_THREADS; a count below 1 in either is
-    a :class:`ConfigError`."""
-    workers = int(requested)
-    if workers < 1:
-        raise ConfigError(f"threads must be >= 1, got {workers}")
-    cap = os.environ.get("TEFAL_THREADS")
-    if cap:
-        try:
-            cap_value = int(cap)
-        except ValueError:
-            raise ConfigError(
-                f"TEFAL_THREADS must be an integer, got {cap!r}") from None
-        if cap_value < 1:
-            raise ConfigError(f"TEFAL_THREADS must be >= 1, got {cap!r}")
-        workers = min(workers, cap_value)
-    return workers
+    return 1 + _count_ahead(scores, scores[rows, truth][:, None], id_rank,
+                            id_rank[rows, truth][:, None])
 
 
 @dataclass
@@ -167,14 +155,60 @@ class RankingResult:
 
 
 def rank_exhaustive(model: RetrievalModel, corpus: Corpus,
-                    workers: int = 1) -> RankingResult:
+                    workers: int | None = None) -> RankingResult:
     """Score every query against every candidate with the full model."""
     if len(corpus) == 0:
         raise ValueError("cannot rank over an empty corpus")
-    workers = resolve_workers(workers)
     sim = similarity_matrix(model, corpus, workers=workers)
     stats = EvalStats(stage2_model_evals=sim.size)
     return RankingResult(ranks_from_similarity(sim, corpus.ids), sim, stats)
+
+
+def _exhaustive_ranks(model: RetrievalModel, corpus: Corpus,
+                      workers: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Both directions' ranks of :func:`rank_exhaustive`, holding no (n, n)
+    matrix.  The n truth pairs (i, i) are scored first, in grouped tiles.
+    Then each (n, ``CANDIDATE_BLOCK``) block of :func:`score_tile` is
+    counted as it is scored, on :func:`map_tasks` workers: its columns'
+    v2t ranks are complete, and each query's t2v rank adds the block's
+    candidates ranked above its truth.  Tile invariance
+    (:func:`tefal.attention.block_forward_tile`) gives a block's own truth
+    entries the bits of the first pass, which is checked.  A non-finite
+    score names the lowest query row, as :func:`ranks_from_similarity` does.
+    """
+    n = len(corpus)
+    ids = np.asarray(corpus.ids)
+    id_rank = _id_ranks(ids)
+    items = np.arange(n)
+    queries = query_rows(model, corpus.texts)
+    blocks = [slice(start, min(start + CANDIDATE_BLOCK, n))
+              for start in range(0, n, CANDIDATE_BLOCK)]
+    truth = np.concatenate([
+        score_tile(model, queries.rows(items[block, None]), corpus, items[block])[0]
+        for block in blocks])
+
+    def count_block(block: slice):
+        scores = score_tile(model, queries, corpus, items[block])
+        bad = np.flatnonzero(~np.isfinite(scores).all(axis=1))
+        if len(bad):
+            return None, None, int(bad[0])
+        if np.any(np.diagonal(scores[block]).view(np.uint64)
+                  != truth[block].view(np.uint64)):
+            raise RuntimeError(f"candidates {block.start}-{block.stop - 1} score their "
+                               "own queries differently in a dense tile")
+        ahead_t2v = _count_ahead(scores, truth[:, None], id_rank[block], id_rank[:, None])
+        v2t = _ranks_in_rows(scores.T, items[block], id_rank)
+        return ahead_t2v, v2t, n
+
+    ranks_t2v, ranks_v2t, first_bad = np.ones(n, dtype=np.intp), np.empty(n, np.intp), n
+    for block, (ahead_t2v, v2t, bad) in zip(blocks, map_tasks(count_block, blocks, workers)):
+        first_bad = min(first_bad, bad)
+        if bad == n:
+            ranks_t2v += ahead_t2v
+            ranks_v2t[block] = v2t
+    if first_bad < n:
+        raise _non_finite(ids, "similarity row", first_bad)
+    return ranks_t2v, ranks_v2t
 
 
 def _stage1_rows(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
@@ -285,7 +319,7 @@ def _stage2_scores(model: RetrievalModel, corpus: Corpus, texts: np.ndarray,
 
 
 def rerank_two_stage(model: RetrievalModel, corpus: Corpus, k: int,
-                     workers: int = 1) -> RankingResult:
+                     workers: int | None = None) -> RankingResult:
     """Text-to-video ranks: a k-item shortlist per query by cosine with the
     mean-pooled frames (stage 1, :func:`_row_scores`), re-scored with the
     full model (stage 2).  Items outside the shortlist keep their stage-1
@@ -298,7 +332,7 @@ def rerank_two_stage(model: RetrievalModel, corpus: Corpus, k: int,
     return RankingResult(ranks, None, stats)
 
 
-def _rerank(model: RetrievalModel, corpus: Corpus, k: int, workers: int,
+def _rerank(model: RetrievalModel, corpus: Corpus, k: int, workers: int | None,
             directions: tuple[str, ...]) -> tuple[list, EvalStats]:
     """Each direction's two-stage ranks, with one stage-2 pass over the
     distinct (text, video) pairs of all the shortlists, which
@@ -384,13 +418,18 @@ class EvalResult:
 
 
 def evaluate(model: RetrievalModel, corpus: Corpus, k: int | None = None,
-             dsl_temp: float | None = None, workers: int = 1) -> EvalResult:
+             dsl_temp: float | None = None, workers: int | None = None) -> EvalResult:
     """Rank the corpus in both directions and aggregate metrics.
 
-    ``k`` switches from exhaustive scoring to two-stage re-ranking
-    (:func:`rerank_two_stage` in both directions, sharing the pairs both
-    shortlist).  ``dsl_temp`` re-scores the dense matrix with dual softmax;
-    a bad one, or one given with ``k``, is rejected before any scoring.
+    Exhaustive scoring counts ranks block by block and holds no (n, n)
+    matrix (:func:`_exhaustive_ranks`).  ``k`` switches to two-stage
+    re-ranking (:func:`rerank_two_stage` in both directions, sharing the
+    pairs both shortlist).  ``dsl_temp`` re-scores the dense matrix of
+    :func:`rank_exhaustive` with dual softmax; a bad one, or one given with
+    ``k``, is rejected before any scoring.  ``workers`` threads score (by
+    default, every usable CPU, capped by TEFAL_THREADS:
+    :func:`resolve_workers`); each holds one tile's temporaries, and no
+    count changes a rank.
     """
     if len(corpus) == 0:
         raise ValueError("cannot evaluate an empty corpus")
@@ -403,21 +442,18 @@ def evaluate(model: RetrievalModel, corpus: Corpus, k: int | None = None,
     n = len(corpus)
     postprocess: list[str] = []
 
-    if k is None:
-        result = rank_exhaustive(model, corpus, workers=workers)
-        sim = result.sim
-        stats = result.stats
-        if dsl_temp is not None:
-            postprocess.append(f"dsl(temp={dsl_temp:g})")
-            ranks_t2v = ranks_from_similarity(
-                dual_softmax_postprocess(sim, dsl_temp), corpus.ids)
-            ranks_v2t = ranks_from_similarity(
-                dual_softmax_postprocess(sim.T, dsl_temp), corpus.ids)
-        else:
-            ranks_t2v = result.ranks
-            ranks_v2t = ranks_from_similarity(sim.T, corpus.ids)
-    else:
+    if k is not None:
         (ranks_t2v, ranks_v2t), stats = _rerank(model, corpus, k, workers, DIRECTIONS)
+    elif dsl_temp is None:
+        ranks_t2v, ranks_v2t = _exhaustive_ranks(model, corpus, workers)
+        stats = EvalStats(stage2_model_evals=n * n)
+    else:
+        result = rank_exhaustive(model, corpus, workers=workers)
+        stats = result.stats
+        postprocess.append(f"dsl(temp={dsl_temp:g})")
+        ranks_t2v, ranks_v2t = (
+            ranks_from_similarity(dual_softmax_postprocess(sim, dsl_temp), corpus.ids)
+            for sim in (result.sim, result.sim.T))
 
     return EvalResult(
         t2v=compute_metrics(ranks_t2v, n),

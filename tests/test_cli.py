@@ -446,7 +446,8 @@ class TestTrainEval:
             assert run(*command, "--data", str(manifest), "--checkpoint", str(ckpt),
                        "--threads", "-2") == 1
             assert "threads must be >= 1" in capsys.readouterr().err
-        # train takes no worker count; eval's default is 1 and 0 is an error
+        # train takes no worker count; eval's default is the usable CPUs and
+        # 0 is an error
         assert run("train", "--data", str(manifest), "--out", str(tmp_path / "t.ckpt"),
                    "--epochs", "1", "--threads", "0") == 2
         assert "--threads" in capsys.readouterr().err
@@ -618,10 +619,12 @@ for fusion in ("addition", "xattn", "stacking"):
     run("train", "--data", manifest, "--out", ckpt, "--log", f"{fusion}.log.json",
         "--fusion", fusion, "--epochs", 2, "--batch-size", 8,
         "--learning-rate", "3e-3", "--seed", 1)
-    run("eval", "--data", manifest, "--checkpoint", ckpt, "--threads", 2,
-        "--out", f"{fusion}.eval.json")
-    run("rerank", "--data", manifest, "--checkpoint", ckpt, "--k", "10%",
-        "--threads", 2, "--out", f"{fusion}.rerank.json")
+    for threads in ([], ["--threads", 1], ["--threads", 2]):
+        tag = threads[-1] if threads else "default"
+        run("eval", "--data", manifest, "--checkpoint", ckpt, *threads,
+            "--out", f"{fusion}.eval.{tag}.json")
+        run("rerank", "--data", manifest, "--checkpoint", ckpt, "--k", "10%",
+            *threads, "--out", f"{fusion}.rerank.{tag}.json")
     run("export-attn", "--data", manifest, "--checkpoint", ckpt,
         "--out", f"{fusion}.attn.json", "--format", "json")
 for path in sorted(Path(".").rglob("*")):
@@ -632,17 +635,20 @@ for path in sorted(Path(".").rglob("*")):
 
 class TestEnvironments:
     def test_blas_and_worker_threads_change_no_artifact_byte(self, tmp_path):
-        # one process per (OPENBLAS_NUM_THREADS, TEFAL_THREADS); eval and
-        # rerank ask for 2 workers, so TEFAL_THREADS sets the count
+        # one process per (OPENBLAS_NUM_THREADS, TEFAL_THREADS), the cap
+        # unset in the last; eval and rerank run without --threads, which
+        # asks for every usable CPU, and with 1 and 2
         src = str(Path(tefal.__file__).resolve().parents[1])
         procs = []
-        for blas, workers in ((1, 1), (2, 2)):
+        for blas, workers in ((1, "1"), (2, "2"), (2, None)):
             work = tmp_path / f"blas{blas}_workers{workers}"
             work.mkdir()
             env = {**os.environ, "OPENBLAS_NUM_THREADS": str(blas),
-                   "TEFAL_THREADS": str(workers),
                    "PYTHONPATH": os.pathsep.join(
                        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            env.pop("TEFAL_THREADS", None)
+            if workers is not None:
+                env["TEFAL_THREADS"] = workers
             procs.append(subprocess.Popen(
                 [sys.executable, "-c", ARTIFACT_DIGESTS], cwd=work, env=env,
                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
@@ -653,6 +659,11 @@ class TestEnvironments:
                 proc.kill()
         for proc, (_out, err) in zip(procs, outputs):
             assert proc.returncode == 0, err
-        digests = [out.splitlines() for out, _err in outputs]
-        assert len(digests[0]) == 5 + 3 * 5
-        assert digests[0] == digests[1]
+        digests = [dict(line.rsplit(" ", 1) for line in out.splitlines())
+                   for out, _err in outputs]
+        assert len(digests[0]) == 5 + 3 * 9
+        assert digests[0] == digests[1] == digests[2]
+        for fusion in ("addition", "xattn", "stacking"):
+            for command in ("eval", "rerank"):
+                assert len({digests[0][f"{fusion}.{command}.{tag}.json"]
+                            for tag in ("default", "1", "2")}) == 1

@@ -21,7 +21,7 @@ from tefal.model import (
     score_tile,
     similarity_matrix,
 )
-from tefal import model as model_module, ranking, training
+from tefal import attention, model as model_module, ranking, training
 from tefal.ranking import rank_exhaustive, ranks_from_similarity, rerank_two_stage
 from tefal.training import AdamW, TrainingDiverged, clip_global_norm, evaluate, train
 from tefal.verify import end_to_end_check
@@ -377,8 +377,28 @@ class TestTileScoring:
         for c, t in [(6, 4), (1, 1), (5, 1), (1, 3)]:
             cols = rng.choice(n, size=c, replace=False)
             rows = rng.integers(0, n, size=(c, t))
-            got = score_tile(model, queries.rows(rows), scoring_corpus, cols)
+            gathered = queries.rows(rows)
+            np.testing.assert_array_equal(gathered.texts,
+                                          np.take(queries.texts, rows, axis=-1))
+            got = score_tile(model, gathered, scoring_corpus, cols)
             np.testing.assert_array_equal(got, full[rows, cols[:, None]].T)
+
+    @pytest.mark.parametrize("modality,fusion", MODEL_KINDS)
+    def test_scoring_without_keep_builds_no_tile_cache(self, scoring_corpus,
+                                                       monkeypatch, modality, fusion):
+        # the xattn fusion block, too, keeps no cache when the caller does not
+        model = create_model(seed=22, dim=12, fusion=fusion, modality=modality)
+        queries = query_rows(model, scoring_corpus.texts)
+        cols = np.arange(7)
+        kept, _tape = score_tile(model, queries, scoring_corpus, cols, keep=True)
+
+        def no_cache(**fields):
+            raise AssertionError("built a TileCache without keep")
+
+        monkeypatch.setattr(attention, "TileCache", no_cache)
+        np.testing.assert_array_equal(score_tile(model, queries, scoring_corpus, cols), kept)
+        with pytest.raises(AssertionError, match="without keep"):
+            score_tile(model, queries, scoring_corpus, cols, keep=True)
 
     @pytest.mark.parametrize("modality,fusion", SCORING_CONFIGS)
     def test_subset_call_returns_the_submatrix(self, scoring_corpus, modality, fusion):

@@ -1,6 +1,8 @@
 """Ranking, metrics, two-stage re-ranking, and dual-softmax rescoring."""
 
 import dataclasses
+import os
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -13,7 +15,8 @@ from conftest import distinct_shortlisted_pairs, stage1_matrix
 from tefal import ranking
 from tefal.config import ConfigError
 from tefal.corpus import Corpus, synth_corpus
-from tefal.model import create_model, similarity_matrix
+from tefal.fusion import FusionKind
+from tefal.model import create_model, map_tasks, similarity_matrix
 from tefal.ranking import (
     NonFiniteScoreError,
     compute_metrics,
@@ -243,6 +246,79 @@ class TestRankExhaustive:
         base = similarity_matrix(model, corpus, workers=1)
         threaded = similarity_matrix(model, corpus, workers=4)
         np.testing.assert_array_equal(base, threaded)
+
+
+MODEL_KINDS = [("both", kind.value) for kind in FusionKind] + [("video", "addition"),
+                                                               ("audio", "addition")]
+
+
+class TestStreamedExhaustive:
+    """``evaluate`` without ``dsl_temp`` counts ranks block by block."""
+
+    @pytest.fixture(scope="class")
+    def tied_corpus(self):
+        # items 3, 11 and 5 repeat under ids that sort before, after and
+        # well before their originals': equal scores, broken by id rank;
+        # 26 items make blocks of 4 end short
+        corpus = synth_corpus(seed=31, n_items=23, dim=12, frames=3, audio_tokens=5)
+        rows = list(range(23)) + [3, 11, 5]
+        return dataclasses.replace(
+            corpus, ids=corpus.ids + ["item00002x", "item00011a", "item00000a"],
+            **{name: getattr(corpus, name)[rows]
+               for name in ("texts", "frames", "audio", "has_audio", "summary_tokens")})
+
+    @pytest.mark.parametrize("modality,fusion", MODEL_KINDS)
+    def test_ranks_equal_the_dense_matrix_ranks(self, tied_corpus, monkeypatch,
+                                                modality, fusion):
+        model = create_model(seed=32, dim=12, fusion=fusion, modality=modality)
+        sim = similarity_matrix(model, tied_corpus, workers=1)
+        want = [ranks_from_similarity(s, tied_corpus.ids) for s in (sim, sim.T)]
+        for block in (4, ranking.CANDIDATE_BLOCK):
+            monkeypatch.setattr(ranking, "CANDIDATE_BLOCK", block)
+            for workers in (1, 2, 3):
+                result = evaluate(model, tied_corpus, workers=workers)
+                np.testing.assert_array_equal(result.ranks_t2v, want[0])
+                np.testing.assert_array_equal(result.ranks_v2t, want[1])
+                assert result.stats.stage2_model_evals == len(tied_corpus) ** 2
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_non_finite_text_rows_name_the_lowest_query(self, small_setup, monkeypatch,
+                                                        workers):
+        model, corpus = small_setup
+        texts = corpus.texts.copy()
+        texts[[12, 7], 0] = np.nan
+        bad = dataclasses.replace(corpus, texts=texts)
+        monkeypatch.setattr(ranking, "CANDIDATE_BLOCK", 4)
+        with pytest.raises(NonFiniteScoreError) as dense:
+            rank_exhaustive(model, bad)
+        with pytest.raises(NonFiniteScoreError,
+                           match=r"similarity row for query 7 \(item00007\)") as streamed:
+            evaluate(model, bad, workers=workers)
+        assert str(streamed.value) == str(dense.value)
+
+    def test_a_truth_score_other_than_the_first_pass_raises(self, small_setup,
+                                                             monkeypatch):
+        model, corpus = small_setup
+        real = ranking.score_tile
+
+        def nudged(model, queries, corpus, cols, keep=False):
+            scores = real(model, queries, corpus, cols, keep)
+            return np.nextafter(scores, 2.0) if queries.texts.ndim == 2 else scores
+
+        monkeypatch.setattr(ranking, "score_tile", nudged)
+        with pytest.raises(RuntimeError, match="score their own queries differently"):
+            evaluate(model, corpus)
+
+    def test_peak_memory_stays_below_one_dense_matrix(self):
+        corpus = synth_corpus(seed=22, n_items=1000, dim=8, frames=2, audio_tokens=3)
+        model = create_model(seed=23, dim=8)
+        tracemalloc.start()
+        try:
+            evaluate(model, corpus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(corpus) ** 2 * 8
 
 
 class TestRerankTwoStage:
@@ -599,6 +675,23 @@ class TestDualSoftmax:
 
 
 class TestWorkers:
+    def test_default_is_the_usable_cpu_count_capped_by_the_env(self, monkeypatch):
+        monkeypatch.delenv("TEFAL_THREADS", raising=False)
+        usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count())
+        assert resolve_workers() == resolve_workers(None) == usable
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert resolve_workers() == 3
+        monkeypatch.setenv("TEFAL_THREADS", "2")
+        assert resolve_workers() == 2
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert resolve_workers() == 1
+        for cap, message in (("x", "must be an integer"), ("0", "must be >= 1")):
+            monkeypatch.setenv("TEFAL_THREADS", cap)
+            with pytest.raises(ConfigError, match=f"TEFAL_THREADS {message}"):
+                resolve_workers()
+
     def test_env_cap(self, monkeypatch):
         monkeypatch.setenv("TEFAL_THREADS", "2")
         assert resolve_workers(8) == 2
@@ -622,3 +715,61 @@ class TestWorkers:
         monkeypatch.setenv("TEFAL_THREADS", cap)
         with pytest.raises(ConfigError, match="TEFAL_THREADS must be >= 1"):
             resolve_workers(2)
+
+
+class TestMapTasks:
+    @pytest.fixture(autouse=True)
+    def no_cap(self, monkeypatch):
+        monkeypatch.delenv("TEFAL_THREADS", raising=False)
+
+    def test_keeps_task_order_with_the_caller_working(self):
+        # the first three tasks wait for each other, so three threads, the
+        # caller one of them, must run them at once
+        barrier = threading.Barrier(3, timeout=10)
+        threads = {}
+
+        def task(i):
+            threads[i] = threading.get_ident()
+            if i < 3:
+                barrier.wait()
+            return i * i
+
+        assert map_tasks(task, range(40), workers=3) == [i * i for i in range(40)]
+        assert threading.get_ident() in set(threads[i] for i in range(3))
+        assert len(set(threads.values())) == 3
+
+    def test_one_worker_runs_on_the_caller(self):
+        threads = set()
+        assert map_tasks(lambda i: threads.add(threading.get_ident()) or -i,
+                         range(5), workers=1) == [0, -1, -2, -3, -4]
+        assert threads == {threading.get_ident()}
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_raises_the_first_failure_in_task_order(self, workers):
+        # with threads, task 7 fails first, while task 5 still runs
+        seven_failed = threading.Event()
+
+        def task(i):
+            if i == 5:
+                assert workers == 1 or seven_failed.wait(timeout=10)
+            if i in (5, 7):
+                seven_failed.set()
+                raise ValueError(f"task {i}")
+            return i
+
+        with pytest.raises(ValueError, match="task 5"):
+            map_tasks(task, range(12), workers=workers)
+
+    def test_a_failure_on_the_caller_thread_is_raised(self):
+        caller = threading.get_ident()
+        barrier = threading.Barrier(2, timeout=10)
+
+        def task(i):
+            if i < 2:
+                barrier.wait()
+            if threading.get_ident() == caller:
+                raise KeyError(i)
+            return i
+
+        with pytest.raises(KeyError):
+            map_tasks(task, range(6), workers=2)
