@@ -1,8 +1,15 @@
-"""Stage-1 oracles shared by the ranking and CLI tests."""
+"""Stage-1 oracles and the model kinds shared by the ranking, model and
+CLI tests."""
 
 import numpy as np
 
 from tefal import ranking
+from tefal.fusion import FusionKind
+
+# the seven model kinds: every fusion over both modalities, and each
+# single modality
+MODEL_KINDS = [("both", kind.value) for kind in FusionKind] + [("video", "addition"),
+                                                               ("audio", "addition")]
 
 
 def stage1_matrix(corpus):

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import MODEL_KINDS
 from tefal.attention import block_backward, block_forward
 from tefal.config import ConfigError, TrainConfig
 from tefal.contrastive import cosine_rows, cosine_rows_backward, infonce
@@ -319,8 +320,6 @@ class TestEvaluate:
 
 SCORING_CONFIGS = [(modality, fusion) for modality in ("both", "video", "audio")
                    for fusion in ("addition", "late", "concat_fc", "xattn", "stacking")]
-MODEL_KINDS = [("both", kind.value) for kind in FusionKind] + [("video", "addition"),
-                                                               ("audio", "addition")]
 
 
 @pytest.fixture(scope="module")

@@ -11,11 +11,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import distinct_shortlisted_pairs, stage1_matrix
+from conftest import MODEL_KINDS, distinct_shortlisted_pairs, stage1_matrix
 from tefal import ranking
 from tefal.config import ConfigError
 from tefal.corpus import Corpus, synth_corpus
-from tefal.fusion import FusionKind
 from tefal.model import create_model, map_tasks, similarity_matrix
 from tefal.ranking import (
     NonFiniteScoreError,
@@ -246,10 +245,6 @@ class TestRankExhaustive:
         base = similarity_matrix(model, corpus, workers=1)
         threaded = similarity_matrix(model, corpus, workers=4)
         np.testing.assert_array_equal(base, threaded)
-
-
-MODEL_KINDS = [("both", kind.value) for kind in FusionKind] + [("video", "addition"),
-                                                               ("audio", "addition")]
 
 
 class TestStreamedExhaustive:
