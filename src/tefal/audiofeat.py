@@ -38,6 +38,8 @@ WINDOW_MS = 25.0
 DEFAULT_PATCH = 16
 DEFAULT_STRIDE = 10
 MEL_F_MAX = 8000.0
+# frames windowed and transformed at a time by compute_fbank
+FFT_BLOCK_ROWS = 128
 
 
 class AudioFormatError(ValueError):
@@ -58,7 +60,12 @@ class Waveform:
         if self.sample_rate <= 0:
             raise AudioFormatError(f"sample rate must be positive, got {self.sample_rate}")
         peak = float(np.max(np.abs(self.samples)))
-        if peak > 1.0:
+        if not peak <= 1.0:
+            finite = np.isfinite(self.samples)
+            if not finite.all():
+                index = int(np.argmin(finite))
+                raise AudioFormatError(
+                    f"sample {index} is not finite ({self.samples[index]})")
             raise AudioFormatError(f"samples must lie in [-1, 1]; peak is {peak:.4g}")
 
     @property
@@ -148,6 +155,13 @@ def compute_fbank(w: Waveform, target_length: int = DEFAULT_TARGET_LENGTH,
     running past the end of the signal are zero-padded, which guarantees the
     row count.  Clips shorter than one ``WINDOW_MS`` analysis window are
     zero-padded to a single window (with a warning) rather than rejected.
+
+    Frames are windowed and transformed ``FFT_BLOCK_ROWS`` at a time through
+    one reused buffer, which keeps the working set small; each row's
+    spectrum is the same whatever block holds it.  The Mel product stays one
+    whole-clip matmul: the BLAS picks its kernel from the whole shape (and a
+    one-row block goes through gemv), so a blocked product would change
+    result bits with the clip's row count.
     """
     if w.sample_rate != SAMPLE_RATE:
         raise AudioFormatError(
@@ -168,17 +182,21 @@ def compute_fbank(w: Waveform, target_length: int = DEFAULT_TARGET_LENGTH,
     starts = np.round(np.arange(target_length) * f_shift * SAMPLE_RATE / 1000.0
                       ).astype(np.int64)
     padded = np.concatenate([samples, np.zeros(max(0, starts[-1] + window - n_frm))])
+    windows = sliding_window_view(padded, window)
 
     n_fft = 1 << (window - 1).bit_length()
     hamming, filters = _frame_constants(window, n_fft, n_mels)
+    spectrum = np.empty((target_length, n_fft // 2 + 1))
     # windowed frames, zero-padded to the FFT length in place
-    frames = np.zeros((target_length, n_fft))
-    np.multiply(sliding_window_view(padded, window)[starts], hamming,
-                out=frames[:, :window])
-    spectrum = np.abs(np.fft.rfft(frames))
+    frames = np.zeros((min(FFT_BLOCK_ROWS, target_length), n_fft))
+    for lo in range(0, target_length, FFT_BLOCK_ROWS):
+        block = starts[lo:lo + FFT_BLOCK_ROWS]
+        rows = frames[:block.size]
+        np.multiply(windows[block], hamming, out=rows[:, :window])
+        np.abs(np.fft.rfft(rows), out=spectrum[lo:lo + block.size])
     mel = spectrum @ filters.T
-    return MelFilterBank(frames=np.log(np.maximum(mel, LOG_FLOOR)),
-                         frame_shift_ms=f_shift)
+    np.maximum(mel, LOG_FLOOR, out=mel)
+    return MelFilterBank(frames=np.log(mel, out=mel), frame_shift_ms=f_shift)
 
 
 def zero_fbank(target_length: int = DEFAULT_TARGET_LENGTH,

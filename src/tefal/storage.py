@@ -23,6 +23,7 @@ arrays are float32 on disk and float64 in memory.
 import json
 import struct
 import zlib
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -52,11 +53,17 @@ class FormatError(ValueError):
     """Corrupt, truncated, or mismatched on-disk data."""
 
 
-def _write_framed(path, head: bytes, *parts: bytes) -> None:
-    """Write ``head`` (magic, version and header fields), ``parts`` and the
-    CRC32 of all their bytes."""
-    blob = b"".join((head, *parts))
-    Path(path).write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))
+def _write_framed(path, head: bytes, *parts) -> None:
+    """Write ``head`` (magic, version and header fields), ``parts`` (any
+    C-contiguous buffers) and the CRC32 of all their bytes, streaming each
+    part to the file as its CRC is updated."""
+    crc = zlib.crc32(head)
+    with open(path, "wb") as f:
+        f.write(head)
+        for part in parts:
+            f.write(part)
+            crc = zlib.crc32(part, crc)
+        f.write(struct.pack("<I", crc))
 
 
 def _read_framed(path, header: struct.Struct, magic: bytes, versions: tuple,
@@ -85,7 +92,7 @@ def write_embeddings(path, items: np.ndarray) -> None:
     if items.ndim != 3:
         raise FormatError(f"embedding payload must be 3-D, got shape {items.shape}")
     _write_framed(path, _EMB_HEADER.pack(EMB_MAGIC, EMB_VERSION, *items.shape),
-                  np.ascontiguousarray(items, dtype="<f4").tobytes())
+                  np.ascontiguousarray(items, dtype="<f4"))
 
 
 def read_embeddings(path) -> np.ndarray:
@@ -131,7 +138,7 @@ def save_corpus(corpus: Corpus, directory) -> Path:
 
     files = {"text": "text.emb1", "video": "video.emb1"}
     audio_index = {}
-    with_audio = [i for i in range(len(corpus)) if corpus.has_audio[i]]
+    with_audio = np.flatnonzero(corpus.has_audio).tolist()
     if with_audio:
         write_embeddings(directory / "audio.emb1", corpus.audio[with_audio])
         files["audio"] = "audio.emb1"
@@ -140,22 +147,32 @@ def save_corpus(corpus: Corpus, directory) -> Path:
         write_embeddings(directory / "audio_summary.emb1", corpus.summary_tokens)
         files["audio_summary"] = "audio_summary.emb1"
 
-    items = []
-    for i, item_id in enumerate(corpus.ids):
-        has = bool(corpus.has_audio[i])
-        items.append({
-            "id": item_id,
-            "text": i,
-            "video": i,
-            "audio": audio_index[i] if has else None,
-            "has_audio": has,
-            "audio_summary": i if corpus.summary_tokens is not None else None,
-        })
-    manifest = {"version": MANIFEST_VERSION, "files": files, "items": items,
-                "audio_tokens": int(corpus.audio_token_count)}
+    head = json.dumps({"version": MANIFEST_VERSION, "files": files, "items": [],
+                       "audio_tokens": int(corpus.audio_token_count)}, indent=2)
     path = directory / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    path.write_text(head.replace('"items": []', _manifest_items(corpus, audio_index), 1)
+                    + "\n", encoding="utf-8")
     return path
+
+
+# one item as ``json.dumps(manifest, indent=2)`` lays it out
+_MANIFEST_ITEM = ('\n    {\n      "id": %s,\n      "text": %d,\n      "video": %d,'
+                  '\n      "audio": %s,\n      "has_audio": %s,'
+                  '\n      "audio_summary": %s\n    }')
+
+
+def _manifest_items(corpus: Corpus, audio_index: dict) -> str:
+    """The manifest's ``"items"`` member, byte for byte as
+    ``json.dumps(..., indent=2)`` writes it, without that call's pure-Python
+    encoder.  Ids are escaped as ``ensure_ascii`` escapes them; an id that
+    is not a string raises TypeError."""
+    with_summary = corpus.summary_tokens is not None
+    items = ",".join(
+        _MANIFEST_ITEM % (encode_basestring_ascii(item_id), i, i,
+                          audio_index.get(i, "null"), "true" if i in audio_index else "false",
+                          i if with_summary else "null")
+        for i, item_id in enumerate(corpus.ids))
+    return f'"items": [{items}\n  ]' if items else '"items": []'
 
 
 _REQUIRED = object()
@@ -187,6 +204,10 @@ def _field(path, items: list, key: str, kind: type, size: int | None = None,
     positions = range(len(items)) if positions is None else positions
     if values is None:
         values = [items[pos].get(key) for pos in positions]
+    # the common case checked at C speed; the loop below names the first bad item
+    if set(map(type, values)) <= {kind} and (
+            size is None or not values or 0 <= min(values) and max(values) < size):
+        return values
     for pos, value in zip(positions, values):
         if type(value) is not kind:
             raise FormatError(f"{path}: item {pos}: {key!r} must be a JSON "
@@ -252,7 +273,7 @@ def load_corpus(manifest_path) -> Corpus:
     elif n_audio_tokens < 1:
         raise FormatError(f"{path}: audio_tokens must be positive, got {n_audio_tokens}")
 
-    if not all(type(entry) is dict for entry in items):
+    if not set(map(type, items)) <= {dict}:
         pos = next(pos for pos, entry in enumerate(items) if type(entry) is not dict)
         raise FormatError(f"{path}: item {pos} must be a JSON object")
     ids = _field(path, items, "id", str)

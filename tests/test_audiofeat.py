@@ -142,6 +142,17 @@ class TestComputeFbank:
             fb = compute_fbank(Waveform(samples, SAMPLE_RATE))
         assert fb.frames.tobytes() == direct_fbank(samples).tobytes()
 
+    @pytest.mark.parametrize("n_mels", [8, 128])
+    @pytest.mark.parametrize("target_length", [1, 127, 128, 129, 151, 1000, 1024])
+    def test_any_row_count_equals_the_direct_formula_bit_for_bit(self, target_length,
+                                                                 n_mels):
+        # row counts around the transform's block size, and both sides of
+        # the shapes at which the BLAS switches its matmul kernel
+        samples = np.random.default_rng(target_length).uniform(-1, 1, 3 * SAMPLE_RATE)
+        fb = compute_fbank(Waveform(samples, SAMPLE_RATE), target_length, n_mels)
+        assert fb.frames.tobytes() == direct_fbank(samples, target_length,
+                                                   n_mels).tobytes()
+
     def test_mel_filter_matrix_is_a_fresh_array(self):
         first = mel_filter_matrix(8, 512, SAMPLE_RATE)
         first[...] = -1.0
@@ -219,8 +230,18 @@ class TestWaveformAndWav:
             Waveform(np.array([]), SAMPLE_RATE)
         with pytest.raises(AudioFormatError):
             Waveform(np.zeros(10), 0)
-        with pytest.raises(AudioFormatError):
+        with pytest.raises(AudioFormatError, match="peak is 1.5"):
             Waveform(np.array([1.5]), SAMPLE_RATE)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_waveform_rejects_non_finite_samples_naming_the_first(self, value):
+        # NaN passed the peak check and gave NaN fbank rows, which the
+        # fbank reader then rejected; infinities failed as an out-of-range peak
+        samples = np.zeros(10)
+        samples[[3, 7]] = value
+        samples[5] = 1.5
+        with pytest.raises(AudioFormatError, match=rf"^sample 3 is not finite \({value}\)$"):
+            Waveform(samples, SAMPLE_RATE)
 
     def test_wav_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)

@@ -601,9 +601,10 @@ class TestGradcheckCommand:
 # Runs every artifact-writing subcommand in the working directory and prints
 # one "name sha256" line per file written.
 ARTIFACT_DIGESTS = """
-import hashlib, io, sys
+import hashlib, io, sys, wave
 from contextlib import redirect_stdout
 from pathlib import Path
+import numpy as np
 from tefal.cli import main
 
 def run(*argv):
@@ -627,6 +628,15 @@ for fusion in ("addition", "xattn", "stacking"):
             *threads, "--out", f"{fusion}.rerank.{tag}.json")
     run("export-attn", "--data", manifest, "--checkpoint", ckpt,
         "--out", f"{fusion}.attn.json", "--format", "json")
+# a clip shorter than one analysis window, and a 10 s clip
+for name, length in (("short", 240), ("ten_s", 160_000)):
+    pcm = np.random.default_rng(length).integers(-32768, 32768, length).astype("<i2")
+    with wave.open(f"{name}.wav", "wb") as f:
+        f.setnchannels(1)
+        f.setsampwidth(2)
+        f.setframerate(16_000)
+        f.writeframes(pcm.tobytes())
+    run("fbank", "--in", f"{name}.wav", "--out", f"{name}.fbank.emb1")
 for path in sorted(Path(".").rglob("*")):
     if path.is_file():
         print(path, hashlib.sha256(path.read_bytes()).hexdigest())
@@ -661,7 +671,7 @@ class TestEnvironments:
             assert proc.returncode == 0, err
         digests = [dict(line.rsplit(" ", 1) for line in out.splitlines())
                    for out, _err in outputs]
-        assert len(digests[0]) == 5 + 3 * 9
+        assert len(digests[0]) == 5 + 2 * 2 + 3 * 9
         assert digests[0] == digests[1] == digests[2]
         for fusion in ("addition", "xattn", "stacking"):
             for command in ("eval", "rerank"):

@@ -3,17 +3,18 @@
 import json
 import re
 import struct
+import tempfile
 import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tefal.audiofeat import zero_fbank
 from tefal.config import TrainConfig, config_to_text
-from tefal.corpus import synth_corpus
+from tefal.corpus import Corpus, synth_corpus
 from tefal.model import create_model, named_parameters, similarity_matrix
 from tefal.storage import (
     FormatError,
@@ -29,6 +30,8 @@ from tefal.storage import (
 )
 from tefal.training import evaluate, train
 
+from conftest import MODEL_KINDS
+
 
 def corrupt_byte(path, offset, delta=1):
     data = bytearray(path.read_bytes())
@@ -36,7 +39,33 @@ def corrupt_byte(path, offset, delta=1):
     path.write_bytes(bytes(data))
 
 
+def with_crc(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def framed(head: bytes, *parts: bytes) -> bytes:
+    """A framed file by its definition: the joined bytes and their CRC32."""
+    return with_crc(b"".join((head, *parts)))
+
+
+def tfck_bytes(entries: dict, config: bytes) -> bytes:
+    """A version 2 checkpoint file holding ``entries`` and ``config``."""
+    return framed(struct.pack("<4sIII", b"TFCK", 2, len(entries), len(config)), config,
+                  *(struct.pack("<H", len(name.encode())) + name.encode()
+                    + struct.pack("<II", *arr.shape) + arr.astype("<f4").tobytes()
+                    for name, arr in entries.items()))
+
+
 class TestEmbeddingContainer:
+    @pytest.mark.parametrize("shape", [(5, 3, 8), (1, 1, 1), (0, 2, 3)])
+    def test_bytes_equal_the_joined_framing(self, tmp_path, shape):
+        # a transposed float64 view: the writer converts and copies it
+        items = np.random.default_rng(1).standard_normal(shape[::-1]).T
+        path = tmp_path / "x.emb1"
+        write_embeddings(path, items)
+        assert path.read_bytes() == framed(struct.pack("<4sIIII", b"EMB1", 1, *shape),
+                                           items.astype("<f4").tobytes())
+
     def test_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         items = rng.standard_normal((5, 3, 8)).astype(np.float32).astype(np.float64)
@@ -152,7 +181,49 @@ class TestFbankContainer:
             read_fbank(path)
 
 
+def manifest_by_json_dumps(corpus: Corpus) -> str:
+    """The manifest text as ``json.dumps(manifest, indent=2)`` writes the
+    manifest dict: the oracle for the writer, which lays out items itself."""
+    files = {"text": "text.emb1", "video": "video.emb1"}
+    with_audio = [i for i in range(len(corpus)) if corpus.has_audio[i]]
+    if with_audio:
+        files["audio"] = "audio.emb1"
+    if corpus.summary_tokens is not None:
+        files["audio_summary"] = "audio_summary.emb1"
+    items = [{"id": item_id, "text": i, "video": i,
+              "audio": with_audio.index(i) if i in with_audio else None,
+              "has_audio": i in with_audio,
+              "audio_summary": i if corpus.summary_tokens is not None else None}
+             for i, item_id in enumerate(corpus.ids)]
+    manifest = {"version": 1, "files": files, "items": items,
+                "audio_tokens": corpus.audio.shape[1]}
+    return json.dumps(manifest, indent=2) + "\n"
+
+
+# quotes, backslashes, control characters, non-ASCII, astral code points
+# and a lone surrogate, which ensure_ascii escapes as it escapes the rest
+MANIFEST_ID_CHARS = st.characters() | st.sampled_from(
+    ['"', "\\", "\x00", "\x1f", "\x7f", "\u00e9", "\u2028", "\U0001f600", "\ud800"])
+
+
 class TestCorpusManifest:
+    @given(st.lists(st.tuples(st.text(MANIFEST_ID_CHARS, max_size=6), st.booleans()),
+                    min_size=1, max_size=5, unique_by=lambda item: item[0]),
+           st.booleans())
+    @example([('a"\\\x00\u00e9\U0001f600', True), ("b", False)], True)
+    @example([("a", False)], False)
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    def test_manifest_bytes_equal_json_dumps(self, items, with_summary):
+        n = len(items)
+        corpus = Corpus(ids=[item_id for item_id, _ in items], texts=np.zeros((n, 2)),
+                        frames=np.zeros((n, 1, 2)), audio=np.zeros((n, 3, 2)),
+                        has_audio=np.array([has for _, has in items]),
+                        summary_tokens=np.zeros((n, 2, 2)) if with_summary else None)
+        with tempfile.TemporaryDirectory() as directory:
+            manifest = save_corpus(corpus, directory)
+            assert manifest.read_bytes() == manifest_by_json_dumps(corpus).encode()
+            assert load_corpus(manifest).ids == corpus.ids
+
     def test_round_trip_preserves_everything(self, tmp_path):
         corpus = synth_corpus(seed=1, n_items=12, dim=8, frames=3, audio_tokens=4)
         corpus.has_audio[4] = False
@@ -286,10 +357,6 @@ def with_count(body: bytes, delta: int) -> bytes:
     """``body`` with ``delta`` added to its entry count."""
     magic, version, count = struct.unpack_from("<4sII", body)
     return struct.pack("<4sII", magic, version, count + delta) + body[12:]
-
-
-def with_crc(body: bytes) -> bytes:
-    return body + struct.pack("<I", zlib.crc32(body))
 
 
 # written by the version 1 writer: save_checkpoint(path, create_model(seed=3,
@@ -486,6 +553,16 @@ class TestReaderProperties:
 
 
 class TestCheckpoint:
+    @pytest.mark.parametrize("modality,fusion", MODEL_KINDS)
+    def test_bytes_equal_the_joined_framing(self, tmp_path, modality, fusion):
+        model = create_model(seed=4, dim=4, fusion=fusion, modality=modality)
+        config = TrainConfig(dim=4, proj_dim=4, fusion=fusion, modality=modality)
+        path = tmp_path / "m.tfck"
+        save_checkpoint(path, model, step=11, config=config)
+        entries = {"__step__": np.array([[11.0]]),
+                   **named_parameters(model, trainable_only=False)}
+        assert path.read_bytes() == tfck_bytes(entries, config_to_text(config).encode())
+
     def test_version_1_file_loads_to_the_same_model_and_config(self, tmp_path):
         assert V1_CHECKPOINT.read_bytes()[4:8] == struct.pack("<I", 1)
         model, step, config = load_checkpoint(V1_CHECKPOINT)
