@@ -20,11 +20,15 @@ scoring, the stage-2 re-rank and training all score through
 the per-candidate reference that the tests compare it against.
 """
 
+import contextlib
+import ctypes
 import functools
+import glob
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -276,11 +280,68 @@ def resolve_workers(requested: int | None = None) -> int:
     return workers
 
 
+@functools.cache
+def _openblas_threads():
+    """``(get, set)`` of the thread count of numpy's bundled OpenBLAS, or
+    ``None`` where numpy bundles none."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(glob.glob(str(libs / "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"),
+                               ("openblas", "")):
+            try:
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+# the BLAS thread count is the process's, so its users are counted here
+_blas_lock = threading.Lock()
+_blas_users = 0
+_blas_saved = None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold the BLAS to one thread; the first of nested or concurrent users
+    saves the count and the last one restores it."""
+    global _blas_users, _blas_saved
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    with _blas_lock:
+        if _blas_users == 0:
+            _blas_saved = get()
+            set_(1)
+        _blas_users += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_users -= 1
+            if _blas_users == 0:
+                set_(_blas_saved)
+
+
 def map_tasks(fn, tasks, workers: int | None = None) -> list:
     """``[fn(task) for task in tasks]``, run by the calling thread and
     ``resolve_workers(workers) - 1`` pool threads, each taking the next task
     in order.  If tasks raise, no further task starts, and the exception of
-    the first one in task order is raised, as the serial loop would."""
+    the first one in task order is raised, as the serial loop would.
+
+    While two or more workers run, numpy's OpenBLAS runs one thread: its
+    own threads, spinning between calls, would take the workers' CPUs.  The
+    previous count comes back on exit.  One worker leaves the BLAS alone."""
     tasks = list(tasks)
     workers = min(resolve_workers(workers), len(tasks))
     if workers <= 1:
@@ -300,7 +361,7 @@ def map_tasks(fn, tasks, workers: int | None = None) -> list:
                 with lock:
                     errors[index] = exc
 
-    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers - 1) as pool:
         helpers = [pool.submit(work) for _ in range(workers - 1)]
         work()
         for helper in helpers:

@@ -34,13 +34,13 @@ class NonFiniteScoreError(ValueError):
     """A similarity score to be ranked is NaN or infinite."""
 
 
-# score rows per block of the row-wise scans, so that their temporaries stay
-# a few MB whatever the corpus size; with stage 2 on every CPU, half of the
-# 1 << 20 that one worker used keeps two-stage peak memory below its level
+# scores per block of the row-wise scans, so that their temporaries stay a
+# few MB whatever the corpus size; stage 1 splits it between its workers, so
+# that the blocks they hold at once sum to at most this, or one chunk of rows
 BLOCK_ELEMENTS = 1 << 19
 
 # rows per chunk of the stage-1 kernel (see _row_scores)
-_CHUNK_ROWS = 128
+_CHUNK_ROWS = 64
 
 # text-to-video and video-to-text retrieval
 DIRECTIONS = ("t2v", "v2t")
@@ -232,13 +232,16 @@ def _row_scores(queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     (D, N) product, N the padded candidate count.
 
     Stage-1 determinism: a product over a whole block rounds differently
-    for different block sizes, as the BLAS picks its kernels and thread
-    split by shape.  Here the shape is fixed, no score falls in a partial
-    edge tile of a BLAS kernel whose tile sizes divide ``_CHUNK_ROWS``, and
-    blocks that start at multiples of ``_CHUNK_ROWS`` keep a row at one
-    offset in its chunk.  So a row's scores depend only on the row,
-    ``_CHUNK_ROWS``, n, the BLAS build and its thread count, not on the
-    block size or the other rows, and no (n, n) array is held.
+    for different block sizes, as the BLAS picks its kernels by shape.
+    Here the shape is fixed, no score falls in a partial edge tile of a
+    BLAS kernel whose tile sizes divide ``_CHUNK_ROWS``, and blocks that
+    start at multiples of ``_CHUNK_ROWS`` keep a row at one offset in its
+    chunk.  A thread split divides a chunk's tiles but not a dot product.
+    So a row's scores depend only on the row, n and the BLAS build: not on
+    the block size, the other rows, the BLAS thread count or the worker
+    count, and no (n, n) array is held.  64-row chunks give the bits of
+    128-row ones (checked at 12 sizes n from 1 to 4,097, D of 8 and 32,
+    OpenBLAS 0.3.31 Haswell kernels at 1 and 2 threads).
     """
     q, c = (np.concatenate([x, np.zeros((-len(x) % _CHUNK_ROWS, x.shape[1]))])
             for x in (queries, candidates))
@@ -247,12 +250,14 @@ def _row_scores(queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
 
 
 def _stage1_shortlists(score_rows: Callable[[slice], np.ndarray], k: int,
-                       ids: np.ndarray, id_rank: np.ndarray):
+                       ids: np.ndarray, id_rank: np.ndarray, workers: int):
     """``(shortlists, ranks)``: each query's k best candidates by stage-1
     score, ties by ascending id, and the stage-1 rank of each query's truth
     where it falls outside its shortlist, 0 where inside.
     ``score_rows(rows)`` gives one block of whole chunks of query rows
-    (determinism: :func:`_row_scores`).
+    (determinism: :func:`_row_scores`).  Blocks run on :func:`map_tasks`
+    workers, as many as hold at most ``BLOCK_ELEMENTS`` scores together
+    (or one chunk of rows), and write disjoint rows of the result.
 
     A block takes its top k with one ``argpartition`` and sorts only those.
     Where the k-th score ties with a column left out, the partition's pick
@@ -263,8 +268,11 @@ def _stage1_shortlists(score_rows: Callable[[slice], np.ndarray], k: int,
     n = len(ids)
     shortlists = np.empty((n, k), dtype=np.intp)
     ranks = np.zeros(n, dtype=np.intp)
-    step = max(1, BLOCK_ELEMENTS // n // _CHUNK_ROWS) * _CHUNK_ROWS
-    for start in range(0, n, step):
+    chunks = max(1, BLOCK_ELEMENTS // n // _CHUNK_ROWS)
+    workers = min(workers, chunks)
+    step = chunks // workers * _CHUNK_ROWS
+
+    def scan(start: int) -> None:
         rows = slice(start, min(start + step, n))
         block = score_rows(rows)
         top = np.argpartition(block, n - k, axis=1)[:, n - k:]
@@ -283,6 +291,8 @@ def _stage1_shortlists(score_rows: Callable[[slice], np.ndarray], k: int,
         if np.any(missed):
             ranks[truth[missed]] = _ranks_in_rows(block[missed], truth[missed],
                                                   id_rank)
+
+    map_tasks(scan, range(0, n, step), workers)
     return shortlists, ranks
 
 
@@ -353,7 +363,8 @@ def _rerank(model: RetrievalModel, corpus: Corpus, k: int, workers: int | None,
     stage1_out = []
     for queries, candidates in (rows[d] for d in directions):
         stage1_out.append(_stage1_shortlists(
-            lambda block: _row_scores(queries[block], candidates), k, ids, id_rank))
+            lambda block: _row_scores(queries[block], candidates), k, ids, id_rank,
+            workers))
 
     # slot s of query q's shortlist pairs text t with video v under the key
     # v * n + t; the sorted distinct keys come grouped by video

@@ -229,6 +229,12 @@ def _read_listed(manifest_path: Path, name: str) -> np.ndarray:
                           f"({exc})") from None
 
 
+def _take(array: np.ndarray, index: list) -> np.ndarray:
+    """``array[index]``, or ``array`` itself when ``index`` is every row in
+    order, as :func:`save_corpus` writes it (the file's array is fresh)."""
+    return array if index == list(range(len(array))) else array[index]
+
+
 def load_corpus(manifest_path) -> Corpus:
     """Materialize a corpus from a manifest; missing audio becomes zero rows.
     A malformed manifest or listed file raises :class:`FormatError` with the
@@ -291,22 +297,22 @@ def load_corpus(manifest_path) -> Corpus:
         raise FormatError(f"{path}: item {with_audio[0]}: has_audio set but "
                           "the manifest lists no audio file")
     else:
-        # one gather into the result; items without audio take slot 0, then zeros
+        # at most one gather; items without audio take slot 0, then zeros
         slots = [0] * len(items)
         for pos, slot in zip(with_audio, _field(path, items, "audio", int,
                                                 audio_file.shape[0], with_audio)):
             slots[pos] = slot
-        audio = audio_file[slots]
+        audio = _take(audio_file, slots)
         audio[np.logical_not(has_audio)] = 0.0
     summary = None
     if summary_file is not None:
-        summary = summary_file[_field(path, items, "audio_summary", int,
-                                      summary_file.shape[0])]
+        summary = _take(summary_file, _field(path, items, "audio_summary", int,
+                                             summary_file.shape[0]))
 
     return Corpus(
         ids=ids,
-        texts=texts_file[text_rows, 0],
-        frames=video_file[video_rows],
+        texts=_take(texts_file, text_rows)[:, 0],
+        frames=_take(video_file, video_rows),
         audio=audio,
         has_audio=np.array(has_audio, dtype=bool),
         summary_tokens=summary,

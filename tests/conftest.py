@@ -23,7 +23,7 @@ def distinct_shortlisted_pairs(stage1, k, ids):
     (texts x videos) score matrix hold between them, each pair once."""
     ids = np.asarray(ids)
     id_rank = ranking._id_ranks(ids)
-    t2v, _ = ranking._stage1_shortlists(stage1.__getitem__, k, ids, id_rank)
-    v2t, _ = ranking._stage1_shortlists(stage1.T.__getitem__, k, ids, id_rank)
+    t2v, _ = ranking._stage1_shortlists(stage1.__getitem__, k, ids, id_rank, 1)
+    v2t, _ = ranking._stage1_shortlists(stage1.T.__getitem__, k, ids, id_rank, 1)
     return ({(q, int(c)) for q, row in enumerate(t2v) for c in row}
             | {(int(c), q) for q, row in enumerate(v2t) for c in row})

@@ -1,7 +1,9 @@
 """Ranking, metrics, two-stage re-ranking, and dual-softmax rescoring."""
 
 import dataclasses
+import functools
 import os
+import sys
 import threading
 import tracemalloc
 from unittest import mock
@@ -15,7 +17,7 @@ from conftest import MODEL_KINDS, distinct_shortlisted_pairs, stage1_matrix
 from tefal import ranking
 from tefal.config import ConfigError
 from tefal.corpus import Corpus, synth_corpus
-from tefal.model import create_model, map_tasks, similarity_matrix
+from tefal.model import _openblas_threads, create_model, map_tasks, similarity_matrix
 from tefal.ranking import (
     NonFiniteScoreError,
     compute_metrics,
@@ -401,27 +403,28 @@ class TestStreamedStage1:
         return create_model(seed=6, dim=32), corpus
 
     @staticmethod
-    def run_streamed(model, corpus, direction, block_elements):
+    def run_streamed(model, corpus, direction, block_elements, workers=1):
         """``(scores, shortlists, ranks)`` of a k=5 re-rank whose stage 1
-        takes ``block_elements`` scores per block; ``scores`` stacks the
-        blocks the shortlist scan was fed.  Every block must start at a
-        whole chunk."""
+        takes ``block_elements`` scores per block on ``workers`` threads;
+        ``scores`` stacks the blocks the shortlist scan was fed, in row
+        order, as workers may finish them out of order.  Every block must
+        start at a whole chunk."""
         real = ranking._stage1_shortlists
-        blocks, shortlists = [], []
+        blocks, shortlists = {}, []
 
         def spy(score_rows, *args):
             def recorded(rows):
                 assert rows.start % ranking._CHUNK_ROWS == 0
-                blocks.append(score_rows(rows))
-                return blocks[-1]
+                blocks[rows.start] = score_rows(rows)
+                return blocks[rows.start]
             out = real(recorded, *args)
             shortlists.append(out[0])
             return out
 
         with mock.patch.object(ranking, "BLOCK_ELEMENTS", block_elements), \
                 mock.patch.object(ranking, "_stage1_shortlists", spy):
-            ranks = rerank_ranks(model, corpus, 5, direction)
-        return np.vstack(blocks), shortlists[0], ranks
+            ranks = rerank_ranks(model, corpus, 5, direction, workers)
+        return np.vstack([blocks[start] for start in sorted(blocks)]), shortlists[0], ranks
 
     @pytest.mark.parametrize("direction", ["t2v", "v2t"])
     def test_block_size_changes_no_score_shortlist_or_rank(self, wide_setup, direction):
@@ -440,14 +443,31 @@ class TestStreamedStage1:
             np.testing.assert_array_equal(got[2], ranks)
 
     @pytest.mark.parametrize("direction", ["t2v", "v2t"])
-    def test_peak_memory_is_a_fraction_of_the_full_matrix(self, direction, monkeypatch):
+    def test_worker_count_and_chunk_rows_change_no_score_shortlist_or_rank(
+            self, wide_setup, direction):
+        model, corpus = wide_setup
+        want = self.run_streamed(model, corpus, direction, ranking.BLOCK_ELEMENTS)
+        for chunk_rows in (64, 128):
+            for workers in (1, 2, 3):
+                with mock.patch.object(ranking, "_CHUNK_ROWS", chunk_rows):
+                    got = self.run_streamed(model, corpus, direction,
+                                            ranking.BLOCK_ELEMENTS, workers)
+                for got_part, want_part in zip(got, want):
+                    np.testing.assert_array_equal(got_part, want_part)
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("direction", ["t2v", "v2t"])
+    def test_peak_memory_is_a_fraction_of_the_full_matrix(self, direction, workers,
+                                                          monkeypatch):
+        # the stage-1 budget is shared by the workers, not given to each
         n = 2000
         corpus = synth_corpus(seed=8, n_items=n, dim=8, frames=2, audio_tokens=2)
         model = create_model(seed=2, dim=8)
         monkeypatch.setattr(ranking, "BLOCK_ELEMENTS", 1 << 14)
+        monkeypatch.delenv("TEFAL_THREADS", raising=False)
         tracemalloc.start()
         try:
-            rerank_ranks(model, corpus, 2, direction)
+            rerank_ranks(model, corpus, 2, direction, workers)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -478,19 +498,20 @@ ORACLE_MODEL = create_model(seed=21, dim=6)
 class TestRerankOracle:
     @PROPERTY
     @given(st.integers(1, 16).flatmap(lambda n: st.tuples(
-        st.integers(1, n), st.sampled_from([5, 1 << 20]), st.permutations(range(n)),
+        st.integers(1, n), st.sampled_from([5, 100, 1 << 20]), st.sampled_from([1, 3]),
+        st.permutations(range(n)),
         st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n))))
     def test_stage1_shortlists_are_the_full_lexsort_prefix(self, case):
-        k, block_elements, perm, levels = case
+        k, block_elements, workers, perm, levels = case
         n = len(perm)
         ids = np.array([f"id{p:02d}" for p in perm])
         stage1 = np.reshape(levels, (n, n)) / 2.0
         # chunks of 3 rows, so that 5 scores per block still split n > 3
-        # rows into blocks
+        # rows into blocks, and 100 split n > 8 rows between 2 or 3 workers
         with mock.patch.object(ranking, "BLOCK_ELEMENTS", block_elements), \
                 mock.patch.object(ranking, "_CHUNK_ROWS", 3):
             shortlists, ranks = ranking._stage1_shortlists(
-                stage1.__getitem__, k, ids, ranking._id_ranks(ids))
+                stage1.__getitem__, k, ids, ranking._id_ranks(ids), workers)
         for q in range(n):
             order1 = np.lexsort((ids, -stage1[q]))
             assert shortlists[q].tolist() == order1[:k].tolist()
@@ -768,3 +789,102 @@ class TestMapTasks:
 
         with pytest.raises(KeyError):
             map_tasks(task, range(6), workers=2)
+
+
+    # while two or more workers run, the BLAS runs one thread
+
+    @pytest.fixture
+    def blas_threads(self):
+        """numpy's OpenBLAS thread-count getter, the count set to 2 for the
+        test and restored after it."""
+        blas = _openblas_threads()
+        if blas is None:
+            pytest.skip("numpy bundles no OpenBLAS")
+        get, set_ = blas
+        saved = get()
+        set_(2)
+        yield get
+        set_(saved)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_one_blas_thread_inside_a_parallel_map(self, blas_threads, workers):
+        assert map_tasks(lambda i: blas_threads(), range(8), workers) == [1] * 8
+        assert blas_threads() == 2
+
+    def test_one_worker_leaves_the_blas_alone(self, blas_threads):
+        assert map_tasks(lambda i: blas_threads(), range(3), workers=1) == [2] * 3
+        # one task runs on the caller alone, whatever the worker count
+        assert map_tasks(lambda i: blas_threads(), range(1), workers=2) == [2]
+
+    def test_the_count_comes_back_after_a_task_raises(self, blas_threads):
+        def task(i):
+            if i == 3:
+                raise ValueError("task 3")
+            return blas_threads()
+
+        with pytest.raises(ValueError, match="task 3"):
+            map_tasks(task, range(6), workers=2)
+        assert blas_threads() == 2
+
+    def test_nested_maps_restore_the_count_once(self, blas_threads):
+        def outer(i):
+            return map_tasks(lambda j: blas_threads(), range(3), workers=2) + [blas_threads()]
+
+        assert map_tasks(outer, range(4), workers=2) == [[1] * 4] * 4
+        assert blas_threads() == 2
+
+    def test_maps_on_two_threads_restore_the_count_once(self, blas_threads):
+        # the first map returns while the second still runs, which must
+        # still see one BLAS thread
+        both_running, first_done = threading.Barrier(2, timeout=10), threading.Event()
+        seen = {}
+
+        def task(name, i):
+            if i == 0:
+                both_running.wait()
+                if name == "second":
+                    assert first_done.wait(timeout=10)
+            seen[name, i] = blas_threads()
+
+        callers = {name: threading.Thread(target=map_tasks,
+                                          args=(functools.partial(task, name), range(3), 2))
+                   for name in ("first", "second")}
+        for caller in callers.values():
+            caller.start()
+        callers["first"].join(timeout=10)
+        first_done.set()
+        callers["second"].join(timeout=10)
+        assert not any(caller.is_alive() for caller in callers.values())
+        assert seen == {(name, i): 1 for name in callers for i in range(3)}
+        assert blas_threads() == 2
+
+    def test_many_concurrent_maps_keep_one_count(self, blas_threads):
+        # more threads than cores, switching often: a lost update of the
+        # user count would restore the count early or never
+        seen = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=lambda: [
+                map_tasks(lambda i: seen.append(blas_threads()), range(6), workers=3)
+                for _ in range(10)]) for _ in range(8)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=30)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(caller.is_alive() for caller in callers)
+        assert seen == [1] * 8 * 10 * 6
+        assert blas_threads() == 2
+
+    def test_an_openblas_numpy_has_its_thread_count_found(self):
+        # a numpy whose OpenBLAS library or symbols were renamed would turn
+        # the one-thread limit into a silent no-op
+        try:
+            name = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        except (TypeError, KeyError):
+            pytest.skip("numpy does not report its BLAS")
+        if "openblas" not in name.lower():
+            pytest.skip(f"numpy is built on {name}, not OpenBLAS")
+        assert _openblas_threads() is not None
