@@ -30,6 +30,7 @@ from .linalg import (
     layernorm_affine_grads,
     layernorm_rows,
     layernorm_rows_backward,
+    padded_matmul,
     softmax_rows,
     softmax_rows_backward,
     sum_leading,
@@ -111,14 +112,6 @@ class XAttnParams:
         }
 
 
-def _stable_rows_times(rows: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """``rows @ weight`` with each output row computed the same way at any
-    position.  BLAS kernels associate full and edge panels differently, so
-    ``(a @ w)[perm]`` and ``a[perm] @ w`` can differ in the last bit;
-    ``einsum`` does not dispatch to BLAS and adds in one fixed order."""
-    return np.einsum("nd,dp->np", rows, weight)
-
-
 def _check_rows(params: XAttnParams, rows: np.ndarray, name: str) -> np.ndarray:
     rows = as_matrix(rows, name)
     if rows.shape[1] != params.dim:
@@ -186,8 +179,7 @@ def block_forward(params: XAttnParams, text: np.ndarray, context: np.ndarray):
     t_n = layernorm_rows(text, params.ln_q_gain, params.ln_q_bias)
     c_n = layernorm_rows(context, params.ln_c_gain, params.ln_c_bias)
     q = t_n @ params.w_q
-    k = _stable_rows_times(c_n, params.w_k)
-    v = _stable_rows_times(c_n, params.w_v)
+    k, v = (padded_matmul(w.T, c_n.T)[:, :len(c_n)].T for w in (params.w_k, params.w_v))
     pooled, weights = attend(q, k, v)
     proj = pooled @ params.w_o
     out = layernorm_rows(proj, params.ln_o_gain, params.ln_o_bias)
@@ -232,20 +224,23 @@ def block_backward(params: XAttnParams, cache: BlockCache, d_out: np.ndarray):
 # the scoring tile: T query projections against C candidate contexts
 # ---------------------------------------------------------------------------
 
-def project_queries(params: XAttnParams, texts: np.ndarray) -> np.ndarray:
-    """``LN_q(texts) W_q`` as (D_p, T) columns, each independent of its
-    position (:func:`_stable_rows_times`)."""
+def project_queries(params: XAttnParams, texts: np.ndarray, keep: bool = False):
+    """``LN_q(texts) W_q`` as (D_p, T) columns, one padded product
+    (:func:`tefal.linalg.padded_matmul`), so that a column does not depend
+    on its position.  With ``keep``, the pair ``(q, ln)``, ``ln`` the
+    ``(t_n, xhat)`` of ``LN_q`` that :func:`project_queries_backward` takes."""
     texts = _check_rows(params, texts, "text")
-    t_n = layernorm_rows(texts, params.ln_q_gain, params.ln_q_bias)
-    return np.ascontiguousarray(_stable_rows_times(t_n, params.w_q).T)
+    ln = layernorm_rows(texts, params.ln_q_gain, params.ln_q_bias, keep=keep)
+    t_n = ln[0] if keep else ln
+    q = np.ascontiguousarray(padded_matmul(params.w_q.T, t_n.T)[:, :len(texts)])
+    return (q, ln) if keep else q
 
 
-def project_queries_backward(params: XAttnParams, texts: np.ndarray,
-                             d_q: np.ndarray) -> dict[str, np.ndarray]:
-    """The ``w_q`` and ``LN_q`` gradients of :func:`project_queries`; the
-    texts are data, so no text gradient is formed."""
-    texts = _check_rows(params, texts, "text")
-    t_n, xhat = layernorm_rows(texts, params.ln_q_gain, params.ln_q_bias, keep=True)
+def project_queries_backward(params: XAttnParams, ln, d_q: np.ndarray
+                             ) -> dict[str, np.ndarray]:
+    """The ``w_q`` and ``LN_q`` gradients of :func:`project_queries`, from
+    the ``ln`` it kept; the texts are data, so no text gradient is formed."""
+    t_n, xhat = ln
     d_gq, d_bq = layernorm_affine_grads((params.w_q @ d_q).T, xhat)
     return {"w_q": t_n.T @ d_q.T, "ln_q_gain": d_gq, "ln_q_bias": d_bq}
 
@@ -282,18 +277,17 @@ class Candidates:
 
 @dataclass
 class TileCache(Candidates):
-    """Forward intermediates of :func:`block_forward_tile`, ``k`` on in canonical order."""
-    q: np.ndarray             # (D_p, T) shared, or (D_p, C, T)
-    k: np.ndarray             # (D_p, n, C)
-    vo: np.ndarray            # (D_p, C, n), V W_o
-    weights: np.ndarray       # (n, C, T)
+    """Forward intermediates of :func:`block_forward_tile`, one (., T) item
+    per candidate, context rows in canonical order."""
+    q: np.ndarray             # (D_p, T) shared, or (C, D_p, T)
+    weights: np.ndarray       # (C, n, T)
     proj: np.ndarray          # (D_p, C, T), pooled W_o
 
     def caller_weights(self) -> np.ndarray:
         """The (n, C, T) attention weights in the caller's row order."""
-        n, c, t = self.weights.shape
+        c, n, t = self.weights.shape
         out = np.empty((n * c, t))
-        out[self.order.ravel()] = self.weights.reshape(n * c, t)
+        out[self.order.ravel()] = self.weights.transpose(1, 0, 2).reshape(n * c, t)
         return out.reshape(n, c, t)
 
 
@@ -313,31 +307,52 @@ def project_candidates(params: XAttnParams, contexts: np.ndarray,
 
 
 def attend_tile(params: XAttnParams, q: np.ndarray, cands: Candidates,
-                cols: slice = slice(None), keep: bool = False):
-    """``(out, cache)`` of the query side of :func:`block_forward_tile` for ``cols``
-    of ``cands``; ``cache`` only with ``keep``, which needs all of ``cands``."""
+                cols: slice = slice(None), keep: bool = False, padded: bool = True):
+    """``(out, cache)`` of the query side of :func:`block_forward_tile` for
+    ``cols`` of ``cands``; ``cache`` only with ``keep``, which needs all of
+    ``cands``.  ``padded=False`` forms the logits and pooling with
+    :func:`_einsum_attention` in place of padded products."""
     p, kv = params.proj_dim, cands.kv[cols]
     q = np.ascontiguousarray(q, dtype=np.float64)
     if q.ndim not in (2, 3) or q.shape[0] != p or (q.ndim == 3 and q.shape[1] != len(kv)):
         raise ShapeError(f"q must be ({p}, T) or ({p}, {len(kv)}, T), got {q.shape}")
-    # contiguous copies: the einsums below run slower on strided views
-    k = np.ascontiguousarray(kv[:, :, :p].transpose(2, 1, 0))
-    vo = kv[:, :, p:].transpose(2, 0, 1)
-    vo = (np.ascontiguousarray(vo) if q.shape[-1] > 1
-          else np.ascontiguousarray(vo.transpose(2, 0, 1)).transpose(1, 2, 0))
+    t = q.shape[-1]
+    items = q if q.ndim == 2 else q.transpose(1, 0, 2)                # (C, D_p, T)
+    if padded:
+        logits = padded_matmul(kv[:, :, :p], items)                   # (C, n, T_pad)
+        logits *= 1.0 / math.sqrt(p)
+        logits -= logits.max(axis=1, keepdims=True)
+        weights = np.exp(logits, out=logits)
+        weights *= 1.0 / weights.sum(axis=1, keepdims=True)
+        # pooled W_o straight into the (D_p, C, T_pad) layout of LN_o
+        proj = np.empty((p, len(kv), weights.shape[-1]))
+        padded_matmul(kv[:, :, p:].transpose(0, 2, 1), weights, out=proj.transpose(1, 0, 2))
+        proj, weights = proj[:, :, :t], weights[:, :, :t]
+    else:
+        weights, proj = _einsum_attention(q, kv, p)
+    out = layernorm_rows(proj, params.ln_o_gain, params.ln_o_bias, axis=0)
+    if not keep:
+        return out, None
+    return out, TileCache(**vars(cands), q=items, weights=weights, proj=proj)
+
+
+def _einsum_attention(q: np.ndarray, kv: np.ndarray, p: int):
+    """The (C, n, T) weights and (D_p, C, T) pooled W_o of
+    :func:`attend_tile` by ``einsum``, which adds in one fixed order for any
+    tile: for tiles of one query per candidate, where padding the pair axis
+    would multiply the work (:func:`block_forward_tile`)."""
+    k = np.ascontiguousarray(kv[:, :, :p].transpose(2, 1, 0))        # (D_p, n, C)
+    vo = np.ascontiguousarray(kv[:, :, p:].transpose(1, 2, 0))       # (n, D_p, C)
     logits = np.einsum(("pt" if q.ndim == 2 else "pct") + ",pnc->nct", q, k)
     logits *= 1.0 / math.sqrt(p)
     logits -= logits.max(axis=0)
     weights = np.exp(logits, out=logits)
     weights *= 1.0 / sum_leading(weights)
-    proj = np.einsum("nct,pcn->pct", weights, vo)
-    out = layernorm_rows(proj, params.ln_o_gain, params.ln_o_bias, axis=0)
-    return out, (TileCache(**vars(cands), q=q, k=k, vo=vo, weights=weights, proj=proj)
-                 if keep else None)
+    return weights.transpose(1, 0, 2), np.einsum("nct,npc->pct", weights, vo)
 
 
 def block_forward_tile(params: XAttnParams, q: np.ndarray, contexts: np.ndarray,
-                       keep: bool = False):
+                       keep: bool = False, padded: bool = True):
     """The block for every (query, candidate) pair of a tile, pair-last
     (the feature or context-row axis first, then the (C, T) pair axes):
     :func:`project_candidates`, then :func:`attend_tile`.
@@ -355,18 +370,27 @@ def block_forward_tile(params: XAttnParams, q: np.ndarray, contexts: np.ndarray,
     do not depend on the stack.  Each candidate's rows go in canonical
     order (:func:`canonical_rows`) by their ``LN_c`` values before the
     projection, so any permutation of them gives its item the same input,
-    and the output the same bits.  Every other reduction over a feature or
-    row axis adds in one fixed order for any tile shape, a single pair
-    included: each ``einsum`` has its operands laid out so that an output
-    axis is innermost (a pair axis, or for a single pair a feature or row
-    axis), and numpy then adds each output's terms one at a time in the
-    order of the summed axis.  Hence K is (D_p, n, C), and V W_o is
-    (D_p, C, n) with several queries per candidate but stored (n, D_p, C)
-    with one.  The LayerNorm and softmax sums go through
-    :func:`tefal.linalg.sum_leading`.  Fusion and cosine follow the same
-    rules, so a score, too, depends only on its pair.
+    and the output the same bits.  The per-pair products, the logits
+    K_c q and the pooling (V W_o)_c^T weights, are padded products
+    (:func:`tefal.linalg.padded_matmul`), one column per query, so a
+    column keeps its bits whatever queries and candidates share the tile;
+    :func:`project_queries` and the late and concat_fc fusions are padded
+    products too.  The softmax sums run over the context rows of a
+    (C, n, T_pad) array whose trailing axis is at least ``PAD`` wide, so
+    numpy adds each column's terms in row order; the LayerNorm sums go
+    through :func:`tefal.linalg.sum_leading`.  Fusion and cosine follow the
+    same rules, so a score, too, depends only on its pair.
+
+    ``padded=False`` is for tiles of one query per candidate, as in the
+    xattn fusion block, whose caller chooses it: there a padded product
+    would run ``PAD`` columns per pair.  :func:`_einsum_attention` lays
+    its ``einsum`` operands out so that an output axis is innermost (a pair
+    axis, or for a single pair a feature or row axis), and numpy then adds
+    each output's terms one at a time in the order of the summed axis:
+    K is (D_p, n, C) and V W_o (n, D_p, C).
     """
-    out = attend_tile(params, q, project_candidates(params, contexts, keep), keep=keep)
+    out = attend_tile(params, q, project_candidates(params, contexts, keep), keep=keep,
+                      padded=padded)
     return out if keep else out[0]
 
 
@@ -385,21 +409,21 @@ def block_backward_tile(params: XAttnParams, cache: TileCache, d_out: np.ndarray
     its per-pair products are batched matrix products.
     """
     d, p = params.dim, params.proj_dim
-    w, q = cache.weights, cache.q
+    w, q, kv = cache.weights, cache.q, cache.kv
     w_kv = np.concatenate([params.w_k, params.w_v @ params.w_o], axis=1)
 
     d_proj, d_go, d_bo = layernorm_rows_backward(d_out, cache.proj, params.ln_o_gain,
                                                  axis=0)
-    d_proj, w = d_proj.transpose(1, 0, 2), w.transpose(1, 0, 2)    # (C, ., T)
-    d_w = cache.vo.transpose(1, 2, 0) @ d_proj
+    d_proj = d_proj.transpose(1, 0, 2)                                  # (C, D_p, T)
+    d_w = kv[:, :, p:] @ d_proj
     d_logits = w * (d_w - (d_w * w).sum(axis=1, keepdims=True))
     d_logits *= 1.0 / math.sqrt(p)
-    d_q = (cache.k.transpose(2, 0, 1) @ d_logits).transpose(1, 0, 2)
+    d_q = (kv[:, :, :p].transpose(0, 2, 1) @ d_logits).transpose(1, 0, 2)
     # d(K || V W_o), mapped from canonical back to the caller's row order
     d_kv = np.empty((2 * p, cache.order.size))
     d_kv[:, cache.order] = np.concatenate([
-        (q if q.ndim == 2 else q.transpose(1, 0, 2)) @ d_logits.transpose(0, 2, 1),
-        d_proj @ w.transpose(0, 2, 1)], axis=1).transpose(1, 2, 0)
+        q @ d_logits.transpose(0, 2, 1), d_proj @ w.transpose(0, 2, 1)],
+        axis=1).transpose(1, 2, 0)
 
     d_wkv = cache.c_n.reshape(d, -1) @ d_kv.T
     d_cn = (w_kv @ d_kv).reshape(cache.contexts.shape)

@@ -29,7 +29,7 @@ from .attention import (
     block_backward_tile,
     block_forward_tile,
 )
-from .linalg import ShapeError, as_matrix
+from .linalg import ShapeError, as_matrix, padded_matmul
 
 __all__ = ["FusionKind", "FusionParams", "FusionError", "audio_summary",
            "fuse_forward", "fuse_backward"]
@@ -108,6 +108,14 @@ class FusionCache:
     tile: object = None
 
 
+def _pair_product(weight: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``weight^T x`` for pair-last ``x``, one padded product over its pairs
+    (:func:`tefal.linalg.padded_matmul`)."""
+    pairs = x.reshape(len(x), -1)
+    out = padded_matmul(weight.T, pairs)[:, :pairs.shape[1]]
+    return out.reshape((-1,) + x.shape[1:])
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise FusionError(message)
@@ -141,7 +149,7 @@ def fuse_forward(params: FusionParams, *, video_cond=None, audio_cond=None,
         if summary.shape[0] != params.late_w.shape[0]:
             raise ShapeError(f"audio summary has {summary.shape[0]} features, "
                              f"projection expects {params.late_w.shape[0]}")
-        fused = video_cond + np.einsum("dp,d...->p...", params.late_w, summary)
+        fused = video_cond + _pair_product(params.late_w, summary)
         return fused, FusionCache(kind, token_mean=np.broadcast_to(
             summary, summary.shape[:1] + fused.shape[1:]))
 
@@ -153,7 +161,7 @@ def fuse_forward(params: FusionParams, *, video_cond=None, audio_cond=None,
         if concat.shape[0] != params.concat_w.shape[0]:
             raise ShapeError(f"concatenation has {concat.shape[0]} features, "
                              f"weight expects {params.concat_w.shape[0]}")
-        fused = (np.einsum("kp,k...->p...", params.concat_w, concat)
+        fused = (_pair_product(params.concat_w, concat)
                  + params.concat_b.reshape((-1,) + (1,) * (concat.ndim - 1)))
         return fused, FusionCache(kind, concat=concat)
 
@@ -165,7 +173,8 @@ def fuse_forward(params: FusionParams, *, video_cond=None, audio_cond=None,
         p = video_cond.shape[0]
         contexts = np.stack([x.reshape(p, -1) for x in (video_cond, audio_cond)], axis=1)
         q = np.broadcast_to(queries, video_cond.shape).reshape(p, -1, 1)
-        out = block_forward_tile(params.xattn, q, contexts, keep=keep)
+        # one query per pair: the einsum products (block_forward_tile)
+        out = block_forward_tile(params.xattn, q, contexts, keep=keep, padded=False)
         fused, tile = out if keep else (out, None)
         return fused.reshape(video_cond.shape), FusionCache(kind, tile=tile)
 

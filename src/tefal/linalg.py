@@ -7,6 +7,11 @@ import numpy as np
 
 LAYERNORM_EPS = 1e-5
 
+# the pair axis of every per-pair product is zero-padded to a multiple of
+# this (see padded_matmul); the smallest multiple that
+# tests/test_padded_products.py passes on for the installed BLAS
+PAD = 8
+
 
 class ShapeError(ValueError):
     """Raised when operand dimensions do not compose."""
@@ -26,6 +31,47 @@ def canonical_sum(values: np.ndarray, axis: int) -> np.ndarray:
     """Sum along ``axis`` after sorting the addends, so that the result
     depends only on their multiset, not on their order."""
     return np.sum(np.sort(values, axis=axis), axis=axis)
+
+
+def padded_width(pairs: int) -> int:
+    """``pairs`` rounded up to a whole multiple of ``PAD``."""
+    return pairs + -pairs % PAD
+
+
+def pad_pairs(x: np.ndarray) -> np.ndarray:
+    """``x`` with its last (pair) axis zero-padded to :func:`padded_width`
+    and of unit stride: ``x`` itself when it already is, else a copy."""
+    pairs = x.shape[-1]
+    if pairs % PAD == 0 and x.strides[-1] == x.itemsize:
+        return x
+    out = np.zeros(x.shape[:-1] + (padded_width(pairs),))
+    out[..., :pairs] = x
+    return out
+
+
+def padded_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
+                  ) -> np.ndarray:
+    """``a @ pad_pairs(b)``, stacked as by ``np.matmul``, into ``out`` if
+    given: every per-pair product of the engine, the pairs (queries,
+    candidates or their pairs) along ``b``'s last axis.  The result keeps
+    the padded columns, for the caller to drop.
+
+    Determinism: the BLAS picks its kernel, and how that kernel treats a
+    partial edge tile, by the operands' shapes and layouts, so one product
+    rounds differently from another of other shape.  Here numpy hands the
+    BLAS one item at a time; each caller gives its ``a`` one shape and
+    layout for a given model and corpus; and the pair axis has unit stride
+    and a whole multiple of ``PAD`` entries.  No column then falls in a
+    partial tile of a kernel whose tiles divide ``PAD``, and each column's
+    dot products run one fixed sequence of operations, wherever the column
+    sits and whichever kernel the width selects.  A thread split divides
+    tiles between threads, not a dot product.  So a column's bits depend
+    only on that column, ``a`` and the BLAS build: not on the other
+    columns, their order or count, the items beside it or the BLAS thread
+    count.  ``tests/test_padded_products.py`` checks this on the installed
+    BLAS for every (M, K) the engine uses, and fails where a BLAS breaks it.
+    """
+    return np.matmul(a, pad_pairs(b), out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ from .contrastive import (
 )
 from .corpus import Corpus
 from .fusion import FusionKind, FusionParams, fuse_backward, fuse_forward
-from .linalg import ShapeError, sum_leading
+from .linalg import ShapeError, padded_width, sum_leading
 
 __all__ = ["RetrievalModel", "create_model", "named_parameters",
            "candidate_scores", "Queries", "query_rows", "score_tile",
@@ -182,9 +182,11 @@ def candidate_scores(model: RetrievalModel, texts: np.ndarray, corpus: Corpus,
 
 @dataclass
 class Queries:
-    """Query texts and each block's ``LN_q(text) W_q``, one column per text."""
+    """Query texts and each block's ``LN_q(text) W_q``, one column per text;
+    ``ln``, each block's kept ``LN_q`` (:func:`query_rows` with ``keep``)."""
     texts: np.ndarray
     blocks: dict[str, np.ndarray]
+    ln: dict | None = None
 
     def rows(self, index) -> "Queries":
         index = np.asarray(index)
@@ -196,12 +198,18 @@ class Queries:
         return Queries(take(self.texts), {name: take(q) for name, q in self.blocks.items()})
 
 
-def query_rows(model: RetrievalModel, texts: np.ndarray) -> Queries:
-    """Project the query texts once for every block the model runs."""
+def query_rows(model: RetrievalModel, texts: np.ndarray, keep: bool = False) -> Queries:
+    """Project the query texts once for every block the model runs; with
+    ``keep``, keep each block's ``LN_q`` for
+    :func:`tefal.attention.project_queries_backward`."""
     texts = np.asarray(texts, dtype=np.float64)
+    blocks = {name: project_queries(_params(model, name), texts, keep)
+              for name in _blocks(model)}
+    if not keep:
+        return Queries(np.ascontiguousarray(texts.T), blocks)
     return Queries(np.ascontiguousarray(texts.T),
-                   {name: project_queries(_params(model, name), texts)
-                    for name in _blocks(model)})
+                   {name: q for name, (q, _) in blocks.items()},
+                   {name: ln for name, (_, ln) in blocks.items()})
 
 
 @dataclass
@@ -222,8 +230,9 @@ def score_tile(model: RetrievalModel, queries: Queries, corpus: Corpus,
     same T queries (a dense tile); of shape (., C, T), from ``queries.rows``
     with a (C, T) index, entry (t, c) scores ``cols[c]`` against its
     ``t``-th query (a grouped tile).  The candidates are projected once;
-    a dense tile attends in tiles of at most ``TILE_PAIRS`` pairs, unless
-    ``keep``.  Tile invariance: :func:`tefal.attention.block_forward_tile`.
+    a dense tile attends in tiles of at most ``TILE_PAIRS`` pairs, counted
+    padded (:func:`tefal.linalg.padded_width`), unless ``keep``.  Tile
+    invariance: :func:`tefal.attention.block_forward_tile`.
     """
     cols = np.asarray(cols, dtype=np.intp)
     cands = {name: project_candidates(_params(model, name), rows.T, keep)
@@ -239,7 +248,8 @@ def score_tile(model: RetrievalModel, queries: Queries, corpus: Corpus,
         return x if x is None or x.ndim == 3 else x[:, None, :]
 
     t = queries.texts.shape[-1]
-    width = max(1, len(cols) if keep or queries.texts.ndim == 3 else TILE_PAIRS // t)
+    width = max(1, len(cols) if keep or queries.texts.ndim == 3
+                else TILE_PAIRS // padded_width(t))
     scores = np.empty((t, len(cols)))
     for start in range(0, len(cols), width):
         tile = slice(start, start + width)
@@ -404,8 +414,7 @@ def batch_loss_and_grads(model: RetrievalModel, corpus: Corpus,
     and audio contexts are corpus rows, so no gradient is formed for them.
     """
     indices = np.asarray(indices, dtype=np.intp)
-    texts = corpus.texts[indices]
-    queries = query_rows(model, texts)
+    queries = query_rows(model, corpus.texts[indices], keep=True)
     sim, tape = score_tile(model, queries, corpus, indices, keep=True)
 
     loss, d_sim, d_log_scale = infonce(sim, model.temperature)
@@ -428,5 +437,5 @@ def batch_loss_and_grads(model: RetrievalModel, corpus: Corpus,
         add(name, block_grads)
     for name in _blocks(model):
         add("fusion.xattn" if name == "xattn" else name, project_queries_backward(
-            _params(model, name), texts, d_queries[name].sum(axis=1)))
+            _params(model, name), queries.ln[name], d_queries[name].sum(axis=1)))
     return loss, grads, sim

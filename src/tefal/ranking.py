@@ -11,7 +11,7 @@ from typing import Callable
 import numpy as np
 
 from .corpus import Corpus
-from .linalg import ShapeError, as_matrix
+from .linalg import ShapeError, as_matrix, pad_pairs, padded_matmul, padded_width
 from .model import (
     CANDIDATE_BLOCK,
     TILE_PAIRS,
@@ -225,28 +225,21 @@ def _stage1_rows(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
                  for x, norm in zip(rows, norms))
 
 
-def _row_scores(queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-    """Dot products of each query row with every candidate row, in
-    fixed-shape chunks: both operands are zero-padded to whole chunks of
-    ``_CHUNK_ROWS`` rows, and every chunk is the same (_CHUNK_ROWS, D) @
-    (D, N) product, N the padded candidate count.
-
-    Stage-1 determinism: a product over a whole block rounds differently
-    for different block sizes, as the BLAS picks its kernels by shape.
-    Here the shape is fixed, no score falls in a partial edge tile of a
-    BLAS kernel whose tile sizes divide ``_CHUNK_ROWS``, and blocks that
+def _row_scores(queries: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Dot products of each query row with every candidate column of the
+    (D, N) ``columns``: one :func:`tefal.linalg.padded_matmul` of
+    fixed-shape (_CHUNK_ROWS, D) chunks of the queries, zero-padded to whole
+    chunks, so that its determinism argument holds.  Blocks of rows that
     start at multiples of ``_CHUNK_ROWS`` keep a row at one offset in its
-    chunk.  A thread split divides a chunk's tiles but not a dot product.
-    So a row's scores depend only on the row, n and the BLAS build: not on
-    the block size, the other rows, the BLAS thread count or the worker
-    count, and no (n, n) array is held.  64-row chunks give the bits of
-    128-row ones (checked at 12 sizes n from 1 to 4,097, D of 8 and 32,
-    OpenBLAS 0.3.31 Haswell kernels at 1 and 2 threads).
+    chunk.  So a row's scores depend only on the row, the candidates and
+    the BLAS build: not on the block size, the other rows, the BLAS thread
+    count or the worker count, and no (n, n) array is held.  64-row chunks
+    give the bits of 128-row ones (checked at 12 sizes n from 1 to 4,097,
+    D of 8 and 32, OpenBLAS 0.3.31 at 1 and 2 threads).
     """
-    q, c = (np.concatenate([x, np.zeros((-len(x) % _CHUNK_ROWS, x.shape[1]))])
-            for x in (queries, candidates))
-    scores = np.matmul(q.reshape(-1, _CHUNK_ROWS, q.shape[1]), c.T)
-    return scores.reshape(len(q), -1)[:len(queries), :len(candidates)]
+    q = np.concatenate([queries, np.zeros((-len(queries) % _CHUNK_ROWS, queries.shape[1]))])
+    scores = padded_matmul(q.reshape(-1, _CHUNK_ROWS, q.shape[1]), columns)
+    return scores.reshape(len(q), -1)[:len(queries), :columns.shape[1]]
 
 
 def _stage1_shortlists(score_rows: Callable[[slice], np.ndarray], k: int,
@@ -300,21 +293,25 @@ def _stage2_scores(model: RetrievalModel, corpus: Corpus, texts: np.ndarray,
                    cands: np.ndarray, workers: int) -> np.ndarray:
     """Model scores of the pairs (``texts[i]``, ``cands[i]``), ``cands``
     sorted, by grouped tiles: each candidate against the texts paired with
-    it, groups packed largest first into tiles of about ``TILE_PAIRS``
-    pairs and padded to their tile's largest group."""
+    it, groups packed largest first into tiles of at most ``TILE_PAIRS``
+    slots (or one group), each group padded to the
+    :func:`tefal.linalg.padded_width` of its tile's largest.  The padding
+    repeats a group's last pair, so the queries are gathered straight into
+    the padded layout."""
     _, starts, sizes = np.unique(cands, return_index=True, return_counts=True)
     largest_first = np.argsort(-sizes, kind="stable")
     starts, sizes = starts[largest_first], sizes[largest_first]
     tiles, first = [], 0
     while first < len(sizes):
-        tiles.append(slice(first, first + max(1, TILE_PAIRS // int(sizes[first]))))
+        width = padded_width(int(sizes[first]))
+        tiles.append(slice(first, first + max(1, TILE_PAIRS // width)))
         first = tiles[-1].stop
     queries = query_rows(model, corpus.texts)
 
     def score_group_tile(groups: slice):
         # (C, T) pair index per candidate, each row padded with its group's
         # last pair
-        width = int(sizes[groups.start])
+        width = padded_width(int(sizes[groups.start]))
         offsets = np.minimum(np.arange(width), sizes[groups, None] - 1)
         tile_slots = starts[groups, None] + offsets
         scores = score_tile(model, queries.rows(texts[tile_slots]), corpus,
@@ -362,8 +359,10 @@ def _rerank(model: RetrievalModel, corpus: Corpus, k: int, workers: int | None,
     stats = EvalStats(stage1_comparisons=len(directions) * n * n)
     stage1_out = []
     for queries, candidates in (rows[d] for d in directions):
+        # the candidates padded once, for every block
+        columns = pad_pairs(candidates.T)
         stage1_out.append(_stage1_shortlists(
-            lambda block: _row_scores(queries[block], candidates), k, ids, id_rank,
+            lambda block: _row_scores(queries[block], columns)[:, :n], k, ids, id_rank,
             workers))
 
     # slot s of query q's shortlist pairs text t with video v under the key

@@ -36,8 +36,10 @@ class AdamW:
 
     The moments are one flat vector each, in the order of the first step's
     ``params``, which every later step must repeat.  Each update runs once
-    over the concatenated gradients; it is elementwise, so the parameters
-    get the bits of one update per array.
+    over the concatenated gradients (the flat array itself, for the views
+    :func:`clip_global_norm` returns); it is elementwise, so the parameters
+    get the bits of one update per array.  The parameters are concatenated
+    only for a nonzero weight decay.
     """
 
     def __init__(self, learning_rate: float = 1e-4, beta1: float = 0.9,
@@ -62,16 +64,20 @@ class AdamW:
             raise ValueError("AdamW.step needs the parameter names of its first "
                              "step, in the same order")
         t = self.steps + 1
-        lr = self.learning_rate * lr_scale
-        g, m, v = _concat(grads[name] for name in params), self._m, self._v
+        # clip_global_norm's views in parameter order carry their flat array
+        g = (grads.flat if isinstance(grads, _FlatViews) and list(grads) == self._names
+             else _concat(grads[name] for name in params))
+        m, v = self._m, self._v
         m *= self.beta1
         m += (1.0 - self.beta1) * g
         v *= self.beta2
         v += (1.0 - self.beta2) * g * g
         m_hat = m / (1.0 - self.beta1 ** t)
         v_hat = v / (1.0 - self.beta2 ** t)
-        update = lr * (m_hat / (np.sqrt(v_hat) + self.eps)
-                       + self.weight_decay * _concat(params.values()))
+        update = m_hat / (np.sqrt(v_hat) + self.eps)
+        if self.weight_decay:
+            update += self.weight_decay * _concat(params.values())
+        update *= self.learning_rate * lr_scale
         for name, part in _views(update, params).items():
             params[name] -= part
         self.steps = t
@@ -82,13 +88,21 @@ def _concat(arrays) -> np.ndarray:
     return np.concatenate([np.zeros(0), *(a.ravel() for a in arrays)])
 
 
-def _views(flat: np.ndarray, arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+class _FlatViews(dict):
+    """Arrays by name, each a view of ``flat``, their :func:`_concat`."""
+
+    def __init__(self, flat: np.ndarray, views: dict[str, np.ndarray]):
+        super().__init__(views)
+        self.flat = flat
+
+
+def _views(flat: np.ndarray, arrays: dict[str, np.ndarray]) -> _FlatViews:
     """Each array's part of ``flat``, their :func:`_concat`, shaped like it."""
     views, start = {}, 0
     for name, a in arrays.items():
         views[name] = flat[start:start + a.size].reshape(a.shape)
         start += a.size
-    return views
+    return _FlatViews(flat, views)
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float):

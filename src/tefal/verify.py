@@ -115,7 +115,8 @@ def _block_tile_check(seed: int, step: float, grouped: bool) -> float:
     _, cache = tile(keep=True)
     grads, d_q, d_contexts = block_backward_tile(params, cache, cotangent)
     d_q = d_q if grouped else d_q.sum(axis=1)
-    grads.update(project_queries_backward(params, texts, d_q.reshape(4, -1)))
+    _, ln = project_queries(params, texts, keep=True)
+    grads.update(project_queries_backward(params, ln, d_q.reshape(4, -1)))
     arrays = {**params.named(), "q": q_shift, "contexts": contexts}
     analytic = {**grads, "q": d_q, "contexts": d_contexts}
 
@@ -143,8 +144,9 @@ def _fusion_check(kind: FusionKind, seed: int, step: float) -> float:
     _, cache = fuse_forward(params, **inputs())
     own, d_video, d_audio, d_queries = fuse_backward(params, cache, cotangent)
     if d_queries is not None:
+        _, ln = project_queries(params.xattn, texts, keep=True)
         own.update({f"xattn.{k}": v for k, v in
-                    project_queries_backward(params.xattn, texts, d_queries).items()})
+                    project_queries_backward(params.xattn, ln, d_queries).items()})
     arrays = {f"param.{k}": v for k, v in params.named().items()}
     analytic = {f"param.{k}": v for k, v in own.items()}
     arrays["video_cond"] = video_cond

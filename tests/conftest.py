@@ -15,7 +15,8 @@ MODEL_KINDS = [("both", kind.value) for kind in FusionKind] + [("video", "additi
 def stage1_matrix(corpus):
     """The full (texts x videos) stage-1 score matrix, from the row kernel
     the streamed stage 1 scores its blocks with."""
-    return ranking._row_scores(*ranking._stage1_rows(corpus))
+    text_rows, video_rows = ranking._stage1_rows(corpus)
+    return ranking._row_scores(text_rows, video_rows.T)
 
 
 def distinct_shortlisted_pairs(stage1, k, ids):

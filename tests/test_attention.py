@@ -43,7 +43,8 @@ def tile_cache(params, text, context):
     _, cache = block_forward_tile(params, project_queries(params, text),
                                   context.T[:, :, None], keep=True)
     back = np.argsort(cache.order[:, 0])    # caller row -> canonical position
-    return cache.k[:, back, 0].T, cache.vo[:, 0, back].T
+    p = params.proj_dim
+    return cache.kv[0, back, :p], cache.kv[0, back, p:]
 
 
 def reference_layernorm(row, gain, bias, eps=1e-5):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tefal.attention import _stable_rows_times
+from tefal.linalg import PAD, padded_matmul
 from tefal.linalg import (
     LAYERNORM_EPS,
     canonical_sum,
@@ -27,25 +27,27 @@ def triple_loop_matmul(a, b):
     return out
 
 
-class TestMatmul:
-    """The engine's row-block product (``einsum``, one fixed reduction order
-    per output element), which its projections and fusion rows use."""
+class TestPaddedMatmul:
+    """The engine's per-pair product (:func:`tefal.linalg.padded_matmul`,
+    the pair axis zero-padded to a multiple of ``PAD``), which its
+    projections, attention and fusion use."""
 
     def test_identity(self):
         rng = np.random.default_rng(0)
         m = rng.standard_normal((3, 7))
-        np.testing.assert_array_equal(_stable_rows_times(np.eye(3), m), m)
+        np.testing.assert_array_equal(padded_matmul(np.eye(3), m)[:, :7], m)
 
     def test_hand_dot_product(self):
-        out = _stable_rows_times(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
-        assert out.shape == (1, 1)
+        out = padded_matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
+        assert out.shape == (1, PAD)
         assert out[0, 0] == 11.0
+        np.testing.assert_array_equal(out[0, 1:], 0.0)
 
     def test_matches_triple_loop_oracle(self):
         rng = np.random.default_rng(1)
         a = rng.standard_normal((4, 5))
         b = rng.standard_normal((5, 3))
-        np.testing.assert_allclose(_stable_rows_times(a, b), triple_loop_matmul(a, b),
+        np.testing.assert_allclose(padded_matmul(a, b)[:, :3], triple_loop_matmul(a, b),
                                    rtol=1e-12, atol=0)
 
     def test_triple_loop_oracle_large(self):
@@ -54,18 +56,18 @@ class TestMatmul:
             rows, inner, cols = rng.integers(1, 65, size=3)
             a = rng.standard_normal((rows, inner))
             b = rng.standard_normal((inner, cols))
-            np.testing.assert_allclose(_stable_rows_times(a, b),
+            np.testing.assert_allclose(padded_matmul(a, b)[:, :cols],
                                        triple_loop_matmul(a, b), rtol=1e-12, atol=1e-12)
 
-    def test_rows_do_not_depend_on_their_position(self):
+    def test_columns_do_not_depend_on_their_position(self):
         rng = np.random.default_rng(11)
-        a = rng.standard_normal((37, 16))
-        b = rng.standard_normal((16, 16))
+        a = rng.standard_normal((16, 16))
+        b = rng.standard_normal((16, 37))
         perm = rng.permutation(37)
-        np.testing.assert_array_equal(_stable_rows_times(a, b)[perm],
-                                      _stable_rows_times(a[perm], b))
-        np.testing.assert_array_equal(_stable_rows_times(a, b)[5:9],
-                                      _stable_rows_times(a[5:9], b))
+        np.testing.assert_array_equal(padded_matmul(a, b)[:, perm],
+                                      padded_matmul(a, b[:, perm])[:, :37])
+        np.testing.assert_array_equal(padded_matmul(a, b)[:, 5:9],
+                                      padded_matmul(a, b[:, 5:9])[:, :4])
 
 
 class TestSoftmaxRows:

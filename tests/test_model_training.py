@@ -274,6 +274,22 @@ class TestTraining:
         assert result.steps == 2 * (40 // 8)
         assert calls == {"step": result.steps, "clip": result.steps}
 
+    @pytest.mark.parametrize("weight_decay,per_step", [(0.0, 1), (0.01, 2)])
+    def test_a_step_concatenates_the_gradients_once(self, monkeypatch, weight_decay,
+                                                    per_step):
+        # AdamW takes the flat array clip_global_norm built; the parameters
+        # are concatenated only for the weight-decay term
+        calls = []
+        concat = training._concat
+
+        def counted(arrays):
+            calls.append(1)
+            return concat(arrays)
+
+        monkeypatch.setattr(training, "_concat", counted)
+        result = train(tiny_config(epochs=1, weight_decay=weight_decay), tiny_corpus())
+        assert result.steps > 0 and len(calls) == per_step * result.steps
+
     def test_temperature_gradient_vanishes_on_constant_similarity(self):
         from tefal.contrastive import Temperature, infonce
         _, _, d_log = infonce(np.full((4, 4), 0.3), Temperature.from_tau(5.0))

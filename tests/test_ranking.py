@@ -17,6 +17,7 @@ from conftest import MODEL_KINDS, distinct_shortlisted_pairs, stage1_matrix
 from tefal import ranking
 from tefal.config import ConfigError
 from tefal.corpus import Corpus, synth_corpus
+from tefal.linalg import PAD
 from tefal.model import _openblas_threads, create_model, map_tasks, similarity_matrix
 from tefal.ranking import (
     NonFiniteScoreError,
@@ -598,6 +599,26 @@ class TestRerankBothDirections:
         assert len(set(scored[0])) == len(scored[0]) == result.stats.stage2_model_evals
         assert set(scored[0]) == distinct_shortlisted_pairs(stage1_matrix(corpus), k,
                                                              corpus.ids)
+
+    @pytest.mark.parametrize("k", [2, 40])
+    def test_no_stage2_tile_holds_more_than_tile_pairs_padded_slots(self, k):
+        # groups are padded to a whole multiple of PAD, and tiles are packed
+        # by the padded width, so the padding adds no memory beyond a tile
+        corpus = synth_corpus(seed=31, n_items=400, dim=8, frames=2, audio_tokens=2)
+        model = create_model(seed=32, dim=8)
+        tiles = []
+        real = ranking.score_tile
+
+        def spy(model, queries, corpus, cols, keep=False):
+            tiles.append(queries.texts.shape[1:])
+            return real(model, queries, corpus, cols, keep)
+
+        with mock.patch.object(ranking, "score_tile", spy):
+            evaluate(model, corpus, k=k, workers=1)
+        assert len(tiles) > 1
+        for candidates, width in tiles:
+            assert width % PAD == 0
+            assert candidates * width <= ranking.TILE_PAIRS
 
 
 class TestNonFiniteModelScores:
