@@ -12,7 +12,9 @@ embedding:
 The block has no positional encoding, so the pooled output is invariant
 under any joint permutation of the context rows.  Every library path runs
 the tile kernel, :func:`block_forward_tile`, whose docstring gives why a
-pair's output does not depend on its tile.  :func:`block_forward`,
+pair's output does not depend on its tile, or, in the xattn fusion block,
+its candidate half, :func:`project_candidates`, with per-pair products of
+that block's own (:mod:`tefal.fusion`).  :func:`block_forward`,
 :func:`block_backward` and :func:`attend` are the per-candidate reference
 that the tests compare the kernel against.  Two independent instances of
 the block condition the video and audio sides on the same text query.
@@ -33,7 +35,6 @@ from .linalg import (
     padded_matmul,
     softmax_rows,
     softmax_rows_backward,
-    sum_leading,
 )
 
 __all__ = [
@@ -139,8 +140,7 @@ def _single_candidate_tile(params: XAttnParams, text: np.ndarray,
                            context: np.ndarray):
     """:func:`block_forward_tile` on a dense tile of one candidate."""
     context = _check_rows(params, context, "context")
-    return block_forward_tile(params, project_queries(params, text),
-                              context.T[:, :, None], keep=True)
+    return block_forward_tile(params, project_queries(params, text), context.T[:, :, None])
 
 
 def conditioned_embedding(params: XAttnParams, text: np.ndarray,
@@ -307,60 +307,41 @@ def project_candidates(params: XAttnParams, contexts: np.ndarray,
 
 
 def attend_tile(params: XAttnParams, q: np.ndarray, cands: Candidates,
-                cols: slice = slice(None), keep: bool = False, padded: bool = True):
+                cols: slice = slice(None), keep: bool = False):
     """``(out, cache)`` of the query side of :func:`block_forward_tile` for
     ``cols`` of ``cands``; ``cache`` only with ``keep``, which needs all of
-    ``cands``.  ``padded=False`` forms the logits and pooling with
-    :func:`_einsum_attention` in place of padded products."""
+    ``cands``."""
     p, kv = params.proj_dim, cands.kv[cols]
     q = np.ascontiguousarray(q, dtype=np.float64)
     if q.ndim not in (2, 3) or q.shape[0] != p or (q.ndim == 3 and q.shape[1] != len(kv)):
         raise ShapeError(f"q must be ({p}, T) or ({p}, {len(kv)}, T), got {q.shape}")
     t = q.shape[-1]
     items = q if q.ndim == 2 else q.transpose(1, 0, 2)                # (C, D_p, T)
-    if padded:
-        logits = padded_matmul(kv[:, :, :p], items)                   # (C, n, T_pad)
-        logits *= 1.0 / math.sqrt(p)
-        logits -= logits.max(axis=1, keepdims=True)
-        weights = np.exp(logits, out=logits)
-        weights *= 1.0 / weights.sum(axis=1, keepdims=True)
-        # pooled W_o straight into the (D_p, C, T_pad) layout of LN_o
-        proj = np.empty((p, len(kv), weights.shape[-1]))
-        padded_matmul(kv[:, :, p:].transpose(0, 2, 1), weights, out=proj.transpose(1, 0, 2))
-        proj, weights = proj[:, :, :t], weights[:, :, :t]
-    else:
-        weights, proj = _einsum_attention(q, kv, p)
+    logits = padded_matmul(kv[:, :, :p], items)                       # (C, n, T_pad)
+    logits *= 1.0 / math.sqrt(p)
+    logits -= logits.max(axis=1, keepdims=True)
+    weights = np.exp(logits, out=logits)
+    weights *= 1.0 / weights.sum(axis=1, keepdims=True)
+    # pooled W_o straight into the (D_p, C, T_pad) layout of LN_o
+    proj = np.empty((p, len(kv), weights.shape[-1]))
+    padded_matmul(kv[:, :, p:].transpose(0, 2, 1), weights, out=proj.transpose(1, 0, 2))
+    proj, weights = proj[:, :, :t], weights[:, :, :t]
     out = layernorm_rows(proj, params.ln_o_gain, params.ln_o_bias, axis=0)
     if not keep:
         return out, None
     return out, TileCache(**vars(cands), q=items, weights=weights, proj=proj)
 
 
-def _einsum_attention(q: np.ndarray, kv: np.ndarray, p: int):
-    """The (C, n, T) weights and (D_p, C, T) pooled W_o of
-    :func:`attend_tile` by ``einsum``, which adds in one fixed order for any
-    tile: for tiles of one query per candidate, where padding the pair axis
-    would multiply the work (:func:`block_forward_tile`)."""
-    k = np.ascontiguousarray(kv[:, :, :p].transpose(2, 1, 0))        # (D_p, n, C)
-    vo = np.ascontiguousarray(kv[:, :, p:].transpose(1, 2, 0))       # (n, D_p, C)
-    logits = np.einsum(("pt" if q.ndim == 2 else "pct") + ",pnc->nct", q, k)
-    logits *= 1.0 / math.sqrt(p)
-    logits -= logits.max(axis=0)
-    weights = np.exp(logits, out=logits)
-    weights *= 1.0 / sum_leading(weights)
-    return weights.transpose(1, 0, 2), np.einsum("nct,npc->pct", weights, vo)
-
-
-def block_forward_tile(params: XAttnParams, q: np.ndarray, contexts: np.ndarray,
-                       keep: bool = False, padded: bool = True):
-    """The block for every (query, candidate) pair of a tile, pair-last
-    (the feature or context-row axis first, then the (C, T) pair axes):
-    :func:`project_candidates`, then :func:`attend_tile`.
+def block_forward_tile(params: XAttnParams, q: np.ndarray, contexts: np.ndarray):
+    """``(out, cache)``: the block for every (query, candidate) pair of a
+    tile, pair-last (the feature or context-row axis first, then the (C, T)
+    pair axes), by :func:`project_candidates`, then :func:`attend_tile`.
 
     ``contexts`` is (D, n, C).  ``q`` holds :func:`project_queries` columns:
     (D_p, T) shared by every candidate (a dense tile), or (D_p, C, T), each
     candidate's own queries (a grouped tile).  Returns the (D_p, C, T)
-    outputs, with ``keep`` also the :class:`TileCache`.
+    outputs and the :class:`TileCache` that :func:`block_backward_tile`
+    reverses.
 
     Tile invariance: a pair's output depends only on its own query and
     candidate, so no tiling, candidate block, subset or worker count
@@ -378,20 +359,11 @@ def block_forward_tile(params: XAttnParams, q: np.ndarray, contexts: np.ndarray,
     products too.  The softmax sums run over the context rows of a
     (C, n, T_pad) array whose trailing axis is at least ``PAD`` wide, so
     numpy adds each column's terms in row order; the LayerNorm sums go
-    through :func:`tefal.linalg.sum_leading`.  Fusion and cosine follow the
-    same rules, so a score, too, depends only on its pair.
-
-    ``padded=False`` is for tiles of one query per candidate, as in the
-    xattn fusion block, whose caller chooses it: there a padded product
-    would run ``PAD`` columns per pair.  :func:`_einsum_attention` lays
-    its ``einsum`` operands out so that an output axis is innermost (a pair
-    axis, or for a single pair a feature or row axis), and numpy then adds
-    each output's terms one at a time in the order of the summed axis:
-    K is (D_p, n, C) and V W_o (n, D_p, C).
+    through :func:`tefal.linalg.sum_leading`.  Fusion, the xattn block's
+    own products among it (:func:`tefal.fusion._xattn_products`), and cosine
+    follow the same rules, so a score, too, depends only on its pair.
     """
-    out = attend_tile(params, q, project_candidates(params, contexts, keep), keep=keep,
-                      padded=padded)
-    return out if keep else out[0]
+    return attend_tile(params, q, project_candidates(params, contexts, keep=True), keep=True)
 
 
 def block_backward_tile(params: XAttnParams, cache: TileCache, d_out: np.ndarray,

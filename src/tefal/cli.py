@@ -20,7 +20,7 @@ from .audiofeat import compute_fbank, read_wav
 from .config import ConfigError, TrainConfig, parse_config_lines
 from .corpus import synth_corpus
 from .fusion import FusionKind
-from .linalg import ShapeError
+from .linalg import ShapeError, padded_width
 from .model import MODALITIES, TILE_PAIRS, query_rows, score_tile, uses_summary_rows
 from .ranking import evaluate
 from .storage import load_checkpoint, load_corpus, save_checkpoint, save_corpus, write_fbank
@@ -163,12 +163,14 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_export_attn(args) -> int:
     model, corpus = _load_model_and_corpus(args)
     # the weights that scoring computes: each item against its own text, in
-    # grouped tiles; only the blocks the model computes, so stacking's
-    # video block attends over the frames plus the audio summary row
+    # grouped tiles of at most TILE_PAIRS padded slots; only the blocks the
+    # model computes, so stacking's video block attends over the frames plus
+    # the audio summary row
     queries = query_rows(model, corpus.texts)
+    items = TILE_PAIRS // padded_width(1)
     rows = []
-    for start in range(0, len(corpus), TILE_PAIRS):
-        cols = np.arange(start, min(start + TILE_PAIRS, len(corpus)))
+    for start in range(0, len(corpus), items):
+        cols = np.arange(start, min(start + items, len(corpus)))
         _, tape = score_tile(model, queries.rows(cols[:, None]), corpus, cols, keep=True)
         per_block = {name: cache.caller_weights()[:, :, 0]
                      for name, cache in tape.blocks.items()}

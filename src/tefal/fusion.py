@@ -13,9 +13,11 @@ ablation:
 All variants produce one column of width D_p per query, pair-last like
 their inputs, with no re-normalization: the cosine absorbs scale.
 :func:`fuse_forward` and :func:`fuse_backward` implement the four post-hoc
-kinds; the xattn block runs on the attention tile kernel, one candidate per
-fused column.  Stacking is not post-hoc: :func:`tefal.model.score_tile`
-runs the video block over the stacked context.
+kinds; the xattn block, one candidate and one query per fused column, runs
+:func:`tefal.attention.project_candidates` and its own per-pair products
+(:func:`_xattn_products`).  Stacking is not post-hoc:
+:func:`tefal.model.score_tile` runs the video block over the stacked
+context.
 """
 
 import enum
@@ -25,11 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import (
+    TileCache,
     XAttnParams,
     block_backward_tile,
-    block_forward_tile,
+    project_candidates,
 )
-from .linalg import ShapeError, as_matrix, padded_matmul
+from .linalg import ShapeError, as_matrix, layernorm_rows, padded_matmul, sum_leading
 
 __all__ = ["FusionKind", "FusionParams", "FusionError", "audio_summary",
            "fuse_forward", "fuse_backward"]
@@ -116,6 +119,23 @@ def _pair_product(weight: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out.reshape((-1,) + x.shape[1:])
 
 
+def _xattn_products(q: np.ndarray, kv: np.ndarray, p: int):
+    """The xattn block's (C, n, T) weights and (D_p, C, T) pooled W_o by
+    ``einsum``, as padded products would run ``PAD`` columns per pair.  With
+    an output axis innermost (a pair axis, or for a single pair a feature or
+    row axis), numpy adds each output's terms one at a time in the order of
+    the summed axis, for any tile: so K is laid out (D_p, n, C) and V W_o
+    (n, D_p, C)."""
+    k = np.ascontiguousarray(kv[:, :, :p].transpose(2, 1, 0))        # (D_p, n, C)
+    vo = np.ascontiguousarray(kv[:, :, p:].transpose(1, 2, 0))       # (n, D_p, C)
+    logits = np.einsum("pct,pnc->nct", q, k)
+    logits *= 1.0 / math.sqrt(p)
+    logits -= logits.max(axis=0)
+    weights = np.exp(logits, out=logits)
+    weights *= 1.0 / sum_leading(weights)
+    return weights.transpose(1, 0, 2), np.einsum("nct,npc->pct", weights, vo)
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise FusionError(message)
@@ -170,12 +190,14 @@ def fuse_forward(params: FusionParams, *, video_cond=None, audio_cond=None,
         _require(video_cond is not None and audio_cond is not None and queries is not None,
                  "xattn fusion needs the query projections and both conditioned "
                  "embeddings")
-        p = video_cond.shape[0]
+        block, p = params.xattn, video_cond.shape[0]
         contexts = np.stack([x.reshape(p, -1) for x in (video_cond, audio_cond)], axis=1)
-        q = np.broadcast_to(queries, video_cond.shape).reshape(p, -1, 1)
-        # one query per pair: the einsum products (block_forward_tile)
-        out = block_forward_tile(params.xattn, q, contexts, keep=keep, padded=False)
-        fused, tile = out if keep else (out, None)
+        q = np.ascontiguousarray(np.broadcast_to(queries, video_cond.shape).reshape(p, -1, 1))
+        cands = project_candidates(block, contexts, keep)
+        weights, proj = _xattn_products(q, cands.kv, p)
+        fused = layernorm_rows(proj, block.ln_o_gain, block.ln_o_bias, axis=0)
+        tile = (TileCache(**vars(cands), q=q.transpose(1, 0, 2), weights=weights, proj=proj)
+                if keep else None)
         return fused.reshape(video_cond.shape), FusionCache(kind, tile=tile)
 
     raise FusionError(f"{kind.value} fusion is not a post-hoc combiner")

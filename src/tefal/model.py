@@ -390,11 +390,14 @@ def similarity_matrix(model: RetrievalModel, corpus: Corpus,
     :func:`map_tasks` on ``workers`` threads (by default, every usable CPU).
     Each worker holds one tile's temporaries beside the shared matrix.  Tile
     invariance (:func:`tefal.attention.block_forward_tile`) makes the result
-    the same for any worker count."""
+    the same for any worker count.  A candidate index outside [0, n) raises
+    ``ValueError``."""
+    n = len(corpus)
+    candidates = np.asarray(np.arange(n) if candidates is None else candidates, dtype=np.intp)
+    outside = candidates[(candidates < 0) | (candidates >= n)]
+    if len(outside):
+        raise ValueError(f"candidate index {outside[0]} is outside [0, {n})")
     queries = query_rows(model, corpus.texts if query_texts is None else query_texts)
-    if candidates is None:
-        candidates = np.arange(len(corpus))
-    candidates = np.asarray(candidates, dtype=np.intp)
     out = np.empty((queries.texts.shape[-1], len(candidates)))
 
     def score_block(start):

@@ -138,6 +138,9 @@ def ranks_from_similarity(sim: np.ndarray, ids) -> np.ndarray:
     if sim.ndim != 2 or sim.shape[0] != sim.shape[1]:
         raise ShapeError(f"aligned similarity matrix must be square, got {sim.shape}")
     ids = np.asarray(ids)
+    if ids.shape != sim.shape[:1]:
+        raise ShapeError(f"a {sim.shape} similarity matrix needs ids of shape {sim.shape[:1]}, "
+                         f"got {ids.shape}")
     id_rank = _id_ranks(ids)
     ranks = np.empty(sim.shape[0], dtype=np.intp)
     for rows in _row_blocks(*sim.shape):
@@ -348,6 +351,8 @@ def _rerank(model: RetrievalModel, corpus: Corpus, k: int, workers: int | None,
     n = len(corpus)
     if n == 0:
         raise ValueError("cannot rank over an empty corpus")
+    if isinstance(k, (bool, np.bool_)) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"shortlist size k must be an integer, got {k!r}")
     if not 1 <= k <= n:
         raise ValueError(f"shortlist size k must lie in [1, {n}], got {k}")
     workers = resolve_workers(workers)
@@ -434,9 +439,9 @@ def evaluate(model: RetrievalModel, corpus: Corpus, k: int | None = None,
     Exhaustive scoring counts ranks block by block and holds no (n, n)
     matrix (:func:`_exhaustive_ranks`).  ``k`` switches to two-stage
     re-ranking (:func:`rerank_two_stage` in both directions, sharing the
-    pairs both shortlist).  ``dsl_temp`` re-scores the dense matrix of
-    :func:`rank_exhaustive` with dual softmax; a bad one, or one given with
-    ``k``, is rejected before any scoring.  ``workers`` threads score (by
+    pairs both shortlist).  ``dsl_temp`` re-scores the dense
+    :func:`similarity_matrix` with dual softmax; a bad one, or one given
+    with ``k``, is rejected before any scoring.  ``workers`` threads score (by
     default, every usable CPU, capped by TEFAL_THREADS:
     :func:`resolve_workers`); each holds one tile's temporaries, and no
     count changes a rank.
@@ -451,19 +456,20 @@ def evaluate(model: RetrievalModel, corpus: Corpus, k: int | None = None,
     workers = resolve_workers(workers)
     n = len(corpus)
     postprocess: list[str] = []
+    stats = EvalStats(stage2_model_evals=n * n)
 
     if k is not None:
         (ranks_t2v, ranks_v2t), stats = _rerank(model, corpus, k, workers, DIRECTIONS)
     elif dsl_temp is None:
         ranks_t2v, ranks_v2t = _exhaustive_ranks(model, corpus, workers)
-        stats = EvalStats(stage2_model_evals=n * n)
     else:
-        result = rank_exhaustive(model, corpus, workers=workers)
-        stats = result.stats
+        sim = similarity_matrix(model, corpus, workers=workers)
+        # dual softmax spreads a non-finite score over its column; name its row
+        _check_finite(sim, corpus.ids, "similarity row")
         postprocess.append(f"dsl(temp={dsl_temp:g})")
         ranks_t2v, ranks_v2t = (
-            ranks_from_similarity(dual_softmax_postprocess(sim, dsl_temp), corpus.ids)
-            for sim in (result.sim, result.sim.T))
+            ranks_from_similarity(dual_softmax_postprocess(s, dsl_temp), corpus.ids)
+            for s in (sim, sim.T))
 
     return EvalResult(
         t2v=compute_metrics(ranks_t2v, n),

@@ -36,8 +36,7 @@ class AdamW:
 
     The moments are one flat vector each, in the order of the first step's
     ``params``, which every later step must repeat.  Each update runs once
-    over the concatenated gradients (the flat array itself, for the views
-    :func:`clip_global_norm` returns); it is elementwise, so the parameters
+    over the concatenated gradients; it is elementwise, so the parameters
     get the bits of one update per array.  The parameters are concatenated
     only for a nonzero weight decay.
     """
@@ -64,9 +63,7 @@ class AdamW:
             raise ValueError("AdamW.step needs the parameter names of its first "
                              "step, in the same order")
         t = self.steps + 1
-        # clip_global_norm's views in parameter order carry their flat array
-        g = (grads.flat if isinstance(grads, _FlatViews) and list(grads) == self._names
-             else _concat(grads[name] for name in params))
+        g = _concat(grads[name] for name in params)
         m, v = self._m, self._v
         m *= self.beta1
         m += (1.0 - self.beta1) * g
@@ -88,33 +85,24 @@ def _concat(arrays) -> np.ndarray:
     return np.concatenate([np.zeros(0), *(a.ravel() for a in arrays)])
 
 
-class _FlatViews(dict):
-    """Arrays by name, each a view of ``flat``, their :func:`_concat`."""
-
-    def __init__(self, flat: np.ndarray, views: dict[str, np.ndarray]):
-        super().__init__(views)
-        self.flat = flat
-
-
-def _views(flat: np.ndarray, arrays: dict[str, np.ndarray]) -> _FlatViews:
+def _views(flat: np.ndarray, arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Each array's part of ``flat``, their :func:`_concat`, shaped like it."""
     views, start = {}, 0
     for name, a in arrays.items():
         views[name] = flat[start:start + a.size].reshape(a.shape)
         start += a.size
-    return _FlatViews(flat, views)
+    return views
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float):
-    """``(clipped, norm)``: views of one flat copy of ``grads``, scaled once
-    so that its L2 norm is at most ``max_norm``, and the pre-clip norm.
-    The norm adds each array's own sum of squares in order, so it has the
-    bits of a per-array norm for any memory layout."""
-    flat = _concat(grads.values())
+    """``(clipped, norm)``: ``grads`` itself when its L2 norm is at most
+    ``max_norm``, else each array scaled by ``max_norm / norm``; and the
+    pre-clip norm.  The norm adds each array's own sum of squares in order,
+    so it has the bits of a per-array norm for any memory layout."""
     norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
     if norm > max_norm:
-        flat *= max_norm / norm
-    return _views(flat, grads), norm
+        grads = {name: g * (max_norm / norm) for name, g in grads.items()}
+    return grads, norm
 
 
 @dataclass

@@ -31,6 +31,7 @@ __all__ = ["CheckResult", "run_grad_checks", "end_to_end_check", "relative_error
 
 PRIMITIVE_TOL = 1e-4
 END_TO_END_TOL = 1e-3
+FD_STEP = 1e-5
 
 
 @dataclass
@@ -56,7 +57,7 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
-def finite_difference_gradients(forward, inputs, step: float):
+def finite_difference_gradients(forward, inputs):
     """Central-difference gradients of the scalar ``forward()`` w.r.t. every
     array of ``inputs``, each perturbed in place and restored."""
     grads = []
@@ -64,24 +65,24 @@ def finite_difference_gradients(forward, inputs, step: float):
         g = np.zeros_like(x)
         for i in range(x.size):
             orig = x.flat[i]
-            x.flat[i] = orig + step
+            x.flat[i] = orig + FD_STEP
             hi = forward()
-            x.flat[i] = orig - step
+            x.flat[i] = orig - FD_STEP
             lo = forward()
             x.flat[i] = orig
-            g.flat[i] = (hi - lo) / (2.0 * step)
+            g.flat[i] = (hi - lo) / (2.0 * FD_STEP)
         grads.append(g)
     return grads
 
 
-def _fd_scalar(arrays: dict, forward, analytic: dict, step: float) -> float:
+def _fd_scalar(arrays: dict, forward, analytic: dict) -> float:
     """Worst relative error between ``analytic`` grads and central
     differences of ``forward()`` w.r.t. every array in ``arrays``."""
-    numeric = finite_difference_gradients(forward, list(arrays.values()), step)
+    numeric = finite_difference_gradients(forward, list(arrays.values()))
     return max(relative_error(analytic[name], g) for name, g in zip(arrays, numeric))
 
 
-def _primitive_check(forward, backward, arrays: dict, seed: int, step: float) -> float:
+def _primitive_check(forward, backward, arrays: dict, seed: int) -> float:
     """A linalg primitive ``forward(*arrays)`` against its ``backward(d_out,
     out)``, which returns one gradient per array, under the fixed cotangent
     drawn from ``default_rng(seed)``."""
@@ -89,10 +90,10 @@ def _primitive_check(forward, backward, arrays: dict, seed: int, step: float) ->
     d_out = np.random.default_rng(seed).standard_normal(out.shape)
     analytic = dict(zip(arrays, backward(d_out, out)))
     return _fd_scalar(arrays, lambda: float(np.sum(d_out * forward(*arrays.values()))),
-                      analytic, step)
+                      analytic)
 
 
-def _block_tile_check(seed: int, step: float, grouped: bool) -> float:
+def _block_tile_check(seed: int, grouped: bool) -> float:
     """The tile kernel on C=2 candidates of 3 rows and T=2 queries, shared
     (dense) or per candidate (grouped).  ``q_shift`` is added to the query
     projections, so its gradient is the ``d_q`` of
@@ -105,14 +106,14 @@ def _block_tile_check(seed: int, step: float, grouped: bool) -> float:
     cotangent = rng.standard_normal((4, 2, 2))
     q_shift = np.zeros((4, 2, 2) if grouped else (4, 2))
 
-    def tile(keep=False):
+    def tile():
         q = project_queries(params, texts)
         q = (q.reshape(4, 2, 2) if grouped else q) + q_shift
-        return block_forward_tile(params, q, contexts, keep=keep)
+        return block_forward_tile(params, q, contexts)
 
-    order = tile(keep=True)[1].order
+    order = tile()[1].order
     contexts[...] = np.take(contexts.reshape(6, -1), order[::-1], axis=1)
-    _, cache = tile(keep=True)
+    _, cache = tile()
     grads, d_q, d_contexts = block_backward_tile(params, cache, cotangent)
     d_q = d_q if grouped else d_q.sum(axis=1)
     _, ln = project_queries(params, texts, keep=True)
@@ -121,12 +122,12 @@ def _block_tile_check(seed: int, step: float, grouped: bool) -> float:
     analytic = {**grads, "q": d_q, "contexts": d_contexts}
 
     def forward():
-        return float(np.sum(cotangent * tile()))
+        return float(np.sum(cotangent * tile()[0]))
 
-    return _fd_scalar(arrays, forward, analytic, step)
+    return _fd_scalar(arrays, forward, analytic)
 
 
-def _fusion_check(kind: FusionKind, seed: int, step: float) -> float:
+def _fusion_check(kind: FusionKind, seed: int) -> float:
     rng = np.random.default_rng(seed)
     dim, proj = 5, 5
     params = FusionParams.create(rng, kind, dim, proj)
@@ -159,10 +160,10 @@ def _fusion_check(kind: FusionKind, seed: int, step: float) -> float:
         fused, _ = fuse_forward(params, **inputs())
         return float(np.sum(cotangent * fused))
 
-    return _fd_scalar(arrays, forward, analytic, step)
+    return _fd_scalar(arrays, forward, analytic)
 
 
-def _cosine_check(seed: int, step: float) -> float:
+def _cosine_check(seed: int) -> float:
     rng = np.random.default_rng(seed)
     u = rng.standard_normal((4, 3))     # pair-last: 3 pairs of 4 features
     f = rng.standard_normal((4, 3))
@@ -174,10 +175,10 @@ def _cosine_check(seed: int, step: float) -> float:
         s, _ = cosine_rows(u, f)
         return float(np.sum(cotangent * s))
 
-    return _fd_scalar({"f": f}, forward, analytic, step)
+    return _fd_scalar({"f": f}, forward, analytic)
 
 
-def _infonce_check(seed: int, step: float) -> float:
+def _infonce_check(seed: int) -> float:
     rng = np.random.default_rng(seed)
     sim = rng.uniform(-1.0, 1.0, size=(3, 3))
     temp = Temperature.from_tau(5.0)
@@ -187,12 +188,11 @@ def _infonce_check(seed: int, step: float) -> float:
     def forward():
         return infonce(sim, temp)[0]
 
-    return _fd_scalar({"sim": sim, "log_scale": temp.log_scale}, forward,
-                      analytic, step)
+    return _fd_scalar({"sim": sim, "log_scale": temp.log_scale}, forward, analytic)
 
 
 def end_to_end_check(fusion: str = "addition", modality: str = "both",
-                     seed: int = 0, step: float = 1e-5) -> float:
+                     seed: int = 0) -> float:
     """Finite differences through the whole training loss on a toy model
     (D = 8, 3 frames, 5 audio tokens, a batch of 2).  Under xattn fusion the
     batch grows (up to 8) until the xattn tile reorders some pair's context
@@ -219,10 +219,10 @@ def end_to_end_check(fusion: str = "addition", modality: str = "both",
         loss, _, _ = batch_loss_and_grads(model, corpus, indices)
         return loss
 
-    return _fd_scalar(params, forward, grads, step)
+    return _fd_scalar(params, forward, grads)
 
 
-def run_grad_checks(seed: int = 0, step: float = 1e-5) -> list[CheckResult]:
+def run_grad_checks(seed: int = 0) -> list[CheckResult]:
     """The full verification suite, primitive rules through end-to-end loss."""
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
@@ -232,28 +232,27 @@ def run_grad_checks(seed: int = 0, step: float = 1e-5) -> list[CheckResult]:
     results = [
         CheckResult("softmax_rows", _primitive_check(
             softmax_rows, lambda d_out, out: [softmax_rows_backward(d_out, out)],
-            {"m": logits}, seed, step), PRIMITIVE_TOL),
+            {"m": logits}, seed), PRIMITIVE_TOL),
         CheckResult("layernorm_rows", _primitive_check(
             layernorm_rows, lambda d_out, out: layernorm_rows_backward(d_out, m, gain),
-            {"m": m, "gain": gain, "bias": bias}, seed, step), PRIMITIVE_TOL),
-        CheckResult("attention_block", _block_tile_check(seed, step, grouped=False),
+            {"m": m, "gain": gain, "bias": bias}, seed), PRIMITIVE_TOL),
+        CheckResult("attention_block", _block_tile_check(seed, grouped=False),
                     PRIMITIVE_TOL),
-        CheckResult("attention_block_tile", _block_tile_check(seed, step, grouped=True),
+        CheckResult("attention_block_tile", _block_tile_check(seed, grouped=True),
                     PRIMITIVE_TOL),
-        CheckResult("cosine_similarity", _cosine_check(seed, step), PRIMITIVE_TOL),
-        CheckResult("infonce", _infonce_check(seed, step), PRIMITIVE_TOL),
+        CheckResult("cosine_similarity", _cosine_check(seed), PRIMITIVE_TOL),
+        CheckResult("infonce", _infonce_check(seed), PRIMITIVE_TOL),
     ]
     for kind in (FusionKind.ADDITION, FusionKind.LATE, FusionKind.CONCAT_FC,
                  FusionKind.XATTN):
         results.append(CheckResult(
-            f"fusion_{kind.value}", _fusion_check(kind, seed, step), PRIMITIVE_TOL))
+            f"fusion_{kind.value}", _fusion_check(kind, seed), PRIMITIVE_TOL))
     for fusion in ("addition", "late", "concat_fc", "xattn", "stacking"):
         results.append(CheckResult(
-            f"end_to_end_{fusion}", end_to_end_check(fusion=fusion, seed=seed,
-                                                     step=step), END_TO_END_TOL))
+            f"end_to_end_{fusion}", end_to_end_check(fusion=fusion, seed=seed),
+            END_TO_END_TOL))
     for modality in ("video", "audio"):
         results.append(CheckResult(
-            f"end_to_end_{modality}_only",
-            end_to_end_check(modality=modality, seed=seed, step=step),
+            f"end_to_end_{modality}_only", end_to_end_check(modality=modality, seed=seed),
             END_TO_END_TOL))
     return results

@@ -41,7 +41,7 @@ def tile_cache(params, text, context):
     the (1, D) ``text``, with K and V W_o mapped to the caller's row order
     as (n, D_p) rows."""
     _, cache = block_forward_tile(params, project_queries(params, text),
-                                  context.T[:, :, None], keep=True)
+                                  context.T[:, :, None])
     back = np.argsort(cache.order[:, 0])    # caller row -> canonical position
     p = params.proj_dim
     return cache.kv[0, back, :p], cache.kv[0, back, p:]
@@ -296,7 +296,7 @@ class TestBlockGradients:
         def loss():
             return float(np.sum(cotangent * block_forward(params, text, context)[0]))
 
-        numeric = finite_difference_gradients(loss, list(arrays.values()), 1e-5)
+        numeric = finite_difference_gradients(loss, list(arrays.values()))
         for name, num in zip(arrays, numeric):
             denom = np.maximum(np.maximum(np.abs(analytic[name]), np.abs(num)), 1e-3)
             assert np.max(np.abs(analytic[name] - num) / denom) < 1e-4, name
@@ -309,7 +309,7 @@ class TestBlockGradients:
         q = project_queries(params, rng.standard_normal((6 if grouped else 2, 6)))
         q = q.reshape(4, 3, 2) if grouped else q
         contexts = rng.standard_normal((6, 5, 3))
-        _, cache = block_forward_tile(params, q, contexts, keep=True)
+        _, cache = block_forward_tile(params, q, contexts)
         cotangent = rng.standard_normal((4, 3, 2))
         grads, d_q, d_contexts = block_backward_tile(params, cache, cotangent)
         got, got_d_q, none = block_backward_tile(params, cache, cotangent,

@@ -14,11 +14,13 @@ import pytest
 import tefal
 from conftest import distinct_shortlisted_pairs, stage1_matrix
 from tefal.audiofeat import LOG_FLOOR, SAMPLE_RATE
+from tefal import cli
 from tefal.cli import build_parser, main
 from tefal.config import TrainConfig
 from tefal.corpus import synth_corpus
 from tefal.fusion import FusionKind
-from tefal.model import MODALITIES, create_model, named_parameters
+from tefal.linalg import PAD
+from tefal.model import MODALITIES, TILE_PAIRS, create_model, named_parameters
 from tefal.storage import (load_checkpoint, load_corpus, read_fbank, save_checkpoint,
                            save_corpus)
 
@@ -569,6 +571,34 @@ class TestExportAttn:
         assert base[10][2:] != flipped[10][2:]
         assert flipped[:10] + flipped[11:] == base[:10] + base[11:]
         capsys.readouterr()
+
+    def test_no_tile_holds_more_than_tile_pairs_padded_slots(self, tmp_path, monkeypatch):
+        # each item's one query pads to PAD columns; one tile of TILE_PAIRS
+        # items gave the same bytes
+        data = tmp_path / "data"
+        assert run("synth", "--out", str(data), "--seed", "3", "--items", "300",
+                   "--dim", "4", "--frames", "2", "--audio-tokens", "2") == 0
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, create_model(seed=1, dim=4), step=0,
+                        config=TrainConfig(dim=4, proj_dim=4, frames=2, audio_tokens=2))
+        tiles = []
+        score = cli.score_tile
+
+        def spy(model, queries, corpus, cols, keep=False):
+            tiles.append(len(cols))
+            return score(model, queries, corpus, cols, keep)
+
+        monkeypatch.setattr(cli, "score_tile", spy)
+        outputs = []
+        for tile_pairs in (cli.TILE_PAIRS, 300 * PAD):
+            monkeypatch.setattr(cli, "TILE_PAIRS", tile_pairs)
+            out = tmp_path / f"attn{tile_pairs}.csv"
+            assert run("export-attn", "--data", str(data / "manifest.json"),
+                       "--checkpoint", str(ckpt), "--out", str(out)) == 0
+            outputs.append(out.read_bytes())
+        assert tiles[-1] == 300 and sum(tiles[:-1]) == 300
+        assert max(tiles[:-1]) * PAD <= TILE_PAIRS
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("modality,context_rows", [("video", 3), ("audio", 4)])
     def test_single_modality_models_export_one_row_per_item(self, tmp_path, modality,

@@ -121,7 +121,7 @@ class TestStacking:
         stacked = np.stack([np.vstack([corpus.frames[j], corpus.summary_rows()[j:j + 1]])
                             for j in cols])
         q = project_queries(model.video, texts)
-        fused = block_forward_tile(model.video, q, stacked.transpose(2, 1, 0))
+        fused, _ = block_forward_tile(model.video, q, stacked.transpose(2, 1, 0))
         expected, _ = cosine_rows(texts.T[:, None, :], fused)
         np.testing.assert_array_equal(scores, expected.T)
 

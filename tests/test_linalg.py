@@ -131,7 +131,7 @@ class TestGradCheck:
         rng = np.random.default_rng(7)
         err = _primitive_check(
             softmax_rows, lambda d_out, out: [softmax_rows_backward(d_out, out)],
-            {"m": rng.standard_normal((2, 5))}, seed=0, step=1e-5)
+            {"m": rng.standard_normal((2, 5))}, seed=0)
         assert err < 1e-4
 
     def test_layernorm(self):
@@ -139,7 +139,7 @@ class TestGradCheck:
         m, gain, bias = (rng.standard_normal(shape) for shape in ((2, 8), (1, 8), (1, 8)))
         err = _primitive_check(
             layernorm_rows, lambda d_out, out: layernorm_rows_backward(d_out, m, gain),
-            {"m": m, "gain": gain, "bias": bias}, seed=0, step=1e-5)
+            {"m": m, "gain": gain, "bias": bias}, seed=0)
         assert err < 1e-4
 
 

@@ -22,7 +22,7 @@ from tefal.model import (
     score_tile,
     similarity_matrix,
 )
-from tefal import attention, model as model_module, ranking, training
+from tefal import attention, fusion as fusion_module, model as model_module, ranking, training
 from tefal.ranking import rank_exhaustive, ranks_from_similarity, rerank_two_stage
 from tefal.training import AdamW, TrainingDiverged, clip_global_norm, evaluate, train
 from tefal.verify import end_to_end_check
@@ -277,8 +277,8 @@ class TestTraining:
     @pytest.mark.parametrize("weight_decay,per_step", [(0.0, 1), (0.01, 2)])
     def test_a_step_concatenates_the_gradients_once(self, monkeypatch, weight_decay,
                                                     per_step):
-        # AdamW takes the flat array clip_global_norm built; the parameters
-        # are concatenated only for the weight-decay term
+        # AdamW concatenates the gradients once; the parameters only for the
+        # weight-decay term
         calls = []
         concat = training._concat
 
@@ -411,6 +411,7 @@ class TestTileScoring:
             raise AssertionError("built a TileCache without keep")
 
         monkeypatch.setattr(attention, "TileCache", no_cache)
+        monkeypatch.setattr(fusion_module, "TileCache", no_cache)
         np.testing.assert_array_equal(score_tile(model, queries, scoring_corpus, cols), kept)
         with pytest.raises(AssertionError, match="without keep"):
             score_tile(model, queries, scoring_corpus, cols, keep=True)
@@ -430,6 +431,19 @@ class TestTileScoring:
                                     query_texts=scoring_corpus.texts[queries],
                                     candidates=np.asarray(candidates))
             np.testing.assert_array_equal(got, full[np.ix_(queries, candidates)])
+
+    @pytest.mark.parametrize("bad", [-1, 23, 99])
+    def test_a_candidate_outside_the_corpus_is_rejected_before_scoring(
+            self, scoring_corpus, monkeypatch, bad):
+        # -1 used to score the last item, and 99 raised numpy's IndexError
+        model = create_model(seed=15, dim=12)
+
+        def no_scoring(*args, **kwargs):
+            raise AssertionError("scored before checking the candidates")
+
+        monkeypatch.setattr(model_module, "score_tile", no_scoring)
+        with pytest.raises(ValueError, match=rf"candidate index {bad} is outside \[0, 23\)"):
+            similarity_matrix(model, scoring_corpus, candidates=[3, bad, 0, -7])
 
     @pytest.mark.parametrize("modality,fusion", MODEL_KINDS)
     def test_tiles_blocks_workers_and_subsets_change_no_bit(self, scoring_corpus,

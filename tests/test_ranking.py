@@ -17,7 +17,7 @@ from conftest import MODEL_KINDS, distinct_shortlisted_pairs, stage1_matrix
 from tefal import ranking
 from tefal.config import ConfigError
 from tefal.corpus import Corpus, synth_corpus
-from tefal.linalg import PAD
+from tefal.linalg import PAD, ShapeError
 from tefal.model import _openblas_threads, create_model, map_tasks, similarity_matrix
 from tefal.ranking import (
     NonFiniteScoreError,
@@ -197,6 +197,11 @@ class TestRanksFromSimilarity:
         with pytest.raises(NonFiniteScoreError, match=r"query 4 \(v4\)"):
             ranks_from_similarity(sim, [f"v{j}" for j in range(6)])
 
+    @pytest.mark.parametrize("ids", [["a", "b"], ["a", "b", "c", "d"], [["a", "b", "c"]]])
+    def test_ids_other_than_one_per_row_are_a_shape_error(self, ids):
+        with pytest.raises(ShapeError, match=r"needs ids of shape \(3,\)"):
+            ranks_from_similarity(np.eye(3), ids)
+
     @PROPERTY
     @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
         st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n),
@@ -365,6 +370,29 @@ class TestRerankTwoStage:
         for k in (0, -2, len(corpus) + 1):
             with pytest.raises(ValueError):
                 rerank_two_stage(model, corpus, k=k)
+
+    @pytest.mark.parametrize("k", [2.5, True, np.float64(3.0), "3"])
+    def test_a_k_that_is_no_integer_is_rejected_before_stage_1(self, small_setup,
+                                                                 monkeypatch, k):
+        # np.empty raised a TypeError for 2.5, and True ranked as k = 1
+        model, corpus = small_setup
+
+        def no_stage1(*args):
+            raise AssertionError("ran stage 1 before checking k")
+
+        monkeypatch.setattr(ranking, "_stage1_rows", no_stage1)
+        for call in (evaluate, rerank_two_stage):
+            with pytest.raises(ValueError, match="k must be an integer"):
+                call(model, corpus, k=k)
+
+    def test_a_numpy_integer_k_ranks_as_the_int(self, small_setup):
+        model, corpus = small_setup
+        want = evaluate(model, corpus, k=5)
+        got = evaluate(model, corpus, k=np.int64(5))
+        np.testing.assert_array_equal(got.ranks_t2v, want.ranks_t2v)
+        np.testing.assert_array_equal(got.ranks_v2t, want.ranks_v2t)
+        np.testing.assert_array_equal(rerank_two_stage(model, corpus, k=np.int64(5)).ranks,
+                                      want.ranks_t2v)
 
     @pytest.mark.parametrize("direction", ["t2v", "v2t"])
     def test_worker_count_and_tile_size_do_not_change_ranks(
@@ -706,9 +734,40 @@ class TestDualSoftmax:
         def no_scoring(*args, **kwargs):
             raise AssertionError("scored before checking dsl_temp")
 
-        monkeypatch.setattr(ranking, "rank_exhaustive", no_scoring)
+        monkeypatch.setattr(ranking, "similarity_matrix", no_scoring)
         with pytest.raises(ValueError, match="dsl_temp must be finite and positive"):
             evaluate(model, corpus, dsl_temp=float("nan"))
+
+    def test_evaluate_ranks_only_the_two_rescored_matrices(self, small_setup, monkeypatch):
+        # the dense matrix's own ranks are not wanted
+        model, corpus = small_setup
+        calls = []
+        rank = ranking.ranks_from_similarity
+
+        def counted(sim, ids):
+            calls.append(1)
+            return rank(sim, ids)
+
+        monkeypatch.setattr(ranking, "ranks_from_similarity", counted)
+        result = evaluate(model, corpus, dsl_temp=10.0)
+        assert len(calls) == 2
+        sim = similarity_matrix(model, corpus)
+        for got, scores in ((result.ranks_t2v, sim), (result.ranks_v2t, sim.T)):
+            np.testing.assert_array_equal(
+                got, rank(dual_softmax_postprocess(scores, 10.0), corpus.ids))
+        assert result.stats.stage2_model_evals == len(corpus) ** 2
+        assert result.postprocess == ["dsl(temp=10)"]
+
+    def test_evaluate_names_the_query_of_a_non_finite_score(self, small_setup,
+                                                            monkeypatch):
+        # dual softmax spreads a NaN over its whole column, whose first row
+        # is query 0
+        model, corpus = small_setup
+        sim = similarity_matrix(model, corpus)
+        sim[4, 1] = np.nan
+        monkeypatch.setattr(ranking, "similarity_matrix", lambda *args, **kwargs: sim)
+        with pytest.raises(NonFiniteScoreError, match=rf"query 4 \({corpus.ids[4]}\)"):
+            evaluate(model, corpus, dsl_temp=10.0)
 
 
 class TestWorkers:
