@@ -20,8 +20,8 @@ from .audiofeat import compute_fbank, read_wav
 from .config import ConfigError, TrainConfig, parse_config_lines
 from .corpus import synth_corpus
 from .fusion import FusionKind
-from .linalg import ShapeError, padded_width
-from .model import MODALITIES, TILE_PAIRS, query_rows, score_tile, uses_summary_rows
+from .linalg import ShapeError
+from .model import MODALITIES, pair_tiles, query_rows, score_tile, uses_summary_rows
 from .ranking import evaluate
 from .storage import load_checkpoint, load_corpus, save_checkpoint, save_corpus, write_fbank
 from .training import train
@@ -162,15 +162,13 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_export_attn(args) -> int:
     model, corpus = _load_model_and_corpus(args)
-    # the weights that scoring computes: each item against its own text, in
-    # grouped tiles of at most TILE_PAIRS padded slots; only the blocks the
-    # model computes, so stacking's video block attends over the frames plus
-    # the audio summary row
+    # the weights that scoring computes, one query per item in the grouped
+    # tiles of the pairs (i, i); only the blocks the model computes, so
+    # stacking's video block attends over the frames plus the summary row
     queries = query_rows(model, corpus.texts)
-    items = TILE_PAIRS // padded_width(1)
     rows = []
-    for start in range(0, len(corpus), items):
-        cols = np.arange(start, min(start + items, len(corpus)))
+    for slots in pair_tiles(np.arange(len(corpus))):
+        cols = slots[:, 0]
         _, tape = score_tile(model, queries.rows(cols[:, None]), corpus, cols, keep=True)
         per_block = {name: cache.caller_weights()[:, :, 0]
                      for name, cache in tape.blocks.items()}

@@ -27,6 +27,13 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def is_integer(x) -> bool:
+    """Whether ``x`` is an integer, or an array of integers; a bool is not."""
+    if isinstance(x, np.ndarray):
+        return np.issubdtype(x.dtype, np.integer)
+    return isinstance(x, (int, np.integer)) and not isinstance(x, (bool, np.bool_))
+
+
 def canonical_sum(values: np.ndarray, axis: int) -> np.ndarray:
     """Sum along ``axis`` after sorting the addends, so that the result
     depends only on their multiset, not on their order."""

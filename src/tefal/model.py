@@ -16,8 +16,9 @@ Every candidate embedding is conditioned on the query text, so T queries
 against V candidates cost one block evaluation per pair.  Exhaustive
 scoring, the stage-2 re-rank and training all score through
 :func:`score_tile`; why its scores do not depend on the tile is given in
-:func:`tefal.attention.block_forward_tile`.  :func:`candidate_scores` is
-the per-candidate reference that the tests compare it against.
+:func:`tefal.attention.block_forward_tile`.  Tiles are planned here alone
+(:func:`candidate_blocks`, :func:`pair_tiles`).  :func:`candidate_scores`
+is the per-candidate reference that the tests compare it against.
 """
 
 import contextlib
@@ -51,12 +52,12 @@ from .contrastive import (
 )
 from .corpus import Corpus
 from .fusion import FusionKind, FusionParams, fuse_backward, fuse_forward
-from .linalg import ShapeError, padded_width, sum_leading
+from .linalg import ShapeError, is_integer, padded_width, sum_leading
 
 __all__ = ["RetrievalModel", "create_model", "named_parameters",
-           "candidate_scores", "Queries", "query_rows", "score_tile",
-           "resolve_workers", "map_tasks", "similarity_matrix", "batch_loss_and_grads",
-           "uses_summary_rows"]
+           "candidate_scores", "Queries", "query_rows", "score_tile", "candidate_blocks",
+           "pair_tiles", "score_pairs", "resolve_workers", "map_tasks",
+           "similarity_matrix", "batch_loss_and_grads", "uses_summary_rows"]
 
 MODALITIES = ("both", "video", "audio")
 
@@ -264,15 +265,55 @@ def score_tile(model: RetrievalModel, queries: Queries, corpus: Corpus,
     return (scores, TileTape(caches, fusion_cache, cos_cache)) if keep else scores
 
 
+def candidate_blocks(n: int) -> list[slice]:
+    """Slices of ``CANDIDATE_BLOCK`` candidates that cover ``range(n)``."""
+    return [slice(start, min(start + CANDIDATE_BLOCK, n))
+            for start in range(0, n, CANDIDATE_BLOCK)]
+
+
+def pair_tiles(cands: np.ndarray) -> list[np.ndarray]:
+    """Grouped tiles of the pairs with sorted candidates ``cands``, largest group
+    first, at most ``TILE_PAIRS`` slots (or one group) each: (C, W) pair slots,
+    row c one candidate's pairs, then its last pair repeated up to the
+    :func:`tefal.linalg.padded_width` of the tile's largest group."""
+    _, starts, sizes = np.unique(cands, return_index=True, return_counts=True)
+    largest_first = np.argsort(-sizes, kind="stable")
+    starts, sizes = starts[largest_first], sizes[largest_first]
+    tiles, first = [], 0
+    while first < len(sizes):
+        width = padded_width(int(sizes[first]))
+        tile = slice(first, first + max(1, TILE_PAIRS // width))    # its groups
+        tiles.append(starts[tile, None] + np.minimum(np.arange(width), sizes[tile, None] - 1))
+        first = tile.stop
+    return tiles
+
+
+def score_pairs(model: RetrievalModel, queries: Queries, corpus: Corpus,
+                texts: np.ndarray, cands: np.ndarray, workers: int | None) -> np.ndarray:
+    """Scores of the pairs (query ``texts[i]``, ``cands[i]``), ``cands``
+    sorted: one :func:`score_tile` per :func:`pair_tiles` tile, by :func:`map_tasks`."""
+    def score(slots):
+        scores = score_tile(model, queries.rows(texts[slots]), corpus, cands[slots[:, 0]])
+        real = np.diff(slots, axis=1, prepend=-1) > 0    # a padding slot repeats
+        return slots[real], scores.T[real]
+
+    out = np.empty(len(cands))
+    for slots, scores in map_tasks(score, pair_tiles(cands), workers):
+        out[slots] = scores
+    return out
+
+
 def resolve_workers(requested: int | None = None) -> int:
     """Worker count: ``requested``, or by default the CPUs this process may
-    run on, capped by TEFAL_THREADS; a count below 1 in either is a
-    :class:`tefal.config.ConfigError`."""
+    run on, capped by TEFAL_THREADS; a count in either that is no integer or
+    below 1 is a :class:`tefal.config.ConfigError`."""
     from .config import ConfigError    # config imports this module
 
     if requested is None:
         workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1)
+    elif not is_integer(requested):
+        raise ConfigError(f"threads must be an integer, got {requested!r}")
     else:
         workers = int(requested)
         if workers < 1:
@@ -385,26 +426,26 @@ def similarity_matrix(model: RetrievalModel, corpus: Corpus,
                       query_texts: np.ndarray | None = None,
                       candidates: np.ndarray | None = None,
                       workers: int | None = None) -> np.ndarray:
-    """Dense T x V matrix of text-conditioned cosine similarities, one
-    :func:`score_tile` per ``CANDIDATE_BLOCK`` candidates, by
-    :func:`map_tasks` on ``workers`` threads (by default, every usable CPU).
-    Each worker holds one tile's temporaries beside the shared matrix.  Tile
-    invariance (:func:`tefal.attention.block_forward_tile`) makes the result
-    the same for any worker count.  A candidate index outside [0, n) raises
-    ``ValueError``."""
+    """Dense T x V matrix of text-conditioned cosine similarities: one
+    :func:`score_tile` per :func:`candidate_blocks` block, by :func:`map_tasks`
+    on ``workers`` threads (by default, every usable CPU), each holding one
+    tile's temporaries beside the shared matrix.  Tile invariance
+    (:func:`tefal.attention.block_forward_tile`) makes the result the same
+    for any worker count.  Candidates not integers in [0, n) raise ValueError."""
     n = len(corpus)
-    candidates = np.asarray(np.arange(n) if candidates is None else candidates, dtype=np.intp)
+    candidates = np.asarray(np.arange(n) if candidates is None else candidates)
+    if candidates.size and not is_integer(candidates):
+        raise ValueError(f"candidates must be integer indices, got {candidates.dtype}")
     outside = candidates[(candidates < 0) | (candidates >= n)]
     if len(outside):
         raise ValueError(f"candidate index {outside[0]} is outside [0, {n})")
     queries = query_rows(model, corpus.texts if query_texts is None else query_texts)
     out = np.empty((queries.texts.shape[-1], len(candidates)))
 
-    def score_block(start):
-        block = slice(start, start + CANDIDATE_BLOCK)
+    def score_block(block):
         out[:, block] = score_tile(model, queries, corpus, candidates[block])
 
-    map_tasks(score_block, range(0, len(candidates), CANDIDATE_BLOCK), workers)
+    map_tasks(score_block, candidate_blocks(len(candidates)), workers)
     return out
 
 

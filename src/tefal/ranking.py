@@ -11,14 +11,14 @@ from typing import Callable
 import numpy as np
 
 from .corpus import Corpus
-from .linalg import ShapeError, as_matrix, pad_pairs, padded_matmul, padded_width
+from .linalg import ShapeError, as_matrix, is_integer, pad_pairs, padded_matmul
 from .model import (
-    CANDIDATE_BLOCK,
-    TILE_PAIRS,
     RetrievalModel,
+    candidate_blocks,
     map_tasks,
     query_rows,
     resolve_workers,
+    score_pairs,
     score_tile,
     similarity_matrix,
 )
@@ -110,24 +110,21 @@ class EvalStats:
 
 def compute_metrics(ranks, candidate_count: int) -> RankingMetrics:
     """R@1/5/10 (percent), median rank (lower middle for even counts), and
-    mean rank.  Every rank must lie in [1, candidate_count]."""
+    mean rank of a 1-D array of integer ranks, each in [1, candidate_count]."""
     ranks = np.asarray(ranks)
+    if ranks.ndim != 1:
+        raise ShapeError(f"ranks must be 1-D, got shape {ranks.shape}")
     if ranks.size == 0:
         raise ValueError("no ranks to aggregate")
-    if np.any(ranks < 1) or np.any(ranks > candidate_count):
-        bad = ranks[(ranks < 1) | (ranks > candidate_count)]
-        raise ValueError(
-            f"ranks must lie in [1, {candidate_count}], got {bad[:5].tolist()}")
-    ranks = ranks.astype(np.float64)
-    ordered = np.sort(ranks)
+    if not is_integer(ranks):
+        raise ValueError(f"ranks must be whole numbers, got {ranks.dtype} ranks")
+    bad = ranks[(ranks < 1) | (ranks > candidate_count)]
+    if len(bad):
+        raise ValueError(f"ranks must lie in [1, {candidate_count}], got {bad[:5].tolist()}")
     n = len(ranks)
-    return RankingMetrics(
-        r1=100.0 * int(np.sum(ranks <= 1)) / n,
-        r5=100.0 * int(np.sum(ranks <= 5)) / n,
-        r10=100.0 * int(np.sum(ranks <= 10)) / n,
-        mdr=float(ordered[(n - 1) // 2]),
-        mnr=float(np.mean(ranks)),
-    )
+    recalls = (100.0 * int(np.count_nonzero(ranks <= top)) / n for top in (1, 5, 10))
+    return RankingMetrics(*recalls, mdr=float(np.sort(ranks)[(n - 1) // 2]),
+                          mnr=float(np.mean(ranks)))
 
 
 def ranks_from_similarity(sim: np.ndarray, ids) -> np.ndarray:
@@ -170,48 +167,39 @@ def rank_exhaustive(model: RetrievalModel, corpus: Corpus,
 def _exhaustive_ranks(model: RetrievalModel, corpus: Corpus,
                       workers: int | None) -> tuple[np.ndarray, np.ndarray]:
     """Both directions' ranks of :func:`rank_exhaustive`, holding no (n, n)
-    matrix.  The n truth pairs (i, i) are scored first, in grouped tiles.
-    Then each (n, ``CANDIDATE_BLOCK``) block of :func:`score_tile` is
-    counted as it is scored, on :func:`map_tasks` workers: its columns'
-    v2t ranks are complete, and each query's t2v rank adds the block's
-    candidates ranked above its truth.  Tile invariance
+    matrix, on :func:`map_tasks` workers.  The n truth pairs (i, i) are
+    scored first (:func:`tefal.model.score_pairs`).  Then each dense block
+    (:func:`tefal.model.candidate_blocks`) is counted as it is scored: its
+    columns' v2t ranks are complete, and each query's t2v rank adds the
+    block's candidates ranked above its truth.  Tile invariance
     (:func:`tefal.attention.block_forward_tile`) gives a block's own truth
     entries the bits of the first pass, which is checked.  A non-finite
-    score names the lowest query row, as :func:`ranks_from_similarity` does.
-    """
+    score names the lowest query row, as :func:`ranks_from_similarity` does."""
     n = len(corpus)
     ids = np.asarray(corpus.ids)
     id_rank = _id_ranks(ids)
     items = np.arange(n)
     queries = query_rows(model, corpus.texts)
-    blocks = [slice(start, min(start + CANDIDATE_BLOCK, n))
-              for start in range(0, n, CANDIDATE_BLOCK)]
-    truth = np.concatenate([
-        score_tile(model, queries.rows(items[block, None]), corpus, items[block])[0]
-        for block in blocks])
+    truth = score_pairs(model, queries, corpus, items, items, workers)
+    ranks_v2t = np.empty(n, np.intp)
 
     def count_block(block: slice):
         scores = score_tile(model, queries, corpus, items[block])
         bad = np.flatnonzero(~np.isfinite(scores).all(axis=1))
         if len(bad):
-            return None, None, int(bad[0])
+            return None, int(bad[0])
         if np.any(np.diagonal(scores[block]).view(np.uint64)
                   != truth[block].view(np.uint64)):
             raise RuntimeError(f"candidates {block.start}-{block.stop - 1} score their "
                                "own queries differently in a dense tile")
-        ahead_t2v = _count_ahead(scores, truth[:, None], id_rank[block], id_rank[:, None])
-        v2t = _ranks_in_rows(scores.T, items[block], id_rank)
-        return ahead_t2v, v2t, n
+        ranks_v2t[block] = _ranks_in_rows(scores.T, items[block], id_rank)
+        return _count_ahead(scores, truth[:, None], id_rank[block], id_rank[:, None]), n
 
-    ranks_t2v, ranks_v2t, first_bad = np.ones(n, dtype=np.intp), np.empty(n, np.intp), n
-    for block, (ahead_t2v, v2t, bad) in zip(blocks, map_tasks(count_block, blocks, workers)):
-        first_bad = min(first_bad, bad)
-        if bad == n:
-            ranks_t2v += ahead_t2v
-            ranks_v2t[block] = v2t
+    counted = map_tasks(count_block, candidate_blocks(n), workers)
+    first_bad = min(bad for _, bad in counted)
     if first_bad < n:
         raise _non_finite(ids, "similarity row", first_bad)
-    return ranks_t2v, ranks_v2t
+    return 1 + sum(ahead for ahead, _ in counted), ranks_v2t
 
 
 def _stage1_rows(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
@@ -292,42 +280,6 @@ def _stage1_shortlists(score_rows: Callable[[slice], np.ndarray], k: int,
     return shortlists, ranks
 
 
-def _stage2_scores(model: RetrievalModel, corpus: Corpus, texts: np.ndarray,
-                   cands: np.ndarray, workers: int) -> np.ndarray:
-    """Model scores of the pairs (``texts[i]``, ``cands[i]``), ``cands``
-    sorted, by grouped tiles: each candidate against the texts paired with
-    it, groups packed largest first into tiles of at most ``TILE_PAIRS``
-    slots (or one group), each group padded to the
-    :func:`tefal.linalg.padded_width` of its tile's largest.  The padding
-    repeats a group's last pair, so the queries are gathered straight into
-    the padded layout."""
-    _, starts, sizes = np.unique(cands, return_index=True, return_counts=True)
-    largest_first = np.argsort(-sizes, kind="stable")
-    starts, sizes = starts[largest_first], sizes[largest_first]
-    tiles, first = [], 0
-    while first < len(sizes):
-        width = padded_width(int(sizes[first]))
-        tiles.append(slice(first, first + max(1, TILE_PAIRS // width)))
-        first = tiles[-1].stop
-    queries = query_rows(model, corpus.texts)
-
-    def score_group_tile(groups: slice):
-        # (C, T) pair index per candidate, each row padded with its group's
-        # last pair
-        width = padded_width(int(sizes[groups.start]))
-        offsets = np.minimum(np.arange(width), sizes[groups, None] - 1)
-        tile_slots = starts[groups, None] + offsets
-        scores = score_tile(model, queries.rows(texts[tile_slots]), corpus,
-                            cands[tile_slots[:, 0]])
-        real = offsets == np.arange(width)
-        return tile_slots[real], scores.T[real]
-
-    out = np.empty(len(cands))
-    for tile_slots, scores in map_tasks(score_group_tile, tiles, workers):
-        out[tile_slots] = scores
-    return out
-
-
 def rerank_two_stage(model: RetrievalModel, corpus: Corpus, k: int,
                      workers: int | None = None) -> RankingResult:
     """Text-to-video ranks: a k-item shortlist per query by cosine with the
@@ -351,7 +303,7 @@ def _rerank(model: RetrievalModel, corpus: Corpus, k: int, workers: int | None,
     n = len(corpus)
     if n == 0:
         raise ValueError("cannot rank over an empty corpus")
-    if isinstance(k, (bool, np.bool_)) or not isinstance(k, (int, np.integer)):
+    if not is_integer(k):
         raise ValueError(f"shortlist size k must be an integer, got {k!r}")
     if not 1 <= k <= n:
         raise ValueError(f"shortlist size k must lie in [1, {n}], got {k}")
@@ -377,7 +329,8 @@ def _rerank(model: RetrievalModel, corpus: Corpus, k: int, workers: int | None,
         shortlists.ravel() * n + owners if d == "t2v" else owners * n + shortlists.ravel()
         for d, (shortlists, _) in zip(directions, stage1_out)])
     pairs, inverse = np.unique(keys, return_inverse=True)
-    scores = _stage2_scores(model, corpus, pairs % n, pairs // n, workers)
+    scores = score_pairs(model, query_rows(model, corpus.texts), corpus, pairs % n,
+                         pairs // n, workers)
     stats.stage2_model_evals = len(pairs)
 
     all_ranks = []
@@ -423,7 +376,7 @@ class EvalResult:
     def as_dict(self) -> dict:
         return {
             "items": int(len(self.ranks_t2v)),
-            "k": self.k,
+            "k": None if self.k is None else int(self.k),
             "postprocess": self.postprocess,
             "metrics": {"t2v": self.t2v.as_dict(), "v2t": self.v2t.as_dict()},
             "stats": asdict(self.stats),

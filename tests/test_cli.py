@@ -15,6 +15,7 @@ import tefal
 from conftest import distinct_shortlisted_pairs, stage1_matrix
 from tefal.audiofeat import LOG_FLOOR, SAMPLE_RATE
 from tefal import cli
+from tefal import model as model_module
 from tefal.cli import build_parser, main
 from tefal.config import TrainConfig
 from tefal.corpus import synth_corpus
@@ -590,8 +591,8 @@ class TestExportAttn:
 
         monkeypatch.setattr(cli, "score_tile", spy)
         outputs = []
-        for tile_pairs in (cli.TILE_PAIRS, 300 * PAD):
-            monkeypatch.setattr(cli, "TILE_PAIRS", tile_pairs)
+        for tile_pairs in (TILE_PAIRS, 300 * PAD):
+            monkeypatch.setattr(model_module, "TILE_PAIRS", tile_pairs)
             out = tmp_path / f"attn{tile_pairs}.csv"
             assert run("export-attn", "--data", str(data / "manifest.json"),
                        "--checkpoint", str(ckpt), "--out", str(out)) == 0

@@ -2,9 +2,12 @@
 
 import dataclasses
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import MODEL_KINDS
 from tefal.attention import block_backward, block_forward
@@ -12,12 +15,13 @@ from tefal.config import ConfigError, TrainConfig
 from tefal.contrastive import cosine_rows, cosine_rows_backward, infonce
 from tefal.corpus import synth_corpus
 from tefal.fusion import FusionKind, fuse_backward, fuse_forward
-from tefal.linalg import ShapeError
+from tefal.linalg import PAD, ShapeError, padded_width
 from tefal.model import (
     batch_loss_and_grads,
     candidate_scores,
     create_model,
     named_parameters,
+    pair_tiles,
     query_rows,
     score_tile,
     similarity_matrix,
@@ -445,6 +449,26 @@ class TestTileScoring:
         with pytest.raises(ValueError, match=rf"candidate index {bad} is outside \[0, 23\)"):
             similarity_matrix(model, scoring_corpus, candidates=[3, bad, 0, -7])
 
+    @pytest.mark.parametrize("bad", [[1.7], [True, False], np.array([0.0, 2.0])])
+    def test_candidates_that_are_no_integers_are_rejected_before_scoring(
+            self, scoring_corpus, monkeypatch, bad):
+        # [1.7] used to score item 1, and [True, False] items 1 and 0
+        model = create_model(seed=15, dim=12)
+
+        def no_scoring(*args, **kwargs):
+            raise AssertionError("scored before checking the candidates")
+
+        monkeypatch.setattr(model_module, "score_tile", no_scoring)
+        with pytest.raises(ValueError, match="candidates must be integer indices"):
+            similarity_matrix(model, scoring_corpus, candidates=bad)
+
+    def test_empty_and_narrow_integer_candidates_still_score(self, scoring_corpus):
+        model = create_model(seed=15, dim=12)
+        assert similarity_matrix(model, scoring_corpus, candidates=[]).shape == (23, 0)
+        np.testing.assert_array_equal(
+            similarity_matrix(model, scoring_corpus, candidates=np.array([4, 1], np.int32)),
+            similarity_matrix(model, scoring_corpus, candidates=[4, 1]))
+
     @pytest.mark.parametrize("modality,fusion", MODEL_KINDS)
     def test_tiles_blocks_workers_and_subsets_change_no_bit(self, scoring_corpus,
                                                            monkeypatch, modality, fusion):
@@ -549,6 +573,34 @@ def per_candidate_loss_and_grads(model, corpus, indices):
             for key in params.named():
                 add(f"{name}.{key}", block_grads[key])
     return loss, grads, sim
+
+
+class TestPairTiles:
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(st.integers(1, 300), min_size=1, max_size=40),
+           st.sampled_from([8, 64, 2048]), st.integers(0, 5))
+    def test_every_pair_is_one_real_slot_of_one_padded_tile(self, sizes, tile_pairs, gap):
+        # candidate ids with gaps between them; each group's pairs are
+        # consecutive slots, as in sorted stage-2 candidates
+        cands = np.repeat(np.arange(len(sizes)) * (gap + 1), sizes)
+        with mock.patch.object(model_module, "TILE_PAIRS", tile_pairs):
+            tiles = pair_tiles(cands)
+        real = []
+        for slots in tiles:
+            width = slots.shape[1]
+            assert width % PAD == 0
+            assert slots.size <= tile_pairs or len(slots) == 1
+            groups = [np.unique(row) for row in slots]
+            assert width == padded_width(max(len(group) for group in groups))
+            for row, group in zip(slots, groups):
+                # the group's pairs in order, then its last pair repeated
+                assert row[:len(group)].tolist() == group.tolist()
+                assert np.all(row[len(group):] == group[-1])
+                assert len(set(cands[group])) == 1
+                assert np.count_nonzero(cands == cands[group[0]]) == len(group)
+                real.extend(group.tolist())
+        assert sorted(real) == list(range(len(cands)))
 
 
 class TestBatchedTraining:

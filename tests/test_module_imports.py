@@ -4,6 +4,7 @@ docstring or README.md refers to resolves."""
 
 import ast
 import importlib
+import importlib.util
 import re
 import types
 from pathlib import Path
@@ -12,7 +13,8 @@ import pytest
 
 import tefal
 
-MODULES = sorted(Path(tefal.__file__).parent.glob("*.py"))
+SRC = Path(tefal.__file__).parent
+MODULES = sorted(SRC.glob("*.py"))
 
 
 def private_imports(path: Path) -> list[str]:
@@ -123,3 +125,46 @@ def test_every_dotted_readme_reference_resolves():
     targets = readme_targets(README.read_text(encoding="utf-8"))
     assert targets
     assert [t for t in targets if not resolves(t)] == []
+
+
+# the tile geometry lives in tefal.model alone (pair_tiles, candidate_blocks)
+TILE_GEOMETRY = {"TILE_PAIRS", "CANDIDATE_BLOCK", "padded_width"}
+
+
+def tile_geometry_names(source: str) -> set[str]:
+    """The tile-geometry names that ``source`` names, as a name, an
+    attribute or an import."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update({node.name, node.asname})
+    return names & TILE_GEOMETRY
+
+
+def test_tile_geometry_names_are_found():
+    assert tile_geometry_names("from .model import TILE_PAIRS as t\n"
+                               "x = model.CANDIDATE_BLOCK + padded_width(3)\n") == TILE_GEOMETRY
+    assert tile_geometry_names((SRC / "model.py").read_text(encoding="utf-8")) == TILE_GEOMETRY
+
+
+@pytest.mark.parametrize("name", ["ranking.py", "cli.py"])
+def test_only_the_model_plans_tiles(name):
+    assert tile_geometry_names((SRC / name).read_text(encoding="utf-8")) == set()
+
+
+def test_the_line_counter_totals_are_the_files_line_counts(capsys):
+    path = Path(__file__).resolve().parents[1] / "tools" / "src_lines.py"
+    spec = importlib.util.spec_from_file_location("src_lines", path)
+    src_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(src_lines)
+    assert src_lines.main() == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    want = {p.stem: p.read_bytes().count(b"\n") for p in MODULES}
+    assert {name: int(total) for name, total, _, _ in rows[:-1]} == want
+    assert rows[-1][:2] == ["total", str(sum(want.values()))]
+    for _, total, doc, code in rows:
+        assert int(doc) + int(code) <= int(total)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import json
 import os
 import sys
 import threading
@@ -14,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import MODEL_KINDS, distinct_shortlisted_pairs, stage1_matrix
+from tefal import model as model_module
 from tefal import ranking
 from tefal.config import ConfigError
 from tefal.corpus import Corpus, synth_corpus
@@ -131,6 +133,18 @@ class TestComputeMetrics:
             compute_metrics([0, 3], 10)
         with pytest.raises(ValueError):
             compute_metrics([3, 11], 10)
+
+    @pytest.mark.parametrize("ranks", [[1.5, 2], [True, True], np.array([1.0, 2.0])])
+    def test_ranks_that_are_no_whole_numbers_are_rejected(self, ranks):
+        # [1.5, 2] used to give R@1 0 and MdR 1.5
+        with pytest.raises(ValueError, match="ranks must be whole numbers"):
+            compute_metrics(ranks, 3)
+
+    @pytest.mark.parametrize("ranks", [[[1, 2], [3, 1]], 2])
+    def test_ranks_other_than_one_dimensional_are_a_shape_error(self, ranks):
+        # a 2-D input raised numpy's bare TypeError
+        with pytest.raises(ShapeError, match="ranks must be 1-D"):
+            compute_metrics(ranks, 3)
 
 
 class TestRanksFromSimilarity:
@@ -276,8 +290,8 @@ class TestStreamedExhaustive:
         model = create_model(seed=32, dim=12, fusion=fusion, modality=modality)
         sim = similarity_matrix(model, tied_corpus, workers=1)
         want = [ranks_from_similarity(s, tied_corpus.ids) for s in (sim, sim.T)]
-        for block in (4, ranking.CANDIDATE_BLOCK):
-            monkeypatch.setattr(ranking, "CANDIDATE_BLOCK", block)
+        for block in (4, model_module.CANDIDATE_BLOCK):
+            monkeypatch.setattr(model_module, "CANDIDATE_BLOCK", block)
             for workers in (1, 2, 3):
                 result = evaluate(model, tied_corpus, workers=workers)
                 np.testing.assert_array_equal(result.ranks_t2v, want[0])
@@ -291,7 +305,7 @@ class TestStreamedExhaustive:
         texts = corpus.texts.copy()
         texts[[12, 7], 0] = np.nan
         bad = dataclasses.replace(corpus, texts=texts)
-        monkeypatch.setattr(ranking, "CANDIDATE_BLOCK", 4)
+        monkeypatch.setattr(model_module, "CANDIDATE_BLOCK", 4)
         with pytest.raises(NonFiniteScoreError) as dense:
             rank_exhaustive(model, bad)
         with pytest.raises(NonFiniteScoreError,
@@ -394,6 +408,14 @@ class TestRerankTwoStage:
         np.testing.assert_array_equal(rerank_two_stage(model, corpus, k=np.int64(5)).ranks,
                                       want.ranks_t2v)
 
+    def test_a_numpy_integer_k_serializes_as_the_int(self):
+        # json.dumps raised TypeError on the np.int64 k
+        corpus = synth_corpus(seed=11, n_items=12, dim=8, frames=2, audio_tokens=3)
+        model = create_model(seed=3, dim=8)
+        got = evaluate(model, corpus, k=np.int64(3)).as_dict()
+        assert type(got["k"]) is int
+        assert json.dumps(got) == json.dumps(evaluate(model, corpus, k=3).as_dict())
+
     @pytest.mark.parametrize("direction", ["t2v", "v2t"])
     def test_worker_count_and_tile_size_do_not_change_ranks(
             self, small_setup, direction, monkeypatch):
@@ -401,7 +423,7 @@ class TestRerankTwoStage:
         base = rerank_ranks(model, corpus, 7, direction, workers=1)
         threaded = rerank_ranks(model, corpus, 7, direction, workers=3)
         np.testing.assert_array_equal(threaded, base)
-        monkeypatch.setattr(ranking, "TILE_PAIRS", 5)
+        monkeypatch.setattr(model_module, "TILE_PAIRS", 5)
         for workers in (1, 3):
             small_tiles = rerank_ranks(model, corpus, 7, direction, workers=workers)
             np.testing.assert_array_equal(small_tiles, base)
@@ -567,7 +589,7 @@ class TestRerankOracle:
             want = lexsort_rerank_oracle(sim.T, stage1.T, k, corpus.ids)
         else:
             want = lexsort_rerank_oracle(sim, stage1, k, corpus.ids)
-        with mock.patch.object(ranking, "TILE_PAIRS", tile_pairs), stub_stage1(stage1):
+        with mock.patch.object(model_module, "TILE_PAIRS", tile_pairs), stub_stage1(stage1):
             got = rerank_ranks(ORACLE_MODEL, corpus, k, direction)
         assert got.tolist() == want
 
@@ -588,7 +610,7 @@ class TestRerankBothDirections:
             synth_corpus(seed=n, n_items=n, dim=6, frames=2, audio_tokens=3),
             ids=[f"id{p:02d}" for p in perm])
         stage1 = np.reshape(levels, (n, n)) / 2.0
-        with mock.patch.object(ranking, "TILE_PAIRS", tile_pairs), stub_stage1(stage1):
+        with mock.patch.object(model_module, "TILE_PAIRS", tile_pairs), stub_stage1(stage1):
             (ranks_t2v, ranks_v2t), stats = ranking._rerank(
                 ORACLE_MODEL, corpus, k, workers, ranking.DIRECTIONS)
             for direction, got in (("t2v", ranks_t2v), ("v2t", ranks_v2t)):
@@ -615,13 +637,13 @@ class TestRerankBothDirections:
         model, corpus = small_setup
         k = 7
         scored = []
-        real = ranking._stage2_scores
+        real = ranking.score_pairs
 
-        def spy(model, corpus, texts, cands, workers):
+        def spy(model, queries, corpus, texts, cands, workers):
             scored.append(list(zip(texts.tolist(), cands.tolist())))
-            return real(model, corpus, texts, cands, workers)
+            return real(model, queries, corpus, texts, cands, workers)
 
-        with mock.patch.object(ranking, "_stage2_scores", spy):
+        with mock.patch.object(ranking, "score_pairs", spy):
             result = evaluate(model, corpus, k=k)
         assert len(scored) == 1
         assert len(set(scored[0])) == len(scored[0]) == result.stats.stage2_model_evals
@@ -635,18 +657,18 @@ class TestRerankBothDirections:
         corpus = synth_corpus(seed=31, n_items=400, dim=8, frames=2, audio_tokens=2)
         model = create_model(seed=32, dim=8)
         tiles = []
-        real = ranking.score_tile
+        real = model_module.score_tile
 
         def spy(model, queries, corpus, cols, keep=False):
             tiles.append(queries.texts.shape[1:])
             return real(model, queries, corpus, cols, keep)
 
-        with mock.patch.object(ranking, "score_tile", spy):
+        with mock.patch.object(model_module, "score_tile", spy):
             evaluate(model, corpus, k=k, workers=1)
         assert len(tiles) > 1
         for candidates, width in tiles:
             assert width % PAD == 0
-            assert candidates * width <= ranking.TILE_PAIRS
+            assert candidates * width <= model_module.TILE_PAIRS
 
 
 class TestNonFiniteModelScores:
@@ -805,6 +827,14 @@ class TestWorkers:
         monkeypatch.delenv("TEFAL_THREADS", raising=False)
         with pytest.raises(ConfigError, match=f"threads must be >= 1, got {requested}"):
             resolve_workers(requested)
+
+    @pytest.mark.parametrize("requested", [2.5, True, np.float64(2.0), "2"])
+    def test_a_count_that_is_no_integer_is_a_config_error(self, monkeypatch, requested):
+        # 2.5 used to run 2 workers
+        monkeypatch.delenv("TEFAL_THREADS", raising=False)
+        with pytest.raises(ConfigError, match="threads must be an integer"):
+            resolve_workers(requested)
+        assert resolve_workers(np.int32(2)) == 2
 
     @pytest.mark.parametrize("cap", ["0", "-4"])
     def test_env_cap_below_one_is_a_config_error(self, monkeypatch, cap):
