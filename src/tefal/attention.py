@@ -48,6 +48,7 @@ __all__ = [
     "project_queries_backward",
     "canonical_rows",
     "project_candidates",
+    "scaled_softmax_",
     "attend_tile",
     "block_forward_tile",
     "block_backward_tile",
@@ -140,7 +141,8 @@ def _single_candidate_tile(params: XAttnParams, text: np.ndarray,
                            context: np.ndarray):
     """:func:`block_forward_tile` on a dense tile of one candidate."""
     context = _check_rows(params, context, "context")
-    return block_forward_tile(params, project_queries(params, text), context.T[:, :, None])
+    return block_forward_tile(params, project_queries(params, text)[:, None],
+                              context.T[:, :, None])
 
 
 def conditioned_embedding(params: XAttnParams, text: np.ndarray,
@@ -279,7 +281,7 @@ class Candidates:
 class TileCache(Candidates):
     """Forward intermediates of :func:`block_forward_tile`, one (., T) item
     per candidate, context rows in canonical order."""
-    q: np.ndarray             # (D_p, T) shared, or (C, D_p, T)
+    q: np.ndarray             # (1, D_p, T) shared, or (C, D_p, T)
     weights: np.ndarray       # (C, n, T)
     proj: np.ndarray          # (D_p, C, T), pooled W_o
 
@@ -306,22 +308,30 @@ def project_candidates(params: XAttnParams, contexts: np.ndarray,
     return Candidates(order, contexts, c_n, xhat, rows @ w_kv)
 
 
+def scaled_softmax_(logits: np.ndarray, proj_dim: int, axis: int) -> np.ndarray:
+    """In place, the attention weights ``softmax(logits / sqrt(proj_dim))``
+    over the context rows along ``axis``.  numpy sums them in row order when
+    two or more elements trail ``axis``, or when ``axis`` has two rows."""
+    logits *= 1.0 / math.sqrt(proj_dim)
+    logits -= logits.max(axis=axis, keepdims=True)
+    weights = np.exp(logits, out=logits)
+    weights *= 1.0 / weights.sum(axis=axis, keepdims=True)
+    return weights
+
+
 def attend_tile(params: XAttnParams, q: np.ndarray, cands: Candidates,
                 cols: slice = slice(None), keep: bool = False):
     """``(out, cache)`` of the query side of :func:`block_forward_tile` for
-    ``cols`` of ``cands``; ``cache`` only with ``keep``, which needs all of
-    ``cands``."""
+    ``cols`` of ``cands``, ``q`` (D_p, 1, T) or (D_p, C, T) for C ``cols``;
+    ``cache`` only with ``keep``, which needs all of ``cands``."""
     p, kv = params.proj_dim, cands.kv[cols]
     q = np.ascontiguousarray(q, dtype=np.float64)
-    if q.ndim not in (2, 3) or q.shape[0] != p or (q.ndim == 3 and q.shape[1] != len(kv)):
-        raise ShapeError(f"q must be ({p}, T) or ({p}, {len(kv)}, T), got {q.shape}")
+    if q.ndim != 3 or q.shape[0] != p or q.shape[1] not in (1, len(kv)):
+        raise ShapeError(f"q must be ({p}, 1, T) or ({p}, {len(kv)}, T), got {q.shape}")
     t = q.shape[-1]
-    items = q if q.ndim == 2 else q.transpose(1, 0, 2)                # (C, D_p, T)
+    items = q.transpose(1, 0, 2)                                      # (1 or C, D_p, T)
     logits = padded_matmul(kv[:, :, :p], items)                       # (C, n, T_pad)
-    logits *= 1.0 / math.sqrt(p)
-    logits -= logits.max(axis=1, keepdims=True)
-    weights = np.exp(logits, out=logits)
-    weights *= 1.0 / weights.sum(axis=1, keepdims=True)
+    weights = scaled_softmax_(logits, p, axis=1)
     # pooled W_o straight into the (D_p, C, T_pad) layout of LN_o
     proj = np.empty((p, len(kv), weights.shape[-1]))
     padded_matmul(kv[:, :, p:].transpose(0, 2, 1), weights, out=proj.transpose(1, 0, 2))
@@ -337,11 +347,11 @@ def block_forward_tile(params: XAttnParams, q: np.ndarray, contexts: np.ndarray)
     tile, pair-last (the feature or context-row axis first, then the (C, T)
     pair axes), by :func:`project_candidates`, then :func:`attend_tile`.
 
-    ``contexts`` is (D, n, C).  ``q`` holds :func:`project_queries` columns:
-    (D_p, T) shared by every candidate (a dense tile), or (D_p, C, T), each
-    candidate's own queries (a grouped tile).  Returns the (D_p, C, T)
-    outputs and the :class:`TileCache` that :func:`block_backward_tile`
-    reverses.
+    ``contexts`` is (D, n, C).  ``q`` holds :func:`project_queries` columns
+    with a candidate axis: (D_p, 1, T), shared by every candidate (a dense
+    tile), or (D_p, C, T), each candidate's own queries (a grouped tile).
+    Returns the (D_p, C, T) outputs and the :class:`TileCache` that
+    :func:`block_backward_tile` reverses.
 
     Tile invariance: a pair's output depends only on its own query and
     candidate, so no tiling, candidate block, subset or worker count
@@ -356,12 +366,13 @@ def block_forward_tile(params: XAttnParams, q: np.ndarray, contexts: np.ndarray)
     (:func:`tefal.linalg.padded_matmul`), one column per query, so a
     column keeps its bits whatever queries and candidates share the tile;
     :func:`project_queries` and the late and concat_fc fusions are padded
-    products too.  The softmax sums run over the context rows of a
-    (C, n, T_pad) array whose trailing axis is at least ``PAD`` wide, so
-    numpy adds each column's terms in row order; the LayerNorm sums go
-    through :func:`tefal.linalg.sum_leading`.  Fusion, the xattn block's
-    own products among it (:func:`tefal.fusion._xattn_products`), and cosine
-    follow the same rules, so a score, too, depends only on its pair.
+    products too.  The softmax (:func:`scaled_softmax_`) sums run over the
+    context rows of a (C, n, T_pad) array whose trailing axis is at least
+    ``PAD`` wide, so numpy adds each column's terms in row order; the
+    LayerNorm sums go through :func:`tefal.linalg.sum_leading`.  Fusion,
+    the xattn block's own products among it
+    (:func:`tefal.fusion._xattn_products`), and cosine follow the same
+    rules, so a score, too, depends only on its pair.
     """
     return attend_tile(params, q, project_candidates(params, contexts, keep=True), keep=True)
 
@@ -406,9 +417,9 @@ def block_backward_tile(params: XAttnParams, cache: TileCache, d_out: np.ndarray
         d_contexts = None
         d_gc, d_bc = layernorm_affine_grads(d_cn, cache.xhat, axis=0)
     d_m = d_wkv[:, p:]
-    grads = {
+    grads = {    # in the order of XAttnParams.named()
         "w_k": d_wkv[:, :p], "w_v": d_m @ params.w_o.T, "w_o": params.w_v.T @ d_m,
         "ln_c_gain": d_gc, "ln_c_bias": d_bc,
         "ln_o_gain": d_go, "ln_o_bias": d_bo,
     }
-    return {name: grads[name] for name in params.named() if name in grads}, d_q, d_contexts
+    return grads, d_q, d_contexts

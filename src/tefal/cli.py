@@ -168,11 +168,10 @@ def _cmd_export_attn(args) -> int:
     queries = query_rows(model, corpus.texts)
     rows = []
     for slots in pair_tiles(np.arange(len(corpus))):
-        cols = slots[:, 0]
-        _, tape = score_tile(model, queries.rows(cols[:, None]), corpus, cols, keep=True)
+        _, tape = score_tile(model, queries.rows(slots), corpus, slots[:, 0], keep=True)
         per_block = {name: cache.caller_weights()[:, :, 0]
                      for name, cache in tape.blocks.items()}
-        for c, i in enumerate(cols):
+        for c, i in enumerate(slots[:, 0]):
             rows.extend((corpus.ids[i], name, w[:, c]) for name, w in per_block.items())
     if args.format == "json":
         _emit_json({"items": [

@@ -44,6 +44,8 @@ class Corpus:
             raise ShapeError("texts, frames, and audio must have one entry per item")
         if self.texts.ndim != 2 or self.frames.ndim != 3 or self.audio.ndim != 3:
             raise ShapeError("texts must be (n, D); frames and audio must be (n, rows, D)")
+        if np.shape(self.has_audio) != (n,):
+            raise ShapeError(f"has_audio must be ({n},), got {np.shape(self.has_audio)}")
         dim = self.texts.shape[1]
         if self.frames.shape[2] != dim or self.audio.shape[2] != dim:
             raise ShapeError(

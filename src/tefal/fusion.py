@@ -31,8 +31,9 @@ from .attention import (
     XAttnParams,
     block_backward_tile,
     project_candidates,
+    scaled_softmax_,
 )
-from .linalg import ShapeError, as_matrix, layernorm_rows, padded_matmul, sum_leading
+from .linalg import ShapeError, as_matrix, layernorm_rows, padded_matmul
 
 __all__ = ["FusionKind", "FusionParams", "FusionError", "audio_summary",
            "fuse_forward", "fuse_backward"]
@@ -125,14 +126,10 @@ def _xattn_products(q: np.ndarray, kv: np.ndarray, p: int):
     an output axis innermost (a pair axis, or for a single pair a feature or
     row axis), numpy adds each output's terms one at a time in the order of
     the summed axis, for any tile: so K is laid out (D_p, n, C) and V W_o
-    (n, D_p, C)."""
+    (n, D_p, C).  The softmax, :func:`tefal.attention.scaled_softmax_`, has n = 2."""
     k = np.ascontiguousarray(kv[:, :, :p].transpose(2, 1, 0))        # (D_p, n, C)
     vo = np.ascontiguousarray(kv[:, :, p:].transpose(1, 2, 0))       # (n, D_p, C)
-    logits = np.einsum("pct,pnc->nct", q, k)
-    logits *= 1.0 / math.sqrt(p)
-    logits -= logits.max(axis=0)
-    weights = np.exp(logits, out=logits)
-    weights *= 1.0 / sum_leading(weights)
+    weights = scaled_softmax_(np.einsum("pct,pnc->nct", q, k), p, axis=0)
     return weights.transpose(1, 0, 2), np.einsum("nct,npc->pct", weights, vo)
 
 

@@ -87,8 +87,10 @@ class RetrievalModel:
 def create_model(seed: int, dim: int, proj_dim: int | None = None,
                  fusion: FusionKind | str = FusionKind.ADDITION,
                  modality: str = "both", tau: float = TAU_INIT) -> RetrievalModel:
-    """A freshly initialized model.  The cosine compares the query text
-    with the fused embedding, so ``proj_dim`` must equal ``dim``."""
+    """A freshly initialized model.  The cosine compares the query text with
+    the fused embedding, so ``proj_dim`` must equal ``dim``, a positive integer."""
+    if not is_integer(dim) or dim < 1:
+        raise ShapeError(f"dim must be a positive integer, got {dim!r}")
     if proj_dim is None:
         proj_dim = dim
     if proj_dim != dim:
@@ -176,27 +178,25 @@ def candidate_scores(model: RetrievalModel, texts: np.ndarray, corpus: Corpus,
     texts = np.asarray(texts, dtype=np.float64)
     outputs = {name: block_forward(_params(model, name), texts, rows[0])[0].T
                for name, rows in _contexts(model, corpus, [j]).items()}
-    fused, _ = _fuse(model, outputs, query_rows(model, texts).blocks.get("xattn"),
+    xattn = query_rows(model, texts).blocks.get("xattn")
+    fused, _ = _fuse(model, outputs, None if xattn is None else xattn[:, 0],
                      lambda: corpus.audio[j].mean(axis=0)[:, None])
     return cosine_rows(texts.T, fused)
 
 
 @dataclass
 class Queries:
-    """Query texts and each block's ``LN_q(text) W_q``, one column per text;
-    ``ln``, each block's kept ``LN_q`` (:func:`query_rows` with ``keep``)."""
+    """Query texts and each block's ``LN_q(text) W_q``, (., 1, T) columns that
+    broadcast over a tile's candidates; ``ln``, each block's kept ``LN_q``."""
     texts: np.ndarray
     blocks: dict[str, np.ndarray]
     ln: dict | None = None
 
     def rows(self, index) -> "Queries":
-        index = np.asarray(index)
-
-        def take(x):
-            # one flat gather: faster than np.take with a 2-D index
-            return np.take(x, index.ravel(), axis=-1).reshape(x.shape[:-1] + index.shape)
-
-        return Queries(take(self.texts), {name: take(q) for name, q in self.blocks.items()})
+        """Each candidate's own queries: (., C, T) for a (C, T) ``index``."""
+        return Queries(np.take(self.texts[:, 0], index, axis=-1),
+                       {name: np.take(q[:, 0], index, axis=-1)
+                        for name, q in self.blocks.items()})
 
 
 def query_rows(model: RetrievalModel, texts: np.ndarray, keep: bool = False) -> Queries:
@@ -206,10 +206,10 @@ def query_rows(model: RetrievalModel, texts: np.ndarray, keep: bool = False) -> 
     texts = np.asarray(texts, dtype=np.float64)
     blocks = {name: project_queries(_params(model, name), texts, keep)
               for name in _blocks(model)}
+    columns = np.ascontiguousarray(texts.T)[:, None]
     if not keep:
-        return Queries(np.ascontiguousarray(texts.T), blocks)
-    return Queries(np.ascontiguousarray(texts.T),
-                   {name: q for name, (q, _) in blocks.items()},
+        return Queries(columns, {name: q[:, None] for name, q in blocks.items()})
+    return Queries(columns, {name: q[:, None] for name, (q, _) in blocks.items()},
                    {name: ln for name, (_, ln) in blocks.items()})
 
 
@@ -227,13 +227,13 @@ def score_tile(model: RetrievalModel, queries: Queries, corpus: Corpus,
     """(T, C) cosine scores of query rows against candidates ``cols``; with
     ``keep``, the pair ``(scores, TileTape)``.
 
-    ``queries`` arrays of shape (., T) score every candidate against the
-    same T queries (a dense tile); of shape (., C, T), from ``queries.rows``
-    with a (C, T) index, entry (t, c) scores ``cols[c]`` against its
-    ``t``-th query (a grouped tile).  The candidates are projected once;
-    a dense tile attends in tiles of at most ``TILE_PAIRS`` pairs, counted
-    padded (:func:`tefal.linalg.padded_width`), unless ``keep``.  Tile
-    invariance: :func:`tefal.attention.block_forward_tile`.
+    ``queries`` arrays of shape (., 1, T), from :func:`query_rows`, score
+    every candidate against the same T queries (a dense tile); of shape
+    (., C, T), from ``queries.rows`` with a (C, T) index, entry (t, c)
+    scores ``cols[c]`` against its ``t``-th query (a grouped tile).  The
+    candidates are projected once; a dense tile attends in tiles of at most
+    ``TILE_PAIRS`` pairs, counted padded (:func:`tefal.linalg.padded_width`),
+    unless ``keep``.  Tile invariance: :func:`tefal.attention.block_forward_tile`.
     """
     cols = np.asarray(cols, dtype=np.intp)
     cands = {name: project_candidates(_params(model, name), rows.T, keep)
@@ -244,12 +244,8 @@ def score_tile(model: RetrievalModel, queries: Queries, corpus: Corpus,
         tokens = canonical_rows(corpus.audio[cols].T)
         return (sum_leading(tokens.transpose(1, 0, 2)) / tokens.shape[1])[:, :, None]
 
-    def per_pair(x):
-        # a dense tile's (., T) columns broadcast over the candidates
-        return x if x is None or x.ndim == 3 else x[:, None, :]
-
     t = queries.texts.shape[-1]
-    width = max(1, len(cols) if keep or queries.texts.ndim == 3
+    width = max(1, len(cols) if keep or queries.texts.shape[1] > 1
                 else TILE_PAIRS // padded_width(t))
     scores = np.empty((t, len(cols)))
     for start in range(0, len(cols), width):
@@ -258,9 +254,9 @@ def score_tile(model: RetrievalModel, queries: Queries, corpus: Corpus,
         for name, block in cands.items():
             outputs[name], caches[name] = attend_tile(
                 _params(model, name), queries.blocks[name], block, tile, keep)
-        fused, fusion_cache = _fuse(model, outputs, per_pair(queries.blocks.get("xattn")),
+        fused, fusion_cache = _fuse(model, outputs, queries.blocks.get("xattn"),
                                     lambda: token_means()[:, tile], keep)
-        tile_scores, cos_cache = cosine_rows(per_pair(queries.texts), fused)
+        tile_scores, cos_cache = cosine_rows(queries.texts, fused)
         scores[:, tile] = tile_scores.T
     return (scores, TileTape(caches, fusion_cache, cos_cache)) if keep else scores
 
@@ -273,16 +269,18 @@ def candidate_blocks(n: int) -> list[slice]:
 
 def pair_tiles(cands: np.ndarray) -> list[np.ndarray]:
     """Grouped tiles of the pairs with sorted candidates ``cands``, largest group
-    first, at most ``TILE_PAIRS`` slots (or one group) each: (C, W) pair slots,
-    row c one candidate's pairs, then its last pair repeated up to the
-    :func:`tefal.linalg.padded_width` of the tile's largest group."""
+    first, at most ``TILE_PAIRS`` padded slots (or one group) each: (C, W) pair
+    slots, row c one candidate's pairs, then its last pair repeated up to the
+    :func:`tefal.linalg.padded_width` of the tile's largest group.  A tile of
+    lone pairs keeps W = 1, as repeats would only score each pair again."""
     _, starts, sizes = np.unique(cands, return_index=True, return_counts=True)
     largest_first = np.argsort(-sizes, kind="stable")
     starts, sizes = starts[largest_first], sizes[largest_first]
     tiles, first = [], 0
     while first < len(sizes):
-        width = padded_width(int(sizes[first]))
-        tile = slice(first, first + max(1, TILE_PAIRS // width))    # its groups
+        largest = int(sizes[first])
+        tile = slice(first, first + max(1, TILE_PAIRS // padded_width(largest)))
+        width = padded_width(largest) if largest > 1 else 1
         tiles.append(starts[tile, None] + np.minimum(np.arange(width), sizes[tile, None] - 1))
         first = tile.stop
     return tiles

@@ -83,9 +83,9 @@ def _fd_scalar(arrays: dict, forward, analytic: dict) -> float:
 
 
 def _primitive_check(forward, backward, arrays: dict, seed: int) -> float:
-    """A linalg primitive ``forward(*arrays)`` against its ``backward(d_out,
-    out)``, which returns one gradient per array, under the fixed cotangent
-    drawn from ``default_rng(seed)``."""
+    """A primitive ``forward(*arrays)`` against its ``backward(d_out, out)``,
+    which returns one gradient per array, under the fixed cotangent drawn
+    from ``default_rng(seed)``."""
     out = forward(*arrays.values())
     d_out = np.random.default_rng(seed).standard_normal(out.shape)
     analytic = dict(zip(arrays, backward(d_out, out)))
@@ -93,29 +93,29 @@ def _primitive_check(forward, backward, arrays: dict, seed: int) -> float:
                       analytic)
 
 
-def _block_tile_check(seed: int, grouped: bool) -> float:
-    """The tile kernel on C=2 candidates of 3 rows and T=2 queries, shared
-    (dense) or per candidate (grouped).  ``q_shift`` is added to the query
-    projections, so its gradient is the ``d_q`` of
-    :func:`block_backward_tile`.  The context rows are laid out in reverse
-    canonical order, so ``d_contexts`` must be mapped back out of it."""
+def _block_tile_check(seed: int, sets: int) -> float:
+    """The tile kernel on C=2 candidates of 3 rows and T=2 queries, from 1
+    query set shared by both (dense) or 2, one each (grouped).  ``q_shift``
+    is added to the query projections, so its gradient is the ``d_q`` of
+    :func:`block_backward_tile` summed over the candidates of a set.  The
+    context rows are laid out in reverse canonical order, so ``d_contexts``
+    must be mapped back out of it."""
     rng = np.random.default_rng(seed)
     params = XAttnParams.create(rng, 6, 4)
-    texts = rng.standard_normal((4 if grouped else 2, 6))
+    texts = rng.standard_normal((2 * sets, 6))
     contexts = rng.standard_normal((6, 3, 2))
     cotangent = rng.standard_normal((4, 2, 2))
-    q_shift = np.zeros((4, 2, 2) if grouped else (4, 2))
+    q_shift = np.zeros((4, sets, 2))
 
     def tile():
-        q = project_queries(params, texts)
-        q = (q.reshape(4, 2, 2) if grouped else q) + q_shift
+        q = project_queries(params, texts).reshape(4, sets, 2) + q_shift
         return block_forward_tile(params, q, contexts)
 
     order = tile()[1].order
     contexts[...] = np.take(contexts.reshape(6, -1), order[::-1], axis=1)
     _, cache = tile()
     grads, d_q, d_contexts = block_backward_tile(params, cache, cotangent)
-    d_q = d_q if grouped else d_q.sum(axis=1)
+    d_q = d_q.reshape(4, sets, -1, 2).sum(axis=2)
     _, ln = project_queries(params, texts, keep=True)
     grads.update(project_queries_backward(params, ln, d_q.reshape(4, -1)))
     arrays = {**params.named(), "q": q_shift, "contexts": contexts}
@@ -163,34 +163,6 @@ def _fusion_check(kind: FusionKind, seed: int) -> float:
     return _fd_scalar(arrays, forward, analytic)
 
 
-def _cosine_check(seed: int) -> float:
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal((4, 3))     # pair-last: 3 pairs of 4 features
-    f = rng.standard_normal((4, 3))
-    cotangent = rng.standard_normal(3)
-    scores, cache = cosine_rows(u, f)
-    analytic = {"f": cosine_rows_backward(cotangent, cache)}
-
-    def forward():
-        s, _ = cosine_rows(u, f)
-        return float(np.sum(cotangent * s))
-
-    return _fd_scalar({"f": f}, forward, analytic)
-
-
-def _infonce_check(seed: int) -> float:
-    rng = np.random.default_rng(seed)
-    sim = rng.uniform(-1.0, 1.0, size=(3, 3))
-    temp = Temperature.from_tau(5.0)
-    _, d_sim, d_log = infonce(sim, temp)
-    analytic = {"sim": d_sim, "log_scale": d_log}
-
-    def forward():
-        return infonce(sim, temp)[0]
-
-    return _fd_scalar({"sim": sim, "log_scale": temp.log_scale}, forward, analytic)
-
-
 def end_to_end_check(fusion: str = "addition", modality: str = "both",
                      seed: int = 0) -> float:
     """Finite differences through the whole training loss on a toy model
@@ -227,8 +199,9 @@ def run_grad_checks(seed: int = 0) -> list[CheckResult]:
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    logits, m, gain, bias = (rng.standard_normal(shape)
-                             for shape in ((2, 5), (2, 8), (1, 8), (1, 8)))
+    logits, m, gain, bias, u, f = (rng.standard_normal(shape) for shape in (
+        (2, 5), (2, 8), (1, 8), (1, 8), (4, 3), (4, 3)))    # u, f: 3 pairs, pair-last
+    sim, log_scale = rng.uniform(-1.0, 1.0, size=(3, 3)), Temperature.from_tau(5.0).log_scale
     results = [
         CheckResult("softmax_rows", _primitive_check(
             softmax_rows, lambda d_out, out: [softmax_rows_backward(d_out, out)],
@@ -236,12 +209,16 @@ def run_grad_checks(seed: int = 0) -> list[CheckResult]:
         CheckResult("layernorm_rows", _primitive_check(
             layernorm_rows, lambda d_out, out: layernorm_rows_backward(d_out, m, gain),
             {"m": m, "gain": gain, "bias": bias}, seed), PRIMITIVE_TOL),
-        CheckResult("attention_block", _block_tile_check(seed, grouped=False),
-                    PRIMITIVE_TOL),
-        CheckResult("attention_block_tile", _block_tile_check(seed, grouped=True),
-                    PRIMITIVE_TOL),
-        CheckResult("cosine_similarity", _cosine_check(seed), PRIMITIVE_TOL),
-        CheckResult("infonce", _infonce_check(seed), PRIMITIVE_TOL),
+        CheckResult("attention_block", _block_tile_check(seed, sets=1), PRIMITIVE_TOL),
+        CheckResult("attention_block_tile", _block_tile_check(seed, sets=2), PRIMITIVE_TOL),
+        CheckResult("cosine_similarity", _primitive_check(
+            lambda f: cosine_rows(u, f)[0],
+            lambda d_out, out: [cosine_rows_backward(d_out, cosine_rows(u, f)[1])],
+            {"f": f}, seed), PRIMITIVE_TOL),
+        CheckResult("infonce", _primitive_check(
+            lambda sim, log_scale: np.asarray(infonce(sim, Temperature(log_scale))[0]),
+            lambda d_out, out: [d_out * g for g in infonce(sim, Temperature(log_scale))[1:]],
+            {"sim": sim, "log_scale": log_scale}, seed), PRIMITIVE_TOL),
     ]
     for kind in (FusionKind.ADDITION, FusionKind.LATE, FusionKind.CONCAT_FC,
                  FusionKind.XATTN):

@@ -8,6 +8,7 @@ import pytest
 from tefal.attention import (
     XAttnParams,
     attend,
+    attend_tile,
     block_backward,
     block_backward_tile,
     block_forward,
@@ -40,7 +41,7 @@ def tile_cache(params, text, context):
     """The tile kernel's cache for one candidate ``context`` (n, D) against
     the (1, D) ``text``, with K and V W_o mapped to the caller's row order
     as (n, D_p) rows."""
-    _, cache = block_forward_tile(params, project_queries(params, text),
+    _, cache = block_forward_tile(params, project_queries(params, text)[:, None],
                                   context.T[:, :, None])
     back = np.argsort(cache.order[:, 0])    # caller row -> canonical position
     p = params.proj_dim
@@ -279,6 +280,23 @@ class TestProjectCandidates:
             assert alone.kv[0].tobytes() == stack.kv[c].tobytes()
 
 
+class TestQueryLayout:
+    def test_queries_without_a_candidate_axis_are_a_shape_error(self):
+        # a tile's queries are (D_p, 1, T), shared, or (D_p, C, T)
+        rng = np.random.default_rng(42)
+        params = make_params(seed=43, dim=6, proj=4)
+        q = project_queries(params, rng.standard_normal((2, 6)))
+        contexts = rng.standard_normal((6, 3, 2))
+        for bad in (q, q.reshape(4, 2, 1, 1), q[:, None].repeat(3, axis=1)):
+            with pytest.raises(ShapeError, match=r"q must be \(4, 1, T\)"):
+                block_forward_tile(params, bad, contexts)
+            with pytest.raises(ShapeError, match=r"q must be \(4, 1, T\)"):
+                attend_tile(params, bad, project_candidates(params, contexts))
+        dense, _ = block_forward_tile(params, q[:, None], contexts)
+        grouped, _ = block_forward_tile(params, q[:, None].repeat(2, axis=1), contexts)
+        assert dense.tobytes() == grouped.tobytes()
+
+
 class TestBlockGradients:
     def test_backward_matches_finite_differences(self):
         # the per-candidate reference: every parameter, the text and the context
@@ -307,7 +325,7 @@ class TestBlockGradients:
         rng = np.random.default_rng(30)
         params = make_params(seed=31, dim=6, proj=4)
         q = project_queries(params, rng.standard_normal((6 if grouped else 2, 6)))
-        q = q.reshape(4, 3, 2) if grouped else q
+        q = q.reshape(4, 3, 2) if grouped else q.reshape(4, 1, 2)
         contexts = rng.standard_normal((6, 5, 3))
         _, cache = block_forward_tile(params, q, contexts)
         cotangent = rng.standard_normal((4, 3, 2))

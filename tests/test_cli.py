@@ -1,5 +1,7 @@
 """Command-line harness: subcommands, exit codes, artifact reproducibility."""
 
+import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -24,6 +26,7 @@ from tefal.linalg import PAD
 from tefal.model import MODALITIES, TILE_PAIRS, create_model, named_parameters
 from tefal.storage import (load_checkpoint, load_corpus, read_fbank, save_checkpoint,
                            save_corpus)
+from tefal.verify import CheckResult
 
 
 def run(*argv):
@@ -708,3 +711,31 @@ class TestEnvironments:
             for command in ("eval", "rerank"):
                 assert len({digests[0][f"{fusion}.{command}.{tag}.json"]
                             for tag in ("default", "1", "2")}) == 1
+
+
+class TestArtifactDigestsTool:
+    def test_it_digests_every_artifact_of_every_kind(self, tmp_path, monkeypatch, capsys):
+        path = Path(__file__).resolve().parents[1] / "tools" / "artifact_digests.py"
+        spec = importlib.util.spec_from_file_location("artifact_digests", path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        # the gradient checks take seconds at any corpus size
+        monkeypatch.setattr(cli, "run_grad_checks", lambda seed: [
+            CheckResult(f"seed{seed}", 0.0, 1.0)])
+        assert tool.main([str(tmp_path / "out"), "--seeds", "3", "--items", "48"]) == 0
+        digests = dict(line.split(" ") for line in capsys.readouterr().out.splitlines())
+        kinds = ["both-addition", "both-late", "both-concat_fc", "both-xattn",
+                 "both-stacking", "video-addition", "audio-addition"]
+        per_kind = ["attn.csv", "attn.json", "checkpoint", "eval.json", "eval_dsl30.json",
+                    "eval_threads1.json", "log.json", "rerank_k10pct.json",
+                    "rerank_k40_threads1.json"]
+        corpus = ["audio.emb1", "audio_summary.emb1", "manifest.json", "text.emb1",
+                  "video.emb1"]
+        assert sorted(digests) == sorted(
+            [f"gradcheck_seed{seed}.txt" for seed in (0, 1)]
+            + [f"seed3/corpus/{name}" for name in corpus]
+            + [f"seed3/{kind}/{name}" for kind in kinds for name in per_kind])
+        for name, digest in digests.items():
+            data = (tmp_path / "out" / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest
+        assert (tmp_path / "out" / "gradcheck_seed1.txt").read_text().startswith("seed1 ")

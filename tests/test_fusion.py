@@ -120,7 +120,7 @@ class TestStacking:
         scores = score_tile(model, query_rows(model, texts), corpus, cols)
         stacked = np.stack([np.vstack([corpus.frames[j], corpus.summary_rows()[j:j + 1]])
                             for j in cols])
-        q = project_queries(model.video, texts)
+        q = project_queries(model.video, texts)[:, None]
         fused, _ = block_forward_tile(model.video, q, stacked.transpose(2, 1, 0))
         expected, _ = cosine_rows(texts.T[:, None, :], fused)
         np.testing.assert_array_equal(scores, expected.T)

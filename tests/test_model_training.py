@@ -15,7 +15,7 @@ from tefal.config import ConfigError, TrainConfig
 from tefal.contrastive import cosine_rows, cosine_rows_backward, infonce
 from tefal.corpus import synth_corpus
 from tefal.fusion import FusionKind, fuse_backward, fuse_forward
-from tefal.linalg import PAD, ShapeError, padded_width
+from tefal.linalg import ShapeError, padded_width
 from tefal.model import (
     batch_loss_and_grads,
     candidate_scores,
@@ -86,6 +86,11 @@ class TestModelAssembly:
     def test_modality_validated(self):
         with pytest.raises(ValueError, match="modality"):
             create_model(seed=0, dim=8, modality="text")
+
+    @pytest.mark.parametrize("dim", [0, -3, 2.0, True])
+    def test_a_dim_that_is_no_positive_integer_is_a_shape_error(self, dim):
+        with pytest.raises(ShapeError, match="dim must be a positive integer"):
+            create_model(seed=0, dim=dim)
 
     def test_blocks_hold_disjoint_parameters(self):
         model = create_model(seed=1, dim=8)
@@ -398,7 +403,7 @@ class TestTileScoring:
             rows = rng.integers(0, n, size=(c, t))
             gathered = queries.rows(rows)
             np.testing.assert_array_equal(gathered.texts,
-                                          np.take(queries.texts, rows, axis=-1))
+                                          np.take(queries.texts[:, 0], rows, axis=-1))
             got = score_tile(model, gathered, scoring_corpus, cols)
             np.testing.assert_array_equal(got, full[rows, cols[:, None]].T)
 
@@ -589,10 +594,11 @@ class TestPairTiles:
         real = []
         for slots in tiles:
             width = slots.shape[1]
-            assert width % PAD == 0
-            assert slots.size <= tile_pairs or len(slots) == 1
             groups = [np.unique(row) for row in slots]
-            assert width == padded_width(max(len(group) for group in groups))
+            largest = max(len(group) for group in groups)
+            # the budget counts padded slots; a tile of lone pairs scores each once
+            assert len(slots) * padded_width(largest) <= tile_pairs or len(slots) == 1
+            assert width == (padded_width(largest) if largest > 1 else 1)
             for row, group in zip(slots, groups):
                 # the group's pairs in order, then its last pair repeated
                 assert row[:len(group)].tolist() == group.tolist()
@@ -646,6 +652,12 @@ class TestSynthCorpus:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             synth_corpus(seed=-1, n_items=4)
+
+    @pytest.mark.parametrize("has_audio", [np.ones(3, bool), np.ones((5, 1), bool)])
+    def test_has_audio_other_than_one_flag_per_item_is_a_shape_error(self, has_audio):
+        corpus = synth_corpus(seed=0, n_items=5, dim=4, frames=2, audio_tokens=2)
+        with pytest.raises(ShapeError, match=r"has_audio must be \(5,\)"):
+            dataclasses.replace(corpus, has_audio=has_audio)
 
     def test_invalid_fraction_rejected(self):
         with pytest.raises(ValueError):

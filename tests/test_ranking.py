@@ -313,6 +313,24 @@ class TestStreamedExhaustive:
             evaluate(model, bad, workers=workers)
         assert str(streamed.value) == str(dense.value)
 
+    @pytest.mark.parametrize("fusion", ["addition", "xattn"])
+    def test_the_truth_pass_scores_each_pair_once(self, small_setup, fusion):
+        # the truth pairs (i, i) are lone pairs, so their tiles are one
+        # query wide, not padded with repeats of it
+        _, corpus = small_setup
+        model = create_model(seed=5, dim=corpus.dim, fusion=fusion)
+        widths = []
+        real = model_module.score_tile
+
+        def spy(model, queries, corpus, cols, keep=False):
+            widths.append((len(cols), queries.texts.shape[-1]))
+            return real(model, queries, corpus, cols, keep)
+
+        with mock.patch.object(model_module, "score_tile", spy):
+            evaluate(model, corpus, workers=1)
+        assert {width for _, width in widths} == {1}
+        assert sum(cols for cols, _ in widths) == len(corpus)
+
     def test_a_truth_score_other_than_the_first_pass_raises(self, small_setup,
                                                              monkeypatch):
         model, corpus = small_setup
@@ -320,7 +338,7 @@ class TestStreamedExhaustive:
 
         def nudged(model, queries, corpus, cols, keep=False):
             scores = real(model, queries, corpus, cols, keep)
-            return np.nextafter(scores, 2.0) if queries.texts.ndim == 2 else scores
+            return np.nextafter(scores, 2.0) if queries.texts.shape[1] == 1 else scores
 
         monkeypatch.setattr(ranking, "score_tile", nudged)
         with pytest.raises(RuntimeError, match="score their own queries differently"):
