@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from .contrastive import TAU_INIT, TAU_MAX, TAU_MIN
 from .fusion import FusionError, FusionKind
+from .linalg import is_integer
 from .model import MODALITIES
 
 __all__ = ["TrainConfig", "ConfigError", "config_to_text", "parse_config_lines",
@@ -48,6 +49,8 @@ class TrainConfig:
     def validate(self) -> "TrainConfig":
         for name, kind in _FIELDS.items():
             value = getattr(self, name)
+            if not _ACCEPTS[kind](value):
+                raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
             if kind is float and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
         if not TAU_MIN <= self.temperature_init <= TAU_MAX:
@@ -76,6 +79,9 @@ class TrainConfig:
 
 
 _FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+# the values each field type takes; a bool is neither an int nor a float
+_ACCEPTS = {int: is_integer, float: lambda v: is_integer(v) or isinstance(v, float),
+            bool: lambda v: isinstance(v, bool), str: lambda v: isinstance(v, str)}
 
 
 def _coerce(name: str, raw: str):

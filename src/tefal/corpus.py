@@ -38,6 +38,8 @@ class Corpus:
 
     def __post_init__(self):
         n = len(self.ids)
+        if n == 0:
+            raise ShapeError("a corpus holds at least one item")
         if len(set(self.ids)) != n:
             raise ValueError("item ids must be unique")
         if self.texts.shape[0] != n or self.frames.shape[0] != n or self.audio.shape[0] != n:
@@ -70,10 +72,6 @@ class Corpus:
     @property
     def audio_token_count(self) -> int:
         return self.audio.shape[1]
-
-    @property
-    def n_videos(self) -> int:
-        return len(self.ids)
 
     @property
     def n_audios(self) -> int:

@@ -13,7 +13,10 @@ ablation:
 All variants produce one column of width D_p per query, pair-last like
 their inputs, with no re-normalization: the cosine absorbs scale.
 :func:`fuse_forward` and :func:`fuse_backward` implement the four post-hoc
-kinds; the xattn block, one candidate and one query per fused column, runs
+kinds, each called as ``(video, audio[, queries])`` with the inputs that
+:mod:`tefal.model`'s kind table picks; here only addition's shapes and
+late's and concat_fc's feature counts are checked.  The xattn block, one
+candidate and one query per fused column, runs
 :func:`tefal.attention.project_candidates` and its own per-pair products
 (:func:`_xattn_products`).  Stacking is not post-hoc:
 :func:`tefal.model.score_tile` runs the video block over the stacked
@@ -40,7 +43,7 @@ __all__ = ["FusionKind", "FusionParams", "FusionError", "audio_summary",
 
 
 class FusionError(ValueError):
-    """Fusion kind and supplied inputs/parameters do not match."""
+    """An unknown fusion kind, or stacking where a post-hoc kind is needed."""
 
 
 class FusionKind(enum.Enum):
@@ -106,10 +109,10 @@ def audio_summary(cls_row: np.ndarray, dist_row: np.ndarray) -> np.ndarray:
 
 @dataclass
 class FusionCache:
+    """What :func:`fuse_backward` reverses: ``saved`` is late's token mean,
+    concat_fc's concatenation or xattn's :class:`tefal.attention.TileCache`."""
     kind: FusionKind
-    token_mean: np.ndarray | None = None
-    concat: np.ndarray | None = None
-    tile: object = None
+    saved: object = None
 
 
 def _pair_product(weight: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -133,69 +136,52 @@ def _xattn_products(q: np.ndarray, kv: np.ndarray, p: int):
     return weights.transpose(1, 0, 2), np.einsum("nct,npc->pct", weights, vo)
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise FusionError(message)
-
-
-def fuse_forward(params: FusionParams, *, video_cond=None, audio_cond=None,
-                 queries=None, audio_token_mean=None, keep: bool = True):
+def fuse_forward(params: FusionParams, video, audio, queries=None, keep: bool = False):
     """``(fused, cache)`` of a post-hoc fusion kind; stacking raises
-    :class:`FusionError`.  Inputs are pair-last, one column per pair;
-    ``audio_token_mean`` and ``queries`` broadcast against the conditioned
-    embeddings.  Without ``keep``, xattn's cache holds no
+    :class:`FusionError`.  ``video`` is E_v|t and ``audio`` E_a|t, or for
+    late the raw audio-token mean; ``queries``, the xattn block's query
+    projections, only xattn reads.  Inputs are pair-last, one column per
+    pair; late's ``audio`` and ``queries`` broadcast against ``video``.
+    Without ``keep``, xattn's cache holds no
     :class:`tefal.attention.TileCache`, so :func:`fuse_backward` cannot
     reverse it.  Feature sums keep the tile invariance of
     :func:`tefal.attention.block_forward_tile`.
     """
     kind = params.kind
     if kind == FusionKind.ADDITION:
-        _require(video_cond is not None and audio_cond is not None,
-                 "addition fusion needs both conditioned embeddings")
-        if video_cond.shape != audio_cond.shape:
+        if video.shape != audio.shape:
             raise ShapeError(f"conditioned embeddings have shapes "
-                             f"{video_cond.shape} and {audio_cond.shape}")
-        return video_cond + audio_cond, FusionCache(kind)
+                             f"{video.shape} and {audio.shape}")
+        return video + audio, FusionCache(kind)
 
     if kind == FusionKind.LATE:
-        _require(params.late_w is not None, "late fusion parameters missing")
-        _require(video_cond is not None and audio_token_mean is not None,
-                 "late fusion needs the conditioned video embedding and the "
-                 "raw audio token mean")
-        summary = np.ascontiguousarray(audio_token_mean, dtype=np.float64)
+        summary = np.ascontiguousarray(audio, dtype=np.float64)
         if summary.shape[0] != params.late_w.shape[0]:
             raise ShapeError(f"audio summary has {summary.shape[0]} features, "
                              f"projection expects {params.late_w.shape[0]}")
-        fused = video_cond + _pair_product(params.late_w, summary)
-        return fused, FusionCache(kind, token_mean=np.broadcast_to(
+        fused = video + _pair_product(params.late_w, summary)
+        return fused, FusionCache(kind, np.broadcast_to(
             summary, summary.shape[:1] + fused.shape[1:]))
 
     if kind == FusionKind.CONCAT_FC:
-        _require(params.concat_w is not None, "concat fusion parameters missing")
-        _require(video_cond is not None and audio_cond is not None,
-                 "concat fusion needs both conditioned embeddings")
-        concat = np.concatenate([video_cond, audio_cond], axis=0)
+        concat = np.concatenate([video, audio], axis=0)
         if concat.shape[0] != params.concat_w.shape[0]:
             raise ShapeError(f"concatenation has {concat.shape[0]} features, "
                              f"weight expects {params.concat_w.shape[0]}")
         fused = (_pair_product(params.concat_w, concat)
                  + params.concat_b.reshape((-1,) + (1,) * (concat.ndim - 1)))
-        return fused, FusionCache(kind, concat=concat)
+        return fused, FusionCache(kind, concat)
 
     if kind == FusionKind.XATTN:
-        _require(params.xattn is not None, "xattn fusion parameters missing")
-        _require(video_cond is not None and audio_cond is not None and queries is not None,
-                 "xattn fusion needs the query projections and both conditioned "
-                 "embeddings")
-        block, p = params.xattn, video_cond.shape[0]
-        contexts = np.stack([x.reshape(p, -1) for x in (video_cond, audio_cond)], axis=1)
-        q = np.ascontiguousarray(np.broadcast_to(queries, video_cond.shape).reshape(p, -1, 1))
+        block, p = params.xattn, video.shape[0]
+        contexts = np.stack([x.reshape(p, -1) for x in (video, audio)], axis=1)
+        q = np.ascontiguousarray(np.broadcast_to(queries, video.shape).reshape(p, -1, 1))
         cands = project_candidates(block, contexts, keep)
         weights, proj = _xattn_products(q, cands.kv, p)
         fused = layernorm_rows(proj, block.ln_o_gain, block.ln_o_bias, axis=0)
         tile = (TileCache(**vars(cands), q=q.transpose(1, 0, 2), weights=weights, proj=proj)
                 if keep else None)
-        return fused.reshape(video_cond.shape), FusionCache(kind, tile=tile)
+        return fused.reshape(video.shape), FusionCache(kind, tile)
 
     raise FusionError(f"{kind.value} fusion is not a post-hoc combiner")
 
@@ -210,11 +196,11 @@ def fuse_backward(params: FusionParams, cache: FusionCache, d_fused: np.ndarray)
 
     pairs = tuple(range(1, d_fused.ndim))
     if kind == FusionKind.LATE:
-        return ({"late_w": np.tensordot(cache.token_mean, d_fused, (pairs, pairs))},
+        return ({"late_w": np.tensordot(cache.saved, d_fused, (pairs, pairs))},
                 d_fused, None, None)
 
     if kind == FusionKind.CONCAT_FC:
-        d_w = np.tensordot(cache.concat, d_fused, (pairs, pairs))
+        d_w = np.tensordot(cache.saved, d_fused, (pairs, pairs))
         d_b = d_fused.sum(axis=pairs)[None, :]
         d_concat = np.einsum("kp,p...->k...", params.concat_w, d_fused)
         half = params.concat_w.shape[1]
@@ -224,7 +210,7 @@ def fuse_backward(params: FusionParams, cache: FusionCache, d_fused: np.ndarray)
     if kind == FusionKind.XATTN:
         shape = d_fused.shape
         grads, d_q, d_contexts = block_backward_tile(
-            params.xattn, cache.tile, d_fused.reshape(shape[0], -1, 1))
+            params.xattn, cache.saved, d_fused.reshape(shape[0], -1, 1))
         return ({f"xattn.{k}": v for k, v in grads.items()},
                 d_contexts[:, 0].reshape(shape), d_contexts[:, 1].reshape(shape),
                 d_q.reshape(shape))

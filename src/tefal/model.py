@@ -146,15 +146,15 @@ def _params(model: RetrievalModel, name: str) -> XAttnParams:
 def _fuse(model: RetrievalModel, outputs: dict, xattn_queries, token_mean,
           keep: bool = False):
     """``(fused, fusion cache)``, the cache ``None`` when one block's output
-    is the fused embedding; ``token_mean()`` is late fusion's input, and
-    ``keep`` is :func:`tefal.fusion.fuse_forward`'s."""
+    is the fused embedding.  Otherwise :func:`tefal.fusion.fuse_forward`
+    gets the video block's output and the audio block's, or for late fusion
+    ``token_mean()``; ``xattn_queries`` and ``keep`` only xattn reads."""
     if model.modality == "both" and model.fusion.kind == FusionKind.LATE:
-        return fuse_forward(model.fusion, video_cond=outputs["video"],
-                            audio_token_mean=token_mean())
+        return fuse_forward(model.fusion, outputs["video"], token_mean())
     if len(outputs) == 1:
         return next(iter(outputs.values())), None
-    return fuse_forward(model.fusion, video_cond=outputs["video"],
-                        audio_cond=outputs["audio"], queries=xattn_queries, keep=keep)
+    return fuse_forward(model.fusion, outputs["video"], outputs["audio"],
+                        xattn_queries, keep)
 
 
 def named_parameters(model: RetrievalModel, trainable_only: bool = True

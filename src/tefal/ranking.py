@@ -157,8 +157,6 @@ class RankingResult:
 def rank_exhaustive(model: RetrievalModel, corpus: Corpus,
                     workers: int | None = None) -> RankingResult:
     """Score every query against every candidate with the full model."""
-    if len(corpus) == 0:
-        raise ValueError("cannot rank over an empty corpus")
     sim = similarity_matrix(model, corpus, workers=workers)
     stats = EvalStats(stage2_model_evals=sim.size)
     return RankingResult(ranks_from_similarity(sim, corpus.ids), sim, stats)
@@ -301,8 +299,6 @@ def _rerank(model: RetrievalModel, corpus: Corpus, k: int, workers: int | None,
     ``stats.stage2_model_evals`` counts (tile invariance makes sharing a
     pair change no rank: :func:`tefal.attention.block_forward_tile`)."""
     n = len(corpus)
-    if n == 0:
-        raise ValueError("cannot rank over an empty corpus")
     if not is_integer(k):
         raise ValueError(f"shortlist size k must be an integer, got {k!r}")
     if not 1 <= k <= n:
@@ -399,8 +395,6 @@ def evaluate(model: RetrievalModel, corpus: Corpus, k: int | None = None,
     :func:`resolve_workers`); each holds one tile's temporaries, and no
     count changes a rank.
     """
-    if len(corpus) == 0:
-        raise ValueError("cannot evaluate an empty corpus")
     if dsl_temp is not None:
         _check_dsl_temp(dsl_temp)
         if k is not None:

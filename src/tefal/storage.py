@@ -31,6 +31,7 @@ import numpy as np
 from .audiofeat import MelFilterBank
 from .config import TrainConfig, config_to_text, parse_config_text
 from .corpus import Corpus
+from .linalg import is_integer
 from .model import RetrievalModel, create_model, named_parameters
 
 __all__ = [
@@ -44,6 +45,8 @@ CKPT_MAGIC = b"TFCK"
 EMB_VERSION = 1
 CKPT_VERSION = 2
 MANIFEST_VERSION = 1
+# float32, the type of the ``__step__`` entry, holds every integer up to 2**24
+MAX_STEP = 2 ** 24
 
 _EMB_HEADER = struct.Struct("<4sIIII")
 _CKPT_HEADER = struct.Struct("<4sII")
@@ -333,6 +336,10 @@ def _encode_entry(name: str, matrix: np.ndarray) -> bytes:
 
 def save_checkpoint(path, model: RetrievalModel, step: int,
                     config: TrainConfig) -> None:
+    """Write a TFCK file; a ``step`` that is no integer in [0, ``MAX_STEP``]
+    raises ``ValueError`` before anything is written."""
+    if not is_integer(step) or not 0 <= step <= MAX_STEP:
+        raise ValueError(f"step must be an integer in [0, {MAX_STEP}], got {step!r}")
     entries = [("__step__", np.array([[float(step)]]))]
     entries.extend(named_parameters(model, trainable_only=False).items())
     config_bytes = config_to_text(config).encode("utf-8")

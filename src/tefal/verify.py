@@ -137,12 +137,13 @@ def _fusion_check(kind: FusionKind, seed: int) -> float:
     token_mean = rng.standard_normal((dim, 2))
     cotangent = rng.standard_normal((proj, 2))
 
+    audio = token_mean if kind == FusionKind.LATE else audio_cond
+
     def inputs():
         queries = None if params.xattn is None else project_queries(params.xattn, texts)
-        return dict(video_cond=video_cond, audio_cond=audio_cond, queries=queries,
-                    audio_token_mean=token_mean)
+        return video_cond, audio, queries
 
-    _, cache = fuse_forward(params, **inputs())
+    _, cache = fuse_forward(params, *inputs(), keep=True)
     own, d_video, d_audio, d_queries = fuse_backward(params, cache, cotangent)
     if d_queries is not None:
         _, ln = project_queries(params.xattn, texts, keep=True)
@@ -157,7 +158,7 @@ def _fusion_check(kind: FusionKind, seed: int) -> float:
         analytic["audio_cond"] = d_audio
 
     def forward():
-        fused, _ = fuse_forward(params, **inputs())
+        fused, _ = fuse_forward(params, *inputs())
         return float(np.sum(cotangent * fused))
 
     return _fd_scalar(arrays, forward, analytic)
@@ -178,8 +179,8 @@ def end_to_end_check(fusion: str = "addition", modality: str = "both",
         indices = np.arange(batch)
         tape = score_tile(model, query_rows(model, corpus.texts[indices]), corpus,
                           indices, keep=True)[1]
-        xattn = getattr(tape.fusion, "tile", None)
-        if xattn is None or np.any(
+        xattn = getattr(tape.fusion, "saved", None)
+        if model.fusion.kind != FusionKind.XATTN or xattn is None or np.any(
                 xattn.order != np.arange(xattn.order.size).reshape(xattn.order.shape)):
             break
     else:

@@ -728,7 +728,7 @@ class TestArtifactDigestsTool:
                  "both-stacking", "video-addition", "audio-addition"]
         per_kind = ["attn.csv", "attn.json", "checkpoint", "eval.json", "eval_dsl30.json",
                     "eval_threads1.json", "log.json", "rerank_k10pct.json",
-                    "rerank_k40_threads1.json"]
+                    "rerank_k40_threads1.json", "train.txt"]
         corpus = ["audio.emb1", "audio_summary.emb1", "manifest.json", "text.emb1",
                   "video.emb1"]
         assert sorted(digests) == sorted(
@@ -739,3 +739,5 @@ class TestArtifactDigestsTool:
             data = (tmp_path / "out" / name).read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest
         assert (tmp_path / "out" / "gradcheck_seed1.txt").read_text().startswith("seed1 ")
+        train_log = (tmp_path / "out" / "seed3" / "both-xattn" / "train.txt").read_text()
+        assert train_log.endswith("\nwrote checkpoint to checkpoint\n")

@@ -2,6 +2,7 @@
 precedence of defaults, file and flags is tested through ``tefal train`` in
 ``test_cli.py``."""
 
+import numpy as np
 import pytest
 
 from tefal.config import (
@@ -12,6 +13,7 @@ from tefal.config import (
     parse_config_text,
 )
 from tefal.contrastive import TAU_MAX, TAU_MIN
+from tefal.fusion import FusionKind
 
 
 class TestParsing:
@@ -100,6 +102,20 @@ class TestValidation:
         path.write_text("learning_rate = nan\n")
         with pytest.raises(ConfigError, match="learning_rate"):
             TrainConfig(**parse_config_text(path.read_text())).validate()
+
+    @pytest.mark.parametrize("field,value", [
+        ("cosine_decay", "false"), ("fusion", FusionKind.XATTN), ("seed", True),
+        ("epochs", 2.5), ("batch_size", 4.0), ("learning_rate", "1e-3"),
+        ("learning_rate", False)])
+    def test_a_value_of_the_wrong_type_names_the_key(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be "):
+            TrainConfig(**{field: value}).validate()
+
+    def test_numpy_scalars_are_accepted(self):
+        # guard: numpy integers and floats validate as before
+        config = TrainConfig(epochs=np.int64(3), seed=np.int64(0),
+                             learning_rate=np.float64(1e-3), grad_clip=np.int64(2))
+        assert config.validate() is config
 
     @pytest.mark.parametrize("tau", [TAU_MIN / 2, TAU_MAX * 5])
     def test_temperature_init_outside_the_clamp_rejected(self, tau):

@@ -51,7 +51,7 @@ class TestAddition:
     def test_zero_audio_is_identity(self):
         params = FusionParams(FusionKind.ADDITION)
         video = rng(4).standard_normal((5, 2))
-        fused, _ = fuse_forward(params, video_cond=video, audio_cond=np.zeros((5, 2)))
+        fused, _ = fuse_forward(params, video, np.zeros((5, 2)))
         np.testing.assert_array_equal(fused, video)
 
     def test_commutative_bitwise(self):
@@ -59,15 +59,15 @@ class TestAddition:
         a = rng(5).standard_normal((4, 3))
         b = rng(6).standard_normal((4, 3))
         np.testing.assert_array_equal(
-            fuse_forward(params, video_cond=a, audio_cond=b)[0],
-            fuse_forward(params, video_cond=b, audio_cond=a)[0])
+            fuse_forward(params, a, b)[0],
+            fuse_forward(params, b, a)[0])
 
     def test_gradient_is_identity(self):
         from tefal.fusion import fuse_backward
         params = FusionParams(FusionKind.ADDITION)
         v = rng(7).standard_normal((4, 2))
         a = rng(8).standard_normal((4, 2))
-        _, cache = fuse_forward(params, video_cond=v, audio_cond=a)
+        _, cache = fuse_forward(params, v, a)
         d = rng(9).standard_normal((4, 2))
         own, d_v, d_a, d_q = fuse_backward(params, cache, d)
         assert own == {}
@@ -84,7 +84,7 @@ class TestConcatFC:
                               concat_b=np.zeros((1, proj)))
         video = rng(10).standard_normal((proj, 2))
         audio = rng(11).standard_normal((proj, 2))
-        fused, _ = fuse_forward(params, video_cond=video, audio_cond=audio)
+        fused, _ = fuse_forward(params, video, audio)
         np.testing.assert_allclose(fused, video, atol=1e-15)
 
 
@@ -100,14 +100,32 @@ class TestVariantShapes:
         token_mean = g.standard_normal((dim, 1))
         for kind in FusionKind:
             params = FusionParams.create(g, kind, dim, proj)
-            inputs = dict(video_cond=video, audio_cond=audio, queries=queries,
-                          audio_token_mean=token_mean)
+            inputs = (video, token_mean if kind == FusionKind.LATE else audio, queries)
             if kind == FusionKind.STACKING:
                 with pytest.raises(FusionError, match="not a post-hoc combiner"):
-                    fuse_forward(params, **inputs)
+                    fuse_forward(params, *inputs)
                 continue
-            fused, _ = fuse_forward(params, **inputs)
+            fused, _ = fuse_forward(params, *inputs)
             assert fused.shape == (proj, 3), kind
+
+
+class TestTileShapes:
+    @pytest.mark.parametrize("kind", [FusionKind.ADDITION, FusionKind.LATE,
+                                      FusionKind.CONCAT_FC, FusionKind.XATTN])
+    def test_a_tile_fuses_each_candidate_as_its_own_call(self, kind):
+        # score_tile's layout: (D_p, C, T) embeddings, (D_p, 1, T) queries and
+        # late's (D, C, 1) token mean
+        dim, cands, t = 6, 5, 3
+        g = rng(16)
+        params = FusionParams.create(g, kind, dim, dim)
+        video, audio = g.standard_normal((2, dim, cands, t))
+        if kind == FusionKind.LATE:
+            audio = g.standard_normal((dim, cands, 1))
+        queries = g.standard_normal((dim, 1, t))
+        fused, _ = fuse_forward(params, video, audio, queries)
+        for c in range(cands):
+            expected, _ = fuse_forward(params, video[:, c], audio[:, c], queries[:, 0])
+            np.testing.assert_array_equal(fused[:, c], expected)
 
 
 class TestStacking:
@@ -127,19 +145,15 @@ class TestStacking:
 
 
 class TestValidation:
-    def test_missing_inputs(self):
-        with pytest.raises(FusionError):
-            fuse_forward(FusionParams(FusionKind.ADDITION), video_cond=np.zeros((3, 1)))
-
-    def test_missing_parameters(self):
-        with pytest.raises(FusionError):
-            fuse_forward(FusionParams(FusionKind.CONCAT_FC),
-                         video_cond=np.zeros((3, 1)), audio_cond=np.zeros((3, 1)))
-
-    def test_feature_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            fuse_forward(FusionParams(FusionKind.ADDITION),
-                         video_cond=np.zeros((3, 1)), audio_cond=np.zeros((4, 1)))
+    @pytest.mark.parametrize("kind, match", [
+        (FusionKind.ADDITION, "conditioned embeddings have shapes"),
+        (FusionKind.LATE, "audio summary has 4 features, projection expects 3"),
+        (FusionKind.CONCAT_FC, "concatenation has 7 features, weight expects 6"),
+    ], ids=["addition", "late", "concat_fc"])
+    def test_feature_dimension_mismatch(self, kind, match):
+        params = FusionParams.create(rng(15), kind, 3, 3)
+        with pytest.raises(ShapeError, match=match):
+            fuse_forward(params, np.zeros((3, 1)), np.zeros((4, 1)))
 
     def test_unknown_kind_name(self):
         with pytest.raises(FusionError, match="unknown fusion kind"):

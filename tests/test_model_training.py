@@ -532,8 +532,7 @@ def per_candidate_loss_and_grads(model, corpus, indices):
         elif kind == FusionKind.LATE:
             e_v, blocks["video"] = block_forward(model.video, texts, corpus.frames[j])
             token_mean = np.repeat(corpus.audio[j].mean(axis=0, keepdims=True), b, axis=0)
-            fused, fusion_cache = fuse_forward(model.fusion, video_cond=e_v.T,
-                                               audio_token_mean=token_mean.T)
+            fused, fusion_cache = fuse_forward(model.fusion, e_v.T, token_mean.T)
             fused = fused.T
         else:
             e_v, blocks["video"] = block_forward(model.video, texts, corpus.frames[j])
@@ -544,8 +543,7 @@ def per_candidate_loss_and_grads(model, corpus, indices):
                                 for r in range(b)]
                 fused = np.vstack([out for out, _ in fusion_cache])
             else:
-                fused, fusion_cache = fuse_forward(model.fusion, video_cond=e_v.T,
-                                                   audio_cond=e_a.T)
+                fused, fusion_cache = fuse_forward(model.fusion, e_v.T, e_a.T)
                 fused = fused.T
         sim[:, col], cos_cache = cosine_rows(texts.T, fused.T)
         columns.append((blocks, fusion_cache, cos_cache))
@@ -658,6 +656,11 @@ class TestSynthCorpus:
         corpus = synth_corpus(seed=0, n_items=5, dim=4, frames=2, audio_tokens=2)
         with pytest.raises(ShapeError, match=r"has_audio must be \(5,\)"):
             dataclasses.replace(corpus, has_audio=has_audio)
+
+    def test_a_corpus_of_no_items_is_a_shape_error(self):
+        corpus = synth_corpus(seed=0, n_items=3, dim=4, frames=2, audio_tokens=2)
+        with pytest.raises(ShapeError, match="at least one item"):
+            corpus.subset([])
 
     def test_invalid_fraction_rejected(self):
         with pytest.raises(ValueError):

@@ -247,7 +247,7 @@ class TestCorpusManifest:
         assert not loaded.has_audio[1]
         np.testing.assert_array_equal(loaded.audio[1], np.zeros((3, 8)))
         assert loaded.n_audios == 5
-        assert loaded.n_videos == 6
+        assert len(loaded) == 6
 
     def test_empty_manifest_rejected(self, tmp_path):
         corpus = synth_corpus(seed=3, n_items=2, dim=8, frames=2, audio_tokens=2)
@@ -595,6 +595,17 @@ class TestCheckpoint:
         path2 = tmp_path / "b.ckpt"
         save_checkpoint(path2, loaded, step=step, config=loaded_config)
         assert path.read_bytes() == path2.read_bytes()
+
+    @pytest.mark.parametrize("step", [-1, 2.5, True, 2 ** 24 + 1, 123_456_789])
+    def test_a_step_the_step_entry_cannot_hold_is_refused_before_writing(self, tmp_path,
+                                                                        step):
+        path = tmp_path / "s.ckpt"
+        model, config = create_model(seed=0, dim=4), TrainConfig(dim=4, proj_dim=4)
+        with pytest.raises(ValueError, match=f"got {step!r}"):
+            save_checkpoint(path, model, step, config)
+        assert not path.exists()
+        save_checkpoint(path, model, np.int64(2 ** 24), config)
+        assert load_checkpoint(path)[1] == 2 ** 24
 
     def test_parameters_survive_float32_quantization(self, tmp_path):
         model = create_model(seed=8, dim=8)

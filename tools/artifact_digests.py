@@ -2,11 +2,13 @@
 
 For each seed, a ``synth`` corpus (D=16, 4 frames, 6 audio tokens), then for
 each of the seven model kinds a checkpoint trained 2 epochs at B=16 with
-``--log``, ``eval`` JSON (default, ``--threads 1``, ``--dsl-temp 30``),
-``rerank`` JSON (``--k 10%``, ``--k 40 --threads 1``) and ``export-attn``
-CSV and JSON; then ``gradcheck`` stdout at seeds 0 and 1.  ``train`` stdout
-is left out, as it names the output path.  Prints one ``path sha256`` line
-per file, the path relative to OUT, so that two runs compare by ``diff``:
+``--log`` and its stdout (``train.txt``), ``eval`` JSON (default,
+``--threads 1``, ``--dsl-temp 30``), ``rerank`` JSON (``--k 10%``,
+``--k 40 --threads 1``) and ``export-attn`` CSV and JSON; then ``gradcheck``
+stdout at seeds 0 and 1.  ``train`` runs in the kind's directory with a
+relative ``--out``, as its stdout names that path.  Prints one
+``path sha256`` line per file, the path relative to OUT, so that two runs
+compare by ``diff``:
 
     PYTHONPATH=src python tools/artifact_digests.py OUT [--seeds 5 6] [--items 300]
 
@@ -52,9 +54,11 @@ def write_artifacts(out: Path, seeds, items: int) -> None:
             kind = out / f"seed{seed}" / f"{modality}-{fusion}"
             kind.mkdir(parents=True)
             checkpoint = kind / "checkpoint"
-            run("train", "--data", manifest, "--out", checkpoint, "--epochs", 2,
-                "--batch-size", 16, "--seed", seed, "--fusion", fusion,
-                "--modality", modality, "--log", kind / "log.json")
+            with contextlib.chdir(kind):
+                log = run("train", "--data", manifest.resolve(), "--out", "checkpoint",
+                          "--epochs", 2, "--batch-size", 16, "--seed", seed,
+                          "--fusion", fusion, "--modality", modality, "--log", "log.json")
+            (kind / "train.txt").write_text(log, encoding="utf-8")
             model = ["--data", manifest, "--checkpoint", checkpoint]
             for name, command in EVALS.items():
                 run(*command, *model, "--out", kind / name)
