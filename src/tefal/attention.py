@@ -10,7 +10,17 @@ embedding:
     out = LN(pooled W_o)                      (output projection + norm)
 
 The block has no positional encoding, so the pooled output is invariant
-under any joint permutation of the context rows.  Every library path runs
+under any joint permutation of the context rows.
+
+The tile kernel folds ``LN_o``'s centring and gain into each candidate's
+value rows: ``pooled W_o`` is linear in the attention weights w, and only
+the scale of ``LN_o`` depends on the pair.  With C = I - 11^T/d_p and
+M = LN(context) W_v W_o C, the pooling of the rows M diag(g_o) gives
+g_o (p - mean p) for p = pooled W_o, and the variance is w^T (M M^T) w / d_p,
+from the candidate's n x n Gram.  So ``LN_o`` takes two passes over a
+tile's outputs, a scale and a bias (:func:`finish_ln_o_`).
+
+Every library path runs
 the tile kernel, :func:`block_forward_tile`, whose docstring gives why a
 pair's output does not depend on its tile, or, in the xattn fusion block,
 its candidate half, :func:`project_candidates`, with per-pair products of
@@ -26,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    LAYERNORM_EPS,
     ShapeError,
     as_matrix,
     canonical_sum,
@@ -33,6 +44,7 @@ from .linalg import (
     layernorm_rows,
     layernorm_rows_backward,
     padded_matmul,
+    standardized_backward,
     softmax_rows,
     softmax_rows_backward,
 )
@@ -48,7 +60,7 @@ __all__ = [
     "project_queries_backward",
     "canonical_rows",
     "project_candidates",
-    "scaled_softmax_",
+    "scaled_softmax_", "finish_ln_o_",
     "attend_tile",
     "block_forward_tile",
     "block_backward_tile",
@@ -274,7 +286,9 @@ class Candidates:
     contexts: np.ndarray      # (D, n, C)
     c_n: np.ndarray           # (D, n, C), LN_c(contexts)
     xhat: np.ndarray | None   # (D, n, C), the standardized contexts
-    kv: np.ndarray            # (C, n, 2 D_p), K || V W_o in canonical row order
+    kv: np.ndarray            # (C, n, 3 D_p), K || M || M diag(g_o), rows in canonical order
+    gram: np.ndarray          # (C, n, n), M M^T
+    w_kv: np.ndarray          # (D, 2 D_p), W_k || W_v W_o C
 
 
 @dataclass
@@ -283,7 +297,7 @@ class TileCache(Candidates):
     per candidate, context rows in canonical order."""
     q: np.ndarray             # (1, D_p, T) shared, or (C, D_p, T)
     weights: np.ndarray       # (C, n, T)
-    proj: np.ndarray          # (D_p, C, T), pooled W_o
+    inv: np.ndarray           # (C, T), LN_o's reciprocal standard deviation
 
     def caller_weights(self) -> np.ndarray:
         """The (n, C, T) attention weights in the caller's row order."""
@@ -296,7 +310,10 @@ class TileCache(Candidates):
 def project_candidates(params: XAttnParams, contexts: np.ndarray,
                        keep: bool = False) -> Candidates:
     """The query-independent half of :func:`block_forward_tile` for (D, n, C)
-    ``contexts``: ``LN_c``, its canonical row order, then K || V W_o."""
+    ``contexts``: ``LN_c`` and its canonical row order, then
+    K || M || M diag(g_o) and the Gram M M^T, for M = rows W_v W_o C,
+    ``g_o`` = ``ln_o_gain`` and C = I - 11^T / D_p the centring matrix."""
+    p = params.proj_dim
     contexts = np.ascontiguousarray(contexts, dtype=np.float64)
     if contexts.ndim != 3 or contexts.shape[0] != params.dim:
         raise ShapeError(f"contexts must be ({params.dim}, n, C), got {contexts.shape}")
@@ -304,8 +321,11 @@ def project_candidates(params: XAttnParams, contexts: np.ndarray,
     c_n, xhat = c_n if keep else (c_n, None)
     order = canonical_order(c_n)
     rows = np.take(c_n.reshape(params.dim, -1).T, order.T, axis=0)    # (C, n, D)
-    w_kv = np.concatenate([params.w_k, params.w_v @ params.w_o], axis=1)
-    return Candidates(order, contexts, c_n, xhat, rows @ w_kv)
+    vo = params.w_v @ params.w_o
+    w_kv = np.concatenate([params.w_k, vo - vo.sum(axis=1, keepdims=True) / p], axis=1)
+    kv = rows @ np.concatenate([w_kv, w_kv[:, p:] * params.ln_o_gain], axis=1)
+    m = kv[:, :, p:2 * p]
+    return Candidates(order, contexts, c_n, xhat, kv, m @ m.transpose(0, 2, 1), w_kv)
 
 
 def scaled_softmax_(logits: np.ndarray, proj_dim: int, axis: int) -> np.ndarray:
@@ -319,10 +339,26 @@ def scaled_softmax_(logits: np.ndarray, proj_dim: int, axis: int) -> np.ndarray:
     return weights
 
 
+def finish_ln_o_(params: XAttnParams, proj: np.ndarray, weights: np.ndarray,
+                 gram: np.ndarray):
+    """``(proj, inv)``: in place, ``LN_o`` of (D_p, C, T) ``proj``, the
+    pooling of the :func:`project_candidates` rows M diag(g_o), which is
+    ``g_o`` (pooled W_o - its mean), by the (C, n, T) ``weights`` over each
+    candidate's rows; and the (C, T) reciprocal standard deviation ``inv``.
+    The variance is ``sum_n w (G w) / D_p``, G the candidate's ``gram``, so
+    two passes over ``proj`` remain: the scale and the bias."""
+    var = (padded_matmul(gram, weights)[:, :, :weights.shape[-1]] * weights).sum(axis=1)
+    inv = 1.0 / np.sqrt(var / params.proj_dim + LAYERNORM_EPS)
+    proj *= inv
+    proj += params.ln_o_bias.reshape(-1, 1, 1)
+    return proj, inv
+
+
 def attend_tile(params: XAttnParams, q: np.ndarray, cands: Candidates,
                 cols: slice = slice(None), keep: bool = False):
     """``(out, cache)`` of the query side of :func:`block_forward_tile` for
     ``cols`` of ``cands``, ``q`` (D_p, 1, T) or (D_p, C, T) for C ``cols``;
+    ``out`` is (D_p, C, T), as wide as ``q`` (padded columns included);
     ``cache`` only with ``keep``, which needs all of ``cands``."""
     p, kv = params.proj_dim, cands.kv[cols]
     q = np.ascontiguousarray(q, dtype=np.float64)
@@ -332,14 +368,14 @@ def attend_tile(params: XAttnParams, q: np.ndarray, cands: Candidates,
     items = q.transpose(1, 0, 2)                                      # (1 or C, D_p, T)
     logits = padded_matmul(kv[:, :, :p], items)                       # (C, n, T_pad)
     weights = scaled_softmax_(logits, p, axis=1)
-    # pooled W_o straight into the (D_p, C, T_pad) layout of LN_o
+    # the pooling straight into the (D_p, C, T_pad) layout of LN_o
     proj = np.empty((p, len(kv), weights.shape[-1]))
-    padded_matmul(kv[:, :, p:].transpose(0, 2, 1), weights, out=proj.transpose(1, 0, 2))
-    proj, weights = proj[:, :, :t], weights[:, :, :t]
-    out = layernorm_rows(proj, params.ln_o_gain, params.ln_o_bias, axis=0)
+    padded_matmul(kv[:, :, 2 * p:].transpose(0, 2, 1), weights, out=proj.transpose(1, 0, 2))
+    out, inv = finish_ln_o_(params, proj, weights, cands.gram[cols])
     if not keep:
-        return out, None
-    return out, TileCache(**vars(cands), q=items, weights=weights, proj=proj)
+        return out[:, :, :t], None
+    return out[:, :, :t], TileCache(**vars(cands), q=items, weights=weights[:, :, :t],
+                                    inv=inv[:, :t])
 
 
 def block_forward_tile(params: XAttnParams, q: np.ndarray, contexts: np.ndarray):
@@ -355,21 +391,23 @@ def block_forward_tile(params: XAttnParams, q: np.ndarray, contexts: np.ndarray)
 
     Tile invariance: a pair's output depends only on its own query and
     candidate, so no tiling, candidate block, subset or worker count
-    changes a score.  Elementwise operations are exact.  K || V W_o is one
-    stacked ``matmul`` of fixed-shape (n, D) @ (D, 2 D_p) items, one per
-    candidate, which numpy hands to BLAS one at a time, so an item's bits
-    do not depend on the stack.  Each candidate's rows go in canonical
-    order (:func:`canonical_rows`) by their ``LN_c`` values before the
-    projection, so any permutation of them gives its item the same input,
-    and the output the same bits.  The per-pair products, the logits
-    K_c q and the pooling (V W_o)_c^T weights, are padded products
+    changes a score.  Elementwise operations are exact.  K || M || M diag(g_o)
+    is one stacked ``matmul`` of fixed-shape (n, D) @ (D, 3 D_p) items,
+    one per candidate, which numpy hands to BLAS one at a time, so an
+    item's bits do not depend on the stack; so is each candidate's Gram.
+    Each candidate's rows go in canonical order (:func:`canonical_rows`)
+    by their ``LN_c`` values before the projection, so any permutation of
+    them gives its item the same input, and the output the same bits.  The
+    per-pair products, the logits K_c q, the pooling (M diag(g_o))_c^T w
+    and the variance's (M M^T)_c w, are padded products
     (:func:`tefal.linalg.padded_matmul`), one column per query, so a
     column keeps its bits whatever queries and candidates share the tile;
     :func:`project_queries` and the late and concat_fc fusions are padded
-    products too.  The softmax (:func:`scaled_softmax_`) sums run over the
-    context rows of a (C, n, T_pad) array whose trailing axis is at least
-    ``PAD`` wide, so numpy adds each column's terms in row order; the
-    LayerNorm sums go through :func:`tefal.linalg.sum_leading`.  Fusion,
+    products too.  The softmax (:func:`scaled_softmax_`) sums and the
+    variance's sum over the n rows of w (M M^T w) run over a (C, n, T_pad)
+    array whose trailing axis is at least ``PAD`` wide, so numpy adds each
+    column's terms in row order; the ``LN_c`` sums go through
+    :func:`tefal.linalg.sum_leading`.  Fusion,
     the xattn block's own products among it
     (:func:`tefal.fusion._xattn_products`), and cosine follow the same
     rules, so a score, too, depends only on its pair.
@@ -386,39 +424,40 @@ def block_backward_tile(params: XAttnParams, cache: TileCache, d_out: np.ndarray
     pair's (D_p, C, T) query gradient, for the caller to sum per text and
     pass to :func:`project_queries_backward`; and the (D, n, C) context
     gradient in the caller's row order, or ``None`` with
-    ``context_grad=False``, which leaves ``grads`` bit-identical.  With the
-    folded ``M = W_v W_o``, ``d_W_v = d_M W_o^T`` and ``d_W_o = W_v^T d_M``.
-    The backward pass need only be deterministic, not tile-invariant, so
-    its per-pair products are batched matrix products.
+    ``context_grad=False``, which leaves ``grads`` bit-identical.  ``LN_o``
+    is reversed on u = M^T w, the pooled rows before the gain, whose
+    gradient is centred as u is; so ``d(W_v W_o)`` gets the centring C, and
+    ``d_W_v = d(W_v W_o) W_o^T``, ``d_W_o = W_v^T d(W_v W_o)``.  The
+    backward pass need only be deterministic, not tile-invariant, so its
+    per-pair products are batched matrix products.
     """
     d, p = params.dim, params.proj_dim
-    w, q, kv = cache.weights, cache.q, cache.kv
-    w_kv = np.concatenate([params.w_k, params.w_v @ params.w_o], axis=1)
-
-    d_proj, d_go, d_bo = layernorm_rows_backward(d_out, cache.proj, params.ln_o_gain,
-                                                 axis=0)
-    d_proj = d_proj.transpose(1, 0, 2)                                  # (C, D_p, T)
-    d_w = kv[:, :, p:] @ d_proj
+    w, q, m = cache.weights, cache.q, cache.kv[:, :, p:2 * p]
+    # LN_o's standardized input u inv, u = M^T w; u is centred, so d_u is too
+    xhat = np.ascontiguousarray((m.transpose(0, 2, 1) @ w).transpose(1, 0, 2)) * cache.inv
+    d_u, d_go, d_bo = standardized_backward(d_out, xhat, cache.inv, params.ln_o_gain, axis=0)
+    d_u = d_u.transpose(1, 0, 2)                                        # (C, D_p, T)
+    d_w = m @ d_u
     d_logits = w * (d_w - (d_w * w).sum(axis=1, keepdims=True))
     d_logits *= 1.0 / math.sqrt(p)
-    d_q = (kv[:, :, :p].transpose(0, 2, 1) @ d_logits).transpose(1, 0, 2)
-    # d(K || V W_o), mapped from canonical back to the caller's row order
+    d_q = (cache.kv[:, :, :p].transpose(0, 2, 1) @ d_logits).transpose(1, 0, 2)
+    # d(K || M), mapped from canonical back to the caller's row order
     d_kv = np.empty((2 * p, cache.order.size))
     d_kv[:, cache.order] = np.concatenate([
-        q @ d_logits.transpose(0, 2, 1), d_proj @ w.transpose(0, 2, 1)],
+        q @ d_logits.transpose(0, 2, 1), d_u @ w.transpose(0, 2, 1)],
         axis=1).transpose(1, 2, 0)
 
     d_wkv = cache.c_n.reshape(d, -1) @ d_kv.T
-    d_cn = (w_kv @ d_kv).reshape(cache.contexts.shape)
+    d_cn = (cache.w_kv @ d_kv).reshape(cache.contexts.shape)
     if context_grad:
         d_contexts, d_gc, d_bc = layernorm_rows_backward(d_cn, cache.contexts,
                                                          params.ln_c_gain, axis=0)
     else:
         d_contexts = None
         d_gc, d_bc = layernorm_affine_grads(d_cn, cache.xhat, axis=0)
-    d_m = d_wkv[:, p:]
+    d_vo = d_wkv[:, p:]
     grads = {    # in the order of XAttnParams.named()
-        "w_k": d_wkv[:, :p], "w_v": d_m @ params.w_o.T, "w_o": params.w_v.T @ d_m,
+        "w_k": d_wkv[:, :p], "w_v": d_vo @ params.w_o.T, "w_o": params.w_v.T @ d_vo,
         "ln_c_gain": d_gc, "ln_c_bias": d_bc,
         "ln_o_gain": d_go, "ln_o_bias": d_bo,
     }

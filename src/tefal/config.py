@@ -6,7 +6,7 @@ Command-line flags override file values, which override the defaults below.
 """
 
 import dataclasses
-import math
+import sys
 from dataclasses import dataclass
 
 from .contrastive import TAU_INIT, TAU_MAX, TAU_MIN
@@ -51,7 +51,8 @@ class TrainConfig:
             value = getattr(self, name)
             if not _ACCEPTS[kind](value):
                 raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
-            if kind is float and not math.isfinite(value):
+            # NaN fails the comparison, and an int too large for a float fails it too
+            if kind is float and not abs(value) <= sys.float_info.max:
                 raise ConfigError(f"{name} must be finite, got {value!r}")
         if not TAU_MIN <= self.temperature_init <= TAU_MAX:
             raise ConfigError(f"temperature_init must lie in [{TAU_MIN}, {TAU_MAX}], "
@@ -79,8 +80,10 @@ class TrainConfig:
 
 
 _FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
-# the values each field type takes; a bool is neither an int nor a float
-_ACCEPTS = {int: is_integer, float: lambda v: is_integer(v) or isinstance(v, float),
+# the values each field type takes; a bool is neither an int nor a float,
+# and an array (anything with a length) neither
+_ACCEPTS = {int: lambda v: is_integer(v) and not hasattr(v, "__len__"),
+            float: lambda v: _ACCEPTS[int](v) or isinstance(v, float),
             bool: lambda v: isinstance(v, bool), str: lambda v: isinstance(v, str)}
 
 

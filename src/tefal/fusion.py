@@ -18,7 +18,8 @@ kinds, each called as ``(video, audio[, queries])`` with the inputs that
 late's and concat_fc's feature counts are checked.  The xattn block, one
 candidate and one query per fused column, runs
 :func:`tefal.attention.project_candidates` and its own per-pair products
-(:func:`_xattn_products`).  Stacking is not post-hoc:
+(:func:`_xattn_products`), and finishes ``LN_o`` through the tile kernel's
+:func:`tefal.attention.finish_ln_o_`.  Stacking is not post-hoc:
 :func:`tefal.model.score_tile` runs the video block over the stacked
 context.
 """
@@ -33,10 +34,11 @@ from .attention import (
     TileCache,
     XAttnParams,
     block_backward_tile,
+    finish_ln_o_,
     project_candidates,
     scaled_softmax_,
 )
-from .linalg import ShapeError, as_matrix, layernorm_rows, padded_matmul
+from .linalg import ShapeError, as_matrix, padded_matmul
 
 __all__ = ["FusionKind", "FusionParams", "FusionError", "audio_summary",
            "fuse_forward", "fuse_backward"]
@@ -124,14 +126,17 @@ def _pair_product(weight: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _xattn_products(q: np.ndarray, kv: np.ndarray, p: int):
-    """The xattn block's (C, n, T) weights and (D_p, C, T) pooled W_o by
-    ``einsum``, as padded products would run ``PAD`` columns per pair.  With
-    an output axis innermost (a pair axis, or for a single pair a feature or
-    row axis), numpy adds each output's terms one at a time in the order of
-    the summed axis, for any tile: so K is laid out (D_p, n, C) and V W_o
-    (n, D_p, C).  The softmax, :func:`tefal.attention.scaled_softmax_`, has n = 2."""
+    """The xattn block's (C, n, T) weights and (D_p, C, T) pooling of the
+    folded values M diag(g_o) by ``einsum``, as padded products would run
+    ``PAD`` columns per pair (only the 2 x 2 Gram product of
+    :func:`tefal.attention.finish_ln_o_` does).  With an output axis
+    innermost (a pair axis, or for a single pair a feature or row axis),
+    numpy adds each output's terms one at a time in the order of the summed
+    axis, for any tile: so K is laid out (D_p, n, C) and the values
+    (n, D_p, C).  The softmax, :func:`tefal.attention.scaled_softmax_`, and
+    the ``LN_o`` variance sum n = 2 rows, which any order adds alike."""
     k = np.ascontiguousarray(kv[:, :, :p].transpose(2, 1, 0))        # (D_p, n, C)
-    vo = np.ascontiguousarray(kv[:, :, p:].transpose(1, 2, 0))       # (n, D_p, C)
+    vo = np.ascontiguousarray(kv[:, :, 2 * p:].transpose(1, 2, 0))   # (n, D_p, C)
     weights = scaled_softmax_(np.einsum("pct,pnc->nct", q, k), p, axis=0)
     return weights.transpose(1, 0, 2), np.einsum("nct,npc->pct", weights, vo)
 
@@ -178,8 +183,8 @@ def fuse_forward(params: FusionParams, video, audio, queries=None, keep: bool = 
         q = np.ascontiguousarray(np.broadcast_to(queries, video.shape).reshape(p, -1, 1))
         cands = project_candidates(block, contexts, keep)
         weights, proj = _xattn_products(q, cands.kv, p)
-        fused = layernorm_rows(proj, block.ln_o_gain, block.ln_o_bias, axis=0)
-        tile = (TileCache(**vars(cands), q=q.transpose(1, 0, 2), weights=weights, proj=proj)
+        fused, inv = finish_ln_o_(block, proj, weights, cands.gram)
+        tile = (TileCache(**vars(cands), q=q.transpose(1, 0, 2), weights=weights, inv=inv)
                 if keep else None)
         return fused.reshape(video.shape), FusionCache(kind, tile)
 

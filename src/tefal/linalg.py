@@ -164,11 +164,17 @@ def layernorm_affine_grads(d_out: np.ndarray, xhat: np.ndarray, axis: int = -1):
 def layernorm_rows_backward(d_out: np.ndarray, m: np.ndarray, gain: np.ndarray,
                             axis: int = -1):
     """Gradients ``(d_m, d_gain, d_bias)`` for :func:`layernorm_rows`."""
-    m = np.asarray(m, dtype=np.float64)
-    width = m.shape[axis]
-    xhat, inv = _standardize(m, axis)
+    xhat, inv = _standardize(np.asarray(m, dtype=np.float64), axis)
+    return standardized_backward(d_out, xhat, inv, gain, axis)
+
+
+def standardized_backward(d_out: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
+                          gain: np.ndarray, axis: int = -1):
+    """:func:`layernorm_rows_backward` from the standardized input ``xhat``
+    and the reciprocal standard deviation ``inv`` it was scaled by."""
+    width = xhat.shape[axis]
     d_gain, d_bias = layernorm_affine_grads(d_out, xhat, axis)
-    g = d_out * gain.reshape(_column(width, m.ndim, axis))
+    g = d_out * gain.reshape(_column(width, xhat.ndim, axis))
     d_m = inv * (g - _feature_sum(g, axis) / width
                  - xhat * (_feature_sum(g, axis, xhat) / width))
     return d_m, d_gain, d_bias

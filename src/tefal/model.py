@@ -52,7 +52,7 @@ from .contrastive import (
 )
 from .corpus import Corpus
 from .fusion import FusionKind, FusionParams, fuse_backward, fuse_forward
-from .linalg import ShapeError, is_integer, padded_width, sum_leading
+from .linalg import ShapeError, is_integer, pad_pairs, padded_width, sum_leading
 
 __all__ = ["RetrievalModel", "create_model", "named_parameters",
            "candidate_scores", "Queries", "query_rows", "score_tile", "candidate_blocks",
@@ -233,7 +233,8 @@ def score_tile(model: RetrievalModel, queries: Queries, corpus: Corpus,
     scores ``cols[c]`` against its ``t``-th query (a grouped tile).  The
     candidates are projected once; a dense tile attends in tiles of at most
     ``TILE_PAIRS`` pairs, counted padded (:func:`tefal.linalg.padded_width`),
-    unless ``keep``.  Tile invariance: :func:`tefal.attention.block_forward_tile`.
+    unless ``keep``, its queries padded once for all of them.  Tile
+    invariance: :func:`tefal.attention.block_forward_tile`.
     """
     cols = np.asarray(cols, dtype=np.intp)
     cands = {name: project_candidates(_params(model, name), rows.T, keep)
@@ -247,13 +248,15 @@ def score_tile(model: RetrievalModel, queries: Queries, corpus: Corpus,
     t = queries.texts.shape[-1]
     width = max(1, len(cols) if keep or queries.texts.shape[1] > 1
                 else TILE_PAIRS // padded_width(t))
+    # padded once for every sub-tile; attend_tile keeps the padded columns
+    q = {n: queries.blocks[n] if keep else pad_pairs(queries.blocks[n]) for n in cands}
     scores = np.empty((t, len(cols)))
     for start in range(0, len(cols), width):
         tile = slice(start, start + width)
         outputs, caches = {}, {}
         for name, block in cands.items():
-            outputs[name], caches[name] = attend_tile(
-                _params(model, name), queries.blocks[name], block, tile, keep)
+            out, caches[name] = attend_tile(_params(model, name), q[name], block, tile, keep)
+            outputs[name] = out[:, :, :t]
         fused, fusion_cache = _fuse(model, outputs, queries.blocks.get("xattn"),
                                     lambda: token_means()[:, tile], keep)
         tile_scores, cos_cache = cosine_rows(queries.texts, fused)

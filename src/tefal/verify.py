@@ -99,9 +99,11 @@ def _block_tile_check(seed: int, sets: int) -> float:
     is added to the query projections, so its gradient is the ``d_q`` of
     :func:`block_backward_tile` summed over the candidates of a set.  The
     context rows are laid out in reverse canonical order, so ``d_contexts``
-    must be mapped back out of it."""
+    must be mapped back out of it.  ``LN_o``'s gain and bias are drawn, as
+    1 and 0 would hide a misplaced gain."""
     rng = np.random.default_rng(seed)
     params = XAttnParams.create(rng, 6, 4)
+    params.ln_o_gain, params.ln_o_bias = rng.uniform(0.5, 1.5, (2, 1, 4))
     texts = rng.standard_normal((2 * sets, 6))
     contexts = rng.standard_normal((6, 3, 2))
     cotangent = rng.standard_normal((4, 2, 2))

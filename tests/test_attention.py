@@ -1,6 +1,7 @@
 """Cross-attention block: projections, pooling, invariants, and gradients."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,8 +23,19 @@ from tefal.linalg import ShapeError
 from tefal.verify import finite_difference_gradients
 
 
-def make_params(seed=0, dim=8, proj=4, **kwargs):
-    return XAttnParams.create(np.random.default_rng(seed), dim, proj, **kwargs)
+def make_params(seed=0, dim=8, proj=4):
+    """A block whose ``LN_o`` gain is not 1 and bias not 0, unlike
+    ``XAttnParams.create``'s, so that a misplaced gain or bias shows."""
+    params = XAttnParams.create(np.random.default_rng(seed), dim, proj)
+    rng = np.random.default_rng(seed + 1000)
+    params.ln_o_gain = rng.uniform(0.5, 1.5, size=(1, proj))
+    params.ln_o_bias = rng.standard_normal((1, proj))
+    return params
+
+
+def centring(width):
+    """C = I - 11^T / width, which removes a row's mean."""
+    return np.eye(width) - 1.0 / width
 
 
 def reference_embedding(params, text, context):
@@ -39,20 +51,24 @@ EMBEDDINGS = pytest.mark.parametrize("embed", [conditioned_embedding,
 
 def tile_cache(params, text, context):
     """The tile kernel's cache for one candidate ``context`` (n, D) against
-    the (1, D) ``text``, with K and V W_o mapped to the caller's row order
-    as (n, D_p) rows."""
+    the (1, D) ``text``, with K and the folded values V W_o C diag(g_o)
+    mapped to the caller's row order as (n, D_p) rows."""
     _, cache = block_forward_tile(params, project_queries(params, text)[:, None],
                                   context.T[:, :, None])
     back = np.argsort(cache.order[:, 0])    # caller row -> canonical position
     p = params.proj_dim
-    return cache.kv[0, back, :p], cache.kv[0, back, p:]
+    return cache.kv[0, back, :p], cache.kv[0, back, 2 * p:]
 
 
 def reference_layernorm(row, gain, bias, eps=1e-5):
-    """Scalar-loop LayerNorm, independent of the library implementation."""
-    mu = math.fsum(row) / len(row)
-    var = math.fsum((x - mu) ** 2 for x in row) / len(row)
-    return [(x - mu) / math.sqrt(var + eps) * g + b
+    """Scalar-loop LayerNorm, independent of the library implementation:
+    exact rational arithmetic on the floats (or Fractions) of ``row``, up to
+    the one rounding of the variance before its root."""
+    row = [Fraction(x) for x in row]
+    mu = sum(row) / len(row)
+    var = sum((x - mu) ** 2 for x in row) / len(row)
+    root = Fraction(math.sqrt(float(var) + eps))
+    return [float((x - mu) / root * Fraction(g) + Fraction(b))
             for x, g, b in zip(row, gain, bias)]
 
 
@@ -75,8 +91,9 @@ class TestProject:
         text = np.random.default_rng(4).standard_normal((1, 8))
         k, vo = tile_cache(params, text, np.zeros((4, 8)))
         expected_k = params.ln_c_bias @ params.w_k
-        # the kernel folds W_o into the values
-        expected_vo = params.ln_c_bias @ (params.w_v @ params.w_o)
+        # the kernel folds W_o, LN_o's centring and its gain into the values
+        expected_vo = (params.ln_c_bias @ params.w_v @ params.w_o @ centring(4)
+                       @ np.diag(params.ln_o_gain[0]))
         for row in range(4):
             np.testing.assert_allclose(k[row], expected_k[0], atol=1e-14)
             np.testing.assert_allclose(vo[row], expected_vo[0], atol=1e-14)
@@ -96,7 +113,9 @@ class TestProject:
                         for row in context])
         np.testing.assert_allclose(q.T, t_n @ params.w_q, atol=1e-12)
         np.testing.assert_allclose(k, c_n @ params.w_k, atol=1e-12)
-        np.testing.assert_allclose(vo, c_n @ params.w_v @ params.w_o, atol=1e-12)
+        np.testing.assert_allclose(
+            vo, c_n @ params.w_v @ params.w_o @ centring(4) @ np.diag(params.ln_o_gain[0]),
+            atol=1e-12)
 
     def test_context_width_mismatch(self):
         params = make_params()
@@ -194,8 +213,8 @@ class TestConditionedEmbedding:
 
     def test_output_has_layernorm_structure(self):
         rng = np.random.default_rng(16)
-        params = make_params(seed=17, dim=6, proj=6)
         # unit gain / zero bias is the initialization
+        params = XAttnParams.create(np.random.default_rng(17), 6, 6)
         out = conditioned_embedding(params, rng.standard_normal((1, 6)),
                                     rng.standard_normal((4, 6)))
         assert abs(out.mean()) <= 1e-12
@@ -220,6 +239,39 @@ class TestConditionedEmbedding:
         before = audio.w_q.copy()
         video.w_q[...] = 99.0
         np.testing.assert_array_equal(audio.w_q, before)
+
+
+class TestFoldedLayerNorm:
+    def test_a_large_common_offset_over_nearly_cancelling_rows(self):
+        # pooled vectors of 1e4 + u: W_v = I and W_o = 1e4 + R, with R on a
+        # 2^-30 grid so that W_v W_o C is exact in floats.  The context rows
+        # come in pairs x, -x + 1e-6 e under nearly equal weights, so u is
+        # about 16 times shorter than the centred rows it pools, which the
+        # Gram variance squares.  The fold is 3e-15 off here; centring after
+        # the pooling, as an unfolded LN_o does, is 3e-12 to 8e-12 off.
+        rng = np.random.default_rng(50)
+        d = 8
+        params = make_params(seed=51, dim=d, proj=d)
+        params.w_v = np.eye(d)
+        params.w_o = 1e4 + np.round(rng.standard_normal((d, d)) * 2**30) / 2**30
+        params.w_k *= 1e-2
+        params.ln_c_bias = np.full((1, d), 0.125)
+        x = rng.standard_normal((3, d))
+        context = np.concatenate([x, -x + 1e-6 * rng.standard_normal((3, d))])
+        text = rng.standard_normal((4, d))
+        out, cache = block_forward_tile(params, project_queries(params, text)[:, None],
+                                        context.T[:, :, None])
+        rows = [[Fraction(v) for v in row]
+                for row in np.take(cache.c_n[:, :, 0].T, cache.order[:, 0], axis=0)]
+        for t in range(len(text)):
+            weights = [Fraction(v) for v in cache.weights[0, :, t]]
+            pooled = [sum(w * row[k] for w, row in zip(weights, rows)) for k in range(d)]
+            proj = [sum(pooled[k] * Fraction(params.w_o[k, j]) for k in range(d))
+                    for j in range(d)]
+            assert abs(float(sum(proj)) / d) > 5e3    # the common offset
+            expected = np.array(reference_layernorm(proj, params.ln_o_gain[0],
+                                                    params.ln_o_bias[0]))
+            assert np.abs(out[:, 0, t] - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 class TestExportWeights:
@@ -269,8 +321,9 @@ class TestExportWeights:
 class TestProjectCandidates:
     @pytest.mark.parametrize("rows", [1, 2, 8])
     def test_a_candidate_projects_alike_alone_and_in_a_stack_of_300(self, rows):
-        # K || V W_o is one fixed-shape matmul item per candidate, so its
-        # bits do not depend on how many candidates share the call
+        # K || M || M diag(g_o) and the Gram M M^T are each one fixed-shape
+        # matmul item per candidate, so their bits do not depend on how many
+        # candidates share the call
         rng = np.random.default_rng(40)
         params = make_params(seed=41, dim=32, proj=32)
         contexts = rng.standard_normal((32, rows, 300))
@@ -278,6 +331,7 @@ class TestProjectCandidates:
         for c in (0, 1, 150, 299):
             alone = project_candidates(params, contexts[:, :, c:c + 1])
             assert alone.kv[0].tobytes() == stack.kv[c].tobytes()
+            assert alone.gram[0].tobytes() == stack.gram[c].tobytes()
 
 
 class TestQueryLayout:

@@ -111,6 +111,20 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"{field} must be "):
             TrainConfig(**{field: value}).validate()
 
+    @pytest.mark.parametrize("value", [10**400, -10**400], ids=["1e400", "-1e400"])
+    def test_an_int_too_large_for_a_float_is_not_finite(self, value):
+        # math.isfinite used to raise OverflowError
+        with pytest.raises(ConfigError, match="learning_rate must be finite"):
+            TrainConfig(learning_rate=value).validate()
+
+    @pytest.mark.parametrize("field,value", [
+        ("epochs", np.array([1, 2])), ("seed", np.array(3)),
+        ("learning_rate", np.array([1, 2]))])
+    def test_an_integer_array_is_no_scalar(self, field, value):
+        # epochs=np.array([1, 2]) used to raise numpy's ambiguous-truth ValueError
+        with pytest.raises(ConfigError, match=f"{field} must be "):
+            TrainConfig(**{field: value}).validate()
+
     def test_numpy_scalars_are_accepted(self):
         # guard: numpy integers and floats validate as before
         config = TrainConfig(epochs=np.int64(3), seed=np.int64(0),

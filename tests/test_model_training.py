@@ -26,7 +26,8 @@ from tefal.model import (
     score_tile,
     similarity_matrix,
 )
-from tefal import attention, fusion as fusion_module, model as model_module, ranking, training
+from tefal import (attention, fusion as fusion_module, linalg, model as model_module, ranking,
+                   training)
 from tefal.ranking import rank_exhaustive, ranks_from_similarity, rerank_two_stage
 from tefal.training import AdamW, TrainingDiverged, clip_global_norm, evaluate, train
 from tefal.verify import end_to_end_check
@@ -494,6 +495,29 @@ class TestTileScoring:
                 np.testing.assert_array_equal(
                     similarity_matrix(model, scoring_corpus, candidates=cands),
                     full[:, cands])
+
+    def test_a_dense_tile_pads_its_queries_once_per_call(self, scoring_corpus, monkeypatch):
+        # 3 queries are no multiple of PAD; at 16 pairs the 23 candidates
+        # attend in 12 sub-tiles, which used to pad each block's queries anew
+        model = create_model(seed=24, dim=12)
+        queries = query_rows(model, scoring_corpus.texts[:3])
+        cols = np.arange(len(scoring_corpus))
+        whole = score_tile(model, queries, scoring_corpus, cols)
+        copies = []
+
+        def counted(x):
+            out = pad_pairs(x)
+            if out is not x:
+                copies.append(x.shape)
+            return out
+
+        pad_pairs = linalg.pad_pairs
+        monkeypatch.setattr(linalg, "pad_pairs", counted)
+        monkeypatch.setattr(model_module, "pad_pairs", counted, raising=False)
+        monkeypatch.setattr(model_module, "TILE_PAIRS", 16)
+        got = score_tile(model, queries, scoring_corpus, cols)
+        assert copies == [(12, 1, 3), (12, 1, 3)]    # the video and audio queries
+        assert got.tobytes() == whole.tobytes()
 
     def test_exhaustive_scoring_holds_one_output_matrix(self):
         # candidate blocks write into the one (T, V) array: no list of

@@ -46,13 +46,21 @@ def blas_description() -> str:
 
 
 def stacked_logits(rng, items, n):
-    """K_c, as the kernel reads it: a view of each candidate's K || V W_o."""
-    return rng.standard_normal((items, n, 2 * D))[:, :, :D]
+    """K_c, as the kernel reads it: a view of each candidate's
+    K || M || M diag(g_o), M the value rows with LN_o's centring folded in."""
+    return rng.standard_normal((items, n, 3 * D))[:, :, :D]
 
 
 def stacked_pooling(rng, items, n):
-    """(V W_o)_c^T, the transposed view of the other half."""
-    return rng.standard_normal((items, n, 2 * D))[:, :, D:].transpose(0, 2, 1)
+    """(M diag(g_o))_c^T, the transposed view of the last third."""
+    return rng.standard_normal((items, n, 3 * D))[:, :, 2 * D:].transpose(0, 2, 1)
+
+
+def stacked_gram(rng, items, n):
+    """G_c = M_c M_c^T, the (n, n) Gram of the middle third, which weights
+    the LN_o variance."""
+    m = rng.standard_normal((items, n, 3 * D))[:, :, D:2 * D]
+    return m @ m.transpose(0, 2, 1)
 
 
 def transposed_weight(rng, m, k):
@@ -61,10 +69,12 @@ def transposed_weight(rng, m, k):
 
 
 # every (M, K) of a padded product in the engine, with the layout of its
-# left operand: the logits for n context rows, the pooling, project_queries
-# (and late fusion), concat_fc, and stage 1's chunks
+# left operand: the logits for n context rows, the pooling, the LN_o
+# variance's Gram, project_queries (and late fusion), concat_fc, and stage
+# 1's chunks
 STACKED = ([(f"logits n={n}", stacked_logits, n) for n in (1, 2, 4, 5, 8, 9)]
-           + [(f"pooling n={n}", stacked_pooling, n) for n in (1, 2, 4, 5, 8, 9)])
+           + [(f"pooling n={n}", stacked_pooling, n) for n in (1, 2, 4, 5, 8, 9)]
+           + [(f"gram n={n}", stacked_gram, n) for n in (1, 2, 4, 5, 8, 9)])
 FLAT = [("project_queries", lambda rng: transposed_weight(rng, D, D)),
         ("concat_fc", lambda rng: transposed_weight(rng, D, 2 * D)),
         ("stage 1", lambda rng: rng.standard_normal((_CHUNK_ROWS, D)))]
