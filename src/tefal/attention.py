@@ -18,16 +18,19 @@ the scale of ``LN_o`` depends on the pair.  With C = I - 11^T/d_p and
 M = LN(context) W_v W_o C, the pooling of the rows M diag(g_o) gives
 g_o (p - mean p) for p = pooled W_o, and the variance is w^T (M M^T) w / d_p,
 from the candidate's n x n Gram.  So ``LN_o`` takes two passes over a
-tile's outputs, a scale and a bias (:func:`finish_ln_o_`).
+tile's outputs, a scale and a bias (:func:`_finish_ln_o`).
 
-Every library path runs
-the tile kernel, :func:`block_forward_tile`, whose docstring gives why a
-pair's output does not depend on its tile, or, in the xattn fusion block,
-its candidate half, :func:`project_candidates`, with per-pair products of
-that block's own (:mod:`tefal.fusion`).  :func:`block_forward`,
-:func:`block_backward` and :func:`attend` are the per-candidate reference
-that the tests compare the kernel against.  Two independent instances of
-the block condition the video and audio sides on the same text query.
+Every library path runs the kernel in one of two product forms: the tile
+kernel, :func:`block_forward_tile`, whose docstring gives why a pair's
+output does not depend on its tile, or :func:`attend_pairs`, one query per
+context, which the xattn fusion block runs.  Both share
+:func:`project_candidates`, the softmax and the ``LN_o`` finish, so only
+this module knows the K || M || M diag(g_o) layout and the
+:class:`TileCache` that :func:`block_backward_tile` reverses.
+:func:`block_forward`, :func:`block_backward` and :func:`attend` are the
+per-candidate reference that the tests compare the kernel against.  Two
+independent instances of the block condition the video and audio sides on
+the same text query.
 """
 
 import math
@@ -60,8 +63,8 @@ __all__ = [
     "project_queries_backward",
     "canonical_rows",
     "project_candidates",
-    "scaled_softmax_", "finish_ln_o_",
     "attend_tile",
+    "attend_pairs",
     "block_forward_tile",
     "block_backward_tile",
 ]
@@ -328,7 +331,7 @@ def project_candidates(params: XAttnParams, contexts: np.ndarray,
     return Candidates(order, contexts, c_n, xhat, kv, m @ m.transpose(0, 2, 1), w_kv)
 
 
-def scaled_softmax_(logits: np.ndarray, proj_dim: int, axis: int) -> np.ndarray:
+def _scaled_softmax_(logits: np.ndarray, proj_dim: int, axis: int) -> np.ndarray:
     """In place, the attention weights ``softmax(logits / sqrt(proj_dim))``
     over the context rows along ``axis``.  numpy sums them in row order when
     two or more elements trail ``axis``, or when ``axis`` has two rows."""
@@ -339,19 +342,24 @@ def scaled_softmax_(logits: np.ndarray, proj_dim: int, axis: int) -> np.ndarray:
     return weights
 
 
-def finish_ln_o_(params: XAttnParams, proj: np.ndarray, weights: np.ndarray,
-                 gram: np.ndarray):
-    """``(proj, inv)``: in place, ``LN_o`` of (D_p, C, T) ``proj``, the
+def _finish_ln_o(params: XAttnParams, cands: Candidates, cols, q: np.ndarray,
+                 proj: np.ndarray, weights: np.ndarray, keep: bool):
+    """``(out, cache)``: in place, ``LN_o`` of (D_p, C, T_pad) ``proj``, the
     pooling of the :func:`project_candidates` rows M diag(g_o), which is
-    ``g_o`` (pooled W_o - its mean), by the (C, n, T) ``weights`` over each
-    candidate's rows; and the (C, T) reciprocal standard deviation ``inv``.
-    The variance is ``sum_n w (G w) / D_p``, G the candidate's ``gram``, so
-    two passes over ``proj`` remain: the scale and the bias."""
-    var = (padded_matmul(gram, weights)[:, :, :weights.shape[-1]] * weights).sum(axis=1)
+    ``g_o`` (pooled W_o - its mean), by the (C, n, T_pad) ``weights`` over
+    the rows of the ``cols`` candidates, cut to the T columns of the
+    (1 or C, D_p, T) query items ``q``; ``cache``, the :class:`TileCache`,
+    only with ``keep``.  The variance is ``sum_n w (G w) / D_p``, G the
+    candidate's Gram, so two passes over ``proj`` remain: the scale and the
+    bias."""
+    var = (padded_matmul(cands.gram[cols], weights)[:, :, :weights.shape[-1]]
+           * weights).sum(axis=1)
     inv = 1.0 / np.sqrt(var / params.proj_dim + LAYERNORM_EPS)
     proj *= inv
     proj += params.ln_o_bias.reshape(-1, 1, 1)
-    return proj, inv
+    t = q.shape[-1]
+    return proj[:, :, :t], (TileCache(**vars(cands), q=q, weights=weights[:, :, :t],
+                                      inv=inv[:, :t]) if keep else None)
 
 
 def attend_tile(params: XAttnParams, q: np.ndarray, cands: Candidates,
@@ -364,18 +372,41 @@ def attend_tile(params: XAttnParams, q: np.ndarray, cands: Candidates,
     q = np.ascontiguousarray(q, dtype=np.float64)
     if q.ndim != 3 or q.shape[0] != p or q.shape[1] not in (1, len(kv)):
         raise ShapeError(f"q must be ({p}, 1, T) or ({p}, {len(kv)}, T), got {q.shape}")
-    t = q.shape[-1]
     items = q.transpose(1, 0, 2)                                      # (1 or C, D_p, T)
     logits = padded_matmul(kv[:, :, :p], items)                       # (C, n, T_pad)
-    weights = scaled_softmax_(logits, p, axis=1)
+    weights = _scaled_softmax_(logits, p, axis=1)
     # the pooling straight into the (D_p, C, T_pad) layout of LN_o
     proj = np.empty((p, len(kv), weights.shape[-1]))
     padded_matmul(kv[:, :, 2 * p:].transpose(0, 2, 1), weights, out=proj.transpose(1, 0, 2))
-    out, inv = finish_ln_o_(params, proj, weights, cands.gram[cols])
-    if not keep:
-        return out[:, :, :t], None
-    return out[:, :, :t], TileCache(**vars(cands), q=items, weights=weights[:, :, :t],
-                                    inv=inv[:, :t])
+    return _finish_ln_o(params, cands, cols, items, proj, weights, keep)
+
+
+def attend_pairs(params: XAttnParams, q: np.ndarray, contexts: np.ndarray,
+                 keep: bool = False):
+    """``(out, cache)`` of the block for one query per context: the (D_p, P)
+    outputs of (D_p, P) :func:`project_queries` columns ``q`` against
+    (D, n, P) ``contexts``, and with ``keep`` the :class:`TileCache` of the
+    P candidates, one query each, that :func:`block_backward_tile` reverses.
+    The xattn fusion block runs it over the rows [E_v|t, E_a|t].
+
+    A padded product would run ``PAD`` columns per pair (only the Gram
+    product of ``LN_o``'s variance does), so the logits and the pooling of
+    M diag(g_o) are ``einsum``s.  With an output axis innermost (a pair
+    axis, or for a single pair a feature or row axis), numpy adds each
+    output's terms one at a time in the order of the summed axis, for any
+    tile: so K is laid out (D_p, n, P) and the values (n, D_p, P).  The
+    softmax and the ``LN_o`` variance of the xattn block sum n = 2 rows,
+    which any order adds alike."""
+    p = params.proj_dim
+    cands = project_candidates(params, contexts, keep)
+    q = np.ascontiguousarray(q, dtype=np.float64)[:, :, None]              # (D_p, P, 1)
+    k = np.ascontiguousarray(cands.kv[:, :, :p].transpose(2, 1, 0))        # (D_p, n, P)
+    vo = np.ascontiguousarray(cands.kv[:, :, 2 * p:].transpose(1, 2, 0))   # (n, D_p, P)
+    weights = _scaled_softmax_(np.einsum("pct,pnc->nct", q, k), p, axis=0)
+    proj = np.einsum("nct,npc->pct", weights, vo)
+    out, cache = _finish_ln_o(params, cands, slice(None), q.transpose(1, 0, 2), proj,
+                              weights.transpose(1, 0, 2), keep)
+    return out[:, :, 0], cache
 
 
 def block_forward_tile(params: XAttnParams, q: np.ndarray, contexts: np.ndarray):
@@ -403,14 +434,13 @@ def block_forward_tile(params: XAttnParams, q: np.ndarray, contexts: np.ndarray)
     (:func:`tefal.linalg.padded_matmul`), one column per query, so a
     column keeps its bits whatever queries and candidates share the tile;
     :func:`project_queries` and the late and concat_fc fusions are padded
-    products too.  The softmax (:func:`scaled_softmax_`) sums and the
+    products too.  The softmax (:func:`_scaled_softmax_`) sums and the
     variance's sum over the n rows of w (M M^T w) run over a (C, n, T_pad)
     array whose trailing axis is at least ``PAD`` wide, so numpy adds each
     column's terms in row order; the ``LN_c`` sums go through
-    :func:`tefal.linalg.sum_leading`.  Fusion,
-    the xattn block's own products among it
-    (:func:`tefal.fusion._xattn_products`), and cosine follow the same
-    rules, so a score, too, depends only on its pair.
+    :func:`tefal.linalg.sum_leading`.  Fusion, the xattn block's
+    :func:`attend_pairs` among it, and cosine follow the same rules, so a
+    score, too, depends only on its pair.
     """
     return attend_tile(params, q, project_candidates(params, contexts, keep=True), keep=True)
 

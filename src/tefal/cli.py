@@ -87,9 +87,7 @@ def _cmd_train(args) -> int:
         except (ConfigError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{args.config}: {exc}") from None
     values = {key: value for key, (_, value) in entries.items()}
-    geometry = {"dim": corpus.dim, "proj_dim": corpus.dim,
-                "frames": corpus.frame_count, "audio_tokens": corpus.audio_token_count}
-    for key, value in geometry.items():
+    for key, value in corpus.geometry.items():
         if values.get(key, value) != value:
             raise ConfigError(f"{args.config}: config file sets {key} = {values[key]}, "
                               f"but the data has {key} {value}")
@@ -104,7 +102,7 @@ def _cmd_train(args) -> int:
             except ConfigError as exc:
                 raise ConfigError(f"{args.config}: line {line}: {exc}") from None
     values.update((k, v) for k, v in flags.items() if v is not None)
-    result = train(TrainConfig(**{**values, **geometry}).validate(), corpus)
+    result = train(TrainConfig(**{**values, **corpus.geometry}).validate(), corpus)
     for entry in result.history:
         tau = f"{entry['tau']:.4f}"
         print(f"epoch {entry['epoch']:3d}  loss {entry['loss']:.6f}  tau {tau}")

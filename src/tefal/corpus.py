@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fusion import audio_summary
-from .linalg import ShapeError
+from .linalg import ShapeError, is_integer
 
 __all__ = ["Corpus", "synth_corpus"]
 
@@ -77,6 +77,26 @@ class Corpus:
     def n_audios(self) -> int:
         return int(np.sum(self.has_audio))
 
+    @property
+    def geometry(self) -> dict[str, int]:
+        """The :class:`tefal.config.TrainConfig` fields the items fix; the
+        cosine compares text rows with fused embeddings, so ``proj_dim`` is
+        ``dim``."""
+        return {"dim": self.dim, "proj_dim": self.dim, "frames": self.frame_count,
+                "audio_tokens": self.audio_token_count}
+
+    def item_indices(self, indices, name: str = "item") -> np.ndarray:
+        """``indices`` as a 1-D array, each an integer in [0, n); else a
+        ValueError names the first bad index, calling the indices ``name``."""
+        indices, n = np.asarray(indices), len(self)
+        if indices.ndim != 1 or indices.size and not is_integer(indices):
+            raise ValueError(f"{name}s must be integer indices along one axis, got "
+                             f"{indices.dtype} of shape {indices.shape}")
+        outside = indices[(indices < 0) | (indices >= n)]
+        if len(outside):
+            raise ValueError(f"{name} index {outside[0]} is outside [0, {n})")
+        return indices
+
     def summary_rows(self) -> np.ndarray:
         """Per-item audio summary rows (n, D): mean of class and dist rows."""
         if self.summary_tokens is None:
@@ -88,7 +108,8 @@ class Corpus:
         return self._summary_rows
 
     def subset(self, indices) -> "Corpus":
-        indices = np.asarray(indices, dtype=np.intp)
+        """The items at ``indices``, which :meth:`Corpus.item_indices` checks."""
+        indices = self.item_indices(indices).astype(np.intp)
         return Corpus(
             ids=[self.ids[i] for i in indices],
             texts=self.texts[indices],

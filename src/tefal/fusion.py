@@ -16,12 +16,11 @@ their inputs, with no re-normalization: the cosine absorbs scale.
 kinds, each called as ``(video, audio[, queries])`` with the inputs that
 :mod:`tefal.model`'s kind table picks; here only addition's shapes and
 late's and concat_fc's feature counts are checked.  The xattn block, one
-candidate and one query per fused column, runs
-:func:`tefal.attention.project_candidates` and its own per-pair products
-(:func:`_xattn_products`), and finishes ``LN_o`` through the tile kernel's
-:func:`tefal.attention.finish_ln_o_`.  Stacking is not post-hoc:
-:func:`tefal.model.score_tile` runs the video block over the stacked
-context.
+candidate and one query per fused column, is
+:func:`tefal.attention.attend_pairs` over the rows [E_v|t, E_a|t], and
+:func:`tefal.attention.block_backward_tile` reverses it.  Stacking is not
+post-hoc: :func:`tefal.model.score_tile` runs the video block over the
+stacked context.
 """
 
 import enum
@@ -30,14 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import (
-    TileCache,
-    XAttnParams,
-    block_backward_tile,
-    finish_ln_o_,
-    project_candidates,
-    scaled_softmax_,
-)
+from .attention import XAttnParams, attend_pairs, block_backward_tile
 from .linalg import ShapeError, as_matrix, padded_matmul
 
 __all__ = ["FusionKind", "FusionParams", "FusionError", "audio_summary",
@@ -125,22 +117,6 @@ def _pair_product(weight: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out.reshape((-1,) + x.shape[1:])
 
 
-def _xattn_products(q: np.ndarray, kv: np.ndarray, p: int):
-    """The xattn block's (C, n, T) weights and (D_p, C, T) pooling of the
-    folded values M diag(g_o) by ``einsum``, as padded products would run
-    ``PAD`` columns per pair (only the 2 x 2 Gram product of
-    :func:`tefal.attention.finish_ln_o_` does).  With an output axis
-    innermost (a pair axis, or for a single pair a feature or row axis),
-    numpy adds each output's terms one at a time in the order of the summed
-    axis, for any tile: so K is laid out (D_p, n, C) and the values
-    (n, D_p, C).  The softmax, :func:`tefal.attention.scaled_softmax_`, and
-    the ``LN_o`` variance sum n = 2 rows, which any order adds alike."""
-    k = np.ascontiguousarray(kv[:, :, :p].transpose(2, 1, 0))        # (D_p, n, C)
-    vo = np.ascontiguousarray(kv[:, :, 2 * p:].transpose(1, 2, 0))   # (n, D_p, C)
-    weights = scaled_softmax_(np.einsum("pct,pnc->nct", q, k), p, axis=0)
-    return weights.transpose(1, 0, 2), np.einsum("nct,npc->pct", weights, vo)
-
-
 def fuse_forward(params: FusionParams, video, audio, queries=None, keep: bool = False):
     """``(fused, cache)`` of a post-hoc fusion kind; stacking raises
     :class:`FusionError`.  ``video`` is E_v|t and ``audio`` E_a|t, or for
@@ -178,14 +154,10 @@ def fuse_forward(params: FusionParams, video, audio, queries=None, keep: bool = 
         return fused, FusionCache(kind, concat)
 
     if kind == FusionKind.XATTN:
-        block, p = params.xattn, video.shape[0]
+        p = video.shape[0]
         contexts = np.stack([x.reshape(p, -1) for x in (video, audio)], axis=1)
-        q = np.ascontiguousarray(np.broadcast_to(queries, video.shape).reshape(p, -1, 1))
-        cands = project_candidates(block, contexts, keep)
-        weights, proj = _xattn_products(q, cands.kv, p)
-        fused, inv = finish_ln_o_(block, proj, weights, cands.gram)
-        tile = (TileCache(**vars(cands), q=q.transpose(1, 0, 2), weights=weights, inv=inv)
-                if keep else None)
+        q = np.broadcast_to(queries, video.shape).reshape(p, -1)
+        fused, tile = attend_pairs(params.xattn, q, contexts, keep)
         return fused.reshape(video.shape), FusionCache(kind, tile)
 
     raise FusionError(f"{kind.value} fusion is not a post-hoc combiner")

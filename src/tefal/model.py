@@ -433,13 +433,8 @@ def similarity_matrix(model: RetrievalModel, corpus: Corpus,
     tile's temporaries beside the shared matrix.  Tile invariance
     (:func:`tefal.attention.block_forward_tile`) makes the result the same
     for any worker count.  Candidates not integers in [0, n) raise ValueError."""
-    n = len(corpus)
-    candidates = np.asarray(np.arange(n) if candidates is None else candidates)
-    if candidates.size and not is_integer(candidates):
-        raise ValueError(f"candidates must be integer indices, got {candidates.dtype}")
-    outside = candidates[(candidates < 0) | (candidates >= n)]
-    if len(outside):
-        raise ValueError(f"candidate index {outside[0]} is outside [0, {n})")
+    candidates = corpus.item_indices(
+        np.arange(len(corpus)) if candidates is None else candidates, "candidate")
     queries = query_rows(model, corpus.texts if query_texts is None else query_texts)
     out = np.empty((queries.texts.shape[-1], len(candidates)))
 

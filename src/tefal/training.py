@@ -118,9 +118,10 @@ def train(config: TrainConfig, corpus: Corpus) -> TrainResult:
     tau, mean pre-clip gradient norm and mean learning-rate scale (and an
     R@1 probe every ``eval_every`` epochs), and no wall times."""
     config.validate()
-    if corpus.dim != config.dim:
-        raise ConfigError(
-            f"corpus embeds {corpus.dim} dims but config.dim is {config.dim}")
+    for key, value in corpus.geometry.items():
+        if getattr(config, key) != value:
+            raise ConfigError(f"the corpus has {key} {value} but config.{key} is "
+                              f"{getattr(config, key)}")
     if config.batch_size > len(corpus):
         raise ConfigError(
             f"batch_size {config.batch_size} exceeds corpus size {len(corpus)}")
@@ -163,10 +164,9 @@ def train(config: TrainConfig, corpus: Corpus) -> TrainResult:
             model.temperature.project_()
             losses.append(loss)
             lr_scales.append(lr_scale)
-        entry = {"epoch": epoch, "loss": float(np.mean(losses)) if losses else None,
-                 "tau": model.temperature.value,
-                 "grad_norm": float(np.mean(grad_norms)) if grad_norms else None,
-                 "lr_scale": float(np.mean(lr_scales)) if lr_scales else None}
+        entry = {"epoch": epoch, "loss": float(np.mean(losses)),
+                 "tau": model.temperature.value, "grad_norm": float(np.mean(grad_norms)),
+                 "lr_scale": float(np.mean(lr_scales))}
         if config.eval_every and (epoch + 1) % config.eval_every == 0:
             probe = evaluate(model, corpus)
             entry["r1_t2v"] = probe.t2v.r1

@@ -9,6 +9,7 @@ import pytest
 from tefal.attention import (
     XAttnParams,
     attend,
+    attend_pairs,
     attend_tile,
     block_backward,
     block_backward_tile,
@@ -332,6 +333,26 @@ class TestProjectCandidates:
             alone = project_candidates(params, contexts[:, :, c:c + 1])
             assert alone.kv[0].tobytes() == stack.kv[c].tobytes()
             assert alone.gram[0].tobytes() == stack.gram[c].tobytes()
+
+
+class TestAttendPairs:
+    def test_swapping_the_two_context_rows_changes_no_bit(self):
+        # the xattn fusion block's rows [e_v, e_a], one query per pair
+        params = make_params(seed=40, dim=6, proj=6)
+        rng = np.random.default_rng(41)
+        q = project_queries(params, rng.standard_normal((50, 6)))
+        e_v, e_a = rng.standard_normal((2, 6, 50))
+        out, cache = attend_pairs(params, q, np.stack([e_v, e_a], axis=1), keep=True)
+        swapped, swapped_cache = attend_pairs(params, q, np.stack([e_a, e_v], axis=1),
+                                              keep=True)
+        np.testing.assert_array_equal(swapped, out)
+        np.testing.assert_array_equal(swapped_cache.caller_weights(),
+                                      cache.caller_weights()[::-1])
+        unkept, no_cache = attend_pairs(params, q, np.stack([e_v, e_a], axis=1))
+        np.testing.assert_array_equal(unkept, out)
+        assert no_cache is None
+        tile, _ = block_forward_tile(params, q[:, :, None], np.stack([e_v, e_a], axis=1))
+        np.testing.assert_allclose(out, tile[:, :, 0], rtol=0, atol=1e-12)
 
 
 class TestQueryLayout:

@@ -26,8 +26,7 @@ from tefal.model import (
     score_tile,
     similarity_matrix,
 )
-from tefal import (attention, fusion as fusion_module, linalg, model as model_module, ranking,
-                   training)
+from tefal import attention, linalg, model as model_module, ranking, training
 from tefal.ranking import rank_exhaustive, ranks_from_similarity, rerank_two_stage
 from tefal.training import AdamW, TrainingDiverged, clip_global_norm, evaluate, train
 from tefal.verify import end_to_end_check
@@ -157,9 +156,14 @@ class TestTraining:
         with pytest.raises(TrainingDiverged, match="step 0"):
             train(tiny_config(batch_size=len(corpus)), corpus)
 
-    def test_dim_mismatch_rejected(self):
-        with pytest.raises(ConfigError, match="dim"):
-            train(tiny_config(dim=16, proj_dim=16), tiny_corpus())
+    @pytest.mark.parametrize("fields", [{"dim": 16, "proj_dim": 16}, {"proj_dim": 4},
+                                        {"frames": 7}, {"audio_tokens": 3}],
+                             ids=["dim", "proj_dim", "frames", "audio_tokens"])
+    def test_a_geometry_the_corpus_contradicts_is_rejected(self, fields):
+        # the corpus is 12 dims, 3 frames and 4 audio tokens
+        key = next(iter(fields))
+        with pytest.raises(ConfigError, match=rf"config\.{key} is {fields[key]}"):
+            train(tiny_config(**fields), tiny_corpus())
 
     def test_batch_larger_than_corpus_rejected(self):
         with pytest.raises(ConfigError, match="batch_size"):
@@ -421,7 +425,6 @@ class TestTileScoring:
             raise AssertionError("built a TileCache without keep")
 
         monkeypatch.setattr(attention, "TileCache", no_cache)
-        monkeypatch.setattr(fusion_module, "TileCache", no_cache)
         np.testing.assert_array_equal(score_tile(model, queries, scoring_corpus, cols), kept)
         with pytest.raises(AssertionError, match="without keep"):
             score_tile(model, queries, scoring_corpus, cols, keep=True)
@@ -455,7 +458,7 @@ class TestTileScoring:
         with pytest.raises(ValueError, match=rf"candidate index {bad} is outside \[0, 23\)"):
             similarity_matrix(model, scoring_corpus, candidates=[3, bad, 0, -7])
 
-    @pytest.mark.parametrize("bad", [[1.7], [True, False], np.array([0.0, 2.0])])
+    @pytest.mark.parametrize("bad", [[1.7], [True, False], np.array([0.0, 2.0]), 3, [[0, 1]]])
     def test_candidates_that_are_no_integers_are_rejected_before_scoring(
             self, scoring_corpus, monkeypatch, bad):
         # [1.7] used to score item 1, and [True, False] items 1 and 0
@@ -680,6 +683,19 @@ class TestSynthCorpus:
         corpus = synth_corpus(seed=0, n_items=5, dim=4, frames=2, audio_tokens=2)
         with pytest.raises(ShapeError, match=r"has_audio must be \(5,\)"):
             dataclasses.replace(corpus, has_audio=has_audio)
+
+    @pytest.mark.parametrize("indices,match", [
+        ([0.5, 1.9], r"items must be integer indices along one axis, got float64 of shape \(2,\)"),
+        (np.array([True, False]), "items must be integer indices along one axis, got bool"),
+        (3, r"got int64 of shape \(\)"),
+        ([[0, 1], [2, 3]], r"got int64 of shape \(2, 2\)"),
+        ([-1], r"item index -1 is outside \[0, 5\)"),
+        ([2, 7], r"item index 7 is outside \[0, 5\)")],
+        ids=["float", "bool", "scalar", "2-D", "negative", "past_the_end"])
+    def test_a_subset_takes_only_integer_indices_in_range(self, indices, match):
+        corpus = synth_corpus(seed=0, n_items=5, dim=4)
+        with pytest.raises(ValueError, match=match):
+            corpus.subset(indices)
 
     def test_a_corpus_of_no_items_is_a_shape_error(self):
         corpus = synth_corpus(seed=0, n_items=3, dim=4, frames=2, audio_tokens=2)

@@ -156,6 +156,34 @@ def test_only_the_model_plans_tiles(name):
     assert tile_geometry_names((SRC / name).read_text(encoding="utf-8")) == set()
 
 
+# the K || M || M diag(g_o) layout and the TileCache live in tefal.attention alone
+def kernel_internals(source: str) -> set[str]:
+    """The ``.kv`` and ``.gram`` reads and the ``TileCache`` calls in ``source``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ("kv", "gram"):
+            found.add(f".{node.attr}")
+        elif isinstance(node, ast.Call) and "TileCache" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            found.add("TileCache()")
+    return found
+
+
+def test_kernel_internals_are_found():
+    want = {".kv", ".gram", "TileCache()"}
+    assert kernel_internals("m = cands.kv[:, :, p:]\ng = c.gram\n"
+                            "t = attention.TileCache(q=q)\n") == want
+    assert kernel_internals("cache = TileCache(**fields)\n") == {"TileCache()"}
+    assert kernel_internals("kv = gram = TileCache\n") == set()
+    assert kernel_internals((SRC / "attention.py").read_text(encoding="utf-8")) == want
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "attention"],
+                         ids=[p.name for p in MODULES if p.stem != "attention"])
+def test_only_attention_reads_the_kernel_layout(path):
+    assert kernel_internals(path.read_text(encoding="utf-8")) == set()
+
+
 def test_the_line_counter_totals_are_the_files_line_counts(capsys):
     path = Path(__file__).resolve().parents[1] / "tools" / "src_lines.py"
     spec = importlib.util.spec_from_file_location("src_lines", path)
