@@ -29,8 +29,8 @@ from .audiofeat import (
 )
 from .config import ConfigError, TrainConfig
 from .contrastive import Temperature, infonce
-from .corpus import Corpus, synth_corpus
-from .fusion import FusionKind, FusionParams, audio_summary
+from .corpus import Corpus, audio_summary, synth_corpus
+from .fusion import FusionKind, FusionParams
 from .linalg import ShapeError, layernorm_rows, softmax_rows
 from .model import RetrievalModel, create_model, named_parameters, similarity_matrix
 from .ranking import (

@@ -22,6 +22,8 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .linalg import require_int
+
 __all__ = [
     "Waveform", "MelFilterBank", "PatchGrid",
     "adaptive_frame_shift", "compute_fbank", "zero_fbank",
@@ -167,8 +169,8 @@ def compute_fbank(w: Waveform, target_length: int = DEFAULT_TARGET_LENGTH,
         raise AudioFormatError(
             f"expected {SAMPLE_RATE} Hz input, got {w.sample_rate} Hz; "
             "resample upstream before feature extraction")
-    if n_mels < 1:
-        raise ValueError(f"n_mels must be positive, got {n_mels}")
+    require_int(target_length, "target_length", minimum=1)
+    require_int(n_mels, "n_mels", minimum=1)
     window = round(SAMPLE_RATE * WINDOW_MS / 1000.0)
     samples = w.samples
     if samples.size < window:

@@ -17,11 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from .audiofeat import compute_fbank, read_wav
-from .config import ConfigError, TrainConfig, parse_config_lines
+from .config import MODALITIES, ConfigError, TrainConfig, parse_config_lines
 from .corpus import synth_corpus
 from .fusion import FusionKind
 from .linalg import ShapeError
-from .model import MODALITIES, pair_tiles, query_rows, score_tile, uses_summary_rows
+from .model import pair_tiles, query_rows, score_tile, uses_summary_rows
 from .ranking import evaluate
 from .storage import load_checkpoint, load_corpus, save_checkpoint, save_corpus, write_fbank
 from .training import train

@@ -12,10 +12,12 @@ from dataclasses import dataclass
 from .contrastive import TAU_INIT, TAU_MAX, TAU_MIN
 from .fusion import FusionError, FusionKind
 from .linalg import is_integer
-from .model import MODALITIES
 
-__all__ = ["TrainConfig", "ConfigError", "config_to_text", "parse_config_lines",
-           "parse_config_text"]
+__all__ = ["TrainConfig", "ConfigError", "MODALITIES", "config_to_text",
+           "parse_config_lines", "parse_config_text"]
+
+# the input a model reads: both modalities, or one alone (an ablation)
+MODALITIES = ("both", "video", "audio")
 
 
 class ConfigError(ValueError):

@@ -3,6 +3,10 @@
 Items are stored as uniform arrays (every item has the same frame count and
 audio token count, matching the on-disk container).  Missing audio is
 represented by all-zero token rows with the ``has_audio`` flag cleared.
+Constructing a :class:`Corpus` checks every rule a corpus keeps, so the
+manifest reader :func:`tefal.storage.load_corpus` states none of them
+again.  :func:`audio_summary` forms the audio summary row that stacking
+reads; the module imports only :mod:`tefal.linalg`.
 
 ``synth_corpus`` builds a controlled benchmark: each item has a primary
 latent visible in its frames, and an ``audio_informative`` fraction of items
@@ -16,17 +20,30 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fusion import audio_summary
-from .linalg import ShapeError, is_integer
+from .linalg import ShapeError, as_matrix, is_integer, require_int
 
-__all__ = ["Corpus", "synth_corpus"]
+__all__ = ["Corpus", "audio_summary", "synth_corpus"]
+
+
+def audio_summary(cls_row: np.ndarray, dist_row: np.ndarray) -> np.ndarray:
+    """Elementwise mean of the audio encoder's class and distillation rows."""
+    cls_row = as_matrix(cls_row, "cls_row")
+    dist_row = as_matrix(dist_row, "dist_row")
+    if cls_row.shape != dist_row.shape:
+        raise ShapeError(f"summary rows have shapes {cls_row.shape} and {dist_row.shape}")
+    return (cls_row + dist_row) / 2.0
 
 
 @dataclass
 class Corpus:
     """Aligned embeddings, one per item: ``texts`` (n, D), ``frames``
     (n, F, D), ``audio`` (n, N_a, D), and optionally ``summary_tokens``,
-    the audio class/distillation rows (n, 2, D) that stacking reads."""
+    the audio class/distillation rows (n, 2, D) that stacking reads.
+
+    Construction checks the rules: at least one item, unique ``str`` ids,
+    one entry per item in every array, at least one frame and one audio
+    token of at least one feature per item, one dim throughout, and
+    ``has_audio`` one bool per item."""
 
     ids: list[str]
     texts: np.ndarray
@@ -40,19 +57,28 @@ class Corpus:
         n = len(self.ids)
         if n == 0:
             raise ShapeError("a corpus holds at least one item")
+        not_str = [item_id for item_id in self.ids if not isinstance(item_id, str)]
+        if not_str:
+            raise ValueError(f"item ids must be strings, got {not_str[0]!r}")
         if len(set(self.ids)) != n:
             raise ValueError("item ids must be unique")
         if self.texts.shape[0] != n or self.frames.shape[0] != n or self.audio.shape[0] != n:
             raise ShapeError("texts, frames, and audio must have one entry per item")
         if self.texts.ndim != 2 or self.frames.ndim != 3 or self.audio.ndim != 3:
             raise ShapeError("texts must be (n, D); frames and audio must be (n, rows, D)")
-        if np.shape(self.has_audio) != (n,):
-            raise ShapeError(f"has_audio must be ({n},), got {np.shape(self.has_audio)}")
+        self.has_audio = np.asarray(self.has_audio)
+        if self.has_audio.shape != (n,) or self.has_audio.dtype != bool:
+            raise ShapeError(f"has_audio must be ({n},) bools, got {self.has_audio.dtype} "
+                             f"of shape {self.has_audio.shape}")
         dim = self.texts.shape[1]
         if self.frames.shape[2] != dim or self.audio.shape[2] != dim:
             raise ShapeError(
                 f"embedding dims disagree: text {dim}, frames {self.frames.shape[2]}, "
                 f"audio {self.audio.shape[2]}")
+        if min(dim, self.frame_count, self.audio_token_count) < 1:
+            raise ShapeError(f"each item needs a frame and an audio token, each of one "
+                             f"feature or more, got frames {self.frames.shape[1:]} and "
+                             f"audio {self.audio.shape[1:]} per item")
         if self.summary_tokens is not None and (
                 self.summary_tokens.shape != (n, 2, dim)):
             raise ShapeError(
@@ -139,12 +165,12 @@ def synth_corpus(seed: int, n_items: int = 1000, dim: int = 32, frames: int = 4,
     """
     if not 0.0 <= audio_informative <= 1.0:
         raise ValueError(f"audio_informative must be in [0, 1], got {audio_informative}")
-    if n_items < 1 or dim < 1 or frames < 1 or audio_tokens < 1:
-        raise ValueError("n_items, dim, frames, and audio_tokens must be positive")
+    for name, count in (("n_items", n_items), ("dim", dim), ("frames", frames),
+                        ("audio_tokens", audio_tokens)):
+        require_int(count, name, minimum=1)
     if not math.isfinite(noise):
         raise ValueError(f"noise must be finite, got {noise}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    require_int(seed, "seed")
 
     rng = np.random.default_rng(seed)
     scale = 1.0 / math.sqrt(dim)

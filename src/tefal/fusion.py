@@ -15,12 +15,14 @@ their inputs, with no re-normalization: the cosine absorbs scale.
 :func:`fuse_forward` and :func:`fuse_backward` implement the four post-hoc
 kinds, each called as ``(video, audio[, queries])`` with the inputs that
 :mod:`tefal.model`'s kind table picks; here only addition's shapes and
-late's and concat_fc's feature counts are checked.  The xattn block, one
-candidate and one query per fused column, is
+late's and concat_fc's feature counts are checked.  :func:`fuse_forward`
+returns the fused columns and what :func:`fuse_backward` reverses (``None``
+for addition), and :func:`fuse_backward` dispatches on ``params.kind``.
+The xattn block, one candidate and one query per fused column, is
 :func:`tefal.attention.attend_pairs` over the rows [E_v|t, E_a|t], and
 :func:`tefal.attention.block_backward_tile` reverses it.  Stacking is not
 post-hoc: :func:`tefal.model.score_tile` runs the video block over the
-stacked context.
+stacked context, whose audio row is :func:`tefal.corpus.audio_summary`.
 """
 
 import enum
@@ -30,10 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import XAttnParams, attend_pairs, block_backward_tile
-from .linalg import ShapeError, as_matrix, padded_matmul
+from .linalg import ShapeError, padded_matmul
 
-__all__ = ["FusionKind", "FusionParams", "FusionError", "audio_summary",
-           "fuse_forward", "fuse_backward"]
+__all__ = ["FusionKind", "FusionParams", "FusionError", "fuse_forward", "fuse_backward"]
 
 
 class FusionError(ValueError):
@@ -92,23 +93,6 @@ class FusionParams:
         return {}
 
 
-def audio_summary(cls_row: np.ndarray, dist_row: np.ndarray) -> np.ndarray:
-    """Elementwise mean of the audio encoder's class and distillation rows."""
-    cls_row = as_matrix(cls_row, "cls_row")
-    dist_row = as_matrix(dist_row, "dist_row")
-    if cls_row.shape != dist_row.shape:
-        raise ShapeError(f"summary rows have shapes {cls_row.shape} and {dist_row.shape}")
-    return (cls_row + dist_row) / 2.0
-
-
-@dataclass
-class FusionCache:
-    """What :func:`fuse_backward` reverses: ``saved`` is late's token mean,
-    concat_fc's concatenation or xattn's :class:`tefal.attention.TileCache`."""
-    kind: FusionKind
-    saved: object = None
-
-
 def _pair_product(weight: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``weight^T x`` for pair-last ``x``, one padded product over its pairs
     (:func:`tefal.linalg.padded_matmul`)."""
@@ -118,14 +102,16 @@ def _pair_product(weight: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def fuse_forward(params: FusionParams, video, audio, queries=None, keep: bool = False):
-    """``(fused, cache)`` of a post-hoc fusion kind; stacking raises
-    :class:`FusionError`.  ``video`` is E_v|t and ``audio`` E_a|t, or for
-    late the raw audio-token mean; ``queries``, the xattn block's query
+    """``(fused, saved)`` of a post-hoc fusion kind; stacking raises
+    :class:`FusionError`.  ``saved``, what :func:`fuse_backward` reverses,
+    is late's token mean, concat_fc's concatenation, xattn's
+    :class:`tefal.attention.TileCache`, or ``None`` for addition.
+    ``video`` is E_v|t and ``audio`` E_a|t, or for late the raw
+    audio-token mean; ``queries``, the xattn block's query
     projections, only xattn reads.  Inputs are pair-last, one column per
     pair; late's ``audio`` and ``queries`` broadcast against ``video``.
-    Without ``keep``, xattn's cache holds no
-    :class:`tefal.attention.TileCache`, so :func:`fuse_backward` cannot
-    reverse it.  Feature sums keep the tile invariance of
+    Without ``keep``, xattn saves no TileCache, so :func:`fuse_backward`
+    cannot reverse it.  Feature sums keep the tile invariance of
     :func:`tefal.attention.block_forward_tile`.
     """
     kind = params.kind
@@ -133,7 +119,7 @@ def fuse_forward(params: FusionParams, video, audio, queries=None, keep: bool = 
         if video.shape != audio.shape:
             raise ShapeError(f"conditioned embeddings have shapes "
                              f"{video.shape} and {audio.shape}")
-        return video + audio, FusionCache(kind)
+        return video + audio, None
 
     if kind == FusionKind.LATE:
         summary = np.ascontiguousarray(audio, dtype=np.float64)
@@ -141,8 +127,7 @@ def fuse_forward(params: FusionParams, video, audio, queries=None, keep: bool = 
             raise ShapeError(f"audio summary has {summary.shape[0]} features, "
                              f"projection expects {params.late_w.shape[0]}")
         fused = video + _pair_product(params.late_w, summary)
-        return fused, FusionCache(kind, np.broadcast_to(
-            summary, summary.shape[:1] + fused.shape[1:]))
+        return fused, np.broadcast_to(summary, summary.shape[:1] + fused.shape[1:])
 
     if kind == FusionKind.CONCAT_FC:
         concat = np.concatenate([video, audio], axis=0)
@@ -151,33 +136,34 @@ def fuse_forward(params: FusionParams, video, audio, queries=None, keep: bool = 
                              f"weight expects {params.concat_w.shape[0]}")
         fused = (_pair_product(params.concat_w, concat)
                  + params.concat_b.reshape((-1,) + (1,) * (concat.ndim - 1)))
-        return fused, FusionCache(kind, concat)
+        return fused, concat
 
     if kind == FusionKind.XATTN:
         p = video.shape[0]
         contexts = np.stack([x.reshape(p, -1) for x in (video, audio)], axis=1)
         q = np.broadcast_to(queries, video.shape).reshape(p, -1)
         fused, tile = attend_pairs(params.xattn, q, contexts, keep)
-        return fused.reshape(video.shape), FusionCache(kind, tile)
+        return fused.reshape(video.shape), tile
 
     raise FusionError(f"{kind.value} fusion is not a post-hoc combiner")
 
 
-def fuse_backward(params: FusionParams, cache: FusionCache, d_fused: np.ndarray):
+def fuse_backward(params: FusionParams, saved, d_fused: np.ndarray):
     """``(own_grads, d_video_cond, d_audio_cond, d_queries)``, pair-last
-    like ``d_fused``; ``d_queries``, xattn's query-projection gradient, is
-    for :func:`tefal.attention.project_queries_backward`."""
-    kind = cache.kind
+    like ``d_fused``, from what :func:`fuse_forward` ``saved``;
+    ``d_queries``, xattn's query-projection gradient, is for
+    :func:`tefal.attention.project_queries_backward`."""
+    kind = params.kind
     if kind == FusionKind.ADDITION:
         return {}, d_fused, d_fused, None
 
     pairs = tuple(range(1, d_fused.ndim))
     if kind == FusionKind.LATE:
-        return ({"late_w": np.tensordot(cache.saved, d_fused, (pairs, pairs))},
+        return ({"late_w": np.tensordot(saved, d_fused, (pairs, pairs))},
                 d_fused, None, None)
 
     if kind == FusionKind.CONCAT_FC:
-        d_w = np.tensordot(cache.saved, d_fused, (pairs, pairs))
+        d_w = np.tensordot(saved, d_fused, (pairs, pairs))
         d_b = d_fused.sum(axis=pairs)[None, :]
         d_concat = np.einsum("kp,p...->k...", params.concat_w, d_fused)
         half = params.concat_w.shape[1]
@@ -187,7 +173,7 @@ def fuse_backward(params: FusionParams, cache: FusionCache, d_fused: np.ndarray)
     if kind == FusionKind.XATTN:
         shape = d_fused.shape
         grads, d_q, d_contexts = block_backward_tile(
-            params.xattn, cache.saved, d_fused.reshape(shape[0], -1, 1))
+            params.xattn, saved, d_fused.reshape(shape[0], -1, 1))
         return ({f"xattn.{k}": v for k, v in grads.items()},
                 d_contexts[:, 0].reshape(shape), d_contexts[:, 1].reshape(shape),
                 d_q.reshape(shape))

@@ -34,6 +34,15 @@ def is_integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, (bool, np.bool_))
 
 
+def require_int(value, name: str, minimum: int = 0) -> None:
+    """Raise a ValueError naming ``name`` if ``value`` is no integer (a bool
+    is none) or is below ``minimum``."""
+    if not is_integer(value) or np.ndim(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
 def canonical_sum(values: np.ndarray, axis: int) -> np.ndarray:
     """Sum along ``axis`` after sorting the addends, so that the result
     depends only on their multiset, not on their order."""

@@ -50,16 +50,16 @@ from .contrastive import (
     cosine_rows_backward,
     infonce,
 )
+from .config import MODALITIES, ConfigError
 from .corpus import Corpus
 from .fusion import FusionKind, FusionParams, fuse_backward, fuse_forward
-from .linalg import ShapeError, is_integer, pad_pairs, padded_width, sum_leading
+from .linalg import (ShapeError, is_integer, pad_pairs, padded_width, require_int,
+                     sum_leading)
 
-__all__ = ["RetrievalModel", "create_model", "named_parameters",
+__all__ = ["RetrievalModel", "MODEL_KINDS", "create_model", "named_parameters",
            "candidate_scores", "Queries", "query_rows", "score_tile", "candidate_blocks",
            "pair_tiles", "score_pairs", "resolve_workers", "map_tasks",
            "similarity_matrix", "batch_loss_and_grads", "uses_summary_rows"]
-
-MODALITIES = ("both", "video", "audio")
 
 # (query, candidate) pairs per scoring tile
 TILE_PAIRS = 2048
@@ -88,7 +88,9 @@ def create_model(seed: int, dim: int, proj_dim: int | None = None,
                  fusion: FusionKind | str = FusionKind.ADDITION,
                  modality: str = "both", tau: float = TAU_INIT) -> RetrievalModel:
     """A freshly initialized model.  The cosine compares the query text with
-    the fused embedding, so ``proj_dim`` must equal ``dim``, a positive integer."""
+    the fused embedding, so ``proj_dim`` must equal ``dim``, a positive integer.
+    A ``seed`` that is no integer >= 0 raises ValueError."""
+    require_int(seed, "seed")
     if not is_integer(dim) or dim < 1:
         raise ShapeError(f"dim must be a positive integer, got {dim!r}")
     if proj_dim is None:
@@ -113,8 +115,13 @@ def create_model(seed: int, dim: int, proj_dim: int | None = None,
 
 # the blocks each fusion kind runs over both modalities, in parameter order
 _FUSION_BLOCKS = {FusionKind.ADDITION: ("video", "audio"), FusionKind.LATE: ("video",),
-                  FusionKind.CONCAT_FC: ("video", "audio"), FusionKind.STACKING: ("video",),
-                  FusionKind.XATTN: ("video", "audio", "xattn")}
+                  FusionKind.CONCAT_FC: ("video", "audio"),
+                  FusionKind.XATTN: ("video", "audio", "xattn"),
+                  FusionKind.STACKING: ("video",)}
+# the seven model kinds, (modality, fusion): every fusion over both
+# modalities, then each single modality, whose fusion runs no block
+MODEL_KINDS = tuple([("both", kind.value) for kind in _FUSION_BLOCKS]
+                    + [(modality, "addition") for modality in MODALITIES[1:]])
 
 
 def _blocks(model: RetrievalModel) -> tuple[str, ...]:
@@ -145,10 +152,12 @@ def _params(model: RetrievalModel, name: str) -> XAttnParams:
 
 def _fuse(model: RetrievalModel, outputs: dict, xattn_queries, token_mean,
           keep: bool = False):
-    """``(fused, fusion cache)``, the cache ``None`` when one block's output
-    is the fused embedding.  Otherwise :func:`tefal.fusion.fuse_forward`
-    gets the video block's output and the audio block's, or for late fusion
-    ``token_mean()``; ``xattn_queries`` and ``keep`` only xattn reads."""
+    """``(fused, saved)``: ``saved`` is what :func:`tefal.fusion.fuse_backward`
+    reverses, or ``None`` where it need not run, under addition or where one
+    block's output is the fused embedding.  Otherwise
+    :func:`tefal.fusion.fuse_forward` gets the video block's output and the
+    audio block's, or for late fusion ``token_mean()``; ``xattn_queries``
+    and ``keep`` only xattn reads."""
     if model.modality == "both" and model.fusion.kind == FusionKind.LATE:
         return fuse_forward(model.fusion, outputs["video"], token_mean())
     if len(outputs) == 1:
@@ -216,7 +225,7 @@ def query_rows(model: RetrievalModel, texts: np.ndarray, keep: bool = False) -> 
 @dataclass
 class TileTape:
     """What :func:`batch_loss_and_grads` reverses: each block's
-    :class:`tefal.attention.TileCache`, the fusion and the cosine caches."""
+    :class:`tefal.attention.TileCache`, what fusion saved and the cosine cache."""
     blocks: dict
     fusion: object
     cosine: object
@@ -257,11 +266,11 @@ def score_tile(model: RetrievalModel, queries: Queries, corpus: Corpus,
         for name, block in cands.items():
             out, caches[name] = attend_tile(_params(model, name), q[name], block, tile, keep)
             outputs[name] = out[:, :, :t]
-        fused, fusion_cache = _fuse(model, outputs, queries.blocks.get("xattn"),
+        fused, fusion_saved = _fuse(model, outputs, queries.blocks.get("xattn"),
                                     lambda: token_means()[:, tile], keep)
         tile_scores, cos_cache = cosine_rows(queries.texts, fused)
         scores[:, tile] = tile_scores.T
-    return (scores, TileTape(caches, fusion_cache, cos_cache)) if keep else scores
+    return (scores, TileTape(caches, fusion_saved, cos_cache)) if keep else scores
 
 
 def candidate_blocks(n: int) -> list[slice]:
@@ -308,8 +317,6 @@ def resolve_workers(requested: int | None = None) -> int:
     """Worker count: ``requested``, or by default the CPUs this process may
     run on, capped by TEFAL_THREADS; a count in either that is no integer or
     below 1 is a :class:`tefal.config.ConfigError`."""
-    from .config import ConfigError    # config imports this module
-
     if requested is None:
         workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1)

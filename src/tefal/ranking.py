@@ -354,7 +354,11 @@ def dual_softmax_postprocess(sim: np.ndarray, dsl_temp: float) -> np.ndarray:
 
 
 def _check_dsl_temp(dsl_temp: float) -> None:
-    """Reject a dual-softmax temperature that is not finite and positive."""
+    """Reject a dual-softmax temperature that is no number (a bool is none),
+    or is not finite and positive."""
+    number = is_integer(dsl_temp) or isinstance(dsl_temp, (float, np.floating))
+    if np.ndim(dsl_temp) or not number:
+        raise ValueError(f"dsl_temp must be a number, got {dsl_temp!r}")
     if not 0 < dsl_temp < np.inf:
         raise ValueError(f"dsl_temp must be finite and positive, got {dsl_temp}")
 

@@ -18,6 +18,11 @@ container with one item of shape (target_length, n_mels).  The checkpoint's
 step counter travels as the reserved entry ``__step__``; version 1 files
 held the config as an entry of one code point per float32 cell.  All
 arrays are float32 on disk and float64 in memory.
+
+The manifest reader checks only what the manifest states: its JSON types,
+indices, listed files and ``audio_tokens``.  The rules of the corpus itself
+are :class:`tefal.corpus.Corpus`'s, whose errors it raises as
+:class:`FormatError` naming the manifest.
 """
 
 import json
@@ -265,17 +270,6 @@ def load_corpus(manifest_path) -> Corpus:
 
     if texts_file.shape[1] != 1:
         raise FormatError(f"{path}: text embeddings must have one row per item")
-    dim = texts_file.shape[2]
-    for name, arr in (("video", video_file), ("audio", audio_file),
-                      ("audio_summary", summary_file)):
-        if arr is not None and arr.shape[2] != dim:
-            raise FormatError(
-                f"{path}: dim disagreement: text has {dim} columns, "
-                f"{name} has {arr.shape[2]}")
-    if summary_file is not None and summary_file.shape[1] != 2:
-        raise FormatError(f"{path}: audio_summary entries must hold two rows "
-                          "(class, dist)")
-
     n_audio_tokens = _get(manifest, "audio_tokens", int, path, "manifest", default=1)
     if audio_file is not None:
         n_audio_tokens = audio_file.shape[1]
@@ -286,8 +280,6 @@ def load_corpus(manifest_path) -> Corpus:
         pos = next(pos for pos, entry in enumerate(items) if type(entry) is not dict)
         raise FormatError(f"{path}: item {pos} must be a JSON object")
     ids = _field(path, items, "id", str)
-    if len(set(ids)) != len(ids):
-        raise FormatError(f"{path}: item ids must be unique")
     text_rows = _field(path, items, "text", int, texts_file.shape[0])
     video_rows = _field(path, items, "video", int, video_file.shape[0])
     has_audio = [entry.get("has_audio", entry.get("audio") is not None)
@@ -295,7 +287,7 @@ def load_corpus(manifest_path) -> Corpus:
     _field(path, items, "has_audio", bool, values=has_audio)
     with_audio = [pos for pos, has in enumerate(has_audio) if has]
     if not with_audio:
-        audio = np.zeros((len(items), n_audio_tokens, dim))
+        audio = np.zeros((len(items), n_audio_tokens, texts_file.shape[2]))
     elif audio_file is None:
         raise FormatError(f"{path}: item {with_audio[0]}: has_audio set but "
                           "the manifest lists no audio file")
@@ -312,14 +304,12 @@ def load_corpus(manifest_path) -> Corpus:
         summary = _take(summary_file, _field(path, items, "audio_summary", int,
                                              summary_file.shape[0]))
 
-    return Corpus(
-        ids=ids,
-        texts=_take(texts_file, text_rows)[:, 0],
-        frames=_take(video_file, video_rows),
-        audio=audio,
-        has_audio=np.array(has_audio, dtype=bool),
-        summary_tokens=summary,
-    )
+    try:
+        return Corpus(ids=ids, texts=_take(texts_file, text_rows)[:, 0],
+                      frames=_take(video_file, video_rows), audio=audio,
+                      has_audio=np.array(has_audio, dtype=bool), summary_tokens=summary)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,10 @@ from .attention import (
 from .contrastive import Temperature, cosine_rows, cosine_rows_backward, infonce
 from .corpus import synth_corpus
 from .fusion import FusionKind, FusionParams, fuse_backward, fuse_forward
-from .linalg import (layernorm_rows, layernorm_rows_backward, softmax_rows,
+from .linalg import (layernorm_rows, layernorm_rows_backward, require_int, softmax_rows,
                      softmax_rows_backward)
-from .model import (batch_loss_and_grads, create_model, named_parameters, query_rows,
-                    score_tile)
+from .model import (MODEL_KINDS, batch_loss_and_grads, create_model, named_parameters,
+                    query_rows, score_tile)
 
 __all__ = ["CheckResult", "run_grad_checks", "end_to_end_check", "relative_error",
            "finite_difference_gradients"]
@@ -145,8 +145,8 @@ def _fusion_check(kind: FusionKind, seed: int) -> float:
         queries = None if params.xattn is None else project_queries(params.xattn, texts)
         return video_cond, audio, queries
 
-    _, cache = fuse_forward(params, *inputs(), keep=True)
-    own, d_video, d_audio, d_queries = fuse_backward(params, cache, cotangent)
+    _, saved = fuse_forward(params, *inputs(), keep=True)
+    own, d_video, d_audio, d_queries = fuse_backward(params, saved, cotangent)
     if d_queries is not None:
         _, ln = project_queries(params.xattn, texts, keep=True)
         own.update({f"xattn.{k}": v for k, v in
@@ -181,7 +181,7 @@ def end_to_end_check(fusion: str = "addition", modality: str = "both",
         indices = np.arange(batch)
         tape = score_tile(model, query_rows(model, corpus.texts[indices]), corpus,
                           indices, keep=True)[1]
-        xattn = getattr(tape.fusion, "saved", None)
+        xattn = tape.fusion
         if model.fusion.kind != FusionKind.XATTN or xattn is None or np.any(
                 xattn.order != np.arange(xattn.order.size).reshape(xattn.order.shape)):
             break
@@ -198,9 +198,9 @@ def end_to_end_check(fusion: str = "addition", modality: str = "both",
 
 
 def run_grad_checks(seed: int = 0) -> list[CheckResult]:
-    """The full verification suite, primitive rules through end-to-end loss."""
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    """The full verification suite, primitive rules through end-to-end loss;
+    a ``seed`` that is no integer >= 0 raises ValueError."""
+    require_int(seed, "seed")
     rng = np.random.default_rng(seed)
     logits, m, gain, bias, u, f = (rng.standard_normal(shape) for shape in (
         (2, 5), (2, 8), (1, 8), (1, 8), (4, 3), (4, 3)))    # u, f: 3 pairs, pair-last
@@ -227,12 +227,8 @@ def run_grad_checks(seed: int = 0) -> list[CheckResult]:
                  FusionKind.XATTN):
         results.append(CheckResult(
             f"fusion_{kind.value}", _fusion_check(kind, seed), PRIMITIVE_TOL))
-    for fusion in ("addition", "late", "concat_fc", "xattn", "stacking"):
-        results.append(CheckResult(
-            f"end_to_end_{fusion}", end_to_end_check(fusion=fusion, seed=seed),
-            END_TO_END_TOL))
-    for modality in ("video", "audio"):
-        results.append(CheckResult(
-            f"end_to_end_{modality}_only", end_to_end_check(modality=modality, seed=seed),
-            END_TO_END_TOL))
+    for modality, fusion in MODEL_KINDS:
+        name = fusion if modality == "both" else f"{modality}_only"
+        results.append(CheckResult(f"end_to_end_{name}", end_to_end_check(
+            fusion, modality, seed), END_TO_END_TOL))
     return results

@@ -4,12 +4,7 @@ CLI tests."""
 import numpy as np
 
 from tefal import ranking
-from tefal.fusion import FusionKind
-
-# the seven model kinds: every fusion over both modalities, and each
-# single modality
-MODEL_KINDS = [("both", kind.value) for kind in FusionKind] + [("video", "addition"),
-                                                               ("audio", "addition")]
+from tefal.model import MODEL_KINDS    # noqa: F401 - shared with the test modules
 
 
 def stage1_matrix(corpus):

@@ -66,6 +66,15 @@ class TestAdaptiveFrameShift:
 
 
 class TestComputeFbank:
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"target_length": 2.5}, "target_length must be an integer, got 2.5"),
+        ({"target_length": 0}, "target_length must be >= 1, got 0"),
+        ({"n_mels": 2.5}, "n_mels must be an integer, got 2.5"),
+        ({"n_mels": True}, "n_mels must be an integer, got True")])
+    def test_a_size_that_is_no_positive_integer_is_named(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            compute_fbank(Waveform(np.zeros(SAMPLE_RATE), SAMPLE_RATE), **kwargs)
+
     def test_silence_is_constant_log_floor(self):
         w = Waveform(np.zeros(SAMPLE_RATE), SAMPLE_RATE)
         fb = compute_fbank(w, target_length=64, n_mels=16)

@@ -19,13 +19,13 @@ from tefal.audiofeat import LOG_FLOOR, SAMPLE_RATE
 from tefal import cli
 from tefal import model as model_module
 from tefal.cli import build_parser, main
-from tefal.config import TrainConfig
+from tefal.config import MODALITIES, TrainConfig
 from tefal.corpus import synth_corpus
 from tefal.fusion import FusionKind
 from tefal.linalg import PAD
-from tefal.model import MODALITIES, TILE_PAIRS, create_model, named_parameters
+from tefal.model import TILE_PAIRS, create_model, named_parameters
 from tefal.storage import (load_checkpoint, load_corpus, read_fbank, save_checkpoint,
-                           save_corpus)
+                           save_corpus, write_embeddings)
 from tefal.verify import CheckResult
 
 
@@ -72,6 +72,16 @@ class TestExitCodes:
                    "--checkpoint", str(tmp_path / "missing.ckpt")) == 1
         assert "error:" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("command", [["eval"], ["rerank", "--k", "2"]])
+    @pytest.mark.parametrize("name", ["video.emb1", "audio.emb1"])
+    def test_a_corpus_without_frames_or_audio_tokens_is_exit_one(self, trained_setup,
+                                                                 capsys, command, name):
+        manifest, ckpt = trained_setup
+        write_embeddings(manifest.parent / name, np.zeros((30, 0, 12)))
+        assert run(*command, "--data", str(manifest), "--checkpoint", str(ckpt)) == 1
+        err = capsys.readouterr().err
+        assert f"error: {manifest}: each item needs a frame and an audio token" in err
 
     def test_non_finite_stored_values_are_exit_one(self, tmp_path, capsys):
         data = tmp_path / "data"

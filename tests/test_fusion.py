@@ -5,12 +5,11 @@ import pytest
 
 from tefal.attention import block_forward_tile, project_queries
 from tefal.contrastive import cosine_rows
-from tefal.corpus import synth_corpus
+from tefal.corpus import audio_summary, synth_corpus
 from tefal.fusion import (
     FusionError,
     FusionKind,
     FusionParams,
-    audio_summary,
     fuse_forward,
 )
 from tefal.linalg import ShapeError

@@ -29,7 +29,7 @@ from tefal.model import (
 from tefal import attention, linalg, model as model_module, ranking, training
 from tefal.ranking import rank_exhaustive, ranks_from_similarity, rerank_two_stage
 from tefal.training import AdamW, TrainingDiverged, clip_global_norm, evaluate, train
-from tefal.verify import end_to_end_check
+from tefal.verify import end_to_end_check, run_grad_checks
 
 
 def tiny_config(**overrides):
@@ -91,6 +91,13 @@ class TestModelAssembly:
     def test_a_dim_that_is_no_positive_integer_is_a_shape_error(self, dim):
         with pytest.raises(ShapeError, match="dim must be a positive integer"):
             create_model(seed=0, dim=dim)
+
+    @pytest.mark.parametrize("seed,match", [(1.5, "seed must be an integer, got 1.5"),
+                                            (True, "seed must be an integer, got True"),
+                                            (-1, "seed must be >= 0, got -1")])
+    def test_a_seed_that_is_no_integer_from_0_is_named(self, seed, match):
+        with pytest.raises(ValueError, match=match):
+            create_model(seed=seed, dim=8)
 
     def test_blocks_hold_disjoint_parameters(self):
         model = create_model(seed=1, dim=8)
@@ -678,6 +685,41 @@ class TestSynthCorpus:
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             synth_corpus(seed=-1, n_items=4)
 
+    @pytest.mark.parametrize("name,value,match", [
+        ("n_items", 2.5, "n_items must be an integer, got 2.5"),
+        ("dim", 2.0, "dim must be an integer, got 2.0"),
+        ("frames", True, "frames must be an integer, got True"),
+        ("audio_tokens", 0, "audio_tokens must be >= 1, got 0"),
+        ("seed", 1.5, "seed must be an integer, got 1.5")])
+    def test_a_count_or_seed_that_is_no_integer_in_range_is_named(self, name, value,
+                                                                    match):
+        kwargs = {"seed": 0, "n_items": 4, name: value}
+        with pytest.raises(ValueError, match=match):
+            synth_corpus(**kwargs)
+
+    def test_ids_that_are_no_strings_are_rejected(self):
+        corpus = synth_corpus(seed=0, n_items=3, dim=4, frames=2, audio_tokens=2)
+        with pytest.raises(ValueError, match="item ids must be strings, got 1"):
+            dataclasses.replace(corpus, ids=[1, 2, 3])
+        with pytest.raises(ValueError, match="got None"):
+            dataclasses.replace(corpus, ids=["a", None, "c"])
+
+    @pytest.mark.parametrize("has_audio", [np.array([1, 2, 0]), np.array([1.0, 0.0, 1.0]),
+                                           [1, 0, 1]])
+    def test_has_audio_that_is_no_bool_array_is_rejected(self, has_audio):
+        corpus = synth_corpus(seed=0, n_items=3, dim=4, frames=2, audio_tokens=2)
+        with pytest.raises(ShapeError, match=r"has_audio must be \(3,\) bools"):
+            dataclasses.replace(corpus, has_audio=has_audio)
+
+    @pytest.mark.parametrize("frames,tokens,dim", [(0, 2, 4), (2, 0, 4), (2, 2, 0)])
+    def test_an_item_without_a_frame_audio_token_or_feature_is_rejected(self, frames,
+                                                                        tokens, dim):
+        corpus = synth_corpus(seed=0, n_items=3, dim=4, frames=2, audio_tokens=2)
+        with pytest.raises(ShapeError, match="each item needs a frame and an audio token"):
+            dataclasses.replace(corpus, texts=np.zeros((3, dim)),
+                                frames=np.zeros((3, frames, dim)),
+                                audio=np.zeros((3, tokens, dim)), summary_tokens=None)
+
     @pytest.mark.parametrize("has_audio", [np.ones(3, bool), np.ones((5, 1), bool)])
     def test_has_audio_other_than_one_flag_per_item_is_a_shape_error(self, has_audio):
         corpus = synth_corpus(seed=0, n_items=5, dim=4, frames=2, audio_tokens=2)
@@ -727,3 +769,9 @@ class TestSynthCorpus:
 class TestEndToEndGradient:
     def test_toy_model_matches_finite_differences(self):
         assert end_to_end_check(fusion="addition", seed=1) < 1e-3
+
+    @pytest.mark.parametrize("seed,match", [(1.5, "seed must be an integer"),
+                                            (-1, "seed must be >= 0")])
+    def test_the_suite_names_a_seed_that_is_no_integer_from_0(self, seed, match):
+        with pytest.raises(ValueError, match=match):
+            run_grad_checks(seed=seed)

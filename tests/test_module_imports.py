@@ -184,11 +184,18 @@ def test_only_attention_reads_the_kernel_layout(path):
     assert kernel_internals(path.read_text(encoding="utf-8")) == set()
 
 
-def test_the_line_counter_totals_are_the_files_line_counts(capsys):
-    path = Path(__file__).resolve().parents[1] / "tools" / "src_lines.py"
-    spec = importlib.util.spec_from_file_location("src_lines", path)
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_src_lines():
+    spec = importlib.util.spec_from_file_location("src_lines", ROOT / "tools" / "src_lines.py")
     src_lines = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(src_lines)
+    return src_lines
+
+
+def test_the_line_counter_totals_are_the_files_line_counts(capsys):
+    src_lines = load_src_lines()
     assert src_lines.main() == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
     want = {p.stem: p.read_bytes().count(b"\n") for p in MODULES}
@@ -196,3 +203,111 @@ def test_the_line_counter_totals_are_the_files_line_counts(capsys):
     assert rows[-1][:2] == ["total", str(sum(want.values()))]
     for _, total, doc, code in rows:
         assert int(doc) + int(code) <= int(total)
+
+
+def compared_rows(capsys, base) -> dict[str, list[str]]:
+    """``tools/src_lines.py --base base``'s rows, by module."""
+    assert load_src_lines().main(["--base", str(base)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[1:] == ["base_total", "base_doc", "base_code", "total", "doc",
+                                    "code", "diff_total", "diff_doc", "diff_code"]
+    return {row[0]: row[1:] for row in map(str.split, lines[1:])}
+
+
+def test_the_line_counter_against_this_checkout_shows_no_difference(capsys):
+    rows = compared_rows(capsys, ROOT)
+    assert set(rows) == {p.stem for p in MODULES} | {"total"}
+    assert {name: row[6:] for name, row in rows.items()} == {
+        name: ["+0"] * 3 for name in rows}
+    assert all(row[:3] == row[3:6] for row in rows.values())
+
+
+def test_the_line_counter_shows_exactly_the_shortened_module(capsys, tmp_path):
+    base = tmp_path / "src" / "tefal"
+    base.mkdir(parents=True)
+    for path in MODULES:
+        (base / path.name).write_bytes(path.read_bytes())
+    # the base's linalg ends before its last top-level definition
+    source = (SRC / "linalg.py").read_text(encoding="utf-8")
+    last = ast.parse(source).body[-1]
+    kept = source.splitlines(keepends=True)[:last.lineno - 1]
+    (base / "linalg.py").write_text("".join(kept), encoding="utf-8")
+    rows = compared_rows(capsys, tmp_path)
+    removed = len(source.splitlines()) - len(kept)
+    assert int(rows["linalg"][6]) == removed > 0
+    assert int(rows["linalg"][8]) > 0
+    assert rows["total"][6:] == rows["linalg"][6:]
+    assert [name for name, row in rows.items() if row[6:] != ["+0"] * 3] == [
+        "linalg", "total"]
+
+
+def tefal_imports(source: str) -> set[str]:
+    """The tefal modules that ``source`` imports, relatively or by name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update([node.module.split(".")[0]] if node.module
+                         else [alias.name for alias in node.names])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("tefal."):
+            found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("tefal."))
+    return found
+
+
+def functions_that_import(source: str) -> list[str]:
+    """The functions of ``source`` that hold an import statement."""
+    return [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(isinstance(inner, (ast.Import, ast.ImportFrom))
+                    for inner in ast.walk(node))]
+
+
+def import_cycle(graph: dict[str, set[str]]) -> list[str]:
+    """One cycle of ``graph`` as ``[a, b, ..., a]``, or ``[]`` if it has none."""
+    done, path = set(), []
+
+    def visit(node):
+        if node in path:
+            return path[path.index(node):] + [node]
+        if node in done:
+            return []
+        path.append(node)
+        for dep in sorted(graph.get(node, ())):
+            cycle = visit(dep)
+            if cycle:
+                return cycle
+        path.pop()
+        done.add(node)
+        return []
+
+    return next((cycle for cycle in map(visit, sorted(graph)) if cycle), [])
+
+
+IMPORTS = {p.stem: tefal_imports(p.read_text(encoding="utf-8")) for p in MODULES}
+
+
+def test_import_facts_are_found():
+    source = ("from .linalg import x\nfrom . import model\nimport tefal.ranking\n"
+              "from tefal.corpus import Corpus\nimport os\n"
+              "def f():\n    def g():\n        from .config import ConfigError\n")
+    assert tefal_imports(source) == {"linalg", "model", "ranking", "corpus", "config"}
+    assert functions_that_import(source) == ["f", "g"]
+    assert import_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
+    assert import_cycle({"config": {"model"}, "model": {"config", "linalg"}}) == [
+        "config", "model", "config"]
+    assert import_cycle({"a": {"b", "c"}, "b": {"c"}, "c": set()}) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_module_imports_inside_a_function(path):
+    assert functions_that_import(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_import_graph_has_no_cycle():
+    assert import_cycle(IMPORTS) == []
+
+
+def test_the_corpus_imports_only_linalg():
+    assert IMPORTS["corpus"] == {"linalg"}

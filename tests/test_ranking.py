@@ -778,6 +778,12 @@ class TestDualSoftmax:
         with pytest.raises(ValueError, match="dsl_temp must be finite and positive"):
             evaluate(model, corpus, dsl_temp=float("nan"))
 
+    @pytest.mark.parametrize("temp", ["x", True, np.array([30.0])])
+    def test_evaluate_names_a_temperature_that_is_no_number(self, small_setup, temp):
+        model, corpus = small_setup
+        with pytest.raises(ValueError, match="dsl_temp must be a number, got "):
+            evaluate(model, corpus, dsl_temp=temp)
+
     def test_evaluate_ranks_only_the_two_rescored_matrices(self, small_setup, monkeypatch):
         # the dense matrix's own ranks are not wanted
         model, corpus = small_setup

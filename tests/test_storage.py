@@ -278,8 +278,43 @@ class TestCorpusManifest:
         corpus = synth_corpus(seed=6, n_items=3, dim=8, frames=2, audio_tokens=2)
         save_corpus(corpus, tmp_path)
         write_embeddings(tmp_path / "video.emb1", np.ones((3, 2, 9)))
-        with pytest.raises(FormatError, match="dim disagreement"):
+        with pytest.raises(FormatError, match="dims disagree"):
             load_corpus(tmp_path / "manifest.json")
+
+
+    @pytest.mark.parametrize("files", [
+        {"video.emb1": (3, 0, 8)}, {"audio.emb1": (3, 0, 8)},
+        {"text.emb1": (3, 1, 0), "video.emb1": (3, 2, 0), "audio.emb1": (3, 2, 0),
+         "audio_summary.emb1": (3, 2, 0)}], ids=["frames", "audio tokens", "features"])
+    def test_items_without_a_frame_audio_token_or_feature_rejected(self, tmp_path, files):
+        corpus = synth_corpus(seed=6, n_items=3, dim=8, frames=2, audio_tokens=2)
+        manifest = save_corpus(corpus, tmp_path)
+        for name, shape in files.items():
+            write_embeddings(tmp_path / name, np.zeros(shape))
+        with pytest.raises(FormatError, match="manifest.json: each item needs a frame"):
+            load_corpus(manifest)
+
+    @pytest.mark.parametrize("name,shape,match", [
+        ("audio.emb1", (3, 2, 9), "embedding dims disagree"),
+        ("audio_summary.emb1", (3, 3, 8), r"summary tokens must be \(n, 2, 8\)"),
+        ("audio_summary.emb1", (3, 2, 9), r"summary tokens must be \(n, 2, 8\)")])
+    def test_the_corpus_rules_are_format_errors_naming_the_manifest(self, tmp_path, name,
+                                                                     shape, match):
+        corpus = synth_corpus(seed=6, n_items=3, dim=8, frames=2, audio_tokens=2)
+        manifest = save_corpus(corpus, tmp_path)
+        write_embeddings(tmp_path / name, np.ones(shape))
+        with pytest.raises(FormatError, match=f"manifest.json: {match}"):
+            load_corpus(manifest)
+
+    def test_a_negative_audio_tokens_is_a_format_error(self, tmp_path):
+        corpus = synth_corpus(seed=6, n_items=3, dim=8, frames=2, audio_tokens=2)
+        corpus.has_audio[:] = False
+        manifest = save_corpus(corpus, tmp_path)
+        doc = json.loads(manifest.read_text())
+        doc["audio_tokens"] = -2
+        write_manifest(manifest, doc)
+        with pytest.raises(FormatError, match="audio_tokens must be positive, got -2"):
+            load_corpus(manifest)
 
 
 def write_manifest(path, doc):

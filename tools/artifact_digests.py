@@ -24,9 +24,8 @@ import sys
 from pathlib import Path
 
 from tefal.cli import main as tefal
+from tefal.model import MODEL_KINDS
 
-KINDS = [("both", "addition"), ("both", "late"), ("both", "concat_fc"), ("both", "xattn"),
-         ("both", "stacking"), ("video", "addition"), ("audio", "addition")]
 EVALS = {"eval.json": ["eval"], "eval_threads1.json": ["eval", "--threads", "1"],
          "eval_dsl30.json": ["eval", "--dsl-temp", "30"],
          "rerank_k10pct.json": ["rerank", "--k", "10%"],
@@ -50,7 +49,7 @@ def write_artifacts(out: Path, seeds, items: int) -> None:
         run("synth", "--out", corpus, "--seed", seed, "--items", items, "--dim", 16,
             "--frames", 4, "--audio-tokens", 6)
         manifest = corpus / "manifest.json"
-        for modality, fusion in KINDS:
+        for modality, fusion in MODEL_KINDS:
             kind = out / f"seed{seed}" / f"{modality}-{fusion}"
             kind.mkdir(parents=True)
             checkpoint = kind / "checkpoint"

@@ -5,9 +5,14 @@ Docstring lines are those spanned by a module, class or function docstring
 docstring lines nor whole-line comments (found with ``tokenize``).  The
 rest are blank lines and comments.  Run from anywhere:
 
-    python tools/src_lines.py
+    python tools/src_lines.py [--base DIR]
+
+With ``--base``, each row also gives the counts of ``DIR/src/tefal`` (say,
+a ``git archive`` of another commit) and this checkout's difference from
+them; a module missing on one side counts 0 lines there.
 """
 
+import argparse
 import ast
 import io
 import sys
@@ -35,15 +40,38 @@ def count(source: str) -> tuple[int, int, int]:
     return len(lines), len(doc), code
 
 
-def main() -> int:
-    rows = [(path.stem, *count(path.read_text(encoding="utf-8")))
-            for path in sorted(SRC.glob("*.py"))]
+def counts(src: Path) -> dict[str, tuple[int, int, int]]:
+    """``{module: (total, docstring, code)}`` for each module in ``src``."""
+    return {path.stem: count(path.read_text(encoding="utf-8"))
+            for path in sorted(src.glob("*.py"))}
+
+
+def main(argv=()) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", type=Path, help="a checkout to compare with")
+    args = parser.parse_args(argv)
+    here = counts(SRC)
+    base = None if args.base is None else counts(args.base / "src" / "tefal")
+    if base == {}:
+        parser.error(f"{args.base / 'src' / 'tefal'} holds no module")
+    columns = ["total", "doc", "code"]
+    if base is not None:
+        columns = [f"base_{c}" for c in columns] + columns + [f"diff_{c}" for c in columns]
+    rows = []
+    for name in sorted(set(here) | set(base or {})):
+        now = here.get(name, (0, 0, 0))
+        if base is not None:
+            then = base.get(name, (0, 0, 0))
+            now = then + now + tuple(a - b for a, b in zip(now, then))
+        rows.append((name, *now))
     rows.append(("total", *(sum(column) for column in list(zip(*rows))[1:])))
-    print(f"{'module':12s} {'total':>6s} {'doc':>6s} {'code':>6s}")
-    for name, total, doc, code in rows:
-        print(f"{name:12s} {total:6d} {doc:6d} {code:6d}")
+    print(f"{'module':12s}" + "".join(f" {c:>10s}" for c in columns))
+    for name, *values in rows:
+        cells = [f"{v:+d}" if c.startswith("diff_") else str(v)
+                 for c, v in zip(columns, values)]
+        print(f"{name:12s}" + "".join(f" {cell:>10s}" for cell in cells))
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
