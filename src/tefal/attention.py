@@ -34,7 +34,7 @@ the same text query.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -120,13 +120,8 @@ class XAttnParams:
         )
 
     def named(self) -> dict[str, np.ndarray]:
-        """Trainable parameters by name."""
-        return {
-            "w_q": self.w_q, "w_k": self.w_k, "w_v": self.w_v, "w_o": self.w_o,
-            "ln_q_gain": self.ln_q_gain, "ln_q_bias": self.ln_q_bias,
-            "ln_c_gain": self.ln_c_gain, "ln_c_bias": self.ln_c_bias,
-            "ln_o_gain": self.ln_o_gain, "ln_o_bias": self.ln_o_bias,
-        }
+        """Trainable parameters by name, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _check_rows(params: XAttnParams, rows: np.ndarray, name: str) -> np.ndarray:

@@ -59,8 +59,7 @@ class Waveform:
         self.samples = np.asarray(self.samples, dtype=np.float64).reshape(-1)
         if self.samples.size == 0:
             raise AudioFormatError("waveform is empty")
-        if self.sample_rate <= 0:
-            raise AudioFormatError(f"sample rate must be positive, got {self.sample_rate}")
+        require_int(self.sample_rate, "sample_rate", minimum=1, error=AudioFormatError)
         peak = float(np.max(np.abs(self.samples)))
         if not peak <= 1.0:
             finite = np.isfinite(self.samples)
@@ -112,9 +111,8 @@ class PatchGrid:
 
 def adaptive_frame_shift(n_frm: int, sr: int, l_tar: int) -> float:
     """Per-clip hop in milliseconds yielding exactly ``l_tar`` frames."""
-    if n_frm <= 0 or sr <= 0 or l_tar <= 0:
-        raise ValueError(
-            f"n_frm, sr, and l_tar must be positive, got {n_frm}, {sr}, {l_tar}")
+    for name, value in (("n_frm", n_frm), ("sr", sr), ("l_tar", l_tar)):
+        require_int(value, name, minimum=1)
     return n_frm * 1000.0 / (sr * l_tar)
 
 
@@ -204,6 +202,8 @@ def compute_fbank(w: Waveform, target_length: int = DEFAULT_TARGET_LENGTH,
 def zero_fbank(target_length: int = DEFAULT_TARGET_LENGTH,
                n_mels: int = DEFAULT_N_MELS) -> MelFilterBank:
     """All-zero filter bank standing in for a clip with no audio track."""
+    require_int(target_length, "target_length", minimum=1)
+    require_int(n_mels, "n_mels", minimum=1)
     return MelFilterBank(frames=np.zeros((target_length, n_mels)),
                          frame_shift_ms=0.0, missing=True)
 
@@ -211,8 +211,9 @@ def zero_fbank(target_length: int = DEFAULT_TARGET_LENGTH,
 def patch_grid(l_tar: int = DEFAULT_TARGET_LENGTH, n_mels: int = DEFAULT_N_MELS,
                patch: int = DEFAULT_PATCH, stride: int = DEFAULT_STRIDE) -> PatchGrid:
     """How many overlapping patches the audio encoder cuts from the features."""
-    if patch <= 0 or stride <= 0:
-        raise ValueError(f"patch and stride must be positive, got {patch}, {stride}")
+    for name, value in (("l_tar", l_tar), ("n_mels", n_mels), ("patch", patch),
+                        ("stride", stride)):
+        require_int(value, name, minimum=1)
     if patch > min(l_tar, n_mels):
         raise ValueError(
             f"patch size {patch} exceeds the {l_tar} x {n_mels} feature grid")

@@ -6,12 +6,11 @@ Command-line flags override file values, which override the defaults below.
 """
 
 import dataclasses
-import sys
 from dataclasses import dataclass
 
 from .contrastive import TAU_INIT, TAU_MAX, TAU_MIN
 from .fusion import FusionError, FusionKind
-from .linalg import is_integer
+from .linalg import require_int, require_real
 
 __all__ = ["TrainConfig", "ConfigError", "MODALITIES", "config_to_text",
            "parse_config_lines", "parse_config_text"]
@@ -49,26 +48,27 @@ class TrainConfig:
     eval_every: int = 0             # epochs between R@1 probes; 0 disables
 
     def validate(self) -> "TrainConfig":
+        """``self``, once every field has its type (an int or a float by
+        :mod:`tefal.linalg`'s rules, the sizes from 1) and range."""
         for name, kind in _FIELDS.items():
             value = getattr(self, name)
-            if not _ACCEPTS[kind](value):
+            if kind is int:
+                require_int(value, name, minimum=1 if name in _SIZES else 0,
+                            error=ConfigError)
+            elif kind is float:
+                require_real(value, name, error=ConfigError)
+            elif not isinstance(value, kind):
                 raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
-            # NaN fails the comparison, and an int too large for a float fails it too
-            if kind is float and not abs(value) <= sys.float_info.max:
-                raise ConfigError(f"{name} must be finite, got {value!r}")
         if not TAU_MIN <= self.temperature_init <= TAU_MAX:
             raise ConfigError(f"temperature_init must lie in [{TAU_MIN}, {TAU_MAX}], "
                               f"got {self.temperature_init}")
-        for name in ("batch_size", "dim", "proj_dim", "frames", "audio_tokens"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.modality not in MODALITIES:
             raise ConfigError(
                 f"modality must be {'|'.join(MODALITIES)}, got {self.modality!r}")
         for name in ("grad_clip", "adam_eps"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("epochs", "learning_rate", "weight_decay", "seed", "eval_every"):
+        for name in ("learning_rate", "weight_decay"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("beta1", "beta2"):
@@ -82,11 +82,8 @@ class TrainConfig:
 
 
 _FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
-# the values each field type takes; a bool is neither an int nor a float,
-# and an array (anything with a length) neither
-_ACCEPTS = {int: lambda v: is_integer(v) and not hasattr(v, "__len__"),
-            float: lambda v: _ACCEPTS[int](v) or isinstance(v, float),
-            bool: lambda v: isinstance(v, bool), str: lambda v: isinstance(v, str)}
+# the int fields that count something, so start from 1; the others from 0
+_SIZES = ("batch_size", "dim", "proj_dim", "frames", "audio_tokens")
 
 
 def _coerce(name: str, raw: str):
@@ -112,8 +109,10 @@ def config_to_text(config: TrainConfig) -> str:
         value = getattr(config, f.name)
         if isinstance(value, bool):
             value = "true" if value else "false"
-        elif isinstance(value, float):
-            value = repr(value)
+        elif f.type is float and not isinstance(value, int):
+            # as a float: a numpy float's own repr names its type, which the
+            # parser refuses, and its str may round a float32
+            value = repr(float(value))
         lines.append(f"{f.name} = {value}")
     return "\n".join(lines) + "\n"
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ShapeError, sum_leading
+from .linalg import ShapeError, require_real, sum_leading
 
 TAU_MIN = 1.0
 TAU_MAX = 100.0
@@ -36,6 +36,9 @@ class Temperature:
 
     @classmethod
     def from_tau(cls, tau: float = TAU_INIT) -> "Temperature":
+        """The temperature at ``tau``: a number by
+        :func:`tefal.linalg.require_real`, in [TAU_MIN, TAU_MAX]."""
+        require_real(tau, "tau")
         if not TAU_MIN <= tau <= TAU_MAX:
             raise ValueError(f"tau must lie in [{TAU_MIN}, {TAU_MAX}], got {tau}")
         return cls(log_scale=np.array([[math.log(tau)]], dtype=np.float64))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ShapeError, as_matrix, is_integer, require_int
+from .linalg import ShapeError, as_matrix, is_integer, require_int, require_real
 
 __all__ = ["Corpus", "audio_summary", "synth_corpus"]
 
@@ -162,14 +162,17 @@ def synth_corpus(seed: int, n_items: int = 1000, dim: int = 32, frames: int = 4,
     the audio tokens render their latent through a fixed random rotation,
     mimicking an audio encoder whose space is unaligned with the text/video
     space and must be mapped by the audio block's projections.
+
+    The counts and ``seed`` follow :func:`tefal.linalg.require_int` (counts
+    from 1), ``audio_informative`` and ``noise`` :func:`tefal.linalg.require_real`.
     """
+    require_real(audio_informative, "audio_informative")
     if not 0.0 <= audio_informative <= 1.0:
         raise ValueError(f"audio_informative must be in [0, 1], got {audio_informative}")
     for name, count in (("n_items", n_items), ("dim", dim), ("frames", frames),
                         ("audio_tokens", audio_tokens)):
         require_int(count, name, minimum=1)
-    if not math.isfinite(noise):
-        raise ValueError(f"noise must be finite, got {noise}")
+    require_real(noise, "noise")
     require_int(seed, "seed")
 
     rng = np.random.default_rng(seed)

@@ -3,6 +3,9 @@
 above compose these rules in a fixed order; there is no general tape.
 """
 
+import math
+import sys
+
 import numpy as np
 
 LAYERNORM_EPS = 1e-5
@@ -11,6 +14,8 @@ LAYERNORM_EPS = 1e-5
 # this (see padded_matmul); the smallest multiple that
 # tests/test_padded_products.py passes on for the installed BLAS
 PAD = 8
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class ShapeError(ValueError):
@@ -34,13 +39,32 @@ def is_integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, (bool, np.bool_))
 
 
-def require_int(value, name: str, minimum: int = 0) -> None:
-    """Raise a ValueError naming ``name`` if ``value`` is no integer (a bool
-    is none) or is below ``minimum``."""
-    if not is_integer(value) or np.ndim(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+def require_int(value, name: str, minimum: int = 0, maximum: int | None = None,
+                error: type = ValueError) -> None:
+    """The one integer rule for a scalar argument: raise ``error`` (a
+    ValueError) naming ``name`` unless ``value`` is an integer (a bool or an
+    array is none) from ``minimum`` to ``maximum``, which defaults to the
+    int64 limit."""
+    if isinstance(value, np.ndarray) or not is_integer(value):
+        raise error(f"{name} must be an integer, got {value!r}")
     if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+        raise error(f"{name} must be >= {minimum}, got {value}")
+    maximum = _INT64_MAX if maximum is None else maximum
+    if value > maximum:
+        raise error(f"{name} must be <= {maximum}, got {value}")
+
+
+def require_real(value, name: str, error: type = ValueError) -> None:
+    """The one number rule for a scalar argument: raise ``error`` (a
+    ValueError) naming ``name`` unless ``value`` is an int or float (a bool
+    or an array is neither) that a float holds finitely."""
+    integer = is_integer(value)
+    number = integer or isinstance(value, (float, np.floating))
+    if isinstance(value, np.ndarray) or not number:
+        raise error(f"{name} must be a number, got {value!r}")
+    # an int is finite when a float holds it
+    if not (abs(value) <= sys.float_info.max if integer else math.isfinite(value)):
+        raise error(f"{name} must be finite, got {value!r}")
 
 
 def canonical_sum(values: np.ndarray, axis: int) -> np.ndarray:

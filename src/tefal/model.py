@@ -53,8 +53,7 @@ from .contrastive import (
 from .config import MODALITIES, ConfigError
 from .corpus import Corpus
 from .fusion import FusionKind, FusionParams, fuse_backward, fuse_forward
-from .linalg import (ShapeError, is_integer, pad_pairs, padded_width, require_int,
-                     sum_leading)
+from .linalg import ShapeError, pad_pairs, padded_width, require_int, sum_leading
 
 __all__ = ["RetrievalModel", "MODEL_KINDS", "create_model", "named_parameters",
            "candidate_scores", "Queries", "query_rows", "score_tile", "candidate_blocks",
@@ -88,13 +87,14 @@ def create_model(seed: int, dim: int, proj_dim: int | None = None,
                  fusion: FusionKind | str = FusionKind.ADDITION,
                  modality: str = "both", tau: float = TAU_INIT) -> RetrievalModel:
     """A freshly initialized model.  The cosine compares the query text with
-    the fused embedding, so ``proj_dim`` must equal ``dim``, a positive integer.
-    A ``seed`` that is no integer >= 0 raises ValueError."""
+    the fused embedding, so ``proj_dim`` must equal ``dim``.  A ``seed`` that
+    fails :func:`tefal.linalg.require_int` from 0 raises ValueError, a ``dim``
+    or ``proj_dim`` that fails it from 1 a ShapeError."""
     require_int(seed, "seed")
-    if not is_integer(dim) or dim < 1:
-        raise ShapeError(f"dim must be a positive integer, got {dim!r}")
+    require_int(dim, "dim", minimum=1, error=ShapeError)
     if proj_dim is None:
         proj_dim = dim
+    require_int(proj_dim, "proj_dim", minimum=1, error=ShapeError)
     if proj_dim != dim:
         raise ShapeError(
             f"cosine similarity compares raw text rows (width {dim}) with fused "
@@ -315,17 +315,14 @@ def score_pairs(model: RetrievalModel, queries: Queries, corpus: Corpus,
 
 def resolve_workers(requested: int | None = None) -> int:
     """Worker count: ``requested``, or by default the CPUs this process may
-    run on, capped by TEFAL_THREADS; a count in either that is no integer or
-    below 1 is a :class:`tefal.config.ConfigError`."""
+    run on, capped by TEFAL_THREADS; a count in either that fails
+    :func:`tefal.linalg.require_int` from 1 is a :class:`tefal.config.ConfigError`."""
     if requested is None:
         workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1)
-    elif not is_integer(requested):
-        raise ConfigError(f"threads must be an integer, got {requested!r}")
     else:
+        require_int(requested, "threads", minimum=1, error=ConfigError)
         workers = int(requested)
-        if workers < 1:
-            raise ConfigError(f"threads must be >= 1, got {workers}")
     cap = os.environ.get("TEFAL_THREADS")
     if cap:
         try:
@@ -333,8 +330,7 @@ def resolve_workers(requested: int | None = None) -> int:
         except ValueError:
             raise ConfigError(
                 f"TEFAL_THREADS must be an integer, got {cap!r}") from None
-        if cap_value < 1:
-            raise ConfigError(f"TEFAL_THREADS must be >= 1, got {cap!r}")
+        require_int(cap_value, "TEFAL_THREADS", minimum=1, error=ConfigError)
         workers = min(workers, cap_value)
     return workers
 

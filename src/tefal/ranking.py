@@ -11,7 +11,8 @@ from typing import Callable
 import numpy as np
 
 from .corpus import Corpus
-from .linalg import ShapeError, as_matrix, is_integer, pad_pairs, padded_matmul
+from .linalg import (ShapeError, as_matrix, is_integer, pad_pairs, padded_matmul,
+                     require_int, require_real)
 from .model import (
     RetrievalModel,
     candidate_blocks,
@@ -110,7 +111,9 @@ class EvalStats:
 
 def compute_metrics(ranks, candidate_count: int) -> RankingMetrics:
     """R@1/5/10 (percent), median rank (lower middle for even counts), and
-    mean rank of a 1-D array of integer ranks, each in [1, candidate_count]."""
+    mean rank of a 1-D array of integer ranks, each in [1, candidate_count],
+    an integer by :func:`tefal.linalg.require_int` from 1."""
+    require_int(candidate_count, "candidate_count", minimum=1)
     ranks = np.asarray(ranks)
     if ranks.ndim != 1:
         raise ShapeError(f"ranks must be 1-D, got shape {ranks.shape}")
@@ -299,10 +302,7 @@ def _rerank(model: RetrievalModel, corpus: Corpus, k: int, workers: int | None,
     ``stats.stage2_model_evals`` counts (tile invariance makes sharing a
     pair change no rank: :func:`tefal.attention.block_forward_tile`)."""
     n = len(corpus)
-    if not is_integer(k):
-        raise ValueError(f"shortlist size k must be an integer, got {k!r}")
-    if not 1 <= k <= n:
-        raise ValueError(f"shortlist size k must lie in [1, {n}], got {k}")
+    require_int(k, "shortlist size k", minimum=1, maximum=n)
     workers = resolve_workers(workers)
     ids = np.asarray(corpus.ids)
     id_rank = _id_ranks(ids)
@@ -354,13 +354,11 @@ def dual_softmax_postprocess(sim: np.ndarray, dsl_temp: float) -> np.ndarray:
 
 
 def _check_dsl_temp(dsl_temp: float) -> None:
-    """Reject a dual-softmax temperature that is no number (a bool is none),
-    or is not finite and positive."""
-    number = is_integer(dsl_temp) or isinstance(dsl_temp, (float, np.floating))
-    if np.ndim(dsl_temp) or not number:
-        raise ValueError(f"dsl_temp must be a number, got {dsl_temp!r}")
-    if not 0 < dsl_temp < np.inf:
-        raise ValueError(f"dsl_temp must be finite and positive, got {dsl_temp}")
+    """Reject a dual-softmax temperature that fails
+    :func:`tefal.linalg.require_real` or is not positive."""
+    require_real(dsl_temp, "dsl_temp")
+    if not dsl_temp > 0:
+        raise ValueError(f"dsl_temp must be positive, got {dsl_temp}")
 
 
 @dataclass

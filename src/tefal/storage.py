@@ -36,7 +36,7 @@ import numpy as np
 from .audiofeat import MelFilterBank
 from .config import TrainConfig, config_to_text, parse_config_text
 from .corpus import Corpus
-from .linalg import is_integer
+from .linalg import require_int
 from .model import RetrievalModel, create_model, named_parameters
 
 __all__ = [
@@ -326,10 +326,9 @@ def _encode_entry(name: str, matrix: np.ndarray) -> bytes:
 
 def save_checkpoint(path, model: RetrievalModel, step: int,
                     config: TrainConfig) -> None:
-    """Write a TFCK file; a ``step`` that is no integer in [0, ``MAX_STEP``]
-    raises ``ValueError`` before anything is written."""
-    if not is_integer(step) or not 0 <= step <= MAX_STEP:
-        raise ValueError(f"step must be an integer in [0, {MAX_STEP}], got {step!r}")
+    """Write a TFCK file; a ``step`` that fails :func:`tefal.linalg.require_int`
+    in [0, ``MAX_STEP``] raises ``ValueError`` before anything is written."""
+    require_int(step, "step", maximum=MAX_STEP)
     entries = [("__step__", np.array([[float(step)]]))]
     entries.extend(named_parameters(model, trainable_only=False).items())
     config_bytes = config_to_text(config).encode("utf-8")

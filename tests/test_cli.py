@@ -428,10 +428,12 @@ class TestTrainEval:
 
     def test_bad_dsl_temp_is_exit_one_and_names_it(self, trained_setup, capsys):
         manifest, ckpt = trained_setup
-        for temp in ("nan", "inf", "0"):
+        for temp, message in (("nan", "dsl_temp must be finite, got nan"),
+                              ("inf", "dsl_temp must be finite, got inf"),
+                              ("0", "dsl_temp must be positive, got 0.0")):
             assert run("eval", "--data", str(manifest), "--checkpoint", str(ckpt),
                        "--dsl-temp", temp) == 1
-            assert "dsl_temp must be finite and positive" in capsys.readouterr().err
+            assert message in capsys.readouterr().err
 
     def test_rerank_requires_k(self, trained_setup, capsys):
         manifest, ckpt = trained_setup

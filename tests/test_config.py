@@ -65,6 +65,14 @@ class TestRoundTrip:
         recovered = TrainConfig(**parse_config_text(config_to_text(config)))
         assert recovered == config
 
+    @pytest.mark.parametrize("value", [np.float64(1e-3), np.float32(1e-3)])
+    def test_a_numpy_float_round_trips_to_its_value(self, value):
+        # np.float64 used to be written as "np.float64(0.001)", which the
+        # parser refused, so a checkpoint saved with it could not be loaded
+        config = TrainConfig(learning_rate=value, epochs=np.int64(3)).validate()
+        recovered = TrainConfig(**parse_config_text(config_to_text(config))).validate()
+        assert recovered.learning_rate == float(value) and recovered.epochs == 3
+
 
 class TestValidation:
     def test_bad_modality(self):

@@ -87,9 +87,13 @@ class TestModelAssembly:
         with pytest.raises(ValueError, match="modality"):
             create_model(seed=0, dim=8, modality="text")
 
-    @pytest.mark.parametrize("dim", [0, -3, 2.0, True])
-    def test_a_dim_that_is_no_positive_integer_is_a_shape_error(self, dim):
-        with pytest.raises(ShapeError, match="dim must be a positive integer"):
+    @pytest.mark.parametrize("dim,match", [(0, "dim must be >= 1, got 0"),
+                                           (-3, "dim must be >= 1, got -3"),
+                                           (2.0, "dim must be an integer, got 2.0"),
+                                           (True, "dim must be an integer, got True")],
+                             ids=["0", "-3", "2.0", "True"])
+    def test_a_dim_that_is_no_positive_integer_is_a_shape_error(self, dim, match):
+        with pytest.raises(ShapeError, match=match):
             create_model(seed=0, dim=dim)
 
     @pytest.mark.parametrize("seed,match", [(1.5, "seed must be an integer, got 1.5"),

@@ -311,3 +311,47 @@ def test_the_import_graph_has_no_cycle():
 
 def test_the_corpus_imports_only_linalg():
     assert IMPORTS["corpus"] == {"linalg"}
+
+
+# linalg's two rules are the only scalar type checks; the other callers of
+# is_integer check integer arrays
+INTEGER_TEST_CALLERS = {"linalg.require_int", "linalg.require_real",
+                        "corpus.Corpus.item_indices", "ranking.compute_metrics"}
+
+
+def integer_test_callers(source: str) -> set[str]:
+    """The functions (qualified by their classes) and the module-level
+    assignments of ``source`` that call ``is_integer``, by name or as
+    ``linalg.is_integer``."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        elif isinstance(node, ast.Call) and (
+                getattr(node.func, "id", None) == "is_integer"
+                or getattr(node.func, "attr", None) == "is_integer"
+                and getattr(node.func.value, "id", None) == "linalg"):
+            found.add(scope or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for statement in ast.parse(source).body:
+        targets = statement.targets if isinstance(statement, ast.Assign) else []
+        visit(statement, ",".join(getattr(t, "id", "?") for t in targets))
+    return found
+
+
+def test_integer_test_callers_are_found():
+    source = ("def f(x):\n    return is_integer(x)\n"
+              "class C:\n    def m(self, x):\n        return [linalg.is_integer(x)]\n"
+              "RULES = {int: lambda v: is_integer(v)}\n"
+              "is_integer(3)\n"
+              "def g(step):\n    return step.is_integer() and x.is_integer\n")
+    assert integer_test_callers(source) == {"f", "C.m", "RULES", "<module>"}
+
+
+def test_only_the_rules_and_the_integer_array_checks_call_is_integer():
+    callers = {f"{p.stem}.{scope}" for p in MODULES
+               for scope in integer_test_callers(p.read_text(encoding="utf-8"))}
+    assert callers == INTEGER_TEST_CALLERS

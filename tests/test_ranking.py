@@ -775,7 +775,7 @@ class TestDualSoftmax:
             raise AssertionError("scored before checking dsl_temp")
 
         monkeypatch.setattr(ranking, "similarity_matrix", no_scoring)
-        with pytest.raises(ValueError, match="dsl_temp must be finite and positive"):
+        with pytest.raises(ValueError, match="dsl_temp must be finite, got nan"):
             evaluate(model, corpus, dsl_temp=float("nan"))
 
     @pytest.mark.parametrize("temp", ["x", True, np.array([30.0])])
