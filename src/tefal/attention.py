@@ -17,16 +17,21 @@ value rows: ``pooled W_o`` is linear in the attention weights w, and only
 the scale of ``LN_o`` depends on the pair.  With C = I - 11^T/d_p and
 M = LN(context) W_v W_o C, the pooling of the rows M diag(g_o) gives
 g_o (p - mean p) for p = pooled W_o, and the variance is w^T (M M^T) w / d_p,
-from the candidate's n x n Gram.  So ``LN_o`` takes two passes over a
-tile's outputs, a scale and a bias (:func:`_finish_ln_o`).
+from the candidate's n x n Gram.  So the scale is known before the
+pooling: :func:`attend_tile` multiplies it into the attention weights,
+which are n / d_p the size of the outputs, and :func:`pool` adds the bias
+as one more value row, against a row of ones.  A block's output is then one
+product, [M diag(g_o); b_o]^T [w inv; 1], and no pass over the outputs
+remains; blocks whose outputs are summed, as addition's are, pool as one
+product over all their rows (:func:`pooling_rows`).
 
 Every library path runs the kernel in one of two product forms: the tile
 kernel, :func:`block_forward_tile`, whose docstring gives why a pair's
 output does not depend on its tile, or :func:`attend_pairs`, one query per
-context, which the xattn fusion block runs.  Both share
-:func:`project_candidates`, the softmax and the ``LN_o`` finish, so only
-this module knows the K || M || M diag(g_o) layout and the
-:class:`TileCache` that :func:`block_backward_tile` reverses.
+context, which the xattn fusion block runs.  Both share the candidate
+projection, the softmax and the scaled weights, so only this module knows
+the K || M || M diag(g_o) layout and the :class:`TileCache` that
+:func:`block_backward_tile` reverses.
 :func:`block_forward`, :func:`block_backward` and :func:`attend` are the
 per-candidate reference that the tests compare the kernel against.  Two
 independent instances of the block condition the video and audio sides on
@@ -50,6 +55,7 @@ from .linalg import (
     standardized_backward,
     softmax_rows,
     softmax_rows_backward,
+    sum_leading,
 )
 
 __all__ = [
@@ -64,6 +70,8 @@ __all__ = [
     "canonical_rows",
     "project_candidates",
     "attend_tile",
+    "pooling_rows",
+    "pool",
     "attend_pairs",
     "block_forward_tile",
     "block_backward_tile",
@@ -285,7 +293,7 @@ class Candidates:
     c_n: np.ndarray           # (D, n, C), LN_c(contexts)
     xhat: np.ndarray | None   # (D, n, C), the standardized contexts
     kv: np.ndarray            # (C, n, 3 D_p), K || M || M diag(g_o), rows in canonical order
-    gram: np.ndarray          # (C, n, n), M M^T
+    gram: np.ndarray | None   # (C, n, n), M M^T; None in attend_pairs
     w_kv: np.ndarray          # (D, 2 D_p), W_k || W_v W_o C
 
 
@@ -305,12 +313,9 @@ class TileCache(Candidates):
         return out.reshape(n, c, t)
 
 
-def project_candidates(params: XAttnParams, contexts: np.ndarray,
-                       keep: bool = False) -> Candidates:
-    """The query-independent half of :func:`block_forward_tile` for (D, n, C)
-    ``contexts``: ``LN_c`` and its canonical row order, then
-    K || M || M diag(g_o) and the Gram M M^T, for M = rows W_v W_o C,
-    ``g_o`` = ``ln_o_gain`` and C = I - 11^T / D_p the centring matrix."""
+def _project(params: XAttnParams, contexts: np.ndarray, keep: bool) -> Candidates:
+    """:func:`project_candidates` without the Gram, which
+    :func:`attend_pairs` forms with its pair axis innermost."""
     p = params.proj_dim
     contexts = np.ascontiguousarray(contexts, dtype=np.float64)
     if contexts.ndim != 3 or contexts.shape[0] != params.dim:
@@ -322,58 +327,79 @@ def project_candidates(params: XAttnParams, contexts: np.ndarray,
     vo = params.w_v @ params.w_o
     w_kv = np.concatenate([params.w_k, vo - vo.sum(axis=1, keepdims=True) / p], axis=1)
     kv = rows @ np.concatenate([w_kv, w_kv[:, p:] * params.ln_o_gain], axis=1)
-    m = kv[:, :, p:2 * p]
-    return Candidates(order, contexts, c_n, xhat, kv, m @ m.transpose(0, 2, 1), w_kv)
+    return Candidates(order, contexts, c_n, xhat, kv, None, w_kv)
 
 
-def _scaled_softmax_(logits: np.ndarray, proj_dim: int, axis: int) -> np.ndarray:
-    """In place, the attention weights ``softmax(logits / sqrt(proj_dim))``
-    over the context rows along ``axis``.  numpy sums them in row order when
-    two or more elements trail ``axis``, or when ``axis`` has two rows."""
+def project_candidates(params: XAttnParams, contexts: np.ndarray,
+                       keep: bool = False) -> Candidates:
+    """The query-independent half of :func:`block_forward_tile` for (D, n, C)
+    ``contexts``: ``LN_c`` and its canonical row order, then
+    K || M || M diag(g_o) and the Gram M M^T, for M = rows W_v W_o C,
+    ``g_o`` = ``ln_o_gain`` and C = I - 11^T / D_p the centring matrix."""
+    cands = _project(params, contexts, keep)
+    m = cands.kv[:, :, params.proj_dim:2 * params.proj_dim]
+    cands.gram = m @ m.transpose(0, 2, 1)
+    return cands
+
+
+def _softmax_terms_(logits: np.ndarray, proj_dim: int, axis: int):
+    """``(e, r)``: in place, ``exp(logits / sqrt(proj_dim) - max)`` along
+    ``axis``, the context rows, and the reciprocal of its sum, whose product
+    is the softmax.  numpy sums in row order when two or more elements
+    trail ``axis``, or when ``axis`` has two rows."""
     logits *= 1.0 / math.sqrt(proj_dim)
     logits -= logits.max(axis=axis, keepdims=True)
-    weights = np.exp(logits, out=logits)
-    weights *= 1.0 / weights.sum(axis=axis, keepdims=True)
-    return weights
-
-
-def _finish_ln_o(params: XAttnParams, cands: Candidates, cols, q: np.ndarray,
-                 proj: np.ndarray, weights: np.ndarray, keep: bool):
-    """``(out, cache)``: in place, ``LN_o`` of (D_p, C, T_pad) ``proj``, the
-    pooling of the :func:`project_candidates` rows M diag(g_o), which is
-    ``g_o`` (pooled W_o - its mean), by the (C, n, T_pad) ``weights`` over
-    the rows of the ``cols`` candidates, cut to the T columns of the
-    (1 or C, D_p, T) query items ``q``; ``cache``, the :class:`TileCache`,
-    only with ``keep``.  The variance is ``sum_n w (G w) / D_p``, G the
-    candidate's Gram, so two passes over ``proj`` remain: the scale and the
-    bias."""
-    var = (padded_matmul(cands.gram[cols], weights)[:, :, :weights.shape[-1]]
-           * weights).sum(axis=1)
-    inv = 1.0 / np.sqrt(var / params.proj_dim + LAYERNORM_EPS)
-    proj *= inv
-    proj += params.ln_o_bias.reshape(-1, 1, 1)
-    t = q.shape[-1]
-    return proj[:, :, :t], (TileCache(**vars(cands), q=q, weights=weights[:, :, :t],
-                                      inv=inv[:, :t]) if keep else None)
+    e = np.exp(logits, out=logits)
+    return e, 1.0 / e.sum(axis=axis, keepdims=True)
 
 
 def attend_tile(params: XAttnParams, q: np.ndarray, cands: Candidates,
                 cols: slice = slice(None), keep: bool = False):
-    """``(out, cache)`` of the query side of :func:`block_forward_tile` for
-    ``cols`` of ``cands``, ``q`` (D_p, 1, T) or (D_p, C, T) for C ``cols``;
-    ``out`` is (D_p, C, T), as wide as ``q`` (padded columns included);
-    ``cache`` only with ``keep``, which needs all of ``cands``."""
+    """``(weights, cache)`` of the query side of :func:`block_forward_tile`
+    for ``cols`` of ``cands``, ``q`` (D_p, 1, T) or (D_p, C, T) for C
+    ``cols``: the (C, n, T_pad) attention weights, as wide as ``q``
+    (padded columns included), each column scaled by its pair's ``LN_o``
+    reciprocal standard deviation, for :func:`pool`; ``cache`` only with
+    ``keep``, which needs all of ``cands``.  For the weights w = e r of
+    :func:`_softmax_terms_`, the variance is ``r^2 sum_n e (G e) / D_p``,
+    G the candidate's Gram, and one multiply applies r and the scale."""
     p, kv = params.proj_dim, cands.kv[cols]
     q = np.ascontiguousarray(q, dtype=np.float64)
     if q.ndim != 3 or q.shape[0] != p or q.shape[1] not in (1, len(kv)):
         raise ShapeError(f"q must be ({p}, 1, T) or ({p}, {len(kv)}, T), got {q.shape}")
     items = q.transpose(1, 0, 2)                                      # (1 or C, D_p, T)
-    logits = padded_matmul(kv[:, :, :p], items)                       # (C, n, T_pad)
-    weights = _scaled_softmax_(logits, p, axis=1)
-    # the pooling straight into the (D_p, C, T_pad) layout of LN_o
-    proj = np.empty((p, len(kv), weights.shape[-1]))
-    padded_matmul(kv[:, :, 2 * p:].transpose(0, 2, 1), weights, out=proj.transpose(1, 0, 2))
-    return _finish_ln_o(params, cands, cols, items, proj, weights, keep)
+    e, r = _softmax_terms_(padded_matmul(kv[:, :, :p], items), p, axis=1)  # (C, n, T_pad)
+    var = (padded_matmul(cands.gram[cols], e) * e).sum(axis=1) * r[:, 0] ** 2
+    inv = 1.0 / np.sqrt(var / p + LAYERNORM_EPS)
+    t = q.shape[-1]
+    cache = (TileCache(**vars(cands), q=items, weights=(e * r)[:, :, :t], inv=inv[:, :t])
+             if keep else None)
+    return np.multiply(e, r * inv[:, None], out=e), cache
+
+
+def pooling_rows(blocks) -> np.ndarray:
+    """The left operand of :func:`pool` for the ``(params, cands)`` pairs
+    of the blocks whose outputs are summed: per candidate, the rows
+    M diag(g_o) of each block's :func:`project_candidates`, then one row
+    of the blocks' summed ``LN_o`` biases, as (C, D_p, K) items, K the
+    blocks' rows plus one."""
+    p = blocks[0][0].proj_dim
+    rows = [cands.kv[:, :, 2 * p:] for _, cands in blocks]
+    bias = sum(params.ln_o_bias for params, _ in blocks)[None].repeat(len(rows[0]), axis=0)
+    return np.concatenate([*rows, bias], axis=1).transpose(0, 2, 1)
+
+
+def pool(rows: np.ndarray, weights: list, cols: slice = slice(None)) -> np.ndarray:
+    """The (D_p, C, T_pad) sum of the blocks' outputs for ``cols`` of
+    :func:`pooling_rows` ``rows``, from each block's scaled
+    :func:`attend_tile` ``weights``, in the same order: one padded product
+    of the rows against the weights and a row of ones, which adds the
+    bias, written straight into the pair-last layout."""
+    c, _, t = weights[0].shape
+    stacked = np.concatenate([*weights, np.ones((c, 1, t))], axis=1)
+    out = np.empty((rows.shape[1], c, t))
+    padded_matmul(rows[cols], stacked, out=out.transpose(1, 0, 2))
+    return out
 
 
 def attend_pairs(params: XAttnParams, q: np.ndarray, contexts: np.ndarray,
@@ -384,30 +410,35 @@ def attend_pairs(params: XAttnParams, q: np.ndarray, contexts: np.ndarray,
     P candidates, one query each, that :func:`block_backward_tile` reverses.
     The xattn fusion block runs it over the rows [E_v|t, E_a|t].
 
-    A padded product would run ``PAD`` columns per pair (only the Gram
-    product of ``LN_o``'s variance does), so the logits and the pooling of
-    M diag(g_o) are ``einsum``s.  With an output axis innermost (a pair
-    axis, or for a single pair a feature or row axis), numpy adds each
-    output's terms one at a time in the order of the summed axis, for any
-    tile: so K is laid out (D_p, n, P) and the values (n, D_p, P).  The
-    softmax and the ``LN_o`` variance of the xattn block sum n = 2 rows,
-    which any order adds alike."""
+    A padded product would run ``PAD`` columns per pair, so the logits, the
+    Gram M M^T (by :func:`tefal.linalg.sum_leading`), ``LN_o``'s variance
+    and the pooling of M diag(g_o) by the scaled weights are ``einsum``s.
+    With the summed axis leading and an output axis innermost (a pair axis,
+    or for a single pair a row axis), numpy adds each output's terms one at
+    a time in the order of the summed axis, for any tile: so K and M are
+    laid out (D_p, n, P).  A summed axis that is contiguous, as D_p would be
+    in an (n, D_p, 1) item, is summed in another order, so one pair alone
+    would get other bits.  The pooling, the softmax and the variance of the
+    xattn block sum n = 2 rows, which any order adds alike, so the values
+    are laid out (n, D_p, P)."""
     p = params.proj_dim
-    cands = project_candidates(params, contexts, keep)
-    q = np.ascontiguousarray(q, dtype=np.float64)[:, :, None]              # (D_p, P, 1)
-    k = np.ascontiguousarray(cands.kv[:, :, :p].transpose(2, 1, 0))        # (D_p, n, P)
+    cands = _project(params, contexts, keep)
+    q = np.ascontiguousarray(q, dtype=np.float64)                               # (D_p, P)
+    k, m = (np.ascontiguousarray(cands.kv[:, :, s:s + p].transpose(2, 1, 0)) for s in (0, p))
     vo = np.ascontiguousarray(cands.kv[:, :, 2 * p:].transpose(1, 2, 0))   # (n, D_p, P)
-    weights = _scaled_softmax_(np.einsum("pct,pnc->nct", q, k), p, axis=0)
-    proj = np.einsum("nct,npc->pct", weights, vo)
-    out, cache = _finish_ln_o(params, cands, slice(None), q.transpose(1, 0, 2), proj,
-                              weights.transpose(1, 0, 2), keep)
-    return out[:, :, 0], cache
+    e, r = _softmax_terms_(np.einsum("pc,pnc->nc", q, k), p, axis=0)          # (n, P)
+    gram_e = np.einsum("nmc,mc->nc", sum_leading(m[:, :, None], m[:, None]), e)
+    inv = 1.0 / np.sqrt(np.einsum("nc,nc->c", e, gram_e) * r[0] ** 2 / p + LAYERNORM_EPS)
+    out = np.einsum("nc,npc->pc", e * (r * inv), vo) + params.ln_o_bias.T
+    return out, (TileCache(**vars(cands), q=q.T[:, :, None], weights=(e * r).T[:, :, None],
+                           inv=inv[:, None]) if keep else None)
 
 
 def block_forward_tile(params: XAttnParams, q: np.ndarray, contexts: np.ndarray):
     """``(out, cache)``: the block for every (query, candidate) pair of a
     tile, pair-last (the feature or context-row axis first, then the (C, T)
-    pair axes), by :func:`project_candidates`, then :func:`attend_tile`.
+    pair axes), by :func:`project_candidates`, :func:`attend_tile`, then
+    :func:`pool`.
 
     ``contexts`` is (D, n, C).  ``q`` holds :func:`project_queries` columns
     with a candidate axis: (D_p, 1, T), shared by every candidate (a dense
@@ -424,20 +455,26 @@ def block_forward_tile(params: XAttnParams, q: np.ndarray, contexts: np.ndarray)
     Each candidate's rows go in canonical order (:func:`canonical_rows`)
     by their ``LN_c`` values before the projection, so any permutation of
     them gives its item the same input, and the output the same bits.  The
-    per-pair products, the logits K_c q, the pooling (M diag(g_o))_c^T w
-    and the variance's (M M^T)_c w, are padded products
+    per-pair products, the logits K_c q, the variance's (M M^T)_c e and
+    the pooling [M diag(g_o); b_o]_c^T [w inv; 1], are padded products
     (:func:`tefal.linalg.padded_matmul`), one column per query, so a
-    column keeps its bits whatever queries and candidates share the tile;
+    column keeps its bits whatever queries and candidates share the tile.
+    The pooling's left operand has one layout and a fixed K for a given
+    model and corpus: the rows of the blocks it sums plus the bias row,
+    n + 1 for one block and n_v + n_a + 1 for addition
+    (:func:`pooling_rows`), stacked once per call for all its candidates;
     :func:`project_queries` and the late and concat_fc fusions are padded
-    products too.  The softmax (:func:`_scaled_softmax_`) sums and the
-    variance's sum over the n rows of w (M M^T w) run over a (C, n, T_pad)
+    products too.  The softmax (:func:`_softmax_terms_`) sums and the
+    variance's sum over the n rows of e (M M^T e) run over a (C, n, T_pad)
     array whose trailing axis is at least ``PAD`` wide, so numpy adds each
     column's terms in row order; the ``LN_c`` sums go through
     :func:`tefal.linalg.sum_leading`.  Fusion, the xattn block's
     :func:`attend_pairs` among it, and cosine follow the same rules, so a
     score, too, depends only on its pair.
     """
-    return attend_tile(params, q, project_candidates(params, contexts, keep=True), keep=True)
+    cands = project_candidates(params, contexts, keep=True)
+    weights, cache = attend_tile(params, q, cands, keep=True)
+    return pool(pooling_rows([(params, cands)]), [weights])[:, :, :q.shape[-1]], cache
 
 
 def block_backward_tile(params: XAttnParams, cache: TileCache, d_out: np.ndarray,

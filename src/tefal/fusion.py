@@ -18,6 +18,10 @@ kinds, each called as ``(video, audio[, queries])`` with the inputs that
 late's and concat_fc's feature counts are checked.  :func:`fuse_forward`
 returns the fused columns and what :func:`fuse_backward` reverses (``None``
 for addition), and :func:`fuse_backward` dispatches on ``params.kind``.
+Scoring runs no fusion code for addition: :func:`tefal.model.score_tile`
+pools both blocks as one product (:func:`tefal.attention.pool`), whose
+bias row carries the sum of their ``LN_o`` biases, so addition here serves
+the per-candidate reference.
 The xattn block, one candidate and one query per fused column, is
 :func:`tefal.attention.attend_pairs` over the rows [E_v|t, E_a|t], and
 :func:`tefal.attention.block_backward_tile` reverses it.  Stacking is not

@@ -39,6 +39,8 @@ from .attention import (
     block_backward_tile,
     block_forward,
     canonical_rows,
+    pool,
+    pooling_rows,
     project_candidates,
     project_queries,
     project_queries_backward,
@@ -242,12 +244,22 @@ def score_tile(model: RetrievalModel, queries: Queries, corpus: Corpus,
     scores ``cols[c]`` against its ``t``-th query (a grouped tile).  The
     candidates are projected once; a dense tile attends in tiles of at most
     ``TILE_PAIRS`` pairs, counted padded (:func:`tefal.linalg.padded_width`),
-    unless ``keep``, its queries padded once for all of them.  Tile
-    invariance: :func:`tefal.attention.block_forward_tile`.
+    unless ``keep``, its queries padded once for all of them.  Each block
+    whose output is summed pools with the others in one product
+    (:func:`tefal.attention.pool`, its rows stacked once per call): so
+    addition's fused embedding, E_v|t + E_a|t, comes out of one product
+    over both blocks' rows and runs no fusion code, and any other kind
+    pools each block alone and fuses post hoc.  Tile invariance:
+    :func:`tefal.attention.block_forward_tile`.
     """
     cols = np.asarray(cols, dtype=np.intp)
     cands = {name: project_candidates(_params(model, name), rows.T, keep)
              for name, rows in _contexts(model, corpus, cols).items()}
+    # the blocks whose outputs are summed pool as one product: addition's
+    # two, or any one block alone
+    summed = model.fusion.kind == FusionKind.ADDITION
+    groups = [tuple(cands)] if summed else [(name,) for name in cands]
+    rows = {g: pooling_rows([(_params(model, n), cands[n]) for n in g]) for g in groups}
 
     @functools.cache
     def token_means():
@@ -262,10 +274,10 @@ def score_tile(model: RetrievalModel, queries: Queries, corpus: Corpus,
     scores = np.empty((t, len(cols)))
     for start in range(0, len(cols), width):
         tile = slice(start, start + width)
-        outputs, caches = {}, {}
-        for name, block in cands.items():
-            out, caches[name] = attend_tile(_params(model, name), q[name], block, tile, keep)
-            outputs[name] = out[:, :, :t]
+        weights, caches = {}, {}
+        for name, c in cands.items():
+            weights[name], caches[name] = attend_tile(_params(model, name), q[name], c, tile, keep)
+        outputs = {g[0]: pool(rows[g], [weights[n] for n in g], tile)[:, :, :t] for g in groups}
         fused, fusion_saved = _fuse(model, outputs, queries.blocks.get("xattn"),
                                     lambda: token_means()[:, tile], keep)
         tile_scores, cos_cache = cosine_rows(queries.texts, fused)
@@ -455,8 +467,8 @@ def batch_loss_and_grads(model: RetrievalModel, corpus: Corpus,
     So ``sim`` equals :func:`similarity_matrix` of the batch bit for bit
     (:func:`tefal.attention.block_forward_tile`).  The texts and the video
     and audio contexts are corpus rows, so no gradient is formed for them.
-    """
-    indices = np.asarray(indices, dtype=np.intp)
+    Indices not integers in [0, n) raise ValueError."""
+    indices = corpus.item_indices(indices, "batch item")
     queries = query_rows(model, corpus.texts[indices], keep=True)
     sim, tape = score_tile(model, queries, corpus, indices, keep=True)
 

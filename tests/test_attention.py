@@ -354,6 +354,19 @@ class TestAttendPairs:
         tile, _ = block_forward_tile(params, q[:, :, None], np.stack([e_v, e_a], axis=1))
         np.testing.assert_allclose(out, tile[:, :, 0], rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("dim", [6, 32])
+    def test_a_pair_alone_keeps_its_bits(self, dim):
+        # a single pair is an (., 1) item: a feature axis summed there must
+        # lead, or numpy sums it in another order than in a wider tile
+        params = make_params(seed=42, dim=dim, proj=dim)
+        rng = np.random.default_rng(43)
+        q = project_queries(params, rng.standard_normal((40, dim)))
+        contexts = rng.standard_normal((dim, 2, 40))
+        out, _ = attend_pairs(params, q, contexts)
+        for c in range(40):
+            alone, _ = attend_pairs(params, q[:, c:c + 1], contexts[:, :, c:c + 1])
+            assert alone.tobytes() == out[:, c:c + 1].tobytes(), c
+
 
 class TestQueryLayout:
     def test_queries_without_a_candidate_axis_are_a_shape_error(self):

@@ -440,6 +440,32 @@ class TestTileScoring:
         with pytest.raises(AssertionError, match="without keep"):
             score_tile(model, queries, scoring_corpus, cols, keep=True)
 
+    def test_an_addition_sub_tile_pools_both_blocks_in_one_product(self, scoring_corpus,
+                                                                    monkeypatch):
+        # per sub-tile, each block's logits and LN_o variance, then one
+        # pooling product for both blocks, which sums their outputs; no
+        # fusion code runs
+        model = create_model(seed=15, dim=12)
+        queries = query_rows(model, scoring_corpus.texts[:5])
+        want = score_tile(model, queries, scoring_corpus, np.arange(23))
+        products = []
+
+        def counted(*args, **kwargs):
+            products.append(args[0].shape)
+            return linalg.padded_matmul(*args, **kwargs)
+
+        def no_fusion(*args, **kwargs):
+            raise AssertionError("addition called fuse_forward")
+
+        monkeypatch.setattr(attention, "padded_matmul", counted)
+        monkeypatch.setattr(model_module, "fuse_forward", no_fusion)
+        monkeypatch.setattr(model_module, "TILE_PAIRS", 16)    # 2 candidates per sub-tile
+        got = score_tile(model, queries, scoring_corpus, np.arange(23))
+        assert len(products) == 5 * 12
+        # the pooling product's left operand: both blocks' rows and the bias row
+        assert products[4] == (2, 12, 3 + 9 + 1)
+        np.testing.assert_array_equal(got, want)
+
     @pytest.mark.parametrize("modality,fusion", SCORING_CONFIGS)
     def test_subset_call_returns_the_submatrix(self, scoring_corpus, modality, fusion):
         model = create_model(seed=15, dim=12, fusion=fusion, modality=modality)
@@ -659,6 +685,25 @@ class TestBatchedTraining:
         for name, want in want_grads.items():
             bound = 1e-10 * np.max(np.abs(want))
             assert np.max(np.abs(grads[name] - want)) <= bound, name
+
+    @pytest.mark.parametrize("bad,match", [
+        ([0.5, 2.7], "batch items must be integer indices"),
+        ([True, False], "batch items must be integer indices"),
+        ([-1, 2], r"batch item index -1 is outside \[0, 23\)"),
+        ([1, 25], r"batch item index 25 is outside \[0, 23\)")],
+        ids=["fractions", "bools", "negative", "past_the_end"])
+    def test_batch_indices_that_are_no_items_are_rejected_before_scoring(
+            self, scoring_corpus, monkeypatch, bad, match):
+        # [0.5, 2.7] used to train on items 0 and 2, [True, False] on items
+        # 1 and 0, [-1, 2] on the last item, and [1, 25] raised numpy's IndexError
+        model = create_model(seed=19, dim=12)
+
+        def no_scoring(*args, **kwargs):
+            raise AssertionError("scored before checking the batch")
+
+        monkeypatch.setattr(model_module, "score_tile", no_scoring)
+        with pytest.raises(ValueError, match=match):
+            batch_loss_and_grads(model, scoring_corpus, bad)
 
     @pytest.mark.parametrize("modality,fusion", SCORING_CONFIGS)
     def test_sim_is_the_scoring_submatrix(self, scoring_corpus, modality, fusion):
