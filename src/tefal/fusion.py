@@ -12,16 +12,16 @@ ablation:
 
 All variants produce one column of width D_p per query, pair-last like
 their inputs, with no re-normalization: the cosine absorbs scale.
-:func:`fuse_forward` and :func:`fuse_backward` implement the four post-hoc
-kinds, each called as ``(video, audio[, queries])`` with the inputs that
-:mod:`tefal.model`'s kind table picks; here only addition's shapes and
-late's and concat_fc's feature counts are checked.  :func:`fuse_forward`
-returns the fused columns and what :func:`fuse_backward` reverses (``None``
-for addition), and :func:`fuse_backward` dispatches on ``params.kind``.
-Scoring runs no fusion code for addition: :func:`tefal.model.score_tile`
-pools both blocks as one product (:func:`tefal.attention.pool`), whose
-bias row carries the sum of their ``LN_o`` biases, so addition here serves
-the per-candidate reference.
+:func:`fuse_forward` and :func:`fuse_backward` implement the three post-hoc
+kinds, late, concat_fc and xattn, each called as ``(video, audio[,
+queries])`` with the inputs that :mod:`tefal.model`'s kind table picks;
+here only late's and concat_fc's feature counts are checked.
+:func:`fuse_forward` returns the fused columns and what :func:`fuse_backward`
+reverses, and :func:`fuse_backward` dispatches on ``params.kind``.
+Addition is no post-hoc kind: :func:`tefal.model.score_tile` pools both
+blocks as one product (:func:`tefal.attention.pool`), whose bias row
+carries the sum of their ``LN_o`` biases, and :mod:`tefal.model` sums the
+per-candidate reference's two outputs itself.
 The xattn block, one candidate and one query per fused column, is
 :func:`tefal.attention.attend_pairs` over the rows [E_v|t, E_a|t], and
 :func:`tefal.attention.block_backward_tile` reverses it.  Stacking is not
@@ -42,7 +42,8 @@ __all__ = ["FusionKind", "FusionParams", "FusionError", "fuse_forward", "fuse_ba
 
 
 class FusionError(ValueError):
-    """An unknown fusion kind, or stacking where a post-hoc kind is needed."""
+    """An unknown fusion kind, or addition or stacking where a post-hoc kind
+    is needed."""
 
 
 class FusionKind(enum.Enum):
@@ -106,10 +107,10 @@ def _pair_product(weight: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def fuse_forward(params: FusionParams, video, audio, queries=None, keep: bool = False):
-    """``(fused, saved)`` of a post-hoc fusion kind; stacking raises
-    :class:`FusionError`.  ``saved``, what :func:`fuse_backward` reverses,
-    is late's token mean, concat_fc's concatenation, xattn's
-    :class:`tefal.attention.TileCache`, or ``None`` for addition.
+    """``(fused, saved)`` of a post-hoc fusion kind; addition and stacking
+    raise :class:`FusionError`.  ``saved``, what :func:`fuse_backward`
+    reverses, is late's token mean, concat_fc's concatenation or xattn's
+    :class:`tefal.attention.TileCache`.
     ``video`` is E_v|t and ``audio`` E_a|t, or for late the raw
     audio-token mean; ``queries``, the xattn block's query
     projections, only xattn reads.  Inputs are pair-last, one column per
@@ -119,12 +120,6 @@ def fuse_forward(params: FusionParams, video, audio, queries=None, keep: bool = 
     :func:`tefal.attention.block_forward_tile`.
     """
     kind = params.kind
-    if kind == FusionKind.ADDITION:
-        if video.shape != audio.shape:
-            raise ShapeError(f"conditioned embeddings have shapes "
-                             f"{video.shape} and {audio.shape}")
-        return video + audio, None
-
     if kind == FusionKind.LATE:
         summary = np.ascontiguousarray(audio, dtype=np.float64)
         if summary.shape[0] != params.late_w.shape[0]:
@@ -153,14 +148,13 @@ def fuse_forward(params: FusionParams, video, audio, queries=None, keep: bool = 
 
 
 def fuse_backward(params: FusionParams, saved, d_fused: np.ndarray):
-    """``(own_grads, d_video_cond, d_audio_cond, d_queries)``, pair-last
-    like ``d_fused``, from what :func:`fuse_forward` ``saved``;
-    ``d_queries``, xattn's query-projection gradient, is for
-    :func:`tefal.attention.project_queries_backward`."""
+    """``(own_grads, d_video_cond, d_audio_cond, d_queries)`` of a post-hoc
+    fusion kind, pair-last like ``d_fused``, from what :func:`fuse_forward`
+    ``saved``; ``d_queries``, xattn's query-projection gradient, is for
+    :func:`tefal.attention.project_queries_backward`.  Addition's gradient
+    is ``d_fused`` for both blocks, which
+    :func:`tefal.model.batch_loss_and_grads` routes itself."""
     kind = params.kind
-    if kind == FusionKind.ADDITION:
-        return {}, d_fused, d_fused, None
-
     pairs = tuple(range(1, d_fused.ndim))
     if kind == FusionKind.LATE:
         return ({"late_w": np.tensordot(saved, d_fused, (pairs, pairs))},

@@ -7,7 +7,8 @@ blocks run (``_blocks``, in parameter order) over which context rows
     modality  fusion              blocks               context and fusion
     video     (any)               video                frames
     audio     (any)               audio                audio tokens
-    both      addition|concat_fc  video, audio         fused post hoc
+    both      addition            video, audio         summed (one pooling product)
+    both      concat_fc           video, audio         fused post hoc
     both      xattn               video, audio, xattn  fused by the third block
     both      late                video                + raw audio-token mean
     both      stacking            video                frames + audio summary row
@@ -27,7 +28,7 @@ import functools
 import glob
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -152,20 +153,27 @@ def _params(model: RetrievalModel, name: str) -> XAttnParams:
     return model.fusion.xattn if name == "xattn" else getattr(model, name)
 
 
+def _summed(model: RetrievalModel) -> bool:
+    """Whether the fused embedding is the sum of the block outputs: under
+    addition, and where one block's output is the fused embedding (one
+    modality, or stacking)."""
+    return model.modality != "both" or model.fusion.kind in (FusionKind.ADDITION,
+                                                              FusionKind.STACKING)
+
+
 def _fuse(model: RetrievalModel, outputs: dict, xattn_queries, token_mean,
           keep: bool = False):
-    """``(fused, saved)``: ``saved`` is what :func:`tefal.fusion.fuse_backward`
-    reverses, or ``None`` where it need not run, under addition or where one
-    block's output is the fused embedding.  Otherwise
+    """``(fused, saved)``: where :func:`_summed`, the sum of ``outputs``, a
+    lone output as it is, and ``saved`` is ``None``.  Otherwise the post-hoc
     :func:`tefal.fusion.fuse_forward` gets the video block's output and the
-    audio block's, or for late fusion ``token_mean()``; ``xattn_queries``
-    and ``keep`` only xattn reads."""
-    if model.modality == "both" and model.fusion.kind == FusionKind.LATE:
-        return fuse_forward(model.fusion, outputs["video"], token_mean())
-    if len(outputs) == 1:
-        return next(iter(outputs.values())), None
-    return fuse_forward(model.fusion, outputs["video"], outputs["audio"],
-                        xattn_queries, keep)
+    audio block's, or for late fusion ``token_mean()``, and ``saved`` is what
+    :func:`tefal.fusion.fuse_backward` reverses; ``xattn_queries`` and
+    ``keep`` only xattn reads."""
+    if _summed(model):
+        first, *rest = outputs.values()
+        return sum(rest, first), None
+    audio = token_mean() if model.fusion.kind == FusionKind.LATE else outputs["audio"]
+    return fuse_forward(model.fusion, outputs["video"], audio, xattn_queries, keep)
 
 
 def named_parameters(model: RetrievalModel, trainable_only: bool = True
@@ -257,8 +265,7 @@ def score_tile(model: RetrievalModel, queries: Queries, corpus: Corpus,
              for name, rows in _contexts(model, corpus, cols).items()}
     # the blocks whose outputs are summed pool as one product: addition's
     # two, or any one block alone
-    summed = model.fusion.kind == FusionKind.ADDITION
-    groups = [tuple(cands)] if summed else [(name,) for name in cands]
+    groups = [tuple(cands)] if _summed(model) else [(name,) for name in cands]
     rows = {g: pooling_rows([(_params(model, n), cands[n]) for n in g]) for g in groups}
 
     @functools.cache
@@ -401,41 +408,30 @@ def _one_blas_thread():
 
 
 def map_tasks(fn, tasks, workers: int | None = None) -> list:
-    """``[fn(task) for task in tasks]``, run by the calling thread and
-    ``resolve_workers(workers) - 1`` pool threads, each taking the next task
-    in order.  If tasks raise, no further task starts, and the exception of
-    the first one in task order is raised, as the serial loop would.
+    """``[fn(task) for task in tasks]``, the tasks submitted in order to a
+    pool of ``resolve_workers(workers)`` threads.  Once all are done, or
+    one has failed, the results are read in task order; the first failure
+    read, the first in task order, cancels the tasks not yet started and
+    is raised, as the serial loop would.
 
     While two or more workers run, numpy's OpenBLAS runs one thread: its
     own threads, spinning between calls, would take the workers' CPUs.  The
-    previous count comes back on exit.  One worker leaves the BLAS alone."""
+    previous count comes back on exit.  One worker, or one task, runs on the
+    calling thread and leaves the BLAS alone."""
     tasks = list(tasks)
     workers = min(resolve_workers(workers), len(tasks))
     if workers <= 1:
         return [fn(task) for task in tasks]
-    results, errors = [None] * len(tasks), {}
-    lock, order = threading.Lock(), iter(range(len(tasks)))
-
-    def work():
-        while True:
-            with lock:
-                index = None if errors else next(order, None)
-            if index is None:
-                return
-            try:
-                results[index] = fn(tasks[index])
-            except BaseException as exc:
-                with lock:
-                    errors[index] = exc
-
-    with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers - 1) as pool:
-        helpers = [pool.submit(work) for _ in range(workers - 1)]
-        work()
-        for helper in helpers:
-            helper.result()
-    if errors:
-        raise errors[min(errors)]
-    return results
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(fn, task) for task in tasks]
+        # one wake-up for the whole map, not one per task, which would
+        # take the GIL from the workers as each task ends
+        wait(futures, return_when=FIRST_EXCEPTION)
+        try:
+            return [future.result() for future in futures]
+        finally:
+            for future in futures:
+                future.cancel()
 
 
 def similarity_matrix(model: RetrievalModel, corpus: Corpus,

@@ -27,7 +27,7 @@ from .model import (
 __all__ = [
     "RankingMetrics", "EvalStats", "EvalResult", "NonFiniteScoreError", "compute_metrics",
     "ranks_from_similarity", "rank_exhaustive", "rerank_two_stage",
-    "dual_softmax_postprocess", "resolve_workers", "evaluate",
+    "dual_softmax_postprocess", "evaluate",
 ]
 
 
@@ -153,22 +153,24 @@ def ranks_from_similarity(sim: np.ndarray, ids) -> np.ndarray:
 @dataclass
 class RankingResult:
     ranks: np.ndarray
-    sim: np.ndarray | None
     stats: EvalStats
 
 
 def rank_exhaustive(model: RetrievalModel, corpus: Corpus,
                     workers: int | None = None) -> RankingResult:
-    """Score every query against every candidate with the full model."""
-    sim = similarity_matrix(model, corpus, workers=workers)
-    stats = EvalStats(stage2_model_evals=sim.size)
-    return RankingResult(ranks_from_similarity(sim, corpus.ids), sim, stats)
+    """Text-to-video ranks of every query against every candidate: those of
+    :func:`_exhaustive_ranks`, which :func:`evaluate` runs and which holds
+    no (n, n) matrix; that is :func:`tefal.model.similarity_matrix`."""
+    ranks, _ = _exhaustive_ranks(model, corpus, workers)
+    return RankingResult(ranks, EvalStats(stage2_model_evals=len(corpus) ** 2))
 
 
 def _exhaustive_ranks(model: RetrievalModel, corpus: Corpus,
                       workers: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """Both directions' ranks of :func:`rank_exhaustive`, holding no (n, n)
-    matrix, on :func:`map_tasks` workers.  The n truth pairs (i, i) are
+    """``(t2v, v2t)`` ranks of every query against every candidate, as
+    :func:`ranks_from_similarity` gives them from the dense
+    :func:`tefal.model.similarity_matrix` and its transpose, but holding no
+    (n, n) matrix, on :func:`map_tasks` workers.  The n truth pairs (i, i) are
     scored first (:func:`tefal.model.score_pairs`).  Then each dense block
     (:func:`tefal.model.candidate_blocks`) is counted as it is scored: its
     columns' v2t ranks are complete, and each query's t2v rank adds the
@@ -292,7 +294,7 @@ def rerank_two_stage(model: RetrievalModel, corpus: Corpus, k: int,
     :func:`rank_exhaustive` exactly, for any worker count.
     """
     (ranks,), stats = _rerank(model, corpus, k, workers, ("t2v",))
-    return RankingResult(ranks, None, stats)
+    return RankingResult(ranks, stats)
 
 
 def _rerank(model: RetrievalModel, corpus: Corpus, k: int, workers: int | None,
@@ -392,10 +394,10 @@ def evaluate(model: RetrievalModel, corpus: Corpus, k: int | None = None,
     re-ranking (:func:`rerank_two_stage` in both directions, sharing the
     pairs both shortlist).  ``dsl_temp`` re-scores the dense
     :func:`similarity_matrix` with dual softmax; a bad one, or one given
-    with ``k``, is rejected before any scoring.  ``workers`` threads score (by
-    default, every usable CPU, capped by TEFAL_THREADS:
-    :func:`resolve_workers`); each holds one tile's temporaries, and no
-    count changes a rank.
+    with ``k``, is rejected before any scoring; only this path builds the
+    (n, n) matrix.  ``workers`` threads score (by default, every usable CPU,
+    capped by TEFAL_THREADS: :func:`tefal.model.resolve_workers`); each
+    holds one tile's temporaries, and no count changes a rank.
     """
     if dsl_temp is not None:
         _check_dsl_temp(dsl_temp)

@@ -223,8 +223,7 @@ def run_grad_checks(seed: int = 0) -> list[CheckResult]:
             lambda d_out, out: [d_out * g for g in infonce(sim, Temperature(log_scale))[1:]],
             {"sim": sim, "log_scale": log_scale}, seed), PRIMITIVE_TOL),
     ]
-    for kind in (FusionKind.ADDITION, FusionKind.LATE, FusionKind.CONCAT_FC,
-                 FusionKind.XATTN):
+    for kind in (FusionKind.LATE, FusionKind.CONCAT_FC, FusionKind.XATTN):
         results.append(CheckResult(
             f"fusion_{kind.value}", _fusion_check(kind, seed), PRIMITIVE_TOL))
     for modality, fusion in MODEL_KINDS:

@@ -3,17 +3,18 @@
 import numpy as np
 import pytest
 
-from tefal.attention import block_forward_tile, project_queries
+from tefal.attention import block_forward, block_forward_tile, project_queries
 from tefal.contrastive import cosine_rows
 from tefal.corpus import audio_summary, synth_corpus
 from tefal.fusion import (
     FusionError,
     FusionKind,
     FusionParams,
+    fuse_backward,
     fuse_forward,
 )
 from tefal.linalg import ShapeError
-from tefal.model import create_model, query_rows, score_tile
+from tefal.model import candidate_scores, create_model, query_rows, score_tile
 
 
 def rng(seed=0):
@@ -47,32 +48,30 @@ class TestAudioSummary:
 
 
 class TestAddition:
-    def test_zero_audio_is_identity(self):
+    def test_is_not_a_post_hoc_combiner(self):
+        # the model sums addition's outputs (tefal.model._fuse) and routes
+        # d_fused to both blocks (batch_loss_and_grads)
         params = FusionParams(FusionKind.ADDITION)
-        video = rng(4).standard_normal((5, 2))
-        fused, _ = fuse_forward(params, video, np.zeros((5, 2)))
-        np.testing.assert_array_equal(fused, video)
+        v, a = rng(5).standard_normal((2, 4, 3))
+        with pytest.raises(FusionError, match="addition fusion is not a post-hoc"):
+            fuse_forward(params, v, a)
+        with pytest.raises(FusionError, match="addition fusion is not a post-hoc"):
+            fuse_backward(params, None, v)
 
-    def test_commutative_bitwise(self):
-        params = FusionParams(FusionKind.ADDITION)
-        a = rng(5).standard_normal((4, 3))
-        b = rng(6).standard_normal((4, 3))
-        np.testing.assert_array_equal(
-            fuse_forward(params, a, b)[0],
-            fuse_forward(params, b, a)[0])
-
-    def test_gradient_is_identity(self):
-        from tefal.fusion import fuse_backward
-        params = FusionParams(FusionKind.ADDITION)
-        v = rng(7).standard_normal((4, 2))
-        a = rng(8).standard_normal((4, 2))
-        _, cache = fuse_forward(params, v, a)
-        d = rng(9).standard_normal((4, 2))
-        own, d_v, d_a, d_q = fuse_backward(params, cache, d)
-        assert own == {}
-        assert d_q is None
-        np.testing.assert_array_equal(d_v, d)
-        np.testing.assert_array_equal(d_a, d)
+    @pytest.mark.parametrize("modality", ["both", "video", "audio"])
+    def test_the_per_candidate_reference_sums_the_blocks(self, modality):
+        # E_v|t + E_a|t, in that order, bit for bit; one modality's block
+        # output is the fused embedding itself
+        dim = 5
+        corpus = synth_corpus(seed=8, n_items=4, dim=dim, frames=3, audio_tokens=2)
+        model = create_model(seed=9, dim=dim, modality=modality)
+        texts = corpus.texts
+        e_v = block_forward(model.video, texts, corpus.frames[2])[0]
+        e_a = block_forward(model.audio, texts, corpus.audio[2])[0]
+        fused = {"both": e_v + e_a, "video": e_v, "audio": e_a}[modality]
+        expected, _ = cosine_rows(texts.T, fused.T)
+        got, _ = candidate_scores(model, texts, corpus, 2)
+        np.testing.assert_array_equal(got, expected)
 
 
 class TestConcatFC:
@@ -89,8 +88,9 @@ class TestConcatFC:
 
 class TestVariantShapes:
     def test_every_kind_outputs_one_row_of_proj_dim_per_query(self):
-        # the post-hoc kinds fuse one pair-last column per query; stacking
-        # swaps the video block's context instead (see TestStacking)
+        # the post-hoc kinds fuse one pair-last column per query; addition
+        # is summed by the model, and stacking swaps the video block's
+        # context instead (see TestStacking)
         dim = proj = 6
         g = rng(12)
         video = g.standard_normal((proj, 3))
@@ -100,7 +100,7 @@ class TestVariantShapes:
         for kind in FusionKind:
             params = FusionParams.create(g, kind, dim, proj)
             inputs = (video, token_mean if kind == FusionKind.LATE else audio, queries)
-            if kind == FusionKind.STACKING:
+            if kind in (FusionKind.ADDITION, FusionKind.STACKING):
                 with pytest.raises(FusionError, match="not a post-hoc combiner"):
                     fuse_forward(params, *inputs)
                 continue
@@ -109,8 +109,8 @@ class TestVariantShapes:
 
 
 class TestTileShapes:
-    @pytest.mark.parametrize("kind", [FusionKind.ADDITION, FusionKind.LATE,
-                                      FusionKind.CONCAT_FC, FusionKind.XATTN])
+    @pytest.mark.parametrize("kind", [FusionKind.LATE, FusionKind.CONCAT_FC,
+                                      FusionKind.XATTN])
     def test_a_tile_fuses_each_candidate_as_its_own_call(self, kind):
         # score_tile's layout: (D_p, C, T) embeddings, (D_p, 1, T) queries and
         # late's (D, C, 1) token mean
@@ -145,10 +145,9 @@ class TestStacking:
 
 class TestValidation:
     @pytest.mark.parametrize("kind, match", [
-        (FusionKind.ADDITION, "conditioned embeddings have shapes"),
         (FusionKind.LATE, "audio summary has 4 features, projection expects 3"),
         (FusionKind.CONCAT_FC, "concatenation has 7 features, weight expects 6"),
-    ], ids=["addition", "late", "concat_fc"])
+    ], ids=["late", "concat_fc"])
     def test_feature_dimension_mismatch(self, kind, match):
         params = FusionParams.create(rng(15), kind, 3, 3)
         with pytest.raises(ShapeError, match=match):

@@ -399,11 +399,13 @@ class TestTileScoring:
         model = create_model(seed=17, dim=12, fusion=fusion, modality=modality)
         n = len(scoring_corpus)
         exhaustive = rank_exhaustive(model, scoring_corpus)
+        sim = similarity_matrix(model, scoring_corpus)
         t2v = rerank_two_stage(model, scoring_corpus, k=n)
         (v2t,), _ = ranking._rerank(model, scoring_corpus, n, 1, ("v2t",))
         np.testing.assert_array_equal(t2v.ranks, exhaustive.ranks)
         np.testing.assert_array_equal(
-            v2t, ranks_from_similarity(exhaustive.sim.T, scoring_corpus.ids))
+            t2v.ranks, ranks_from_similarity(sim, scoring_corpus.ids))
+        np.testing.assert_array_equal(v2t, ranks_from_similarity(sim.T, scoring_corpus.ids))
 
     @pytest.mark.parametrize("modality,fusion", SCORING_CONFIGS)
     def test_grouped_tile_equals_dense_entries(self, scoring_corpus, modality, fusion):
@@ -606,9 +608,11 @@ def per_candidate_loss_and_grads(model, corpus, indices):
                                               np.stack([e_v[r], e_a[r]]))
                                 for r in range(b)]
                 fused = np.vstack([out for out, _ in fusion_cache])
-            else:
+            elif kind == FusionKind.CONCAT_FC:
                 fused, fusion_cache = fuse_forward(model.fusion, e_v.T, e_a.T)
                 fused = fused.T
+            else:
+                fused = e_v + e_a
         sim[:, col], cos_cache = cosine_rows(texts.T, fused.T)
         columns.append((blocks, fusion_cache, cos_cache))
 

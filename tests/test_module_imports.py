@@ -355,3 +355,46 @@ def test_only_the_rules_and_the_integer_array_checks_call_is_integer():
     callers = {f"{p.stem}.{scope}" for p in MODULES
                for scope in integer_test_callers(p.read_text(encoding="utf-8"))}
     assert callers == INTEGER_TEST_CALLERS
+
+
+# every worker loop runs on map_tasks, which holds the BLAS to one thread
+THREAD_STARTERS = {"ThreadPoolExecutor", "ProcessPoolExecutor", "Thread"}
+
+
+def thread_starters(source: str) -> set[str]:
+    """The functions (qualified by their classes) of ``source``, or
+    ``<module>``, that name ``ThreadPoolExecutor``, ``ProcessPoolExecutor``
+    or ``Thread``, bare or as an attribute; an import names none, unless it
+    renames one."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        elif (getattr(node, "id", None) in THREAD_STARTERS
+              or getattr(node, "attr", None) in THREAD_STARTERS
+              or isinstance(node, ast.alias) and node.asname
+              and node.name.split(".")[-1] in THREAD_STARTERS):
+            found.add(scope or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_thread_starters_are_found():
+    source = ("import threading\nfrom concurrent.futures import ThreadPoolExecutor\n"
+              "def f():\n    with ThreadPoolExecutor(2) as pool:\n        pass\n"
+              "class C:\n    def m(self):\n        threading.Thread(target=f).start()\n"
+              "def g():\n    return concurrent.futures.ProcessPoolExecutor()\n"
+              "lock = threading.Lock()\n")
+    assert thread_starters(source) == {"f", "C.m", "g"}
+    assert thread_starters("from threading import Thread as T\n") == {"<module>"}
+    assert thread_starters((SRC / "model.py").read_text(encoding="utf-8")) == {"map_tasks"}
+
+
+def test_only_map_tasks_starts_threads():
+    starters = {f"{p.stem}.{scope}" for p in MODULES
+                for scope in thread_starters(p.read_text(encoding="utf-8"))}
+    assert starters == {"model.map_tasks"}

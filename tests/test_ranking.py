@@ -20,7 +20,13 @@ from tefal import ranking
 from tefal.config import ConfigError
 from tefal.corpus import Corpus, synth_corpus
 from tefal.linalg import PAD, ShapeError
-from tefal.model import _openblas_threads, create_model, map_tasks, similarity_matrix
+from tefal.model import (
+    _openblas_threads,
+    create_model,
+    map_tasks,
+    resolve_workers,
+    similarity_matrix,
+)
 from tefal.ranking import (
     NonFiniteScoreError,
     compute_metrics,
@@ -29,7 +35,6 @@ from tefal.ranking import (
     rank_exhaustive,
     ranks_from_similarity,
     rerank_two_stage,
-    resolve_workers,
 )
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
@@ -250,11 +255,17 @@ class TestRankExhaustive:
         model, corpus = small_setup
         result = rank_exhaustive(model, corpus)
         assert result.stats.stage2_model_evals == len(corpus) ** 2
-        assert result.sim.shape == (30, 30)
+        assert result.ranks.shape == (30,)
+
+    def test_ranks_are_the_similarity_matrix_ranks(self, small_setup):
+        model, corpus = small_setup
+        sim = similarity_matrix(model, corpus)
+        np.testing.assert_array_equal(rank_exhaustive(model, corpus).ranks,
+                                      ranks_from_similarity(sim, corpus.ids))
 
     def test_v2t_is_the_transposed_problem(self, small_setup):
         model, corpus = small_setup
-        sim = rank_exhaustive(model, corpus).sim
+        sim = similarity_matrix(model, corpus)
         ranks_v2t = ranks_from_similarity(sim.T, corpus.ids)
         assert compute_metrics(ranks_v2t, len(corpus)) == evaluate(model, corpus).v2t
         # transposing twice returns the original ranks
@@ -307,7 +318,7 @@ class TestStreamedExhaustive:
         bad = dataclasses.replace(corpus, texts=texts)
         monkeypatch.setattr(model_module, "CANDIDATE_BLOCK", 4)
         with pytest.raises(NonFiniteScoreError) as dense:
-            rank_exhaustive(model, bad)
+            ranks_from_similarity(similarity_matrix(model, bad), bad.ids)
         with pytest.raises(NonFiniteScoreError,
                            match=r"similarity row for query 7 \(item00007\)") as streamed:
             evaluate(model, bad, workers=workers)
@@ -344,12 +355,13 @@ class TestStreamedExhaustive:
         with pytest.raises(RuntimeError, match="score their own queries differently"):
             evaluate(model, corpus)
 
-    def test_peak_memory_stays_below_one_dense_matrix(self):
+    @pytest.mark.parametrize("rank", [evaluate, rank_exhaustive])
+    def test_peak_memory_stays_below_one_dense_matrix(self, rank):
         corpus = synth_corpus(seed=22, n_items=1000, dim=8, frames=2, audio_tokens=3)
         model = create_model(seed=23, dim=8)
         tracemalloc.start()
         try:
-            evaluate(model, corpus)
+            rank(model, corpus)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -365,7 +377,7 @@ class TestRerankTwoStage:
 
     def test_full_shortlist_equals_exhaustive_v2t(self, small_setup):
         model, corpus = small_setup
-        sim = rank_exhaustive(model, corpus).sim
+        sim = similarity_matrix(model, corpus)
         rerank = rerank_ranks(model, corpus, len(corpus), "v2t")
         np.testing.assert_array_equal(rerank, ranks_from_similarity(sim.T, corpus.ids))
 
@@ -872,9 +884,9 @@ class TestMapTasks:
     def no_cap(self, monkeypatch):
         monkeypatch.delenv("TEFAL_THREADS", raising=False)
 
-    def test_keeps_task_order_with_the_caller_working(self):
-        # the first three tasks wait for each other, so three threads, the
-        # caller one of them, must run them at once
+    def test_keeps_task_order_on_the_pool_threads(self):
+        # the first three tasks wait for each other, so three pool threads
+        # must run them at once
         barrier = threading.Barrier(3, timeout=10)
         threads = {}
 
@@ -885,7 +897,7 @@ class TestMapTasks:
             return i * i
 
         assert map_tasks(task, range(40), workers=3) == [i * i for i in range(40)]
-        assert threading.get_ident() in set(threads[i] for i in range(3))
+        assert threading.get_ident() not in threads.values()
         assert len(set(threads.values())) == 3
 
     def test_one_worker_runs_on_the_caller(self):
@@ -910,19 +922,50 @@ class TestMapTasks:
         with pytest.raises(ValueError, match="task 5"):
             map_tasks(task, range(12), workers=workers)
 
-    def test_a_failure_on_the_caller_thread_is_raised(self):
-        caller = threading.get_ident()
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_a_failure_on_either_pool_thread_is_raised(self, failing):
+        # the thread that ran task `failing` fails every task it runs
         barrier = threading.Barrier(2, timeout=10)
+        first = {}
 
         def task(i):
             if i < 2:
+                first[i] = threading.get_ident()
                 barrier.wait()
-            if threading.get_ident() == caller:
+            if threading.get_ident() == first[failing]:
                 raise KeyError(i)
             return i
 
         with pytest.raises(KeyError):
             map_tasks(task, range(6), workers=2)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_tasks_not_started_when_a_failure_is_read_never_run(self, monkeypatch,
+                                                                  workers):
+        # task 0 fails once task 1 has; every other task blocks until the
+        # map has read the failure and left its task loop, so besides the
+        # two failures only one blocked task per pool thread may start
+        one_failed, release = threading.Event(), threading.Event()
+        started = []
+
+        class Releasing(model_module.ThreadPoolExecutor):
+            def shutdown(self, *args, **kwargs):
+                release.set()
+                super().shutdown(*args, **kwargs)
+
+        def task(i):
+            started.append(i)
+            if i < 2:
+                assert i == 1 or one_failed.wait(timeout=10)
+                one_failed.set()
+                raise ValueError(f"task {i}")
+            assert release.wait(timeout=10)
+            return i
+
+        monkeypatch.setattr(model_module, "ThreadPoolExecutor", Releasing)
+        with pytest.raises(ValueError, match="task 0"):
+            map_tasks(task, range(20), workers=workers)
+        assert {0, 1} <= set(started) <= set(range(workers + 2))
 
 
     # while two or more workers run, the BLAS runs one thread
@@ -957,6 +1000,16 @@ class TestMapTasks:
             return blas_threads()
 
         with pytest.raises(ValueError, match="task 3"):
+            map_tasks(task, range(6), workers=2)
+        assert blas_threads() == 2
+
+    def test_a_keyboard_interrupt_comes_out_and_restores_the_count(self, blas_threads):
+        def task(i):
+            if i == 2:
+                raise KeyboardInterrupt
+            return blas_threads()
+
+        with pytest.raises(KeyboardInterrupt):
             map_tasks(task, range(6), workers=2)
         assert blas_threads() == 2
 
