@@ -18,9 +18,9 @@ the scale of ``LN_o`` depends on the pair.  With C = I - 11^T/d_p and
 M = LN(context) W_v W_o C, the pooling of the rows M diag(g_o) gives
 g_o (p - mean p) for p = pooled W_o, and the variance is w^T (M M^T) w / d_p,
 from the candidate's n x n Gram.  So the scale is known before the
-pooling: :func:`attend_tile` multiplies it into the attention weights,
-which are n / d_p the size of the outputs, and :func:`pool` adds the bias
-as one more value row, against a row of ones.  A block's output is then one
+pooling: :func:`attend_and_pool` multiplies it into the attention weights,
+which are n / d_p the size of the outputs, and adds the bias as one more
+value row, against a row of ones.  A block's output is then one
 product, [M diag(g_o); b_o]^T [w inv; 1], and no pass over the outputs
 remains; blocks whose outputs are summed, as addition's are, pool as one
 product over all their rows (:func:`pooling_rows`).
@@ -71,7 +71,7 @@ __all__ = [
     "project_candidates",
     "attend_tile",
     "pooling_rows",
-    "pool",
+    "attend_and_pool",
     "attend_pairs",
     "block_forward_tile",
     "block_backward_tile",
@@ -355,51 +355,64 @@ def _softmax_terms_(logits: np.ndarray, proj_dim: int, axis: int):
 
 def attend_tile(params: XAttnParams, q: np.ndarray, cands: Candidates,
                 cols: slice = slice(None), keep: bool = False):
-    """``(weights, cache)`` of the query side of :func:`block_forward_tile`
+    """``(e, scale, cache)`` of the query side of :func:`block_forward_tile`
     for ``cols`` of ``cands``, ``q`` (D_p, 1, T) or (D_p, C, T) for C
-    ``cols``: the (C, n, T_pad) attention weights, as wide as ``q``
-    (padded columns included), each column scaled by its pair's ``LN_o``
-    reciprocal standard deviation, for :func:`pool`; ``cache`` only with
-    ``keep``, which needs all of ``cands``.  For the weights w = e r of
+    ``cols``: the (C, n, T_pad) softmax exponentials e, as wide as ``q``
+    (padded columns included), and the (C, 1, T_pad) scale whose product
+    with them is the attention weights, each column scaled by its pair's
+    ``LN_o`` reciprocal standard deviation, which :func:`attend_and_pool`
+    writes into its pooling operand; ``cache`` only with ``keep``, which
+    needs all of ``cands``.  For the weights w = e r of
     :func:`_softmax_terms_`, the variance is ``r^2 sum_n e (G e) / D_p``,
-    G the candidate's Gram, and one multiply applies r and the scale."""
+    G the candidate's Gram, so one multiply applies r and the scale."""
     p, kv = params.proj_dim, cands.kv[cols]
     q = np.ascontiguousarray(q, dtype=np.float64)
     if q.ndim != 3 or q.shape[0] != p or q.shape[1] not in (1, len(kv)):
         raise ShapeError(f"q must be ({p}, 1, T) or ({p}, {len(kv)}, T), got {q.shape}")
     items = q.transpose(1, 0, 2)                                      # (1 or C, D_p, T)
     e, r = _softmax_terms_(padded_matmul(kv[:, :, :p], items), p, axis=1)  # (C, n, T_pad)
-    var = (padded_matmul(cands.gram[cols], e) * e).sum(axis=1) * r[:, 0] ** 2
+    gram_e = padded_matmul(cands.gram[cols], e)
+    var = np.multiply(gram_e, e, out=gram_e).sum(axis=1) * r[:, 0] ** 2
     inv = 1.0 / np.sqrt(var / p + LAYERNORM_EPS)
     t = q.shape[-1]
     cache = (TileCache(**vars(cands), q=items, weights=(e * r)[:, :, :t], inv=inv[:, :t])
              if keep else None)
-    return np.multiply(e, r * inv[:, None], out=e), cache
+    return e, r * inv[:, None], cache
 
 
 def pooling_rows(blocks) -> np.ndarray:
-    """The left operand of :func:`pool` for the ``(params, cands)`` pairs
-    of the blocks whose outputs are summed: per candidate, the rows
-    M diag(g_o) of each block's :func:`project_candidates`, then one row
-    of the blocks' summed ``LN_o`` biases, as (C, D_p, K) items, K the
-    blocks' rows plus one."""
+    """The left operand of :func:`attend_and_pool` for the ``(params,
+    cands)`` pairs of the blocks whose outputs are summed: per candidate,
+    the rows M diag(g_o) of each block's :func:`project_candidates`, then
+    one row of the blocks' summed ``LN_o`` biases, as (C, D_p, K) items, K
+    the blocks' rows plus one."""
     p = blocks[0][0].proj_dim
     rows = [cands.kv[:, :, 2 * p:] for _, cands in blocks]
     bias = sum(params.ln_o_bias for params, _ in blocks)[None].repeat(len(rows[0]), axis=0)
     return np.concatenate([*rows, bias], axis=1).transpose(0, 2, 1)
 
 
-def pool(rows: np.ndarray, weights: list, cols: slice = slice(None)) -> np.ndarray:
-    """The (D_p, C, T_pad) sum of the blocks' outputs for ``cols`` of
-    :func:`pooling_rows` ``rows``, from each block's scaled
-    :func:`attend_tile` ``weights``, in the same order: one padded product
-    of the rows against the weights and a row of ones, which adds the
-    bias, written straight into the pair-last layout."""
-    c, _, t = weights[0].shape
-    stacked = np.concatenate([*weights, np.ones((c, 1, t))], axis=1)
-    out = np.empty((rows.shape[1], c, t))
+def attend_and_pool(blocks, rows: np.ndarray, cols: slice = slice(None),
+                    keep: bool = False):
+    """``(out, caches)``: the (D_p, C, T_pad) sum of the outputs of the
+    ``(params, q, cands)`` ``blocks`` for ``cols`` of their
+    :func:`pooling_rows` ``rows``, in the same order, and each block's
+    :func:`attend_tile` cache.  Each block's scaled weights are written
+    straight into its rows of the pooling product's (C, K, T_pad) right
+    operand, whose last row of ones adds the bias; one padded product of
+    ``rows`` against it is written straight into the pair-last layout."""
+    stacked, caches, start = None, [], 0
+    for params, q, cands in blocks:
+        e, scale, cache = attend_tile(params, q, cands, cols, keep)
+        if stacked is None:
+            stacked = np.empty((len(e), rows.shape[2], e.shape[2]))
+            stacked[:, -1] = 1.0
+        np.multiply(e, scale, out=stacked[:, start:start + e.shape[1]])
+        start += e.shape[1]
+        caches.append(cache)
+    out = np.empty((rows.shape[1], len(stacked), stacked.shape[2]))
     padded_matmul(rows[cols], stacked, out=out.transpose(1, 0, 2))
-    return out
+    return out, caches
 
 
 def attend_pairs(params: XAttnParams, q: np.ndarray, contexts: np.ndarray,
@@ -437,8 +450,8 @@ def attend_pairs(params: XAttnParams, q: np.ndarray, contexts: np.ndarray,
 def block_forward_tile(params: XAttnParams, q: np.ndarray, contexts: np.ndarray):
     """``(out, cache)``: the block for every (query, candidate) pair of a
     tile, pair-last (the feature or context-row axis first, then the (C, T)
-    pair axes), by :func:`project_candidates`, :func:`attend_tile`, then
-    :func:`pool`.
+    pair axes), by :func:`project_candidates`, then
+    :func:`attend_and_pool`.
 
     ``contexts`` is (D, n, C).  ``q`` holds :func:`project_queries` columns
     with a candidate axis: (D_p, 1, T), shared by every candidate (a dense
@@ -473,8 +486,9 @@ def block_forward_tile(params: XAttnParams, q: np.ndarray, contexts: np.ndarray)
     score, too, depends only on its pair.
     """
     cands = project_candidates(params, contexts, keep=True)
-    weights, cache = attend_tile(params, q, cands, keep=True)
-    return pool(pooling_rows([(params, cands)]), [weights])[:, :, :q.shape[-1]], cache
+    out, (cache,) = attend_and_pool([(params, q, cands)], pooling_rows([(params, cands)]),
+                                    keep=True)
+    return out[:, :, :q.shape[-1]], cache
 
 
 def block_backward_tile(params: XAttnParams, cache: TileCache, d_out: np.ndarray,

@@ -19,9 +19,9 @@ here only late's and concat_fc's feature counts are checked.
 :func:`fuse_forward` returns the fused columns and what :func:`fuse_backward`
 reverses, and :func:`fuse_backward` dispatches on ``params.kind``.
 Addition is no post-hoc kind: :func:`tefal.model.score_tile` pools both
-blocks as one product (:func:`tefal.attention.pool`), whose bias row
-carries the sum of their ``LN_o`` biases, and :mod:`tefal.model` sums the
-per-candidate reference's two outputs itself.
+blocks as one product (:func:`tefal.attention.attend_and_pool`), whose
+bias row carries the sum of their ``LN_o`` biases, and :mod:`tefal.model`
+sums the per-candidate reference's two outputs itself.
 The xattn block, one candidate and one query per fused column, is
 :func:`tefal.attention.attend_pairs` over the rows [E_v|t, E_a|t], and
 :func:`tefal.attention.block_backward_tile` reverses it.  Stacking is not

@@ -36,11 +36,10 @@ import numpy as np
 
 from .attention import (
     XAttnParams,
-    attend_tile,
+    attend_and_pool,
     block_backward_tile,
     block_forward,
     canonical_rows,
-    pool,
     pooling_rows,
     project_candidates,
     project_queries,
@@ -63,9 +62,12 @@ __all__ = ["RetrievalModel", "MODEL_KINDS", "create_model", "named_parameters",
            "pair_tiles", "score_pairs", "resolve_workers", "map_tasks",
            "similarity_matrix", "batch_loss_and_grads", "uses_summary_rows"]
 
-# (query, candidate) pairs per scoring tile
-TILE_PAIRS = 2048
-# candidates per exhaustive-scoring call of score_tile
+# (query, candidate) pairs per dense sub-tile or grouped tile, counted padded:
+# of 2048, 4096 and 8192, the width at which exhaustive evaluation ran
+# fastest (2 CPUs)
+TILE_PAIRS = 8192
+# candidates per score_tile call: an exhaustive block, or at most in a
+# grouped tile, as score_tile projects all of a call's candidates at once
 CANDIDATE_BLOCK = 64
 
 
@@ -250,14 +252,17 @@ def score_tile(model: RetrievalModel, queries: Queries, corpus: Corpus,
     every candidate against the same T queries (a dense tile); of shape
     (., C, T), from ``queries.rows`` with a (C, T) index, entry (t, c)
     scores ``cols[c]`` against its ``t``-th query (a grouped tile).  The
-    candidates are projected once; a dense tile attends in tiles of at most
-    ``TILE_PAIRS`` pairs, counted padded (:func:`tefal.linalg.padded_width`),
-    unless ``keep``, its queries padded once for all of them.  Each block
-    whose output is summed pools with the others in one product
-    (:func:`tefal.attention.pool`, its rows stacked once per call): so
-    addition's fused embedding, E_v|t + E_a|t, comes out of one product
-    over both blocks' rows and runs no fusion code, and any other kind
-    pools each block alone and fuses post hoc.  Tile invariance:
+    candidates are projected once, so a caller passes at most
+    ``CANDIDATE_BLOCK`` of them (:func:`candidate_blocks`, :func:`pair_tiles`),
+    except training's one batch; a dense tile attends in sub-tiles of at
+    most ``TILE_PAIRS`` pairs, counted padded
+    (:func:`tefal.linalg.padded_width`), unless ``keep``, its queries padded
+    once for all of them.  The blocks whose outputs are summed attend and
+    pool in one call per sub-tile (:func:`tefal.attention.attend_and_pool`,
+    their rows stacked once per call): so addition's fused embedding,
+    E_v|t + E_a|t, comes out of one product over both blocks' rows and
+    runs no fusion code, and any other kind pools each block alone and
+    fuses post hoc.  Tile invariance:
     :func:`tefal.attention.block_forward_tile`.
     """
     cols = np.asarray(cols, dtype=np.intp)
@@ -278,18 +283,25 @@ def score_tile(model: RetrievalModel, queries: Queries, corpus: Corpus,
                 else TILE_PAIRS // padded_width(t))
     # padded once for every sub-tile; attend_tile keeps the padded columns
     q = {n: queries.blocks[n] if keep else pad_pairs(queries.blocks[n]) for n in cands}
-    scores = np.empty((t, len(cols)))
-    for start in range(0, len(cols), width):
-        tile = slice(start, start + width)
-        weights, caches = {}, {}
-        for name, c in cands.items():
-            weights[name], caches[name] = attend_tile(_params(model, name), q[name], c, tile, keep)
-        outputs = {g[0]: pool(rows[g], [weights[n] for n in g], tile)[:, :, :t] for g in groups}
+
+    def sub_tile(tile):
+        # a function, so that no sub-tile's outputs outlive it unless kept
+        outputs, caches = {}, {}
+        for g in groups:
+            out, group_caches = attend_and_pool(
+                [(_params(model, n), q[n], cands[n]) for n in g], rows[g], tile, keep)
+            outputs[g[0]] = out[:, :, :t]
+            caches.update(zip(g, group_caches))
         fused, fusion_saved = _fuse(model, outputs, queries.blocks.get("xattn"),
                                     lambda: token_means()[:, tile], keep)
         tile_scores, cos_cache = cosine_rows(queries.texts, fused)
-        scores[:, tile] = tile_scores.T
-    return (scores, TileTape(caches, fusion_saved, cos_cache)) if keep else scores
+        return tile_scores.T, (TileTape(caches, fusion_saved, cos_cache) if keep else None)
+
+    scores = np.empty((t, len(cols)))
+    for start in range(0, len(cols), width):
+        tile = slice(start, start + width)
+        scores[:, tile], tape = sub_tile(tile)
+    return (scores, tape) if keep else scores
 
 
 def candidate_blocks(n: int) -> list[slice]:
@@ -300,17 +312,22 @@ def candidate_blocks(n: int) -> list[slice]:
 
 def pair_tiles(cands: np.ndarray) -> list[np.ndarray]:
     """Grouped tiles of the pairs with sorted candidates ``cands``, largest group
-    first, at most ``TILE_PAIRS`` padded slots (or one group) each: (C, W) pair
-    slots, row c one candidate's pairs, then its last pair repeated up to the
+    first, each of at most ``CANDIDATE_BLOCK`` candidates and ``TILE_PAIRS``
+    padded slots (or one group): (C, W) pair slots, row c one candidate's
+    pairs, then its last pair repeated up to the
     :func:`tefal.linalg.padded_width` of the tile's largest group.  A tile of
-    lone pairs keeps W = 1, as repeats would only score each pair again."""
+    lone pairs keeps W = 1, as repeats would only score each pair again; its
+    pairs still count ``PAD`` slots each, so without the candidate cap it
+    would project ``TILE_PAIRS / PAD`` candidates in one :func:`score_tile`,
+    more than a dense block does."""
     _, starts, sizes = np.unique(cands, return_index=True, return_counts=True)
     largest_first = np.argsort(-sizes, kind="stable")
     starts, sizes = starts[largest_first], sizes[largest_first]
     tiles, first = [], 0
     while first < len(sizes):
         largest = int(sizes[first])
-        tile = slice(first, first + max(1, TILE_PAIRS // padded_width(largest)))
+        fits = TILE_PAIRS // padded_width(largest)
+        tile = slice(first, first + max(1, min(CANDIDATE_BLOCK, fits)))
         width = padded_width(largest) if largest > 1 else 1
         tiles.append(starts[tile, None] + np.minimum(np.arange(width), sizes[tile, None] - 1))
         first = tile.stop

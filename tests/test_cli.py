@@ -23,7 +23,7 @@ from tefal.config import MODALITIES, TrainConfig
 from tefal.corpus import synth_corpus
 from tefal.fusion import FusionKind
 from tefal.linalg import PAD
-from tefal.model import TILE_PAIRS, create_model, named_parameters
+from tefal.model import CANDIDATE_BLOCK, TILE_PAIRS, create_model, named_parameters
 from tefal.storage import (load_checkpoint, load_corpus, read_fbank, save_checkpoint,
                            save_corpus, write_embeddings)
 from tefal.verify import CheckResult
@@ -589,8 +589,9 @@ class TestExportAttn:
         capsys.readouterr()
 
     def test_no_tile_holds_more_than_tile_pairs_padded_slots(self, tmp_path, monkeypatch):
-        # each item's one query pads to PAD columns; one tile of TILE_PAIRS
-        # items gave the same bytes
+        # each item's one query pads to PAD columns; no tile holds more than
+        # one candidate block, and one tile of all 300 items gives the same
+        # bytes
         data = tmp_path / "data"
         assert run("synth", "--out", str(data), "--seed", "3", "--items", "300",
                    "--dim", "4", "--frames", "2", "--audio-tokens", "2") == 0
@@ -605,15 +606,19 @@ class TestExportAttn:
             return score(model, queries, corpus, cols, keep)
 
         monkeypatch.setattr(cli, "score_tile", spy)
-        outputs = []
-        for tile_pairs in (TILE_PAIRS, 300 * PAD):
+        outputs, counts = [], []
+        for tile_pairs, block in ((TILE_PAIRS, CANDIDATE_BLOCK), (300 * PAD, 300)):
             monkeypatch.setattr(model_module, "TILE_PAIRS", tile_pairs)
+            monkeypatch.setattr(model_module, "CANDIDATE_BLOCK", block)
             out = tmp_path / f"attn{tile_pairs}.csv"
+            tiles.clear()
             assert run("export-attn", "--data", str(data / "manifest.json"),
                        "--checkpoint", str(ckpt), "--out", str(out)) == 0
             outputs.append(out.read_bytes())
-        assert tiles[-1] == 300 and sum(tiles[:-1]) == 300
-        assert max(tiles[:-1]) * PAD <= TILE_PAIRS
+            assert sum(tiles) == 300
+            assert max(tiles) <= block and max(tiles) * PAD <= tile_pairs
+            counts.append(len(tiles))
+        assert counts == [math.ceil(300 / CANDIDATE_BLOCK), 1]
         assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("modality,context_rows", [("video", 3), ("audio", 4)])

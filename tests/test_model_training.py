@@ -650,12 +650,15 @@ class TestPairTiles:
     @settings(max_examples=80, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
     @given(st.lists(st.integers(1, 300), min_size=1, max_size=40),
-           st.sampled_from([8, 64, 2048]), st.integers(0, 5))
-    def test_every_pair_is_one_real_slot_of_one_padded_tile(self, sizes, tile_pairs, gap):
+           st.sampled_from([8, 64, 2048, model_module.TILE_PAIRS]),
+           st.sampled_from([1, 3, model_module.CANDIDATE_BLOCK]), st.integers(0, 5))
+    def test_every_pair_is_one_real_slot_of_one_padded_tile(self, sizes, tile_pairs, block,
+                                                            gap):
         # candidate ids with gaps between them; each group's pairs are
         # consecutive slots, as in sorted stage-2 candidates
         cands = np.repeat(np.arange(len(sizes)) * (gap + 1), sizes)
-        with mock.patch.object(model_module, "TILE_PAIRS", tile_pairs):
+        with mock.patch.object(model_module, "TILE_PAIRS", tile_pairs), \
+                mock.patch.object(model_module, "CANDIDATE_BLOCK", block):
             tiles = pair_tiles(cands)
         real = []
         for slots in tiles:
@@ -664,6 +667,7 @@ class TestPairTiles:
             largest = max(len(group) for group in groups)
             # the budget counts padded slots; a tile of lone pairs scores each once
             assert len(slots) * padded_width(largest) <= tile_pairs or len(slots) == 1
+            assert len(slots) <= block
             assert width == (padded_width(largest) if largest > 1 else 1)
             for row, group in zip(slots, groups):
                 # the group's pairs in order, then its last pair repeated

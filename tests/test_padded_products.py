@@ -15,6 +15,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tefal.attention import (
+    XAttnParams,
+    attend_and_pool,
+    attend_tile,
+    pooling_rows,
+    project_candidates,
+    project_queries,
+)
 from tefal.linalg import PAD, padded_matmul, padded_width
 from tefal.model import _openblas_threads
 from tefal.ranking import _CHUNK_ROWS
@@ -58,7 +66,8 @@ def stacked_pooling(rng, items, n):
 
 def stacked_fused_pooling(rng, items, k):
     """[M_1 diag(g_1); ...; b_1 + ...]^T, the left operand of the pooling
-    product over the blocks whose outputs are summed (``attention.pool``):
+    product over the blocks whose outputs are summed
+    (``attention.attend_and_pool``):
     K = their rows plus the bias row, a transposed view of a contiguous
     (C, K, D_p) stack."""
     return rng.standard_normal((items, k, D)).transpose(0, 2, 1)
@@ -185,3 +194,35 @@ def test_stacked_products_keep_each_columns_bits(name, make, n):
 def test_flat_products_keep_each_columns_bits(name, make):
     at_each_thread_count(lambda threads: check_flat(np.random.default_rng(len(name)), make,
                                                     threads))
+
+
+FUSED_K = [k for name, _, k in STACKED if name.startswith("fused pooling")]
+
+
+@pytest.mark.parametrize("k", FUSED_K)
+def test_a_pooling_operand_written_in_place_keeps_the_concatenated_bits(k):
+    # attend_and_pool writes each block's scaled weights into its rows of
+    # the (C, K, T_pad) operand, under the row of ones; its product must
+    # keep the bits of the concatenated operand that it replaced, with the
+    # K - 1 value rows in one block or split between two, as addition's
+    rng = np.random.default_rng(k)
+    for split in ([k - 1], [k // 2, k - 1 - k // 2]) if k > 2 else ([1],):
+        for _ in range(TRIALS // 4):
+            items, pairs = int(rng.integers(1, 40)), int(rng.integers(1, 300))
+            blocks = []
+            for n in split:
+                params = XAttnParams.create(rng, D, D)
+                params.ln_o_bias = rng.standard_normal((1, D))
+                cands = project_candidates(params, rng.standard_normal((D, n, items)))
+                q = project_queries(params, rng.standard_normal((pairs, D)))[:, None]
+                blocks.append((params, q, cands))
+            rows = pooling_rows([(params, cands) for params, _, cands in blocks])
+            cols = slice(int(rng.integers(0, items)), items)
+            got, _ = attend_and_pool(blocks, rows, cols)
+            terms = [attend_tile(params, q, cands, cols) for params, q, cands in blocks]
+            stacked = np.concatenate([e * scale for e, scale, _ in terms]
+                                     + [np.ones((len(got[0]), 1, got.shape[-1]))], axis=1)
+            want = np.empty_like(got)
+            padded_matmul(rows[cols], stacked, out=want.transpose(1, 0, 2))
+            assert_same_bits(got, want, "an operand written in place", rows[cols], pairs,
+                             None)

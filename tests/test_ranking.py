@@ -355,6 +355,28 @@ class TestStreamedExhaustive:
         with pytest.raises(RuntimeError, match="score their own queries differently"):
             evaluate(model, corpus)
 
+    def test_the_truth_pass_holds_no_more_than_one_dense_block(self):
+        # the lone truth pairs pad to PAD slots each, so a tile capped by
+        # TILE_PAIRS alone held many times a dense block's candidates, and
+        # set the peak of evaluate; capped at CANDIDATE_BLOCK, a truth tile
+        # projects no more candidates than a dense block does
+        corpus = synth_corpus(seed=7, n_items=1000, dim=32)
+        model = create_model(seed=8, dim=32)
+        queries = model_module.query_rows(model, corpus.texts)
+        items = np.arange(len(corpus))
+        first_block = items[model_module.candidate_blocks(len(corpus))[0]]
+        peaks = []
+        for run in (lambda: model_module.score_pairs(model, queries, corpus, items, items, 1),
+                    lambda: model_module.score_tile(model, queries, corpus, first_block)):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        truth, dense = peaks
+        assert truth <= dense
+
     @pytest.mark.parametrize("rank", [evaluate, rank_exhaustive])
     def test_peak_memory_stays_below_one_dense_matrix(self, rank):
         corpus = synth_corpus(seed=22, n_items=1000, dim=8, frames=2, audio_tokens=3)
@@ -699,6 +721,7 @@ class TestRerankBothDirections:
         for candidates, width in tiles:
             assert width % PAD == 0
             assert candidates * width <= model_module.TILE_PAIRS
+            assert candidates <= model_module.CANDIDATE_BLOCK
 
 
 class TestNonFiniteModelScores:
