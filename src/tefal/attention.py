@@ -25,12 +25,11 @@ product, [M diag(g_o); b_o]^T [w inv; 1], and no pass over the outputs
 remains; blocks whose outputs are summed, as addition's are, pool as one
 product over all their rows (:func:`pooling_rows`).
 
-Every library path runs the kernel in one of two product forms: the tile
-kernel, :func:`block_forward_tile`, whose docstring gives why a pair's
-output does not depend on its tile, or :func:`attend_pairs`, one query per
-context, which the xattn fusion block runs.  Both share the candidate
-projection, the softmax and the scaled weights, so only this module knows
-the K || M || M diag(g_o) layout and the :class:`TileCache` that
+Every library path runs the kernel in one product form, the tile kernel,
+:func:`block_forward_tile`, whose docstring gives why a pair's output does
+not depend on its tile; the xattn fusion block runs it too, each pair one
+candidate with one query.  So only this module knows the
+K || M || M diag(g_o) layout and the :class:`TileCache` that
 :func:`block_backward_tile` reverses.
 :func:`block_forward`, :func:`block_backward` and :func:`attend` are the
 per-candidate reference that the tests compare the kernel against.  Two
@@ -55,7 +54,6 @@ from .linalg import (
     standardized_backward,
     softmax_rows,
     softmax_rows_backward,
-    sum_leading,
 )
 
 __all__ = [
@@ -72,7 +70,6 @@ __all__ = [
     "attend_tile",
     "pooling_rows",
     "attend_and_pool",
-    "attend_pairs",
     "block_forward_tile",
     "block_backward_tile",
 ]
@@ -293,7 +290,7 @@ class Candidates:
     c_n: np.ndarray           # (D, n, C), LN_c(contexts)
     xhat: np.ndarray | None   # (D, n, C), the standardized contexts
     kv: np.ndarray            # (C, n, 3 D_p), K || M || M diag(g_o), rows in canonical order
-    gram: np.ndarray | None   # (C, n, n), M M^T; None in attend_pairs
+    gram: np.ndarray          # (C, n, n), M M^T
     w_kv: np.ndarray          # (D, 2 D_p), W_k || W_v W_o C
 
 
@@ -313,9 +310,12 @@ class TileCache(Candidates):
         return out.reshape(n, c, t)
 
 
-def _project(params: XAttnParams, contexts: np.ndarray, keep: bool) -> Candidates:
-    """:func:`project_candidates` without the Gram, which
-    :func:`attend_pairs` forms with its pair axis innermost."""
+def project_candidates(params: XAttnParams, contexts: np.ndarray,
+                       keep: bool = False) -> Candidates:
+    """The query-independent half of :func:`block_forward_tile` for (D, n, C)
+    ``contexts``: ``LN_c`` and its canonical row order, then
+    K || M || M diag(g_o) and the Gram M M^T, for M = rows W_v W_o C,
+    ``g_o`` = ``ln_o_gain`` and C = I - 11^T / D_p the centring matrix."""
     p = params.proj_dim
     contexts = np.ascontiguousarray(contexts, dtype=np.float64)
     if contexts.ndim != 3 or contexts.shape[0] != params.dim:
@@ -327,30 +327,8 @@ def _project(params: XAttnParams, contexts: np.ndarray, keep: bool) -> Candidate
     vo = params.w_v @ params.w_o
     w_kv = np.concatenate([params.w_k, vo - vo.sum(axis=1, keepdims=True) / p], axis=1)
     kv = rows @ np.concatenate([w_kv, w_kv[:, p:] * params.ln_o_gain], axis=1)
-    return Candidates(order, contexts, c_n, xhat, kv, None, w_kv)
-
-
-def project_candidates(params: XAttnParams, contexts: np.ndarray,
-                       keep: bool = False) -> Candidates:
-    """The query-independent half of :func:`block_forward_tile` for (D, n, C)
-    ``contexts``: ``LN_c`` and its canonical row order, then
-    K || M || M diag(g_o) and the Gram M M^T, for M = rows W_v W_o C,
-    ``g_o`` = ``ln_o_gain`` and C = I - 11^T / D_p the centring matrix."""
-    cands = _project(params, contexts, keep)
-    m = cands.kv[:, :, params.proj_dim:2 * params.proj_dim]
-    cands.gram = m @ m.transpose(0, 2, 1)
-    return cands
-
-
-def _softmax_terms_(logits: np.ndarray, proj_dim: int, axis: int):
-    """``(e, r)``: in place, ``exp(logits / sqrt(proj_dim) - max)`` along
-    ``axis``, the context rows, and the reciprocal of its sum, whose product
-    is the softmax.  numpy sums in row order when two or more elements
-    trail ``axis``, or when ``axis`` has two rows."""
-    logits *= 1.0 / math.sqrt(proj_dim)
-    logits -= logits.max(axis=axis, keepdims=True)
-    e = np.exp(logits, out=logits)
-    return e, 1.0 / e.sum(axis=axis, keepdims=True)
+    m = kv[:, :, p:2 * p]
+    return Candidates(order, contexts, c_n, xhat, kv, m @ m.transpose(0, 2, 1), w_kv)
 
 
 def attend_tile(params: XAttnParams, q: np.ndarray, cands: Candidates,
@@ -362,15 +340,20 @@ def attend_tile(params: XAttnParams, q: np.ndarray, cands: Candidates,
     with them is the attention weights, each column scaled by its pair's
     ``LN_o`` reciprocal standard deviation, which :func:`attend_and_pool`
     writes into its pooling operand; ``cache`` only with ``keep``, which
-    needs all of ``cands``.  For the weights w = e r of
-    :func:`_softmax_terms_`, the variance is ``r^2 sum_n e (G e) / D_p``,
-    G the candidate's Gram, so one multiply applies r and the scale."""
+    needs all of ``cands``.  e is ``exp(logits / sqrt(D_p) - max)`` over
+    the context rows, in place, and r the reciprocal of its sum; for the
+    weights w = e r the variance is ``r^2 sum_n e (G e) / D_p``, G the
+    candidate's Gram, so one multiply applies r and the scale."""
     p, kv = params.proj_dim, cands.kv[cols]
     q = np.ascontiguousarray(q, dtype=np.float64)
     if q.ndim != 3 or q.shape[0] != p or q.shape[1] not in (1, len(kv)):
         raise ShapeError(f"q must be ({p}, 1, T) or ({p}, {len(kv)}, T), got {q.shape}")
     items = q.transpose(1, 0, 2)                                      # (1 or C, D_p, T)
-    e, r = _softmax_terms_(padded_matmul(kv[:, :, :p], items), p, axis=1)  # (C, n, T_pad)
+    logits = padded_matmul(kv[:, :, :p], items)                       # (C, n, T_pad)
+    logits *= 1.0 / math.sqrt(p)
+    logits -= logits.max(axis=1, keepdims=True)
+    e = np.exp(logits, out=logits)
+    r = 1.0 / e.sum(axis=1, keepdims=True)
     gram_e = padded_matmul(cands.gram[cols], e)
     var = np.multiply(gram_e, e, out=gram_e).sum(axis=1) * r[:, 0] ** 2
     inv = 1.0 / np.sqrt(var / p + LAYERNORM_EPS)
@@ -415,38 +398,6 @@ def attend_and_pool(blocks, rows: np.ndarray, cols: slice = slice(None),
     return out, caches
 
 
-def attend_pairs(params: XAttnParams, q: np.ndarray, contexts: np.ndarray,
-                 keep: bool = False):
-    """``(out, cache)`` of the block for one query per context: the (D_p, P)
-    outputs of (D_p, P) :func:`project_queries` columns ``q`` against
-    (D, n, P) ``contexts``, and with ``keep`` the :class:`TileCache` of the
-    P candidates, one query each, that :func:`block_backward_tile` reverses.
-    The xattn fusion block runs it over the rows [E_v|t, E_a|t].
-
-    A padded product would run ``PAD`` columns per pair, so the logits, the
-    Gram M M^T (by :func:`tefal.linalg.sum_leading`), ``LN_o``'s variance
-    and the pooling of M diag(g_o) by the scaled weights are ``einsum``s.
-    With the summed axis leading and an output axis innermost (a pair axis,
-    or for a single pair a row axis), numpy adds each output's terms one at
-    a time in the order of the summed axis, for any tile: so K and M are
-    laid out (D_p, n, P).  A summed axis that is contiguous, as D_p would be
-    in an (n, D_p, 1) item, is summed in another order, so one pair alone
-    would get other bits.  The pooling, the softmax and the variance of the
-    xattn block sum n = 2 rows, which any order adds alike, so the values
-    are laid out (n, D_p, P)."""
-    p = params.proj_dim
-    cands = _project(params, contexts, keep)
-    q = np.ascontiguousarray(q, dtype=np.float64)                               # (D_p, P)
-    k, m = (np.ascontiguousarray(cands.kv[:, :, s:s + p].transpose(2, 1, 0)) for s in (0, p))
-    vo = np.ascontiguousarray(cands.kv[:, :, 2 * p:].transpose(1, 2, 0))   # (n, D_p, P)
-    e, r = _softmax_terms_(np.einsum("pc,pnc->nc", q, k), p, axis=0)          # (n, P)
-    gram_e = np.einsum("nmc,mc->nc", sum_leading(m[:, :, None], m[:, None]), e)
-    inv = 1.0 / np.sqrt(np.einsum("nc,nc->c", e, gram_e) * r[0] ** 2 / p + LAYERNORM_EPS)
-    out = np.einsum("nc,npc->pc", e * (r * inv), vo) + params.ln_o_bias.T
-    return out, (TileCache(**vars(cands), q=q.T[:, :, None], weights=(e * r).T[:, :, None],
-                           inv=inv[:, None]) if keep else None)
-
-
 def block_forward_tile(params: XAttnParams, q: np.ndarray, contexts: np.ndarray):
     """``(out, cache)``: the block for every (query, candidate) pair of a
     tile, pair-last (the feature or context-row axis first, then the (C, T)
@@ -477,13 +428,12 @@ def block_forward_tile(params: XAttnParams, q: np.ndarray, contexts: np.ndarray)
     n + 1 for one block and n_v + n_a + 1 for addition
     (:func:`pooling_rows`), stacked once per call for all its candidates;
     :func:`project_queries` and the late and concat_fc fusions are padded
-    products too.  The softmax (:func:`_softmax_terms_`) sums and the
-    variance's sum over the n rows of e (M M^T e) run over a (C, n, T_pad)
-    array whose trailing axis is at least ``PAD`` wide, so numpy adds each
-    column's terms in row order; the ``LN_c`` sums go through
-    :func:`tefal.linalg.sum_leading`.  Fusion, the xattn block's
-    :func:`attend_pairs` among it, and cosine follow the same rules, so a
-    score, too, depends only on its pair.
+    products too.  The softmax sums and the variance's sum over the n rows
+    of e (M M^T e) run over a (C, n, T_pad) array whose trailing axis is
+    at least ``PAD`` wide, so numpy adds each column's terms in row order;
+    the ``LN_c`` sums go through :func:`tefal.linalg.sum_leading`.  Fusion
+    and cosine follow the same rules, so a score, too, depends only on its
+    pair.
     """
     cands = project_candidates(params, contexts, keep=True)
     out, (cache,) = attend_and_pool([(params, q, cands)], pooling_rows([(params, cands)]),

@@ -22,8 +22,8 @@ Addition is no post-hoc kind: :func:`tefal.model.score_tile` pools both
 blocks as one product (:func:`tefal.attention.attend_and_pool`), whose
 bias row carries the sum of their ``LN_o`` biases, and :mod:`tefal.model`
 sums the per-candidate reference's two outputs itself.
-The xattn block, one candidate and one query per fused column, is
-:func:`tefal.attention.attend_pairs` over the rows [E_v|t, E_a|t], and
+The xattn block runs the tile kernel over the rows [E_v|t, E_a|t], each
+fused column one candidate with one query, and
 :func:`tefal.attention.block_backward_tile` reverses it.  Stacking is not
 post-hoc: :func:`tefal.model.score_tile` runs the video block over the
 stacked context, whose audio row is :func:`tefal.corpus.audio_summary`.
@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import XAttnParams, attend_pairs, block_backward_tile
+from .attention import (XAttnParams, attend_and_pool, block_backward_tile, pooling_rows,
+                        project_candidates)
 from .linalg import ShapeError, padded_matmul
 
 __all__ = ["FusionKind", "FusionParams", "FusionError", "fuse_forward", "fuse_backward"]
@@ -116,7 +117,9 @@ def fuse_forward(params: FusionParams, video, audio, queries=None, keep: bool = 
     projections, only xattn reads.  Inputs are pair-last, one column per
     pair; late's ``audio`` and ``queries`` broadcast against ``video``.
     Without ``keep``, xattn saves no TileCache, so :func:`fuse_backward`
-    cannot reverse it.  Feature sums keep the tile invariance of
+    cannot reverse it.  xattn pools each pair as one candidate with one
+    query (:func:`tefal.attention.attend_and_pool`); that and the feature
+    sums keep the tile invariance of
     :func:`tefal.attention.block_forward_tile`.
     """
     kind = params.kind
@@ -140,9 +143,11 @@ def fuse_forward(params: FusionParams, video, audio, queries=None, keep: bool = 
     if kind == FusionKind.XATTN:
         p = video.shape[0]
         contexts = np.stack([x.reshape(p, -1) for x in (video, audio)], axis=1)
-        q = np.broadcast_to(queries, video.shape).reshape(p, -1)
-        fused, tile = attend_pairs(params.xattn, q, contexts, keep)
-        return fused.reshape(video.shape), tile
+        q = np.broadcast_to(queries, video.shape).reshape(p, -1, 1)
+        cands = project_candidates(params.xattn, contexts, keep)
+        fused, (tile,) = attend_and_pool([(params.xattn, q, cands)],
+                                         pooling_rows([(params.xattn, cands)]), keep=keep)
+        return fused[:, :, 0].reshape(video.shape), tile
 
     raise FusionError(f"{kind.value} fusion is not a post-hoc combiner")
 

@@ -9,7 +9,7 @@ import pytest
 from tefal.attention import (
     XAttnParams,
     attend,
-    attend_pairs,
+    attend_and_pool,
     attend_tile,
     block_backward,
     block_backward_tile,
@@ -17,6 +17,7 @@ from tefal.attention import (
     block_forward_tile,
     conditioned_embedding,
     export_attention_weights,
+    pooling_rows,
     project_candidates,
     project_queries,
 )
@@ -335,36 +336,36 @@ class TestProjectCandidates:
             assert alone.gram[0].tobytes() == stack.gram[c].tobytes()
 
 
-class TestAttendPairs:
+class TestOneQueryPerCandidate:
+    # the xattn fusion block's tile: (D_p, P, 1) queries, one per candidate,
+    # against (D, 2, P) contexts, the rows [e_v, e_a]
     def test_swapping_the_two_context_rows_changes_no_bit(self):
-        # the xattn fusion block's rows [e_v, e_a], one query per pair
         params = make_params(seed=40, dim=6, proj=6)
         rng = np.random.default_rng(41)
-        q = project_queries(params, rng.standard_normal((50, 6)))
+        q = project_queries(params, rng.standard_normal((50, 6)))[:, :, None]
         e_v, e_a = rng.standard_normal((2, 6, 50))
-        out, cache = attend_pairs(params, q, np.stack([e_v, e_a], axis=1), keep=True)
-        swapped, swapped_cache = attend_pairs(params, q, np.stack([e_a, e_v], axis=1),
-                                              keep=True)
+        out, cache = block_forward_tile(params, q, np.stack([e_v, e_a], axis=1))
+        swapped, swapped_cache = block_forward_tile(params, q, np.stack([e_a, e_v], axis=1))
         np.testing.assert_array_equal(swapped, out)
         np.testing.assert_array_equal(swapped_cache.caller_weights(),
                                       cache.caller_weights()[::-1])
-        unkept, no_cache = attend_pairs(params, q, np.stack([e_v, e_a], axis=1))
-        np.testing.assert_array_equal(unkept, out)
+        cands = project_candidates(params, np.stack([e_v, e_a], axis=1))
+        unkept, (no_cache,) = attend_and_pool([(params, q, cands)],
+                                              pooling_rows([(params, cands)]))
+        np.testing.assert_array_equal(unkept[:, :, :1], out)
         assert no_cache is None
-        tile, _ = block_forward_tile(params, q[:, :, None], np.stack([e_v, e_a], axis=1))
-        np.testing.assert_allclose(out, tile[:, :, 0], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("dim", [6, 32])
     def test_a_pair_alone_keeps_its_bits(self, dim):
-        # a single pair is an (., 1) item: a feature axis summed there must
-        # lead, or numpy sums it in another order than in a wider tile
+        # a single pair is a (., 1, 1) item, padded to PAD columns as a
+        # wider tile's items are
         params = make_params(seed=42, dim=dim, proj=dim)
         rng = np.random.default_rng(43)
-        q = project_queries(params, rng.standard_normal((40, dim)))
+        q = project_queries(params, rng.standard_normal((40, dim)))[:, :, None]
         contexts = rng.standard_normal((dim, 2, 40))
-        out, _ = attend_pairs(params, q, contexts)
+        out, _ = block_forward_tile(params, q, contexts)
         for c in range(40):
-            alone, _ = attend_pairs(params, q[:, c:c + 1], contexts[:, :, c:c + 1])
+            alone, _ = block_forward_tile(params, q[:, c:c + 1], contexts[:, :, c:c + 1])
             assert alone.tobytes() == out[:, c:c + 1].tobytes(), c
 
 

@@ -157,14 +157,19 @@ def test_only_the_model_plans_tiles(name):
 
 
 # the K || M || M diag(g_o) layout and the TileCache live in tefal.attention alone
+def calls_tile_cache(node) -> bool:
+    """Whether ``node`` calls ``TileCache``, bare or as an attribute."""
+    return isinstance(node, ast.Call) and "TileCache" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
 def kernel_internals(source: str) -> set[str]:
     """The ``.kv`` and ``.gram`` reads and the ``TileCache`` calls in ``source``."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Attribute) and node.attr in ("kv", "gram"):
             found.add(f".{node.attr}")
-        elif isinstance(node, ast.Call) and "TileCache" in (
-                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+        elif calls_tile_cache(node):
             found.add("TileCache()")
     return found
 
@@ -357,6 +362,46 @@ def test_only_the_rules_and_the_integer_array_checks_call_is_integer():
     assert callers == INTEGER_TEST_CALLERS
 
 
+def scopes_where(source: str, hit) -> set[str]:
+    """The functions (qualified by their classes) of ``source``, or
+    ``<module>``, that hold a node for which ``hit(node)`` is true."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        elif hit(node):
+            found.add(scope or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+# one kernel form: only attend_tile constructs the TileCache that
+# block_backward_tile reverses
+def tile_cache_callers(source: str) -> set[str]:
+    """The functions of ``source``, or ``<module>``, that call ``TileCache``."""
+    return scopes_where(source, calls_tile_cache)
+
+
+def test_tile_cache_callers_are_found():
+    source = ("def f(cands):\n    return TileCache(**vars(cands))\n"
+              "class C:\n    def m(self):\n        return attention.TileCache(q=1)\n"
+              "def g():\n    return TileCache\n"
+              "cache = TileCache()\n")
+    assert tile_cache_callers(source) == {"f", "C.m", "<module>"}
+    assert tile_cache_callers((SRC / "attention.py").read_text(encoding="utf-8")) == {
+        "attend_tile"}
+
+
+def test_only_attend_tile_constructs_a_tile_cache():
+    callers = {f"{p.stem}.{scope}" for p in MODULES
+               for scope in tile_cache_callers(p.read_text(encoding="utf-8"))}
+    assert callers == {"attention.attend_tile"}
+
+
 # every worker loop runs on map_tasks, which holds the BLAS to one thread
 THREAD_STARTERS = {"ThreadPoolExecutor", "ProcessPoolExecutor", "Thread"}
 
@@ -366,21 +411,11 @@ def thread_starters(source: str) -> set[str]:
     ``<module>``, that name ``ThreadPoolExecutor``, ``ProcessPoolExecutor``
     or ``Thread``, bare or as an attribute; an import names none, unless it
     renames one."""
-    found = set()
-
-    def visit(node, scope):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            scope = f"{scope}.{node.name}" if scope else node.name
-        elif (getattr(node, "id", None) in THREAD_STARTERS
-              or getattr(node, "attr", None) in THREAD_STARTERS
-              or isinstance(node, ast.alias) and node.asname
-              and node.name.split(".")[-1] in THREAD_STARTERS):
-            found.add(scope or "<module>")
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
-
-    visit(ast.parse(source), "")
-    return found
+    return scopes_where(source, lambda node: (
+        getattr(node, "id", None) in THREAD_STARTERS
+        or getattr(node, "attr", None) in THREAD_STARTERS
+        or isinstance(node, ast.alias) and node.asname
+        and node.name.split(".")[-1] in THREAD_STARTERS))
 
 
 def test_thread_starters_are_found():

@@ -59,11 +59,6 @@ def stacked_logits(rng, items, n):
     return rng.standard_normal((items, n, 3 * D))[:, :, :D]
 
 
-def stacked_pooling(rng, items, n):
-    """(M diag(g_o))_c^T, the transposed view of the last third."""
-    return rng.standard_normal((items, n, 3 * D))[:, :, 2 * D:].transpose(0, 2, 1)
-
-
 def stacked_fused_pooling(rng, items, k):
     """[M_1 diag(g_1); ...; b_1 + ...]^T, the left operand of the pooling
     product over the blocks whose outputs are summed
@@ -88,14 +83,14 @@ def transposed_weight(rng, m, k):
 # every (M, K) of a padded product in the engine, with the layout of its
 # left operand: the logits for n context rows, the LN_o variance's Gram,
 # the fused pooling over one block's n rows and the bias row (K = n + 1:
-# 2, 5, 9, 10), over addition's two (3 + 9 + 1 = 4 + 8 + 1, and 4 + 9 + 1)
-# and over stacking's F + 1 (5 + 1), project_queries (and late fusion),
-# concat_fc, and stage 1's chunks; and the pooling of n rows with no bias row
+# 2, 5, 9, 10, and 3 for the xattn block's two rows), over addition's two
+# (3 + 9 + 1 = 4 + 8 + 1, and 4 + 9 + 1) and over stacking's F + 1
+# (5 + 1), project_queries (and late fusion), concat_fc, and stage 1's
+# chunks
 STACKED = ([(f"logits n={n}", stacked_logits, n) for n in (1, 2, 4, 5, 8, 9)]
-           + [(f"pooling n={n}", stacked_pooling, n) for n in (1, 2, 4, 5, 8, 9)]
            + [(f"gram n={n}", stacked_gram, n) for n in (1, 2, 4, 5, 8, 9)]
            + [(f"fused pooling K={k}", stacked_fused_pooling, k)
-              for k in (2, 5, 6, 9, 10, 13, 14)])
+              for k in (2, 3, 5, 6, 9, 10, 13, 14)])
 FLAT = [("project_queries", lambda rng: transposed_weight(rng, D, D)),
         ("concat_fc", lambda rng: transposed_weight(rng, D, 2 * D)),
         ("stage 1", lambda rng: rng.standard_normal((_CHUNK_ROWS, D)))]
