@@ -143,6 +143,37 @@ class TestStacking:
         np.testing.assert_array_equal(scores, expected.T)
 
 
+class TestXAttn:
+    # the tile kernel, each pair one candidate with one query over its rows
+    # [e_v, e_a]
+    @pytest.mark.parametrize("dim", [6, 32])
+    def test_each_pair_matches_the_per_candidate_reference(self, dim):
+        g = rng(18)
+        params = FusionParams.create(g, FusionKind.XATTN, dim, dim)
+        texts = g.standard_normal((7, dim))
+        video, audio = g.standard_normal((2, dim, 7))
+        fused, _ = fuse_forward(params, video, audio, project_queries(params.xattn, texts))
+        for r in range(7):
+            want, _ = block_forward(params.xattn, texts[r:r + 1],
+                                    np.stack([video[:, r], audio[:, r]]))
+            np.testing.assert_allclose(fused[:, r], want[0], rtol=0, atol=1e-12)
+
+    def test_keep_changes_no_bit(self):
+        dim = 6
+        g = rng(19)
+        params = FusionParams.create(g, FusionKind.XATTN, dim, dim)
+        video, audio = g.standard_normal((2, dim, 5, 3))
+        queries = project_queries(params.xattn, g.standard_normal((3, dim)))[:, None]
+        kept, tile = fuse_forward(params, video, audio, queries, keep=True)
+        unkept, no_tile = fuse_forward(params, video, audio, queries)
+        np.testing.assert_array_equal(unkept, kept)
+        assert no_tile is None
+        # the two rows' weights of each of the 15 pairs, one query each
+        weights = tile.caller_weights()
+        assert weights.shape == (2, 15, 1)
+        np.testing.assert_allclose(weights.sum(axis=0), 1.0, rtol=0, atol=1e-15)
+
+
 class TestValidation:
     @pytest.mark.parametrize("kind, match", [
         (FusionKind.LATE, "audio summary has 4 features, projection expects 3"),
