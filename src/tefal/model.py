@@ -316,10 +316,11 @@ def pair_tiles(cands: np.ndarray) -> list[np.ndarray]:
     padded slots (or one group): (C, W) pair slots, row c one candidate's
     pairs, then its last pair repeated up to the
     :func:`tefal.linalg.padded_width` of the tile's largest group.  A tile of
-    lone pairs keeps W = 1, as repeats would only score each pair again; its
-    pairs still count ``PAD`` slots each, so without the candidate cap it
-    would project ``TILE_PAIRS / PAD`` candidates in one :func:`score_tile`,
-    more than a dense block does."""
+    lone pairs (candidates that one query shortlists in stage 2, or the
+    pairs (i, i) of ``tefal export-attn``) keeps W = 1, as repeats would
+    only score each pair again; its pairs still count ``PAD`` slots each,
+    so without the candidate cap it would project ``TILE_PAIRS / PAD``
+    candidates in one :func:`score_tile`, more than a dense block does."""
     _, starts, sizes = np.unique(cands, return_index=True, return_counts=True)
     largest_first = np.argsort(-sizes, kind="stable")
     starts, sizes = starts[largest_first], sizes[largest_first]
@@ -337,7 +338,8 @@ def pair_tiles(cands: np.ndarray) -> list[np.ndarray]:
 def score_pairs(model: RetrievalModel, queries: Queries, corpus: Corpus,
                 texts: np.ndarray, cands: np.ndarray, workers: int | None) -> np.ndarray:
     """Scores of the pairs (query ``texts[i]``, ``cands[i]``), ``cands``
-    sorted: one :func:`score_tile` per :func:`pair_tiles` tile, by :func:`map_tasks`."""
+    sorted, as stage 2 scores its shortlists: one :func:`score_tile` per
+    :func:`pair_tiles` tile, by :func:`map_tasks`."""
     def score(slots):
         scores = score_tile(model, queries.rows(texts[slots]), corpus, cands[slots[:, 0]])
         real = np.diff(slots, axis=1, prepend=-1) > 0    # a padding slot repeats

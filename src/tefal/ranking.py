@@ -15,12 +15,10 @@ from .linalg import (ShapeError, as_matrix, is_integer, pad_pairs, padded_matmul
                      require_int, require_real)
 from .model import (
     RetrievalModel,
-    candidate_blocks,
     map_tasks,
     query_rows,
     resolve_workers,
     score_pairs,
-    score_tile,
     similarity_matrix,
 )
 
@@ -52,16 +50,13 @@ def _row_blocks(rows: int, cols: int) -> list[slice]:
     return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
 
 
-def _non_finite(ids, what: str, row: int) -> NonFiniteScoreError:
-    return NonFiniteScoreError(f"{what} for query {row} ({ids[row]}) has a non-finite score")
-
-
 def _check_finite(scores: np.ndarray, ids, what: str, first_row: int = 0) -> None:
     """Reject scores with a non-finite entry, naming the first query it
     occurs for; row 0 of ``scores`` is query ``first_row``."""
     bad = ~np.isfinite(scores)
     if np.any(bad):
-        raise _non_finite(ids, what, first_row + int(np.nonzero(bad.any(axis=1))[0][0]))
+        row = first_row + int(np.nonzero(bad.any(axis=1))[0][0])
+        raise NonFiniteScoreError(f"{what} for query {row} ({ids[row]}) has a non-finite score")
 
 
 def _id_ranks(ids: np.ndarray) -> np.ndarray:
@@ -70,22 +65,16 @@ def _id_ranks(ids: np.ndarray) -> np.ndarray:
     return np.unique(ids, return_inverse=True)[1]
 
 
-def _count_ahead(scores: np.ndarray, mine, id_rank, my_id_rank) -> np.ndarray:
-    """Per row of ``scores``, the entries ranked above the score ``mine``
-    of the row's truth: those with a higher score, and the equal-scoring
-    ones with a smaller ``id_rank`` than ``my_id_rank``."""
-    ahead = (scores > mine) | ((scores == mine) & (id_rank < my_id_rank))
-    return np.count_nonzero(ahead, axis=1)
-
-
 def _ranks_in_rows(scores: np.ndarray, truth: np.ndarray,
                    id_rank: np.ndarray) -> np.ndarray:
     """1-based rank of entry ``truth[r]`` within each row ``r`` of
-    ``scores`` (``id_rank`` per column, or per entry)."""
+    ``scores`` (``id_rank`` per column, or per entry): one plus the entries
+    with a higher score, and the equal-scoring ones with a smaller id rank."""
     rows = np.arange(len(truth))
     id_rank = np.broadcast_to(id_rank, scores.shape)
-    return 1 + _count_ahead(scores, scores[rows, truth][:, None], id_rank,
-                            id_rank[rows, truth][:, None])
+    mine, my_id_rank = scores[rows, truth][:, None], id_rank[rows, truth][:, None]
+    ahead = (scores > mine) | ((scores == mine) & (id_rank < my_id_rank))
+    return 1 + np.count_nonzero(ahead, axis=1)
 
 
 @dataclass
@@ -159,50 +148,11 @@ class RankingResult:
 def rank_exhaustive(model: RetrievalModel, corpus: Corpus,
                     workers: int | None = None) -> RankingResult:
     """Text-to-video ranks of every query against every candidate: those of
-    :func:`_exhaustive_ranks`, which :func:`evaluate` runs and which holds
-    no (n, n) matrix; that is :func:`tefal.model.similarity_matrix`."""
-    ranks, _ = _exhaustive_ranks(model, corpus, workers)
-    return RankingResult(ranks, EvalStats(stage2_model_evals=len(corpus) ** 2))
-
-
-def _exhaustive_ranks(model: RetrievalModel, corpus: Corpus,
-                      workers: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """``(t2v, v2t)`` ranks of every query against every candidate, as
-    :func:`ranks_from_similarity` gives them from the dense
-    :func:`tefal.model.similarity_matrix` and its transpose, but holding no
-    (n, n) matrix, on :func:`map_tasks` workers.  The n truth pairs (i, i) are
-    scored first (:func:`tefal.model.score_pairs`).  Then each dense block
-    (:func:`tefal.model.candidate_blocks`) is counted as it is scored: its
-    columns' v2t ranks are complete, and each query's t2v rank adds the
-    block's candidates ranked above its truth.  Tile invariance
-    (:func:`tefal.attention.block_forward_tile`) gives a block's own truth
-    entries the bits of the first pass, which is checked.  A non-finite
-    score names the lowest query row, as :func:`ranks_from_similarity` does."""
-    n = len(corpus)
-    ids = np.asarray(corpus.ids)
-    id_rank = _id_ranks(ids)
-    items = np.arange(n)
-    queries = query_rows(model, corpus.texts)
-    truth = score_pairs(model, queries, corpus, items, items, workers)
-    ranks_v2t = np.empty(n, np.intp)
-
-    def count_block(block: slice):
-        scores = score_tile(model, queries, corpus, items[block])
-        bad = np.flatnonzero(~np.isfinite(scores).all(axis=1))
-        if len(bad):
-            return None, int(bad[0])
-        if np.any(np.diagonal(scores[block]).view(np.uint64)
-                  != truth[block].view(np.uint64)):
-            raise RuntimeError(f"candidates {block.start}-{block.stop - 1} score their "
-                               "own queries differently in a dense tile")
-        ranks_v2t[block] = _ranks_in_rows(scores.T, items[block], id_rank)
-        return _count_ahead(scores, truth[:, None], id_rank[block], id_rank[:, None]), n
-
-    counted = map_tasks(count_block, candidate_blocks(n), workers)
-    first_bad = min(bad for _, bad in counted)
-    if first_bad < n:
-        raise _non_finite(ids, "similarity row", first_bad)
-    return 1 + sum(ahead for ahead, _ in counted), ranks_v2t
+    the dense :func:`tefal.model.similarity_matrix`, as :func:`evaluate`
+    ranks it."""
+    sim = similarity_matrix(model, corpus, workers=workers)
+    return RankingResult(ranks_from_similarity(sim, corpus.ids),
+                         EvalStats(stage2_model_evals=len(corpus) ** 2))
 
 
 def _stage1_rows(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
@@ -349,10 +299,13 @@ def dual_softmax_postprocess(sim: np.ndarray, dsl_temp: float) -> np.ndarray:
     ``sim * dsl_temp``, which sharpens scores distinctive for their query."""
     _check_dsl_temp(dsl_temp)
     sim = as_matrix(sim, "sim")
-    z = sim * dsl_temp
-    z = z - z.max(axis=0, keepdims=True)
-    e = np.exp(z)
-    return sim * (e / e.sum(axis=0, keepdims=True))
+    # in place on one (T, V) array, as the caller holds sim beside it
+    out = sim * dsl_temp
+    out -= out.max(axis=0, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=0, keepdims=True)
+    out *= sim
+    return out
 
 
 def _check_dsl_temp(dsl_temp: float) -> None:
@@ -389,15 +342,15 @@ def evaluate(model: RetrievalModel, corpus: Corpus, k: int | None = None,
              dsl_temp: float | None = None, workers: int | None = None) -> EvalResult:
     """Rank the corpus in both directions and aggregate metrics.
 
-    Exhaustive scoring counts ranks block by block and holds no (n, n)
-    matrix (:func:`_exhaustive_ranks`).  ``k`` switches to two-stage
-    re-ranking (:func:`rerank_two_stage` in both directions, sharing the
-    pairs both shortlist).  ``dsl_temp`` re-scores the dense
-    :func:`similarity_matrix` with dual softmax; a bad one, or one given
-    with ``k``, is rejected before any scoring; only this path builds the
-    (n, n) matrix.  ``workers`` threads score (by default, every usable CPU,
-    capped by TEFAL_THREADS: :func:`tefal.model.resolve_workers`); each
-    holds one tile's temporaries, and no count changes a rank.
+    Exhaustive scoring ranks the dense (n, n) :func:`similarity_matrix`
+    and its transpose (:func:`ranks_from_similarity`), each re-scored with
+    dual softmax first when ``dsl_temp`` is given; a bad ``dsl_temp``, or
+    one given with ``k``, is rejected before any scoring.  ``k`` switches
+    to two-stage re-ranking (:func:`rerank_two_stage` in both directions,
+    sharing the pairs both shortlist), which holds no (n, n) matrix.
+    ``workers`` threads score (by default, every usable CPU, capped by
+    TEFAL_THREADS: :func:`tefal.model.resolve_workers`); each holds one
+    tile's temporaries, and no count changes a rank.
     """
     if dsl_temp is not None:
         _check_dsl_temp(dsl_temp)
@@ -411,15 +364,15 @@ def evaluate(model: RetrievalModel, corpus: Corpus, k: int | None = None,
 
     if k is not None:
         (ranks_t2v, ranks_v2t), stats = _rerank(model, corpus, k, workers, DIRECTIONS)
-    elif dsl_temp is None:
-        ranks_t2v, ranks_v2t = _exhaustive_ranks(model, corpus, workers)
     else:
         sim = similarity_matrix(model, corpus, workers=workers)
-        # dual softmax spreads a non-finite score over its column; name its row
-        _check_finite(sim, corpus.ids, "similarity row")
-        postprocess.append(f"dsl(temp={dsl_temp:g})")
+        if dsl_temp is not None:
+            # dual softmax spreads a non-finite score over its column; name its row
+            _check_finite(sim, corpus.ids, "similarity row")
+            postprocess.append(f"dsl(temp={dsl_temp:g})")
         ranks_t2v, ranks_v2t = (
-            ranks_from_similarity(dual_softmax_postprocess(s, dsl_temp), corpus.ids)
+            ranks_from_similarity(s if dsl_temp is None else dual_softmax_postprocess(s, dsl_temp),
+                                  corpus.ids)
             for s in (sim, sim.T))
 
     return EvalResult(

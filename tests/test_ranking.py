@@ -280,8 +280,8 @@ class TestRankExhaustive:
         np.testing.assert_array_equal(base, threaded)
 
 
-class TestStreamedExhaustive:
-    """``evaluate`` without ``dsl_temp`` counts ranks block by block."""
+class TestDenseExhaustive:
+    """``evaluate`` without ``k`` ranks the dense similarity matrix."""
 
     @pytest.fixture(scope="class")
     def tied_corpus(self):
@@ -320,16 +320,59 @@ class TestStreamedExhaustive:
         with pytest.raises(NonFiniteScoreError) as dense:
             ranks_from_similarity(similarity_matrix(model, bad), bad.ids)
         with pytest.raises(NonFiniteScoreError,
-                           match=r"similarity row for query 7 \(item00007\)") as streamed:
+                           match=r"similarity row for query 7 \(item00007\)") as evaluated:
             evaluate(model, bad, workers=workers)
-        assert str(streamed.value) == str(dense.value)
+        assert str(evaluated.value) == str(dense.value)
+
+    @pytest.mark.parametrize("dsl_temp", [None, 10.0])
+    def test_one_matrix_is_scored_and_ranked_once_per_direction(self, small_setup,
+                                                                 monkeypatch, dsl_temp):
+        model, corpus = small_setup
+        calls = []
+
+        def counted(name):
+            real = getattr(ranking, name)
+
+            def spy(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return spy
+
+        for name in ("similarity_matrix", "ranks_from_similarity"):
+            monkeypatch.setattr(ranking, name, counted(name))
+        evaluate(model, corpus, dsl_temp=dsl_temp)
+        assert calls == ["similarity_matrix"] + ["ranks_from_similarity"] * 2
+
+    @pytest.mark.parametrize("rank,matrices", [
+        (evaluate, 2),
+        (functools.partial(evaluate, dsl_temp=10.0), 3),
+        (rank_exhaustive, 2),
+    ], ids=["evaluate", "evaluate-dsl", "rank_exhaustive"])
+    def test_exhaustive_ranking_holds_the_matrix_once(self, rank, matrices):
+        # the (n, n) matrix is held once: never copied, nor its transpose;
+        # dual softmax adds one rescored matrix at a time
+        corpus = synth_corpus(seed=22, n_items=1000, dim=8, frames=2, audio_tokens=3)
+        model = create_model(seed=23, dim=8)
+        tracemalloc.start()
+        try:
+            rank(model, corpus, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < matrices * len(corpus) ** 2 * 8
+
+
+class TestLonePairs:
+    """Pairs whose candidate only one query shortlists, as stage 2 and
+    ``tefal export-attn`` score them: here the n pairs (i, i)."""
 
     @pytest.mark.parametrize("fusion", ["addition", "xattn"])
-    def test_the_truth_pass_scores_each_pair_once(self, small_setup, fusion):
-        # the truth pairs (i, i) are lone pairs, so their tiles are one
-        # query wide, not padded with repeats of it
+    def test_each_pair_is_scored_once(self, small_setup, fusion):
+        # a lone pair's tile is one query wide, not padded with repeats of it
         _, corpus = small_setup
         model = create_model(seed=5, dim=corpus.dim, fusion=fusion)
+        queries = model_module.query_rows(model, corpus.texts)
+        items = np.arange(len(corpus))
         widths = []
         real = model_module.score_tile
 
@@ -338,28 +381,15 @@ class TestStreamedExhaustive:
             return real(model, queries, corpus, cols, keep)
 
         with mock.patch.object(model_module, "score_tile", spy):
-            evaluate(model, corpus, workers=1)
+            model_module.score_pairs(model, queries, corpus, items, items, 1)
         assert {width for _, width in widths} == {1}
         assert sum(cols for cols, _ in widths) == len(corpus)
 
-    def test_a_truth_score_other_than_the_first_pass_raises(self, small_setup,
-                                                             monkeypatch):
-        model, corpus = small_setup
-        real = ranking.score_tile
-
-        def nudged(model, queries, corpus, cols, keep=False):
-            scores = real(model, queries, corpus, cols, keep)
-            return np.nextafter(scores, 2.0) if queries.texts.shape[1] == 1 else scores
-
-        monkeypatch.setattr(ranking, "score_tile", nudged)
-        with pytest.raises(RuntimeError, match="score their own queries differently"):
-            evaluate(model, corpus)
-
-    def test_the_truth_pass_holds_no_more_than_one_dense_block(self):
-        # the lone truth pairs pad to PAD slots each, so a tile capped by
-        # TILE_PAIRS alone held many times a dense block's candidates, and
-        # set the peak of evaluate; capped at CANDIDATE_BLOCK, a truth tile
-        # projects no more candidates than a dense block does
+    def test_their_tiles_hold_no_more_than_one_dense_block(self):
+        # lone pairs pad to PAD slots each, so a tile capped by TILE_PAIRS
+        # alone held many times a dense block's candidates; capped at
+        # CANDIDATE_BLOCK, a lone-pair tile projects no more candidates than
+        # a dense block does
         corpus = synth_corpus(seed=7, n_items=1000, dim=32)
         model = create_model(seed=8, dim=32)
         queries = model_module.query_rows(model, corpus.texts)
@@ -374,20 +404,8 @@ class TestStreamedExhaustive:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        truth, dense = peaks
-        assert truth <= dense
-
-    @pytest.mark.parametrize("rank", [evaluate, rank_exhaustive])
-    def test_peak_memory_stays_below_one_dense_matrix(self, rank):
-        corpus = synth_corpus(seed=22, n_items=1000, dim=8, frames=2, audio_tokens=3)
-        model = create_model(seed=23, dim=8)
-        tracemalloc.start()
-        try:
-            rank(model, corpus)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < len(corpus) ** 2 * 8
+        lone, dense = peaks
+        assert lone <= dense
 
 
 class TestRerankTwoStage:
@@ -792,6 +810,18 @@ class TestDualSoftmax:
             col = np.exp(sim[:, j] * temp)
             expected[:, j] = sim[:, j] * col / col.sum()
         np.testing.assert_allclose(out, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "transposed", "strided"])
+    def test_in_place_steps_keep_the_bits_of_the_out_of_place_formula(self, layout):
+        rng = np.random.default_rng(8)
+        sim = rng.uniform(-1, 1, (257, 130))
+        sim = {"C": sim, "F": np.asfortranarray(sim), "transposed": sim.T,
+               "strided": sim[::2]}[layout]
+        z = sim * 30.0
+        z = z - z.max(axis=0, keepdims=True)
+        e = np.exp(z)
+        want = sim * (e / e.sum(axis=0, keepdims=True))
+        assert dual_softmax_postprocess(sim, 30.0).tobytes("A") == want.tobytes("A")
 
     def test_requires_positive_temperature(self):
         with pytest.raises(ValueError):
