@@ -244,9 +244,11 @@ def block_backward(params: XAttnParams, cache: BlockCache, d_out: np.ndarray):
 def project_queries(params: XAttnParams, texts: np.ndarray, keep: bool = False):
     """``LN_q(texts) W_q`` as (D_p, T) columns, one padded product
     (:func:`tefal.linalg.padded_matmul`), so that a column does not depend
-    on its position.  With ``keep``, the pair ``(q, ln)``, ``ln`` the
-    ``(t_n, xhat)`` of ``LN_q`` that :func:`project_queries_backward` takes."""
-    texts = _check_rows(params, texts, "text")
+    on its position, and ``LN_q`` runs on C-contiguous rows, so that a
+    row's sums do not depend on the layout of ``texts``.  With ``keep``, the
+    pair ``(q, ln)``, ``ln`` the ``(t_n, xhat)`` of ``LN_q`` that
+    :func:`project_queries_backward` takes."""
+    texts = np.ascontiguousarray(_check_rows(params, texts, "text"))
     ln = layernorm_rows(texts, params.ln_q_gain, params.ln_q_bias, keep=keep)
     t_n = ln[0] if keep else ln
     q = np.ascontiguousarray(padded_matmul(params.w_q.T, t_n.T)[:, :len(texts)])

@@ -66,6 +66,9 @@ class Corpus:
             raise ShapeError("texts, frames, and audio must have one entry per item")
         if self.texts.ndim != 2 or self.frames.ndim != 3 or self.audio.ndim != 3:
             raise ShapeError("texts must be (n, D); frames and audio must be (n, rows, D)")
+        # C-contiguous, as a strided row sums in another order (LN_q, stage 1)
+        self.texts, self.frames, self.audio = map(np.ascontiguousarray,
+                                                  (self.texts, self.frames, self.audio))
         self.has_audio = np.asarray(self.has_audio)
         if self.has_audio.shape != (n,) or self.has_audio.dtype != bool:
             raise ShapeError(f"has_audio must be ({n},) bools, got {self.has_audio.dtype} "

@@ -6,7 +6,7 @@ ablation:
     addition   fused = E_v|t + E_a|t
     late       fused = E_v|t + mean(audio tokens) W   (audio unconditioned)
     concat_fc  fused = FC([E_v|t, E_a|t])
-    xattn      fused = XAttn(text, [E_v|t, E_a|t])    (third attention block)
+    xattn      fused = XAttn(text, [E_v|t, E_a|t])    (fusion's own block)
     stacking   fused = XAttn(text, [frames; audio summary row])
                (reuses the video block over an F+1 row context)
 
@@ -14,7 +14,7 @@ All variants produce one column of width D_p per query, pair-last like
 their inputs, with no re-normalization: the cosine absorbs scale.
 :func:`fuse_forward` and :func:`fuse_backward` implement the three post-hoc
 kinds, late, concat_fc and xattn, each called as ``(video, audio[,
-queries])`` with the inputs that :mod:`tefal.model`'s kind table picks;
+texts])`` with the inputs that :mod:`tefal.model`'s kind table picks;
 here only late's and concat_fc's feature counts are checked.
 :func:`fuse_forward` returns the fused columns and what :func:`fuse_backward`
 reverses, and :func:`fuse_backward` dispatches on ``params.kind``.
@@ -22,9 +22,13 @@ Addition is no post-hoc kind: :func:`tefal.model.score_tile` pools both
 blocks as one product (:func:`tefal.attention.attend_and_pool`), whose
 bias row carries the sum of their ``LN_o`` biases, and :mod:`tefal.model`
 sums the per-candidate reference's two outputs itself.
-The xattn block runs the tile kernel over the rows [E_v|t, E_a|t], each
-fused column one candidate with one query, and
-:func:`tefal.attention.block_backward_tile` reverses it.  Stacking is not
+The xattn block is fusion's own, so :mod:`tefal.model` runs only the
+video and audio blocks: :func:`fuse_forward` projects the query texts
+with it (:func:`tefal.attention.project_queries`), runs the tile kernel
+over the rows [E_v|t, E_a|t], each fused column one candidate with one
+query, and :func:`fuse_backward` reverses both
+(:func:`tefal.attention.block_backward_tile`,
+:func:`tefal.attention.project_queries_backward`).  Stacking is not
 post-hoc: :func:`tefal.model.score_tile` runs the video block over the
 stacked context, whose audio row is :func:`tefal.corpus.audio_summary`.
 """
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import (XAttnParams, attend_and_pool, block_backward_tile, pooling_rows,
-                        project_candidates)
+                        project_candidates, project_queries, project_queries_backward)
 from .linalg import ShapeError, padded_matmul
 
 __all__ = ["FusionKind", "FusionParams", "FusionError", "fuse_forward", "fuse_backward"]
@@ -107,19 +111,21 @@ def _pair_product(weight: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out.reshape((-1,) + x.shape[1:])
 
 
-def fuse_forward(params: FusionParams, video, audio, queries=None, keep: bool = False):
+def fuse_forward(params: FusionParams, video, audio, texts=None, keep: bool = False):
     """``(fused, saved)`` of a post-hoc fusion kind; addition and stacking
     raise :class:`FusionError`.  ``saved``, what :func:`fuse_backward`
-    reverses, is late's token mean, concat_fc's concatenation or xattn's
-    :class:`tefal.attention.TileCache`.
+    reverses, is late's token mean, concat_fc's concatenation or, with
+    ``keep``, xattn's :class:`tefal.attention.TileCache`, ``LN_q`` and
+    text shape.
     ``video`` is E_v|t and ``audio`` E_a|t, or for late the raw
-    audio-token mean; ``queries``, the xattn block's query
-    projections, only xattn reads.  Inputs are pair-last, one column per
-    pair; late's ``audio`` and ``queries`` broadcast against ``video``.
-    Without ``keep``, xattn saves no TileCache, so :func:`fuse_backward`
-    cannot reverse it.  xattn pools each pair as one candidate with one
-    query (:func:`tefal.attention.attend_and_pool`); that and the feature
-    sums keep the tile invariance of
+    audio-token mean; ``texts``, the query text columns, only xattn reads,
+    projecting them with its own block's
+    :func:`tefal.attention.project_queries`.  Inputs are pair-last, one
+    column per pair; late's ``audio`` and the ``texts`` broadcast against
+    ``video``.  Without ``keep``, xattn saves nothing, so
+    :func:`fuse_backward` cannot reverse it.  xattn pools each pair as one
+    candidate with one query (:func:`tefal.attention.attend_and_pool`);
+    that and the feature sums keep the tile invariance of
     :func:`tefal.attention.block_forward_tile`.
     """
     kind = params.kind
@@ -143,42 +149,45 @@ def fuse_forward(params: FusionParams, video, audio, queries=None, keep: bool = 
     if kind == FusionKind.XATTN:
         p = video.shape[0]
         contexts = np.stack([x.reshape(p, -1) for x in (video, audio)], axis=1)
-        q = np.broadcast_to(queries, video.shape).reshape(p, -1, 1)
+        q = project_queries(params.xattn, texts.reshape(len(texts), -1).T, keep)
+        q, ln = q if keep else (q, None)
+        q = np.broadcast_to(q.reshape((p,) + texts.shape[1:]), video.shape).reshape(p, -1, 1)
         cands = project_candidates(params.xattn, contexts, keep)
         fused, (tile,) = attend_and_pool([(params.xattn, q, cands)],
                                          pooling_rows([(params.xattn, cands)]), keep=keep)
-        return fused[:, :, 0].reshape(video.shape), tile
+        return fused[:, :, 0].reshape(video.shape), (tile, ln, texts.shape) if keep else None
 
     raise FusionError(f"{kind.value} fusion is not a post-hoc combiner")
 
 
 def fuse_backward(params: FusionParams, saved, d_fused: np.ndarray):
-    """``(own_grads, d_video_cond, d_audio_cond, d_queries)`` of a post-hoc
-    fusion kind, pair-last like ``d_fused``, from what :func:`fuse_forward`
-    ``saved``; ``d_queries``, xattn's query-projection gradient, is for
+    """``(own_grads, d_video_cond, d_audio_cond)`` of a post-hoc fusion
+    kind, pair-last like ``d_fused``, from what :func:`fuse_forward`
+    ``saved``; xattn's ``own_grads`` hold its query side's too, its query
+    gradient summed over the pairs each text broadcast to and reversed by
     :func:`tefal.attention.project_queries_backward`.  Addition's gradient
     is ``d_fused`` for both blocks, which
     :func:`tefal.model.batch_loss_and_grads` routes itself."""
     kind = params.kind
     pairs = tuple(range(1, d_fused.ndim))
     if kind == FusionKind.LATE:
-        return ({"late_w": np.tensordot(saved, d_fused, (pairs, pairs))},
-                d_fused, None, None)
+        return {"late_w": np.tensordot(saved, d_fused, (pairs, pairs))}, d_fused, None
 
     if kind == FusionKind.CONCAT_FC:
         d_w = np.tensordot(saved, d_fused, (pairs, pairs))
         d_b = d_fused.sum(axis=pairs)[None, :]
         d_concat = np.einsum("kp,p...->k...", params.concat_w, d_fused)
         half = params.concat_w.shape[1]
-        return ({"concat_w": d_w, "concat_b": d_b}, d_concat[:half],
-                d_concat[half:], None)
+        return {"concat_w": d_w, "concat_b": d_b}, d_concat[:half], d_concat[half:]
 
     if kind == FusionKind.XATTN:
-        shape = d_fused.shape
+        (tile, ln, text_shape), shape = saved, d_fused.shape
         grads, d_q, d_contexts = block_backward_tile(
-            params.xattn, saved, d_fused.reshape(shape[0], -1, 1))
+            params.xattn, tile, d_fused.reshape(shape[0], -1, 1))
+        spread = tuple(i for i in pairs if text_shape[i] == 1 != shape[i])
+        d_q = d_q.reshape(shape).sum(axis=spread).reshape(shape[0], -1)
+        grads.update(project_queries_backward(params.xattn, ln, d_q))
         return ({f"xattn.{k}": v for k, v in grads.items()},
-                d_contexts[:, 0].reshape(shape), d_contexts[:, 1].reshape(shape),
-                d_q.reshape(shape))
+                d_contexts[:, 0].reshape(shape), d_contexts[:, 1].reshape(shape))
 
     raise FusionError(f"{kind.value} fusion is not a post-hoc combiner")

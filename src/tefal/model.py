@@ -9,7 +9,7 @@ blocks run (``_blocks``, in parameter order) over which context rows
     audio     (any)               audio                audio tokens
     both      addition            video, audio         summed (one pooling product)
     both      concat_fc           video, audio         fused post hoc
-    both      xattn               video, audio, xattn  fused by the third block
+    both      xattn               video, audio         fused by fusion's own block
     both      late                video                + raw audio-token mean
     both      stacking            video                frames + audio summary row
 
@@ -121,7 +121,7 @@ def create_model(seed: int, dim: int, proj_dim: int | None = None,
 # the blocks each fusion kind runs over both modalities, in parameter order
 _FUSION_BLOCKS = {FusionKind.ADDITION: ("video", "audio"), FusionKind.LATE: ("video",),
                   FusionKind.CONCAT_FC: ("video", "audio"),
-                  FusionKind.XATTN: ("video", "audio", "xattn"),
+                  FusionKind.XATTN: ("video", "audio"),
                   FusionKind.STACKING: ("video",)}
 # the seven model kinds, (modality, fusion): every fusion over both
 # modalities, then each single modality, whose fusion runs no block
@@ -151,10 +151,6 @@ def _contexts(model: RetrievalModel, corpus: Corpus, cols) -> dict[str, np.ndarr
     return out
 
 
-def _params(model: RetrievalModel, name: str) -> XAttnParams:
-    return model.fusion.xattn if name == "xattn" else getattr(model, name)
-
-
 def _summed(model: RetrievalModel) -> bool:
     """Whether the fused embedding is the sum of the block outputs: under
     addition, and where one block's output is the fused embedding (one
@@ -163,19 +159,18 @@ def _summed(model: RetrievalModel) -> bool:
                                                               FusionKind.STACKING)
 
 
-def _fuse(model: RetrievalModel, outputs: dict, xattn_queries, token_mean,
-          keep: bool = False):
+def _fuse(model: RetrievalModel, outputs: dict, texts, token_mean, keep: bool = False):
     """``(fused, saved)``: where :func:`_summed`, the sum of ``outputs``, a
     lone output as it is, and ``saved`` is ``None``.  Otherwise the post-hoc
     :func:`tefal.fusion.fuse_forward` gets the video block's output and the
     audio block's, or for late fusion ``token_mean()``, and ``saved`` is what
-    :func:`tefal.fusion.fuse_backward` reverses; ``xattn_queries`` and
-    ``keep`` only xattn reads."""
+    :func:`tefal.fusion.fuse_backward` reverses; the pair-last query
+    ``texts`` and ``keep`` only xattn reads."""
     if _summed(model):
         first, *rest = outputs.values()
         return sum(rest, first), None
     audio = token_mean() if model.fusion.kind == FusionKind.LATE else outputs["audio"]
-    return fuse_forward(model.fusion, outputs["video"], audio, xattn_queries, keep)
+    return fuse_forward(model.fusion, outputs["video"], audio, texts, keep)
 
 
 def named_parameters(model: RetrievalModel, trainable_only: bool = True
@@ -197,11 +192,9 @@ def candidate_scores(model: RetrievalModel, texts: np.ndarray, corpus: Corpus,
     """``(scores, cache)`` of candidate ``j`` against every text, one
     :func:`tefal.attention.block_forward` call per block."""
     texts = np.asarray(texts, dtype=np.float64)
-    outputs = {name: block_forward(_params(model, name), texts, rows[0])[0].T
+    outputs = {name: block_forward(getattr(model, name), texts, rows[0])[0].T
                for name, rows in _contexts(model, corpus, [j]).items()}
-    xattn = query_rows(model, texts).blocks.get("xattn")
-    fused, _ = _fuse(model, outputs, None if xattn is None else xattn[:, 0],
-                     lambda: corpus.audio[j].mean(axis=0)[:, None])
+    fused, _ = _fuse(model, outputs, texts.T, lambda: corpus.audio[j].mean(axis=0)[:, None])
     return cosine_rows(texts.T, fused)
 
 
@@ -225,7 +218,7 @@ def query_rows(model: RetrievalModel, texts: np.ndarray, keep: bool = False) -> 
     ``keep``, keep each block's ``LN_q`` for
     :func:`tefal.attention.project_queries_backward`."""
     texts = np.asarray(texts, dtype=np.float64)
-    blocks = {name: project_queries(_params(model, name), texts, keep)
+    blocks = {name: project_queries(getattr(model, name), texts, keep)
               for name in _blocks(model)}
     columns = np.ascontiguousarray(texts.T)[:, None]
     if not keep:
@@ -266,12 +259,12 @@ def score_tile(model: RetrievalModel, queries: Queries, corpus: Corpus,
     :func:`tefal.attention.block_forward_tile`.
     """
     cols = np.asarray(cols, dtype=np.intp)
-    cands = {name: project_candidates(_params(model, name), rows.T, keep)
+    cands = {name: project_candidates(getattr(model, name), rows.T, keep)
              for name, rows in _contexts(model, corpus, cols).items()}
     # the blocks whose outputs are summed pool as one product: addition's
     # two, or any one block alone
     groups = [tuple(cands)] if _summed(model) else [(name,) for name in cands]
-    rows = {g: pooling_rows([(_params(model, n), cands[n]) for n in g]) for g in groups}
+    rows = {g: pooling_rows([(getattr(model, n), cands[n]) for n in g]) for g in groups}
 
     @functools.cache
     def token_means():
@@ -289,10 +282,10 @@ def score_tile(model: RetrievalModel, queries: Queries, corpus: Corpus,
         outputs, caches = {}, {}
         for g in groups:
             out, group_caches = attend_and_pool(
-                [(_params(model, n), q[n], cands[n]) for n in g], rows[g], tile, keep)
+                [(getattr(model, n), q[n], cands[n]) for n in g], rows[g], tile, keep)
             outputs[g[0]] = out[:, :, :t]
             caches.update(zip(g, group_caches))
-        fused, fusion_saved = _fuse(model, outputs, queries.blocks.get("xattn"),
+        fused, fusion_saved = _fuse(model, outputs, queries.texts,
                                     lambda: token_means()[:, tile], keep)
         tile_scores, cos_cache = cosine_rows(queries.texts, fused)
         return tile_scores.T, (TileTape(caches, fusion_saved, cos_cache) if keep else None)
@@ -496,16 +489,12 @@ def batch_loss_and_grads(model: RetrievalModel, corpus: Corpus,
 
     d_fused = cosine_rows_backward(d_sim.T, tape.cosine)
     d_cond = {"video": d_fused, "audio": d_fused}
-    d_queries = {}
     if tape.fusion is not None:
-        own, d_cond["video"], d_cond["audio"], d_queries["xattn"] = fuse_backward(
-            model.fusion, tape.fusion, d_fused)
+        own, d_cond["video"], d_cond["audio"] = fuse_backward(model.fusion, tape.fusion, d_fused)
         add("fusion", own)
     for name, cache in tape.blocks.items():
-        block_grads, d_queries[name], _ = block_backward_tile(
-            _params(model, name), cache, d_cond[name], context_grad=False)
+        params = getattr(model, name)
+        block_grads, d_q, _ = block_backward_tile(params, cache, d_cond[name], context_grad=False)
         add(name, block_grads)
-    for name in _blocks(model):
-        add("fusion.xattn" if name == "xattn" else name, project_queries_backward(
-            _params(model, name), queries.ln[name], d_queries[name].sum(axis=1)))
+        add(name, project_queries_backward(params, queries.ln[name], d_q.sum(axis=1)))
     return loss, grads, sim

@@ -740,7 +740,8 @@ class TestArtifactDigestsTool:
         monkeypatch.setattr(cli, "run_grad_checks", lambda seed: [
             CheckResult(f"seed{seed}", 0.0, 1.0)])
         assert tool.main([str(tmp_path / "out"), "--seeds", "3", "--items", "48"]) == 0
-        digests = dict(line.split(" ") for line in capsys.readouterr().out.splitlines())
+        printed = capsys.readouterr().out
+        digests = dict(line.split(" ") for line in printed.splitlines())
         kinds = ["both-addition", "both-late", "both-concat_fc", "both-xattn",
                  "both-stacking", "video-addition", "audio-addition"]
         per_kind = ["attn.csv", "attn.json", "checkpoint", "eval.json", "eval_dsl30.json",
@@ -758,3 +759,7 @@ class TestArtifactDigestsTool:
         assert (tmp_path / "out" / "gradcheck_seed1.txt").read_text().startswith("seed1 ")
         train_log = (tmp_path / "out" / "seed3" / "both-xattn" / "train.txt").read_text()
         assert train_log.endswith("\nwrote checkpoint to checkpoint\n")
+        # a relative OUT, which train's directory change must not re-root
+        monkeypatch.chdir(tmp_path)
+        assert tool.main(["relative", "--seeds", "3", "--items", "48"]) == 0
+        assert capsys.readouterr().out == printed

@@ -95,11 +95,11 @@ class TestVariantShapes:
         g = rng(12)
         video = g.standard_normal((proj, 3))
         audio = g.standard_normal((proj, 3))
-        queries = g.standard_normal((proj, 3))
+        texts = g.standard_normal((dim, 3))
         token_mean = g.standard_normal((dim, 1))
         for kind in FusionKind:
             params = FusionParams.create(g, kind, dim, proj)
-            inputs = (video, token_mean if kind == FusionKind.LATE else audio, queries)
+            inputs = (video, token_mean if kind == FusionKind.LATE else audio, texts)
             if kind in (FusionKind.ADDITION, FusionKind.STACKING):
                 with pytest.raises(FusionError, match="not a post-hoc combiner"):
                     fuse_forward(params, *inputs)
@@ -112,18 +112,18 @@ class TestTileShapes:
     @pytest.mark.parametrize("kind", [FusionKind.LATE, FusionKind.CONCAT_FC,
                                       FusionKind.XATTN])
     def test_a_tile_fuses_each_candidate_as_its_own_call(self, kind):
-        # score_tile's layout: (D_p, C, T) embeddings, (D_p, 1, T) queries and
-        # late's (D, C, 1) token mean
+        # score_tile's layout: (D_p, C, T) embeddings, (D, 1, T) query texts
+        # and late's (D, C, 1) token mean
         dim, cands, t = 6, 5, 3
         g = rng(16)
         params = FusionParams.create(g, kind, dim, dim)
         video, audio = g.standard_normal((2, dim, cands, t))
         if kind == FusionKind.LATE:
             audio = g.standard_normal((dim, cands, 1))
-        queries = g.standard_normal((dim, 1, t))
-        fused, _ = fuse_forward(params, video, audio, queries)
+        texts = g.standard_normal((dim, 1, t))
+        fused, _ = fuse_forward(params, video, audio, texts)
         for c in range(cands):
-            expected, _ = fuse_forward(params, video[:, c], audio[:, c], queries[:, 0])
+            expected, _ = fuse_forward(params, video[:, c], audio[:, c], texts[:, 0])
             np.testing.assert_array_equal(fused[:, c], expected)
 
 
@@ -152,7 +152,7 @@ class TestXAttn:
         params = FusionParams.create(g, FusionKind.XATTN, dim, dim)
         texts = g.standard_normal((7, dim))
         video, audio = g.standard_normal((2, dim, 7))
-        fused, _ = fuse_forward(params, video, audio, project_queries(params.xattn, texts))
+        fused, _ = fuse_forward(params, video, audio, texts.T)
         for r in range(7):
             want, _ = block_forward(params.xattn, texts[r:r + 1],
                                     np.stack([video[:, r], audio[:, r]]))
@@ -163,15 +163,34 @@ class TestXAttn:
         g = rng(19)
         params = FusionParams.create(g, FusionKind.XATTN, dim, dim)
         video, audio = g.standard_normal((2, dim, 5, 3))
-        queries = project_queries(params.xattn, g.standard_normal((3, dim)))[:, None]
-        kept, tile = fuse_forward(params, video, audio, queries, keep=True)
-        unkept, no_tile = fuse_forward(params, video, audio, queries)
+        texts = g.standard_normal((3, dim)).T[:, None]
+        kept, saved = fuse_forward(params, video, audio, texts, keep=True)
+        unkept, no_saved = fuse_forward(params, video, audio, texts)
         np.testing.assert_array_equal(unkept, kept)
-        assert no_tile is None
+        assert no_saved is None
         # the two rows' weights of each of the 15 pairs, one query each
-        weights = tile.caller_weights()
+        weights = saved[0].caller_weights()
         assert weights.shape == (2, 15, 1)
         np.testing.assert_allclose(weights.sum(axis=0), 1.0, rtol=0, atol=1e-15)
+
+    def test_a_broadcast_text_gets_the_gradient_of_all_its_pairs(self):
+        # (D, 1, T) texts shared by 4 candidates, as in a dense training
+        # tile, against the same texts repeated per candidate
+        dim = 6
+        g = rng(20)
+        params = FusionParams.create(g, FusionKind.XATTN, dim, dim)
+        video, audio, d_fused = g.standard_normal((3, dim, 4, 3))
+        texts = g.standard_normal((dim, 1, 3))
+        repeated = np.repeat(texts, 4, axis=1)
+        shared = fuse_backward(params, fuse_forward(params, video, audio, texts, True)[1],
+                               d_fused)
+        own = fuse_backward(params, fuse_forward(params, video, audio, repeated, True)[1],
+                            d_fused)
+        assert set(shared[0]) == set(params.named())
+        for got, want in zip(shared[1:], own[1:]):
+            np.testing.assert_array_equal(got, want)
+        for name, want in own[0].items():
+            np.testing.assert_allclose(shared[0][name], want, rtol=1e-12, atol=1e-14)
 
 
 class TestValidation:

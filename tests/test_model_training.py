@@ -10,10 +10,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import MODEL_KINDS
-from tefal.attention import block_backward, block_forward
+from tefal.attention import block_backward, block_forward, conditioned_embedding
 from tefal.config import ConfigError, TrainConfig
 from tefal.contrastive import cosine_rows, cosine_rows_backward, infonce
-from tefal.corpus import synth_corpus
+from tefal.corpus import Corpus, synth_corpus
 from tefal.fusion import FusionKind, fuse_backward, fuse_forward
 from tefal.linalg import ShapeError, padded_width
 from tefal.model import (
@@ -575,6 +575,50 @@ class TestTileScoring:
         assert peak < 1.8 * sim.nbytes
 
 
+# a strided last axis sums in another order than a contiguous one, so every
+# input is laid out C-contiguous before LN_q and stage 1 sum over its rows
+LAYOUTS = {
+    "fortran": np.asfortranarray,
+    "transposed_copy": lambda x: np.ascontiguousarray(np.swapaxes(x, -1, -2)).swapaxes(-1, -2),
+}
+
+
+@pytest.fixture(scope="module")
+def layout_corpus():
+    return synth_corpus(seed=3, n_items=64, dim=32)
+
+
+def relaid(corpus, layout):
+    """``corpus`` built from its texts, frames and audio in ``layout``."""
+    return Corpus(corpus.ids, layout(corpus.texts), layout(corpus.frames),
+                  layout(corpus.audio), corpus.has_audio, corpus.summary_tokens)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+class TestMemoryLayout:
+    @pytest.mark.parametrize("modality,fusion", MODEL_KINDS)
+    def test_scores_do_not_depend_on_the_input_layout(self, layout_corpus, layout,
+                                                      modality, fusion):
+        model = create_model(seed=19, dim=32, fusion=fusion, modality=modality)
+        want = similarity_matrix(model, layout_corpus).tobytes()
+        relay = LAYOUTS[layout]
+        assert similarity_matrix(model, layout_corpus,
+                                 query_texts=relay(layout_corpus.texts)).tobytes() == want
+        assert similarity_matrix(model, relaid(layout_corpus, relay)).tobytes() == want
+
+    def test_stage1_rows_do_not_depend_on_the_corpus_layout(self, layout_corpus, layout):
+        got = ranking._stage1_rows(relaid(layout_corpus, LAYOUTS[layout]))
+        for g, want in zip(got, ranking._stage1_rows(layout_corpus)):
+            assert g.tobytes() == want.tobytes()
+
+    def test_conditioned_embedding_does_not_depend_on_the_text_layout(self, layout_corpus,
+                                                                      layout):
+        params = create_model(seed=19, dim=32).video
+        texts, context = layout_corpus.texts, layout_corpus.frames[0]
+        want = conditioned_embedding(params, texts, context).tobytes()
+        assert conditioned_embedding(params, LAYOUTS[layout](texts), context).tobytes() == want
+
+
 def per_candidate_loss_and_grads(model, corpus, indices):
     """The per-candidate training path, as the oracle for the batched one:
     one block_forward/block_backward per candidate column and block (per
@@ -634,7 +678,7 @@ def per_candidate_loss_and_grads(model, corpus, indices):
                     add(f"fusion.xattn.{key}", block_grads[key])
                 d_cond["video"][r], d_cond["audio"][r] = d_context
         elif fusion_cache is not None:
-            own, d_video, d_audio, _ = fuse_backward(model.fusion, fusion_cache, d_fused.T)
+            own, d_video, d_audio = fuse_backward(model.fusion, fusion_cache, d_fused.T)
             d_cond = {"video": d_video.T, "audio": None if d_audio is None else d_audio.T}
             for key, value in own.items():
                 add(f"fusion.{key}", value)

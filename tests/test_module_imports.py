@@ -402,6 +402,31 @@ def test_only_attend_tile_constructs_a_tile_cache():
     assert callers == {"attention.attend_tile"}
 
 
+# the xattn fusion block is fusion's own: the model runs only the video and
+# audio blocks, and no other module projects or reverses the xattn queries
+def xattn_readers(source: str) -> set[str]:
+    """The functions of ``source``, or ``<module>``, that name a ``.xattn``
+    attribute; a key or a name ``xattn`` is no attribute."""
+    return scopes_where(source, lambda node: getattr(node, "attr", None) == "xattn")
+
+
+def test_xattn_readers_are_found():
+    source = ("def f(model, name):\n"
+              "    return model.fusion.xattn if name == 'xattn' else None\n"
+              "class C:\n    def m(self, xattn):\n        self.xattn = xattn\n"
+              "def g(params):\n    return {'xattn': params}, getattr(params, 'xattn')\n"
+              "w = params.xattn.w_q\n")
+    assert xattn_readers(source) == {"f", "C.m", "<module>"}
+    assert {"FusionParams.named", "fuse_forward", "fuse_backward"} <= xattn_readers(
+        (SRC / "fusion.py").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "fusion"],
+                         ids=[p.name for p in MODULES if p.stem != "fusion"])
+def test_only_fusion_reads_the_xattn_block(path):
+    assert xattn_readers(path.read_text(encoding="utf-8")) == set()
+
+
 # every worker loop runs on map_tasks, which holds the BLAS to one thread
 THREAD_STARTERS = {"ThreadPoolExecutor", "ProcessPoolExecutor", "Thread"}
 

@@ -74,6 +74,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[5, 6])
     parser.add_argument("--items", type=int, default=300)
     args = parser.parse_args(argv)
+    # absolute, as train runs in each kind's directory
+    args.out = args.out.resolve()
     args.out.mkdir(parents=True, exist_ok=True)
     if any(args.out.iterdir()):
         parser.error(f"{args.out} is not empty")
