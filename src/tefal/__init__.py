@@ -3,11 +3,7 @@
 A query text attends over video frame embeddings and audio token embeddings
 through two independent cross-attention blocks; the two conditioned
 embeddings are fused (by addition, by default) and compared to the query by
-cosine similarity.  The package provides the blocks with hand-written
-backward rules, symmetric InfoNCE training with a learnable temperature, an
-adaptive-shift Mel filter-bank audio front end, ranking metrics, two-stage
-re-ranking, dual-softmax post-processing, and binary persistence for
-embeddings and checkpoints.
+cosine similarity.  The package re-exports each module's main entry points.
 """
 
 from .attention import (

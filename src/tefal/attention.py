@@ -12,29 +12,10 @@ embedding:
 The block has no positional encoding, so the pooled output is invariant
 under any joint permutation of the context rows.
 
-The tile kernel folds ``LN_o``'s centring and gain into each candidate's
-value rows: ``pooled W_o`` is linear in the attention weights w, and only
-the scale of ``LN_o`` depends on the pair.  With C = I - 11^T/d_p and
-M = LN(context) W_v W_o C, the pooling of the rows M diag(g_o) gives
-g_o (p - mean p) for p = pooled W_o, and the variance is w^T (M M^T) w / d_p,
-from the candidate's n x n Gram.  So the scale is known before the
-pooling: :func:`attend_and_pool` multiplies it into the attention weights,
-which are n / d_p the size of the outputs, and adds the bias as one more
-value row, against a row of ones.  A block's output is then one
-product, [M diag(g_o); b_o]^T [w inv; 1], and no pass over the outputs
-remains; blocks whose outputs are summed, as addition's are, pool as one
-product over all their rows (:func:`pooling_rows`).
-
-Every library path runs the kernel in one product form, the tile kernel,
-:func:`block_forward_tile`, whose docstring gives why a pair's output does
-not depend on its tile; the xattn fusion block runs it too, each pair one
-candidate with one query.  So only this module knows the
-K || M || M diag(g_o) layout and the :class:`TileCache` that
-:func:`block_backward_tile` reverses.
-:func:`block_forward`, :func:`block_backward` and :func:`attend` are the
-per-candidate reference that the tests compare the kernel against.  Two
-independent instances of the block condition the video and audio sides on
-the same text query.
+Every library path runs the tile kernel, :func:`block_forward_tile` and
+:func:`block_backward_tile`, or its halves where several blocks pool in one
+product; :func:`block_forward`, :func:`block_backward` and :func:`attend`
+are the per-candidate reference that the tests compare it against.
 """
 
 import math
@@ -77,12 +58,9 @@ __all__ = [
 
 @dataclass
 class XAttnParams:
-    """Learnable state of one cross-attention block.
-
-    ``w_q``, ``w_k``, ``w_v`` are D x D_p, ``w_o`` is D_p x D_p; the
-    LayerNorm affines are the query, context (shared by keys and values)
-    and output sides.
-    """
+    """Learnable state of one cross-attention block: ``w_q``, ``w_k``,
+    ``w_v`` are D x D_p, ``w_o`` is D_p x D_p; the LayerNorm affines are the
+    query, context (shared by keys and values) and output sides."""
 
     w_q: np.ndarray
     w_k: np.ndarray
@@ -317,7 +295,9 @@ def project_candidates(params: XAttnParams, contexts: np.ndarray,
     """The query-independent half of :func:`block_forward_tile` for (D, n, C)
     ``contexts``: ``LN_c`` and its canonical row order, then
     K || M || M diag(g_o) and the Gram M M^T, for M = rows W_v W_o C,
-    ``g_o`` = ``ln_o_gain`` and C = I - 11^T / D_p the centring matrix."""
+    ``g_o`` = ``ln_o_gain`` and C = I - 11^T / D_p the centring matrix.
+    ``pooled W_o`` is linear in the weights w, so M^T w is ``LN_o``'s
+    centred input and w^T (M M^T) w / D_p its variance (:func:`attend_tile`)."""
     p = params.proj_dim
     contexts = np.ascontiguousarray(contexts, dtype=np.float64)
     if contexts.ndim != 3 or contexts.shape[0] != params.dim:
@@ -340,12 +320,8 @@ def attend_tile(params: XAttnParams, q: np.ndarray, cands: Candidates,
     ``cols``: the (C, n, T_pad) softmax exponentials e, as wide as ``q``
     (padded columns included), and the (C, 1, T_pad) scale whose product
     with them is the attention weights, each column scaled by its pair's
-    ``LN_o`` reciprocal standard deviation, which :func:`attend_and_pool`
-    writes into its pooling operand; ``cache`` only with ``keep``, which
-    needs all of ``cands``.  e is ``exp(logits / sqrt(D_p) - max)`` over
-    the context rows, in place, and r the reciprocal of its sum; for the
-    weights w = e r the variance is ``r^2 sum_n e (G e) / D_p``, G the
-    candidate's Gram, so one multiply applies r and the scale."""
+    ``LN_o`` reciprocal standard deviation; ``cache`` only with ``keep``,
+    which needs all of ``cands``."""
     p, kv = params.proj_dim, cands.kv[cols]
     q = np.ascontiguousarray(q, dtype=np.float64)
     if q.ndim != 3 or q.shape[0] != p or q.shape[1] not in (1, len(kv)):
@@ -355,6 +331,7 @@ def attend_tile(params: XAttnParams, q: np.ndarray, cands: Candidates,
     logits *= 1.0 / math.sqrt(p)
     logits -= logits.max(axis=1, keepdims=True)
     e = np.exp(logits, out=logits)
+    # w = e r, so LN_o's variance is r^2 sum_n e (G e) / D_p, G the Gram
     r = 1.0 / e.sum(axis=1, keepdims=True)
     gram_e = padded_matmul(cands.gram[cols], e)
     var = np.multiply(gram_e, e, out=gram_e).sum(axis=1) * r[:, 0] ** 2
@@ -382,10 +359,8 @@ def attend_and_pool(blocks, rows: np.ndarray, cols: slice = slice(None),
     """``(out, caches)``: the (D_p, C, T_pad) sum of the outputs of the
     ``(params, q, cands)`` ``blocks`` for ``cols`` of their
     :func:`pooling_rows` ``rows``, in the same order, and each block's
-    :func:`attend_tile` cache.  Each block's scaled weights are written
-    straight into its rows of the pooling product's (C, K, T_pad) right
-    operand, whose last row of ones adds the bias; one padded product of
-    ``rows`` against it is written straight into the pair-last layout."""
+    :func:`attend_tile` cache: one padded product of ``rows`` against the
+    blocks' scaled weights, stacked over a last row of ones for the bias."""
     stacked, caches, start = None, [], 0
     for params, q, cands in blocks:
         e, scale, cache = attend_tile(params, q, cands, cols, keep)
@@ -400,46 +375,32 @@ def attend_and_pool(blocks, rows: np.ndarray, cols: slice = slice(None),
     return out, caches
 
 
-def block_forward_tile(params: XAttnParams, q: np.ndarray, contexts: np.ndarray):
+def block_forward_tile(params: XAttnParams, q: np.ndarray, contexts: np.ndarray,
+                       keep: bool = True):
     """``(out, cache)``: the block for every (query, candidate) pair of a
-    tile, pair-last (the feature or context-row axis first, then the (C, T)
-    pair axes), by :func:`project_candidates`, then
-    :func:`attend_and_pool`.
-
-    ``contexts`` is (D, n, C).  ``q`` holds :func:`project_queries` columns
-    with a candidate axis: (D_p, 1, T), shared by every candidate (a dense
-    tile), or (D_p, C, T), each candidate's own queries (a grouped tile).
-    Returns the (D_p, C, T) outputs and the :class:`TileCache` that
-    :func:`block_backward_tile` reverses.
+    tile, pair-last: the (D_p, C, T) outputs and, with ``keep``, the
+    :class:`TileCache` that :func:`block_backward_tile` reverses (else
+    ``None``).  ``contexts`` is (D, n, C); ``q`` holds
+    :func:`project_queries` columns, (D_p, 1, T) shared by every candidate
+    (a dense tile) or (D_p, C, T), each candidate's own (a grouped tile).
 
     Tile invariance: a pair's output depends only on its own query and
     candidate, so no tiling, candidate block, subset or worker count
-    changes a score.  Elementwise operations are exact.  K || M || M diag(g_o)
-    is one stacked ``matmul`` of fixed-shape (n, D) @ (D, 3 D_p) items,
-    one per candidate, which numpy hands to BLAS one at a time, so an
-    item's bits do not depend on the stack; so is each candidate's Gram.
-    Each candidate's rows go in canonical order (:func:`canonical_rows`)
-    by their ``LN_c`` values before the projection, so any permutation of
-    them gives its item the same input, and the output the same bits.  The
-    per-pair products, the logits K_c q, the variance's (M M^T)_c e and
-    the pooling [M diag(g_o); b_o]_c^T [w inv; 1], are padded products
-    (:func:`tefal.linalg.padded_matmul`), one column per query, so a
-    column keeps its bits whatever queries and candidates share the tile.
-    The pooling's left operand has one layout and a fixed K for a given
-    model and corpus: the rows of the blocks it sums plus the bias row,
-    n + 1 for one block and n_v + n_a + 1 for addition
-    (:func:`pooling_rows`), stacked once per call for all its candidates;
-    :func:`project_queries` and the late and concat_fc fusions are padded
-    products too.  The softmax sums and the variance's sum over the n rows
-    of e (M M^T e) run over a (C, n, T_pad) array whose trailing axis is
-    at least ``PAD`` wide, so numpy adds each column's terms in row order;
-    the ``LN_c`` sums go through :func:`tefal.linalg.sum_leading`.  Fusion
-    and cosine follow the same rules, so a score, too, depends only on its
-    pair.
+    changes a score.  Elementwise operations are exact.  Each candidate's
+    rows go in canonical order (:func:`canonical_rows`), so any permutation
+    of them gives the same bits, and its K || M || M diag(g_o) and Gram are
+    fixed-shape items of a stacked ``matmul``, which numpy hands to BLAS
+    one at a time.  The logits, the variance's Gram product and the pooling
+    are :func:`tefal.linalg.padded_matmul` products, one column per query.
+    The sums over the n context rows run over a (C, n, T_pad) array whose
+    trailing axis is at least ``PAD`` wide, so numpy adds each column's
+    terms in row order; the ``LN_c`` sums go through
+    :func:`tefal.linalg.sum_leading`.  Fusion and cosine keep the same
+    rules, so a score, too, depends only on its pair.
     """
-    cands = project_candidates(params, contexts, keep=True)
+    cands = project_candidates(params, contexts, keep=keep)
     out, (cache,) = attend_and_pool([(params, q, cands)], pooling_rows([(params, cands)]),
-                                    keep=True)
+                                    keep=keep)
     return out[:, :, :q.shape[-1]], cache
 
 
@@ -452,16 +413,14 @@ def block_backward_tile(params: XAttnParams, cache: TileCache, d_out: np.ndarray
     pair's (D_p, C, T) query gradient, for the caller to sum per text and
     pass to :func:`project_queries_backward`; and the (D, n, C) context
     gradient in the caller's row order, or ``None`` with
-    ``context_grad=False``, which leaves ``grads`` bit-identical.  ``LN_o``
-    is reversed on u = M^T w, the pooled rows before the gain, whose
-    gradient is centred as u is; so ``d(W_v W_o)`` gets the centring C, and
-    ``d_W_v = d(W_v W_o) W_o^T``, ``d_W_o = W_v^T d(W_v W_o)``.  The
+    ``context_grad=False``, which leaves ``grads`` bit-identical.  The
     backward pass need only be deterministic, not tile-invariant, so its
     per-pair products are batched matrix products.
     """
     d, p = params.dim, params.proj_dim
     w, q, m = cache.weights, cache.q, cache.kv[:, :, p:2 * p]
-    # LN_o's standardized input u inv, u = M^T w; u is centred, so d_u is too
+    # LN_o's standardized input u inv, u = M^T w; u is centred, so d_u is
+    # too, and d(W_v W_o) carries the centring C
     xhat = np.ascontiguousarray((m.transpose(0, 2, 1) @ w).transpose(1, 0, 2)) * cache.inv
     d_u, d_go, d_bo = standardized_backward(d_out, xhat, cache.inv, params.ln_o_gain, axis=0)
     d_u = d_u.transpose(1, 0, 2)                                        # (C, D_p, T)

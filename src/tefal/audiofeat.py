@@ -117,10 +117,12 @@ def adaptive_frame_shift(n_frm: int, sr: int, l_tar: int) -> float:
 
 
 def hz_to_mel(f):
+    """HTK-scale Mel value of each frequency in hertz, as a float64 array."""
     return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
 
 
 def mel_to_hz(m):
+    """Frequency in hertz of each HTK-scale Mel value; inverts :func:`hz_to_mel`."""
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
@@ -155,13 +157,6 @@ def compute_fbank(w: Waveform, target_length: int = DEFAULT_TARGET_LENGTH,
     running past the end of the signal are zero-padded, which guarantees the
     row count.  Clips shorter than one ``WINDOW_MS`` analysis window are
     zero-padded to a single window (with a warning) rather than rejected.
-
-    Frames are windowed and transformed ``FFT_BLOCK_ROWS`` at a time through
-    one reused buffer, which keeps the working set small; each row's
-    spectrum is the same whatever block holds it.  The Mel product stays one
-    whole-clip matmul: the BLAS picks its kernel from the whole shape (and a
-    one-row block goes through gemv), so a blocked product would change
-    result bits with the clip's row count.
     """
     if w.sample_rate != SAMPLE_RATE:
         raise AudioFormatError(
@@ -194,6 +189,8 @@ def compute_fbank(w: Waveform, target_length: int = DEFAULT_TARGET_LENGTH,
         rows = frames[:block.size]
         np.multiply(windows[block], hamming, out=rows[:, :window])
         np.abs(np.fft.rfft(rows), out=spectrum[lo:lo + block.size])
+    # one whole-clip product: the BLAS picks its kernel by the whole shape,
+    # so a blocked product would change bits with the clip's row count
     mel = spectrum @ filters.T
     np.maximum(mel, LOG_FLOOR, out=mel)
     return MelFilterBank(frames=np.log(mel, out=mel), frame_shift_ms=f_shift)
@@ -226,6 +223,7 @@ def patch_grid(l_tar: int = DEFAULT_TARGET_LENGTH, n_mels: int = DEFAULT_N_MELS,
 
 def patch_count(l_tar: int = DEFAULT_TARGET_LENGTH, n_mels: int = DEFAULT_N_MELS,
                 patch: int = DEFAULT_PATCH, stride: int = DEFAULT_STRIDE) -> int:
+    """The number of patches of :func:`patch_grid` with the same arguments."""
     return patch_grid(l_tar, n_mels, patch, stride).count
 
 
@@ -235,11 +233,11 @@ def read_wav(path) -> Waveform:
     Stereo or non-16-bit files are rejected here; the sample rate is carried
     through and checked by :func:`compute_fbank`.  A file that is not a WAV
     file, or whose data chunk holds fewer frames than its header declares,
-    raises :class:`AudioFormatError` naming the path.  The file is parsed
-    from memory: a corrupt header may declare gigabytes of frames, which a
-    buffered file read would allocate before finding the file short.
+    raises :class:`AudioFormatError` naming the path.
     """
     try:
+        # from memory: a corrupt header may declare gigabytes of frames, which
+        # a buffered file read would allocate before finding the file short
         with wave.open(io.BytesIO(Path(path).read_bytes()), "rb") as f:
             if f.getnchannels() != 1:
                 raise AudioFormatError(

@@ -104,6 +104,8 @@ def _coerce(name: str, raw: str):
 
 
 def config_to_text(config: TrainConfig) -> str:
+    """One ``key = value`` line per :class:`TrainConfig` field, in field
+    order; :func:`parse_config_text` reads a validated config's back to it."""
     lines = []
     for f in dataclasses.fields(TrainConfig):
         value = getattr(config, f.name)

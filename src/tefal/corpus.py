@@ -3,16 +3,9 @@
 Items are stored as uniform arrays (every item has the same frame count and
 audio token count, matching the on-disk container).  Missing audio is
 represented by all-zero token rows with the ``has_audio`` flag cleared.
-Constructing a :class:`Corpus` checks every rule a corpus keeps, so the
-manifest reader :func:`tefal.storage.load_corpus` states none of them
-again.  :func:`audio_summary` forms the audio summary row that stacking
-reads; the module imports only :mod:`tefal.linalg`.
-
-``synth_corpus`` builds a controlled benchmark: each item has a primary
-latent visible in its frames, and an ``audio_informative`` fraction of items
-additionally carry a second latent that appears in the text and the audio
-tokens but in none of the frames.  Audio is then genuinely complementary:
-a retriever that reads it has strictly more signal than one that does not.
+The entry points are :class:`Corpus`, whose construction checks every rule
+a corpus keeps, :func:`audio_summary`, and :func:`synth_corpus`, a
+controlled benchmark in which audio complements video.
 """
 
 import math

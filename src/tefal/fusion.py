@@ -11,26 +11,10 @@ ablation:
                (reuses the video block over an F+1 row context)
 
 All variants produce one column of width D_p per query, pair-last like
-their inputs, with no re-normalization: the cosine absorbs scale.
-:func:`fuse_forward` and :func:`fuse_backward` implement the three post-hoc
-kinds, late, concat_fc and xattn, each called as ``(video, audio[,
-texts])`` with the inputs that :mod:`tefal.model`'s kind table picks;
-here only late's and concat_fc's feature counts are checked.
-:func:`fuse_forward` returns the fused columns and what :func:`fuse_backward`
-reverses, and :func:`fuse_backward` dispatches on ``params.kind``.
-Addition is no post-hoc kind: :func:`tefal.model.score_tile` pools both
-blocks as one product (:func:`tefal.attention.attend_and_pool`), whose
-bias row carries the sum of their ``LN_o`` biases, and :mod:`tefal.model`
-sums the per-candidate reference's two outputs itself.
-The xattn block is fusion's own, so :mod:`tefal.model` runs only the
-video and audio blocks: :func:`fuse_forward` projects the query texts
-with it (:func:`tefal.attention.project_queries`), runs the tile kernel
-over the rows [E_v|t, E_a|t], each fused column one candidate with one
-query, and :func:`fuse_backward` reverses both
-(:func:`tefal.attention.block_backward_tile`,
-:func:`tefal.attention.project_queries_backward`).  Stacking is not
-post-hoc: :func:`tefal.model.score_tile` runs the video block over the
-stacked context, whose audio row is :func:`tefal.corpus.audio_summary`.
+their inputs, with no re-normalization: the cosine absorbs scale.  This
+module runs the post-hoc kinds, late, concat_fc and xattn
+(:func:`fuse_forward`, :func:`fuse_backward`); :func:`tefal.model.score_tile`
+scores addition and stacking itself.
 """
 
 import enum
@@ -39,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import (XAttnParams, attend_and_pool, block_backward_tile, pooling_rows,
-                        project_candidates, project_queries, project_queries_backward)
+from .attention import (XAttnParams, block_backward_tile, block_forward_tile,
+                        project_queries, project_queries_backward)
 from .linalg import ShapeError, padded_matmul
 
 __all__ = ["FusionKind", "FusionParams", "FusionError", "fuse_forward", "fuse_backward"]
@@ -113,20 +97,16 @@ def _pair_product(weight: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def fuse_forward(params: FusionParams, video, audio, texts=None, keep: bool = False):
     """``(fused, saved)`` of a post-hoc fusion kind; addition and stacking
-    raise :class:`FusionError`.  ``saved``, what :func:`fuse_backward`
-    reverses, is late's token mean, concat_fc's concatenation or, with
-    ``keep``, xattn's :class:`tefal.attention.TileCache`, ``LN_q`` and
-    text shape.
-    ``video`` is E_v|t and ``audio`` E_a|t, or for late the raw
-    audio-token mean; ``texts``, the query text columns, only xattn reads,
-    projecting them with its own block's
-    :func:`tefal.attention.project_queries`.  Inputs are pair-last, one
-    column per pair; late's ``audio`` and the ``texts`` broadcast against
-    ``video``.  Without ``keep``, xattn saves nothing, so
-    :func:`fuse_backward` cannot reverse it.  xattn pools each pair as one
-    candidate with one query (:func:`tefal.attention.attend_and_pool`);
-    that and the feature sums keep the tile invariance of
-    :func:`tefal.attention.block_forward_tile`.
+    raise :class:`FusionError`, and a feature count that late's or
+    concat_fc's weight does not take a ``ShapeError``.  ``video`` is E_v|t
+    and ``audio`` E_a|t, or for late the raw audio-token mean; only xattn
+    reads ``texts``, the query text columns, which its own block projects.
+    Inputs are pair-last, one column per pair; late's ``audio`` and the
+    ``texts`` broadcast against ``video``.  ``saved``, what
+    :func:`fuse_backward` reverses, is late's token mean, concat_fc's
+    concatenation or xattn's tile cache, ``LN_q`` and text shape (``None``
+    without ``keep``).  xattn scores each pair as one candidate with one
+    query (:func:`tefal.attention.block_forward_tile`).
     """
     kind = params.kind
     if kind == FusionKind.LATE:
@@ -152,22 +132,17 @@ def fuse_forward(params: FusionParams, video, audio, texts=None, keep: bool = Fa
         q = project_queries(params.xattn, texts.reshape(len(texts), -1).T, keep)
         q, ln = q if keep else (q, None)
         q = np.broadcast_to(q.reshape((p,) + texts.shape[1:]), video.shape).reshape(p, -1, 1)
-        cands = project_candidates(params.xattn, contexts, keep)
-        fused, (tile,) = attend_and_pool([(params.xattn, q, cands)],
-                                         pooling_rows([(params.xattn, cands)]), keep=keep)
+        fused, tile = block_forward_tile(params.xattn, q, contexts, keep)
         return fused[:, :, 0].reshape(video.shape), (tile, ln, texts.shape) if keep else None
 
     raise FusionError(f"{kind.value} fusion is not a post-hoc combiner")
 
 
 def fuse_backward(params: FusionParams, saved, d_fused: np.ndarray):
-    """``(own_grads, d_video_cond, d_audio_cond)`` of a post-hoc fusion
-    kind, pair-last like ``d_fused``, from what :func:`fuse_forward`
-    ``saved``; xattn's ``own_grads`` hold its query side's too, its query
-    gradient summed over the pairs each text broadcast to and reversed by
-    :func:`tefal.attention.project_queries_backward`.  Addition's gradient
-    is ``d_fused`` for both blocks, which
-    :func:`tefal.model.batch_loss_and_grads` routes itself."""
+    """``(own_grads, d_video, d_audio)`` of a post-hoc fusion kind,
+    pair-last like ``d_fused``, from what :func:`fuse_forward` ``saved``;
+    late's ``d_audio`` is ``None``, and xattn's ``own_grads`` include its
+    query projection's (:func:`tefal.attention.project_queries_backward`)."""
     kind = params.kind
     pairs = tuple(range(1, d_fused.ndim))
     if kind == FusionKind.LATE:

@@ -97,19 +97,17 @@ def padded_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
     the padded columns, for the caller to drop.
 
     Determinism: the BLAS picks its kernel, and how that kernel treats a
-    partial edge tile, by the operands' shapes and layouts, so one product
-    rounds differently from another of other shape.  Here numpy hands the
-    BLAS one item at a time; each caller gives its ``a`` one shape and
-    layout for a given model and corpus; and the pair axis has unit stride
-    and a whole multiple of ``PAD`` entries.  No column then falls in a
-    partial tile of a kernel whose tiles divide ``PAD``, and each column's
-    dot products run one fixed sequence of operations, wherever the column
-    sits and whichever kernel the width selects.  A thread split divides
-    tiles between threads, not a dot product.  So a column's bits depend
-    only on that column, ``a`` and the BLAS build: not on the other
-    columns, their order or count, the items beside it or the BLAS thread
-    count.  ``tests/test_padded_products.py`` checks this on the installed
-    BLAS for every (M, K) the engine uses, and fails where a BLAS breaks it.
+    partial edge tile, by the operands' shapes and layouts.  Here numpy
+    hands the BLAS one item at a time; each caller gives its ``a`` one
+    shape and layout for a given model and corpus; and the pair axis has
+    unit stride and a whole multiple of ``PAD`` entries.  No column then
+    falls in a partial tile of a kernel whose tiles divide ``PAD``, so each
+    column's dot products run one fixed sequence of operations, wherever
+    the column sits and whichever kernel the width selects, and a thread
+    split divides tiles, not a dot product.  So a column's bits depend only
+    on that column, ``a`` and the BLAS build: not on the other columns,
+    their order or count, the items beside it or the BLAS thread count
+    (``tests/test_padded_products.py`` checks this on the installed BLAS).
     """
     return np.matmul(a, pad_pairs(b), out=out)
 

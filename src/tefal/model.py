@@ -1,24 +1,16 @@
 """The full retrieval model: attention blocks, fusion, and similarity.
 
 A model kind, its ``modality`` and fusion kind, decides which attention
-blocks run (``_blocks``, in parameter order) over which context rows
-(``_contexts``); every other function reads that one table:
-
-    modality  fusion              blocks               context and fusion
-    video     (any)               video                frames
-    audio     (any)               audio                audio tokens
-    both      addition            video, audio         summed (one pooling product)
-    both      concat_fc           video, audio         fused post hoc
-    both      xattn               video, audio         fused by fusion's own block
-    both      late                video                + raw audio-token mean
-    both      stacking            video                frames + audio summary row
+blocks run (:func:`_blocks`: one modality's own block, or those
+``_FUSION_BLOCKS`` names) over which context rows (:func:`_contexts`:
+stacking adds the audio summary row to the frames); every other function
+reads that one table.
 
 Every candidate embedding is conditioned on the query text, so T queries
 against V candidates cost one block evaluation per pair.  Exhaustive
-scoring, the stage-2 re-rank and training all score through
-:func:`score_tile`; why its scores do not depend on the tile is given in
-:func:`tefal.attention.block_forward_tile`.  Tiles are planned here alone
-(:func:`candidate_blocks`, :func:`pair_tiles`).  :func:`candidate_scores`
+scoring (:func:`similarity_matrix`), stage 2 (:func:`score_pairs`) and
+training (:func:`batch_loss_and_grads`) all score through
+:func:`score_tile`, on tiles planned here alone; :func:`candidate_scores`
 is the per-candidate reference that the tests compare it against.
 """
 
@@ -62,9 +54,7 @@ __all__ = ["RetrievalModel", "MODEL_KINDS", "create_model", "named_parameters",
            "pair_tiles", "score_pairs", "resolve_workers", "map_tasks",
            "similarity_matrix", "batch_loss_and_grads", "uses_summary_rows"]
 
-# (query, candidate) pairs per dense sub-tile or grouped tile, counted padded:
-# of 2048, 4096 and 8192, the width at which exhaustive evaluation ran
-# fastest (2 CPUs)
+# (query, candidate) pairs per dense sub-tile or grouped tile, counted padded
 TILE_PAIRS = 8192
 # candidates per score_tile call: an exhaustive block, or at most in a
 # grouped tile, as score_tile projects all of a call's candidates at once
@@ -161,11 +151,9 @@ def _summed(model: RetrievalModel) -> bool:
 
 def _fuse(model: RetrievalModel, outputs: dict, texts, token_mean, keep: bool = False):
     """``(fused, saved)``: where :func:`_summed`, the sum of ``outputs``, a
-    lone output as it is, and ``saved`` is ``None``.  Otherwise the post-hoc
-    :func:`tefal.fusion.fuse_forward` gets the video block's output and the
-    audio block's, or for late fusion ``token_mean()``, and ``saved`` is what
-    :func:`tefal.fusion.fuse_backward` reverses; the pair-last query
-    ``texts`` and ``keep`` only xattn reads."""
+    lone output as it is, and ``saved`` is ``None``; otherwise
+    :func:`tefal.fusion.fuse_forward` of the video block's output and the
+    audio block's, or for late fusion ``token_mean()``."""
     if _summed(model):
         first, *rest = outputs.values()
         return sum(rest, first), None
@@ -245,18 +233,11 @@ def score_tile(model: RetrievalModel, queries: Queries, corpus: Corpus,
     every candidate against the same T queries (a dense tile); of shape
     (., C, T), from ``queries.rows`` with a (C, T) index, entry (t, c)
     scores ``cols[c]`` against its ``t``-th query (a grouped tile).  The
-    candidates are projected once, so a caller passes at most
-    ``CANDIDATE_BLOCK`` of them (:func:`candidate_blocks`, :func:`pair_tiles`),
-    except training's one batch; a dense tile attends in sub-tiles of at
-    most ``TILE_PAIRS`` pairs, counted padded
-    (:func:`tefal.linalg.padded_width`), unless ``keep``, its queries padded
-    once for all of them.  The blocks whose outputs are summed attend and
-    pool in one call per sub-tile (:func:`tefal.attention.attend_and_pool`,
-    their rows stacked once per call): so addition's fused embedding,
-    E_v|t + E_a|t, comes out of one product over both blocks' rows and
-    runs no fusion code, and any other kind pools each block alone and
-    fuses post hoc.  Tile invariance:
-    :func:`tefal.attention.block_forward_tile`.
+    candidates are projected at once, so a caller passes at most
+    ``CANDIDATE_BLOCK`` of them, except training's one batch; a dense tile
+    attends in sub-tiles of at most ``TILE_PAIRS`` padded pairs, unless
+    ``keep``.  Addition's two blocks pool as one product; any other kind's
+    blocks pool alone and fuse post hoc.
     """
     cols = np.asarray(cols, dtype=np.intp)
     cands = {name: project_candidates(getattr(model, name), rows.T, keep)
@@ -309,11 +290,7 @@ def pair_tiles(cands: np.ndarray) -> list[np.ndarray]:
     padded slots (or one group): (C, W) pair slots, row c one candidate's
     pairs, then its last pair repeated up to the
     :func:`tefal.linalg.padded_width` of the tile's largest group.  A tile of
-    lone pairs (candidates that one query shortlists in stage 2, or the
-    pairs (i, i) of ``tefal export-attn``) keeps W = 1, as repeats would
-    only score each pair again; its pairs still count ``PAD`` slots each,
-    so without the candidate cap it would project ``TILE_PAIRS / PAD``
-    candidates in one :func:`score_tile`, more than a dense block does."""
+    lone pairs keeps W = 1, so that each pair is scored once."""
     _, starts, sizes = np.unique(cands, return_index=True, return_counts=True)
     largest_first = np.argsort(-sizes, kind="stable")
     starts, sizes = starts[largest_first], sizes[largest_first]
@@ -452,8 +429,8 @@ def similarity_matrix(model: RetrievalModel, corpus: Corpus,
                       workers: int | None = None) -> np.ndarray:
     """Dense T x V matrix of text-conditioned cosine similarities: one
     :func:`score_tile` per :func:`candidate_blocks` block, by :func:`map_tasks`
-    on ``workers`` threads (by default, every usable CPU), each holding one
-    tile's temporaries beside the shared matrix.  Tile invariance
+    on ``workers`` threads, each holding one tile's temporaries beside the
+    shared matrix.  Tile invariance
     (:func:`tefal.attention.block_forward_tile`) makes the result the same
     for any worker count.  Candidates not integers in [0, n) raise ValueError."""
     candidates = corpus.item_indices(

@@ -177,9 +177,7 @@ def _row_scores(queries: np.ndarray, columns: np.ndarray) -> np.ndarray:
     start at multiples of ``_CHUNK_ROWS`` keep a row at one offset in its
     chunk.  So a row's scores depend only on the row, the candidates and
     the BLAS build: not on the block size, the other rows, the BLAS thread
-    count or the worker count, and no (n, n) array is held.  64-row chunks
-    give the bits of 128-row ones (checked at 12 sizes n from 1 to 4,097,
-    D of 8 and 32, OpenBLAS 0.3.31 at 1 and 2 threads).
+    count or the worker count, and no (n, n) array is held.
     """
     q = np.concatenate([queries, np.zeros((-len(queries) % _CHUNK_ROWS, queries.shape[1]))])
     scores = padded_matmul(q.reshape(-1, _CHUNK_ROWS, q.shape[1]), columns)
@@ -194,13 +192,8 @@ def _stage1_shortlists(score_rows: Callable[[slice], np.ndarray], k: int,
     ``score_rows(rows)`` gives one block of whole chunks of query rows
     (determinism: :func:`_row_scores`).  Blocks run on :func:`map_tasks`
     workers, as many as hold at most ``BLOCK_ELEMENTS`` scores together
-    (or one chunk of rows), and write disjoint rows of the result.
-
-    A block takes its top k with one ``argpartition`` and sorts only those.
-    Where the k-th score ties with a column left out, the partition's pick
-    among the tied columns is arbitrary, so those rows partition again on a
-    key that takes every higher score, then the tied columns by ascending
-    id.  The result equals the first k columns of a full lexsort.
+    (or one chunk of rows), and write disjoint rows of the result.  The
+    shortlists equal the first k columns of a full lexsort.
     """
     n = len(ids)
     shortlists = np.empty((n, k), dtype=np.intp)
@@ -214,6 +207,8 @@ def _stage1_shortlists(score_rows: Callable[[slice], np.ndarray], k: int,
         block = score_rows(rows)
         top = np.argpartition(block, n - k, axis=1)[:, n - k:]
         kth = np.take_along_axis(block, top, axis=1).min(axis=1, keepdims=True)
+        # where the k-th score ties with a column left out, the partition's
+        # pick is arbitrary: take every higher score, then the ties by id
         tied = np.count_nonzero(block >= kth, axis=1) > k
         if np.any(tied):
             key = np.where(block[tied] > kth[tied], -1,
@@ -346,11 +341,9 @@ def evaluate(model: RetrievalModel, corpus: Corpus, k: int | None = None,
     and its transpose (:func:`ranks_from_similarity`), each re-scored with
     dual softmax first when ``dsl_temp`` is given; a bad ``dsl_temp``, or
     one given with ``k``, is rejected before any scoring.  ``k`` switches
-    to two-stage re-ranking (:func:`rerank_two_stage` in both directions,
-    sharing the pairs both shortlist), which holds no (n, n) matrix.
-    ``workers`` threads score (by default, every usable CPU, capped by
-    TEFAL_THREADS: :func:`tefal.model.resolve_workers`); each holds one
-    tile's temporaries, and no count changes a rank.
+    to :func:`rerank_two_stage` in both directions, which holds no (n, n)
+    matrix.  No ``workers`` count (:func:`tefal.model.resolve_workers`)
+    changes a rank.
     """
     if dsl_temp is not None:
         _check_dsl_temp(dsl_temp)

@@ -18,11 +18,6 @@ container with one item of shape (target_length, n_mels).  The checkpoint's
 step counter travels as the reserved entry ``__step__``; version 1 files
 held the config as an entry of one code point per float32 cell.  All
 arrays are float32 on disk and float64 in memory.
-
-The manifest reader checks only what the manifest states: its JSON types,
-indices, listed files and ``audio_tokens``.  The rules of the corpus itself
-are :class:`tefal.corpus.Corpus`'s, whose errors it raises as
-:class:`FormatError` naming the manifest.
 """
 
 import json
@@ -119,10 +114,15 @@ def read_embeddings(path) -> np.ndarray:
 
 
 def write_fbank(path, fbank: MelFilterBank) -> None:
+    """Write a filter bank's frames as a one-item EMB1 file."""
     write_embeddings(path, fbank.frames[None, :, :])
 
 
 def read_fbank(path) -> MelFilterBank:
+    """The filter bank of a :func:`write_fbank` file, which must hold one
+    item.  The file stores no frame shift: ``frame_shift_ms`` is NaN
+    (unknown), except for an all-zero bank, which reads as
+    :func:`tefal.audiofeat.zero_fbank` does, shift 0.0 and ``missing``."""
     items = read_embeddings(path)
     if items.shape[0] != 1:
         raise FormatError(f"{path}: filter-bank file must hold exactly one item")
@@ -245,8 +245,10 @@ def _take(array: np.ndarray, index: list) -> np.ndarray:
 
 def load_corpus(manifest_path) -> Corpus:
     """Materialize a corpus from a manifest; missing audio becomes zero rows.
-    A malformed manifest or listed file raises :class:`FormatError` with the
-    manifest's path."""
+    The manifest's own rules (its JSON types, indices, listed files and
+    ``audio_tokens``) are checked here, the corpus's by
+    :class:`tefal.corpus.Corpus`; a break of either, or a malformed listed
+    file, raises :class:`FormatError` with the manifest's path."""
     path = Path(manifest_path)
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))

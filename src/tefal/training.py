@@ -37,8 +37,7 @@ class AdamW:
     The moments are one flat vector each, in the order of the first step's
     ``params``, which every later step must repeat.  Each update runs once
     over the concatenated gradients; it is elementwise, so the parameters
-    get the bits of one update per array.  The parameters are concatenated
-    only for a nonzero weight decay.
+    get the bits of one update per array.
     """
 
     def __init__(self, learning_rate: float = 1e-4, beta1: float = 0.9,

@@ -2,9 +2,8 @@
 
 Each check perturbs every coordinate of every input/parameter with central
 differences and compares against the analytic gradients, reporting the worst
-relative error (see :func:`relative_error`).  Primitive and
-single-module checks must come in under 1e-4; the end-to-end loss checks,
-which stack many rules, under 1e-3.
+relative error (see :func:`relative_error`) against ``PRIMITIVE_TOL``, or
+the looser ``END_TO_END_TOL`` for the loss checks, which stack many rules.
 """
 
 from dataclasses import dataclass
@@ -46,11 +45,9 @@ class CheckResult:
 
 
 def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    """Max elementwise |a - n| / max(|a|, |n|, 1e-3).
-
-    The floor makes the measure absolute near zero, where a pure ratio would
-    amplify finite-difference noise on vanishing gradients.
-    """
+    """Max elementwise |a - n| / max(|a|, |n|, 1e-3); the floor makes the
+    measure absolute near zero, where a pure ratio would amplify
+    finite-difference noise on vanishing gradients."""
     analytic = np.asarray(analytic, dtype=np.float64)
     numeric = np.asarray(numeric, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-3)

@@ -5,7 +5,10 @@ docstring or README.md refers to resolves."""
 import ast
 import importlib
 import importlib.util
+import inspect
+import io
 import re
+import tokenize
 import types
 from pathlib import Path
 
@@ -58,6 +61,59 @@ def test_stale_exports_are_found():
 def test_every_exported_name_exists(path):
     name = "tefal" if path.stem == "__init__" else f"tefal.{path.stem}"
     assert stale_exports(importlib.import_module(name)) == []
+
+
+def undocumented_functions(module) -> list[str]:
+    """The functions in ``module.__all__`` that have no docstring."""
+    return [name for name in getattr(module, "__all__", [])
+            if inspect.isfunction(getattr(module, name, None))
+            and not (getattr(module, name).__doc__ or "").strip()]
+
+
+def test_undocumented_functions_are_found():
+    module = types.ModuleType("mod")
+    exec("def documented():\n    \"\"\"Does it.\"\"\"\n"
+         "def bare():\n    return 1\n"
+         "def blank():\n    \"\"\"  \"\"\"\n"
+         "class Bare:\n    pass\n"
+         "CONSTANT = 3\n", module.__dict__)
+    module.__all__ = ["documented", "bare", "blank", "Bare", "CONSTANT"]
+    assert undocumented_functions(module) == ["bare", "blank"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_exported_function_has_a_docstring(path):
+    name = "tefal" if path.stem == "__init__" else f"tefal.{path.stem}"
+    assert undocumented_functions(importlib.import_module(name)) == []
+
+
+# measurements and the versions they ran on belong in CHANGES.md, not in
+# the contracts that the docstrings and comments state
+MEASUREMENT = re.compile(r"\d+\.\d+\.\d+|\d+ CPUs?")
+
+
+def measurement_citations(source: str) -> list[str]:
+    """The version numbers and CPU counts that the module, class and
+    function docstrings and the comments of ``source`` name."""
+    texts = [ast.get_docstring(node, clean=False) or "" for node in ast.walk(ast.parse(source))
+             if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef))]
+    texts += [token.string for token in tokenize.generate_tokens(io.StringIO(source).readline)
+              if token.type == tokenize.COMMENT]
+    return [found for text in texts for found in MEASUREMENT.findall(text)]
+
+
+def test_measurement_citations_are_found():
+    source = ('"""Checked on OpenBLAS 0.3.31."""\n__version__ = "0.1.0"\n'
+              "# the fastest width (2 CPUs)\n"
+              "def f():\n    \"\"\"Runs on 1 CPU, at 12 sizes up to 4,097.\"\"\"\n"
+              "    return '3.11.7 on 4 CPUs'  # 1.2 s\n")
+    assert measurement_citations(source) == ["0.3.31", "1 CPU", "2 CPUs"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_docstring_or_comment_cites_a_measurement(path):
+    assert measurement_citations(path.read_text(encoding="utf-8")) == []
 
 
 ROLE = re.compile(r":(?:func|class|meth|mod):`([^`]+)`")
@@ -400,6 +456,35 @@ def test_only_attend_tile_constructs_a_tile_cache():
     callers = {f"{p.stem}.{scope}" for p in MODULES
                for scope in tile_cache_callers(p.read_text(encoding="utf-8"))}
     assert callers == {"attention.attend_tile"}
+
+
+# the kernel's halves: block_forward_tile composes them, and the model pools
+# several blocks in one product; any other module runs block_forward_tile
+KERNEL_HALVES = {"project_candidates", "attend_and_pool", "pooling_rows"}
+
+
+def kernel_half_callers(source: str) -> set[str]:
+    """The functions of ``source``, or ``<module>``, that call
+    ``project_candidates``, ``attend_and_pool`` or ``pooling_rows``, bare or
+    as an attribute."""
+    return scopes_where(source, lambda node: isinstance(node, ast.Call) and bool(
+        {getattr(node.func, "id", None), getattr(node.func, "attr", None)} & KERNEL_HALVES))
+
+
+def test_kernel_half_callers_are_found():
+    source = ("def f(p, c):\n    return project_candidates(p, c)\n"
+              "class C:\n    def m(self, b, r):\n"
+              "        return attention.attend_and_pool(b, r)\n"
+              "def g():\n    return pooling_rows, block_forward_tile(p, q, c)\n"
+              "rows = pooling_rows([])\n")
+    assert kernel_half_callers(source) == {"f", "C.m", "<module>"}
+    assert kernel_half_callers((SRC / "attention.py").read_text(encoding="utf-8")) == {
+        "block_forward_tile"}
+
+
+def test_only_attention_and_model_call_the_kernel_halves():
+    callers = {p.stem for p in MODULES if kernel_half_callers(p.read_text(encoding="utf-8"))}
+    assert callers == {"attention", "model"}
 
 
 # the xattn fusion block is fusion's own: the model runs only the video and
